@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check ci build vet test race race-all smoke docs-lint bench bench-full bench-codec bench-campaign
+.PHONY: check ci build vet test race race-all smoke docs-lint bench-full bench-codec bench-campaign
 
 check: build vet test race smoke docs-lint
 
@@ -68,31 +68,8 @@ docs-lint:
 	done; \
 	[ $$fail -eq 0 ] && echo "docs-lint OK"
 
-# Perf gate: the hot-path benchmarks (experiment throughput replay vs share,
-# bootstrap-share ratio, parallel campaign workers-vs-sequential speedup)
-# parsed into BENCH_PR$(PR).json via tools/benchjson. The artifact is
-# committed per PR (the trajectory lives in-repo, not just as a CI upload);
-# CI re-runs the gate on the 4-vCPU hosted runner on every push and uploads
-# its own copy. The run is compared against the newest committed BENCH_PR*
-# artifact from an earlier PR: a >10% ms/exp regression prints a
-# non-blocking warning (see tools/benchjson). MUTINY_SHARE is irrelevant
-# here: ExperimentThroughput measures both regimes itself.
-# Each bench run writes to its own file first so a benchmark failure fails
-# the target (piping straight into benchjson would report the parser's exit
-# status and let a broken benchmark slip through the gate); benchjson itself
-# also fails when it parses no benchmark lines.
-PR ?= 10
-BENCH_JSON ?= BENCH_PR$(PR).json
-bench:
-	@set -e; out=$$(mktemp -d); \
-	prev=$$(ls BENCH_PR*.json 2>/dev/null | sed -n 's/^BENCH_PR\([0-9][0-9]*\)\.json$$/\1/p' | awk '$$1 < $(PR)' | sort -n | tail -1); \
-	prev=$${prev:+BENCH_PR$$prev.json}; \
-	$(GO) test -run xxx -bench 'BenchmarkExperimentThroughput|BenchmarkBootstrapShare' -benchmem -benchtime 30x . > $$out/hot.txt; \
-	MUTINY_STRIDE=96 MUTINY_GOLDEN=5 $(GO) test -run xxx -bench 'BenchmarkCampaignParallel' -benchtime 3x . > $$out/campaign.txt; \
-	$(GO) test -run xxx -bench 'BenchmarkScale10$$|BenchmarkScale500$$' -benchmem -benchtime 50x . > $$out/scale.txt; \
-	cat $$out/hot.txt $$out/campaign.txt $$out/scale.txt | $(GO) run ./tools/benchjson -out $(BENCH_JSON) $${prev:+-prev $$prev}; \
-	rm -rf $$out
-	@echo "wrote $(BENCH_JSON)"
+# Performance is measured by the repository benchmark, `go run ./bench` (see
+# bench/README.md and BENCHMARK.json), not by a make target.
 
 # Full paper-style benchmark run (minutes; see bench_test.go header).
 bench-full:
@@ -102,4 +79,4 @@ bench-codec:
 	$(GO) test -run xxx -bench 'BenchmarkCodec' -benchmem ./internal/codec/
 
 bench-campaign:
-	$(GO) test -run xxx -bench 'BenchmarkCampaignParallel|BenchmarkExperimentThroughput' -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkCampaignParallel' -benchmem .

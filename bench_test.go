@@ -32,7 +32,6 @@ import (
 	"strconv"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/mutiny-sim/mutiny/internal/apiserver"
 	"github.com/mutiny-sim/mutiny/internal/campaign"
@@ -335,103 +334,6 @@ func BenchmarkAblationAtRestCorruption(b *testing.B) {
 		cl.Stop()
 	}
 }
-
-// BenchmarkExperimentThroughput measures the cost of one full injection
-// experiment — the number that determines campaign wall-clock time — on
-// both execution regimes: "replay" boots a fresh cluster per experiment
-// (bootstrap + workload + classification), "share" forks the workload's
-// settled bootstrap snapshot so only the injection window is simulated.
-func BenchmarkExperimentThroughput(b *testing.B) {
-	in := inject.Injection{
-		Channel: inject.ChannelStore, Kind: spec.KindNode,
-		FieldPath: "status.address", Type: inject.BitFlip, Occurrence: 2,
-	}
-	for _, mode := range []struct {
-		name  string
-		share bool
-	}{{"replay", false}, {"share", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			runner := campaign.NewRunner()
-			runner.GoldenRuns = 10
-			runner.ShareBootstrap = mode.share
-			runner.Baseline(workload.Deploy) // prebuild baseline (and snapshot) outside the timer
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				runner.Run(campaign.Spec{Workload: workload.Deploy, Seed: int64(9000 + i), Injection: &in})
-			}
-		})
-	}
-}
-
-// BenchmarkBootstrapShare records the fork-vs-replay per-experiment ratio:
-// how much of an experiment's cost the shared-bootstrap snapshot removes.
-// Each iteration runs the same injection spec once per regime; the ratio is
-// reported as an explicit metric (ns/op is the sum of both regimes).
-func BenchmarkBootstrapShare(b *testing.B) {
-	in := inject.Injection{
-		Channel: inject.ChannelStore, Kind: spec.KindDeployment,
-		FieldPath: "spec.replicas", Type: inject.BitFlip, Bit: 0, Occurrence: 1,
-	}
-	mk := func(share bool) *campaign.Runner {
-		runner := campaign.NewRunner()
-		runner.GoldenRuns = 5
-		runner.ShareBootstrap = share
-		runner.Baseline(workload.Deploy) // prebuild baseline (and snapshot) outside the timer
-		return runner
-	}
-	replayRunner, forkRunner := mk(false), mk(true)
-	measure := func(runner *campaign.Runner) time.Duration {
-		start := time.Now()
-		for i := 0; i < b.N; i++ {
-			runner.Run(campaign.Spec{Workload: workload.Deploy, Seed: int64(9300 + i), Injection: &in})
-		}
-		return time.Since(start)
-	}
-	b.ResetTimer()
-	replay := measure(replayRunner)
-	fork := measure(forkRunner)
-	ratio := float64(replay) / float64(fork)
-	fmt.Printf("Bootstrap share: replay %.2f ms/experiment, fork %.2f ms/experiment, speedup ×%.2f\n",
-		float64(replay.Nanoseconds())/1e6/float64(b.N), float64(fork.Nanoseconds())/1e6/float64(b.N), ratio)
-	b.ReportMetric(ratio, "replay/fork-×")
-}
-
-// benchScaleZoned runs one zone-partition experiment per iteration on a
-// three-zone cloud-edge cluster of the given size, forked from a prebuilt
-// snapshot. Everything but the node count is held fixed, so the
-// Scale500/Scale10 time ratio isolates how per-experiment cost grows with
-// cluster size.
-func benchScaleZoned(b *testing.B, workers int) {
-	in := inject.Injection{
-		Type: inject.FaultZonePartition, Replica: 2,
-		After: 3 * time.Second, Heal: 18 * time.Second,
-	}
-	runner := campaign.NewRunner()
-	runner.GoldenRuns = 5
-	runner.ShareBootstrap = true
-	runner.ClusterConfig.Workers = workers
-	runner.ClusterConfig.Zones = 3
-	runner.Baseline(workload.Deploy) // prebuild the snapshot outside the timer
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := runner.Run(campaign.Spec{Workload: workload.Deploy, Seed: int64(9600 + i), Injection: &in})
-		if !res.Report.Fired || !res.Report.Healed {
-			b.Fatalf("zone partition did not fire+heal: %+v", res.Report)
-		}
-	}
-}
-
-// BenchmarkScale10 is the small-cluster denominator of the scale ratio: the
-// identical zoned experiment on 10 workers.
-func BenchmarkScale10(b *testing.B) { benchScaleZoned(b, 10) }
-
-// BenchmarkScale500 measures the per-experiment cost of the share regime on
-// a 500-node three-zone cloud-edge cluster. The per-zone scheduler and
-// endpoints indexes, the per-kind watcher fan-out index, and the
-// heartbeat-aware controllers are what keep this within a small multiple of
-// BenchmarkScale10 despite 50× the nodes; benchjson derives the ratio
-// (scale_500_vs_10_ratio) and warns when it drifts.
-func BenchmarkScale500(b *testing.B) { benchScaleZoned(b, 500) }
 
 // BenchmarkCampaignParallel measures campaign wall-clock versus worker
 // count: the same miniature campaign on the sequential path and fanned out

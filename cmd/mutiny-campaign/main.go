@@ -78,7 +78,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("mutiny-campaign", flag.ContinueOnError)
 	var (
-		stride     = fs.Int("stride", 1, "run every n-th generated experiment (1 = full campaign)")
+		stride     = fs.Int("stride", 1, "run every n-th generated field/drop/serialization experiment (1 = full campaign); the timed-fault matrices always run in full")
 		golden     = fs.Int("golden", 100, "golden runs per workload")
 		parallel   = fs.Int("parallel", 0, "experiment worker goroutines (0 = all cores, 1 = sequential; output is bit-identical either way)")
 		shards     = fs.Int("shards", 1, "split the campaign across this many OS processes (driver mode: spawns one child per shard, merges their outputs bit-identically to a single-process run)")
@@ -124,8 +124,12 @@ func run(args []string) error {
 		SkipPropagation:      *noProp,
 	}
 	if *workloads != "" {
-		for _, w := range splitComma(*workloads) {
-			cfg.Workloads = append(cfg.Workloads, mutiny.WorkloadKind(w))
+		for _, name := range splitComma(*workloads) {
+			wl, err := mutiny.ParseWorkload(name)
+			if err != nil {
+				return fmt.Errorf("-workloads: %w", err)
+			}
+			cfg.Workloads = append(cfg.Workloads, wl)
 		}
 	}
 	start := time.Now()

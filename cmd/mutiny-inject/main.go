@@ -30,12 +30,15 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+// parse turns the command line into the experiment to run and the number of
+// golden runs to classify it against, rejecting names it does not know
+// instead of running something else in their place.
+func parse(args []string) (mutiny.Spec, int, error) {
 	fs := flag.NewFlagSet("mutiny-inject", flag.ContinueOnError)
 	var (
-		wl      = fs.String("workload", "deploy", "workload: deploy, scale, or failover")
+		wl      = fs.String("workload", "deploy", "workload: deploy, scale, failover, or policy")
 		kind    = fs.String("kind", "Pod", "resource kind to target")
-		channel = fs.String("channel", "store", "channel: store (apiserver→etcd) or request (component→apiserver)")
+		channel = fs.String("channel", "store", "channel: store (apiserver→etcd), request (component→apiserver), or watch (apiserver→component)")
 		source  = fs.String("source", "", "component prefix filter for the request channel (kcm, scheduler, kubelet-)")
 		field   = fs.String("field", "", "field path, e.g. spec.replicas or metadata.labels[app]")
 		fault   = fs.String("fault", "bitflip", "fault model: bitflip, set, drop, or protobyte")
@@ -47,21 +50,30 @@ func run(args []string) error {
 		golden  = fs.Int("golden", 30, "golden runs for the classification baseline")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return mutiny.Spec{}, 0, err
+	}
+	workload, err := mutiny.ParseWorkload(*wl)
+	if err != nil {
+		return mutiny.Spec{}, 0, err
 	}
 
 	in := mutiny.Injection{
-		Kind:         mutiny.KindPod,
-		Channel:      mutiny.ChannelStore,
+		Kind:         mutiny.ResourceKind(*kind),
 		SourcePrefix: *source,
 		FieldPath:    *field,
 		Bit:          *bit,
 		CharIndex:    *char,
 		Occurrence:   *occ,
 	}
-	in.Kind = mutiny.ResourceKind(*kind)
-	if *channel == "request" {
+	switch *channel {
+	case "store":
+		in.Channel = mutiny.ChannelStore
+	case "request":
 		in.Channel = mutiny.ChannelRequest
+	case "watch":
+		in.Channel = mutiny.ChannelWatch
+	default:
+		return mutiny.Spec{}, 0, fmt.Errorf("unknown channel %q (want store, request or watch)", *channel)
 	}
 	switch *fault {
 	case "bitflip":
@@ -80,13 +92,22 @@ func run(args []string) error {
 	case "protobyte":
 		in.Type = mutiny.FlipProtoByte
 	default:
-		return fmt.Errorf("unknown fault model %q", *fault)
+		return mutiny.Spec{}, 0, fmt.Errorf("unknown fault model %q", *fault)
 	}
+	return mutiny.Spec{Workload: workload, Seed: *seed, Injection: &in}, *golden, nil
+}
+
+func run(args []string) error {
+	spec, golden, err := parse(args)
+	if err != nil {
+		return err
+	}
+	in := spec.Injection
 
 	runner := mutiny.NewRunner()
-	runner.GoldenRuns = *golden
-	fmt.Fprintf(os.Stderr, "building %d-run golden baseline for %q...\n", *golden, *wl)
-	res := runner.Run(mutiny.Spec{Workload: mutiny.WorkloadKind(*wl), Seed: *seed, Injection: &in})
+	runner.GoldenRuns = golden
+	fmt.Fprintf(os.Stderr, "building %d-run golden baseline for %q...\n", golden, spec.Workload)
+	res := runner.Run(spec)
 
 	fmt.Printf("injection: %s\n", in.Label())
 	fmt.Printf("fired: %v", res.Report.Fired)

@@ -1,0 +1,43 @@
+package main
+
+import (
+	"strings"
+	"testing"
+
+	mutiny "github.com/mutiny-sim/mutiny"
+)
+
+func TestParseRejectsUnknownNames(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string // substring of the error
+	}{
+		{[]string{"-channel", "etcd"}, `unknown channel "etcd"`},
+		{[]string{"-workload", "depoly"}, `unknown workload "depoly"`},
+		{[]string{"-fault", "flip"}, `unknown fault model "flip"`},
+	} {
+		if _, _, err := parse(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("parse(%v) = %v, want error containing %q", tc.args, err, tc.want)
+		}
+	}
+}
+
+func TestParseChannelsAndWorkloads(t *testing.T) {
+	channels := map[string]string{
+		"store":   mutiny.ChannelStore.String(),
+		"request": mutiny.ChannelRequest.String(),
+		"watch":   mutiny.ChannelWatch.String(),
+	}
+	for name, want := range channels {
+		spec, _, err := parse([]string{"-channel", name})
+		if err != nil || spec.Injection.Channel.String() != want {
+			t.Errorf("-channel %s: got %v, err %v, want %s", name, spec.Injection, err, want)
+		}
+	}
+	for _, wl := range []mutiny.WorkloadKind{mutiny.WorkloadDeploy, mutiny.WorkloadScaleUp, mutiny.WorkloadFailover, mutiny.WorkloadPolicy} {
+		spec, _, err := parse([]string{"-workload", string(wl)})
+		if err != nil || spec.Workload != wl {
+			t.Errorf("-workload %s: got %q, err %v", wl, spec.Workload, err)
+		}
+	}
+}

@@ -52,7 +52,7 @@ func TestHAControlPlaneSmoke(t *testing.T) {
 	// The measured windows feed the HA table: the partition must expose a
 	// stale-read window (the isolated apiserver keeps serving its frozen
 	// cache while the majority moves on).
-	if st := agg.StaleByFault[mutiny.FaultMasterPartition]; len(st) != 1 || st[0] == 0 {
+	if st := agg.Windows[mutiny.WindowKey{Fault: mutiny.FaultMasterPartition}][1]; len(st) != 1 || st[0] == 0 {
 		t.Fatalf("partition stale-read window not measured: %v", st)
 	}
 

@@ -159,61 +159,41 @@ func (c *AdmissionChain) SetFailurePolicy(p FailurePolicy) { c.override = p }
 // HookCount returns the number of registered hooks.
 func (c *AdmissionChain) HookCount() int { return len(c.hooks) }
 
-// HookName returns the name of hook i (index normalized like fault replicas).
-func (c *AdmissionChain) HookName(i int) string { return c.hooks[c.idx(i)].Name }
-
-// Idx normalizes an arbitrary hook index into range, the way control-plane
-// faults normalize replica indices (`replica % Replicas()`).
-func (c *AdmissionChain) Idx(i int) int { return c.idx(i) }
-
-func (c *AdmissionChain) idx(i int) int {
-	if i < 0 {
-		i = -i
-	}
-	return i % len(c.hooks)
-}
+// HookName returns the name of hook i.
+func (c *AdmissionChain) HookName(i int) string { return c.hooks[i].Name }
 
 // --- injected fault state -----------------------------------------------------
 
-// CrashWebhook takes hook i's backend process down (FaultWebhookDown).
-func (c *AdmissionChain) CrashWebhook(i int) { c.hooks[c.idx(i)].down = true }
+// SetWebhookDown takes hook i's backend process down or brings it back.
+func (c *AdmissionChain) SetWebhookDown(i int, down bool) { c.hooks[i].down = down }
 
-// RestoreWebhook undoes CrashWebhook.
-func (c *AdmissionChain) RestoreWebhook(i int) { c.hooks[c.idx(i)].down = false }
+// webhookFaultDelay is the extra latency SetWebhookSlow adds to a hook's
+// backend — far past the 1s hook call timeout.
+const webhookFaultDelay = 5 * time.Second
 
-// DelayWebhook adds d to every call to hook i (FaultWebhookLatency). A delay
-// pushing the effective latency past the hook's timeout makes every call a
-// transient failure — the slow-webhook outage mode.
-func (c *AdmissionChain) DelayWebhook(i int, d time.Duration) { c.hooks[c.idx(i)].delay = d }
-
-// ClearWebhookDelay undoes DelayWebhook.
-func (c *AdmissionChain) ClearWebhookDelay(i int) { c.hooks[c.idx(i)].delay = 0 }
-
-// BreakSelector misconfigures hook i's selector so it matches nothing
-// (FaultWebhookSelector, the wrong-selector configuration defect): the policy
-// silently stops applying regardless of failure policy. The chain keeps
-// shadow-matching the intended selector to count the violations admitted.
-func (c *AdmissionChain) BreakSelector(i int) { c.hooks[c.idx(i)].selectorBroken = true }
-
-// RestoreSelector undoes BreakSelector.
-func (c *AdmissionChain) RestoreSelector(i int) { c.hooks[c.idx(i)].selectorBroken = false }
-
-// DropPolicy misconfigures hook i as if its failurePolicy stanza were
-// missing (FaultWebhookPolicy): the platform default — Ignore, fail-open —
-// applies, AND the backend goes down, modeling the documented trap where an
-// operator believes a hook is fail-closed but its unavailability silently
-// drops enforcement instead.
-func (c *AdmissionChain) DropPolicy(i int) {
-	h := c.hooks[c.idx(i)]
-	h.policyDropped = true
-	h.down = true
+// SetWebhookSlow pushes hook i's latency past its timeout, so every call
+// becomes a transient failure — the slow-webhook outage mode.
+func (c *AdmissionChain) SetWebhookSlow(i int, slow bool) {
+	c.hooks[i].delay = 0
+	if slow {
+		c.hooks[i].delay = webhookFaultDelay
+	}
 }
 
-// RestorePolicy undoes DropPolicy.
-func (c *AdmissionChain) RestorePolicy(i int) {
-	h := c.hooks[c.idx(i)]
-	h.policyDropped = false
-	h.down = false
+// SetSelectorBroken misconfigures hook i's selector so it matches nothing
+// (the wrong-selector configuration defect): the policy silently stops
+// applying regardless of failure policy. The chain keeps shadow-matching the
+// intended selector to count the violations admitted.
+func (c *AdmissionChain) SetSelectorBroken(i int, broken bool) { c.hooks[i].selectorBroken = broken }
+
+// SetPolicyDropped misconfigures hook i as if its failurePolicy stanza were
+// missing: the platform default — Ignore, fail-open — applies, AND the
+// backend goes down, modeling the documented trap where an operator believes
+// a hook is fail-closed but its unavailability silently drops enforcement
+// instead.
+func (c *AdmissionChain) SetPolicyDropped(i int, dropped bool) {
+	c.hooks[i].policyDropped = dropped
+	c.hooks[i].down = dropped
 }
 
 func (c *AdmissionChain) effectivePolicy(h *AdmissionHook) FailurePolicy {

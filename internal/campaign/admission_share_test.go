@@ -3,6 +3,7 @@ package campaign
 import (
 	"testing"
 
+	"github.com/mutiny-sim/mutiny/internal/inject"
 	"github.com/mutiny-sim/mutiny/internal/workload"
 )
 
@@ -71,10 +72,10 @@ func TestAdmissionShareBootstrapEquivalence(t *testing.T) {
 
 	// Table granularity: both regimes populate the same (fault, policy) cells
 	// with the same experiment counts.
-	for _, fault := range AdmissionFaults() {
-		for _, policy := range AdmissionPolicies {
-			k := AdmissionKey{Fault: fault, Policy: policy}
-			if na, nb := len(aggReplay.OutageByAdmission[k]), len(aggShared.OutageByAdmission[k]); na != nb || na == 0 {
+	for _, fault := range inject.TimedFaults(inject.FamilyAdmission) {
+		for _, policy := range []string{"Fail", "Ignore"} {
+			k := WindowKey{Fault: fault, Sub: policy}
+			if na, nb := len(aggReplay.Windows[k][0]), len(aggShared.Windows[k][0]); na != nb || na == 0 {
 				t.Errorf("cell %s/%s: experiment counts diverged or empty: replay=%d shared=%d",
 					fault, policy, na, nb)
 			}

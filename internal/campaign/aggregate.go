@@ -10,77 +10,68 @@ import (
 )
 
 // InjGroup is the injection-type grouping used by Tables IV and V: field and
-// serialization bit flips together, data-type sets, and message drops.
+// serialization bit flips together, data-type sets, message drops, and one
+// group per family of timed faults.
 type InjGroup string
 
-// Injection groups.
+// Message-fault injection groups.
 const (
-	GroupBitFlip      InjGroup = "Bit-flip"
-	GroupSet          InjGroup = "Value set"
-	GroupDrop         InjGroup = "Drop"
-	GroupControlPlane InjGroup = "Control plane"
-	GroupAdmission    InjGroup = "Admission"
-	GroupTopology     InjGroup = "Topology"
+	GroupBitFlip InjGroup = "Bit-flip"
+	GroupSet     InjGroup = "Value set"
+	GroupDrop    InjGroup = "Drop"
 )
 
 // InjGroups lists the groups in table order.
 func InjGroups() []InjGroup {
-	return []InjGroup{GroupBitFlip, GroupSet, GroupDrop, GroupControlPlane, GroupAdmission, GroupTopology}
+	groups := []InjGroup{GroupBitFlip, GroupSet, GroupDrop}
+	for _, f := range inject.TimedFamilies() {
+		groups = append(groups, InjGroup(f.String()))
+	}
+	return groups
 }
 
 // GroupOf buckets a fault type.
 func GroupOf(t inject.FaultType) InjGroup {
-	switch {
-	case t.IsControlPlane():
-		return GroupControlPlane
-	case t.IsAdmission():
-		return GroupAdmission
-	case t.IsTopology():
-		return GroupTopology
-	case t == inject.SetValue:
+	if f := t.Family(); f != 0 {
+		return InjGroup(f.String())
+	}
+	switch t {
+	case inject.SetValue:
 		return GroupSet
-	case t == inject.DropMessage:
+	case inject.DropMessage:
 		return GroupDrop
 	default: // BitFlip and FlipProtoByte are both single-bit corruptions
 		return GroupBitFlip
 	}
 }
 
-// ControlPlaneFaults lists the HA fault axes in table order.
-func ControlPlaneFaults() []inject.FaultType {
-	return []inject.FaultType{
-		inject.FaultAPIServerCrash, inject.FaultMasterPartition, inject.FaultStoreLoss,
-	}
-}
-
-// AdmissionFaults lists the admission fault axes in table order.
-func AdmissionFaults() []inject.FaultType {
-	return []inject.FaultType{
-		inject.FaultWebhookDown, inject.FaultWebhookLatency,
-		inject.FaultWebhookSelector, inject.FaultWebhookPolicy,
-	}
-}
-
-// AdmissionKey addresses one admission-table row: a webhook fault axis under
-// one failure-policy regime.
-type AdmissionKey struct {
-	Fault  inject.FaultType
-	Policy string
-}
-
-// TopologyFaults lists the topology fault axes in table order.
-func TopologyFaults() []inject.FaultType {
-	return []inject.FaultType{
-		inject.FaultEdgeLinkFlap, inject.FaultZonePartition, inject.FaultNodeKill,
-	}
-}
-
-// TopologyKey addresses one topology-table row: a fault axis against one
-// zone. Zone comes from Injection.Value (stamped by GenerateTopology), so
-// shard merging reconstructs the rows without a cluster handle.
-type TopologyKey struct {
+// WindowKey addresses one row of a timed-fault table: a fault axis, split by
+// the family's sub-key — the failure policy for admission faults, the zone
+// for topology faults (from Injection.Value, stamped by GenerateTopology, so
+// shard merging reconstructs the rows without a cluster handle), nothing for
+// control-plane faults.
+type WindowKey struct {
 	Fault inject.FaultType
-	Zone  string
+	Sub   string
+}
+
+// windows returns the table row a timed-fault result belongs to and the two
+// windows its family measures, in simulated milliseconds (the admission
+// family's second is a count): failover and stale reads, write outage and
+// violations admitted, link disruption and recovery tail.
+func (res *Result) windows() (WindowKey, [2]float64) {
+	in := res.Spec.Injection
+	key := WindowKey{Fault: in.Type}
+	switch in.Type.Family() {
+	case inject.FamilyAdmission:
+		key.Sub = in.Policy
+		return key, [2]float64{res.AdmissionOutageMillis, float64(res.PolicyViolations)}
+	case inject.FamilyTopology:
+		key.Sub, _ = in.Value.(string)
+		return key, [2]float64{res.TopologyDisruptionMillis, res.TopologyRecoveryMillis}
+	default:
+		return key, [2]float64{res.FailoverMillis, res.StaleReadMillis}
+	}
 }
 
 // Aggregate accumulates experiment results into the paper's tables.
@@ -99,41 +90,20 @@ type Aggregate struct {
 	UserErrByOF map[workload.Kind]map[classify.OF]int
 	// Activation statistics (F1 discussion).
 	Fired, Activated int
-	// FailoverByFault / StaleByFault collect the HA windows (simulated ms
-	// per experiment) for each control-plane fault axis: how long the
-	// control plane was unresponsive, and how long some live store replica
-	// served a stale revision.
-	FailoverByFault map[inject.FaultType][]float64
-	StaleByFault    map[inject.FaultType][]float64
-	// OutageByAdmission / ViolationsByAdmission collect the admission trade-
-	// off per (fault axis, failure policy): the write-availability outage
-	// window of each experiment (simulated ms) and its count of policy-
-	// violating objects admitted.
-	OutageByAdmission     map[AdmissionKey][]float64
-	ViolationsByAdmission map[AdmissionKey][]int
-	// DisruptionByTopology / RecoveryByTopology collect the topology-campaign
-	// windows per (fault axis, zone): milliseconds of cut links per
-	// experiment, and milliseconds of post-heal reconvergence tail.
-	DisruptionByTopology map[TopologyKey][]float64
-	RecoveryByTopology   map[TopologyKey][]float64
+	// Windows collects, per timed-fault table row, the two windows of every
+	// experiment in run order (see Result.windows).
+	Windows map[WindowKey][2][]float64
 }
 
 // NewAggregate returns an empty aggregate.
 func NewAggregate() *Aggregate {
 	return &Aggregate{
-		OFCounts:        make(map[workload.Kind]map[InjGroup]map[classify.OF]int),
-		CFCounts:        make(map[workload.Kind]map[InjGroup]map[classify.CF]int),
-		OFToCF:          make(map[workload.Kind]map[classify.OF]map[classify.CF]int),
-		ZByOF:           make(map[workload.Kind]map[classify.OF][]float64),
-		UserErrByOF:     make(map[workload.Kind]map[classify.OF]int),
-		FailoverByFault: make(map[inject.FaultType][]float64),
-		StaleByFault:    make(map[inject.FaultType][]float64),
-
-		OutageByAdmission:     make(map[AdmissionKey][]float64),
-		ViolationsByAdmission: make(map[AdmissionKey][]int),
-
-		DisruptionByTopology: make(map[TopologyKey][]float64),
-		RecoveryByTopology:   make(map[TopologyKey][]float64),
+		OFCounts:    make(map[workload.Kind]map[InjGroup]map[classify.OF]int),
+		CFCounts:    make(map[workload.Kind]map[InjGroup]map[classify.CF]int),
+		OFToCF:      make(map[workload.Kind]map[classify.OF]map[classify.CF]int),
+		ZByOF:       make(map[workload.Kind]map[classify.OF][]float64),
+		UserErrByOF: make(map[workload.Kind]map[classify.OF]int),
+		Windows:     make(map[WindowKey][2][]float64),
 	}
 }
 
@@ -172,21 +142,13 @@ func (a *Aggregate) Add(res *Result) {
 			a.Activated++
 		}
 	}
-	if res.Spec.Injection != nil && res.Spec.Injection.Type.IsControlPlane() {
-		t := res.Spec.Injection.Type
-		a.FailoverByFault[t] = append(a.FailoverByFault[t], res.FailoverMillis)
-		a.StaleByFault[t] = append(a.StaleByFault[t], res.StaleReadMillis)
-	}
-	if res.Spec.Injection != nil && res.Spec.Injection.Type.IsAdmission() {
-		k := AdmissionKey{Fault: res.Spec.Injection.Type, Policy: res.Spec.Injection.Policy}
-		a.OutageByAdmission[k] = append(a.OutageByAdmission[k], res.AdmissionOutageMillis)
-		a.ViolationsByAdmission[k] = append(a.ViolationsByAdmission[k], res.PolicyViolations)
-	}
-	if res.Spec.Injection != nil && res.Spec.Injection.Type.IsTopology() {
-		zone, _ := res.Spec.Injection.Value.(string)
-		k := TopologyKey{Fault: res.Spec.Injection.Type, Zone: zone}
-		a.DisruptionByTopology[k] = append(a.DisruptionByTopology[k], res.TopologyDisruptionMillis)
-		a.RecoveryByTopology[k] = append(a.RecoveryByTopology[k], res.TopologyRecoveryMillis)
+	if res.Spec.Injection != nil && res.Spec.Injection.Type.Family() != 0 {
+		key, w := res.windows()
+		series := a.Windows[key]
+		for i := range series {
+			series[i] = append(series[i], w[i])
+		}
+		a.Windows[key] = series
 	}
 }
 

@@ -40,7 +40,8 @@ type Spec struct {
 
 // Result is the outcome of one experiment.
 type Result struct {
-	Spec        Spec
+	// Spec never crosses the shard wire: the merger regenerates it.
+	Spec        Spec `json:"-"`
 	OF          classify.OF
 	CF          classify.CF
 	Z           float64

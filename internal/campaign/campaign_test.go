@@ -192,6 +192,39 @@ func TestGenerateCampaignShape(t *testing.T) {
 	}
 }
 
+// TestStrideNeverThinsTimedFaultMatrices: the stride subsamples the field
+// matrix only. The timed-fault matrices are small and periodic (targets ×
+// axes), so a stride sharing a factor with the period would drop whole axes
+// (stride 3 over replicas × 3 axes kept only the apiserver crashes).
+func TestStrideNeverThinsTimedFaultMatrices(t *testing.T) {
+	cfg := Config{
+		Workloads:            []workload.Kind{workload.Policy},
+		SampleStride:         101,
+		ControlPlaneReplicas: 3,
+		AdmissionHooks:       3,
+		Zones:                3,
+		SkipPropagation:      true,
+	}
+	byAxis := make(map[inject.FaultType]int)
+	for _, s := range prepare(cfg.withDefaults()).mainSpecs {
+		byAxis[s.Injection.Type]++
+	}
+	for family, perAxis := range map[inject.Family]int{
+		inject.FamilyControlPlane: 3,     // replicas
+		inject.FamilyAdmission:    3 * 2, // hooks × failure policies
+		inject.FamilyTopology:     2,     // non-core zones
+	} {
+		for _, axis := range inject.TimedFaults(family) {
+			if byAxis[axis] != perAxis {
+				t.Errorf("%s: %d specs survived the stride, want %d", axis, byAxis[axis], perAxis)
+			}
+		}
+	}
+	if n := byAxis[inject.BitFlip] + byAxis[inject.SetValue]; n == 0 || n > 30 {
+		t.Errorf("field matrix was not strided: %d field specs", n)
+	}
+}
+
 func TestFieldCategorization(t *testing.T) {
 	tests := []struct {
 		path string

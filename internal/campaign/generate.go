@@ -154,14 +154,34 @@ func SemanticValues(path string, kind codec.FieldKind) []any {
 	}
 }
 
-// Control-plane fault-axis timeline: the fault strikes shortly after the
-// workload starts so the failover window overlaps the measurement window,
-// and heals with margin before the window closes so reconvergence is
-// observable too.
+// Timed-fault timeline: the fault strikes shortly after the workload starts
+// so the failover window overlaps the measurement window, and heals with
+// margin before the window closes so reconvergence is observable too.
 const (
-	cpFaultAfter = 3 * time.Second
-	cpFaultHeal  = 18 * time.Second
+	timedFaultAfter = 3 * time.Second
+	timedFaultHeal  = 18 * time.Second
 )
+
+// generateTimed builds one family's fault-axis matrix: every target in
+// [first, targets) × every axis of the family in table order × every variant.
+// A variant pre-fills the injection fields the family keys its table rows on;
+// type, target and timeline are stamped here. Seeds count up from the
+// workload's campaign base plus seedOffset.
+func generateTimed(kind workload.Kind, f inject.Family, seedOffset int64, first, targets int, variants func(target int) []inject.Injection) []Spec {
+	var specs []Spec
+	seed := campaignSeedBase(kind) + seedOffset
+	axes := inject.TimedFaults(f)
+	for target := first; target < targets; target++ {
+		for _, t := range axes {
+			for _, in := range variants(target) {
+				in.Type, in.Replica, in.After, in.Heal = t, target, timedFaultAfter, timedFaultHeal
+				specs = append(specs, Spec{Workload: kind, Injection: &in, Seed: seed})
+				seed++
+			}
+		}
+	}
+	return specs
+}
 
 // GenerateControlPlane derives the HA fault-axis campaign: per control-plane
 // replica, an apiserver crash (with restart), a master partition (healed),
@@ -171,53 +191,22 @@ func GenerateControlPlane(kind workload.Kind, replicas int) []Spec {
 	if replicas < 2 {
 		return nil
 	}
-	var specs []Spec
-	seed := campaignSeedBase(kind) + 900_000
-	for r := 0; r < replicas; r++ {
-		for _, t := range []inject.FaultType{
-			inject.FaultAPIServerCrash, inject.FaultMasterPartition, inject.FaultStoreLoss,
-		} {
-			in := inject.Injection{Type: t, Replica: r, After: cpFaultAfter, Heal: cpFaultHeal}
-			specs = append(specs, Spec{Workload: kind, Injection: &in, Seed: seed})
-			seed++
-		}
-	}
-	return specs
+	return generateTimed(kind, inject.FamilyControlPlane, 900_000, 0, replicas, func(int) []inject.Injection {
+		return []inject.Injection{{}}
+	})
 }
-
-// AdmissionPolicies lists the two failure-policy regimes every admission
-// fault axis is run under — the fail-closed vs fail-open contrast the
-// admission table renders.
-var AdmissionPolicies = []string{"Fail", "Ignore"}
 
 // GenerateAdmission derives the admission fault-axis campaign: for every
 // registered webhook hook, each webhook fault (backend down, latency past
 // timeout, wrong selector, missing failure policy) under both failure-policy
-// regimes. The policy rides on the injection spec, so one bootstrap snapshot
+// regimes — the fail-closed vs fail-open contrast the admission table
+// renders. The policy rides on the injection spec, so one bootstrap snapshot
 // per workload serves both regimes (the policy is behaviorally inert while
 // every hook is healthy). Empty when no hooks are configured.
 func GenerateAdmission(kind workload.Kind, hooks int) []Spec {
-	if hooks <= 0 {
-		return nil
-	}
-	var specs []Spec
-	seed := campaignSeedBase(kind) + 800_000
-	for h := 0; h < hooks; h++ {
-		for _, t := range []inject.FaultType{
-			inject.FaultWebhookDown, inject.FaultWebhookLatency,
-			inject.FaultWebhookSelector, inject.FaultWebhookPolicy,
-		} {
-			for _, policy := range AdmissionPolicies {
-				in := inject.Injection{
-					Type: t, Replica: h, Policy: policy,
-					After: cpFaultAfter, Heal: cpFaultHeal,
-				}
-				specs = append(specs, Spec{Workload: kind, Injection: &in, Seed: seed})
-				seed++
-			}
-		}
-	}
-	return specs
+	return generateTimed(kind, inject.FamilyAdmission, 800_000, 0, hooks, func(int) []inject.Injection {
+		return []inject.Injection{{Policy: "Fail"}, {Policy: "Ignore"}}
+	})
 }
 
 // GenerateTopology derives the cloud-edge topology fault-axis campaign: for
@@ -226,24 +215,9 @@ func GenerateAdmission(kind workload.Kind, hooks int) []Spec {
 // Injection.Value carries the zone name, so aggregation and sharding key the
 // per-zone rows without a cluster handle. Empty on flat clusters.
 func GenerateTopology(kind workload.Kind, zones int) []Spec {
-	if zones < 2 {
-		return nil
-	}
-	var specs []Spec
-	seed := campaignSeedBase(kind) + 600_000
-	for z := 1; z < zones; z++ {
-		for _, t := range []inject.FaultType{
-			inject.FaultEdgeLinkFlap, inject.FaultZonePartition, inject.FaultNodeKill,
-		} {
-			in := inject.Injection{
-				Type: t, Replica: z, Value: netsim.ZoneName(z, zones),
-				After: cpFaultAfter, Heal: cpFaultHeal,
-			}
-			specs = append(specs, Spec{Workload: kind, Injection: &in, Seed: seed})
-			seed++
-		}
-	}
-	return specs
+	return generateTimed(kind, inject.FamilyTopology, 600_000, 1, zones, func(zone int) []inject.Injection {
+		return []inject.Injection{{Value: netsim.ZoneName(zone, zones)}}
+	})
 }
 
 // ComponentKinds maps the injected component (Table VI) to the resource

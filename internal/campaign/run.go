@@ -11,9 +11,11 @@ type Config struct {
 	Workloads []workload.Kind
 	// GoldenRuns per workload; zero means the paper's 100.
 	GoldenRuns int
-	// SampleStride runs every n-th generated experiment (1 = the full
-	// campaign). The generated campaign is deterministic, so a stride
-	// subsamples it evenly across kinds, fields and fault models.
+	// SampleStride runs every n-th generated message-fault experiment (1 =
+	// the full campaign). The generated campaign is deterministic, so a
+	// stride subsamples it evenly across kinds, fields and fault models. The
+	// timed-fault matrices (control plane, admission, topology) are small
+	// and periodic and always run in full.
 	SampleStride int
 	// ControlPlaneReplicas sets the number of apiserver/store replicas in
 	// every experiment cluster (0 or 1 = the classic single control plane).

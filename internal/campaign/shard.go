@@ -1,11 +1,9 @@
 package campaign
 
 import (
+	"encoding/json"
 	"fmt"
-	"time"
 
-	"github.com/mutiny-sim/mutiny/internal/classify"
-	"github.com/mutiny-sim/mutiny/internal/inject"
 	"github.com/mutiny-sim/mutiny/internal/workload"
 )
 
@@ -65,12 +63,12 @@ func prepare(cfg Config) *prepared {
 		rec := runner.Record(wl)
 		p.fieldsRecorded[wl] = len(rec.Fields())
 		p.mainSpecs = append(p.mainSpecs, sample(Generate(wl, rec), cfg.SampleStride)...)
-		p.mainSpecs = append(p.mainSpecs, sample(GenerateControlPlane(wl, cfg.ControlPlaneReplicas), cfg.SampleStride)...)
-		p.mainSpecs = append(p.mainSpecs, sample(GenerateAdmission(wl, cfg.AdmissionHooks), cfg.SampleStride)...)
-		// The topology set is exempt from the stride: it is a fixed-size
-		// targeted matrix (faults × zones, six specs per workload), and any
-		// stride > 1 would collapse it to the first fault axis — the stride
-		// knob exists to tame the thousands-of-specs field matrix above.
+		// Timed-fault matrices are never strided: they are small targeted
+		// matrices (targets × axes), and a stride that divides a matrix's
+		// period collapses it to a single axis — the stride knob exists to
+		// tame the thousands-of-specs field matrix above.
+		p.mainSpecs = append(p.mainSpecs, GenerateControlPlane(wl, cfg.ControlPlaneReplicas)...)
+		p.mainSpecs = append(p.mainSpecs, GenerateAdmission(wl, cfg.AdmissionHooks)...)
 		p.mainSpecs = append(p.mainSpecs, GenerateTopology(wl, cfg.Zones)...)
 		if !cfg.SkipPropagation {
 			for _, component := range PropagationComponents() {
@@ -123,119 +121,46 @@ func (w *WireValue) value() any {
 	}
 }
 
-// WireReport mirrors inject.Report with tagged values.
-type WireReport struct {
-	Fired     bool          `json:"fired,omitempty"`
-	FiredAt   time.Duration `json:"firedAt,omitempty"`
-	Instance  string        `json:"instance,omitempty"`
-	StoreKey  string        `json:"storeKey,omitempty"`
-	Activated bool          `json:"activated,omitempty"`
-	OldValue  *WireValue    `json:"oldValue,omitempty"`
-	NewValue  *WireValue    `json:"newValue,omitempty"`
-	Healed    bool          `json:"healed,omitempty"`
-	HealedAt  time.Duration `json:"healedAt,omitempty"`
-}
-
-func toWireReport(r inject.Report) WireReport {
-	return WireReport{
-		Fired:     r.Fired,
-		FiredAt:   r.FiredAt,
-		Instance:  r.Instance,
-		StoreKey:  r.StoreKey,
-		Activated: r.Activated,
-		OldValue:  toWireValue(r.OldValue),
-		NewValue:  toWireValue(r.NewValue),
-		Healed:    r.Healed,
-		HealedAt:  r.HealedAt,
-	}
-}
-
-func (w WireReport) report() inject.Report {
-	return inject.Report{
-		Fired:     w.Fired,
-		FiredAt:   w.FiredAt,
-		Instance:  w.Instance,
-		StoreKey:  w.StoreKey,
-		Activated: w.Activated,
-		OldValue:  w.OldValue.value(),
-		NewValue:  w.NewValue.value(),
-		Healed:    w.Healed,
-		HealedAt:  w.HealedAt,
-	}
-}
-
-// ShardResult is one experiment's outcome on the shard wire: everything a
-// Result carries except its Spec, which the merger regenerates from Config
-// and grafts back on by Index (the spec's position in the full generated
-// list).
+// ShardResult is one experiment's outcome on the shard wire: the Result at
+// Index, the spec's position in the full generated list. Its JSON carries the
+// Result itself minus what JSON cannot: the Spec, which the merger
+// regenerates from Config and grafts back on by Index, and the report's
+// observed values, which travel type-tagged beside it.
 type ShardResult struct {
-	Index           int        `json:"index"`
-	OF              int        `json:"of,omitempty"`
-	CF              int        `json:"cf,omitempty"`
-	Z               float64    `json:"z,omitempty"`
-	Report          WireReport `json:"report"`
-	UserErrors      int        `json:"userErrors,omitempty"`
-	PodsCreated     int        `json:"podsCreated,omitempty"`
-	FailoverMillis  float64    `json:"failoverMillis,omitempty"`
-	StaleReadMillis float64    `json:"staleReadMillis,omitempty"`
-
-	AdmissionOutageMillis float64 `json:"admissionOutageMillis,omitempty"`
-	PolicyViolations      int     `json:"policyViolations,omitempty"`
-
-	TopologyDisruptionMillis float64 `json:"topologyDisruptionMillis,omitempty"`
-	TopologyRecoveryMillis   float64 `json:"topologyRecoveryMillis,omitempty"`
-
-	PropPersisted bool `json:"propPersisted,omitempty"`
-	PropErrored   bool `json:"propErrored,omitempty"`
+	Index int
+	Result
 }
 
-func toShardResult(index int, res *Result) ShardResult {
-	return ShardResult{
-		Index:           index,
-		OF:              int(res.OF),
-		CF:              int(res.CF),
-		Z:               res.Z,
-		Report:          toWireReport(res.Report),
-		UserErrors:      res.UserErrors,
-		PodsCreated:     res.PodsCreated,
-		FailoverMillis:  res.FailoverMillis,
-		StaleReadMillis: res.StaleReadMillis,
+// shardResultJSON is ShardResult's wire shape.
+type shardResultJSON struct {
+	Index int `json:"index"`
+	*Result
+	OldValue *WireValue `json:"oldValue,omitempty"`
+	NewValue *WireValue `json:"newValue,omitempty"`
+}
 
-		AdmissionOutageMillis: res.AdmissionOutageMillis,
-		PolicyViolations:      res.PolicyViolations,
+// MarshalJSON implements json.Marshaler.
+func (sr ShardResult) MarshalJSON() ([]byte, error) {
+	return json.Marshal(shardResultJSON{
+		sr.Index, &sr.Result, toWireValue(sr.Report.OldValue), toWireValue(sr.Report.NewValue),
+	})
+}
 
-		TopologyDisruptionMillis: res.TopologyDisruptionMillis,
-		TopologyRecoveryMillis:   res.TopologyRecoveryMillis,
-
-		PropPersisted: res.PropPersisted,
-		PropErrored:   res.PropErrored,
-	}
+// UnmarshalJSON implements json.Unmarshaler.
+func (sr *ShardResult) UnmarshalJSON(data []byte) error {
+	wire := shardResultJSON{Result: &sr.Result}
+	err := json.Unmarshal(data, &wire)
+	sr.Index = wire.Index
+	sr.Report.OldValue, sr.Report.NewValue = wire.OldValue.value(), wire.NewValue.value()
+	return err
 }
 
 // result reassembles the full Result around the regenerated spec. Both the
-// in-process and the cross-process merge paths go through here, so they
-// cannot diverge: what survives the wire is exactly what merge consumes.
+// in-process and the cross-process merge paths go through here.
 func (sr ShardResult) result(spec Spec) *Result {
-	return &Result{
-		Spec:            spec,
-		OF:              classify.OF(sr.OF),
-		CF:              classify.CF(sr.CF),
-		Z:               sr.Z,
-		Report:          sr.Report.report(),
-		UserErrors:      sr.UserErrors,
-		PodsCreated:     sr.PodsCreated,
-		FailoverMillis:  sr.FailoverMillis,
-		StaleReadMillis: sr.StaleReadMillis,
-
-		AdmissionOutageMillis: sr.AdmissionOutageMillis,
-		PolicyViolations:      sr.PolicyViolations,
-
-		TopologyDisruptionMillis: sr.TopologyDisruptionMillis,
-		TopologyRecoveryMillis:   sr.TopologyRecoveryMillis,
-
-		PropPersisted: sr.PropPersisted,
-		PropErrored:   sr.PropErrored,
-	}
+	res := sr.Result
+	res.Spec = spec
+	return &res
 }
 
 // ShardOutput is one shard's share of a campaign: main and propagation
@@ -301,14 +226,14 @@ func RunShard(cfg Config) *ShardOutput {
 	out.Main = make([]ShardResult, len(mainIdx))
 	forEachWorker(len(mainIdx), workers, p.runner, func(w *Worker, k int) {
 		i := mainIdx[k]
-		out.Main[k] = toShardResult(i, w.Run(p.mainSpecs[i]))
+		out.Main[k] = ShardResult{i, *w.Run(p.mainSpecs[i])}
 		progress.tick()
 	})
 
 	out.Prop = make([]ShardResult, len(propIdx))
 	forEachWorker(len(propIdx), workers, p.runner, func(w *Worker, k int) {
 		i := propIdx[k]
-		out.Prop[k] = toShardResult(i, w.RunPropagation(p.propSpecs[i]))
+		out.Prop[k] = ShardResult{i, *w.RunPropagation(p.propSpecs[i])}
 		progress.tick()
 	})
 	return out

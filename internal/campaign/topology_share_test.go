@@ -3,6 +3,7 @@ package campaign
 import (
 	"testing"
 
+	"github.com/mutiny-sim/mutiny/internal/inject"
 	"github.com/mutiny-sim/mutiny/internal/netsim"
 	"github.com/mutiny-sim/mutiny/internal/workload"
 )
@@ -72,12 +73,12 @@ func TestTopologyShareBootstrapEquivalence(t *testing.T) {
 
 	// Table granularity: both regimes populate the same (fault, zone) cells
 	// with the same experiment counts.
-	for _, fault := range TopologyFaults() {
+	for _, fault := range inject.TimedFaults(inject.FamilyTopology) {
 		for z := 1; z < zones; z++ {
-			k := TopologyKey{Fault: fault, Zone: netsim.ZoneName(z, zones)}
-			if na, nb := len(aggReplay.DisruptionByTopology[k]), len(aggShared.DisruptionByTopology[k]); na != nb || na == 0 {
+			k := WindowKey{Fault: fault, Sub: netsim.ZoneName(z, zones)}
+			if na, nb := len(aggReplay.Windows[k][0]), len(aggShared.Windows[k][0]); na != nb || na == 0 {
 				t.Errorf("cell %s/%s: experiment counts diverged or empty: replay=%d shared=%d",
-					fault, k.Zone, na, nb)
+					fault, k.Sub, na, nb)
 			}
 		}
 	}

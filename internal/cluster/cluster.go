@@ -522,27 +522,15 @@ func (c *Cluster) Guard() *guard.Guard { return c.guard }
 // as it would see the corrupted transaction in a real deployment). Every
 // apiserver replica gets the hooks — a fault must fire no matter which
 // replica serves the matching message — and the injector gets the cluster as
-// its control-plane handle for the time-triggered fault axes.
+// its platform handle for the timed fault axes.
 func (c *Cluster) AttachInjector(j *inject.Injector) {
 	for _, srv := range c.Servers {
-		if c.guard != nil {
-			srv.SetStoreWriteHook(c.guard.Hook(j.StoreHook()))
-			srv.SetRequestHook(j.RequestHook())
-			srv.SetRequestWireGate(j.WantsRequestWire)
-			srv.SetWatchHook(j.WatchHook())
-			srv.SetWatchGate(j.WantsWatchChannel)
-			srv.SetAccessHook(j.AccessHook())
-			continue
-		}
 		j.AttachTo(srv)
+		if c.guard != nil {
+			srv.SetStoreWriteHook(c.guard.Hook(j.Hook(inject.ChannelStore)))
+		}
 	}
-	j.AttachControlPlane(c)
-	if c.admission != nil {
-		j.AttachAdmission(c.admission)
-	}
-	if c.cfg.Zones >= 2 {
-		j.AttachTopology(c)
-	}
+	j.AttachPlatform(c)
 }
 
 // Admission returns the shared admission chain, or nil when no hooks are
@@ -597,41 +585,37 @@ func (c *Cluster) RecoverNode(name string) {
 
 // --- control-plane fault axes -------------------------------------------------
 //
-// These implement inject.ControlPlane: the time-triggered HA fault axes act
-// through them. They are also callable directly from tests and scenarios.
+// Together with Admission and the topology section below these implement
+// inject.Platform: the timed HA fault axes act through them. They are also
+// callable directly from tests and scenarios.
 
 // Replicas returns the number of control-plane replicas.
 func (c *Cluster) Replicas() int { return len(c.Servers) }
 
-// CrashAPIServer kills apiserver replica i: it stops serving (requests time
-// out, watches fall silent) and every client homed on it fails over — the
-// eager sweep models the broken TCP connections a crashed apiserver leaves.
-func (c *Cluster) CrashAPIServer(i int) {
-	c.Servers[i].SetDown(true)
-	if c.Endpoints != nil {
+// SetAPIServerDown crashes apiserver replica i — it stops serving (requests
+// time out, watches fall silent) and every client homed on it fails over: the
+// eager sweep models the broken TCP connections a crashed apiserver leaves —
+// or restarts it: it rebuilds its watch cache from its store replica and
+// resumes serving.
+func (c *Cluster) SetAPIServerDown(i int, down bool) {
+	c.Servers[i].SetDown(down)
+	if down && c.Endpoints != nil {
 		c.Endpoints.NoteServerDown(i)
 	}
 }
 
-// RestartAPIServer brings a crashed apiserver replica back: it rebuilds its
-// watch cache from its store replica and resumes serving.
-func (c *Cluster) RestartAPIServer(i int) {
-	c.Servers[i].SetDown(false)
-}
-
-// PartitionMasters isolates control-plane replica i from its peers at the
+// SetMasterIsolated cuts control-plane replica i off from its peers at the
 // network level: its store replica loses quorum (writes through apiserver i
 // fail, clients fail over), while its apiserver keeps serving progressively
-// staler reads — the stale-read window the campaign measures.
-func (c *Cluster) PartitionMasters(i int) {
-	c.Net.PartitionMasters(i)
-}
-
-// HealMasters reconnects the control-plane replicas; the replicated store
-// flushes writes queued on the majority side and the isolated replica
-// catches up.
-func (c *Cluster) HealMasters() {
-	c.Net.HealMasters()
+// staler reads — the stale-read window the campaign measures. Undoing it
+// reconnects the replicas; the replicated store flushes writes queued on the
+// majority side and the isolated replica catches up.
+func (c *Cluster) SetMasterIsolated(i int, isolated bool) {
+	if isolated {
+		c.Net.PartitionMasters(i)
+	} else {
+		c.Net.HealMasters()
+	}
 }
 
 // applyMasterLinks mirrors the network's master-link state into the
@@ -650,27 +634,26 @@ func (c *Cluster) applyMasterLinks(rep *store.Replicated, isolated int) {
 	rep.Partition([]int{isolated}, rest)
 }
 
-// DropStoreReplica destroys the backing store replica of apiserver i — disk
-// loss under one etcd member. The member leaves the raft group; reads and
-// writes through apiserver i fail until the replica is restored.
-func (c *Cluster) DropStoreReplica(i int) {
-	if rep, ok := c.Backend.(*store.Replicated); ok {
+// SetStoreReplicaLost destroys the backing store replica of apiserver i —
+// disk loss under one etcd member: the member leaves the raft group, and
+// reads and writes through apiserver i fail — or rebuilds it from a surviving
+// member's snapshot and restarts apiserver i over it.
+func (c *Cluster) SetStoreReplicaLost(i int, lost bool) {
+	rep, ok := c.Backend.(*store.Replicated)
+	if !ok {
+		return
+	}
+	if lost {
 		rep.DropReplica(i)
+		return
 	}
-}
-
-// RestoreStoreReplica rebuilds store replica i from a surviving member's
-// snapshot and restarts apiserver i over it.
-func (c *Cluster) RestoreStoreReplica(i int) {
-	if rep, ok := c.Backend.(*store.Replicated); ok {
-		rep.RestoreReplica(i)
-		c.Servers[i].Restart()
-	}
+	rep.RestoreReplica(i)
+	c.Servers[i].Restart()
 }
 
 // --- topology fault axes ------------------------------------------------------
 //
-// These implement inject.Topology: the time-triggered cloud-edge fault axes
+// The topology part of inject.Platform: the timed cloud-edge fault axes
 // (edge-link flap, zone partition, mass node-kill) act through them. The
 // virtual network owns the link state; the cluster mirrors a severed zone
 // uplink into the zone's kubelets (their heartbeats cross the same link the
@@ -691,20 +674,13 @@ func (c *Cluster) ZoneName(i int) string { return netsim.ZoneName(i, c.cfg.Zones
 // ZoneNodes returns the nodes of a zone in creation order.
 func (c *Cluster) ZoneNodes(zone string) []string { return c.zoneNodes[zone] }
 
-// PartitionZone severs a zone's uplink: cross-zone traffic times out and the
-// zone's kubelets lose the control plane (heartbeats stop — the node
+// SetZonePartitioned severs a zone's uplink: cross-zone traffic times out and
+// the zone's kubelets lose the control plane (heartbeats stop — the node
 // lifecycle controller takes it from there if the cut outlives the grace
-// period). Intra-zone traffic keeps flowing.
-func (c *Cluster) PartitionZone(zone string) {
-	c.Net.SetZoneLink(zone, false)
-	c.setZoneKubelets(zone, true)
-}
-
-// HealZone restores a partitioned zone's uplink and its kubelets' control-
-// plane connectivity.
-func (c *Cluster) HealZone(zone string) {
-	c.Net.SetZoneLink(zone, true)
-	c.setZoneKubelets(zone, false)
+// period), while intra-zone traffic keeps flowing. Undoing it restores both.
+func (c *Cluster) SetZonePartitioned(zone string, cut bool) {
+	c.Net.SetZoneLink(zone, !cut)
+	c.setZoneKubelets(zone, cut)
 }
 
 // SetZoneLink cuts or restores a zone's uplink at the data plane only — the
@@ -714,27 +690,16 @@ func (c *Cluster) SetZoneLink(zone string, up bool) {
 	c.Net.SetZoneLink(zone, up)
 }
 
-// KillZoneNodes crashes every node of a zone at once (the mass node-kill
+// SetZoneNodesDown crashes every node of a zone at once (the mass node-kill
 // axis): kubelets stop dead and the nodes' links drop, so even intra-zone
-// requests to their pods time out.
-func (c *Cluster) KillZoneNodes(zone string) {
+// requests to their pods time out. Undoing it recovers them.
+func (c *Cluster) SetZoneNodesDown(zone string, down bool) {
 	for _, name := range c.zoneNodes[zone] {
 		if name == ControlPlaneNode {
 			continue
 		}
-		c.Kubelets[name].SetDown(true)
-		c.Net.SetNodeLink(name, false)
-	}
-}
-
-// RecoverZoneNodes reverses KillZoneNodes.
-func (c *Cluster) RecoverZoneNodes(zone string) {
-	for _, name := range c.zoneNodes[zone] {
-		if name == ControlPlaneNode {
-			continue
-		}
-		c.Kubelets[name].SetDown(false)
-		c.Net.SetNodeLink(name, true)
+		c.Kubelets[name].SetDown(down)
+		c.Net.SetNodeLink(name, !down)
 	}
 }
 

@@ -46,7 +46,7 @@ func awaitDeploymentReady(t *testing.T, c *Cluster, name string, deadline time.D
 func TestHAAPIServerCrashFailover(t *testing.T) {
 	c := bootHA(t, 5001)
 
-	c.CrashAPIServer(0)
+	c.SetAPIServerDown(0, true)
 	// The replica-0 leaders lose their leases; a standby takes over within
 	// roughly lease duration + retry interval (~17 s). Give it 25 s.
 	limit := c.Loop.Now() + 25*time.Second
@@ -65,7 +65,7 @@ func TestHAAPIServerCrashFailover(t *testing.T) {
 	awaitDeploymentReady(t, c, "crash-ride", 40*time.Second)
 
 	// The restarted replica rejoins and serves again.
-	c.RestartAPIServer(0)
+	c.SetAPIServerDown(0, false)
 	c.Loop.RunUntil(c.Loop.Now() + 5*time.Second)
 	if c.Servers[0].Down() {
 		t.Fatal("restarted apiserver still down")
@@ -80,7 +80,7 @@ func TestHAMasterPartitionHeals(t *testing.T) {
 	c := bootHA(t, 5002)
 	rep := c.Backend.(*store.Replicated)
 
-	c.PartitionMasters(0)
+	c.SetMasterIsolated(0, true)
 	// Leadership moves to the majority side (the replica-0 leaders cannot
 	// renew through their quorumless apiserver).
 	limit := c.Loop.Now() + 40*time.Second
@@ -125,7 +125,7 @@ func TestHAMasterPartitionHeals(t *testing.T) {
 		t.Fatal("isolated replica reports no revision lag during partition")
 	}
 
-	c.HealMasters()
+	c.SetMasterIsolated(0, false)
 	c.Loop.RunUntil(c.Loop.Now() + 10*time.Second)
 	if lag := c.StoreLagMax(); lag != 0 {
 		t.Fatalf("replicas did not reconverge after heal: lag %d", lag)
@@ -144,7 +144,7 @@ func TestHAStoreLossAndRestore(t *testing.T) {
 	c := bootHA(t, 5003)
 	rep := c.Backend.(*store.Replicated)
 
-	c.DropStoreReplica(1)
+	c.SetStoreReplicaLost(1, true)
 	if !rep.ReplicaDown(1) {
 		t.Fatal("dropped replica not marked down")
 	}
@@ -154,7 +154,7 @@ func TestHAStoreLossAndRestore(t *testing.T) {
 	}
 	awaitDeploymentReady(t, c, "loss-ride", 40*time.Second)
 
-	c.RestoreStoreReplica(1)
+	c.SetStoreReplicaLost(1, false)
 	c.Loop.RunUntil(c.Loop.Now() + 5*time.Second)
 	if rep.ReplicaDown(1) {
 		t.Fatal("restored replica still down")
@@ -178,12 +178,12 @@ func TestHACrashScenarioDeterministic(t *testing.T) {
 			t.Fatal("did not settle")
 		}
 		c.Loop.RunUntil(c.Loop.Now() + 6*time.Second)
-		c.CrashAPIServer(0)
+		c.SetAPIServerDown(0, true)
 		c.Loop.RunUntil(c.Loop.Now() + 20*time.Second)
 		admin := c.Client("kbench")
 		_ = admin.Create(appDeployment("det-ha", 2))
 		c.Loop.RunUntil(c.Loop.Now() + 30*time.Second)
-		c.RestartAPIServer(0)
+		c.SetAPIServerDown(0, false)
 		c.Loop.RunUntil(c.Loop.Now() + 10*time.Second)
 		rev := c.Backend.Revision()
 		pods := len(admin.List(spec.KindPod, ""))

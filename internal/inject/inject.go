@@ -157,29 +157,11 @@ func (t FaultType) String() string {
 		return "drop"
 	case FlipProtoByte:
 		return "proto-byte"
-	case FaultAPIServerCrash:
-		return "apiserver-crash"
-	case FaultMasterPartition:
-		return "master-partition"
-	case FaultStoreLoss:
-		return "store-loss"
-	case FaultWebhookDown:
-		return "webhook-down"
-	case FaultWebhookLatency:
-		return "webhook-latency"
-	case FaultWebhookSelector:
-		return "webhook-selector"
-	case FaultWebhookPolicy:
-		return "webhook-policy"
-	case FaultEdgeLinkFlap:
-		return "edge-link-flap"
-	case FaultZonePartition:
-		return "zone-partition"
-	case FaultNodeKill:
-		return "node-kill"
-	default:
-		return fmt.Sprintf("FaultType(%d)", int(t))
 	}
+	if ax := axisOf(t); ax != nil {
+		return ax.name
+	}
+	return fmt.Sprintf("FaultType(%d)", int(t))
 }
 
 // Injection is one armed fault: where, what, and when.
@@ -209,12 +191,12 @@ type Injection struct {
 	// resource instance.
 	Occurrence int
 
-	// Control-plane faults (FaultAPIServerCrash, FaultMasterPartition,
-	// FaultStoreLoss) are located and timed by the fields below instead of
-	// kind/field/occurrence.
+	// Timed faults (see timed.go) are located and timed by the fields below
+	// instead of channel/kind/field/occurrence.
 
-	// Replica is the control-plane replica index the fault targets. Admission
-	// faults reuse it as the index of the target webhook hook.
+	// Replica indexes the fault's target within its family: the control-plane
+	// replica, the admission webhook hook, or the zone. Out-of-range values
+	// are folded onto the family's range.
 	Replica int
 	// Policy, for admission faults, overrides the chain-wide failure policy
 	// ("Fail" or "Ignore") for the experiment, so one bootstrapped cluster
@@ -224,9 +206,8 @@ type Injection struct {
 	// After is the simulation time (from arming) at which the fault fires.
 	After time.Duration
 	// Heal, when positive, is the simulation time (from arming) at which the
-	// fault is undone: the crashed apiserver restarts, the partition heals,
-	// the lost store replica is restored. Zero means the fault persists for
-	// the rest of the experiment.
+	// fault is undone. Zero means the fault persists for the rest of the
+	// experiment.
 	Heal time.Duration
 }
 
@@ -241,56 +222,16 @@ func (in Injection) Label() string {
 		return fmt.Sprintf("%s %s drop occ=%d", in.Channel, in.Kind, in.Occurrence)
 	case FlipProtoByte:
 		return fmt.Sprintf("%s %s proto-byte occ=%d", in.Channel, in.Kind, in.Occurrence)
-	case FaultAPIServerCrash, FaultMasterPartition, FaultStoreLoss:
+	}
+	if ax := axisOf(in.Type); ax != nil {
+		f := &families[ax.family]
+		label := fmt.Sprintf("%s %s %s after=%v", f.name, ax.name, f.where(in), in.After)
 		if in.Heal > 0 {
-			return fmt.Sprintf("control-plane %s replica=%d after=%v heal=%v", in.Type, in.Replica, in.After, in.Heal)
+			label += fmt.Sprintf(" heal=%v", in.Heal)
 		}
-		return fmt.Sprintf("control-plane %s replica=%d after=%v", in.Type, in.Replica, in.After)
-	case FaultWebhookDown, FaultWebhookLatency, FaultWebhookSelector, FaultWebhookPolicy:
-		policy := in.Policy
-		if policy == "" {
-			policy = "configured"
-		}
-		if in.Heal > 0 {
-			return fmt.Sprintf("admission %s hook=%d policy=%s after=%v heal=%v", in.Type, in.Replica, policy, in.After, in.Heal)
-		}
-		return fmt.Sprintf("admission %s hook=%d policy=%s after=%v", in.Type, in.Replica, policy, in.After)
-	case FaultEdgeLinkFlap, FaultZonePartition, FaultNodeKill:
-		if in.Heal > 0 {
-			return fmt.Sprintf("topology %s zone=%v after=%v heal=%v", in.Type, in.Value, in.After, in.Heal)
-		}
-		return fmt.Sprintf("topology %s zone=%v after=%v", in.Type, in.Value, in.After)
-	default:
-		return fmt.Sprintf("%s %s ? occ=%d", in.Channel, in.Kind, in.Occurrence)
+		return label
 	}
-}
-
-// IsControlPlane reports whether t is a time-triggered control-plane fault
-// rather than a message-channel fault.
-func (t FaultType) IsControlPlane() bool {
-	switch t {
-	case FaultAPIServerCrash, FaultMasterPartition, FaultStoreLoss:
-		return true
-	}
-	return false
-}
-
-// IsAdmission reports whether t is a time-triggered admission-chain fault.
-func (t FaultType) IsAdmission() bool {
-	switch t {
-	case FaultWebhookDown, FaultWebhookLatency, FaultWebhookSelector, FaultWebhookPolicy:
-		return true
-	}
-	return false
-}
-
-// IsTopology reports whether t is a time-triggered cloud-edge topology fault.
-func (t FaultType) IsTopology() bool {
-	switch t {
-	case FaultEdgeLinkFlap, FaultZonePartition, FaultNodeKill:
-		return true
-	}
-	return false
+	return fmt.Sprintf("%s %s ? occ=%d", in.Channel, in.Kind, in.Occurrence)
 }
 
 // Report describes what the injector actually did.
@@ -300,42 +241,14 @@ type Report struct {
 	Instance  string // namespace/name of the injected instance
 	StoreKey  string
 	Activated bool
-	// OldValue and NewValue hold the field values around a field fault.
-	OldValue any
-	NewValue any
-	// Healed and HealedAt record the undoing of a control-plane fault.
+	// OldValue and NewValue hold the field values around a field fault. JSON
+	// would lose their dynamic types (int64, bool, string), so they do not
+	// marshal; the campaign's shard wire carries them type-tagged instead.
+	OldValue any `json:"-"`
+	NewValue any `json:"-"`
+	// Healed and HealedAt record the undoing of a timed fault.
 	Healed   bool
 	HealedAt time.Duration
-}
-
-// ControlPlane is what a control-plane fault needs from the cluster: crash and
-// restart one apiserver replica, partition one master from the rest and heal
-// the split, drop and restore one backing store replica. Implemented by
-// *cluster.Cluster (the injector cannot import it — the cluster imports the
-// injector).
-type ControlPlane interface {
-	CrashAPIServer(replica int)
-	RestartAPIServer(replica int)
-	PartitionMasters(isolated int)
-	HealMasters()
-	DropStoreReplica(replica int)
-	RestoreStoreReplica(replica int)
-	Replicas() int
-}
-
-// Topology is what a topology fault needs from the cluster: enumerate the
-// zones, cut and restore zone uplinks (data-plane only for the flap, with the
-// zone's kubelets for the partition), and crash and recover a whole zone's
-// nodes. Implemented by *cluster.Cluster for the same import-direction reason
-// as ControlPlane.
-type Topology interface {
-	Zones() int
-	ZoneName(i int) string
-	PartitionZone(zone string)
-	HealZone(zone string)
-	SetZoneLink(zone string, up bool)
-	KillZoneNodes(zone string)
-	RecoverZoneNodes(zone string)
 }
 
 // Injector arms one injection and implements the API server hooks.
@@ -346,9 +259,7 @@ type Injector struct {
 	counts map[string]int
 	report Report
 
-	cp          ControlPlane
-	adm         *apiserver.AdmissionChain
-	topo        Topology
+	platform    Platform
 	faultTimers []sim.Timer
 }
 
@@ -360,10 +271,10 @@ func New(loop *sim.Loop) *Injector {
 // AttachTo installs the injector's hooks on the API server. It must be
 // called once per server; arming happens separately.
 func (j *Injector) AttachTo(srv *apiserver.Server) {
-	srv.SetStoreWriteHook(j.StoreHook())
-	srv.SetRequestHook(j.RequestHook())
+	srv.SetStoreWriteHook(j.Hook(ChannelStore))
+	srv.SetRequestHook(j.Hook(ChannelRequest))
 	srv.SetRequestWireGate(j.WantsRequestWire)
-	srv.SetWatchHook(j.WatchHook())
+	srv.SetWatchHook(j.Hook(ChannelWatch))
 	srv.SetWatchGate(j.WantsWatchChannel)
 	srv.SetAccessHook(j.AccessHook())
 }
@@ -386,28 +297,15 @@ func (j *Injector) WantsWatchChannel() bool {
 	return j.armed != nil && j.armed.Channel == ChannelWatch
 }
 
-// StoreHook returns the apiserver→store channel hook, for callers that need
-// to chain it with other hooks (e.g. the critical-field guard).
-func (j *Injector) StoreHook() apiserver.Hook {
+// Hook returns the injector's hook for one channel, for callers that need to
+// chain it with other hooks (e.g. the critical-field guard on the store
+// channel). Occurrence counting follows the same per-instance rule on every
+// channel, counting the instance's messages from arming; on the watch channel
+// Drop loses the notification, and field and proto-byte faults corrupt what
+// the subscribers decode.
+func (j *Injector) Hook(ch Channel) apiserver.Hook {
 	return func(m *apiserver.Message) apiserver.Action {
-		return j.intercept(ChannelStore, m)
-	}
-}
-
-// RequestHook returns the component→apiserver channel hook.
-func (j *Injector) RequestHook() apiserver.Hook {
-	return func(m *apiserver.Message) apiserver.Action {
-		return j.intercept(ChannelRequest, m)
-	}
-}
-
-// WatchHook returns the apiserver→component watch-channel hook. Occurrence
-// counting follows the same per-instance rule as the other channels, counting
-// watch events for the instance from arming; Drop loses the notification,
-// field and proto-byte faults corrupt what the subscribers decode.
-func (j *Injector) WatchHook() apiserver.Hook {
-	return func(m *apiserver.Message) apiserver.Action {
-		return j.intercept(ChannelWatch, m)
+		return j.intercept(ch, m)
 	}
 }
 
@@ -420,23 +318,15 @@ func (j *Injector) AccessHook() func(key string) {
 	}
 }
 
-// AttachControlPlane gives the injector the handle the control-plane fault
-// axes act on. Message-channel campaigns never need it.
-func (j *Injector) AttachControlPlane(cp ControlPlane) { j.cp = cp }
-
-// AttachAdmission gives the injector the admission chain the webhook fault
-// axes act on. Campaigns without admission hooks never call it.
-func (j *Injector) AttachAdmission(chain *apiserver.AdmissionChain) { j.adm = chain }
-
-// AttachTopology gives the injector the handle the topology fault axes act
-// on. Flat clusters never call it.
-func (j *Injector) AttachTopology(t Topology) { j.topo = t }
+// AttachPlatform gives the injector the handle the timed fault axes act on.
+// Message-channel campaigns never need it.
+func (j *Injector) AttachPlatform(p Platform) { j.platform = p }
 
 // Arm programs the injection; the next matching message occurrence fires it.
 // Mirrors the campaign manager "configuring the injection trigger by sending
 // the triplet (where, when, what) ... to the injected component".
-// Control-plane faults are timed, not message-matched: Arm schedules them on
-// the simulation clock at After (and their heal at Heal).
+// Timed faults are not message-matched: Arm schedules them on the simulation
+// clock at After (and their heal at Heal), and they match no message channel.
 func (j *Injector) Arm(in Injection) {
 	cp := in
 	if cp.Occurrence <= 0 {
@@ -445,14 +335,9 @@ func (j *Injector) Arm(in Injection) {
 	j.armed = &cp
 	j.counts = make(map[string]int)
 	j.report = Report{}
-	if cp.Type.IsControlPlane() {
-		j.armControlPlane(&cp)
-	}
-	if cp.Type.IsAdmission() {
-		j.armAdmission(&cp)
-	}
-	if cp.Type.IsTopology() {
-		j.armTopology(&cp)
+	if ax := axisOf(cp.Type); ax != nil {
+		cp.Channel = 0
+		j.arm(&cp, ax)
 	}
 }
 
@@ -465,215 +350,12 @@ func (j *Injector) Disarm() {
 	j.faultTimers = nil
 }
 
-func (j *Injector) armControlPlane(in *Injection) {
-	if j.cp == nil {
-		return // no control plane attached (single-server assembly)
-	}
-	j.faultTimers = append(j.faultTimers, j.loop.After(in.After, func() {
-		if j.armed != in {
-			return
-		}
-		j.fireControlPlane(in)
-	}))
-	if in.Heal > 0 {
-		j.faultTimers = append(j.faultTimers, j.loop.After(in.Heal, func() {
-			if j.armed != in || !j.report.Fired {
-				return
-			}
-			j.healControlPlane(in)
-		}))
-	}
-}
-
-func (j *Injector) fireControlPlane(in *Injection) {
-	replica := in.Replica % j.cp.Replicas()
-	switch in.Type {
-	case FaultAPIServerCrash:
-		j.cp.CrashAPIServer(replica)
-		j.report.Instance = fmt.Sprintf("control-plane/apiserver-%d", replica)
-	case FaultMasterPartition:
-		j.cp.PartitionMasters(replica)
-		j.report.Instance = fmt.Sprintf("control-plane/master-%d", replica)
-	case FaultStoreLoss:
-		j.cp.DropStoreReplica(replica)
-		j.report.Instance = fmt.Sprintf("control-plane/store-%d", replica)
-	default:
-		return
-	}
-	j.report.Fired = true
-	j.report.FiredAt = j.loop.Now()
-	// The fault acts on the control plane itself, not one resource instance:
-	// it is activated by construction the moment it fires.
-	j.report.Activated = true
-}
-
-func (j *Injector) healControlPlane(in *Injection) {
-	replica := in.Replica % j.cp.Replicas()
-	switch in.Type {
-	case FaultAPIServerCrash:
-		j.cp.RestartAPIServer(replica)
-	case FaultMasterPartition:
-		j.cp.HealMasters()
-	case FaultStoreLoss:
-		j.cp.RestoreStoreReplica(replica)
-	default:
-		return
-	}
-	j.report.Healed = true
-	j.report.HealedAt = j.loop.Now()
-}
-
-// webhookFaultDelay is the extra latency FaultWebhookLatency adds to the
-// target hook's backend — far past the 1s hook call timeout, so every call
-// times out for as long as the fault is live.
-const webhookFaultDelay = 5 * time.Second
-
-func (j *Injector) armAdmission(in *Injection) {
-	if j.adm == nil {
-		return // no admission chain configured
-	}
-	// The policy override is part of the experiment's configuration, not of
-	// the fault: it applies from arming, so the chain is already in the
-	// experiment's regime when the fault fires (and stays inert while every
-	// hook is healthy).
-	j.adm.SetFailurePolicy(apiserver.FailurePolicy(in.Policy))
-	j.faultTimers = append(j.faultTimers, j.loop.After(in.After, func() {
-		if j.armed != in {
-			return
-		}
-		j.fireAdmission(in)
-	}))
-	if in.Heal > 0 {
-		j.faultTimers = append(j.faultTimers, j.loop.After(in.Heal, func() {
-			if j.armed != in || !j.report.Fired {
-				return
-			}
-			j.healAdmission(in)
-		}))
-	}
-}
-
-func (j *Injector) fireAdmission(in *Injection) {
-	hook := j.adm.Idx(in.Replica)
-	switch in.Type {
-	case FaultWebhookDown:
-		j.adm.CrashWebhook(hook)
-	case FaultWebhookLatency:
-		j.adm.DelayWebhook(hook, webhookFaultDelay)
-	case FaultWebhookSelector:
-		j.adm.BreakSelector(hook)
-	case FaultWebhookPolicy:
-		j.adm.DropPolicy(hook)
-	default:
-		return
-	}
-	j.report.Instance = "admission/" + j.adm.HookName(hook)
-	j.report.Fired = true
-	j.report.FiredAt = j.loop.Now()
-	// Like the control-plane faults, the target is the platform itself:
-	// activated by construction when it fires.
-	j.report.Activated = true
-}
-
-func (j *Injector) healAdmission(in *Injection) {
-	hook := j.adm.Idx(in.Replica)
-	switch in.Type {
-	case FaultWebhookDown:
-		j.adm.RestoreWebhook(hook)
-	case FaultWebhookLatency:
-		j.adm.ClearWebhookDelay(hook)
-	case FaultWebhookSelector:
-		j.adm.RestoreSelector(hook)
-	case FaultWebhookPolicy:
-		j.adm.RestorePolicy(hook)
-	default:
-		return
-	}
-	j.report.Healed = true
-	j.report.HealedAt = j.loop.Now()
-}
-
-// edgeFlapPeriod is the half-period of the edge-link flap: the uplink toggles
-// down, up, down every period until Heal. Far below the node-lifecycle grace
-// period, so the flap never escalates to taints or eviction — the disruption
-// stays a pure data-plane phenomenon.
-const edgeFlapPeriod = 2 * time.Second
-
-func (j *Injector) armTopology(in *Injection) {
-	if j.topo == nil {
-		return // flat cluster: no topology attached
-	}
-	j.faultTimers = append(j.faultTimers, j.loop.After(in.After, func() {
-		if j.armed != in {
-			return
-		}
-		j.fireTopology(in)
-	}))
-	if in.Heal > 0 {
-		j.faultTimers = append(j.faultTimers, j.loop.After(in.Heal, func() {
-			if j.armed != in || !j.report.Fired {
-				return
-			}
-			j.healTopology(in)
-		}))
-	}
-}
-
-func (j *Injector) fireTopology(in *Injection) {
-	zone := j.topo.ZoneName(in.Replica % j.topo.Zones())
-	switch in.Type {
-	case FaultEdgeLinkFlap:
-		j.topo.SetZoneLink(zone, false)
-		j.flapZoneLink(in, zone, true)
-	case FaultZonePartition:
-		j.topo.PartitionZone(zone)
-	case FaultNodeKill:
-		j.topo.KillZoneNodes(zone)
-	default:
-		return
-	}
-	j.report.Instance = "topology/" + zone
-	j.report.Fired = true
-	j.report.FiredAt = j.loop.Now()
-	// The fault acts on the platform's network, not one resource instance:
-	// activated by construction the moment it fires.
-	j.report.Activated = true
-}
-
-// flapZoneLink schedules the next phase of the edge-link flap: the uplink
-// toggles every edgeFlapPeriod until the fault is healed or disarmed.
-func (j *Injector) flapZoneLink(in *Injection, zone string, up bool) {
-	j.faultTimers = append(j.faultTimers, j.loop.After(edgeFlapPeriod, func() {
-		if j.armed != in || j.report.Healed {
-			return
-		}
-		j.topo.SetZoneLink(zone, up)
-		j.flapZoneLink(in, zone, !up)
-	}))
-}
-
-func (j *Injector) healTopology(in *Injection) {
-	zone := j.topo.ZoneName(in.Replica % j.topo.Zones())
-	switch in.Type {
-	case FaultEdgeLinkFlap:
-		j.topo.SetZoneLink(zone, true)
-	case FaultZonePartition:
-		j.topo.HealZone(zone)
-	case FaultNodeKill:
-		j.topo.RecoverZoneNodes(zone)
-	default:
-		return
-	}
-	j.report.Healed = true
-	j.report.HealedAt = j.loop.Now()
-}
-
 // Report returns what happened.
 func (j *Injector) Report() Report { return j.report }
 
 func (j *Injector) intercept(ch Channel, m *apiserver.Message) apiserver.Action {
 	in := j.armed
-	if in == nil || in.Type.IsControlPlane() || in.Type.IsAdmission() || in.Type.IsTopology() || j.report.Fired || in.Channel != ch || in.Kind != m.Kind {
+	if in == nil || j.report.Fired || in.Channel != ch || in.Kind != m.Kind {
 		return apiserver.Pass
 	}
 	if ch == ChannelRequest && in.SourcePrefix != "" && !hasPrefix(m.Source, in.SourcePrefix) {
@@ -687,7 +369,7 @@ func (j *Injector) intercept(ch Channel, m *apiserver.Message) apiserver.Action 
 
 	switch in.Type {
 	case DropMessage:
-		j.fire(m, instance)
+		j.fireOn(m, instance)
 		return apiserver.Drop
 	case FlipProtoByte:
 		if len(m.Data) == 0 {
@@ -697,11 +379,11 @@ func (j *Injector) intercept(ch Channel, m *apiserver.Message) apiserver.Action 
 		bit := j.loop.Rand().Intn(8)
 		m.Data[off] ^= 1 << bit
 		m.Tampered = true
-		j.fire(m, instance)
+		j.fireOn(m, instance)
 		return apiserver.Pass
 	case BitFlip, SetValue:
 		if j.tamperField(in, m) {
-			j.fire(m, instance)
+			j.fireOn(m, instance)
 		}
 		return apiserver.Pass
 	default:
@@ -751,7 +433,7 @@ func (j *Injector) tamperField(in *Injection, m *apiserver.Message) bool {
 	return true
 }
 
-func (j *Injector) fire(m *apiserver.Message, instance string) {
+func (j *Injector) fireOn(m *apiserver.Message, instance string) {
 	j.report.Fired = true
 	j.report.FiredAt = j.loop.Now()
 	j.report.Instance = instance

@@ -5,12 +5,15 @@ package report
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strconv"
 	"text/tabwriter"
 
 	"github.com/mutiny-sim/mutiny/internal/campaign"
 	"github.com/mutiny-sim/mutiny/internal/classify"
 	"github.com/mutiny-sim/mutiny/internal/ffda"
+	"github.com/mutiny-sim/mutiny/internal/inject"
 	"github.com/mutiny-sim/mutiny/internal/workload"
 )
 
@@ -81,77 +84,55 @@ func Table3(w io.Writer, agg *campaign.Aggregate) {
 
 // Table4 renders orchestrator-level failure statistics (Table IV).
 func Table4(w io.Writer, agg *campaign.Aggregate) {
-	fmt.Fprintln(w, "Table IV — Orchestrator-level failures (OF) by workload and injection type")
-	tw := newTab(w)
-	fmt.Fprintln(tw, "WL\tInjection\tPerf.\tNo\tTim\tLeR\tMoR\tNet\tSta\tOut")
-	colTotals := make(map[classify.OF]int)
-	grand := 0
-	for _, wl := range workload.Kinds() {
-		for _, group := range campaign.InjGroups() {
-			counts := agg.OFCounts[wl][group]
-			perf := 0
-			for _, n := range counts {
-				perf += n
-			}
-			if perf == 0 {
-				continue
-			}
-			fmt.Fprintf(tw, "%s\t%s\t%d", wl, group, perf)
-			for _, of := range classify.OFs() {
-				fmt.Fprintf(tw, "\t%d", counts[of])
-				colTotals[of] += counts[of]
-			}
-			fmt.Fprintln(tw)
-			grand += perf
-		}
-	}
-	fmt.Fprintf(tw, "Sum\t\t%d", grand)
-	for _, of := range classify.OFs() {
-		fmt.Fprintf(tw, "\t%d", colTotals[of])
-	}
-	fmt.Fprintln(tw)
-	fmt.Fprint(tw, "%\t\t100%")
-	for _, of := range classify.OFs() {
-		fmt.Fprintf(tw, "\t%s", pct(colTotals[of], grand))
-	}
-	fmt.Fprintln(tw)
-	tw.Flush()
+	failureTable(w, "Table IV — Orchestrator-level failures (OF) by workload and injection type",
+		classify.OFs(), agg.OFCounts)
 }
 
 // Table5 renders client-level failure statistics (Table V).
 func Table5(w io.Writer, agg *campaign.Aggregate) {
-	fmt.Fprintln(w, "Table V — Client-level failures (CF) by workload and injection type")
+	failureTable(w, "Table V — Client-level failures (CF) by workload and injection type",
+		classify.CFs(), agg.CFCounts)
+}
+
+// failureTable renders one failure level's category counts per workload and
+// injection group, with column sums and shares.
+func failureTable[K comparable](w io.Writer, title string, categories []K, counts map[workload.Kind]map[campaign.InjGroup]map[K]int) {
+	fmt.Fprintln(w, title)
 	tw := newTab(w)
-	fmt.Fprintln(tw, "WL\tInjection\tPerf.\tNSI\tHRT\tIA\tSU")
-	colTotals := make(map[classify.CF]int)
+	fmt.Fprint(tw, "WL\tInjection\tPerf.")
+	for _, cat := range categories {
+		fmt.Fprintf(tw, "\t%v", cat)
+	}
+	fmt.Fprintln(tw)
+	colTotals := make(map[K]int)
 	grand := 0
 	for _, wl := range workload.Kinds() {
 		for _, group := range campaign.InjGroups() {
-			counts := agg.CFCounts[wl][group]
+			row := counts[wl][group]
 			perf := 0
-			for _, n := range counts {
+			for _, n := range row {
 				perf += n
 			}
 			if perf == 0 {
 				continue
 			}
 			fmt.Fprintf(tw, "%s\t%s\t%d", wl, group, perf)
-			for _, cf := range classify.CFs() {
-				fmt.Fprintf(tw, "\t%d", counts[cf])
-				colTotals[cf] += counts[cf]
+			for _, cat := range categories {
+				fmt.Fprintf(tw, "\t%d", row[cat])
+				colTotals[cat] += row[cat]
 			}
 			fmt.Fprintln(tw)
 			grand += perf
 		}
 	}
 	fmt.Fprintf(tw, "Sum\t\t%d", grand)
-	for _, cf := range classify.CFs() {
-		fmt.Fprintf(tw, "\t%d", colTotals[cf])
+	for _, cat := range categories {
+		fmt.Fprintf(tw, "\t%d", colTotals[cat])
 	}
 	fmt.Fprintln(tw)
 	fmt.Fprint(tw, "%\t\t100%")
-	for _, cf := range classify.CFs() {
-		fmt.Fprintf(tw, "\t%s", pct(colTotals[cf], grand))
+	for _, cat := range categories {
+		fmt.Fprintf(tw, "\t%s", pct(colTotals[cat], grand))
 	}
 	fmt.Fprintln(tw)
 	tw.Flush()
@@ -181,119 +162,104 @@ func componentLabel(prefix string) string {
 	}
 }
 
-// HATable renders the HA control-plane fault-axis statistics: per fault
-// axis, the distribution of the failover window (control plane unable to
-// act) and of the stale-read window (some live store replica serving a
-// lagging revision), in simulated milliseconds per experiment. Empty (a
-// single explanatory line) when the campaign ran without control-plane
-// replication.
-func HATable(w io.Writer, agg *campaign.Aggregate) {
-	fmt.Fprintln(w, "HA control plane — failover and stale-read windows by fault axis (ms, simulated)")
-	total := 0
-	for _, t := range campaign.ControlPlaneFaults() {
-		total += len(agg.FailoverByFault[t])
-	}
-	if total == 0 {
-		fmt.Fprintln(w, "(no control-plane fault experiments; run with ControlPlaneReplicas >= 2)")
-		return
-	}
-	tw := newTab(w)
-	fmt.Fprintln(tw, "Fault axis\tn\tfailover med\tfailover p95\tstale med\tstale p95")
-	for _, t := range campaign.ControlPlaneFaults() {
-		fo := append([]float64(nil), agg.FailoverByFault[t]...)
-		st := append([]float64(nil), agg.StaleByFault[t]...)
-		if len(fo) == 0 {
-			continue
-		}
-		sort.Float64s(fo)
-		sort.Float64s(st)
-		fmt.Fprintf(tw, "%s\t%d\t%.0f\t%.0f\t%.0f\t%.0f\n", t, len(fo),
-			quantile(fo, 0.5), quantile(fo, 0.95), quantile(st, 0.5), quantile(st, 0.95))
-	}
-	tw.Flush()
+// windowTable describes one family's timed-fault table: per fault axis (and
+// sub-key), the distribution over experiments of the two windows the family
+// measures, in simulated milliseconds. The three tables differ only in these
+// fields.
+type windowTable struct {
+	family inject.Family
+	title  string
+	// empty replaces the table when the campaign ran no fault of the family.
+	empty string
+	// header and row lay out the columns. row picks, by argument index, from:
+	// 1 fault axis, 2 sub-key, 3 experiments, 4-5 first window median and
+	// p95, 6-7 second window median and p95, 8 second window total.
+	header, row string
 }
+
+var (
+	haTable = windowTable{
+		family: inject.FamilyControlPlane,
+		title:  "HA control plane — failover and stale-read windows by fault axis (ms, simulated)",
+		empty:  "(no control-plane fault experiments; run with ControlPlaneReplicas >= 2)",
+		header: "Fault axis\tn\tfailover med\tfailover p95\tstale med\tstale p95",
+		row:    "%[1]v\t%[3]v\t%[4]v\t%[5]v\t%[6]v\t%[7]v\n",
+	}
+	admissionTable = windowTable{
+		family: inject.FamilyAdmission,
+		title:  "Admission webhooks — availability outage vs enforcement integrity by fault axis and failure policy",
+		empty:  "(no admission fault experiments; run with AdmissionHooks >= 1)",
+		header: "Fault axis\tpolicy\tn\toutage med\toutage p95\tviolations",
+		row:    "%[1]v\t%[2]v\t%[3]v\t%[4]v\t%[5]v\t%[8]v\n",
+	}
+	topologyTable = windowTable{
+		family: inject.FamilyTopology,
+		title:  "Cloud-edge topology — disruption and recovery windows by fault axis and zone (ms, simulated)",
+		empty:  "(no topology fault experiments; run with Zones >= 2)",
+		header: "Fault axis\tzone\tn\tdisruption med\tdisruption p95\trecovery med\trecovery p95",
+		row:    "%[1]v\t%[2]v\t%[3]v\t%[4]v\t%[5]v\t%[6]v\t%[7]v\n",
+	}
+)
+
+// HATable renders the HA control-plane fault-axis statistics: per fault
+// axis, the failover window (control plane unable to act) and the stale-read
+// window (some live store replica serving a lagging revision).
+func HATable(w io.Writer, agg *campaign.Aggregate) { haTable.render(w, agg) }
 
 // AdmissionTable renders the admission fault-axis trade-off: per webhook
 // fault under each failure-policy regime, the write-availability outage
-// window (simulated ms a fail-closed hook was unreachable, med+p95) against
-// the enforcement-integrity loss (policy-violating objects admitted, total
-// over the axis's experiments). Empty (a single explanatory line) when the
-// campaign ran without admission hooks.
-func AdmissionTable(w io.Writer, agg *campaign.Aggregate) {
-	fmt.Fprintln(w, "Admission webhooks — availability outage vs enforcement integrity by fault axis and failure policy")
-	total := 0
-	for _, outages := range agg.OutageByAdmission {
-		total += len(outages)
+// window (a fail-closed hook unreachable) against the enforcement-integrity
+// loss (policy-violating objects admitted, total over the row).
+func AdmissionTable(w io.Writer, agg *campaign.Aggregate) { admissionTable.render(w, agg) }
+
+// TopologyTable renders the cloud-edge topology fault-axis statistics in the
+// failover-timing style of arXiv:1901.04946: per fault axis against each
+// zone, the disruption window (some zone or node link cut) and the recovery
+// tail (links restored but the cluster not yet re-converged).
+func TopologyTable(w io.Writer, agg *campaign.Aggregate) { topologyTable.render(w, agg) }
+
+func (t windowTable) render(w io.Writer, agg *campaign.Aggregate) {
+	fmt.Fprintln(w, t.title)
+	// Sub-keys come from the aggregate's rows, sorted for a stable table.
+	var subs []string
+	for key := range agg.Windows {
+		if key.Fault.Family() == t.family && !slices.Contains(subs, key.Sub) {
+			subs = append(subs, key.Sub)
+		}
 	}
-	if total == 0 {
-		fmt.Fprintln(w, "(no admission fault experiments; run with AdmissionHooks >= 1)")
+	if len(subs) == 0 {
+		fmt.Fprintln(w, t.empty)
 		return
 	}
+	sort.Strings(subs)
+
 	tw := newTab(w)
-	fmt.Fprintln(tw, "Fault axis\tpolicy\tn\toutage med\toutage p95\tviolations")
-	for _, t := range campaign.AdmissionFaults() {
-		for _, policy := range campaign.AdmissionPolicies {
-			key := campaign.AdmissionKey{Fault: t, Policy: policy}
-			out := append([]float64(nil), agg.OutageByAdmission[key]...)
-			if len(out) == 0 {
+	fmt.Fprintln(tw, t.header)
+	for _, fault := range inject.TimedFaults(t.family) {
+		for _, sub := range subs {
+			series, ok := agg.Windows[campaign.WindowKey{Fault: fault, Sub: sub}]
+			if !ok {
 				continue
 			}
-			sort.Float64s(out)
-			violations := 0
-			for _, v := range agg.ViolationsByAdmission[key] {
-				violations += v
+			first, second := sorted(series[0]), sorted(series[1])
+			total := 0.0
+			for _, v := range second {
+				total += v
 			}
-			fmt.Fprintf(tw, "%s\t%s\t%d\t%.0f\t%.0f\t%d\n", t, policy, len(out),
-				quantile(out, 0.5), quantile(out, 0.95), violations)
+			fmt.Fprintf(tw, t.row, fault, sub, len(first), ms(quantile(first, 0.5)), ms(quantile(first, 0.95)),
+				ms(quantile(second, 0.5)), ms(quantile(second, 0.95)), ms(total))
 		}
 	}
 	tw.Flush()
 }
 
-// TopologyTable renders the cloud-edge topology fault-axis statistics in the
-// failover-timing style of arXiv:1901.04946: per fault axis against each
-// zone, the distribution of the disruption window (some zone or node link
-// cut) and of the recovery tail (links restored but the cluster not yet
-// re-converged), in simulated milliseconds per experiment. Empty (a single
-// explanatory line) when the campaign ran on a flat network.
-func TopologyTable(w io.Writer, agg *campaign.Aggregate) {
-	fmt.Fprintln(w, "Cloud-edge topology — disruption and recovery windows by fault axis and zone (ms, simulated)")
-	total := 0
-	for _, d := range agg.DisruptionByTopology {
-		total += len(d)
-	}
-	if total == 0 {
-		fmt.Fprintln(w, "(no topology fault experiments; run with Zones >= 2)")
-		return
-	}
-	// Zone names come from the aggregate's keys: sorted for a stable table,
-	// which puts edge-* after core/regional-* — the paper-style ordering.
-	zoneSet := make(map[string]bool)
-	for key := range agg.DisruptionByTopology {
-		zoneSet[key.Zone] = true
-	}
-	zones := make([]string, 0, len(zoneSet))
-	for z := range zoneSet {
-		zones = append(zones, z)
-	}
-	sort.Strings(zones)
-	tw := newTab(w)
-	fmt.Fprintln(tw, "Fault axis\tzone\tn\tdisruption med\tdisruption p95\trecovery med\trecovery p95")
-	for _, t := range campaign.TopologyFaults() {
-		for _, zone := range zones {
-			key := campaign.TopologyKey{Fault: t, Zone: zone}
-			dis := append([]float64(nil), agg.DisruptionByTopology[key]...)
-			if len(dis) == 0 {
-				continue
-			}
-			rec := append([]float64(nil), agg.RecoveryByTopology[key]...)
-			sort.Float64s(dis)
-			sort.Float64s(rec)
-			fmt.Fprintf(tw, "%s\t%s\t%d\t%.0f\t%.0f\t%.0f\t%.0f\n", t, zone, len(dis),
-				quantile(dis, 0.5), quantile(dis, 0.95), quantile(rec, 0.5), quantile(rec, 0.95))
-		}
-	}
-	tw.Flush()
+// ms renders a window to the millisecond.
+func ms(x float64) string { return strconv.FormatFloat(x, 'f', 0, 64) }
+
+func sorted(xs []float64) []float64 {
+	xs = append([]float64(nil), xs...)
+	sort.Float64s(xs)
+	return xs
 }
 
 // Table7 renders the real-world vs Mutiny coverage comparison (Table VII).
@@ -393,11 +359,10 @@ func Figure6(w io.Writer, agg *campaign.Aggregate) {
 	fmt.Fprintln(tw, "WL\tOF\tn\tmin\tq1\tmedian\tq3\tmax")
 	for _, wl := range workload.Kinds() {
 		for _, of := range classify.OFs() {
-			zs := append([]float64(nil), agg.ZByOF[wl][of]...)
+			zs := sorted(agg.ZByOF[wl][of])
 			if len(zs) == 0 {
 				continue
 			}
-			sort.Float64s(zs)
 			fmt.Fprintf(tw, "%s\t%s\t%d\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\n",
 				wl, of, len(zs),
 				zs[0], quantile(zs, 0.25), quantile(zs, 0.5), quantile(zs, 0.75), zs[len(zs)-1])

@@ -35,6 +35,18 @@ const Policy Kind = "policy"
 // Kinds lists the workloads in paper order.
 func Kinds() []Kind { return []Kind{Deploy, ScaleUp, Failover} }
 
+// ParseKind resolves a workload name as typed on a command line. An unknown
+// name is an error: a Driver for it would run nothing and the experiment
+// would still classify.
+func ParseKind(name string) (Kind, error) {
+	for _, k := range append(Kinds(), Policy) {
+		if string(k) == name {
+			return k, nil
+		}
+	}
+	return "", fmt.Errorf("unknown workload %q (want deploy, scale, failover or policy)", name)
+}
+
 // UserIdentity is the cluster-user identity driving workloads; its API
 // errors feed the Figure 7 analysis.
 const UserIdentity = "kbench"

@@ -127,16 +127,10 @@
 //     bit-identical to a single-process run. RunCampaign itself is the
 //     one-shard case of the same pipeline.
 //
-// `make bench PR=N` measures all of it (ms/exp, allocs/exp, replay-vs-share
-// ratio, parallel speedup) and emits BENCH_PRN.json — which also records
-// GOMAXPROCS and the CPU — committed per PR; CI re-runs the gate on every
-// push and warns — without failing — when ms/exp, allocs/exp, or the
-// parallel speedup regresses >10% against the previous PR's committed
-// artifact. Wall-clock warnings only fire when the recorded machine shape
-// matches the baseline's; across an env change they degrade to notes, and
-// the machine-stable allocs/exp comparison carries the gate. Set
-// MUTINY_MUTEXPROF=1 on any bench run to capture mutex/block pprof
-// artifacts for the parallel path.
+// `go run ./bench` measures all of it: five campaign workloads, end-to-end
+// and layer by layer (see bench/README.md). Set MUTINY_MUTEXPROF=1 on a
+// `go test -bench` run to capture mutex/block pprof artifacts for the
+// parallel path.
 package mutiny
 
 import (
@@ -158,6 +152,9 @@ type (
 	Result = campaign.Result
 	// Aggregate accumulates results into the paper's tables.
 	Aggregate = campaign.Aggregate
+	// WindowKey addresses one row of Aggregate.Windows: a timed fault axis
+	// plus its sub-key (failure policy or zone).
+	WindowKey = campaign.WindowKey
 	// CampaignConfig parameterizes a full campaign.
 	CampaignConfig = campaign.Config
 	// CampaignOutput bundles a campaign's aggregates.
@@ -359,6 +356,10 @@ func NewDriver(c *Cluster, kind WorkloadKind) *Driver { return workload.NewDrive
 // NewInjector builds an injector bound to a cluster's loop; attach it to the
 // cluster's API server with AttachTo.
 func NewInjector(c *Cluster) *Injector { return inject.New(c.Loop) }
+
+// ParseWorkload resolves a workload name (deploy, scale, failover, policy);
+// any other name is an error.
+func ParseWorkload(name string) (WorkloadKind, error) { return workload.ParseKind(name) }
 
 // Workloads lists the three workloads in paper order.
 func Workloads() []WorkloadKind { return workload.Kinds() }

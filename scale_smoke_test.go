@@ -11,8 +11,9 @@ import (
 // Budgets for the 500-node bootstrap, generously above the measured cost
 // (≈40ms / ≈6MB on the reference machine) but far below what an
 // O(nodes²)-per-cycle regression in the scheduler or endpoints controller
-// would cost. `make bench PR=10` tracks the precise per-experiment number;
-// this guard only keeps `make check` from silently absorbing a blow-up.
+// would cost. The repository benchmark's zoned-500 workload tracks the precise
+// per-experiment number; this guard only keeps `make check` from silently
+// absorbing a blow-up.
 const (
 	scale500WallBudget  = 10 * time.Second
 	scale500AllocBudget = 1 << 30 // bytes
@@ -84,14 +85,14 @@ func TestScale500Smoke(t *testing.T) {
 
 	// Ride out an edge-zone partition: the cluster degrades but core
 	// clients stay served, and the heal re-converges the topology.
-	cl.PartitionZone(edge)
+	cl.SetZonePartitioned(edge, true)
 	cl.Loop.RunUntil(cl.Loop.Now() + 10*time.Second)
 	if !cl.TopologyDegraded() {
 		t.Fatal("edge partition not visible as topology degradation")
 	}
 	serves("during edge partition")
 
-	cl.HealZone(edge)
+	cl.SetZonePartitioned(edge, false)
 	deadline := cl.Loop.Now() + 60*time.Second
 	for cl.Loop.Now() < deadline && !cl.TopologyConverged() {
 		cl.Loop.RunUntil(cl.Loop.Now() + time.Second)
