@@ -1,7 +1,7 @@
 # Tier-1 verification targets. `make check` is what CI (and any PR) should
 # run: build, vet, the full test suite, a race-detector pass over the
-# packages with real concurrency (the parallel campaign pool and the pooled
-# codec buffers), and a short campaign smoke test.
+# packages with real concurrency (the parallel campaign pool and the tables
+# its workers share), and a short campaign smoke test.
 
 GO ?= go
 
@@ -25,16 +25,16 @@ vet:
 test:
 	$(GO) test ./...
 
-# The campaign package exercises the worker engine and the snapshot cache's
-# lock-free read path (TestCampaignParallelismIsDeterministic,
-# TestRunnerConcurrentUse, TestSnapshotCacheConcurrentRunners,
-# TestClearSnapshotCacheRacesActiveForks) and the codec package exercises the
-# sharded intern table and per-worker arenas, so -race here covers every
-# concurrency surface of the parallel engine. The apiserver package adds the
-# encode-cache tests: cached wire bytes ride sealed objects across the same
-# shared read paths, so they get the same -race coverage.
+# Every package with state that campaign workers reach concurrently: cow is
+# the one shared table (its test inserts overlapping keys from 8 goroutines),
+# codec and spec are its three clients (string, storage-key and label-map
+# interning), campaign is the worker engine and the mutex-guarded snapshot
+# cache (TestCampaignParallelismIsDeterministic, TestRunnerConcurrentUse,
+# TestSnapshotCacheConcurrentRunners, TestClearSnapshotCacheRacesActiveForks),
+# and apiserver adds the encode-cache tests: cached wire bytes ride sealed
+# objects across the same shared read paths.
 race:
-	$(GO) test -race ./internal/campaign/... ./internal/codec/... ./internal/apiserver/...
+	$(GO) test -race ./internal/campaign/... ./internal/codec/... ./internal/apiserver/... ./internal/spec/... ./internal/cow/...
 
 # A fast, heavily-strided campaign through the real benchmark harness: one
 # end-to-end sanity pass over golden runs, generation, injection, and

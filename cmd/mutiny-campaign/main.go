@@ -29,9 +29,8 @@
 // bootstrap snapshot instead of replaying the ~20 s simulated bootstrap each
 // time. Snapshots live in a process-wide cache keyed on the cluster
 // configuration plus the workload kind, so repeated campaigns (and every
-// Runner constructed in the process) bootstrap each workload exactly once;
-// each campaign worker forks from its own copy-on-read view of the snapshot,
-// so parallel forks share no memory.
+// Runner constructed in the process) bootstrap each workload exactly once.
+// A snapshot is immutable, so every campaign worker forks from the same one.
 //
 // -admission-hooks installs a governance webhook chain (mutating defaulter,
 // image policy, limits policy) in every experiment cluster and adds the
@@ -83,7 +82,7 @@ func run(args []string) error {
 		parallel   = fs.Int("parallel", 0, "experiment worker goroutines (0 = all cores, 1 = sequential; output is bit-identical either way)")
 		shards     = fs.Int("shards", 1, "split the campaign across this many OS processes (driver mode: spawns one child per shard, merges their outputs bit-identically to a single-process run)")
 		shardIndex = fs.Int("shard-index", -1, "run only shard shard-index of -shards and emit its JSON ShardOutput on stdout (child/remote mode; -1 = not a shard)")
-		share      = fs.Bool("share-bootstrap", false, "fork each experiment from a settled bootstrap snapshot instead of replaying bootstrap (snapshots are cached process-wide per cluster-config+workload and forked from per-worker views; preserves classification aggregates, not bit-level observations)")
+		share      = fs.Bool("share-bootstrap", false, "fork each experiment from a settled bootstrap snapshot instead of replaying bootstrap (snapshots are cached process-wide per cluster-config+workload; preserves classification aggregates, not bit-level observations)")
 		replicas   = fs.Int("control-plane-replicas", 1, "apiserver/store replicas per experiment cluster; >= 2 adds the HA fault axes (apiserver crash, master partition, store loss) and the failover/stale-read table")
 		hooks      = fs.Int("admission-hooks", 0, "admission webhooks per experiment cluster (0-3: defaulter, image-policy, limits-policy); >= 1 adds the webhook fault axes (down, latency, wrong selector, missing policy) under both failure policies and the admission table, and defaults -workloads to the policy workload")
 		policy     = fs.String("failure-policy", "", "configured failure policy of the admission hooks: Fail (fail-closed) or Ignore (fail-open; the default when empty) — the generated admission axes override it per experiment")

@@ -137,10 +137,7 @@ type AdmissionChain struct {
 	// healthy, so it can be chosen at injector-arm time).
 	override FailurePolicy
 
-	evaluated           int64
-	denied              int64
-	rejectedUnavailable int64
-	violationsAdmitted  int64
+	violationsAdmitted int64
 }
 
 // NewAdmissionChain builds a chain over the given hooks (evaluation order:
@@ -257,11 +254,10 @@ func (c *AdmissionChain) Degraded() bool {
 
 // Admit evaluates the chain on one write: mutating hooks first (registration
 // order), then validating hooks. It returns nil to admit (possibly after
-// mutation) or an ErrAdmission-wrapped error to reject. Counters:
-// denied/rejectedUnavailable on the reject paths, ViolationsAdmitted once
-// per admitted write that a skipped validating hook would have denied.
+// mutation) or an ErrAdmission-wrapped error to reject, and counts
+// ViolationsAdmitted once per admitted write that a skipped validating hook
+// would have denied.
 func (c *AdmissionChain) Admit(verb Verb, obj spec.Object) error {
-	c.evaluated++
 	violated := false
 	for _, mutating := range [2]bool{true, false} {
 		for _, h := range c.hooks {
@@ -282,7 +278,6 @@ func (c *AdmissionChain) Admit(verb Verb, obj spec.Object) error {
 			}
 			if err := c.call(h); err != nil {
 				if c.effectivePolicy(h) == FailClosed {
-					c.rejectedUnavailable++
 					return fmt.Errorf("%w: %v (failurePolicy=Fail)", ErrAdmission, err)
 				}
 				// Fail-open: skip the hook, note what slipped through.
@@ -299,7 +294,6 @@ func (c *AdmissionChain) Admit(verb Verb, obj spec.Object) error {
 			}
 			if h.Validate != nil {
 				if err := h.Validate(obj); err != nil {
-					c.denied++
 					return fmt.Errorf("%w: webhook %q: %v", ErrAdmission, h.Name, err)
 				}
 			}
@@ -318,16 +312,6 @@ func violatesSkipped(h *AdmissionHook, verb Verb, obj spec.Object) bool {
 	return !h.Mutating && verb == VerbCreate && h.Validate != nil && h.Validate(obj) != nil
 }
 
-// Evaluated returns the number of writes the chain evaluated.
-func (c *AdmissionChain) Evaluated() int64 { return c.evaluated }
-
-// Denied returns the number of writes denied by a healthy validating hook.
-func (c *AdmissionChain) Denied() int64 { return c.denied }
-
-// RejectedUnavailable returns the number of writes rejected because an
-// unreachable hook's effective policy was fail-closed.
-func (c *AdmissionChain) RejectedUnavailable() int64 { return c.rejectedUnavailable }
-
 // ViolationsAdmitted returns the number of admitted writes that a skipped
 // validating hook would have denied — the enforcement-integrity loss.
 func (c *AdmissionChain) ViolationsAdmitted() int64 { return c.violationsAdmitted }
@@ -340,27 +324,15 @@ func (c *AdmissionChain) ViolationsAdmitted() int64 { return c.violationsAdmitte
 // full overwrite, so restoring once per apiserver replica (the chain is
 // shared) is idempotent — exactly the audit trail's contract.
 type AdmissionSnapshot struct {
-	Present             bool
-	Evaluated           int64
-	Denied              int64
-	RejectedUnavailable int64
-	ViolationsAdmitted  int64
+	Present            bool
+	ViolationsAdmitted int64
 }
 
 func (c *AdmissionChain) snapshot() AdmissionSnapshot {
-	return AdmissionSnapshot{
-		Present:             true,
-		Evaluated:           c.evaluated,
-		Denied:              c.denied,
-		RejectedUnavailable: c.rejectedUnavailable,
-		ViolationsAdmitted:  c.violationsAdmitted,
-	}
+	return AdmissionSnapshot{Present: true, ViolationsAdmitted: c.violationsAdmitted}
 }
 
 func (c *AdmissionChain) restore(snap AdmissionSnapshot) {
-	c.evaluated = snap.Evaluated
-	c.denied = snap.Denied
-	c.rejectedUnavailable = snap.RejectedUnavailable
 	c.violationsAdmitted = snap.ViolationsAdmitted
 }
 

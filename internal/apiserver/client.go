@@ -34,9 +34,6 @@ type Client struct {
 	watches  []*clientWatch
 }
 
-// Identity returns the component identity bound to this client.
-func (c *Client) Identity() string { return c.identity }
-
 // Create persists a new object. The argument is only serialized, never
 // retained or mutated by the server.
 func (c *Client) Create(obj spec.Object) error {

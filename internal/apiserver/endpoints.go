@@ -52,9 +52,6 @@ func NewEndpoints(loop *sim.Loop, servers ...*Server) *Endpoints {
 	return &Endpoints{loop: loop, servers: servers}
 }
 
-// Servers returns the endpoint list in index order.
-func (e *Endpoints) Servers() []*Server { return e.servers }
-
 // ClientFor returns a failover-aware client bound to a component identity,
 // initially homed on endpoint 0 (every replica healthy, every client on the
 // first endpoint — byte-for-byte the single-server request stream).

@@ -381,9 +381,6 @@ func (s *Server) subscribeStore() func() {
 	return s.backend.Watch("/registry/", s.onStoreEvent)
 }
 
-// Origin returns the index of the store replica this server binds to.
-func (s *Server) Origin() int { return s.origin }
-
 // SetAdmissionStride configures UID and service-IP assignment so this server
 // mints the residue class offset mod stride — HA replicas never collide even
 // when clients fail over between them mid-workload.
@@ -402,9 +399,6 @@ func (s *Server) SetAudit(a *Audit) { s.audit = a }
 // SetAdmissionChain installs the (cluster-shared) admission webhook chain.
 // Call on every replica of an HA control plane with the same chain.
 func (s *Server) SetAdmissionChain(c *AdmissionChain) { s.admission = c }
-
-// AdmissionChain returns the installed admission chain, or nil.
-func (s *Server) AdmissionChain() *AdmissionChain { return s.admission }
 
 // SetDown crashes or revives this apiserver replica. While down, requests
 // fail like timeouts, reads error, the store watch is detached and no events

@@ -63,9 +63,9 @@ func (s *Server) Snapshot() Snapshot {
 
 // Clone returns a snapshot with private map and slice structure (the decoded
 // cache map, the audit entries and counters). The decoded *objects* stay
-// shared: they are sealed, immutable, and pointer-shaped, so sharing them
-// across workers costs no coherence traffic — only the map that indexes them
-// is worker-local after a clone.
+// shared: they are sealed and immutable. Its only caller is
+// cluster.Snapshot.WorkerView, which stays compiled only for the benchmark's
+// cluster.worker_view_ms metric.
 func (s Snapshot) Clone() Snapshot {
 	decoded := make(map[string]spec.Object, len(s.Decoded))
 	for k, v := range s.Decoded {

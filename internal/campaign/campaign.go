@@ -111,24 +111,19 @@ type Runner struct {
 	idle     []*Worker
 }
 
-// A Worker is one campaign execution lane. It owns every piece of mutable
-// per-experiment scratch state — the classify.BufferPool recycling series
-// buffers, and the per-worker bootstrap-snapshot views forks read from — so
-// two workers running experiments concurrently share only immutable data
-// (golden baselines, the sealed decoded objects) and the Runner's guard
-// cells. A Worker must not run two experiments at once; the Runner hands
-// each one to exactly one goroutine at a time (see forEachWorker).
+// A Worker is one campaign execution lane. It owns the mutable scratch state
+// that outlives an experiment — the classify.BufferPool recycling series
+// buffers — so two workers running experiments concurrently share only
+// immutable data (golden baselines, bootstrap snapshots, the sealed decoded
+// objects) and the Runner's guard cells. A Worker must not run two
+// experiments at once; the Runner hands each one to exactly one goroutine at
+// a time (see forEachWorker).
 type Worker struct {
 	r *Runner
 	// pool recycles per-experiment series buffers. Run releases an
 	// observation's buffers after classification; golden observations are
 	// retained by baselines and therefore never released.
 	pool *classify.BufferPool
-	// views caches this worker's private copy of each workload's shared
-	// bootstrap snapshot (cluster.Snapshot.WorkerView): identical content,
-	// worker-local byte arrays, so parallel forks never read the same
-	// memory.
-	views map[workload.Kind]*cluster.Snapshot
 }
 
 // baselineEntry guards one workload's golden-run build.
@@ -146,15 +141,11 @@ type snapshotEntry struct {
 
 // NewRunner returns a Runner with paper-default settings.
 func NewRunner() *Runner {
-	return &Runner{
-		GoldenRuns: 100,
-		baselines:  make(map[workload.Kind]*baselineEntry),
-		snapshots:  make(map[workload.Kind]*snapshotEntry),
-	}
+	return &Runner{GoldenRuns: 100}
 }
 
 // acquireWorker pops an idle Worker or builds a fresh one. Pair with
-// releaseWorker so the worker's pool and snapshot views are reused.
+// releaseWorker so the worker's pool is reused.
 func (r *Runner) acquireWorker() *Worker {
 	r.workerMu.Lock()
 	defer r.workerMu.Unlock()
@@ -163,11 +154,7 @@ func (r *Runner) acquireWorker() *Worker {
 		r.idle = r.idle[:n-1]
 		return w
 	}
-	return &Worker{
-		r:     r,
-		pool:  classify.NewBufferPool(),
-		views: make(map[workload.Kind]*cluster.Snapshot),
-	}
+	return &Worker{r: r, pool: classify.NewBufferPool()}
 }
 
 // releaseWorker returns a Worker to the idle stack.
@@ -177,18 +164,19 @@ func (r *Runner) releaseWorker(w *Worker) {
 	r.workerMu.Unlock()
 }
 
-// guardCell returns (creating if needed) the per-workload guard cell in m,
-// under the runner's lock. Shared by the baseline and snapshot caches.
-func guardCell[E any](mu *sync.Mutex, m *map[workload.Kind]*E, kind workload.Kind) *E {
+// guardCell returns (creating if needed) the guard cell for key in m, under
+// mu. Shared by the Runner's baseline and snapshot cells and the process-wide
+// snapshot cache.
+func guardCell[K comparable, E any](mu *sync.Mutex, m *map[K]*E, key K) *E {
 	mu.Lock()
 	defer mu.Unlock()
 	if *m == nil {
-		*m = make(map[workload.Kind]*E)
+		*m = make(map[K]*E)
 	}
-	e, ok := (*m)[kind]
+	e, ok := (*m)[key]
 	if !ok {
 		e = new(E)
-		(*m)[kind] = e
+		(*m)[key] = e
 	}
 	return e
 }
@@ -228,26 +216,6 @@ func (r *Runner) snapshotFor(kind workload.Kind) *cluster.Snapshot {
 		e.snap = shared.snap
 	})
 	return e.snap
-}
-
-// snapshotView returns this worker's private view of the workload's shared
-// bootstrap snapshot, building it on first use. The shared capture happens
-// once per process (snapshotFor); the view copy happens once per (worker,
-// workload) and every subsequent fork on this worker reads only
-// worker-local arrays.
-func (w *Worker) snapshotView(kind workload.Kind) *cluster.Snapshot {
-	if v, ok := w.views[kind]; ok {
-		return v
-	}
-	v := w.r.snapshotFor(kind)
-	if resolveParallelism(w.r.Parallelism) > 1 {
-		// Only concurrent workers need private copies of the shared arrays;
-		// a single worker forks from the shared snapshot directly, so a
-		// sequential campaign pays no view-copy cost.
-		v = v.WorkerView()
-	}
-	w.views[kind] = v
-	return v
 }
 
 // Baseline returns (building if needed) the golden baseline for a workload.
@@ -359,16 +327,15 @@ func (w *Worker) RunPropagation(spec Spec) *Result {
 	}
 }
 
-// bootCluster brings up the cluster for one experiment: forked from this
-// worker's private view of the workload's bootstrap snapshot when
-// ShareBootstrap is on, or the legacy full replay (bootstrap, settle,
-// scenario setup — all under the per-experiment seed). Either way the
-// returned cluster is settled, has the scenario set up, and carries an
-// attached (not yet armed) injector.
+// bootCluster brings up the cluster for one experiment: forked from the
+// workload's shared bootstrap snapshot when ShareBootstrap is on, or the
+// legacy full replay (bootstrap, settle, scenario setup — all under the
+// per-experiment seed). Either way the returned cluster is settled, has the
+// scenario set up, and carries an attached (not yet armed) injector.
 func (w *Worker) bootCluster(spec Spec) (*cluster.Cluster, *inject.Injector, *workload.Driver) {
 	r := w.r
 	if r.ShareBootstrap {
-		cl := w.snapshotView(spec.Workload).Fork(spec.Seed)
+		cl := r.snapshotFor(spec.Workload).Fork(spec.Seed)
 		cl.Loop.SetEventBudget(eventBudget)
 		injector := inject.New(cl.Loop)
 		cl.AttachInjector(injector)

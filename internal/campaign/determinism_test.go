@@ -114,7 +114,7 @@ func TestRunnerConcurrentUse(t *testing.T) {
 	}
 	const rounds = 3
 	got := make([]*Result, rounds*len(specs))
-	forEach(len(got), 8, func(i int) {
+	forEachWorker(len(got), 8, r, func(_ *Worker, i int) {
 		got[i] = r.Run(specs[i%len(specs)])
 	})
 	for i := len(specs); i < len(got); i++ {

@@ -24,49 +24,17 @@ func resolveParallelism(p int) int {
 	return p
 }
 
-// forEach runs fn(i) for every i in [0, n) across at most `workers`
-// goroutines. Workers claim indices from a shared counter, so fn must write
-// its result into an index-addressed slot; iteration order across workers is
-// unspecified, but every index runs exactly once. workers <= 1 degenerates to
-// a plain loop with zero goroutine or synchronization overhead.
-func forEach(n, workers int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// forEachWorker is forEach with a campaign Worker bound to each goroutine:
-// every goroutine borrows one Worker from the Runner for its whole index
-// stream, so per-experiment scratch state (buffer pool, snapshot views)
-// never crosses a goroutine boundary and is reused across every experiment
-// the goroutine claims. Workers are released back to the Runner's idle
-// stack when the fan-out drains, so a campaign builds at most
-// max(parallelism over all phases) workers total.
+// forEachWorker runs fn(w, i) for every i in [0, n) across at most `workers`
+// goroutines. Goroutines claim indices from a shared counter, so fn must
+// write its result into an index-addressed slot; iteration order across
+// goroutines is unspecified, but every index runs exactly once. workers <= 1
+// degenerates to a plain loop with zero goroutine or synchronization
+// overhead. Every goroutine borrows one Worker from the Runner for its whole
+// index stream, so the worker's scratch state (its buffer pool) never crosses
+// a goroutine boundary and is reused across every experiment the goroutine
+// claims. Workers are released back to the Runner's idle stack when the
+// fan-out drains, so a campaign builds at most max(parallelism over all
+// phases) workers total.
 func forEachWorker(n, workers int, r *Runner, fn func(w *Worker, i int)) {
 	if n <= 0 {
 		return
@@ -130,14 +98,6 @@ type progressTicker struct {
 
 func newProgressTicker(total int, progress func(done, total int)) *progressTicker {
 	return &progressTicker{total: total, progress: progress}
-}
-
-// addTotal grows the expected-experiment count (the refinement round's size
-// is only known after the main campaign finishes).
-func (t *progressTicker) addTotal(n int) {
-	t.mu.Lock()
-	t.total += n
-	t.mu.Unlock()
 }
 
 // tick records one finished experiment and reports progress.

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"github.com/mutiny-sim/mutiny/internal/cluster"
 	"github.com/mutiny-sim/mutiny/internal/workload"
@@ -22,49 +21,20 @@ import (
 // mutates the snapshot), so entries live for the process lifetime;
 // ClearSnapshotCache exists for tests and long-lived embedders.
 //
-// The cache is read-mostly in the extreme — a handful of inserts at campaign
-// start, then lookups forever — so the map is published through an atomic
-// pointer as an immutable value: a lookup is one atomic load plus one map
-// read, and workers racing on lookups never touch a lock or each other's
-// cache lines. Inserts copy the map under a slow-path mutex and republish
-// (copy-on-write); the entry's once still guards the actual capture, so
-// concurrent Runners racing on the same key build it exactly once.
+// The cache is looked up once per Runner per workload (the Runner's own cell
+// remembers the answer), so a mutex and a plain map are all it needs; the
+// entry's once still guards the actual capture, so concurrent Runners racing
+// on the same key build it exactly once.
 
 var (
-	snapCache atomic.Pointer[map[string]*snapshotEntry]
-	// snapCacheMu serializes the copy-and-republish writers (insert, clear).
-	// Readers never take it.
 	snapCacheMu sync.Mutex
+	snapCache   map[string]*snapshotEntry
 )
 
-func init() {
-	m := make(map[string]*snapshotEntry)
-	snapCache.Store(&m)
-}
-
 // sharedSnapshotEntry returns (creating if needed) the process-wide cache
-// cell for a key. The fast path is lock-free; the insert path copies the
-// published map, adds the cell, and republishes.
+// cell for a key.
 func sharedSnapshotEntry(key string) *snapshotEntry {
-	if e, ok := (*snapCache.Load())[key]; ok {
-		return e
-	}
-	snapCacheMu.Lock()
-	defer snapCacheMu.Unlock()
-	// Re-check under the lock: a concurrent insert may have published the
-	// cell while we were waiting.
-	cur := *snapCache.Load()
-	if e, ok := cur[key]; ok {
-		return e
-	}
-	next := make(map[string]*snapshotEntry, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
-	}
-	e := new(snapshotEntry)
-	next[key] = e
-	snapCache.Store(&next)
-	return e
+	return guardCell(&snapCacheMu, &snapCache, key)
 }
 
 // snapshotCacheKey derives the cache key for a per-workload bootstrap
@@ -78,7 +48,9 @@ func snapshotCacheKey(cfg cluster.Config, kind workload.Kind) string {
 // SnapshotCacheSize reports the number of cached bootstrap snapshots
 // (diagnostics and tests).
 func SnapshotCacheSize() int {
-	return len(*snapCache.Load())
+	snapCacheMu.Lock()
+	defer snapCacheMu.Unlock()
+	return len(snapCache)
 }
 
 // ClearSnapshotCache drops every cached bootstrap snapshot. Subsequent
@@ -88,6 +60,5 @@ func SnapshotCacheSize() int {
 func ClearSnapshotCache() {
 	snapCacheMu.Lock()
 	defer snapCacheMu.Unlock()
-	m := make(map[string]*snapshotEntry)
-	snapCache.Store(&m)
+	snapCache = nil
 }

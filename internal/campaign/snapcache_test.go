@@ -95,9 +95,10 @@ func TestSnapshotCacheForkEquivalence(t *testing.T) {
 	g2.Stop()
 }
 
-// TestWorkerViewForkEquivalence: a fork of a worker's private snapshot view
-// must be byte-identical to a fork of the shared snapshot for the same seed
-// — the view changes memory ownership, never content.
+// TestWorkerViewForkEquivalence: a fork of a snapshot's WorkerView copy must
+// be byte-identical to a fork of the snapshot itself for the same seed — the
+// view changes memory ownership, never content. (Only the benchmark's
+// cluster.worker_view_ms metric still builds views; this goes with it.)
 func TestWorkerViewForkEquivalence(t *testing.T) {
 	ClearSnapshotCache()
 	defer ClearSnapshotCache()

@@ -53,11 +53,8 @@ import (
 	"github.com/mutiny-sim/mutiny/internal/store"
 )
 
-// Node names of the default topology.
-const (
-	ControlPlaneNode = "cp-0"
-	MonitoringNode   = "worker-3"
-)
+// ControlPlaneNode is the node name of the (first) control plane.
+const ControlPlaneNode = "cp-0"
 
 // ControlPlaneTaint repels application pods from the control-plane node.
 const ControlPlaneTaint = "node-role.kubernetes.io/control-plane"

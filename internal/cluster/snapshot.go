@@ -89,15 +89,15 @@ func (c *Cluster) Snapshot() *Snapshot {
 // map/slice structure with the original: the store snapshot's value bytes
 // move into fresh per-replica arenas (store.Snapshot.Clone) and each server
 // snapshot gets private maps (apiserver.Snapshot.Clone). Forking from the
-// view is byte-equivalent to forking from the original — the content is
-// identical — but the fork's restore path reads memory owned by one worker
-// instead of the one array set every parallel worker would otherwise hit.
-// Sealed decoded objects and kubelet pod records stay shared: both are
-// immutable, and only read through pointers.
+// view is byte-equivalent to forking from the original. Sealed decoded
+// objects and kubelet pod records stay shared: both are immutable, and only
+// read through pointers.
 //
-// The campaign engine calls this once per (worker, workload); the cost is
-// one pass over the store bytes, amortized over every experiment the worker
-// forks from it.
+// No product code calls this any more: campaign workers fork from the shared
+// snapshot directly (per-worker views measured no gain at two cores). It
+// stays compiled only because bench/trace.go times it for the
+// cluster.worker_view_ms layer metric; once that metric is dropped this and
+// the two Clones go.
 func (s *Snapshot) WorkerView() *Snapshot {
 	view := &Snapshot{
 		cfg:      s.cfg.Clone(),

@@ -30,7 +30,7 @@ func TestArenaMarshalMatchesMarshal(t *testing.T) {
 }
 
 // TestArenaBufferRecycling checks that Free returns arena buffers to the
-// arena's own free list (not the process pool) and NewBuffer reuses them.
+// arena's free list and NewBuffer reuses them.
 func TestArenaBufferRecycling(t *testing.T) {
 	a := NewArena()
 	b1 := a.NewBuffer()

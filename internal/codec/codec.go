@@ -90,8 +90,8 @@ func (a *Arena) AppendMarshal(b []byte, msg any) ([]byte, error) {
 	return a.enc.marshal(b, msg)
 }
 
-// NewBuffer borrows a wire buffer from the arena's free list. Free returns
-// it here, not to the process-wide pool.
+// NewBuffer borrows a wire buffer from the arena's free list; Free returns
+// it there.
 func (a *Arena) NewBuffer() *Buffer {
 	if n := len(a.free); n > 0 {
 		b := a.free[n-1]
@@ -101,38 +101,29 @@ func (a *Arena) NewBuffer() *Buffer {
 	return &Buffer{B: make([]byte, 0, 1024), owner: a}
 }
 
-// A Buffer is a pooled encode destination for AppendMarshal call sites that
-// would otherwise allocate a fresh wire buffer per message. Borrow one with
-// NewBuffer (process-wide pool) or Arena.NewBuffer (worker-local free list),
-// encode into B (typically via AppendMarshal(buf.B[:0], msg)), store the
-// returned slice back into B, and Free it once the bytes are no longer
-// referenced — e.g. after the store has copied them into an item.
+// A Buffer is a reusable encode destination for AppendMarshal call sites
+// that would otherwise allocate a fresh wire buffer per message. Borrow one
+// with Arena.NewBuffer, encode into B (typically via
+// arena.AppendMarshal(buf.B[:0], msg)), store the returned slice back into B,
+// and Free it once the bytes are no longer referenced — e.g. after the store
+// has copied them into an item.
 type Buffer struct {
 	B     []byte
-	owner *Arena // nil for process-pool buffers
+	owner *Arena
 }
 
-// maxPooledBuffer bounds what Free returns to the pool, so one giant message
+// maxPooledBuffer bounds what Free returns to the arena, so one giant message
 // does not pin a giant backing array forever.
 const maxPooledBuffer = 1 << 16
 
-var _bufPool = sync.Pool{New: func() any { return &Buffer{B: make([]byte, 0, 1024)} }}
-
-// NewBuffer borrows an encode buffer from the process-wide pool.
-func NewBuffer() *Buffer { return _bufPool.Get().(*Buffer) }
-
-// Free returns the buffer to its owning arena's free list (or the process
-// pool). The caller must not retain b.B.
+// Free returns the buffer to its owning arena's free list. The caller must
+// not retain b.B.
 func (b *Buffer) Free() {
 	if cap(b.B) > maxPooledBuffer {
 		return
 	}
 	b.B = b.B[:0]
-	if b.owner != nil {
-		b.owner.free = append(b.owner.free, b)
-		return
-	}
-	_bufPool.Put(b)
+	b.owner.free = append(b.owner.free, b)
 }
 
 // Unmarshal decodes data into msg, which must be a non-nil pointer to a

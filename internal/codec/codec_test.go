@@ -188,16 +188,6 @@ func TestNegativeIntRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDeepCopyIsolation(t *testing.T) {
-	in := sample()
-	cp := Clone(&in)
-	cp.Labels["app"] = "changed"
-	cp.Items[0].Name = "changed"
-	if in.Labels["app"] != "web" || in.Items[0].Name != "a" {
-		t.Fatal("Clone shares state with the original")
-	}
-}
-
 func TestPropertyRoundTrip(t *testing.T) {
 	prop := func(id string, n int64, flag bool, tag string, k, v string) bool {
 		in := outer{ID: id, N: n, Flag: flag, Tags: []string{tag}}

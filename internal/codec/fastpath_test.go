@@ -102,7 +102,7 @@ func representativeObjects() []spec.Object {
 // bytes Marshal produces, and those bytes must decode back to an object that
 // re-encodes identically.
 func TestAppendMarshalRoundTripsEveryKind(t *testing.T) {
-	buf := codec.NewBuffer()
+	buf := codec.NewArena().NewBuffer()
 	defer buf.Free()
 	for _, obj := range representativeObjects() {
 		want, err := codec.Marshal(obj)
@@ -168,7 +168,7 @@ func BenchmarkCodecMarshal(b *testing.B) {
 // the apiserver: one buffer reused across all kinds.
 func BenchmarkCodecAppendMarshal(b *testing.B) {
 	objs := representativeObjects()
-	buf := codec.NewBuffer()
+	buf := codec.NewArena().NewBuffer()
 	defer buf.Free()
 	b.ReportAllocs()
 	b.ResetTimer()

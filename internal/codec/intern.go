@@ -1,9 +1,6 @@
 package codec
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "github.com/mutiny-sim/mutiny/internal/cow"
 
 // Decode-side string interning.
 //
@@ -15,65 +12,24 @@ import (
 // which both removes the allocation and deduplicates the retained heap
 // (decoded objects are long-lived in the watch cache and in snapshots).
 //
-// The table is process-wide, sharded, and lock-free on the read path:
-// campaign workers decode concurrently on independent simulations, and the
-// hot vocabulary stabilizes within the first experiment, so the steady state
-// is 100% hits. Each shard publishes an immutable map through an atomic
-// pointer — a hit is one atomic load plus one map lookup, with no lock to
-// bounce between cores (the RWMutex this replaces serialized workers on the
-// shard's cache line even when every access was a read). Misses take a
-// shard-local mutex, copy the map, insert, and republish; that copy-on-write
-// cost is paid once per new string and is bounded by maxShardEntries.
-// Strings longer than maxInternLen are passed through uncopied-into-the-
-// table (they are unlikely to repeat: serialized payload blobs, corrupted
-// values), and a full shard stops accepting new entries rather than
-// evicting.
+// The table is process-wide and shared by every campaign worker (see the cow
+// package for the algorithm). Strings longer than maxInternLen pass through
+// unpublished — they are unlikely to repeat: serialized payload blobs,
+// corrupted values — and so does anything hashing to a full shard.
 
 const (
 	// maxInternLen bounds interned string length; hot identifiers (names,
 	// namespaces, labels, images, IPs) are all far below it.
 	maxInternLen = 64
-	// internShardCount must be a power of two (the shard index is a hash
-	// mask). 64 shards comfortably exceed GOMAXPROCS on any campaign
-	// runner, so concurrent inserts rarely meet on one shard.
-	internShardCount = 64
-	// maxShardEntries bounds one shard's table; beyond it new strings are
-	// allocated per decode like before (graceful degradation, no eviction
-	// churn). It also bounds the total copy-on-write insert work a shard
-	// can ever do.
+	// maxShardEntries bounds one shard of the table.
 	maxShardEntries = 4096
 )
 
-type internShard struct {
-	// table holds the published, immutable map. Readers load it atomically
-	// and never lock; writers replace it wholesale under mu.
-	table atomic.Pointer[map[string]string]
-	mu    sync.Mutex
-}
-
-var internTable [internShardCount]internShard
-
-func init() {
-	for i := range internTable {
-		m := make(map[string]string)
-		internTable[i].table.Store(&m)
-	}
-}
-
-// internHash is FNV-1a over the bytes; only used to pick a shard.
-func internHash(b []byte) uint32 {
-	h := uint32(2166136261)
-	for _, c := range b {
-		h ^= uint32(c)
-		h *= 16777619
-	}
-	return h
-}
+var internTable cow.Sharded[string, string]
 
 // Intern returns a string equal to b, reusing a canonical instance when the
-// same bytes were seen before. The fast path is one atomic load plus a map
-// hit with zero allocations and zero locks (the compiler elides the
-// []byte→string conversion for map lookups).
+// same bytes were seen before. A hit allocates nothing (the compiler elides
+// the []byte→string conversion for map lookups).
 func Intern(b []byte) string {
 	if len(b) == 0 {
 		return ""
@@ -81,36 +37,10 @@ func Intern(b []byte) string {
 	if len(b) > maxInternLen {
 		return string(b)
 	}
-	s := &internTable[internHash(b)&(internShardCount-1)]
-	if v, ok := (*s.table.Load())[string(b)]; ok {
+	s := internTable.Shard(cow.Hash(b))
+	if v, ok := s.Read()[string(b)]; ok {
 		return v
 	}
 	str := string(b)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Re-check under the lock: a concurrent insert may have published the
-	// string while we were waiting.
-	cur := *s.table.Load()
-	if v, ok := cur[str]; ok {
-		return v
-	}
-	if len(cur) >= maxShardEntries {
-		return str // shard full: hand back the private copy, table unchanged
-	}
-	next := make(map[string]string, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
-	}
-	next[str] = str
-	s.table.Store(&next)
-	return str
-}
-
-// internedStrings reports the current table population (diagnostics/tests).
-func internedStrings() int {
-	n := 0
-	for i := range internTable {
-		n += len(*internTable[i].table.Load())
-	}
-	return n
+	return s.Insert(str, str, maxShardEntries)
 }

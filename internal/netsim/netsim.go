@@ -165,14 +165,6 @@ func (s *State) HealMasters() {
 	}
 }
 
-// MasterLinkUp reports whether control-plane replicas a and b can talk.
-func (s *State) MasterLinkUp(a, b int) bool {
-	return a == b || s.masterIsolated < 0 || (a != s.masterIsolated && b != s.masterIsolated)
-}
-
-// MasterIsolated returns the currently isolated replica, or -1.
-func (s *State) MasterIsolated() int { return s.masterIsolated }
-
 // Prime rebuilds the data-plane view from the control plane's current state,
 // for forked clusters: the watches registered by New only observe changes,
 // so a State attached to an already-populated control plane must list the

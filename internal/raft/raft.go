@@ -151,31 +151,6 @@ func (c *Cluster) Leader() int {
 	return best
 }
 
-// LeaderFor returns the id of the highest-term leader reachable from origin
-// (links intact in both directions), or -1 if none. Clients co-located with a
-// partitioned store replica can only reach claimants on their own side.
-func (c *Cluster) LeaderFor(origin int) int {
-	best, bestTerm := -1, int64(-1)
-	for _, nd := range c.nodes {
-		if nd.state != Leader || nd.stopped || nd.term <= bestTerm {
-			continue
-		}
-		if nd.id != origin && (c.cut[origin][nd.id] || c.cut[nd.id][origin]) {
-			continue
-		}
-		best, bestTerm = nd.id, nd.term
-	}
-	return best
-}
-
-// ProposeTo appends data via a specific node, which must currently lead.
-func (c *Cluster) ProposeTo(id int, data []byte) (int64, error) {
-	return c.nodes[id].propose(data)
-}
-
-// Stopped reports whether a node is crashed.
-func (c *Cluster) Stopped(id int) bool { return c.nodes[id].stopped }
-
 // Term returns the highest term seen by any node (diagnostics).
 func (c *Cluster) Term() int64 {
 	var t int64

@@ -1,9 +1,6 @@
 package spec
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "github.com/mutiny-sim/mutiny/internal/cow"
 
 // Storage-key interning.
 //
@@ -12,132 +9,31 @@ import (
 // and before interning every call allocated a fresh concatenation — the
 // single largest remaining allocation site on the campaign hot path. The
 // key space is tiny and endlessly recurring (a campaign names a few hundred
-// objects, then touches them millions of times), so the table resolves a
-// (kind, namespace, name) triple to one canonical string.
-//
-// The design mirrors the label-map intern table: process-wide, sharded,
-// lock-free reads over an atomically published immutable map, copy-on-write
-// inserts under a shard mutex, and a hard passthrough once a shard fills
-// (an unexpected explosion of distinct keys degrades to the old allocate-
-// per-call behavior, never to unbounded memory). The lookup hashes the
-// parts directly and verifies candidates segment by segment, so a hit
-// allocates nothing.
+// objects, then touches them millions of times), so a process-wide table
+// (see the cow package) resolves a (kind, namespace, name) triple to one
+// canonical string. The table is keyed by the triple itself — the runtime
+// hashes and compares three strings without assembling the key — so a hit
+// allocates nothing, and an unexpected explosion of distinct keys degrades to
+// the old allocate-per-call behavior once a shard fills.
 
-const (
-	keyInternShardCount = 64
-	keyInternShardMask  = keyInternShardCount - 1
-	// maxKeyShardEntries bounds retained keys at 64×1024; a campaign uses a
-	// few hundred distinct keys.
-	maxKeyShardEntries = 1024
-)
+// maxKeyShardEntries bounds retained keys at 64×1024; a campaign uses a few
+// hundred distinct keys.
+const maxKeyShardEntries = 1024
 
-type keyInternShard struct {
-	table atomic.Pointer[map[uint64][]string]
-	mu    sync.Mutex
+type keyID struct {
+	kind            Kind
+	namespace, name string
 }
 
-var keyInternShards [keyInternShardCount]keyInternShard
-
-const keyPrefix = "/registry/"
-
-// keyHash is FNV-1a over the exact bytes of the assembled key, computed
-// without assembling it.
-func keyHash(kind Kind, namespace, name string) uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	for i := 0; i < len(keyPrefix); i++ {
-		h = (h ^ uint64(keyPrefix[i])) * prime64
-	}
-	for i := 0; i < len(kind); i++ {
-		h = (h ^ uint64(kind[i])) * prime64
-	}
-	h = (h ^ uint64('/')) * prime64
-	for i := 0; i < len(namespace); i++ {
-		h = (h ^ uint64(namespace[i])) * prime64
-	}
-	h = (h ^ uint64('/')) * prime64
-	for i := 0; i < len(name); i++ {
-		h = (h ^ uint64(name[i])) * prime64
-	}
-	return h
-}
-
-// keyMatches reports whether k is exactly the key the triple assembles to,
-// comparing in place.
-func keyMatches(k string, kind Kind, namespace, name string) bool {
-	if len(k) != len(keyPrefix)+len(kind)+1+len(namespace)+1+len(name) {
-		return false
-	}
-	if k[:len(keyPrefix)] != keyPrefix {
-		return false
-	}
-	i := len(keyPrefix)
-	if k[i:i+len(kind)] != string(kind) {
-		return false
-	}
-	i += len(kind)
-	if k[i] != '/' {
-		return false
-	}
-	i++
-	if k[i:i+len(namespace)] != namespace {
-		return false
-	}
-	i += len(namespace)
-	if k[i] != '/' {
-		return false
-	}
-	return k[i+1:] == name
-}
+var keyTable cow.Sharded[keyID, string]
 
 // internKey resolves the triple to its canonical key string, allocating only
 // on the first sighting (or when the shard is full).
 func internKey(kind Kind, namespace, name string) string {
-	h := keyHash(kind, namespace, name)
-	s := &keyInternShards[h&keyInternShardMask]
-	if t := s.table.Load(); t != nil {
-		for _, k := range (*t)[h] {
-			if keyMatches(k, kind, namespace, name) {
-				return k
-			}
-		}
+	id := keyID{kind, namespace, name}
+	s := keyTable.Shard(cow.Hash(name))
+	if k, ok := s.Read()[id]; ok {
+		return k
 	}
-	built := keyPrefix + string(kind) + "/" + namespace + "/" + name
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old := s.table.Load()
-	var cur map[uint64][]string
-	if old != nil {
-		cur = *old
-		// Re-check under the lock: a racing insert may have won.
-		for _, k := range cur[h] {
-			if keyMatches(k, kind, namespace, name) {
-				return k
-			}
-		}
-		if len(cur) >= maxKeyShardEntries {
-			return built
-		}
-	}
-	next := make(map[uint64][]string, len(cur)+1)
-	for hh, ks := range cur {
-		next[hh] = ks
-	}
-	next[h] = append(append([]string(nil), cur[h]...), built)
-	s.table.Store(&next)
-	return built
-}
-
-// internedKeys reports the number of canonical keys currently retained
-// (diagnostics and tests).
-func internedKeys() int {
-	n := 0
-	for i := range keyInternShards {
-		if t := keyInternShards[i].table.Load(); t != nil {
-			for _, ks := range *t {
-				n += len(ks)
-			}
-		}
-	}
-	return n
+	return s.Insert(id, "/registry/"+string(kind)+"/"+namespace+"/"+name, maxKeyShardEntries)
 }

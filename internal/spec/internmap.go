@@ -1,10 +1,6 @@
 package spec
 
-import (
-	"reflect"
-	"sync"
-	"sync/atomic"
-)
+import "github.com/mutiny-sim/mutiny/internal/cow"
 
 // Label-map interning.
 //
@@ -17,14 +13,10 @@ import (
 // one canonical instance at Seal time — the moment the object becomes
 // immutable, so sharing the map is exactly as safe as sharing the object.
 //
-// The table follows the codec string-intern design: process-wide, sharded,
-// and lock-free on the read path. Each shard publishes an immutable map
-// through an atomic pointer; a hit is one atomic load plus one map lookup.
-// Misses copy-on-write under a shard-local mutex, bounded by
-// maxMapShardEntries. A second sharded set indexes the canonical maps by
-// identity (their map header pointer), so re-sealing an object that already
-// carries canonical maps — the status-update hot path re-seals a shallow
-// clone per write — is a pointer lookup, not a re-serialization.
+// The table is process-wide and shared by every campaign worker (see the cow
+// package for the algorithm). Re-sealing an object that already carries
+// canonical maps — the status-update hot path re-seals a shallow clone per
+// write — never gets here: Seal skips interning for status clones.
 //
 // Only sealed objects ever alias a canonical map. CloneForWrite hands out
 // deep copies (cloneStringMap), so the mutable-clone contract is unchanged:
@@ -38,49 +30,13 @@ const (
 	// table's maxInternLen; longer values — e.g. ConfigMap payloads — are
 	// unlikely to repeat).
 	maxInternMapKVLen = 64
-	// mapInternShardCount must be a power of two (the shard index is a hash
-	// mask).
-	mapInternShardCount = 64
-	// maxMapShardEntries bounds one shard's table; beyond it maps pass
-	// through uninterned (graceful degradation, no eviction churn).
+	// maxMapShardEntries bounds one shard of the table.
 	maxMapShardEntries = 1024
 )
 
-type mapInternShard struct {
-	// table maps the serialized sorted entries of a map to its canonical
-	// instance. Readers load the published map atomically and never lock.
-	table atomic.Pointer[map[string]map[string]string]
-	// canon is the identity set of canonical instances owned by this shard's
-	// table, keyed by map header pointer. Entries are never removed, and the
-	// table holds a strong reference to every member, so a pointer can never
-	// be reused by a different live map.
-	canon atomic.Pointer[map[mapHeader]struct{}]
-	mu    sync.Mutex
-}
-
-// mapHeader is the identity of a map value (its header pointer as reported
-// by reflect.Value.Pointer). Two map[string]string values are the same map
-// iff their headers are equal; headers in the identity set can never be
-// reused by a different live map because the table strongly references every
-// member.
-type mapHeader = uintptr
-
-var mapInternTable [mapInternShardCount]mapInternShard
-
-func init() {
-	for i := range mapInternTable {
-		t := make(map[string]map[string]string)
-		c := make(map[mapHeader]struct{})
-		mapInternTable[i].table.Store(&t)
-		mapInternTable[i].canon.Store(&c)
-	}
-}
-
-// mapIdentity returns the header pointer of m for identity comparisons. Maps
-// are pointer-shaped, so the reflect.Value boxing does not allocate.
-func mapIdentity(m map[string]string) mapHeader {
-	return reflect.ValueOf(m).Pointer()
-}
+// mapTable maps the serialized sorted entries of a map to its canonical
+// instance.
+var mapTable cow.Sharded[string, map[string]string]
 
 // InternStringMap returns a map equal to m, reusing a canonical instance when
 // an equal map was interned before. The caller must treat the result as
@@ -116,52 +72,11 @@ func InternStringMap(m map[string]string) map[string]string {
 		b = append(b, byte(len(v)))
 		b = append(b, v...)
 	}
-	s := &mapInternTable[internMapHash(b)&(mapInternShardCount-1)]
-	// Identity fast path: the map is already a canonical instance (re-sealing
-	// a status clone that aliases sealed metadata).
-	if _, ok := (*s.canon.Load())[mapIdentity(m)]; ok {
-		return m
-	}
-	if v, ok := (*s.table.Load())[string(b)]; ok {
+	s := mapTable.Shard(cow.Hash(b))
+	if v, ok := s.Read()[string(b)]; ok {
 		return v
 	}
-	key := string(b)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur := *s.table.Load()
-	if v, ok := cur[key]; ok {
-		return v
-	}
-	if len(cur) >= maxMapShardEntries {
-		return m // shard full: hand back the private map, table unchanged
-	}
-	next := make(map[string]map[string]string, len(cur)+1)
-	for k, v := range cur {
-		next[k] = v
-	}
-	next[key] = m
-	curCanon := *s.canon.Load()
-	nextCanon := make(map[mapHeader]struct{}, len(curCanon)+1)
-	for k := range curCanon {
-		nextCanon[k] = struct{}{}
-	}
-	nextCanon[mapIdentity(m)] = struct{}{}
-	s.table.Store(&next)
-	s.canon.Store(&nextCanon)
-	return m
-}
-
-// internMapHash is FNV-1a over the serialized entries; only used to pick a
-// shard. The identity set must live in the same shard as the table entry, so
-// the shard choice keys on content, not identity — an aliased canonical map
-// re-derives the same shard from its (unchanged) content.
-func internMapHash(b []byte) uint32 {
-	h := uint32(2166136261)
-	for _, c := range b {
-		h ^= uint32(c)
-		h *= 16777619
-	}
-	return h
+	return s.Insert(string(b), m, maxMapShardEntries)
 }
 
 // sortSmall insertion-sorts a tiny string slice (≤ maxInternMapEntries) with
@@ -198,13 +113,4 @@ func internObjectMaps(o Object) {
 	case *ConfigMap:
 		t.Data = InternStringMap(t.Data)
 	}
-}
-
-// internedMaps reports the current table population (diagnostics/tests).
-func internedMaps() int {
-	n := 0
-	for i := range mapInternTable {
-		n += len(*mapInternTable[i].table.Load())
-	}
-	return n
 }

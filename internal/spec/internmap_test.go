@@ -2,24 +2,35 @@ package spec
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
+
+// sameMap reports whether a and b are one map instance, not merely equal.
+func sameMap(a, b map[string]string) bool {
+	return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
+}
 
 func TestInternStringMapCanonicalizes(t *testing.T) {
 	a := map[string]string{"app": "web", "tier": "frontend"}
 	b := map[string]string{"tier": "frontend", "app": "web"}
 	ia := InternStringMap(a)
 	ib := InternStringMap(b)
-	if mapIdentity(ia) != mapIdentity(ib) {
+	if !sameMap(ia, ib) {
 		t.Fatal("equal maps interned to different instances")
 	}
 	if len(ia) != 2 || ia["app"] != "web" || ia["tier"] != "frontend" {
 		t.Fatalf("interned map lost content: %v", ia)
 	}
 	// The canonical instance is identity-stable: re-interning it is a hit.
-	if mapIdentity(InternStringMap(ia)) != mapIdentity(ia) {
+	if !sameMap(InternStringMap(ia), ia) {
 		t.Fatal("re-interning the canonical map returned a different instance")
+	}
+	// So is an equal private map, and the hit allocates nothing: the entries
+	// are serialized on the stack and looked up without a string conversion.
+	if allocs := testing.AllocsPerRun(100, func() { _ = InternStringMap(b) }); allocs != 0 {
+		t.Fatalf("interned map hit allocates %.1f per call, want 0", allocs)
 	}
 }
 
@@ -28,15 +39,15 @@ func TestInternStringMapPassthroughs(t *testing.T) {
 		t.Fatal("nil map not passed through")
 	}
 	empty := map[string]string{}
-	if got := InternStringMap(empty); mapIdentity(got) != mapIdentity(empty) {
+	if got := InternStringMap(empty); !sameMap(got, empty) {
 		t.Fatal("empty map not passed through unchanged")
 	}
 	big := map[string]string{"a": "1", "b": "2", "c": "3", "d": "4", "e": "5"}
-	if got := InternStringMap(big); mapIdentity(got) != mapIdentity(big) {
+	if got := InternStringMap(big); !sameMap(got, big) {
 		t.Fatal("over-limit map should pass through uninterned")
 	}
 	long := map[string]string{"k": strings.Repeat("v", maxInternMapKVLen+1)}
-	if got := InternStringMap(long); mapIdentity(got) != mapIdentity(long) {
+	if got := InternStringMap(long); !sameMap(got, long) {
 		t.Fatal("long-value map should pass through uninterned")
 	}
 }
@@ -67,10 +78,10 @@ func TestSealInternsObjectMaps(t *testing.T) {
 	p1, p2 := mk(), mk()
 	Seal(p1)
 	Seal(p2)
-	if mapIdentity(p1.Metadata.Labels) != mapIdentity(p2.Metadata.Labels) {
+	if !sameMap(p1.Metadata.Labels, p2.Metadata.Labels) {
 		t.Fatal("sealed equal label maps are not shared")
 	}
-	if mapIdentity(p1.Spec.NodeSelector) != mapIdentity(p2.Spec.NodeSelector) {
+	if !sameMap(p1.Spec.NodeSelector, p2.Spec.NodeSelector) {
 		t.Fatal("sealed equal node selectors are not shared")
 	}
 	// Clones deep-copy back out of the canonical instance: mutating a clone

@@ -39,17 +39,18 @@ func RegisterSealHook(fn func(Object)) { sealHook = fn }
 func Seal(o Object) Object {
 	m := o.Meta()
 	if !m.sealed {
-		// Canonicalize the label/selector maps while the object is still
-		// private: from here on the maps may be shared with every other
-		// sealed object carrying an equal set (see internmap.go).
-		internObjectMaps(o)
 		m.sealed = true
-		// Cache the namespaced name while the fields are known-final; every
+		// nsName doubles as the "already canonical" mark: only status clones
+		// arrive with it set (Clone and decode clear it), a status write
+		// cannot rename, and their maps alias the sealed source's. Everything
+		// else gets its label/selector maps canonicalized while the object is
+		// still private — from here on they may be shared with every other
+		// sealed object carrying an equal set (see internmap.go) — and its
+		// namespaced name cached while the fields are known-final, so every
 		// consumer that keys state by object identity reads it back through
-		// NamespacedName with zero allocations. Status clones arrive with the
-		// cache intact (a status write cannot rename), so re-sealing them
-		// skips the concatenation.
+		// NamespacedName with zero allocations.
 		if m.nsName == "" {
+			internObjectMaps(o)
 			m.nsName = m.Namespace + "/" + m.Name
 		}
 		if sealHook != nil {

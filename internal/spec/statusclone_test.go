@@ -28,7 +28,7 @@ func TestCloneForStatusSharesMetadataAndSpec(t *testing.T) {
 	if w, _ := c.Meta().WireBytes(); w != nil {
 		t.Fatal("status clone inherited the source's wire bytes")
 	}
-	if mapIdentity(c.Metadata.Labels) != mapIdentity(p.Metadata.Labels) {
+	if !sameMap(c.Metadata.Labels, p.Metadata.Labels) {
 		t.Fatal("status clone deep-copied the label map it should share")
 	}
 	// Mutating status must not touch the sealed source.
@@ -85,5 +85,23 @@ func TestStatusCloneResealsWithOwnWire(t *testing.T) {
 	c.Meta().SetWireBytes([]byte{9}, 0)
 	if w, _ := c.Meta().WireBytes(); len(w) != 3 {
 		t.Fatal("SetWireBytes mutated a sealed object")
+	}
+}
+
+// Re-sealing a status clone — once per status write, the hottest write class
+// — must keep the sealed source's canonical maps and cached name without
+// allocating or re-serializing them.
+func TestStatusCloneResealDoesNotAllocate(t *testing.T) {
+	p := sealedPod()
+	c := CloneForStatusAs(p)
+	allocs := testing.AllocsPerRun(100, func() {
+		c.Metadata.sealed = false
+		Seal(c)
+	})
+	if allocs != 0 {
+		t.Fatalf("re-sealing a status clone allocates %.1f per call, want 0", allocs)
+	}
+	if !sameMap(c.Metadata.Labels, p.Metadata.Labels) {
+		t.Fatal("re-seal replaced the label map the clone shares with its source")
 	}
 }

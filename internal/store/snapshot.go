@@ -44,9 +44,9 @@ type Snapshot struct {
 // Clone returns a snapshot whose value bytes live in freshly allocated,
 // per-replica contiguous arenas. Content is identical — a restore from the
 // clone is byte-equivalent to a restore from the original — but nothing
-// aliases the source snapshot's arrays. The campaign engine gives each
-// worker its own clone, so parallel forks read worker-local memory instead
-// of all hammering the one set of arrays the capture produced.
+// aliases the source snapshot's arrays. Its only caller is
+// cluster.Snapshot.WorkerView, which stays compiled only for the benchmark's
+// cluster.worker_view_ms metric.
 func (s *Snapshot) Clone() *Snapshot {
 	if s == nil {
 		return nil

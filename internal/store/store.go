@@ -365,16 +365,6 @@ func (s *Store) OnRewrite(fn func(key string)) {
 	s.rewriteHooks = append(s.rewriteHooks, fn)
 }
 
-// Keys returns all keys in order (diagnostics).
-func (s *Store) Keys() []string {
-	out := make([]string, 0, len(s.items))
-	for k := range s.items {
-		out = append(out, k)
-	}
-	sortStrings(out)
-	return out
-}
-
 func (s *Store) notify(ev Event) {
 	if len(s.watchers) == 0 {
 		return
@@ -408,5 +398,3 @@ func (s *Store) deliver() {
 func sortKVs(kvs []KV) {
 	sort.Slice(kvs, func(i, j int) bool { return kvs[i].Key < kvs[j].Key })
 }
-
-func sortStrings(ss []string) { sort.Strings(ss) }

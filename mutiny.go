@@ -52,12 +52,12 @@
 //     copy via CloneForWrite first. The store applies the same discipline to
 //     value bytes (stored arrays are immutable; snapshots and forks alias
 //     them), and the codec interns hot decoded strings (names, namespaces,
-//     label keys/values) process-wide through a 64-way sharded table whose
-//     read path is lock-free (atomic map publication, copy-on-write
-//     inserts). Sealing an object runs small label/selector maps through a
-//     map-level intern table of the same shape, so the thousands of objects
-//     carrying {"app": "web"} share one canonical map instance; clones
-//     still deep-copy maps back out, keeping the mutable-clone contract.
+//     label keys/values) process-wide through a sharded copy-on-write table
+//     (internal/cow: a hit is one atomic load plus a map lookup). Sealing an
+//     object runs small label/selector maps through the same kind of table,
+//     so the thousands of objects carrying {"app": "web"} share one
+//     canonical map instance; clones still deep-copy maps back out, keeping
+//     the mutable-clone contract.
 //
 //   - A watch-driven readiness pipeline. Components no longer poll: the
 //     workload driver's readiness waits, the application client's VIP
@@ -103,21 +103,20 @@
 //   - Shared bootstrap snapshots (CampaignConfig.ShareBootstrap, CLI
 //     -share-bootstrap, bench MUTINY_SHARE=1). Each experiment forks a
 //     settled per-workload snapshot instead of replaying the ~20 s simulated
-//     bootstrap. Snapshots are cached process-wide in a lock-free read-path
-//     cache (atomic map publication), keyed on the cluster configuration
-//     plus workload, so every Runner in the process bootstraps each
-//     workload at most once. Reflector views established on a fork prime
+//     bootstrap. Snapshots are cached process-wide, keyed on the cluster
+//     configuration plus workload, so every Runner in the process bootstraps
+//     each workload at most once. Reflector views established on a fork prime
 //     from the restored store — the same re-list a restarted component
 //     performs.
 //
 //   - Contention-free parallel execution (CampaignConfig.Parallelism, CLI
 //     -parallel, bench MUTINY_PARALLEL). Experiments are isolated
 //     simulations merged in generated order; outputs are bit-identical for
-//     every worker count. Each worker owns everything its running
-//     experiment touches — its classification buffer pool, per-worker
-//     copy-on-read views of the shared bootstrap snapshots (no byte
-//     aliasing between workers), and per-apiserver codec arenas for encode
-//     buffers — so the steady-state campaign path crosses no shared locks.
+//     every worker count. Each worker owns the mutable state its running
+//     experiment touches — its classification buffer pool and the
+//     per-apiserver codec arenas for encode buffers — and shares only
+//     immutable data: golden baselines, sealed objects, and the bootstrap
+//     snapshots every worker forks from.
 //
 //   - Multi-process sharding (CampaignConfig.Shards/ShardIndex, CLI
 //     -shards/-shard-index). Campaign generation is deterministic, so each
