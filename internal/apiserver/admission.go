@@ -193,6 +193,16 @@ func (c *AdmissionChain) SetPolicyDropped(i int, dropped bool) {
 	c.hooks[i].down = dropped
 }
 
+// Reset undoes every injected fault and policy override and zeroes the
+// violation count: the chain NewAdmissionChain built.
+func (c *AdmissionChain) Reset() {
+	for _, h := range c.hooks {
+		h.down, h.delay, h.selectorBroken, h.policyDropped = false, 0, false, false
+	}
+	c.override = ""
+	c.violationsAdmitted = 0
+}
+
 func (c *AdmissionChain) effectivePolicy(h *AdmissionHook) FailurePolicy {
 	if h.policyDropped {
 		return FailOpen

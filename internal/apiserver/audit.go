@@ -46,6 +46,15 @@ func NewAudit(loop *sim.Loop) *Audit {
 	}
 }
 
+// reset empties the trail, keeping its memory.
+func (a *Audit) reset() {
+	clear(a.Entries)
+	a.Entries = a.Entries[:0]
+	clear(a.okByIdentity)
+	clear(a.errByIdentity)
+	a.undecodable, a.droppedWrites, a.tamperedOK, a.tamperedErrored, a.checksumFailures = 0, 0, 0, 0, 0
+}
+
 func (a *Audit) record(identity string, verb Verb, kind spec.Kind, name string, err error, tampered bool) error {
 	a.errByIdentity[identity]++
 	if tampered {

@@ -67,6 +67,25 @@ func (e *Endpoints) ClientFor(identity string) *Client {
 	return c
 }
 
+// ClientCount returns how many clients have been handed out.
+func (e *Endpoints) ClientCount() int { return len(e.clients) }
+
+// Reset forgets every client handed out after the first keep — the ones an
+// experiment asked for; the cluster's own components hold the earlier ones for
+// life — and re-homes the rest on endpoint 0 with no backoff and no watches,
+// as ClientFor built them.
+func (e *Endpoints) Reset(keep int) {
+	clear(e.clients[keep:])
+	e.clients = e.clients[:keep]
+	for _, c := range e.clients {
+		c.srv, c.cur = e.servers[0], 0
+		clear(c.deadline)
+		clear(c.fails)
+		clear(c.watches)
+		c.watches = c.watches[:0]
+	}
+}
+
 // NoteServerDown migrates every client homed on server i to the next healthy
 // endpoint — the eager half of failover, modelling the broken connection a
 // crashed apiserver gives its clients. Lazy (per-request) failover covers

@@ -30,7 +30,7 @@ type Reflector struct {
 	loop   *sim.Loop
 	client *Client
 	kinds  []spec.Kind
-	views  map[spec.Kind]*viewBucket
+	views  map[spec.Kind]*sortedBucket
 
 	// onEvent, when set, observes every event applied to the view — live
 	// watch deliveries and the synthetic events a resync emits when it
@@ -49,15 +49,31 @@ type Reflector struct {
 	resyncRepairs int64
 }
 
-// viewBucket holds one kind's objects in namespace/name order. keys and objs
-// move in lockstep, mirroring the server's per-kind list index so view
-// iteration order matches server list order.
-type viewBucket struct {
+// sortedBucket holds one kind's objects in key order; keys and objs move in
+// lockstep. A Reflector view keys it by namespace/name, the server's per-kind
+// list index by store key — the same order, so view iteration order matches
+// server list order.
+type sortedBucket struct {
 	keys []string
 	objs []spec.Object
 }
 
-func (b *viewBucket) set(key string, obj spec.Object) {
+// reset empties the bucket, keeping its arrays.
+func (b *sortedBucket) reset() {
+	b.keys = b.keys[:0]
+	clear(b.objs)
+	b.objs = b.objs[:0]
+}
+
+func (b *sortedBucket) set(key string, obj spec.Object) {
+	// Keys mostly arrive in order — a re-list walks the server's sorted
+	// index, children are named by a counter — and one past the last is
+	// appended without the search and the shift.
+	if n := len(b.keys); n == 0 || b.keys[n-1] < key {
+		b.keys = append(b.keys, key)
+		b.objs = append(b.objs, obj)
+		return
+	}
 	i := sort.SearchStrings(b.keys, key)
 	if i < len(b.keys) && b.keys[i] == key {
 		b.objs[i] = obj
@@ -71,7 +87,7 @@ func (b *viewBucket) set(key string, obj spec.Object) {
 	b.objs[i] = obj
 }
 
-func (b *viewBucket) delete(key string) {
+func (b *sortedBucket) delete(key string) {
 	i := sort.SearchStrings(b.keys, key)
 	if i >= len(b.keys) || b.keys[i] != key {
 		return
@@ -82,7 +98,7 @@ func (b *viewBucket) delete(key string) {
 	b.objs = b.objs[:len(b.objs)-1]
 }
 
-func (b *viewBucket) get(key string) (spec.Object, bool) {
+func (b *sortedBucket) get(key string) (spec.Object, bool) {
 	i := sort.SearchStrings(b.keys, key)
 	if i < len(b.keys) && b.keys[i] == key {
 		return b.objs[i], true
@@ -91,7 +107,7 @@ func (b *viewBucket) get(key string) (spec.Object, bool) {
 }
 
 // nsRange returns the [i, j) index range of keys in namespace ns ("" = all).
-func (b *viewBucket) nsRange(ns string) (int, int) {
+func (b *sortedBucket) nsRange(ns string) (int, int) {
 	if ns == "" {
 		return 0, len(b.keys)
 	}
@@ -113,7 +129,7 @@ func NewReflector(loop *sim.Loop, client *Client, resyncEvery time.Duration, onE
 		loop:        loop,
 		client:      client,
 		kinds:       kinds,
-		views:       make(map[spec.Kind]*viewBucket, len(kinds)),
+		views:       make(map[spec.Kind]*sortedBucket, len(kinds)),
 		onEvent:     onEvent,
 		resyncEvery: resyncEvery,
 	}
@@ -131,8 +147,10 @@ func (r *Reflector) Start() {
 	// Restarting a stopped reflector must not trust the detached view:
 	// objects deleted while it was stopped would otherwise linger as
 	// phantoms (prime only adds). Rebuild from scratch, like the re-list of
-	// a restarted component.
-	clear(r.views)
+	// a restarted component — into the buckets it already has.
+	for _, b := range r.views {
+		b.reset()
+	}
 	if len(r.kinds) == 0 {
 		// All-kinds mode: one wildcard watch, primed and resynced over the
 		// full kind vocabulary so kinds that never produce an event are
@@ -161,7 +179,23 @@ func (r *Reflector) Stop() {
 	for _, cancel := range r.cancels {
 		cancel()
 	}
-	r.cancels = nil
+	clear(r.cancels)
+	r.cancels = r.cancels[:0]
+}
+
+// Reset returns the reflector to the state NewReflector left it in, keeping
+// the memory of its views, for an owner that is itself being rewound. The
+// watches and the resync timer are not cancelled: the server and the loop
+// they were registered with have been reset and no longer know them.
+func (r *Reflector) Reset() {
+	r.started = false
+	r.resyncTimer = sim.Timer{}
+	clear(r.cancels)
+	r.cancels = r.cancels[:0]
+	for _, b := range r.views {
+		b.reset()
+	}
+	r.resyncRepairs = 0
 }
 
 // prime loads the current server state into the view without emitting events
@@ -170,15 +204,15 @@ func (r *Reflector) prime() {
 	for _, kind := range r.kinds {
 		b := r.bucket(kind)
 		for _, obj := range r.client.List(kind, "") {
-			b.set(obj.Meta().NamespacedName(), obj)
+			b.set(obj.Meta().NamespacedName(), obj) // in key order: appends
 		}
 	}
 }
 
-func (r *Reflector) bucket(kind spec.Kind) *viewBucket {
+func (r *Reflector) bucket(kind spec.Kind) *sortedBucket {
 	b := r.views[kind]
 	if b == nil {
-		b = &viewBucket{}
+		b = &sortedBucket{}
 		r.views[kind] = b
 	}
 	return b

@@ -228,3 +228,60 @@ func TestReflectorStopDetaches(t *testing.T) {
 		t.Fatalf("stopped view tracked new events: Len = %d", r.Len(spec.KindPod))
 	}
 }
+
+// A bucket appends a key past its last one without searching, which is what
+// priming from the server's sorted list always does; the view it builds must
+// be the sorted one every lookup searches — across namespaces whose names sort
+// around the separator — and a restart must rebuild it in the buckets it
+// already has. Keys that are already present, or arrive out of order, take
+// the searching path and end up in the same place.
+func TestReflectorPrimesInKeyOrder(t *testing.T) {
+	loop, _, srv := newTestServer(t)
+	c := srv.ClientFor("reflector-test")
+	names := []struct{ ns, name string }{
+		{"a", "z"}, {"a-b", "m"}, {"a.b", "k"}, {"a", "b"}, {"ab", "a"}, {"default", "web"},
+	}
+	for _, n := range names {
+		pod := testPod(n.name)
+		pod.Metadata.Namespace = n.ns
+		if err := c.Create(pod); err != nil {
+			t.Fatalf("create %s/%s: %v", n.ns, n.name, err)
+		}
+	}
+	loop.RunUntil(time.Second)
+
+	r := NewReflector(loop, c, 0, nil, spec.KindPod)
+	check := func(when string) {
+		t.Helper()
+		listed := c.List(spec.KindPod, "")
+		var viewed []spec.Object
+		r.ForEach(spec.KindPod, "", func(o spec.Object) bool { viewed = append(viewed, o); return true })
+		if len(viewed) != len(listed) || len(listed) != len(names) {
+			t.Fatalf("%s: view holds %d pods, the server lists %d", when, len(viewed), len(listed))
+		}
+		for i, o := range listed {
+			if viewed[i] != o {
+				t.Fatalf("%s: view position %d holds %s, the server lists %s", when, i, viewed[i].Meta().NamespacedName(), o.Meta().NamespacedName())
+			}
+			if got, ok := r.GetByKey(spec.KindPod, o.Meta().NamespacedName()); !ok || got != o {
+				t.Fatalf("%s: lookup of %s misses: the view is not sorted", when, o.Meta().NamespacedName())
+			}
+		}
+	}
+	r.Start()
+	check("primed")
+	keys := &r.views[spec.KindPod].keys[0]
+	r.Stop()
+	r.Start()
+	check("restarted")
+	if &r.views[spec.KindPod].keys[0] != keys {
+		t.Error("a restart primed into a new bucket instead of the one it had")
+	}
+	r.prime() // every key already present: the searching path, in place
+	check("primed twice")
+	b := r.views[spec.KindPod]
+	first, obj := b.keys[0], b.objs[0]
+	b.delete(first)
+	b.set(first, obj) // before every other key: search and shift
+	check("first key re-inserted")
+}

@@ -177,13 +177,16 @@ type Server struct {
 	// mint disjoint sequences (server i assigns origin+k·N). 1 for a single
 	// server — the historical sequence.
 	uidStride int64
+	// uidOffset is the residue class SetAdmissionStride configured: where the
+	// UID and service-IP counters start, and where Reset puts them back.
+	uidOffset int64
 
 	cache map[string]spec.Object // decoded watch cache, by store key
 	// kindIndex mirrors cache as per-kind slices sorted by store key, so
 	// list — the hottest read (every controller scan, scheduler pass, and
 	// collector scrape) — is a binary search plus one contiguous copy
 	// instead of a full map iteration and sort per call.
-	kindIndex map[spec.Kind]*kindBucket
+	kindIndex map[spec.Kind]*sortedBucket
 	// watchers is kept in registration order: dispatch delivers in iteration
 	// order, and map iteration would randomize the delivery order of
 	// same-tick events across runs, breaking bit-reproducibility. The slice
@@ -291,40 +294,6 @@ type watcher struct {
 	cancelled bool
 }
 
-// kindBucket holds one kind's cached objects in store-key order. keys and
-// objs move in lockstep; namespace prefixes select a contiguous range.
-type kindBucket struct {
-	keys []string
-	objs []spec.Object
-}
-
-// insert adds or replaces the object at key, keeping key order.
-func (b *kindBucket) insert(key string, obj spec.Object) {
-	i := sort.SearchStrings(b.keys, key)
-	if i < len(b.keys) && b.keys[i] == key {
-		b.objs[i] = obj
-		return
-	}
-	b.keys = append(b.keys, "")
-	copy(b.keys[i+1:], b.keys[i:])
-	b.keys[i] = key
-	b.objs = append(b.objs, nil)
-	copy(b.objs[i+1:], b.objs[i:])
-	b.objs[i] = obj
-}
-
-// remove deletes key if present.
-func (b *kindBucket) remove(key string) {
-	i := sort.SearchStrings(b.keys, key)
-	if i >= len(b.keys) || b.keys[i] != key {
-		return
-	}
-	b.keys = append(b.keys[:i], b.keys[i+1:]...)
-	copy(b.objs[i:], b.objs[i+1:])
-	b.objs[len(b.objs)-1] = nil
-	b.objs = b.objs[:len(b.objs)-1]
-}
-
 // pendingDispatch is one watch event queued for batched fan-out: the event
 // plus the length of the watcher list at dispatch time, so watchers
 // registered between dispatch and delivery do not receive it (exactly as
@@ -352,7 +321,7 @@ func NewAt(loop *sim.Loop, backend store.Backend, origin int, opts *Options) *Se
 		origin:    origin,
 		uidStride: 1,
 		cache:     make(map[string]spec.Object),
-		kindIndex: make(map[spec.Kind]*kindBucket),
+		kindIndex: make(map[spec.Kind]*sortedBucket),
 		decoded:   make(map[string]spec.Object),
 		audit:     NewAudit(loop),
 		arena:     codec.NewArena(),
@@ -364,13 +333,53 @@ func NewAt(loop *sim.Loop, backend store.Backend, origin int, opts *Options) *Se
 	if opts != nil {
 		s.opts = *opts
 	}
+	s.attachBackend()
+	return s
+}
+
+// attachBackend registers the server with its store replica: the rewrite hook
+// that keeps the decode cache honest, and the watch that feeds the cache.
+func (s *Server) attachBackend() {
 	if s.routed != nil {
-		s.routed.OnRewriteAt(origin, s.invalidateDecoded)
-	} else if rn, ok := backend.(rewriteNotifier); ok {
+		s.routed.OnRewriteAt(s.origin, s.invalidateDecoded)
+	} else if rn, ok := s.backend.(rewriteNotifier); ok {
 		rn.OnRewrite(s.invalidateDecoded)
 	}
 	s.cancelStoreWatch = s.subscribeStore()
-	return s
+}
+
+// Reset returns the server to the state NewAt and the Set* wiring calls left
+// it in, keeping the memory of its tables: empty watch cache, list index and
+// decode cache, no watchers, no queued dispatch, no hooks or gates, counters
+// at their configured start, up, audit trail empty. What survives is wiring,
+// not state: the backend binding, the admission stride, the shared audit
+// trail and admission chain (Reset does not touch the chain: it has one owner,
+// the servers are many), the encode arena. The backend must have been Reset
+// first — the server re-registers with it here, as NewAt did — and so must the
+// loop: a queued dispatch is dropped, not delivered.
+func (s *Server) Reset() {
+	s.clearCache()
+	clear(s.decoded)
+	clear(s.tainted)
+	s.decodeHits, s.decodeMisses, s.decodeInvalidation = 0, 0, 0
+
+	clear(s.watchers)
+	s.watchers = s.watchers[:0]
+	s.cancelledWatchers = 0
+	for k, idx := range s.watcherIdx {
+		s.watcherIdx[k] = idx[:0]
+	}
+	s.watcherIdxDirty = false
+	clear(s.pending)
+	s.pending = s.pending[:0]
+	s.pendingHead, s.fanningOut = 0, 0
+
+	s.uidCounter, s.ipCounter = s.uidOffset, s.uidOffset
+	s.down = false
+	s.storeWriteHook, s.requestHook, s.watchHook = nil, nil, nil
+	s.watchGate, s.requestWireGate, s.accessHook = nil, nil, nil
+	s.audit.reset()
+	s.attachBackend()
 }
 
 // subscribeStore attaches the server's watch to its own store replica.
@@ -385,8 +394,9 @@ func (s *Server) subscribeStore() func() {
 // mints the residue class offset mod stride — HA replicas never collide even
 // when clients fail over between them mid-workload.
 func (s *Server) SetAdmissionStride(offset, stride int) {
-	s.uidCounter = int64(offset)
-	s.ipCounter = int64(offset)
+	s.uidOffset = int64(offset)
+	s.uidCounter = s.uidOffset
+	s.ipCounter = s.uidOffset
 	s.uidStride = int64(stride)
 }
 
@@ -568,8 +578,7 @@ func (s *Server) rebuildCache(dispatch bool) {
 		// reads are this fault's signature) until the replica is restored.
 		return
 	}
-	s.cache = make(map[string]spec.Object)
-	s.kindIndex = make(map[spec.Kind]*kindBucket)
+	s.clearCache()
 	for _, kv := range kvs {
 		if s.routed != nil {
 			// A replicated backend re-lists through quorum reads: a restart
@@ -610,22 +619,31 @@ func (s *Server) quorumVerify(kv store.KV) store.KV {
 	return kv
 }
 
+// clearCache empties the watch cache and the per-kind list index, keeping
+// their memory.
+func (s *Server) clearCache() {
+	clear(s.cache)
+	for _, b := range s.kindIndex {
+		b.reset()
+	}
+}
+
 // cacheSet installs obj in the watch cache and the per-kind list index.
 func (s *Server) cacheSet(key string, kind spec.Kind, obj spec.Object) {
 	s.cache[key] = obj
 	b := s.kindIndex[kind]
 	if b == nil {
-		b = &kindBucket{}
+		b = &sortedBucket{}
 		s.kindIndex[kind] = b
 	}
-	b.insert(key, obj)
+	b.set(key, obj)
 }
 
 // cacheDelete removes key from the watch cache and the per-kind list index.
 func (s *Server) cacheDelete(key string, kind spec.Kind) {
 	delete(s.cache, key)
 	if b := s.kindIndex[kind]; b != nil {
-		b.remove(key)
+		b.delete(key)
 	}
 }
 
@@ -1242,11 +1260,15 @@ func (s *Server) watch(kind spec.Kind, fn func(WatchEvent)) (cancel func()) {
 	}
 }
 
-// sweepWatchers splices cancelled watchers out of the registration list —
-// but only while no dispatches are pending, because pending deliveries index
-// the list by its dispatch-time length.
+// sweepWatchers splices cancelled watchers out of the registration list once
+// they make up half of it — sim.Loop.compact's rule, so that a shutdown's 500
+// back-to-back cancels cost O(log n) passes over the list instead of one each
+// — but only while no dispatches are pending, because pending deliveries index
+// the list by its dispatch-time length. Until then fan-out skips the cancelled
+// entries; delivery order is registration order either way.
 func (s *Server) sweepWatchers() {
-	if s.cancelledWatchers == 0 || len(s.pending) != 0 || s.fanningOut != 0 {
+	if s.cancelledWatchers == 0 || s.cancelledWatchers*2 < len(s.watchers) ||
+		len(s.pending) != 0 || s.fanningOut != 0 {
 		return
 	}
 	live := s.watchers[:0]

@@ -1,6 +1,10 @@
 package apiserver
 
-import "github.com/mutiny-sim/mutiny/internal/spec"
+import (
+	"maps"
+
+	"github.com/mutiny-sim/mutiny/internal/spec"
+)
 
 // This file implements server snapshot/restore for the bootstrapped-cluster
 // fork path. The server's durable state outside the store is tiny: the
@@ -87,12 +91,13 @@ func (a AuditSnapshot) clone() AuditSnapshot {
 	return a
 }
 
-// RestoreSnapshot installs snapshot state into a freshly built server whose
-// backend has already been restored, then silently rebuilds the watch cache
-// from it. No events are dispatched: components prime their own views when
-// they start, exactly as they do against a live control plane they
-// reconnect to (netsim's Prime, the scheduler's run-time listing, the
-// controllers' resync).
+// RestoreSnapshot installs snapshot state into a server that is freshly built
+// or Reset, and whose backend has already been restored, then silently
+// rebuilds the watch cache from it — into the tables the server already has.
+// No events are dispatched: components prime their own views when they
+// start, exactly as they do against a live control plane they reconnect to
+// (netsim's Prime, the scheduler's run-time listing, the controllers'
+// resync).
 func (s *Server) RestoreSnapshot(snap Snapshot) {
 	s.uidCounter = snap.UIDCounter
 	s.ipCounter = snap.IPCounter
@@ -100,10 +105,8 @@ func (s *Server) RestoreSnapshot(snap Snapshot) {
 	if s.admission != nil && snap.Admission.Present {
 		s.admission.restore(snap.Admission)
 	}
-	s.decoded = make(map[string]spec.Object, len(snap.Decoded))
-	for k, v := range snap.Decoded {
-		s.decoded[k] = v
-	}
+	clear(s.decoded)
+	maps.Copy(s.decoded, snap.Decoded)
 	s.rebuildCache(false)
 }
 
@@ -133,9 +136,11 @@ func (a *Audit) snapshot() AuditSnapshot {
 }
 
 func (a *Audit) restore(snap AuditSnapshot) {
-	a.Entries = append([]AuditEntry(nil), snap.Entries...)
-	a.okByIdentity = copyCounts(snap.OKByIdentity)
-	a.errByIdentity = copyCounts(snap.ErrByIdentity)
+	a.Entries = append(a.Entries[:0], snap.Entries...)
+	clear(a.okByIdentity)
+	maps.Copy(a.okByIdentity, snap.OKByIdentity)
+	clear(a.errByIdentity)
+	maps.Copy(a.errByIdentity, snap.ErrByIdentity)
 	a.undecodable = snap.Undecodable
 	a.droppedWrites = snap.DroppedWrites
 	a.tamperedOK = snap.TamperedOK

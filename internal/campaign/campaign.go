@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/mutiny-sim/mutiny/internal/apiserver"
 	"github.com/mutiny-sim/mutiny/internal/classify"
 	"github.com/mutiny-sim/mutiny/internal/cluster"
 	"github.com/mutiny-sim/mutiny/internal/inject"
@@ -111,11 +110,12 @@ type Runner struct {
 	idle     []*Worker
 }
 
-// A Worker is one campaign execution lane. It owns the mutable scratch state
-// that outlives an experiment — the classify.BufferPool recycling series
-// buffers — so two workers running experiments concurrently share only
-// immutable data (golden baselines, bootstrap snapshots, the sealed decoded
-// objects) and the Runner's guard cells. A Worker must not run two
+// A Worker is one campaign execution lane. It owns the mutable state that
+// outlives an experiment — the classify.BufferPool recycling series buffers,
+// the application client's record buffer, and one rewound cluster per
+// bootstrap snapshot — so two workers running experiments concurrently share
+// only immutable data (golden baselines, bootstrap snapshots, the sealed
+// decoded objects) and the Runner's guard cells. A Worker must not run two
 // experiments at once; the Runner hands each one to exactly one goroutine at
 // a time (see forEachWorker).
 type Worker struct {
@@ -124,6 +124,16 @@ type Worker struct {
 	// observation's buffers after classification; golden observations are
 	// retained by baselines and therefore never released.
 	pool *classify.BufferPool
+	// records is the application client's request log, lent to each
+	// experiment's client: nothing reads it after Collector.Finish.
+	records []workload.RequestRecord
+	// clusters holds, per bootstrap snapshot, the cluster this worker forked
+	// from it, rewound (empty, component graph intact) between experiments:
+	// the next experiment restores it in place instead of building and
+	// discarding a whole cluster. An entry is taken out while its experiment
+	// runs, so a panic in an experiment loses the cluster, never reuses it
+	// half-way.
+	clusters map[*cluster.Snapshot]*cluster.Cluster
 }
 
 // baselineEntry guards one workload's golden-run build.
@@ -231,7 +241,7 @@ func (r *Runner) Baseline(kind workload.Kind) *classify.Baseline {
 		}
 		obs := make([]*classify.Observation, n)
 		forEachWorker(n, r.Parallelism, r, func(w *Worker, i int) {
-			obs[i], _, _ = w.runExperiment(Spec{Workload: kind, Seed: goldenSeed(kind, i)}, true)
+			obs[i] = w.runExperiment(Spec{Workload: kind, Seed: goldenSeed(kind, i)}, true).obs
 		})
 		e.golden = obs
 		e.baseline = classify.BuildBaseline(obs)
@@ -276,7 +286,13 @@ func (w *Worker) Run(spec Spec) *Result {
 // and the raw observation (e.g. for rendering Figure 5's time series).
 func (w *Worker) RunObserved(spec Spec) (*Result, *classify.Observation) {
 	baseline := w.r.Baseline(spec.Workload)
-	obs, rep, _ := w.runExperiment(spec, true)
+	exp := w.runExperiment(spec, true)
+	return exp.observed(spec, baseline), exp.obs
+}
+
+// observed classifies an observation-path experiment against the baseline.
+func (e experiment) observed(spec Spec, baseline *classify.Baseline) *Result {
+	obs := e.obs
 	res := &Result{
 		Spec:                  spec,
 		OF:                    classify.ClassifyOF(obs, baseline),
@@ -293,9 +309,9 @@ func (w *Worker) RunObserved(spec Spec) (*Result, *classify.Observation) {
 		TopologyRecoveryMillis:   obs.TopologyRecoveryMillis,
 	}
 	if spec.Injection != nil {
-		res.Report = rep
+		res.Report = e.report
 	}
-	return res, obs
+	return res
 }
 
 // RunPropagation executes a component→apiserver channel experiment and
@@ -317,57 +333,89 @@ func (r *Runner) RunPropagation(spec Spec) *Result {
 
 // RunPropagation is Runner.RunPropagation on this worker's state.
 func (w *Worker) RunPropagation(spec Spec) *Result {
-	_, rep, audit := w.runExperiment(spec, false)
+	return w.runExperiment(spec, false).propagated(spec)
+}
+
+// propagated reports a propagation-path experiment's Table VI columns.
+func (e experiment) propagated(spec Spec) *Result {
 	return &Result{
 		Spec:          spec,
-		Report:        rep,
-		UserErrors:    audit.ErrorsBy(workload.UserIdentity),
-		PropPersisted: audit.TamperedPersisted() > 0,
-		PropErrored:   audit.TamperedErrored() > 0,
+		Report:        e.report,
+		UserErrors:    e.userErrors,
+		PropPersisted: e.tamperedPersisted > 0,
+		PropErrored:   e.tamperedErrored > 0,
 	}
 }
 
-// bootCluster brings up the cluster for one experiment: forked from the
-// workload's shared bootstrap snapshot when ShareBootstrap is on, or the
-// legacy full replay (bootstrap, settle, scenario setup — all under the
-// per-experiment seed). Either way the returned cluster is settled, has the
-// scenario set up, and carries an attached (not yet armed) injector.
-func (w *Worker) bootCluster(spec Spec) (*cluster.Cluster, *inject.Injector, *workload.Driver) {
+// bootCluster brings up the cluster for one experiment: resumed from the
+// workload's shared bootstrap snapshot when ShareBootstrap is on — in the
+// worker's own cluster for that snapshot if it has one, in a fresh fork
+// otherwise — or the legacy full replay (bootstrap, settle, scenario setup —
+// all under the per-experiment seed). Either way the returned cluster is
+// settled, has the scenario set up, and carries an attached (not yet armed)
+// injector. snap is the snapshot the cluster resumed from, nil for a replay.
+func (w *Worker) bootCluster(spec Spec) (cl *cluster.Cluster, snap *cluster.Snapshot, injector *inject.Injector, driver *workload.Driver) {
 	r := w.r
 	if r.ShareBootstrap {
-		cl := r.snapshotFor(spec.Workload).Fork(spec.Seed)
+		snap = r.snapshotFor(spec.Workload)
+		if cl = w.clusters[snap]; cl != nil {
+			delete(w.clusters, snap)
+			snap.Restore(cl, spec.Seed)
+		} else {
+			cl = snap.Fork(spec.Seed)
+		}
 		cl.Loop.SetEventBudget(eventBudget)
-		injector := inject.New(cl.Loop)
+		injector = inject.New(cl.Loop)
 		cl.AttachInjector(injector)
-		return cl, injector, workload.NewDriver(cl, spec.Workload)
+		return cl, snap, injector, workload.NewDriver(cl, spec.Workload)
 	}
 	cfg := r.ClusterConfig.Clone()
 	cfg.Seed = spec.Seed
-	cl := cluster.New(cfg)
+	cl = cluster.New(cfg)
 	cl.Loop.SetEventBudget(eventBudget)
-	injector := inject.New(cl.Loop)
+	injector = inject.New(cl.Loop)
 	cl.AttachInjector(injector)
 	cl.Start()
 	cl.AwaitSettled(bootstrapDeadline)
-	driver := workload.NewDriver(cl, spec.Workload)
+	driver = workload.NewDriver(cl, spec.Workload)
 	driver.Setup()
-	return cl, injector, driver
+	return cl, nil, injector, driver
+}
+
+// experiment is what one run of the lifecycle yields. Everything in it is a
+// value or owned by the caller: the cluster it was read from is rewound (or
+// stopped) by the time runExperiment returns.
+type experiment struct {
+	obs    *classify.Observation // nil without collect
+	report inject.Report
+	// The audit trail's numbers for the propagation analysis (Table VI).
+	userErrors, tamperedPersisted, tamperedErrored int
+	// Where the simulation stood when the window closed: the cheapest
+	// witnesses that two runs of a spec executed the same simulation
+	// (TestRewindMatchesFork compares them).
+	events     int64 // loop events executed, bootstrap included
+	storeRev   int64
+	storeBytes int64
 }
 
 // runExperiment executes the experiment lifecycle of Figure 4 — cluster
 // (re)start, scenario set-up, client start, injector programming, workload
 // execution, and data collection — shared by the observation path (collect
 // = true: application client plus collector attached) and the propagation
-// path (collect = false: audit-only, see RunPropagation). The returned
-// audit trail belongs to the experiment's (stopped) cluster.
-func (w *Worker) runExperiment(spec Spec, collect bool) (*classify.Observation, inject.Report, *apiserver.Audit) {
-	cl, injector, driver := w.bootCluster(spec)
+// path (collect = false: audit-only, see RunPropagation). A cluster resumed
+// from a snapshot is rewound at the end, not stopped, and kept for the
+// worker's next experiment on that snapshot — unless the experiment blew it
+// up (cluster.Snapshot.Outgrown), in which case it is simply let go, like a
+// replayed one.
+func (w *Worker) runExperiment(spec Spec, collect bool) experiment {
+	cl, snap, injector, driver := w.bootCluster(spec)
 
 	var client *workload.Client
 	var collector *classify.Collector
 	if collect {
 		ns, svc := driver.TargetService()
 		client = workload.NewClient(cl, ns, svc)
+		client.Records = w.records[:0]
 		collector = classify.NewCollector(cl)
 		collector.UsePool(w.pool)
 		collector.Start()
@@ -381,14 +429,31 @@ func (w *Worker) runExperiment(spec Spec, collect bool) (*classify.Observation, 
 	driver.Run()
 	cl.Loop.RunUntil(windowStart + windowLength)
 
-	var obs *classify.Observation
+	var exp experiment
 	if collect {
-		obs = collector.Finish(client)
+		exp.obs = collector.Finish(client)
+		w.records = client.Records
 	}
-	rep := injector.Report()
+	exp.report = injector.Report()
 	audit := cl.Server.Audit()
-	cl.Stop()
-	return obs, rep, audit
+	exp.userErrors = audit.ErrorsBy(workload.UserIdentity)
+	exp.tamperedPersisted = audit.TamperedPersisted()
+	exp.tamperedErrored = audit.TamperedErrored()
+	exp.events = cl.Loop.EventsExecuted()
+	exp.storeRev = cl.Backend.Revision()
+	exp.storeBytes = cl.Backend.SizeBytes()
+
+	switch {
+	case snap == nil:
+		cl.Stop()
+	case !snap.Outgrown(cl):
+		cl.Rewind()
+		if w.clusters == nil {
+			w.clusters = make(map[*cluster.Snapshot]*cluster.Cluster)
+		}
+		w.clusters[snap] = cl
+	}
+	return exp
 }
 
 // Record performs a nominal run of a workload with the wire recorder

@@ -147,7 +147,10 @@ func (c *Collector) sample() {
 }
 
 // Finish closes the window, runs the end-of-window health probes, folds in
-// the client's data, and returns the Observation.
+// the client's data, and returns the Observation — a copy of its own, not a
+// pointer into the collector: a golden observation lives as long as its
+// baseline, and must not keep the collector, and through it the cluster and
+// everything a later experiment left in it, alive that long.
 func (c *Collector) Finish(client *workload.Client) *Observation {
 	c.sample()
 	c.ticker.Stop()
@@ -173,7 +176,8 @@ func (c *Collector) Finish(client *workload.Client) *Observation {
 		c.obs.TimeoutErrors = timeouts
 		c.obs.TotalErrors = total
 	}
-	return &c.obs
+	obs := c.obs
+	return &obs
 }
 
 func (c *Collector) probePrometheus() bool {

@@ -10,10 +10,12 @@
 // dominates an injection experiment whose measurement window is 45 s. The
 // snapshot/fork subsystem (snapshot.go) amortizes it: bootstrap once, call
 // Cluster.Snapshot at the settled instant, then Snapshot.Fork(seed) per
-// experiment. A fork resumes the snapshot's store contents, virtual clock,
-// and event-budget accounting, and restarts every component over that state
-// — the same re-list/reconcile path components walk after a real restart —
-// so only the injection window is simulated.
+// experiment — or, to keep the cluster's memory between experiments,
+// Cluster.Rewind after one and Snapshot.Restore before the next. Either way
+// the cluster resumes the snapshot's store contents, virtual clock, and
+// event-budget accounting, and every component restarts over that state —
+// the same re-list/reconcile path components walk after a real restart — so
+// only the injection window is simulated.
 //
 // # Seed-split semantics
 //
@@ -156,6 +158,10 @@ type Cluster struct {
 	admission *apiserver.AdmissionChain
 	// source hands out clients: the Endpoints set when HA, Server otherwise.
 	source apiserver.ClientSource
+	// ownClients is how many of Endpoints' clients the cluster's own
+	// components hold; the ones handed out later belong to an experiment and
+	// are forgotten by Rewind.
+	ownClients int
 	// nodeOrder preserves kubelet creation order: Start/Stop must not
 	// iterate the Kubelets map, since map order would randomize heartbeat
 	// timer scheduling between runs and break bit-reproducibility.
@@ -227,8 +233,7 @@ func newBackend(loop *sim.Loop, cfg Config) store.Backend {
 	return store.New(loop, cfg.StoreOptions)
 }
 
-// assemble wires all components over an existing loop and backend; shared by
-// New (empty backend) and Snapshot.Fork (restored backend).
+// assemble wires all components over a loop and an empty backend.
 func assemble(cfg Config, loop *sim.Loop, backend store.Backend) *Cluster {
 	n := cfg.ControlPlaneReplicas
 	servers := make([]*apiserver.Server, n)
@@ -312,9 +317,7 @@ func assemble(cfg Config, loop *sim.Loop, backend store.Backend) *Cluster {
 	}
 	if cfg.EnableFieldGuard {
 		c.guard = guard.New(loop, source, c.guardHealth)
-		for _, srv := range servers {
-			srv.SetStoreWriteHook(c.guard.Hook(nil))
-		}
+		c.hookGuard(nil)
 	}
 	c.zoneByNode = make(map[string]string)
 	c.zoneNodes = make(map[string][]string)
@@ -326,6 +329,9 @@ func assemble(cfg Config, loop *sim.Loop, backend store.Backend) *Cluster {
 			labels["role"] = "monitoring"
 		}
 		c.addKubelet(name, i+1, labels, cfg.zoneOfWorker(i))
+	}
+	if eps != nil {
+		c.ownClients = eps.ClientCount()
 	}
 	return c
 }
@@ -453,6 +459,46 @@ func (c *Cluster) Stop() {
 	c.Net.Close()
 }
 
+// Rewind returns the cluster to the state New left it in — assembled, empty,
+// not started — without giving up its memory: the component graph stays, every
+// table is emptied in place, and everything an experiment attached (injector
+// hooks, its clients and their watches, timers) or left behind (crashed
+// servers, lost replicas, cut links, downed nodes, webhook faults) is gone.
+// Nothing is stopped or cancelled first, so no component gets to write a
+// farewell (a released lease, say) into a store that is about to be emptied.
+// Snapshot.Restore turns a rewound cluster into what Fork returns; Rewind runs
+// at the end of an experiment so that an idle cluster holds no objects.
+//
+// The order is assemble's: each component re-registers what its constructor
+// registered (the servers their store watches, the data plane its five
+// watches), and registration order is delivery order.
+func (c *Cluster) Rewind() {
+	c.Loop.Reset()
+	c.Backend.Reset()
+	for _, srv := range c.Servers {
+		srv.Reset()
+	}
+	if c.Endpoints != nil {
+		c.Endpoints.Reset(c.ownClients)
+	}
+	for i, m := range c.Managers {
+		m.Reset()
+		c.Scheds[i].Reset()
+	}
+	c.Net.Reset()
+	if c.admission != nil {
+		c.admission.Reset()
+	}
+	if c.guard != nil {
+		c.guard.Reset()
+		c.hookGuard(nil)
+	}
+	for _, name := range c.nodeOrder {
+		c.Kubelets[name].Reset()
+	}
+	c.started = false
+}
+
 // AwaitSettled drives the loop until the system pods are ready or the
 // deadline passes; it reports whether the cluster settled.
 func (c *Cluster) AwaitSettled(deadline time.Duration) bool {
@@ -523,11 +569,19 @@ func (c *Cluster) Guard() *guard.Guard { return c.guard }
 func (c *Cluster) AttachInjector(j *inject.Injector) {
 	for _, srv := range c.Servers {
 		j.AttachTo(srv)
-		if c.guard != nil {
-			srv.SetStoreWriteHook(c.guard.Hook(j.Hook(inject.ChannelStore)))
-		}
+	}
+	if c.guard != nil {
+		c.hookGuard(j.Hook(inject.ChannelStore))
 	}
 	j.AttachPlatform(c)
+}
+
+// hookGuard puts the field guard on every server's store channel, behind
+// next (an injector's hook) when there is one.
+func (c *Cluster) hookGuard(next apiserver.Hook) {
+	for _, srv := range c.Servers {
+		srv.SetStoreWriteHook(c.guard.Hook(next))
+	}
 }
 
 // Admission returns the shared admission chain, or nil when no hooks are

@@ -5,12 +5,11 @@ import (
 
 	"github.com/mutiny-sim/mutiny/internal/apiserver"
 	"github.com/mutiny-sim/mutiny/internal/kubelet"
-	"github.com/mutiny-sim/mutiny/internal/sim"
 	"github.com/mutiny-sim/mutiny/internal/store"
 )
 
 // This file implements bootstrapped-cluster snapshots: capture a settled
-// cluster once, then fork cheap copies that resume at the settled instant —
+// cluster once, then resume it at the settled instant as often as needed —
 // the campaign fast path that removes the ~20 s simulated bootstrap from
 // every injection experiment.
 //
@@ -20,15 +19,23 @@ import (
 // state (image cache, IP allocator, per-pod pipeline position). Everything
 // else — watch registrations, periodic timers, controller caches, the
 // scheduler's pending/assumed sets, the data-plane view — is deliberately
-// NOT captured: a fork rebuilds it by re-listing the restored store, the
+// NOT captured: Restore re-derives it by re-listing the restored store, the
 // same recovery path every real component walks after a restart. That keeps
 // the snapshot free of closures (simulation events cannot be copied between
-// loops) and makes one snapshot safely forkable from many goroutines at
+// loops) and makes one snapshot safely restorable from many goroutines at
 // once.
 //
+// Resuming is one operation, Restore, on an empty cluster of the snapshot's
+// shape. Fork builds that cluster (New) and restores it; a caller that runs
+// many experiments builds it once and empties it again after each
+// (Cluster.Rewind), so what is rebuilt per experiment is state — table
+// contents, registrations, timers — never the component graph. Rewound and
+// forked clusters are equal field for field (TestRewindLeavesNoTrace) and
+// run every experiment identically (campaign.TestRewindMatchesFork).
+//
 // Seed split: the snapshot's bootstrap runs under one canonical seed; each
-// Fork(seed) gets a fresh RNG seeded per experiment while resuming the
-// snapshot's virtual clock and event-budget accounting. See the package
+// Restore(c, seed) re-seeds the cluster's RNG per experiment while resuming
+// the snapshot's virtual clock and event-budget accounting. See the package
 // documentation for the equivalence contract this implies.
 type Snapshot struct {
 	cfg      Config
@@ -116,20 +123,62 @@ func (s *Snapshot) WorkerView() *Snapshot {
 	return view
 }
 
+// outgrowth is how many times its snapshot's size a cluster's store or audit
+// trail may reach before the cluster is not worth rewinding (see Outgrown).
+const outgrowth = 4
+
+// Outgrown reports whether c, resumed from s, ended its experiment with
+// tables far larger than the snapshot fills: an uncontrolled replication ran
+// away in it (1,400-2,250 pods against a few dozen objects), or thousands of
+// requests failed. Go's maps and slices keep their peak size when emptied, so
+// a rewound c would carry that memory, idle, into every later experiment; the
+// caller drops it instead and forks afresh — once per runaway, 0.7 % of a
+// campaign's experiments.
+func (s *Snapshot) Outgrown(c *Cluster) bool {
+	return c.Backend.Len() > outgrowth*len(s.store.Replicas[0].Items) ||
+		len(c.Server.Audit().Entries) > outgrowth*(len(s.servers[0].Audit.Entries)+256)
+}
+
 // Fork builds a started cluster that resumes from the snapshot: same store
 // contents, same virtual clock, same settled workloads — but all randomness
 // from here on is drawn from a fresh RNG seeded with seed. The fork is
 // already running (components started, leases adopted, data plane primed);
 // drive its Loop directly, there is no bootstrap to await.
+//
+// Fork only allocates: an empty cluster of the snapshot's shape, which Restore
+// then fills. A caller that runs experiment after experiment keeps the
+// cluster instead, Rewinds it when an experiment ends and Restores it for the
+// next — the same Restore, so the two cannot drift apart.
 func (s *Snapshot) Fork(seed int64) *Cluster {
 	cfg := s.cfg.Clone()
 	cfg.Seed = seed
-	loop := sim.NewLoop(seed)
+	c := New(cfg)
+	s.Restore(c, seed)
+	return c
+}
+
+// Restore resumes the snapshot in c, an empty cluster of the snapshot's shape:
+// fresh from New (as in Fork) or rewound (Cluster.Rewind) after an earlier
+// experiment. Every table is refilled in place, so on a rewound cluster the
+// restore allocates next to nothing; what it does is the same either way, and
+// its side effects are part of the contract, in this order: the raft group
+// draws its election timeouts first, kubelets adopt their pods through
+// (access-noted) Gets, watches register in component order (which is
+// same-tick delivery order), timers are scheduled in start order (which
+// breaks ties), and the UID-skew draw precedes the dither draw.
+func (s *Snapshot) Restore(c *Cluster, seed int64) {
+	if len(c.Servers) != len(s.servers) || len(c.nodeOrder) != len(s.kubelets) {
+		panic("cluster: Restore into a cluster of another shape than the snapshot's")
+	}
+	c.cfg.Seed = seed
+	loop := c.Loop
+	// An empty cluster's loop is not quite empty: New started the raft group
+	// of a replicated backend on it.
+	loop.Reset()
+	loop.Seed(seed)
 	loop.Resume(s.now, s.executed)
 
-	backend := newBackend(loop, cfg)
-	store.RestoreSnapshot(backend, s.store)
-	c := assemble(cfg, loop, backend)
+	store.RestoreSnapshot(c.Backend, s.store)
 	// Rebuild each replica's watch cache from the restored store and resume
 	// its admission counters before any component starts issuing requests.
 	for i, srv := range c.Servers {
@@ -168,5 +217,4 @@ func (s *Snapshot) Fork(seed int64) *Cluster {
 	// Run a seed-random phase dither so this fork's component timers
 	// de-phase from every other fork's (see forkDither).
 	loop.RunUntil(loop.Now() + time.Duration(loop.Rand().Int63n(int64(forkDither))))
-	return c
 }

@@ -37,6 +37,13 @@ func newDaemonSetController(m *Manager) *daemonSetController {
 func (c *daemonSetController) start() { c.q.start() }
 func (c *daemonSetController) stop()  { c.q.stop() }
 
+func (c *daemonSetController) reset() {
+	c.q.reset()
+	clear(c.byNodeScratch)
+	c.nodeSeenScratch = emptied(c.nodeSeenScratch)
+	clear(c.nodeGen)
+}
+
 func (c *daemonSetController) enqueueFor(ev apiserver.WatchEvent) {
 	switch ev.Kind {
 	case spec.KindDaemonSet:

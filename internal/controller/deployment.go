@@ -52,6 +52,12 @@ func (c *deploymentController) hashFor(d *spec.Deployment) string {
 func (c *deploymentController) start() { c.q.start() }
 func (c *deploymentController) stop()  { c.q.stop() }
 
+func (c *deploymentController) reset() {
+	c.q.reset()
+	clear(c.hashes)
+	c.ownedScratch = emptied(c.ownedScratch)
+}
+
 func (c *deploymentController) enqueueFor(ev apiserver.WatchEvent) {
 	switch ev.Kind {
 	case spec.KindDeployment:

@@ -47,6 +47,15 @@ func newEndpointsController(m *Manager) *endpointsController {
 func (c *endpointsController) start() { c.q.start() }
 func (c *endpointsController) stop()  { c.q.stop() }
 
+func (c *endpointsController) reset() {
+	c.q.reset()
+	c.addrScratch = emptied(c.addrScratch)
+	c.portScratch = c.portScratch[:0]
+	c.keyScratch = emptied(c.keyScratch)
+	clear(c.byApp)
+	clear(c.podApp)
+}
+
 func (c *endpointsController) enqueueFor(ev apiserver.WatchEvent) {
 	switch ev.Kind {
 	case spec.KindService:
@@ -141,8 +150,12 @@ func (c *endpointsController) rebuildPodIndex() {
 	if consistent && indexed == len(c.podApp) {
 		return
 	}
-	c.byApp = make(map[string]map[string]bool)
-	c.podApp = make(map[string]string)
+	clear(c.byApp)
+	clear(c.podApp)
+	// Pods arrive in namespace/name order, so a workload's pods arrive
+	// together: the previous pod's bucket name is usually this one's too,
+	// and reusing it saves a string per pod (500 daemon pods, one bucket).
+	var bucket string
 	c.m.views.ForEach(spec.KindPod, "", func(po spec.Object) bool {
 		meta := po.Meta()
 		app, ok := meta.Labels[spec.LabelApp]
@@ -150,7 +163,9 @@ func (c *endpointsController) rebuildPodIndex() {
 			return true
 		}
 		key := meta.NamespacedName()
-		bucket := appBucket(meta.Namespace, app)
+		if !bucketMatches(bucket, meta.Namespace, app) {
+			bucket = appBucket(meta.Namespace, app)
+		}
 		c.podApp[key] = bucket
 		set := c.byApp[bucket]
 		if set == nil {

@@ -28,12 +28,17 @@ func newGarbageCollector(m *Manager) *garbageCollector {
 }
 
 func (c *garbageCollector) start() {
-	c.firstMissing = make(map[string]time.Duration)
+	clear(c.firstMissing)
 	c.ticker = c.m.loop.Every(gcInterval, c.collect)
 }
 
 func (c *garbageCollector) stop() {
 	c.ticker.Stop()
+}
+
+func (c *garbageCollector) reset() {
+	c.ticker = sim.Timer{}
+	clear(c.firstMissing)
 }
 
 func (c *garbageCollector) enqueueFor(apiserver.WatchEvent) {}

@@ -76,12 +76,14 @@ type Manager struct {
 	nodes       *nodeLifecycleController
 	gc          *garbageCollector
 
-	// views is the shared informer view set, live while the controllers run.
+	// views is the shared informer view set: started and stopped with the
+	// controllers, and re-primed from the server at every start.
 	views *apiserver.Reflector
+	// resync is the periodic resyncAll, live while the controllers run.
+	resync sim.Timer
 
 	nameSeq int64
 	running bool
-	cancels []func()
 }
 
 // viewKinds are the kinds the manager's informer views mirror — everything
@@ -108,6 +110,10 @@ func NewManager(loop *sim.Loop, srv apiserver.ClientSource, opts Options) *Manag
 	m.endpoints = newEndpointsController(m)
 	m.nodes = newNodeLifecycleController(m)
 	m.gc = newGarbageCollector(m)
+	// The reflector's own periodic resync is disabled: resyncAll reconciles
+	// explicitly so view repair and the level-triggered re-enqueue happen on
+	// one schedule.
+	m.views = apiserver.NewReflector(m.loop, m.client, 0, m.route, viewKinds...)
 	if !opts.DisableLeaderElection {
 		m.elector = election.New(loop, srv.ClientFor(opts.Identity), election.Config{
 			LeaseName:        "kube-controller-manager",
@@ -137,6 +143,24 @@ func (m *Manager) Stop() {
 	m.stopControllers()
 }
 
+// Reset returns the manager to the state NewManager left it in, keeping the
+// memory of its views, queues and indexes: not campaigning, controllers idle
+// with nothing queued or remembered, child-name counter at zero. Nothing is
+// cancelled or released — the loop, the server and the store the manager
+// acted on are being reset with it.
+func (m *Manager) Reset() {
+	if m.elector != nil {
+		m.elector.Reset()
+	}
+	m.running = false
+	m.resync = sim.Timer{}
+	m.views.Reset()
+	for _, c := range m.controllers() {
+		c.reset()
+	}
+	m.nameSeq = 0
+}
+
 // IsLeading reports whether the controllers are active.
 func (m *Manager) IsLeading() bool { return m.running }
 
@@ -150,14 +174,8 @@ func (m *Manager) startControllers() {
 	}
 	// The shared views prime from the server's current state (a fork or
 	// restart re-list) and route every subsequent event to the controllers.
-	// The reflector's own periodic resync is disabled: resyncAll reconciles
-	// explicitly so view repair and the level-triggered re-enqueue happen on
-	// one schedule.
-	m.views = apiserver.NewReflector(m.loop, m.client, 0, m.route, viewKinds...)
 	m.views.Start()
-	m.cancels = append(m.cancels, m.views.Stop)
-	resync := m.loop.Every(resyncInterval, m.resyncAll)
-	m.cancels = append(m.cancels, func() { resync.Stop() })
+	m.resync = m.loop.Every(resyncInterval, m.resyncAll)
 	m.resyncAll()
 }
 
@@ -166,10 +184,8 @@ func (m *Manager) stopControllers() {
 		return
 	}
 	m.running = false
-	for _, cancel := range m.cancels {
-		cancel()
-	}
-	m.cancels = nil
+	m.views.Stop()
+	m.resync.Stop()
 	for _, c := range m.controllers() {
 		c.stop()
 	}
@@ -178,6 +194,9 @@ func (m *Manager) stopControllers() {
 type subController interface {
 	start()
 	stop()
+	// reset forgets everything the controller queued, indexed or remembered,
+	// keeping the memory (see Manager.Reset).
+	reset()
 	// enqueueFor reacts to a watch event.
 	enqueueFor(ev apiserver.WatchEvent)
 	// resync enqueues everything the controller owns.

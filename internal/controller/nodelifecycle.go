@@ -47,12 +47,20 @@ func newNodeLifecycleController(m *Manager) *nodeLifecycleController {
 }
 
 func (c *nodeLifecycleController) start() {
-	c.taintedSince = make(map[string]time.Duration)
+	clear(c.taintedSince)
 	c.ticker = c.m.loop.Every(nodeMonitorPeriod, c.monitor)
 }
 
 func (c *nodeLifecycleController) stop() {
 	c.ticker.Stop()
+}
+
+func (c *nodeLifecycleController) reset() {
+	c.ticker = sim.Timer{}
+	clear(c.taintedSince)
+	c.monitorPending = false
+	c.scratch = emptied(c.scratch)
+	clear(c.nodeGen)
 }
 
 func (c *nodeLifecycleController) enqueueFor(ev apiserver.WatchEvent) {

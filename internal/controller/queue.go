@@ -75,3 +75,19 @@ func (q *queue) stop() {
 
 // start re-enables a stopped queue.
 func (q *queue) start() { q.stopped = false }
+
+// reset returns the queue to the state newQueue left it in; the drain it may
+// have scheduled went with the loop's events.
+func (q *queue) reset() {
+	q.scheduled, q.stopped = false, false
+	clear(q.dirty)
+	q.scratch = emptied(q.scratch)
+}
+
+// emptied returns s at length zero with every element of its array zeroed —
+// past its old length too, where longer earlier uses left references behind —
+// for a scratch buffer that is kept but must hold nothing.
+func emptied[T any](s []T) []T {
+	clear(s[:cap(s)])
+	return s[:0]
+}

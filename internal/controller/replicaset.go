@@ -37,6 +37,11 @@ func newReplicaSetController(m *Manager) *replicaSetController {
 func (c *replicaSetController) start() { c.q.start() }
 func (c *replicaSetController) stop()  { c.q.stop() }
 
+func (c *replicaSetController) reset() {
+	c.q.reset()
+	c.ownedScratch = emptied(c.ownedScratch)
+}
+
 func (c *replicaSetController) enqueueFor(ev apiserver.WatchEvent) {
 	switch ev.Kind {
 	case spec.KindReplicaSet:

@@ -74,6 +74,15 @@ func New(loop *sim.Loop, client *apiserver.Client, cfg Config) *Elector {
 	return &Elector{loop: loop, client: client, cfg: cfg.withDefaults()}
 }
 
+// Reset returns the elector to the state New left it in: not leading, not
+// campaigning. Nothing is released and no callback runs — the loop its ticker
+// was scheduled on and the lease it may have held are being reset with it.
+func (e *Elector) Reset() {
+	e.leading, e.stopped = false, false
+	e.ticker = sim.Timer{}
+	e.lastContact = 0
+}
+
 // Start begins the campaign loop.
 func (e *Elector) Start() {
 	e.stopped = false

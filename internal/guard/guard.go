@@ -100,6 +100,16 @@ func New(loop *sim.Loop, srv apiserver.ClientSource, health func() Health) *Guar
 	}
 }
 
+// Reset returns the guard to the state New left it in: empty journal, nothing
+// on probation, no rollback counted, enabled. The probation timers went with
+// the loop's events.
+func (g *Guard) Reset() {
+	g.Journal = nil
+	clear(g.pending)
+	g.rollbacks = 0
+	g.enabled = true
+}
+
 // Rollbacks reports how many changes the guard reverted.
 func (g *Guard) Rollbacks() int { return g.rollbacks }
 

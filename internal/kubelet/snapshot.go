@@ -57,18 +57,23 @@ func (k *Kubelet) Snapshot() Snapshot {
 	return snap
 }
 
-// RestoreSnapshot adopts the snapshot's pods into a freshly built kubelet.
-// It must run after the API server's cache has been restored (pod specs are
-// re-read through the client, like a kubelet reconciling against the control
-// plane after a restart) and before Start, so the pod watch never sees the
-// adopted pods as new arrivals. Running pods resume in place; pods that were
-// mid-pipeline re-enter the startup pipeline, drawing fresh (per-fork) delays.
+// RestoreSnapshot adopts the snapshot's pods into a kubelet that is freshly
+// built or Reset. It must run after the API server's cache has been restored
+// (pod specs are re-read through the client, like a kubelet reconciling
+// against the control plane after a restart) and before Start, so the pod
+// watch never sees the adopted pods as new arrivals. Running pods resume in
+// place; pods that were mid-pipeline re-enter the startup pipeline, drawing
+// fresh (per-fork) delays.
 func (k *Kubelet) RestoreSnapshot(snap Snapshot) {
 	k.ipSeq = snap.ipSeq
 	for _, image := range snap.pulled {
 		k.pulled[image] = true
 	}
-	for _, ps := range snap.pods {
+	if cap(k.restored) < len(snap.pods) {
+		k.restored = make([]podRuntime, len(snap.pods))
+	}
+	k.restored = k.restored[:len(snap.pods)]
+	for i, ps := range snap.pods {
 		obj, err := k.client.Get(spec.KindPod, ps.namespace, ps.name)
 		if err != nil {
 			continue // deleted between capture and restore: nothing to adopt
@@ -77,7 +82,8 @@ func (k *Kubelet) RestoreSnapshot(snap Snapshot) {
 		if pod.Metadata.UID != ps.uid {
 			continue
 		}
-		rt := &podRuntime{
+		rt := &k.restored[i]
+		*rt = podRuntime{
 			pod:          pod,
 			state:        ps.state,
 			ip:           ps.ip,

@@ -116,14 +116,19 @@ func New(loop *sim.Loop, srv apiserver.ClientSource) *State {
 		nodeDown:         make(map[string]bool),
 		masterIsolated:   -1,
 	}
-	s.cancels = append(s.cancels,
+	s.subscribe()
+	return s
+}
+
+// subscribe registers the data plane's watches with the control plane.
+func (s *State) subscribe() {
+	s.cancels = append(s.cancels[:0],
 		s.client.Watch(spec.KindService, s.onService),
 		s.client.Watch(spec.KindEndpoints, s.onEndpoints),
 		s.client.Watch(spec.KindPod, s.onPod),
 		s.client.Watch(spec.KindNode, s.onNode),
 		s.client.Watch(spec.KindConfigMap, s.onConfigMap),
 	)
-	return s
 }
 
 // Close detaches all watches.
@@ -131,6 +136,30 @@ func (s *State) Close() {
 	for _, cancel := range s.cancels {
 		cancel()
 	}
+}
+
+// Reset returns the data plane to the state New left it in, keeping the
+// memory of its tables: nothing observed, no fault applied, master links
+// intact (the change callback is not fired: the replicated store's
+// reachability is reset by its own owner), watching again. The server must
+// have been Reset first — it forgot the old watches, which are therefore
+// dropped here, not cancelled.
+func (s *State) Reset() {
+	clear(s.services)
+	clear(s.endpoints)
+	clear(s.pods)
+	clear(s.nodes)
+	s.netConfig = ""
+	clear(s.flannelLastReady)
+	clear(s.flannelReady)
+	clear(s.dnsReady)
+	clear(s.podsByIP)
+	clear(s.rr)
+	clear(s.reqTimes)
+	clear(s.zoneDown)
+	clear(s.nodeDown)
+	s.masterIsolated = -1
+	s.subscribe()
 }
 
 // --- control-plane (master) link state ---------------------------------------

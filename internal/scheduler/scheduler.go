@@ -62,7 +62,7 @@ type Scheduler struct {
 	// per-cycle cost is O(nodes), not O(nodes + pods) — the term that matters
 	// once 500-node zoned clusters carry a daemon pod per node.
 	podAlloc map[string]allocEntry
-	nodeUsed map[string]*allocUsage
+	nodeUsed map[string]allocUsage
 	// lastPreempt backs off preemption attempts per pod (the real
 	// scheduler's preemption is similarly rate-limited).
 	lastPreempt map[string]time.Duration
@@ -71,7 +71,11 @@ type Scheduler struct {
 	// drive the pending/assumed bookkeeping (including the cache-self-check
 	// restart), and every scheduling pass reads nodes and pods from the view
 	// instead of re-listing the server.
-	views    *apiserver.Reflector
+	views *apiserver.Reflector
+	// first is the elector New built; a cache-mismatch restart replaces
+	// elector with one campaigning under a fresh identity, and Reset puts
+	// first back.
+	first    *election.Elector
 	restarts int
 	epoch    int
 }
@@ -89,12 +93,43 @@ func New(loop *sim.Loop, srv apiserver.ClientSource, opts Options) *Scheduler {
 		opts:        opts,
 		pending:     make(map[string]bool),
 		assumed:     make(map[string]string),
+		podAlloc:    make(map[string]allocEntry),
+		nodeUsed:    make(map[string]allocUsage),
 		lastPreempt: make(map[string]time.Duration),
 	}
+	s.views = apiserver.NewReflector(loop, s.client, viewResync, s.onViewEvent, spec.KindPod, spec.KindNode)
 	if !opts.DisableLeaderElection {
 		s.newElector(opts.Identity)
+		s.first = s.elector
 	}
 	return s
+}
+
+// Reset returns the scheduler to the state New left it in, keeping the memory
+// of its views and indexes: not campaigning, not running, nothing pending,
+// assumed or charged, no restart counted, the original elector back in place.
+// Nothing is cancelled or released — the loop, the server and the store the
+// scheduler acted on are being reset with it.
+func (s *Scheduler) Reset() {
+	if s.first != nil {
+		s.elector = s.first
+		s.elector.Reset()
+	}
+	s.running = false
+	s.clearCache()
+	s.ticker = sim.Timer{}
+	s.views.Reset()
+	s.restarts, s.epoch = 0, 0
+}
+
+// clearCache empties the scheduler's local cache: what a (re)start rebuilds
+// from the views, and what a cache-mismatch restart distrusts.
+func (s *Scheduler) clearCache() {
+	clear(s.pending)
+	clear(s.assumed)
+	clear(s.podAlloc)
+	clear(s.nodeUsed)
+	clear(s.lastPreempt)
 }
 
 func (s *Scheduler) newElector(identity string) {
@@ -135,13 +170,7 @@ func (s *Scheduler) run() {
 		return
 	}
 	s.running = true
-	s.pending = make(map[string]bool)
-	s.assumed = make(map[string]string)
-	s.podAlloc = make(map[string]allocEntry)
-	s.nodeUsed = make(map[string]*allocUsage)
-	s.lastPreempt = make(map[string]time.Duration)
-	s.views = apiserver.NewReflector(s.loop, s.client, viewResync, s.onViewEvent,
-		spec.KindPod, spec.KindNode)
+	s.clearCache()
 	s.views.Start()
 	s.ticker = s.loop.Every(schedulePeriod, s.scheduleAll)
 	// Prime from the view's initial state (the re-list a restarted scheduler
@@ -164,9 +193,7 @@ func (s *Scheduler) halt() {
 	}
 	s.running = false
 	s.ticker.Stop()
-	if s.views != nil {
-		s.views.Stop()
-	}
+	s.views.Stop()
 }
 
 // onViewEvent reacts to the informer view's events — live watch deliveries
@@ -300,9 +327,10 @@ func (s *Scheduler) trackAlloc(ev apiserver.WatchEvent) {
 	pod := ev.Object.(*spec.Pod)
 	uid := pod.Metadata.UID
 	if prev, ok := s.podAlloc[uid]; ok {
-		if u := s.nodeUsed[prev.node]; u != nil {
+		if u, ok := s.nodeUsed[prev.node]; ok {
 			u.cpu -= prev.cpu
 			u.mem -= prev.mem
+			s.nodeUsed[prev.node] = u
 		}
 		delete(s.podAlloc, uid)
 	}
@@ -320,12 +348,9 @@ func (s *Scheduler) chargePod(pod *spec.Pod) {
 	e := allocEntry{node: pod.Spec.NodeName, cpu: pod.RequestsMilliCPU(), mem: pod.RequestsMemMB()}
 	s.podAlloc[pod.Metadata.UID] = e
 	u := s.nodeUsed[e.node]
-	if u == nil {
-		u = &allocUsage{}
-		s.nodeUsed[e.node] = u
-	}
 	u.cpu += e.cpu
 	u.mem += e.mem
+	s.nodeUsed[e.node] = u
 }
 
 // snapshotNodes computes per-node free resources from the allocation index —
@@ -344,10 +369,9 @@ func (s *Scheduler) snapshotNodes() ([]*nodeInfo, map[string][]*nodeInfo) {
 			freeCPU: node.Status.AllocatableMilliCPU,
 			freeMem: node.Status.AllocatableMemMB,
 		}
-		if u := s.nodeUsed[node.Metadata.Name]; u != nil {
-			info.freeCPU -= u.cpu
-			info.freeMem -= u.mem
-		}
+		u := s.nodeUsed[node.Metadata.Name]
+		info.freeCPU -= u.cpu
+		info.freeMem -= u.mem
 		infos = append(infos, info)
 		if zone := node.Metadata.Labels[spec.LabelZone]; zone != "" {
 			if zones == nil {

@@ -159,6 +159,28 @@ func (l *Loop) Resume(now time.Duration, executed int64) {
 	l.executed = executed
 }
 
+// Reset returns the loop to the state NewLoop left it in — no pending events,
+// clock and counters at zero, no budget — without giving up its memory: every
+// pending event goes back to the free list with its generation bumped, so
+// Timer handles held by whoever scheduled them go stale instead of cancelling
+// an unrelated later use of the struct. The random stream is left where it
+// is; Seed repositions it. Together with Seed and Resume this is how a
+// cluster is rewound for its next experiment instead of being rebuilt.
+func (l *Loop) Reset() {
+	for i, ev := range l.events {
+		l.recycle(ev)
+		l.events[i] = nil
+	}
+	l.events = l.events[:0]
+	l.now, l.seq, l.executed, l.budget = 0, 0, 0, 0
+	l.cancelled = 0
+	l.stopped = false
+}
+
+// Seed re-seeds the loop's random source in place: the stream that follows is
+// the one NewLoop(seed) starts with, without allocating a new 5 KB source.
+func (l *Loop) Seed(seed int64) { l.rng.Seed(seed) }
+
 // BudgetExhausted reports whether the event budget was consumed.
 func (l *Loop) BudgetExhausted() bool { return l.budget > 0 && l.executed >= l.budget }
 

@@ -362,3 +362,56 @@ func TestRunUntilStopped(t *testing.T) {
 		t.Fatalf("ran=%d now=%v, want 1 event and clock at deadline", ran, l2.Now())
 	}
 }
+
+// A reset loop is indistinguishable from a new one of the same seed: nothing
+// pending, the clock and the counters at zero, the same random stream — and
+// every Timer of its earlier life is stale, so stopping one cannot cancel an
+// event that reuses its struct. It gets there without allocating.
+func TestResetIsANewLoopOnOldMemory(t *testing.T) {
+	l := NewLoop(7)
+	l.SetEventBudget(1000)
+	fired := 0
+	var stale []Timer
+	for i := 0; i < 50; i++ {
+		stale = append(stale, l.After(time.Duration(i)*time.Second, func() { fired++ }))
+	}
+	stale = append(stale, l.Every(time.Second, func() { fired++ }))
+	l.Rand().Int63()
+	l.RunUntil(10 * time.Second)
+	before := fired
+
+	l.Reset()
+	l.Seed(42)
+	if l.Pending() != 0 || l.Now() != 0 || l.EventsExecuted() != 0 || l.BudgetExhausted() {
+		t.Fatalf("after Reset: pending=%d now=%v executed=%d", l.Pending(), l.Now(), l.EventsExecuted())
+	}
+	l.Resume(3*time.Second, 17) // panics unless the loop counts as untouched
+	fresh := NewLoop(42)
+	for i := 0; i < 1000; i++ {
+		if a, b := l.Rand().Int63(), fresh.Rand().Int63(); a != b {
+			t.Fatalf("draw %d after Seed(42): %d, a new loop draws %d", i, a, b)
+		}
+	}
+
+	survivor := l.After(time.Second, func() { fired += 100 })
+	for _, tm := range stale {
+		if tm.Pending() || tm.Stop() {
+			t.Fatal("a Timer from before the Reset is still live")
+		}
+	}
+	l.RunUntil(time.Minute)
+	if fired != before+100 || survivor.Pending() {
+		t.Fatalf("fired=%d, want %d: events from before the Reset ran, or a stale Stop cancelled the new one", fired, before+100)
+	}
+
+	noop := func() {}
+	if allocs := testing.AllocsPerRun(20, func() {
+		for i := 0; i < 50; i++ {
+			l.After(time.Second, noop)
+		}
+		l.Reset()
+		l.Seed(1)
+	}); allocs != 0 {
+		t.Errorf("schedule + Reset + Seed allocates %.0f times, want 0", allocs)
+	}
+}

@@ -83,11 +83,29 @@ func NewReplicated(loop *sim.Loop, n int, opts *Options) *Replicated {
 		r.replicas = append(r.replicas, New(loop, opts))
 	}
 	r.primary = r.replicas[0]
-	// The raft group carries no data (writes apply synchronously above); it
-	// models etcd's consensus liveness — election churn under partition and
-	// member loss — and its snapshot transfer backs replica restore.
-	r.cluster = raft.NewCluster(loop, n, func(nodeID int, e raft.Entry) {})
+	r.startRaft()
 	return r
+}
+
+// startRaft starts a fresh raft group on the loop. It carries no data (writes
+// apply synchronously above); it models etcd's consensus liveness — election
+// churn under partition and member loss — and its snapshot transfer backs
+// replica restore. Starting it draws the members' first election timeouts from
+// the loop's random source and schedules them.
+func (r *Replicated) startRaft() {
+	r.cluster = raft.NewCluster(r.loop, len(r.replicas), func(nodeID int, e raft.Entry) {})
+}
+
+// Reset empties every replica (see Store.Reset) and forgets lost members,
+// cuts and catch-up queues. The raft group is left as it is — its timers went
+// with the loop's events — because a restore starts a new one.
+func (r *Replicated) Reset() {
+	for i, rep := range r.replicas {
+		rep.Reset()
+		r.down[i] = false
+		r.missed[i] = nil
+	}
+	clear(r.cut)
 }
 
 // apply commits one accepted op: synchronously at every replica reachable
@@ -279,6 +297,9 @@ func (r *Replicated) MaxRevision() int64 {
 	}
 	return max
 }
+
+// Len returns replica 0's key count.
+func (r *Replicated) Len() int { return r.primary.Len() }
 
 // SizeBytes returns replica 0's size.
 func (r *Replicated) SizeBytes() int64 { return r.primary.SizeBytes() }

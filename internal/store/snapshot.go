@@ -94,10 +94,13 @@ func CaptureSnapshot(b Backend) *Snapshot {
 	}
 }
 
-// RestoreSnapshot loads a snapshot into a freshly constructed Backend of the
-// same shape (same replica count). It must run before any component writes:
-// items are installed directly, without watch notifications, exactly like a
-// store process reopening its database file.
+// RestoreSnapshot loads a snapshot into an empty Backend of the same shape
+// (same replica count): freshly constructed, or Reset on a loop that was reset
+// too. It must run before any component writes: items are installed directly,
+// without watch notifications, exactly like a store process reopening its
+// database file. A replicated backend starts a new raft group as its first
+// step — the group of a fresh backend started on whatever the loop was before
+// it was positioned for the restore, and that of a Reset one is gone.
 func RestoreSnapshot(b Backend, snap *Snapshot) {
 	if snap == nil {
 		return
@@ -106,6 +109,7 @@ func RestoreSnapshot(b Backend, snap *Snapshot) {
 	case *Store:
 		be.restore(snap.Replicas[0])
 	case *Replicated:
+		be.startRaft()
 		for i, rep := range be.replicas {
 			if i < len(snap.Replicas) {
 				rep.restore(snap.Replicas[i])
@@ -129,16 +133,26 @@ func (s *Store) snapshot() StoreSnapshot {
 	return out
 }
 
+// restore replaces the store's contents with the snapshot's. The items live
+// in one array (s.restored), reused when a Reset store is restored again.
 func (s *Store) restore(snap StoreSnapshot) {
-	s.items = make(map[string]*item, len(snap.Items))
-	for _, it := range snap.Items {
-		s.items[it.Key] = &item{
+	clear(s.items)
+	if cap(s.restored) < len(snap.Items) {
+		// First restore (or a larger one): size the map with the array.
+		s.restored = make([]item, len(snap.Items))
+		s.items = make(map[string]*item, len(snap.Items))
+	}
+	s.restored = s.restored[:len(snap.Items)]
+	for i, it := range snap.Items {
+		s.restored[i] = item{
 			kind:      it.Kind,
 			value:     it.Value, // immutable; shared across every fork
 			createRev: it.CreateRev,
 			modRev:    it.ModRev,
 		}
+		s.items[it.Key] = &s.restored[i]
 	}
+	s.sorted = snap.Items
 	s.rev = snap.Rev
 	s.size = snap.Size
 }

@@ -2,7 +2,11 @@ package store
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
+	"time"
+
+	"github.com/mutiny-sim/mutiny/internal/spec"
 )
 
 // TestSnapshotCloneIsDeepAndEqual: a clone carries byte-equal content in
@@ -49,5 +53,65 @@ func TestSnapshotCloneIsDeepAndEqual(t *testing.T) {
 
 	if (*Snapshot)(nil).Clone() != nil {
 		t.Fatal("nil snapshot must clone to nil")
+	}
+}
+
+// A Reset store restored from a snapshot equals a new store restored from it,
+// reuses its item array, and lists without sorting only while nothing has
+// touched it since: any write, delete or at-rest rewrite must show in the
+// next List.
+func TestResetAndRestoreInPlace(t *testing.T) {
+	loop, s := newTestStore(t)
+	for _, k := range []string{"/registry/Pod/default/b", "/registry/Pod/default/a", "/registry/Node//n1"} {
+		if _, err := s.Put(k, spec.KindPod, []byte("v-"+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := CaptureSnapshot(s)
+
+	delivered := 0
+	s.Watch("/registry/", func(Event) { delivered++ })
+	s.OnRewrite(func(string) {})
+	_, _ = s.Put("/registry/Pod/default/zzz", spec.KindPod, []byte("dirty"))
+	s.Delete("/registry/Node//n1")
+	s.Reset()
+	loop.Reset()
+	if s.Len() != 0 || s.Revision() != 0 || s.SizeBytes() != 0 || len(s.watchers) != 0 || len(s.rewriteHooks) != 0 {
+		t.Fatalf("after Reset: %d keys, rev %d, %d bytes, %d watchers, %d hooks", s.Len(), s.Revision(), s.SizeBytes(), len(s.watchers), len(s.rewriteHooks))
+	}
+
+	RestoreSnapshot(s, snap)
+	array := &s.restored[0]
+	fresh := New(loop, nil)
+	RestoreSnapshot(fresh, snap)
+	if got, want := s.List("/registry/"), fresh.List("/registry/"); !reflect.DeepEqual(got, want) || len(got) != 3 {
+		t.Fatalf("restored in place lists %v, a new store %v", got, want)
+	}
+	if s.Revision() != fresh.Revision() || s.SizeBytes() != fresh.SizeBytes() {
+		t.Fatalf("rev/size %d/%d, a new store has %d/%d", s.Revision(), s.SizeBytes(), fresh.Revision(), fresh.SizeBytes())
+	}
+
+	_, _ = s.Put("/registry/Pod/default/0-first", spec.KindPod, []byte("new"))
+	if l := s.List("/registry/Pod/"); len(l) != 3 || l[0].Key != "/registry/Pod/default/0-first" {
+		t.Fatalf("List after a Put: %v", l)
+	}
+	loop.RunUntil(time.Second)
+	if delivered != 0 {
+		t.Fatalf("a watcher from before the Reset heard %d events: undelivered ones go with the loop's, later ones have no subscriber", delivered)
+	}
+	s.Reset()
+	RestoreSnapshot(s, snap)
+	if &s.restored[0] != array {
+		t.Error("the second restore did not reuse the item array")
+	}
+	s.Delete("/registry/Pod/default/a")
+	if l := s.List("/registry/Pod/"); len(l) != 1 {
+		t.Fatalf("List after a Delete: %v", l)
+	}
+	s.Reset()
+	RestoreSnapshot(s, snap)
+	s.CorruptAtRest("/registry/Pod/default/b", func(b []byte) []byte { return []byte("rotten") })
+	if l := s.List("/registry/Pod/default/b"); len(l) != 1 || string(l[0].Value) != "rotten" {
+		t.Fatalf("List after CorruptAtRest: %v", l)
 	}
 }

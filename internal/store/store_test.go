@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -367,5 +368,38 @@ func TestReplicatedOnRewriteObservesPrimaryOnly(t *testing.T) {
 	r.Primary().CorruptAtRest("/registry/Pod/default/a", func(b []byte) []byte { b[0] ^= 1; return b })
 	if len(rewritten) != 1 {
 		t.Fatalf("primary corruption observed %d times, want 1", len(rewritten))
+	}
+}
+
+// The store's watcher list follows the API server's rule (see
+// TestCancelStormSweepsLogarithmically there): cancelled entries are swept
+// once they are half the list, and the survivors keep their order.
+func TestWatchCancelStormSweepsLogarithmically(t *testing.T) {
+	loop, s := newTestStore(t)
+	const n = 500
+	var heard []int
+	var cancels []func()
+	for i := 0; i < n+5; i++ {
+		cancel := s.Watch("/registry/", func(Event) { heard = append(heard, i) })
+		if i%100 != 50 {
+			cancels = append(cancels, cancel)
+		}
+	}
+	sweeps, size := 0, len(s.watchers)
+	for _, cancel := range cancels {
+		cancel()
+		if len(s.watchers) != size {
+			sweeps, size = sweeps+1, len(s.watchers)
+		}
+	}
+	if sweeps == 0 || sweeps > 10 {
+		t.Errorf("%d cancels swept the watcher list %d times, want 1 to 10", len(cancels), sweeps)
+	}
+	if _, err := s.Put("/registry/Pod/default/a", spec.KindPod, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	loop.RunUntil(time.Second)
+	if want := []int{50, 150, 250, 350, 450}; !reflect.DeepEqual(heard, want) {
+		t.Fatalf("event reached watchers %v, want %v in that order", heard, want)
 	}
 }

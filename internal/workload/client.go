@@ -47,6 +47,10 @@ type Client struct {
 	nsKey  string
 	svcKey string
 
+	// Records is the request log, one entry per request issued. A caller that
+	// runs client after client may set it, before Start, to an empty slice of
+	// its own to log into (nothing retains it once the series is read);
+	// otherwise Start allocates it.
 	Records []RequestRecord
 	ticker  sim.Timer
 	sent    int
@@ -61,13 +65,15 @@ func NewClient(cl *cluster.Cluster, namespace, service string) *Client {
 		service: service,
 		nsKey:   namespace + "/" + service,
 		svcKey:  spec.Key(spec.KindService, namespace, service),
-		Records: make([]RequestRecord, 0, TotalRequests),
 	}
 }
 
 // Start begins issuing requests on the simulation loop; it stops by itself
 // after TotalRequests.
 func (c *Client) Start() {
+	if c.Records == nil {
+		c.Records = make([]RequestRecord, 0, TotalRequests)
+	}
 	c.view = apiserver.NewReflector(c.cl.Loop, c.api, readinessResync, nil, spec.KindService)
 	c.view.Start()
 	c.ticker = c.cl.Loop.Every(requestInterval, c.issue)

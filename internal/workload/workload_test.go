@@ -167,3 +167,33 @@ func TestAppManifestShape(t *testing.T) {
 		t.Fatal("service selector wrong")
 	}
 }
+
+// The client logs into the caller's record buffer when it is given one — a
+// campaign worker lends the same one to every experiment — and allocates its
+// own only at Start, only otherwise.
+func TestClientLogsIntoSuppliedRecords(t *testing.T) {
+	c := bootCluster(t, 6)
+	d := NewDriver(c, Deploy)
+	d.Run()
+	ns, svc := d.TargetService()
+
+	own := NewClient(c, ns, svc)
+	if own.Records != nil {
+		t.Fatal("NewClient allocated the record buffer")
+	}
+	lent := NewClient(c, ns, svc)
+	buf := make([]RequestRecord, 0, TotalRequests)
+	lent.Records = buf
+	own.Start()
+	lent.Start()
+	c.Loop.RunUntil(c.Loop.Now() + ClientDuration + time.Second)
+	if !own.Done() || !lent.Done() || len(own.Records) != TotalRequests || len(lent.Records) != TotalRequests {
+		t.Fatalf("series incomplete: %d and %d records", len(own.Records), len(lent.Records))
+	}
+	if &lent.Records[0] != &buf[:1][0] {
+		t.Error("the client did not log into the buffer it was lent")
+	}
+	if own.Series()[TotalRequests-1] == 0 || lent.TrailingFailures() != 0 {
+		t.Error("requests against a ready service failed")
+	}
+}

@@ -43,7 +43,7 @@
 // # Performance model
 //
 // Campaign wall-clock is dominated by per-experiment simulation cost, which
-// five mechanisms keep low:
+// these mechanisms keep low:
 //
 //   - Copy-on-write objects. API reads (APIClient.Get/List, watch events)
 //     return sealed, immutable references shared with the server's watch
@@ -101,22 +101,33 @@
 //     bytes are always decoded — and re-encoded — for real.
 //
 //   - Shared bootstrap snapshots (CampaignConfig.ShareBootstrap, CLI
-//     -share-bootstrap, bench MUTINY_SHARE=1). Each experiment forks a
+//     -share-bootstrap, bench MUTINY_SHARE=1). Each experiment resumes a
 //     settled per-workload snapshot instead of replaying the ~20 s simulated
 //     bootstrap. Snapshots are cached process-wide, keyed on the cluster
 //     configuration plus workload, so every Runner in the process bootstraps
-//     each workload at most once. Reflector views established on a fork prime
-//     from the restored store — the same re-list a restarted component
-//     performs.
+//     each workload at most once. Reflector views established on a resumed
+//     cluster prime from the restored store — the same re-list a restarted
+//     component performs.
+//
+//   - Rewind, don't rebuild. A campaign worker forks a snapshot once and
+//     keeps the cluster: when an experiment ends the cluster is rewound —
+//     every table emptied in place, every hook, watch, timer and fault gone,
+//     the component graph (at 500 nodes: 501 kubelets, their clients and
+//     indexes) intact — and the next experiment on that snapshot restores it
+//     in place. Fork is "allocate an empty cluster, then run that same
+//     restore", so the two cannot drift apart. A cluster an experiment blew
+//     up (a runaway ReplicaSet, thousands of failed requests) is dropped
+//     instead, so no worker sits on a storm's memory.
 //
 //   - Contention-free parallel execution (CampaignConfig.Parallelism, CLI
 //     -parallel, bench MUTINY_PARALLEL). Experiments are isolated
 //     simulations merged in generated order; outputs are bit-identical for
 //     every worker count. Each worker owns the mutable state its running
 //     experiment touches — its classification buffer pool and the
-//     per-apiserver codec arenas for encode buffers — and shares only
-//     immutable data: golden baselines, sealed objects, and the bootstrap
-//     snapshots every worker forks from.
+//     per-apiserver codec arenas for encode buffers, inside the rewound
+//     cluster it keeps per snapshot — and shares only immutable data: golden
+//     baselines, sealed objects, and the bootstrap snapshots every worker
+//     restores from.
 //
 //   - Multi-process sharding (CampaignConfig.Shards/ShardIndex, CLI
 //     -shards/-shard-index). Campaign generation is deterministic, so each
