@@ -106,6 +106,22 @@ func run(args []string) error {
 	if *policy != "" && *policy != "Fail" && *policy != "Ignore" {
 		return fmt.Errorf("-failure-policy must be Fail or Ignore, got %q", *policy)
 	}
+	// Counts: 0 means "the default"; a negative one means nothing and must
+	// not reach the simulator.
+	for _, f := range []struct {
+		name string
+		val  int
+	}{
+		{"golden", *golden}, {"control-plane-replicas", *replicas}, {"admission-hooks", *hooks},
+		{"nodes", *nodes}, {"zones", *zones}, {"edge-nodes", *edgeNodes},
+	} {
+		if f.val < 0 {
+			return fmt.Errorf("-%s must be >= 0, got %d", f.name, f.val)
+		}
+	}
+	if *hooks > 3 {
+		return fmt.Errorf("-admission-hooks must be 0-3, got %d", *hooks)
+	}
 
 	cfg := mutiny.CampaignConfig{
 		GoldenRuns:           *golden,

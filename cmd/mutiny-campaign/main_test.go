@@ -13,3 +13,25 @@ func TestRunRejectsUnknownWorkload(t *testing.T) {
 		t.Fatalf("run = %v, want unknown-workload error", err)
 	}
 }
+
+// Out-of-range counts are rejected where they enter, before any cluster is
+// built from them.
+func TestRunRejectsOutOfRangeCounts(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string // substring of the error
+	}{
+		{[]string{"-control-plane-replicas", "-1"}, "-control-plane-replicas must be >= 0, got -1"},
+		{[]string{"-nodes", "-3"}, "-nodes must be >= 0, got -3"},
+		{[]string{"-zones", "-2"}, "-zones must be >= 0, got -2"},
+		{[]string{"-edge-nodes", "-1"}, "-edge-nodes must be >= 0, got -1"},
+		{[]string{"-golden", "-5"}, "-golden must be >= 0, got -5"},
+		{[]string{"-admission-hooks", "-1"}, "-admission-hooks must be >= 0, got -1"},
+		{[]string{"-admission-hooks", "4"}, "-admission-hooks must be 0-3, got 4"},
+	} {
+		err := run(append([]string{"-quiet"}, tc.args...))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v) = %v, want error containing %q", tc.args, err, tc.want)
+		}
+	}
+}

@@ -56,6 +56,14 @@ func parse(args []string) (mutiny.Spec, int, error) {
 	if err != nil {
 		return mutiny.Spec{}, 0, err
 	}
+	switch {
+	case *bit < 0 || *bit > 63:
+		return mutiny.Spec{}, 0, fmt.Errorf("-bit must be 0-63, got %d", *bit)
+	case *char < 0:
+		return mutiny.Spec{}, 0, fmt.Errorf("-char must be >= 0, got %d", *char)
+	case *occ < 1:
+		return mutiny.Spec{}, 0, fmt.Errorf("-occurrence must be >= 1, got %d", *occ)
+	}
 
 	in := mutiny.Injection{
 		Kind:         mutiny.ResourceKind(*kind),

@@ -22,6 +22,29 @@ func TestParseRejectsUnknownNames(t *testing.T) {
 	}
 }
 
+func TestParseRejectsOutOfRangeIndexes(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string // substring of the error; "" = accepted
+	}{
+		{[]string{"-bit", "-3"}, "-bit must be 0-63, got -3"},
+		{[]string{"-bit", "64"}, "-bit must be 0-63, got 64"},
+		{[]string{"-bit", "63"}, ""},
+		{[]string{"-char", "-1"}, "-char must be >= 0, got -1"},
+		{[]string{"-char", "0"}, ""},
+		{[]string{"-occurrence", "0"}, "-occurrence must be >= 1, got 0"},
+		{[]string{"-occurrence", "-2"}, "-occurrence must be >= 1, got -2"},
+	} {
+		_, _, err := parse(tc.args)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("parse(%v) = %v, want accepted", tc.args, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("parse(%v) = %v, want error containing %q", tc.args, err, tc.want)
+		}
+	}
+}
+
 func TestParseChannelsAndWorkloads(t *testing.T) {
 	channels := map[string]string{
 		"store":   mutiny.ChannelStore.String(),

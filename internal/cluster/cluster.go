@@ -111,10 +111,10 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Workers == 0 {
+	if c.Workers <= 0 {
 		c.Workers = 4
 	}
-	if c.ControlPlaneReplicas == 0 {
+	if c.ControlPlaneReplicas < 1 {
 		c.ControlPlaneReplicas = 1
 	}
 	if c.NodeMilliCPU == 0 {

@@ -56,6 +56,16 @@ func appService(name string) *spec.Service {
 	}
 }
 
+// Negative counts from an API caller mean the defaults, not a panic in
+// assemble or a cluster without worker nodes.
+func TestNegativeCountsMeanDefaults(t *testing.T) {
+	c, def := New(Config{Workers: -3, ControlPlaneReplicas: -1}), New(Config{})
+	if len(c.Servers) != len(def.Servers) || len(c.Kubelets) != len(def.Kubelets) {
+		t.Fatalf("%d servers, %d kubelets, want the default cluster's %d and %d",
+			len(c.Servers), len(c.Kubelets), len(def.Servers), len(def.Kubelets))
+	}
+}
+
 func TestClusterBootstrap(t *testing.T) {
 	c := bootCluster(t, 1)
 	admin := c.Client("test")

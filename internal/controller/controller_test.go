@@ -1,6 +1,8 @@
 package controller
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -428,22 +430,25 @@ func TestEvictionsResumeWithoutFullDisruption(t *testing.T) {
 	}
 }
 
-func TestDaemonSetOnePodPerNode(t *testing.T) {
-	h := newHarness(t, Options{})
-	ds := &spec.DaemonSet{
-		Metadata: spec.ObjectMeta{Name: "agent", Namespace: spec.DefaultNamespace,
-			Labels: map[string]string{"app": "agent"}},
+func testDS(name string) *spec.DaemonSet {
+	return &spec.DaemonSet{
+		Metadata: spec.ObjectMeta{Name: name, Namespace: spec.DefaultNamespace,
+			Labels: map[string]string{"app": name}},
 		Spec: spec.DaemonSetSpec{
-			Selector: spec.LabelSelector{MatchLabels: map[string]string{"app": "agent"}},
+			Selector: spec.LabelSelector{MatchLabels: map[string]string{"app": name}},
 			Template: spec.PodTemplate{
-				Labels: map[string]string{"app": "agent"},
+				Labels: map[string]string{"app": name},
 				Spec: spec.PodSpec{Containers: []spec.Container{{
 					Name: "a", Image: "registry.local/agent:1", Command: []string{"serve"},
 				}}},
 			},
 		},
 	}
-	if err := h.c.Create(ds); err != nil {
+}
+
+func TestDaemonSetOnePodPerNode(t *testing.T) {
+	h := newHarness(t, Options{})
+	if err := h.c.Create(testDS("agent")); err != nil {
 		t.Fatal(err)
 	}
 	h.heartbeatNodes()
@@ -454,5 +459,161 @@ func TestDaemonSetOnePodPerNode(t *testing.T) {
 	}
 	if perNode["worker-0"] != 1 || perNode["worker-1"] != 1 {
 		t.Fatalf("daemon pods per node = %v, want one each", perNode)
+	}
+}
+
+// readyPod creates a running, ready, addressed pod — what a kubelet would
+// have made of it — with the given labels.
+func (h *harness) readyPod(t *testing.T, ns, name, ip string, labels map[string]string) {
+	t.Helper()
+	pod := &spec.Pod{
+		Metadata: spec.ObjectMeta{Name: name, Namespace: ns, Labels: labels},
+		Spec: spec.PodSpec{NodeName: "worker-0", Containers: []spec.Container{{
+			Name: "c", Image: "registry.local/web:1", Command: []string{"serve"},
+		}}},
+	}
+	if err := h.c.Create(pod); err != nil {
+		t.Fatal(err)
+	}
+	h.run(10 * time.Millisecond) // reads see the create once the loop has run
+	obj, err := h.c.Get(spec.KindPod, ns, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pod = spec.CloneForWriteAs(obj.(*spec.Pod))
+	pod.Status = spec.PodStatus{Phase: spec.PodRunning, Ready: true, PodIP: ip}
+	if err := h.c.UpdateStatus(pod); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func (h *harness) service(t *testing.T, ns, name string, selector map[string]string) {
+	t.Helper()
+	svc := &spec.Service{
+		Metadata: spec.ObjectMeta{Name: name, Namespace: ns},
+		Spec: spec.ServiceSpec{
+			Selector: selector,
+			Ports:    []spec.ServicePort{{Port: 80, TargetPort: 8080, Protocol: "TCP"}},
+		},
+	}
+	if err := h.c.Create(svc); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// backends lists the pod names behind a service, in endpoint-table order.
+func (h *harness) backends(t *testing.T, ns, name string) []string {
+	t.Helper()
+	obj, err := h.c.Get(spec.KindEndpoints, ns, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, sub := range obj.(*spec.Endpoints).Subsets {
+		for _, a := range sub.Addresses {
+			names = append(names, a.TargetRef.Name)
+		}
+	}
+	return names
+}
+
+// Every selector shape syncs by the one namespace scan of the pod view:
+// addresses come out in pod-name order, a selector with or without an app
+// label sees exactly its pods, and another namespace's pods never qualify.
+func TestEndpointsSelectorShapes(t *testing.T) {
+	h := newHarness(t, Options{})
+	ns := spec.DefaultNamespace
+	// Created out of name order on purpose.
+	h.readyPod(t, ns, "web-c", "10.244.0.3", map[string]string{"app": "web"})
+	h.readyPod(t, ns, "db-a", "10.244.0.4", map[string]string{"tier": "back"})
+	h.readyPod(t, ns, "web-a", "10.244.0.1", map[string]string{"app": "web", "tier": "front"})
+	h.readyPod(t, ns, "web-b", "10.244.0.2", map[string]string{"app": "web", "tier": "back"})
+	h.readyPod(t, "other", "web-0", "10.244.0.9", map[string]string{"app": "web", "tier": "back"})
+
+	shapes := []struct {
+		svc      string
+		selector map[string]string
+		want     []string
+	}{
+		{"by-app", map[string]string{"app": "web"}, []string{"web-a", "web-b", "web-c"}},
+		{"by-app-and-tier", map[string]string{"app": "web", "tier": "front"}, []string{"web-a"}},
+		{"without-app", map[string]string{"tier": "back"}, []string{"db-a", "web-b"}},
+		{"no-match", map[string]string{"app": "nothing"}, nil},
+		{"manual", nil, nil}, // selector-less: the controller adds no address
+	}
+	for _, s := range shapes {
+		h.service(t, ns, s.svc, s.selector)
+	}
+	h.run(time.Second)
+	for _, s := range shapes {
+		if got := h.backends(t, ns, s.svc); !slices.Equal(got, s.want) {
+			t.Errorf("service %s %v: backends %v, want %v", s.svc, s.selector, got, s.want)
+		}
+	}
+
+	// A pod relabelled out of a selector stops matching the services its
+	// event is routed to, so it is the resync that drops its address.
+	obj, err := h.c.Get(spec.KindPod, ns, "web-b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pod := spec.CloneForWriteAs(obj.(*spec.Pod))
+	pod.Metadata.Labels = map[string]string{"app": "retired"}
+	if err := h.c.Update(pod); err != nil {
+		t.Fatal(err)
+	}
+	h.run(resyncInterval + time.Second)
+	for svc, want := range map[string][]string{
+		"by-app":      {"web-a", "web-c"},
+		"without-app": {"db-a"},
+	} {
+		if got := h.backends(t, ns, svc); !slices.Equal(got, want) {
+			t.Errorf("after relabel, service %s: backends %v, want %v", svc, got, want)
+		}
+	}
+}
+
+// A sync that finds nothing to do walks the view and compares in place: its
+// allocations must not grow with what it walks. For the endpoints controller
+// that is the pods of the namespace, for the DaemonSet controller the nodes.
+func TestNoOpSyncAllocationsDoNotScale(t *testing.T) {
+	endpointsSync := func(pods int) float64 {
+		h := newHarness(t, Options{})
+		for i := 0; i < pods; i++ {
+			h.readyPod(t, spec.DefaultNamespace, fmt.Sprintf("web-%03d", i), fmt.Sprintf("10.244.%d.%d", i/250, i%250+1),
+				map[string]string{"app": "web"})
+		}
+		h.service(t, spec.DefaultNamespace, "web", map[string]string{"app": "web"})
+		h.run(time.Second)
+		if got := len(h.backends(t, spec.DefaultNamespace, "web")); got != pods {
+			t.Fatalf("setup: %d backends, want %d", got, pods)
+		}
+		h.m.endpoints.sync("default/web") // warm-up: sizes the scratch
+		return testing.AllocsPerRun(10, func() { h.m.endpoints.sync("default/web") })
+	}
+	if few, many := endpointsSync(3), endpointsSync(300); few != many {
+		t.Errorf("no-op endpoints sync: %.0f allocs with 3 pods, %.0f with 300", few, many)
+	}
+
+	daemonSetSync := func(nodes int) float64 {
+		h := newHarness(t, Options{})
+		for i := 2; i < nodes; i++ { // the harness brings worker-0 and worker-1
+			node := &spec.Node{Metadata: spec.ObjectMeta{Name: fmt.Sprintf("worker-%d", i)}}
+			if err := h.c.Create(node); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := h.c.Create(testDS("agent")); err != nil {
+			t.Fatal(err)
+		}
+		h.run(time.Second)
+		if got := len(h.pods(spec.DefaultNamespace)); got != nodes {
+			t.Fatalf("setup: %d daemon pods, want %d", got, nodes)
+		}
+		h.m.daemonSets.sync("default/agent")
+		return testing.AllocsPerRun(10, func() { h.m.daemonSets.sync("default/agent") })
+	}
+	if few, many := daemonSetSync(5), daemonSetSync(50); few != many {
+		t.Errorf("steady-state DaemonSet sync: %.0f allocs on 5 nodes, %.0f on 50", few, many)
 	}
 }

@@ -17,7 +17,7 @@ type daemonSetController struct {
 	q *queue
 	// byNodeScratch / nodeSeenScratch are the per-sync grouping structures,
 	// reused across syncs (neither outlives the sync call).
-	byNodeScratch   map[string][]*spec.Pod
+	byNodeScratch   map[string]nodePods
 	nodeSeenScratch []string
 	// nodeGen remembers each node's last-seen Generation. Generation only
 	// moves on spec updates, and nodeEligible reads nothing outside spec,
@@ -26,6 +26,24 @@ type daemonSetController struct {
 	// nodes those heartbeats would otherwise re-sync every DaemonSet
 	// (a full pod+node scan each) about twenty times a second.
 	nodeGen map[string]int64
+}
+
+// nodePods is one node's share of a DaemonSet's pods, in view order. The
+// steady state is exactly one pod per node, so the first is kept by value:
+// the scratch map is cleared every sync, and a slice per node would be
+// allocated afresh each time (500 nodes × every resync).
+type nodePods struct {
+	first *spec.Pod
+	more  []*spec.Pod
+}
+
+// all materialises the group as a slice, for the rare paths that act on
+// every pod of a node: ineligible node, duplicates, vanished node.
+func (g nodePods) all() []*spec.Pod {
+	if g.first == nil {
+		return nil
+	}
+	return append([]*spec.Pod{g.first}, g.more...)
 }
 
 func newDaemonSetController(m *Manager) *daemonSetController {
@@ -98,7 +116,7 @@ func (c *daemonSetController) sync(key string) {
 	// order so the missing-node sweep below is deterministic (map iteration
 	// would randomize delete order between runs).
 	if c.byNodeScratch == nil {
-		c.byNodeScratch = make(map[string][]*spec.Pod)
+		c.byNodeScratch = make(map[string]nodePods)
 	} else {
 		clear(c.byNodeScratch)
 	}
@@ -120,10 +138,14 @@ func (c *daemonSetController) sync(key string) {
 			c.releasePod(pod)
 			return true
 		}
-		if _, seen := podsByNode[pod.Spec.NodeName]; !seen {
+		group, seen := podsByNode[pod.Spec.NodeName]
+		if !seen {
 			nodeSeen = append(nodeSeen, pod.Spec.NodeName)
+			group.first = pod
+		} else {
+			group.more = append(group.more, pod)
 		}
-		podsByNode[pod.Spec.NodeName] = append(podsByNode[pod.Spec.NodeName], pod)
+		podsByNode[pod.Spec.NodeName] = group
 		return true
 	})
 
@@ -131,26 +153,27 @@ func (c *daemonSetController) sync(key string) {
 	c.m.views.ForEach(spec.KindNode, "", func(no spec.Object) bool {
 		node := no.(*spec.Node)
 		eligible := c.nodeEligible(ds, node)
-		pods := podsByNode[node.Metadata.Name]
+		group := podsByNode[node.Metadata.Name]
 		delete(podsByNode, node.Metadata.Name)
 		if !eligible {
-			for _, pod := range pods {
+			for _, pod := range group.all() {
 				_ = c.m.client.Delete(spec.KindPod, ns, pod.Metadata.Name)
 			}
 			return true
 		}
 		desired++
 		switch {
-		case len(pods) == 0:
+		case group.first == nil:
 			c.createPod(ds, node.Metadata.Name)
-		case len(pods) > 1:
+		case len(group.more) > 0:
+			pods := group.all()
 			for _, pod := range podsToDelete(pods, len(pods)-1) {
 				_ = c.m.client.Delete(spec.KindPod, ns, pod.Metadata.Name)
 			}
 			current++
 		default:
 			current++
-			if pods[0].Status.Ready {
+			if group.first.Status.Ready {
 				ready++
 			}
 		}
@@ -158,7 +181,7 @@ func (c *daemonSetController) sync(key string) {
 	})
 	// Pods on nodes that no longer exist, in first-seen node order.
 	for _, name := range nodeSeen {
-		for _, pod := range podsByNode[name] {
+		for _, pod := range podsByNode[name].all() {
 			_ = c.m.client.Delete(spec.KindPod, ns, pod.Metadata.Name)
 		}
 	}

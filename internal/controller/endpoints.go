@@ -2,7 +2,6 @@ package controller
 
 import (
 	"errors"
-	"sort"
 
 	"github.com/mutiny-sim/mutiny/internal/apiserver"
 	"github.com/mutiny-sim/mutiny/internal/spec"
@@ -22,24 +21,10 @@ type endpointsController struct {
 	// again once sync returns.
 	addrScratch []spec.EndpointAddress
 	portScratch []int64
-	// byApp / podApp index pod keys by namespace and app-label value,
-	// maintained from the pod events the controller already receives and
-	// rebuilt at every resync (the lost-watch-event safety net). A service
-	// whose selector names an app syncs against its own bucket instead of
-	// scanning every pod in the namespace, so sync cost tracks the service's
-	// backend set — not the 500 daemon pods a zoned cluster parks in
-	// kube-system.
-	byApp      map[string]map[string]bool // "ns/app" → pod keys
-	podApp     map[string]string          // pod key → its current bucket
-	keyScratch []string
 }
 
 func newEndpointsController(m *Manager) *endpointsController {
-	c := &endpointsController{
-		m:      m,
-		byApp:  make(map[string]map[string]bool),
-		podApp: make(map[string]string),
-	}
+	c := &endpointsController{m: m}
 	c.q = newQueue(m.loop, syncDelay, c.sync)
 	return c
 }
@@ -51,9 +36,6 @@ func (c *endpointsController) reset() {
 	c.q.reset()
 	c.addrScratch = emptied(c.addrScratch)
 	c.portScratch = c.portScratch[:0]
-	c.keyScratch = emptied(c.keyScratch)
-	clear(c.byApp)
-	clear(c.podApp)
 }
 
 func (c *endpointsController) enqueueFor(ev apiserver.WatchEvent) {
@@ -61,7 +43,6 @@ func (c *endpointsController) enqueueFor(ev apiserver.WatchEvent) {
 	case spec.KindService:
 		c.q.add(objKey(ev.Object))
 	case spec.KindPod:
-		c.trackPod(ev)
 		// Only services selecting this pod (or that could have) are affected.
 		meta := ev.Object.Meta()
 		c.m.views.ForEach(spec.KindService, meta.Namespace, func(so spec.Object) bool {
@@ -78,110 +59,10 @@ func (c *endpointsController) enqueueFor(ev apiserver.WatchEvent) {
 }
 
 func (c *endpointsController) resync() {
-	c.rebuildPodIndex()
 	c.m.views.ForEach(spec.KindService, "", func(o spec.Object) bool {
 		c.q.add(objKey(o))
 		return true
 	})
-}
-
-// appBucket names the index bucket for a pod's namespace and app label, or
-// "" when the pod carries no app label (such pods are only reachable through
-// the full-scan path).
-func appBucket(ns, app string) string { return ns + "/" + app }
-
-// trackPod keeps the app index in step with one pod event.
-func (c *endpointsController) trackPod(ev apiserver.WatchEvent) {
-	meta := ev.Object.Meta()
-	key := meta.NamespacedName()
-	bucket := ""
-	if ev.Type != apiserver.Deleted {
-		if app, ok := meta.Labels[spec.LabelApp]; ok {
-			bucket = appBucket(meta.Namespace, app)
-		}
-	}
-	prev, had := c.podApp[key]
-	if had && prev == bucket {
-		return
-	}
-	if had {
-		if set := c.byApp[prev]; set != nil {
-			delete(set, key)
-			if len(set) == 0 {
-				delete(c.byApp, prev)
-			}
-		}
-		delete(c.podApp, key)
-	}
-	if bucket == "" {
-		return
-	}
-	c.podApp[key] = bucket
-	set := c.byApp[bucket]
-	if set == nil {
-		set = make(map[string]bool)
-		c.byApp[bucket] = set
-	}
-	set[key] = true
-}
-
-// rebuildPodIndex re-converges the app index with the views — the resync
-// repair after lost watch events, and the initial build (the first resync
-// runs right after the views prime). The steady state is a pure verification
-// pass: every indexed pod still matches, so nothing is allocated — at 500
-// nodes a from-scratch rebuild every resync was one of the two largest
-// allocation sources in the whole experiment window.
-func (c *endpointsController) rebuildPodIndex() {
-	indexed := 0
-	consistent := true
-	c.m.views.ForEach(spec.KindPod, "", func(po spec.Object) bool {
-		meta := po.Meta()
-		app, ok := meta.Labels[spec.LabelApp]
-		if !ok {
-			return true
-		}
-		indexed++
-		if !bucketMatches(c.podApp[meta.NamespacedName()], meta.Namespace, app) {
-			consistent = false
-			return false
-		}
-		return true
-	})
-	if consistent && indexed == len(c.podApp) {
-		return
-	}
-	clear(c.byApp)
-	clear(c.podApp)
-	// Pods arrive in namespace/name order, so a workload's pods arrive
-	// together: the previous pod's bucket name is usually this one's too,
-	// and reusing it saves a string per pod (500 daemon pods, one bucket).
-	var bucket string
-	c.m.views.ForEach(spec.KindPod, "", func(po spec.Object) bool {
-		meta := po.Meta()
-		app, ok := meta.Labels[spec.LabelApp]
-		if !ok {
-			return true
-		}
-		key := meta.NamespacedName()
-		if !bucketMatches(bucket, meta.Namespace, app) {
-			bucket = appBucket(meta.Namespace, app)
-		}
-		c.podApp[key] = bucket
-		set := c.byApp[bucket]
-		if set == nil {
-			set = make(map[string]bool)
-			c.byApp[bucket] = set
-		}
-		set[key] = true
-		return true
-	})
-}
-
-// bucketMatches reports whether bucket equals appBucket(ns, app) without
-// building the concatenated string.
-func bucketMatches(bucket, ns, app string) bool {
-	return len(bucket) == len(ns)+1+len(app) &&
-		bucket[:len(ns)] == ns && bucket[len(ns)] == '/' && bucket[len(ns)+1:] == app
 }
 
 func (c *endpointsController) sync(key string) {
@@ -195,25 +76,7 @@ func (c *endpointsController) sync(key string) {
 
 	sel := spec.LabelSelector{MatchLabels: svc.Spec.Selector}
 	addrs := c.addrScratch[:0]
-	switch app, hasApp := svc.Spec.Selector[spec.LabelApp]; {
-	case sel.Empty():
-		// Selector-less service: endpoints are managed manually.
-	case hasApp:
-		// The selector names an app: sync against that bucket of the pod
-		// index. Keys are sorted so the address order matches the full scan's
-		// key-ordered iteration exactly — the two paths are interchangeable.
-		keys := c.keyScratch[:0]
-		for k := range c.byApp[appBucket(ns, app)] {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		c.keyScratch = keys
-		for _, pk := range keys {
-			if obj, ok := c.m.views.GetByKey(spec.KindPod, pk); ok {
-				addrs = c.appendAddr(addrs, sel, obj.(*spec.Pod))
-			}
-		}
-	default:
+	if !sel.Empty() { // a selector-less service's endpoints are managed manually
 		// Informer-view scan: the endpoint table is rebuilt from scratch;
 		// pods are never mutated here.
 		c.m.views.ForEach(spec.KindPod, ns, func(po spec.Object) bool {
@@ -265,8 +128,7 @@ func (c *endpointsController) sync(key string) {
 }
 
 // appendAddr appends the pod's endpoint address iff it is a ready, addressed
-// backend matching the selector — the shared predicate of the indexed and
-// full-scan sync paths.
+// backend matching the selector.
 func (c *endpointsController) appendAddr(addrs []spec.EndpointAddress, sel spec.LabelSelector, pod *spec.Pod) []spec.EndpointAddress {
 	if !pod.Active() || !pod.Status.Ready || pod.Status.PodIP == "" {
 		return addrs

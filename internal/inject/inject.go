@@ -443,12 +443,20 @@ func (j *Injector) fireOn(m *apiserver.Message, instance string) {
 // flipValue applies the paper's bit-flip models per field type: integers
 // get bit flips at the given index; strings get the least-significant bit of
 // the chosen character flipped (still a character, hence usually still a
-// valid string); booleans are inverted.
+// valid string); booleans are inverted. A bit outside 0–63 or a negative
+// character index names nothing to flip: the result is nil and the injection
+// does not fire, like a field of a type with no flip model.
 func flipValue(old any, bit, charIndex int) any {
 	switch v := old.(type) {
 	case int64:
+		if bit < 0 || bit > 63 {
+			return nil
+		}
 		return v ^ (1 << uint(bit))
 	case string:
+		if charIndex < 0 {
+			return nil
+		}
 		if charIndex >= len(v) {
 			if len(v) == 0 {
 				// Flipping a bit of an empty string yields a one-character

@@ -88,6 +88,29 @@ func TestBitFlipStringField(t *testing.T) {
 	}
 }
 
+// A flip that names no bit of the value — a bit outside an int64, a negative
+// character index — must neither panic nor report an injection that changed
+// nothing as fired.
+func TestBitFlipOutOfRangeDoesNotFire(t *testing.T) {
+	for _, in := range []Injection{
+		{FieldPath: "spec.priority", Bit: -3},
+		{FieldPath: "spec.priority", Bit: 64},
+		{FieldPath: "metadata.labels[app]", CharIndex: -1},
+	} {
+		loop, srv, j := setup(t)
+		in.Channel, in.Kind, in.Type, in.Occurrence = ChannelStore, spec.KindPod, BitFlip, 1
+		j.Arm(in)
+		if err := srv.ClientFor("kcm").Create(pod("web-1")); err != nil {
+			t.Fatal(err)
+		}
+		loop.RunUntil(time.Second)
+		if rep := j.Report(); rep.Fired {
+			t.Errorf("%s bit=%d char=%d: fired with %v → %v, want not fired",
+				in.FieldPath, in.Bit, in.CharIndex, rep.OldValue, rep.NewValue)
+		}
+	}
+}
+
 func TestBoolInversionAndSetValue(t *testing.T) {
 	loop, srv, j := setup(t)
 	c := srv.ClientFor("kcm")

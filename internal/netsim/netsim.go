@@ -64,6 +64,10 @@ type State struct {
 	endpoints map[string]*spec.Endpoints // by namespace/name
 	pods      map[string]*spec.Pod       // by namespace/name
 	nodes     map[string]*spec.Node      // by name
+	// nodeZone is the zone label of every zoned node, kept beside nodes so
+	// ZoneOf — several calls per request — is one lookup, and none at all on
+	// a flat cluster, where the table stays empty.
+	nodeZone  map[string]string
 	netConfig string
 
 	// flannelLastReady records when a node's network-manager pod was last
@@ -106,6 +110,7 @@ func New(loop *sim.Loop, srv apiserver.ClientSource) *State {
 		endpoints:        make(map[string]*spec.Endpoints),
 		pods:             make(map[string]*spec.Pod),
 		nodes:            make(map[string]*spec.Node),
+		nodeZone:         make(map[string]string),
 		flannelLastReady: make(map[string]time.Duration),
 		flannelReady:     make(map[string]int),
 		dnsReady:         make(map[string]int),
@@ -149,6 +154,7 @@ func (s *State) Reset() {
 	clear(s.endpoints)
 	clear(s.pods)
 	clear(s.nodes)
+	clear(s.nodeZone)
 	s.netConfig = ""
 	clear(s.flannelLastReady)
 	clear(s.flannelReady)
@@ -347,11 +353,18 @@ func (s *State) rescanIP(ip string) {
 
 func (s *State) onNode(ev apiserver.WatchEvent) {
 	node := ev.Object.(*spec.Node)
+	name := node.Metadata.Name
 	if ev.Type == apiserver.Deleted {
-		delete(s.nodes, node.Metadata.Name)
+		delete(s.nodes, name)
+		delete(s.nodeZone, name)
 		return
 	}
-	s.nodes[node.Metadata.Name] = node
+	s.nodes[name] = node
+	if zone := node.Metadata.Labels[LabelZone]; zone != "" {
+		s.nodeZone[name] = zone
+	} else {
+		delete(s.nodeZone, name)
+	}
 }
 
 func (s *State) onConfigMap(ev apiserver.WatchEvent) {

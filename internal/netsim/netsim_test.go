@@ -336,6 +336,51 @@ func (h *harness) request(t *testing.T, from string) RequestResult {
 	return RequestResult{}
 }
 
+// ZoneOf answers from a table kept beside the node map, so it has to follow
+// every way a node's zone can change — and come back after a rewind.
+func TestZoneOfFollowsNodeEvents(t *testing.T) {
+	h := newZonedHarness(t)
+	core, reg, edge := ZoneName(0, 3), ZoneName(1, 3), ZoneName(2, 3)
+	check := func(step string, want map[string]string) {
+		t.Helper()
+		h.loop.RunUntil(h.loop.Now() + time.Second)
+		for node, zone := range want {
+			if got := h.state.ZoneOf(node); got != zone {
+				t.Errorf("%s: ZoneOf(%s) = %q, want %q", step, node, got, zone)
+			}
+		}
+	}
+	relabel := func(node string, labels map[string]string) {
+		t.Helper()
+		obj, err := h.api.Get(spec.KindNode, "", node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := spec.CloneForWriteAs(obj.(*spec.Node))
+		n.Metadata.Labels = labels
+		if err := h.api.Update(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("watched", map[string]string{"node-core": core, "node-reg": reg, "node-edge": edge, "no-such-node": ""})
+
+	relabel("node-reg", map[string]string{LabelZone: edge})
+	check("moved to another zone", map[string]string{"node-reg": edge})
+	relabel("node-edge", nil)
+	check("zone label removed", map[string]string{"node-edge": ""})
+	if err := h.api.Delete(spec.KindNode, "", "node-core"); err != nil {
+		t.Fatal(err)
+	}
+	check("deleted", map[string]string{"node-core": "", "node-reg": edge})
+
+	// A rewind empties the table; Prime re-reads the server, which here
+	// still holds the objects as the steps above left them.
+	h.state.Reset()
+	check("reset", map[string]string{"node-reg": ""})
+	h.state.Prime()
+	check("primed", map[string]string{"node-core": "", "node-reg": edge, "node-edge": ""})
+}
+
 func TestLinkClassBetween(t *testing.T) {
 	cases := []struct {
 		a, b string

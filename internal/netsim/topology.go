@@ -118,10 +118,7 @@ func ProfileFor(c LinkClass) LinkProfile { return linkProfiles[c] }
 
 // ZoneOf returns the zone a node belongs to, or "" for unzoned nodes.
 func (s *State) ZoneOf(node string) string {
-	if n, ok := s.nodes[node]; ok {
-		return n.Metadata.Labels[LabelZone]
-	}
-	return ""
+	return s.nodeZone[node]
 }
 
 // SetZoneLink cuts (up=false) or restores (up=true) a zone's uplink to every

@@ -258,27 +258,23 @@ func (s *Scheduler) scheduleAll() {
 	if !s.running || len(s.pending) == 0 {
 		return
 	}
-	keys := make([]string, 0, len(s.pending))
-	for k := range s.pending {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
 	nodes, zones := s.snapshotNodes()
 	// One pod snapshot per cycle serves all preemption decisions: listing
 	// per candidate node degrades quadratically once an uncontrolled-
 	// replication injection floods the cluster with pending pods.
 	var podSnapshot []*spec.Pod
-	for _, key := range keys {
-		obj, ok := s.views.GetByKey(spec.KindPod, key)
-		if !ok {
-			delete(s.pending, key)
-			continue
+	// The view's order is the scheduling order (namespace/name), and every
+	// pending key is a view key: the view applies an event before
+	// onViewEvent sees it, and run re-primes pending from the view.
+	s.views.ForEach(spec.KindPod, "", func(po spec.Object) bool {
+		pod := po.(*spec.Pod)
+		key := podKey(pod)
+		if !s.pending[key] {
+			return true
 		}
-		pod := obj.(*spec.Pod)
 		if pod.Spec.NodeName != "" || !pod.Active() {
 			delete(s.pending, key)
-			continue
+			return true
 		}
 		if pod.Spec.Priority > 0 && podSnapshot == nil {
 			// Informer-view scan: preemption picks victims by name; they are
@@ -297,7 +293,8 @@ func (s *Scheduler) scheduleAll() {
 		if s.scheduleOne(pod, cand, podSnapshot) {
 			delete(s.pending, key)
 		}
-	}
+		return true
+	})
 }
 
 type nodeInfo struct {

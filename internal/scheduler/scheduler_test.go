@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/mutiny-sim/mutiny/internal/apiserver"
+	"github.com/mutiny-sim/mutiny/internal/codec"
 	"github.com/mutiny-sim/mutiny/internal/sim"
 	"github.com/mutiny-sim/mutiny/internal/spec"
 	"github.com/mutiny-sim/mutiny/internal/store"
@@ -223,5 +224,193 @@ func TestRestartAfterStoreMovesPod(t *testing.T) {
 	loop.RunUntil(loop.Now() + 40*time.Second)
 	if !s.IsRunning() {
 		t.Fatal("scheduler did not recover after restart")
+	}
+}
+
+// scheduleAll walks the pod view and skips what is not pending, so it relies
+// on every pending key being a view key whenever the scheduler runs. Drive
+// the ways the two can part — live events, an event tampered on the watch
+// channel, a lost event repaired by the view's resync, a cache-mismatch
+// restart — and check the inclusion after every 50 ms of it.
+func TestPendingStaysInsideTheView(t *testing.T) {
+	loop := sim.NewLoop(3)
+	srv := apiserver.New(loop, store.New(loop, nil), &apiserver.Options{DisableValidation: true})
+	// No election: the views start with the scheduler at t=0, so their
+	// periodic resync falls on multiples of viewResync.
+	s := New(loop, srv, Options{DisableLeaderElection: true})
+	c := srv.ClientFor("test")
+	node := &spec.Node{
+		Metadata: spec.ObjectMeta{Name: "worker-0"},
+		Status:   spec.NodeStatus{Ready: true, AllocatableMilliCPU: 4000, AllocatableMemMB: 2048},
+	}
+	if err := c.Create(node); err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+
+	step := "start"
+	advance := func(d time.Duration) {
+		t.Helper()
+		for end := loop.Now() + d; loop.Now() < end; {
+			loop.RunUntil(loop.Now() + 50*time.Millisecond)
+			for key := range s.pending {
+				if _, ok := s.views.GetByKey(spec.KindPod, key); !ok {
+					t.Fatalf("%s: pending key %q is not in the pod view", step, key)
+				}
+			}
+		}
+	}
+	wantPending := func(key string, want bool) {
+		t.Helper()
+		if s.pending[key] != want {
+			t.Fatalf("%s: pending[%q] = %v, want %v", step, key, !want, want)
+		}
+	}
+	create := func(name string, cpu int64) {
+		t.Helper()
+		if err := c.Create(pendingPod(name, cpu)); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+	}
+	remove := func(name string) {
+		t.Helper()
+		if err := c.Delete(spec.KindPod, spec.DefaultNamespace, name); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+	}
+	// onNext arms a one-shot watch-channel fault on the next pod event of
+	// the given verb.
+	onNext := func(verb apiserver.Verb, fault func(*apiserver.Message) apiserver.Action) {
+		srv.SetWatchHook(func(m *apiserver.Message) apiserver.Action {
+			if m.Kind != spec.KindPod || m.Verb != verb {
+				return apiserver.Pass
+			}
+			srv.SetWatchHook(nil)
+			return fault(m)
+		})
+	}
+	// pastResync advances to just after the views' next periodic resync.
+	pastResync := func() {
+		t.Helper()
+		advance(viewResync - loop.Now()%viewResync + 50*time.Millisecond)
+	}
+	const settle = 500 * time.Millisecond // a few scheduling cycles, no resync
+	advance(settle)
+
+	step = "create"
+	create("big-1", 9000)             // fits nowhere: stays pending
+	picky := pendingPod("picky", 100) // selects no node: pending until bound by hand
+	picky.Spec.NodeSelector = map[string]string{"zone": "nowhere"}
+	if err := c.Create(picky); err != nil {
+		t.Fatal(err)
+	}
+	advance(settle)
+	wantPending("default/big-1", true)
+	wantPending("default/picky", true)
+
+	step = "external bind"
+	obj, err := c.Get(spec.KindPod, spec.DefaultNamespace, "picky")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := spec.CloneForWriteAs(obj.(*spec.Pod))
+	bound.Spec.NodeName = "worker-0"
+	if err := c.Update(bound); err != nil {
+		t.Fatal(err)
+	}
+	advance(settle)
+	wantPending("default/picky", false)
+
+	step = "delete"
+	remove("big-1")
+	advance(settle)
+	wantPending("default/big-1", false)
+
+	step = "event tampered to another name"
+	onNext(apiserver.VerbCreate, func(m *apiserver.Message) apiserver.Action {
+		var p spec.Pod
+		if err := codec.Unmarshal(m.Data, &p); err != nil {
+			t.Errorf("decoding the watch event: %v", err)
+			return apiserver.Pass
+		}
+		p.Metadata.Name = "ghost"
+		data, err := codec.Marshal(&p)
+		if err != nil {
+			t.Errorf("re-encoding the watch event: %v", err)
+			return apiserver.Pass
+		}
+		m.Data, m.Tampered = data, true
+		return apiserver.Pass
+	})
+	create("big-3", 9000)
+	advance(settle)
+	wantPending("default/ghost", true) // pending and view agree on the wrong name
+	wantPending("default/big-3", false)
+	pastResync() // drops the ghost and finds the real pod
+	wantPending("default/ghost", false)
+	wantPending("default/big-3", true)
+
+	step = "dropped delete"
+	onNext(apiserver.VerbDelete, func(*apiserver.Message) apiserver.Action { return apiserver.Drop })
+	remove("big-3")
+	advance(settle)
+	wantPending("default/big-3", true) // stale, and so is the view
+	pastResync()
+	wantPending("default/big-3", false)
+
+	step = "cache-mismatch restart"
+	create("big-4", 9000)
+	create("web-1", 500)
+	advance(settle)
+	obj, err = c.Get(spec.KindPod, spec.DefaultNamespace, "web-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := spec.CloneForWriteAs(obj.(*spec.Pod))
+	if moved.Spec.NodeName == "" {
+		t.Fatal("setup: web-1 not scheduled")
+	}
+	moved.Spec.NodeName = "ghost-node"
+	if err := c.Update(moved); err != nil {
+		t.Fatal(err)
+	}
+	advance(settle)
+	if s.Restarts() != 1 || s.IsRunning() {
+		t.Fatalf("restarts = %d, running = %v, want 1 and stopped", s.Restarts(), s.IsRunning())
+	}
+	advance(restartDelay + settle)
+	if !s.IsRunning() {
+		t.Fatal("scheduler did not come back")
+	}
+	wantPending("default/big-4", true) // re-primed from the view
+}
+
+// The pod view's order is the scheduling order: of three pods pending in the
+// same cycle with room for one, the first by namespace/name wins, whatever
+// order they arrived in.
+func TestSchedulesPendingInKeyOrder(t *testing.T) {
+	loop, c, _ := newScheduler(t)
+	pods := [][2]string{{"b", "a"}, {"a", "z"}, {"a", "b"}}
+	for _, p := range pods {
+		pod := pendingPod(p[1], 3000)
+		pod.Metadata.Namespace = p[0]
+		pod.Spec.NodeSelector = map[string]string{"zone": "a"} // worker-0 only: 4000m
+		if err := c.Create(pod); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loop.RunUntil(loop.Now() + 2*time.Second)
+	for _, p := range pods {
+		obj, err := c.Get(spec.KindPod, p[0], p[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := obj.(*spec.Pod).Spec.NodeName, ""
+		if p == [2]string{"a", "b"} {
+			want = "worker-0"
+		}
+		if got != want {
+			t.Errorf("pod %s/%s on node %q, want %q", p[0], p[1], got, want)
+		}
 	}
 }
