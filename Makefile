@@ -1,13 +1,13 @@
 # Tier-1 verification targets. `make check` is what CI (and any PR) should
 # run: build, vet, the full test suite, a race-detector pass over the
 # packages with real concurrency (the parallel campaign pool and the tables
-# its workers share), and a short campaign smoke test.
+# its workers share), ten seconds of fuzzing, and a short campaign smoke test.
 
 GO ?= go
 
-.PHONY: check ci build vet test race race-all smoke docs-lint bench-full bench-codec bench-campaign
+.PHONY: check ci build vet test race race-all fuzz-smoke smoke docs-lint bench-full bench-codec bench-campaign
 
-check: build vet test race smoke docs-lint
+check: build vet test race fuzz-smoke smoke docs-lint
 
 # Full CI gate (also run by .github/workflows/ci.yml): build, vet, the whole
 # test suite under the race detector, and the docs lint.
@@ -35,6 +35,13 @@ test:
 # objects across the same shared read paths.
 race:
 	$(GO) test -race ./internal/campaign/... ./internal/codec/... ./internal/apiserver/... ./internal/spec/... ./internal/cow/...
+
+# Ten seconds of the tree's one fuzz target: random At/After/Every/Stop/Reset
+# programs on the event loop, held to a slice sorted by (at, seq). A failing
+# input is written to internal/sim/testdata/fuzz and fails `go test` from then
+# on; commit it with the fix.
+fuzz-smoke:
+	$(GO) test -run xxx -fuzz FuzzLoopOrder -fuzztime 10s ./internal/sim
 
 # A fast, heavily-strided campaign through the real benchmark harness: one
 # end-to-end sanity pass over golden runs, generation, injection, and

@@ -24,13 +24,20 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("mutiny-cluster", flag.ContinueOnError)
 	var (
-		wl      = fs.String("workload", "deploy", "workload to run: deploy, scale, or failover")
+		wl      = fs.String("workload", "deploy", "workload to run: deploy, scale, failover, or policy")
 		seed    = fs.Int64("seed", 1, "simulation seed")
 		horizon = fs.Duration("horizon", 60*time.Second, "simulated time to run after the workload")
 		events  = fs.Bool("events", true, "stream watch events")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	kind, err := mutiny.ParseWorkload(*wl)
+	if err != nil {
+		return err
+	}
+	if *horizon < 0 {
+		return fmt.Errorf("-horizon must be >= 0, got %v", *horizon)
 	}
 
 	cl := mutiny.NewCluster(mutiny.ClusterConfig{Seed: *seed})
@@ -45,9 +52,9 @@ func run(args []string) error {
 	if !cl.AwaitSettled(30 * time.Second) {
 		return fmt.Errorf("cluster did not settle")
 	}
-	fmt.Printf("--- cluster settled at %v; running %q workload ---\n", cl.Loop.Now(), *wl)
+	fmt.Printf("--- cluster settled at %v; running %q workload ---\n", cl.Loop.Now(), kind)
 
-	driver := mutiny.NewDriver(cl, mutiny.WorkloadKind(*wl))
+	driver := mutiny.NewDriver(cl, kind)
 	driver.Setup()
 	driver.Run()
 	cl.Loop.RunUntil(cl.Loop.Now() + *horizon)

@@ -10,11 +10,11 @@ import (
 	"github.com/mutiny-sim/mutiny/internal/store"
 )
 
-// The revision-tagged decoded-object cache elides backend-byte decodes on
-// the write path (conflict checks), watch ingest, and cache rebuilds. These
-// tests pin down the contract: revision-tagged hits, real decodes after any
-// byte-level fault (tampered store writes, at-rest corruption), and sealed
-// (immutable) entries. The campaign-level seal guard
+// The decode cache elides backend-byte decodes on the write path (conflict
+// checks), watch ingest, and cache rebuilds. These tests pin down the
+// contract: hits for the very array an entry decoded at the revision it is
+// stamped with, real decodes after any byte-level fault (tampered store
+// writes, at-rest corruption), and sealed (immutable) entries. The campaign-level seal guard
 // (TestSealedObjectsAreNeverMutated) covers the same entries end to end:
 // every object entering the cache passes through spec.Seal, so the guard's
 // seal hook checksums it and proves nothing mutates it afterwards.
@@ -69,10 +69,11 @@ func TestDecodeCacheEntriesAreSealedAndRevisionTagged(t *testing.T) {
 		}
 	}
 	settle(loop)
-	if len(srv.decoded) == 0 {
+	if len(srv.decoded.entries) == 0 {
 		t.Fatal("decode cache is empty after writes")
 	}
-	for key, obj := range srv.decoded {
+	for key, e := range srv.decoded.entries {
+		obj := e.obj
 		if !obj.Meta().Sealed() {
 			t.Errorf("decode-cache entry %s is not sealed", key)
 		}
@@ -85,9 +86,16 @@ func TestDecodeCacheEntriesAreSealedAndRevisionTagged(t *testing.T) {
 			t.Errorf("entry %s tagged rv %d, store mod revision %d",
 				key, obj.Meta().ResourceVersion, kv.Revision)
 		}
+		if e.src != &kv.Value[0] {
+			t.Errorf("entry %s is not tagged with the array the store holds", key)
+		}
 	}
 }
 
+// At-rest corruption is detected where it matters, at the next read of the
+// bytes: same revision, another array, so the lookup misses, decodes the
+// corrupted bytes for real — exactly like a server with no cache — and counts
+// one detected rewrite. Nothing is invalidated eagerly.
 func TestDecodeCacheInvalidatedByCorruptAtRest(t *testing.T) {
 	loop, st, srv := newTestServer(t)
 	c := srv.ClientFor("test")
@@ -97,9 +105,6 @@ func TestDecodeCacheInvalidatedByCorruptAtRest(t *testing.T) {
 	settle(loop)
 	key := spec.Key(spec.KindPod, spec.DefaultNamespace, "web-1")
 
-	// Silent at-rest corruption: same revision, different bytes. The
-	// revision tag alone cannot see this; the store's rewrite hook must
-	// drop the entry.
 	ok := st.CorruptAtRest(key, func(b []byte) []byte {
 		obj := spec.New(spec.KindPod)
 		if err := codecUnmarshal(b, obj); err != nil {
@@ -111,28 +116,30 @@ func TestDecodeCacheInvalidatedByCorruptAtRest(t *testing.T) {
 	if !ok {
 		t.Fatal("CorruptAtRest = false")
 	}
-	if _, _, inv := srv.DecodeCacheStats(); inv != 1 {
-		t.Fatalf("invalidations = %d after CorruptAtRest, want 1", inv)
-	}
-	if _, cached := srv.decoded[key]; cached {
-		t.Fatal("decode cache still holds the pre-corruption object")
+	if _, _, rewrites := srv.DecodeCacheStats(); rewrites != 0 {
+		t.Fatalf("rewrites = %d right after CorruptAtRest, want 0 (nothing has read the bytes yet)", rewrites)
 	}
 
-	// The write path reads the backend: it must now decode the corrupted
-	// bytes for real, exactly like before the cache existed.
-	obj, _ := c.Get(spec.KindPod, spec.DefaultNamespace, "web-1")
-	upd := spec.CloneForWriteAs(obj.(*spec.Pod))
-	upd.Metadata.Annotations = map[string]string{"touch": "1"}
-	if err := c.Update(upd); err == nil {
-		// The corrupted NodeName makes the pod immutable-field-invalid only
-		// if it was bound; an unbound pod update succeeds — either way the
-		// decode happened.
-		_ = err
+	// The write path reads the backend: it must decode the corrupted bytes
+	// for real.
+	_, misses0, _ := srv.DecodeCacheStats()
+	cur, exists, err := srv.current(spec.KindPod, key)
+	if err != nil || !exists {
+		t.Fatalf("current() = exists %v, err %v", exists, err)
 	}
-	if _, misses, _ := srv.DecodeCacheStats(); misses == 0 {
-		t.Fatal("no real decode after invalidation")
+	if got := cur.(*spec.Pod).Spec.NodeName; got != "corrupted-node" {
+		t.Fatalf("current() served NodeName %q for corrupted bytes, want \"corrupted-node\"", got)
 	}
-	_ = loop
+	if _, misses, rewrites := srv.DecodeCacheStats(); misses != misses0+1 || rewrites != 1 {
+		t.Fatalf("after the next read: %d new real decodes, %d rewrites detected; want 1 and 1", misses-misses0, rewrites)
+	}
+	// The entry now decodes the corrupted array: the next read hits.
+	if _, _, err := srv.current(spec.KindPod, key); err != nil {
+		t.Fatal(err)
+	}
+	if _, misses, rewrites := srv.DecodeCacheStats(); misses != misses0+1 || rewrites != 1 {
+		t.Fatalf("second read of the same bytes decoded again (%d misses, %d rewrites)", misses-misses0, rewrites)
+	}
 }
 
 // TestDecodeCacheNeverServesStaleAcrossCorruptAtRestAndRestart is the
@@ -181,10 +188,10 @@ func TestDecodeCacheNeverServesStaleAcrossCorruptAtRestAndRestart(t *testing.T) 
 }
 
 // Regression: a watch event in flight across a CorruptAtRest carries the
-// *pre-corruption* bytes under the current revision. Its ingest must not
-// re-prime the decode cache (which would resurrect the clean object and
-// mask the corruption past every future restart) — the key is tainted
-// until the next revision-advancing write.
+// *pre-corruption* bytes under the current revision. Its ingest is served
+// the decode of the array it carries, which must not stand in for the
+// corrupted array the store now holds (that would resurrect the clean object
+// and mask the corruption past every future restart).
 func TestDecodeCacheNotRepoisonedByInFlightWatchEvent(t *testing.T) {
 	loop, st, srv := newTestServer(t)
 	c := srv.ClientFor("test")
@@ -215,8 +222,8 @@ func TestDecodeCacheNotRepoisonedByInFlightWatchEvent(t *testing.T) {
 	if got.(*spec.Pod).Spec.NodeName != "node-1" {
 		t.Fatalf("pre-restart read = %q, want the event's clean \"node-1\"", got.(*spec.Pod).Spec.NodeName)
 	}
-	// ...but a restart must reveal it: the stale event must not have
-	// re-primed the decode cache under the corrupted revision.
+	// ...but a restart must reveal it: the re-list presents the corrupted
+	// array, which no entry decodes.
 	srv.Restart()
 	settle(loop)
 	got, err = c.Get(spec.KindPod, spec.DefaultNamespace, "web-1")
@@ -227,8 +234,7 @@ func TestDecodeCacheNotRepoisonedByInFlightWatchEvent(t *testing.T) {
 		t.Fatalf("restart served a stale decode: NodeName = %q, want \"flipped-node\"", got.(*spec.Pod).Spec.NodeName)
 	}
 
-	// The taint lifts on the next real write: the write path re-primes and
-	// watch ingest hits again.
+	// The next real write re-primes the cache and watch ingest hits again.
 	upd := spec.CloneForWriteAs(got.(*spec.Pod))
 	upd.Metadata.Annotations = map[string]string{"repaired": "1"}
 	if err := c.Update(upd); err != nil {
@@ -290,12 +296,14 @@ func TestDecodeCacheSharedThroughSnapshotRestore(t *testing.T) {
 	}
 	settle(loop)
 	serverSnap := srv.Snapshot()
+	decodeSnap := srv.DecodeCache().Snapshot()
 	storeSnap := store.CaptureSnapshot(st)
 
 	loop2 := sim.NewLoop(2)
 	st2 := store.New(loop2, nil)
 	store.RestoreSnapshot(st2, storeSnap)
 	srv2 := New(loop2, st2, nil)
+	srv2.DecodeCache().Restore(decodeSnap)
 	srv2.RestoreSnapshot(serverSnap)
 
 	hits, misses, _ := srv2.DecodeCacheStats()
@@ -330,12 +338,12 @@ func TestDecodeCachePrimedObjectMatchesRealDecode(t *testing.T) {
 	}
 	settle(loop)
 	key := spec.Key(spec.KindPod, spec.DefaultNamespace, "web-1")
-	cached, ok := srv.decoded[key]
+	cached, ok := srv.decoded.entries[key]
 	if !ok {
 		t.Fatal("write did not prime the decode cache")
 	}
 	kv, _ := st.Get(key)
-	reenc, err := codec.Marshal(cached)
+	reenc, err := codec.Marshal(cached.obj)
 	if err != nil {
 		t.Fatal(err)
 	}

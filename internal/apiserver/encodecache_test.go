@@ -21,7 +21,8 @@ import (
 
 // wireOf returns the cached wire bytes for key, or nil.
 func wireOf(srv *Server, key string) ([]byte, int) {
-	obj, ok := srv.decoded[key]
+	e, ok := srv.decoded.entries[key]
+	obj := e.obj
 	if !ok {
 		return nil, 0
 	}
@@ -40,7 +41,7 @@ func TestEncodeCachePrimedBytesMatchFreshMarshal(t *testing.T) {
 	if w == nil {
 		t.Fatal("create did not prime the encode cache")
 	}
-	cached := srv.decoded[key]
+	cached := srv.decoded.entries[key].obj
 	if fresh := mustMarshal(cached); string(w) != string(fresh) {
 		t.Fatal("cached wire bytes differ from a fresh Marshal of the sealed object")
 	}
@@ -69,7 +70,7 @@ func TestEncodeCachePrimedBytesMatchFreshMarshal(t *testing.T) {
 	if string(w2) == string(w) {
 		t.Fatal("status update left the old wire bytes in place")
 	}
-	if fresh := mustMarshal(srv.decoded[key]); string(w2) != string(fresh) {
+	if fresh := mustMarshal(srv.decoded.entries[key].obj); string(w2) != string(fresh) {
 		t.Fatal("cached wire bytes after a spliced status update differ from a fresh Marshal")
 	}
 	// The stored bytes decode to the merged object (splice exactness against
@@ -207,10 +208,11 @@ func TestEncodeCacheSpliceRoundTripsPerKind(t *testing.T) {
 			}
 			// The cached sealed object at the committed revision must
 			// re-encode to its own cached wire, and match a real decode.
-			cached, ok := srv.decoded[key]
+			e, ok := srv.decoded.entries[key]
 			if !ok {
 				t.Fatal("status update did not prime the decode cache")
 			}
+			cached := e.obj
 			w, _ := cached.Meta().WireBytes()
 			if w == nil {
 				t.Fatal("status update did not prime the encode cache")
@@ -390,7 +392,7 @@ func TestEncodeCacheSuppressedWhileRequestChannelArmed(t *testing.T) {
 	if w == nil {
 		t.Fatal("disarmed request channel did not restore encode-cache priming")
 	}
-	if fresh := mustMarshal(srv.decoded[key]); string(w) != string(fresh) {
+	if fresh := mustMarshal(srv.decoded.entries[key].obj); string(w) != string(fresh) {
 		t.Fatal("cached wire after re-arming cycle differs from a fresh Marshal")
 	}
 }
@@ -444,7 +446,7 @@ func TestEncodeCacheUnharmedByWatchHookMutation(t *testing.T) {
 	if w == nil {
 		t.Fatal("create did not prime the encode cache")
 	}
-	if fresh := mustMarshal(srv.decoded[key]); string(w) != string(fresh) {
+	if fresh := mustMarshal(srv.decoded.entries[key].obj); string(w) != string(fresh) {
 		t.Fatal("watch-hook scribbling reached the cached wire bytes")
 	}
 	obj, err := c.Get(spec.KindPod, spec.DefaultNamespace, "web-1")

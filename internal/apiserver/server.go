@@ -216,34 +216,14 @@ type Server struct {
 	fanningOut  int // depth of in-flight fanout calls; blocks the sweep
 	fanoutFn    func()
 
-	// decoded is the revision-tagged decoded-object cache: the sealed decoded
-	// form of each store key's *current* bytes. The invariant is that an
-	// entry's Meta().ResourceVersion equals the backend mod revision of the
-	// bytes it was decoded from (or round-trip-encoded to, on the write
-	// path), so a lookup is valid exactly when that tag matches the
-	// backend's current revision for the key. It elides the backend-byte
-	// codec.Unmarshal on the write path's conflict check (current), on watch
-	// ingest (onStoreEvent), and on cache rebuilds (restart re-list, fork
-	// restore — forks inherit the snapshot's entries and skip almost the
-	// whole re-decode).
-	//
-	// Byte-level fault semantics stay intact: tampered store writes are
-	// never cached (the next read decodes the corrupted bytes for real), and
-	// silent same-revision rewrites (CorruptAtRest) invalidate the entry via
-	// the store's OnRewrite hook.
-	decoded            map[string]spec.Object
-	decodeHits         int64
-	decodeMisses       int64
-	decodeInvalidation int64
-	// tainted marks keys whose stored bytes were silently rewritten
-	// (CorruptAtRest) and not yet overwritten by a revision-advancing
-	// write. Watch events carry a byte snapshot taken at commit time, so
-	// for a tainted key an in-flight event may hold *pre-rewrite* bytes
-	// under the current revision — caching (or serving) a decode for it
-	// would resurrect the clean object and mask the corruption forever.
-	// Event ingest therefore bypasses the cache entirely for tainted keys;
-	// backend reads (current, rebuildCache) are live and stay cached.
-	tainted map[string]struct{}
+	// decoded is the control plane's decode cache (see DecodeCache): one per
+	// cluster, shared by every replica like the audit trail. The counters are
+	// this server's own lookups: hits, real decodes, and same-revision byte
+	// changes (CorruptAtRest, or a stale array arriving late) seen at lookup.
+	decoded        *DecodeCache
+	decodeHits     int64
+	decodeMisses   int64
+	decodeRewrites int64
 
 	uidCounter int64
 	ipCounter  int64
@@ -322,7 +302,7 @@ func NewAt(loop *sim.Loop, backend store.Backend, origin int, opts *Options) *Se
 		uidStride: 1,
 		cache:     make(map[string]spec.Object),
 		kindIndex: make(map[spec.Kind]*sortedBucket),
-		decoded:   make(map[string]spec.Object),
+		decoded:   &DecodeCache{entries: make(map[string]decodedEntry)},
 		audit:     NewAudit(loop),
 		arena:     codec.NewArena(),
 	}
@@ -333,19 +313,8 @@ func NewAt(loop *sim.Loop, backend store.Backend, origin int, opts *Options) *Se
 	if opts != nil {
 		s.opts = *opts
 	}
-	s.attachBackend()
-	return s
-}
-
-// attachBackend registers the server with its store replica: the rewrite hook
-// that keeps the decode cache honest, and the watch that feeds the cache.
-func (s *Server) attachBackend() {
-	if s.routed != nil {
-		s.routed.OnRewriteAt(s.origin, s.invalidateDecoded)
-	} else if rn, ok := s.backend.(rewriteNotifier); ok {
-		rn.OnRewrite(s.invalidateDecoded)
-	}
 	s.cancelStoreWatch = s.subscribeStore()
+	return s
 }
 
 // Reset returns the server to the state NewAt and the Set* wiring calls left
@@ -353,15 +322,15 @@ func (s *Server) attachBackend() {
 // decode cache, no watchers, no queued dispatch, no hooks or gates, counters
 // at their configured start, up, audit trail empty. What survives is wiring,
 // not state: the backend binding, the admission stride, the shared audit
-// trail and admission chain (Reset does not touch the chain: it has one owner,
-// the servers are many), the encode arena. The backend must have been Reset
-// first — the server re-registers with it here, as NewAt did — and so must the
+// trail, decode cache and admission chain (the first two are emptied here, by
+// every replica alike; Reset does not touch the chain: it has one owner, the
+// servers are many), the encode arena. The backend must have been Reset
+// first — the server re-subscribes to it here, as NewAt did — and so must the
 // loop: a queued dispatch is dropped, not delivered.
 func (s *Server) Reset() {
 	s.clearCache()
-	clear(s.decoded)
-	clear(s.tainted)
-	s.decodeHits, s.decodeMisses, s.decodeInvalidation = 0, 0, 0
+	clear(s.decoded.entries)
+	s.decodeHits, s.decodeMisses, s.decodeRewrites = 0, 0, 0
 
 	clear(s.watchers)
 	s.watchers = s.watchers[:0]
@@ -379,7 +348,7 @@ func (s *Server) Reset() {
 	s.storeWriteHook, s.requestHook, s.watchHook = nil, nil, nil
 	s.watchGate, s.requestWireGate, s.accessHook = nil, nil, nil
 	s.audit.reset()
-	s.attachBackend()
+	s.cancelStoreWatch = s.subscribeStore()
 }
 
 // subscribeStore attaches the server's watch to its own store replica.
@@ -405,6 +374,15 @@ func (s *Server) SetAdmissionStride(offset, stride int) {
 // like scraping every apiserver's audit log into one place. Call before any
 // request is served.
 func (s *Server) SetAudit(a *Audit) { s.audit = a }
+
+// DecodeCache returns the server's decode cache.
+func (s *Server) DecodeCache() *DecodeCache { return s.decoded }
+
+// SetDecodeCache replaces the server's decode cache. The HA control plane
+// shares one across all replicas: an accepted write installs one byte array at
+// every store replica, so one decode serves them all. Call before any request
+// is served.
+func (s *Server) SetDecodeCache(c *DecodeCache) { s.decoded = c }
 
 // SetAdmissionChain installs the (cluster-shared) admission webhook chain.
 // Call on every replica of an HA control plane with the same chain.
@@ -464,42 +442,55 @@ func (s *Server) backendDelete(key string) (bool, error) {
 	return s.backend.Delete(key), nil
 }
 
-// rewriteNotifier is the optional backend capability the decode cache needs:
-// notification of silent same-revision byte rewrites (at-rest corruption).
-type rewriteNotifier interface {
-	OnRewrite(fn func(key string))
+// DecodeCache holds, per store key, the sealed decoded form of one stored byte
+// array. A lookup hits only for that very array at the revision the object is
+// stamped with: stored arrays are immutable and the codec is a pure function
+// of the bytes, so a hit returns exactly what decoding the bytes in hand would
+// — for any replica, watch event, re-list or fork that holds them. Everything
+// else (a newer write, a tampered store write, bytes rewritten at rest, a
+// lagging replica's older array) misses, decodes for real and takes the entry
+// over. Entries pin their arrays, so an address is never reused under them.
+type DecodeCache struct {
+	entries map[string]decodedEntry
 }
 
-// invalidateDecoded drops the decoded form of key and taints it. Called for
-// every silent byte rewrite on the backend; a revision tag cannot detect
-// those, and any watch event already in flight for the key still carries
-// the pre-rewrite bytes under the same revision.
-func (s *Server) invalidateDecoded(key string) {
-	if _, ok := s.decoded[key]; ok {
-		delete(s.decoded, key)
-		s.decodeInvalidation++
+// decodedEntry is one cached decode: the object and the address of the first
+// byte of the array it was decoded from (never nil: empty values are not
+// cached). A pointer, not a slice — a storm holds 2,000 of these.
+type decodedEntry struct {
+	obj spec.Object
+	src *byte
+}
+
+// arrayOf returns the identity of a stored array — the address of its first
+// byte — or nil for an empty value.
+func arrayOf(data []byte) *byte {
+	if len(data) == 0 {
+		return nil
 	}
-	if s.tainted == nil {
-		s.tainted = make(map[string]struct{})
-	}
-	s.tainted[key] = struct{}{}
+	return &data[0]
 }
 
-// DecodeCacheStats reports decode-cache hits, misses, and rewrite
-// invalidations (diagnostics and tests).
-func (s *Server) DecodeCacheStats() (hits, misses, invalidations int64) {
-	return s.decodeHits, s.decodeMisses, s.decodeInvalidation
+// DecodeCacheStats reports this server's decode-cache hits, real decodes, and
+// lookups that found the cached revision over different bytes (diagnostics
+// and tests).
+func (s *Server) DecodeCacheStats() (hits, misses, rewrites int64) {
+	return s.decodeHits, s.decodeMisses, s.decodeRewrites
 }
 
-// decodeCached returns the sealed decoded form of (key, data) at the backend
-// mod revision rev, reusing the cached decode when its revision tag matches
-// and performing (and caching) a real decode otherwise. Decode errors are
-// never cached: undecodable bytes are re-examined on every access, exactly
-// like before.
+// decodeCached returns the sealed decoded form of data, the bytes stored under
+// key at backend mod revision rev: the cached object when it was decoded from
+// this array at this revision, a real (and then cached) decode otherwise.
+// Decode errors are never cached: undecodable bytes are re-examined on every
+// access.
 func (s *Server) decodeCached(kind spec.Kind, key string, data []byte, rev int64) (spec.Object, error) {
-	if obj, ok := s.decoded[key]; ok && obj.Meta().ResourceVersion == rev {
-		s.decodeHits++
-		return obj, nil
+	src := arrayOf(data)
+	if e, ok := s.decoded.entries[key]; ok && e.obj.Meta().ResourceVersion == rev {
+		if e.src == src {
+			s.decodeHits++
+			return e.obj, nil
+		}
+		s.decodeRewrites++
 	}
 	obj, err := s.decode(kind, data)
 	if err != nil {
@@ -510,7 +501,9 @@ func (s *Server) decodeCached(kind spec.Kind, key string, data []byte, rev int64
 	// write, exactly like etcd's mod revision.
 	obj.Meta().ResourceVersion = rev
 	spec.Seal(obj) // entering the shared read path: immutable from here on
-	s.decoded[key] = obj
+	if src != nil {
+		s.decoded.entries[key] = decodedEntry{obj: obj, src: src}
+	}
 	return obj, nil
 }
 
@@ -592,9 +585,9 @@ func (s *Server) rebuildCache(dispatch bool) {
 		// version the *writer* saw, and serving that stale version would
 		// make every post-restart update fail its optimistic-concurrency
 		// check. Unmodified keys hit the decode cache (a restart re-list or
-		// fork restore decodes almost nothing); keys whose bytes were
-		// rewritten at rest were invalidated and decode for real, which is
-		// when the corruption becomes visible (§V-C1).
+		// fork restore decodes almost nothing); a key whose bytes were
+		// rewritten at rest presents another array and decodes for real,
+		// which is when the corruption becomes visible (§V-C1).
 		obj, err := s.decodeCached(kv.Kind, kv.Key, kv.Value, kv.Revision)
 		if err != nil {
 			s.handleUndecodable(kv.Key, kv.Kind)
@@ -868,14 +861,12 @@ func (s *Server) persistWrite(identity string, verb Verb, msg *Message, obj spec
 	// Prime the decode cache with the object just persisted: decoding the
 	// stored bytes would reproduce obj field for field (the codec round-trips
 	// exactly), so the conflict check of the next write to this key — and the
-	// watch ingest of this very write — skip the backend-byte Unmarshal. Only
-	// if the bytes that reached the store are verbatim the encoding of obj,
-	// though: a store-channel hook that replaced or tampered the payload
-	// keeps byte-level fault semantics by forcing a real decode later.
-	// A revision-advancing write supersedes any silent rewrite: events for
-	// the new revision carry the new bytes, so the key's taint is lifted.
-	delete(s.tainted, key)
-	if !out.Tampered && len(out.Data) == len(data) && (len(data) == 0 || &out.Data[0] == &data[0]) {
+	// watch ingest of this very write, at every replica — skip the
+	// backend-byte Unmarshal. Only if the bytes that reached the store are
+	// verbatim the encoding of obj, though: a store-channel hook that replaced
+	// or tampered the payload keeps byte-level fault semantics by forcing a
+	// real decode later.
+	if !out.Tampered && len(out.Data) == len(data) && arrayOf(out.Data) == arrayOf(data) {
 		obj.Meta().ResourceVersion = rev
 		// Cache the object's canonical encoding alongside the decoded form:
 		// data is verbatim the encoding of obj at the writer's RV, so
@@ -893,7 +884,11 @@ func (s *Server) persistWrite(identity string, verb Verb, msg *Message, obj spec
 			}
 		}
 		spec.Seal(obj) // entering the shared read path via the decode cache
-		s.decoded[key] = obj
+		// The entry is valid for the array the store installed (its one copy
+		// of data), which is what every later read and event will present.
+		if kv, ok, _ := s.backendGet(key); ok && len(kv.Value) > 0 {
+			s.decoded.entries[key] = decodedEntry{obj: obj, src: &kv.Value[0]}
+		}
 	}
 	s.audit.countOK(identity, verb)
 	if msg.Tampered {
@@ -954,26 +949,14 @@ func (s *Server) admitCreate(obj spec.Object) {
 func (s *Server) onStoreEvent(ev store.Event) {
 	switch ev.Type {
 	case store.EventPut:
-		// The untampered write path already cached the decoded form at this
-		// revision (persistWrite); ingesting the event is then free of any
-		// codec.Unmarshal. Tampered or externally-written bytes miss and
-		// decode for real. Tainted keys bypass the cache entirely: ev.Value
-		// is a commit-time snapshot, and after an at-rest rewrite it may be
-		// the *pre-corruption* bytes under the current revision — neither a
-		// hit (would serve the corrupted decode for clean bytes) nor a
-		// cache fill (would resurrect the clean object and mask the
-		// corruption past every future rebuild) is sound.
-		var obj spec.Object
-		var err error
-		if _, bad := s.tainted[ev.Key]; bad {
-			obj, err = s.decode(ev.Kind, ev.Value)
-			if err == nil {
-				obj.Meta().ResourceVersion = ev.Revision
-				spec.Seal(obj)
-			}
-		} else {
-			obj, err = s.decodeCached(ev.Kind, ev.Key, ev.Value, ev.Revision)
-		}
+		// The untampered write path already cached the decoded form of this
+		// array at this revision (persistWrite), whichever replica it went
+		// through; ingesting the event is then free of any codec.Unmarshal.
+		// Tampered or externally-written bytes miss and decode for real. An
+		// event still in flight when its key was rewritten at rest carries
+		// the pre-rewrite array: it is served that array's decode, and the
+		// rewritten bytes keep missing until something reads them.
+		obj, err := s.decodeCached(ev.Kind, ev.Key, ev.Value, ev.Revision)
 		if err != nil {
 			s.handleUndecodable(ev.Key, ev.Kind)
 			return
@@ -986,8 +969,7 @@ func (s *Server) onStoreEvent(ev store.Event) {
 		}
 		s.dispatch(ev.Key, WatchEvent{Type: typ, Kind: ev.Kind, Object: obj})
 	case store.EventDelete:
-		delete(s.decoded, ev.Key)
-		delete(s.tainted, ev.Key)
+		delete(s.decoded.entries, ev.Key)
 		obj, existed := s.cache[ev.Key]
 		if !existed {
 			return

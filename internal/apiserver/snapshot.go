@@ -1,10 +1,6 @@
 package apiserver
 
-import (
-	"maps"
-
-	"github.com/mutiny-sim/mutiny/internal/spec"
-)
+import "maps"
 
 // This file implements server snapshot/restore for the bootstrapped-cluster
 // fork path. The server's durable state outside the store is tiny: the
@@ -12,7 +8,9 @@ import (
 // fork, or new objects would collide with bootstrap-era ones) and the audit
 // trail (a fork must account bootstrap-time requests exactly like a full
 // replay would). The watch cache is not copied — it is rebuilt from the
-// restored backend, the same re-list a real apiserver performs on restart.
+// restored backend, the same re-list a real apiserver performs on restart —
+// and the decode cache that makes that re-list cheap is captured once per
+// control plane, not per server (DecodeCache.Snapshot).
 
 // Snapshot captures the server state that must survive a fork.
 type Snapshot struct {
@@ -24,14 +22,22 @@ type Snapshot struct {
 	// overwrite, so N replicas restoring the same shared chain is idempotent
 	// — the audit trail's contract.
 	Admission AdmissionSnapshot
-	// Decoded carries the revision-tagged decoded-object cache. Its entries
-	// are sealed (immutable) objects whose ResourceVersion equals the mod
-	// revision of the store bytes they decode to, so sharing them across
-	// every fork is exactly as safe as sharing the store's byte arrays —
-	// and it lets a fork's watch-cache rebuild skip nearly every
-	// codec.Unmarshal. The map itself is copied per restore; the objects
-	// are shared.
-	Decoded map[string]spec.Object
+}
+
+// Snapshot returns a copy of the cache that nothing writes to: immutable data,
+// safe to restore into many forks concurrently. Its entries are sealed objects
+// paired with the store arrays they decode, so sharing them across every fork
+// is exactly as safe as sharing those arrays, which a store snapshot does —
+// and it lets a fork's watch-cache rebuild skip nearly every codec.Unmarshal.
+func (c *DecodeCache) Snapshot() *DecodeCache {
+	return &DecodeCache{entries: maps.Clone(c.entries)}
+}
+
+// Restore replaces the cache's contents with the snapshot's, before the
+// servers sharing the cache rebuild their watch caches through it.
+func (c *DecodeCache) Restore(snap *DecodeCache) {
+	clear(c.entries)
+	maps.Copy(c.entries, snap.entries)
 }
 
 // AuditSnapshot is a deep copy of the audit trail's counters and entries.
@@ -49,15 +55,10 @@ type AuditSnapshot struct {
 // Snapshot captures the server's fork-relevant state. The result is
 // immutable data, safe to restore into many forks concurrently.
 func (s *Server) Snapshot() Snapshot {
-	decoded := make(map[string]spec.Object, len(s.decoded))
-	for k, v := range s.decoded {
-		decoded[k] = v
-	}
 	snap := Snapshot{
 		UIDCounter: s.uidCounter,
 		IPCounter:  s.ipCounter,
 		Audit:      s.audit.snapshot(),
-		Decoded:    decoded,
 	}
 	if s.admission != nil {
 		snap.Admission = s.admission.snapshot()
@@ -65,23 +66,12 @@ func (s *Server) Snapshot() Snapshot {
 	return snap
 }
 
-// Clone returns a snapshot with private map and slice structure (the decoded
-// cache map, the audit entries and counters). The decoded *objects* stay
-// shared: they are sealed and immutable. Its only caller is
-// cluster.Snapshot.WorkerView, which stays compiled only for the benchmark's
-// cluster.worker_view_ms metric.
+// Clone returns a snapshot with private map and slice structure (the audit
+// entries and counters). Its only caller is cluster.Snapshot.WorkerView, which
+// stays compiled only for the benchmark's cluster.worker_view_ms metric.
 func (s Snapshot) Clone() Snapshot {
-	decoded := make(map[string]spec.Object, len(s.Decoded))
-	for k, v := range s.Decoded {
-		decoded[k] = v
-	}
-	return Snapshot{
-		UIDCounter: s.UIDCounter,
-		IPCounter:  s.IPCounter,
-		Audit:      s.Audit.clone(),
-		Admission:  s.Admission, // plain values — a copy is private already
-		Decoded:    decoded,
-	}
+	s.Audit = s.Audit.clone() // the rest is plain values — a copy is private already
+	return s
 }
 
 func (a AuditSnapshot) clone() AuditSnapshot {
@@ -92,8 +82,9 @@ func (a AuditSnapshot) clone() AuditSnapshot {
 }
 
 // RestoreSnapshot installs snapshot state into a server that is freshly built
-// or Reset, and whose backend has already been restored, then silently
-// rebuilds the watch cache from it — into the tables the server already has.
+// or Reset, and whose backend (and decode cache, if one was captured) has
+// already been restored, then silently rebuilds the watch cache from it — into
+// the tables the server already has.
 // No events are dispatched: components prime their own views when they
 // start, exactly as they do against a live control plane they reconnect to
 // (netsim's Prime, the scheduler's run-time listing, the controllers'
@@ -105,8 +96,6 @@ func (s *Server) RestoreSnapshot(snap Snapshot) {
 	if s.admission != nil && snap.Admission.Present {
 		s.admission.restore(snap.Admission)
 	}
-	clear(s.decoded)
-	maps.Copy(s.decoded, snap.Decoded)
 	s.rebuildCache(false)
 }
 

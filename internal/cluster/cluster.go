@@ -244,9 +244,11 @@ func assemble(cfg Config, loop *sim.Loop, backend store.Backend) *Cluster {
 		// failover can never collide.
 		servers[i].SetAdmissionStride(i, n)
 	}
-	// One audit trail for the whole control plane, whichever replica served.
+	// One audit trail and one decode cache for the whole control plane,
+	// whichever replica served.
 	for i := 1; i < n; i++ {
 		servers[i].SetAudit(servers[0].Audit())
+		servers[i].SetDecodeCache(servers[0].DecodeCache())
 	}
 	var source apiserver.ClientSource = servers[0]
 	var eps *apiserver.Endpoints

@@ -15,6 +15,7 @@ import (
 //
 // A Snapshot holds only immutable data: store contents (every replica of a
 // replicated backend), the API server's admission counters and audit trail,
+// the control plane's decode cache (so a restore re-lists without decoding),
 // the controller manager's child-name counter, and each kubelet's runtime
 // state (image cache, IP allocator, per-pod pipeline position). Everything
 // else — watch registrations, periodic timers, controller caches, the
@@ -46,7 +47,10 @@ type Snapshot struct {
 	// servers holds one snapshot per control-plane replica (len 1 without
 	// HA): admission counters differ per replica (strided residues), audit
 	// copies are identical (shared trail) and restore idempotently.
-	servers  []apiserver.Snapshot
+	servers []apiserver.Snapshot
+	// decoded is the control plane's one decode cache, whatever the replica
+	// count; never written, so views share it.
+	decoded  *apiserver.DecodeCache
 	nameSeq  int64
 	kubelets map[string]kubelet.Snapshot
 }
@@ -80,6 +84,7 @@ func (c *Cluster) Snapshot() *Snapshot {
 		now:      c.Loop.Now(),
 		executed: c.Loop.EventsExecuted(),
 		store:    store.CaptureSnapshot(c.Backend),
+		decoded:  c.Server.DecodeCache().Snapshot(),
 		nameSeq:  c.Manager.NameSeq(),
 		kubelets: make(map[string]kubelet.Snapshot, len(c.Kubelets)),
 	}
@@ -96,9 +101,10 @@ func (c *Cluster) Snapshot() *Snapshot {
 // map/slice structure with the original: the store snapshot's value bytes
 // move into fresh per-replica arenas (store.Snapshot.Clone) and each server
 // snapshot gets private maps (apiserver.Snapshot.Clone). Forking from the
-// view is byte-equivalent to forking from the original. Sealed decoded
-// objects and kubelet pod records stay shared: both are immutable, and only
-// read through pointers.
+// view is byte-equivalent to forking from the original. The decode cache and
+// kubelet pod records stay shared: both are immutable, and only read; the
+// cache's entries decode the original's arrays, so a view's fork misses on
+// every key and decodes its own.
 //
 // No product code calls this any more: campaign workers fork from the shared
 // snapshot directly (per-worker views measured no gain at two cores). It
@@ -111,6 +117,7 @@ func (s *Snapshot) WorkerView() *Snapshot {
 		now:      s.now,
 		executed: s.executed,
 		store:    s.store.Clone(),
+		decoded:  s.decoded,
 		nameSeq:  s.nameSeq,
 		kubelets: make(map[string]kubelet.Snapshot, len(s.kubelets)),
 	}
@@ -179,8 +186,10 @@ func (s *Snapshot) Restore(c *Cluster, seed int64) {
 	loop.Resume(s.now, s.executed)
 
 	store.RestoreSnapshot(c.Backend, s.store)
-	// Rebuild each replica's watch cache from the restored store and resume
-	// its admission counters before any component starts issuing requests.
+	// Rebuild each replica's watch cache from the restored store, through the
+	// restored decode cache, and resume its admission counters before any
+	// component starts issuing requests.
+	c.Server.DecodeCache().Restore(s.decoded)
 	for i, srv := range c.Servers {
 		srv.RestoreSnapshot(s.servers[i])
 	}

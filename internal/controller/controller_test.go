@@ -181,6 +181,43 @@ func TestReplicaSetAdoptsMatchingOrphan(t *testing.T) {
 	}
 }
 
+// A pod whose labels match but whose controller is another ReplicaSet is none
+// of this one's business: not adopted (it has a controller), not released (it
+// is not ours), not counted towards the replicas.
+func TestReplicaSetIgnoresAnothersPod(t *testing.T) {
+	h := newHarness(t, Options{DisableGC: true})
+	foreign := &spec.Pod{
+		Metadata: spec.ObjectMeta{Name: "foreign", Namespace: spec.DefaultNamespace,
+			Labels: map[string]string{"app": "web"},
+			OwnerReferences: []spec.OwnerReference{{
+				Kind: string(spec.KindReplicaSet), Name: "other", UID: "uid-of-another", Controller: true,
+			}}},
+		Spec: spec.PodSpec{Containers: []spec.Container{{
+			Name: "c", Image: "registry.local/web:1", Command: []string{"serve"},
+		}}},
+	}
+	if err := h.c.Create(foreign); err != nil {
+		t.Fatal(err)
+	}
+	h.run(time.Second)
+	if err := h.c.Create(testRS("web", 2)); err != nil {
+		t.Fatal(err)
+	}
+	h.run(3 * time.Second)
+	if pods := h.pods(spec.DefaultNamespace); len(pods) != 3 {
+		t.Fatalf("pods = %d, want 3 (two of its own beside the foreign one)", len(pods))
+	}
+	obj, _ := h.c.Get(spec.KindPod, spec.DefaultNamespace, "foreign")
+	refs := obj.(*spec.Pod).Metadata.OwnerReferences
+	if len(refs) != 1 || refs[0].UID != "uid-of-another" || !refs[0].Controller {
+		t.Fatalf("foreign pod's owner references = %+v, want the other controller's, untouched", refs)
+	}
+	obj, _ = h.c.Get(spec.KindReplicaSet, spec.DefaultNamespace, "web")
+	if got := obj.(*spec.ReplicaSet).Status.Replicas; got != 2 {
+		t.Fatalf("status.replicas = %d, want 2", got)
+	}
+}
+
 func TestDeploymentCreatesReplicaSetWithHash(t *testing.T) {
 	h := newHarness(t, Options{})
 	d := &spec.Deployment{

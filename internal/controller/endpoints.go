@@ -21,6 +21,9 @@ type endpointsController struct {
 	// again once sync returns.
 	addrScratch []spec.EndpointAddress
 	portScratch []int64
+	// selScratch holds the selector of the service being synced as a flat
+	// list; empty between syncs (its order is the selector map's, random).
+	selScratch []spec.LabelPair
 }
 
 func newEndpointsController(m *Manager) *endpointsController {
@@ -74,17 +77,18 @@ func (c *endpointsController) sync(key string) {
 	}
 	svc := obj.(*spec.Service)
 
-	sel := spec.LabelSelector{MatchLabels: svc.Spec.Selector}
+	sel := spec.LabelSelector{MatchLabels: svc.Spec.Selector}.AppendPairs(c.selScratch)
 	addrs := c.addrScratch[:0]
-	if !sel.Empty() { // a selector-less service's endpoints are managed manually
+	if len(sel) > 0 { // a selector-less service's endpoints are managed manually
 		// Informer-view scan: the endpoint table is rebuilt from scratch;
 		// pods are never mutated here.
 		c.m.views.ForEach(spec.KindPod, ns, func(po spec.Object) bool {
-			addrs = c.appendAddr(addrs, sel, po.(*spec.Pod))
+			addrs = appendAddr(addrs, sel, po.(*spec.Pod))
 			return true
 		})
 	}
 	c.addrScratch = addrs
+	c.selScratch = emptied(sel)
 	ports := c.portScratch[:0]
 	for _, p := range svc.Spec.Ports {
 		ports = append(ports, p.TargetPort)
@@ -129,11 +133,11 @@ func (c *endpointsController) sync(key string) {
 
 // appendAddr appends the pod's endpoint address iff it is a ready, addressed
 // backend matching the selector.
-func (c *endpointsController) appendAddr(addrs []spec.EndpointAddress, sel spec.LabelSelector, pod *spec.Pod) []spec.EndpointAddress {
+func appendAddr(addrs []spec.EndpointAddress, sel []spec.LabelPair, pod *spec.Pod) []spec.EndpointAddress {
 	if !pod.Active() || !pod.Status.Ready || pod.Status.PodIP == "" {
 		return addrs
 	}
-	if !sel.Matches(pod.Metadata.Labels) {
+	if !spec.PairsMatch(sel, pod.Metadata.Labels) {
 		return addrs
 	}
 	return append(addrs, spec.EndpointAddress{

@@ -26,6 +26,9 @@ type replicaSetController struct {
 	// ownedScratch is the owned-pod buffer reused across syncs (the
 	// collected set never outlives the sync call).
 	ownedScratch []*spec.Pod
+	// selScratch holds the selector of the ReplicaSet being synced as a flat
+	// list; empty between syncs (its order is the selector map's, random).
+	selScratch []spec.LabelPair
 }
 
 func newReplicaSetController(m *Manager) *replicaSetController {
@@ -84,15 +87,19 @@ func (c *replicaSetController) sync(key string) {
 	// Informer-view scan: owned pods are only inspected here; adoption and
 	// release mutate a private clone (see adoptPod / releasePod).
 	owned := c.ownedScratch[:0]
+	sel := rs.Spec.Selector.AppendPairs(c.selScratch)
 	c.m.views.ForEach(spec.KindPod, ns, func(po spec.Object) bool {
 		pod := po.(*spec.Pod)
 		if !pod.Active() {
 			return true
 		}
 		ref := pod.Metadata.ControllerOf()
-		matches := rs.Spec.Selector.Matches(pod.Metadata.Labels)
+		if ref != nil && ref.UID != rs.Metadata.UID {
+			return true // another controller's pod: not ours to count, release or adopt
+		}
+		matches := spec.PairsMatch(sel, pod.Metadata.Labels)
 		switch {
-		case ref != nil && ref.UID == rs.Metadata.UID:
+		case ref != nil:
 			if matches {
 				owned = append(owned, pod)
 			} else {
@@ -100,7 +107,7 @@ func (c *replicaSetController) sync(key string) {
 				// keeps running as an orphan — silent over-provisioning.
 				c.releasePod(pod)
 			}
-		case ref == nil && matches:
+		case matches: // an orphan
 			if c.adoptPod(rs, pod) {
 				owned = append(owned, pod)
 			}
@@ -108,6 +115,7 @@ func (c *replicaSetController) sync(key string) {
 		return true
 	})
 	c.ownedScratch = owned
+	c.selScratch = emptied(sel)
 
 	diff := int(rs.Spec.Replicas) - len(owned)
 	switch {

@@ -306,6 +306,30 @@ func (s LabelSelector) Matches(labels map[string]string) bool {
 // Empty reports whether the selector has no terms.
 func (s LabelSelector) Empty() bool { return len(s.MatchLabels) == 0 }
 
+// LabelPair is one term of a LabelSelector.
+type LabelPair struct{ Key, Value string }
+
+// AppendPairs appends the selector's terms to dst, in no particular order: a
+// flat copy for a caller about to match one selector against many label sets,
+// so that the selector map is walked once, not once per set.
+func (s LabelSelector) AppendPairs(dst []LabelPair) []LabelPair {
+	for k, v := range s.MatchLabels {
+		dst = append(dst, LabelPair{k, v})
+	}
+	return dst
+}
+
+// PairsMatch reports what Matches would for the selector the pairs were taken
+// from: no pairs match nothing, and an absent label equals an empty value.
+func PairsMatch(pairs []LabelPair, labels map[string]string) bool {
+	for _, p := range pairs {
+		if labels[p.Key] != p.Value {
+			return false
+		}
+	}
+	return len(pairs) > 0
+}
+
 // ReplicaSet maintains a stable set of pod replicas.
 type ReplicaSet struct {
 	Metadata ObjectMeta       `pb:"1,metadata"`

@@ -97,12 +97,26 @@ func TestSelectorMatches(t *testing.T) {
 		{"empty selector matches nothing", nil, map[string]string{"app": "web"}, false},
 		{"two terms", map[string]string{"app": "web", "tier": "fe"}, map[string]string{"app": "web", "tier": "fe"}, true},
 		{"partial", map[string]string{"app": "web", "tier": "fe"}, map[string]string{"app": "web"}, false},
+		{"empty selector, no labels", map[string]string{}, nil, false},
+		{"empty value equals absent key", map[string]string{"app": ""}, map[string]string{"x": "y"}, true},
+		{"empty value, nil labels", map[string]string{"app": ""}, nil, true},
+		{"empty value against a set one", map[string]string{"app": ""}, map[string]string{"app": "web"}, false},
+		{"superset labels, two terms", map[string]string{"app": "web", "tier": "fe"}, map[string]string{"app": "web", "tier": "fe", "zone": "a"}, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			s := LabelSelector{MatchLabels: tt.sel}
 			if got := s.Matches(tt.labels); got != tt.want {
 				t.Fatalf("Matches(%v) = %v, want %v", tt.labels, got, tt.want)
+			}
+			// The flat form is the same predicate, appended after whatever
+			// the caller's buffer held.
+			pairs := s.AppendPairs([]LabelPair{{"kept", "x"}})
+			if len(pairs) != 1+len(tt.sel) || pairs[0] != (LabelPair{"kept", "x"}) {
+				t.Fatalf("AppendPairs = %v for selector %v", pairs, tt.sel)
+			}
+			if got := PairsMatch(pairs[1:], tt.labels); got != tt.want {
+				t.Fatalf("PairsMatch(%v, %v) = %v, Matches = %v", pairs[1:], tt.labels, got, tt.want)
 			}
 		})
 	}

@@ -234,12 +234,6 @@ func (r *Replicated) WatchReplica(i int, prefix string, fn func(Event)) (cancel 
 	return r.replicas[i].Watch(prefix, fn)
 }
 
-// OnRewriteAt observes silent byte rewrites on one replica — the apiserver
-// bound to it must invalidate its decoded forms.
-func (r *Replicated) OnRewriteAt(i int, fn func(key string)) {
-	r.replicas[i].OnRewrite(fn)
-}
-
 // Put writes via origin 0 (the legacy single-apiserver view).
 func (r *Replicated) Put(key string, kind spec.Kind, value []byte) (int64, error) {
 	return r.PutVia(0, key, kind, value)
@@ -273,11 +267,6 @@ func (r *Replicated) List(prefix string) []KV {
 // Watch observes replica 0.
 func (r *Replicated) Watch(prefix string, fn func(Event)) (cancel func()) {
 	return r.WatchReplica(0, prefix, fn)
-}
-
-// OnRewrite observes silent byte rewrites on replica 0.
-func (r *Replicated) OnRewrite(fn func(key string)) {
-	r.OnRewriteAt(0, fn)
 }
 
 // Revision returns replica 0's revision.

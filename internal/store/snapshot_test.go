@@ -71,13 +71,12 @@ func TestResetAndRestoreInPlace(t *testing.T) {
 
 	delivered := 0
 	s.Watch("/registry/", func(Event) { delivered++ })
-	s.OnRewrite(func(string) {})
 	_, _ = s.Put("/registry/Pod/default/zzz", spec.KindPod, []byte("dirty"))
 	s.Delete("/registry/Node//n1")
 	s.Reset()
 	loop.Reset()
-	if s.Len() != 0 || s.Revision() != 0 || s.SizeBytes() != 0 || len(s.watchers) != 0 || len(s.rewriteHooks) != 0 {
-		t.Fatalf("after Reset: %d keys, rev %d, %d bytes, %d watchers, %d hooks", s.Len(), s.Revision(), s.SizeBytes(), len(s.watchers), len(s.rewriteHooks))
+	if s.Len() != 0 || s.Revision() != 0 || s.SizeBytes() != 0 || len(s.watchers) != 0 {
+		t.Fatalf("after Reset: %d keys, rev %d, %d bytes, %d watchers", s.Len(), s.Revision(), s.SizeBytes(), len(s.watchers))
 	}
 
 	RestoreSnapshot(s, snap)

@@ -153,12 +153,6 @@ type Store struct {
 	pendingHead int
 	delivering  int
 	deliverFn   func()
-	// rewriteHooks observe silent byte rewrites — mutations of stored values
-	// that do NOT bump the revision or notify watchers (CorruptAtRest). The
-	// API server's revision-tagged decoded-object cache registers here: a
-	// revision tag alone cannot see a same-revision byte change, so every
-	// such rewrite must explicitly invalidate the decoded form.
-	rewriteHooks []func(key string)
 }
 
 type item struct {
@@ -196,7 +190,7 @@ func New(loop *sim.Loop, opts *Options) *Store {
 }
 
 // Reset empties the store to the state New left it in — no keys, revision
-// zero, no subscribers, no rewrite hooks — keeping the memory of its tables
+// zero, no subscribers — keeping the memory of its tables
 // for the next restore. Whoever subscribed re-subscribes (the API server does
 // in its own Reset). Events committed but not yet delivered are dropped with
 // the loop events that would have delivered them: reset the loop first.
@@ -211,8 +205,6 @@ func (s *Store) Reset() {
 	clear(s.pendingEv)
 	s.pendingEv = s.pendingEv[:0]
 	s.pendingHead, s.delivering = 0, 0
-	clear(s.rewriteHooks)
-	s.rewriteHooks = s.rewriteHooks[:0]
 }
 
 // Revision returns the latest committed revision.
@@ -390,7 +382,9 @@ func (s *Store) sweepWatchers() {
 // callback receives a private copy and the result becomes a new backing
 // array, honoring the copy-on-write discipline — readers and snapshots that
 // alias the old array keep the uncorrupted bytes, exactly like a disk-level
-// flip that postdates a backup.
+// flip that postdates a backup. The new array is also what tells the API
+// server's decode cache, which knows stored arrays by address, that these are
+// not the bytes it decoded.
 func (s *Store) CorruptAtRest(key string, mutate func([]byte) []byte) bool {
 	it, ok := s.items[key]
 	if !ok {
@@ -400,22 +394,7 @@ func (s *Store) CorruptAtRest(key string, mutate func([]byte) []byte) bool {
 	s.size -= int64(len(it.value))
 	it.value = mutate(append([]byte(nil), it.value...))
 	s.size += int64(len(it.value))
-	// The bytes changed under an unchanged revision: anyone holding a
-	// revision-tagged decoded form of this key must drop it, or the
-	// corruption would stay invisible even past a cache rebuild.
-	for _, fn := range s.rewriteHooks {
-		fn(key)
-	}
 	return true
-}
-
-// OnRewrite registers fn to be called with the key of every silent byte
-// rewrite (a value mutation that keeps its revision, i.e. CorruptAtRest).
-// Ordinary writes are observable through Watch and revision tags; this hook
-// exists solely so decoded-object caches keyed on revision stay honest in
-// the face of at-rest corruption.
-func (s *Store) OnRewrite(fn func(key string)) {
-	s.rewriteHooks = append(s.rewriteHooks, fn)
 }
 
 func (s *Store) notify(ev Event) {

@@ -314,63 +314,6 @@ func hasKey(m map[string]int, k string) bool {
 	return ok
 }
 
-// OnRewrite hooks fire for silent byte rewrites (CorruptAtRest) only —
-// ordinary writes and deletes are observable through revisions and watches
-// and must not trigger them.
-func TestOnRewriteHookFiresOnlyForCorruptAtRest(t *testing.T) {
-	loop := sim.NewLoop(1)
-	s := New(loop, nil)
-	var rewritten []string
-	s.OnRewrite(func(key string) { rewritten = append(rewritten, key) })
-
-	if _, err := s.Put("/a", spec.KindPod, []byte("value")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Put("/a", spec.KindPod, []byte("value2")); err != nil {
-		t.Fatal(err)
-	}
-	if len(rewritten) != 0 {
-		t.Fatalf("Put fired the rewrite hook: %v", rewritten)
-	}
-	if !s.CorruptAtRest("/a", func(b []byte) []byte { b[0] ^= 0xff; return b }) {
-		t.Fatal("CorruptAtRest = false")
-	}
-	if len(rewritten) != 1 || rewritten[0] != "/a" {
-		t.Fatalf("rewrite hook observed %v, want [/a]", rewritten)
-	}
-	s.Delete("/a")
-	if len(rewritten) != 1 {
-		t.Fatalf("Delete fired the rewrite hook: %v", rewritten)
-	}
-	if s.CorruptAtRest("/missing", func(b []byte) []byte { return b }) {
-		t.Fatal("CorruptAtRest on missing key = true")
-	}
-	if len(rewritten) != 1 {
-		t.Fatal("rewrite hook fired for a missing key")
-	}
-}
-
-// The replicated backend routes rewrite notifications from the primary —
-// the replica the API server reads — and not from followers.
-func TestReplicatedOnRewriteObservesPrimaryOnly(t *testing.T) {
-	loop := sim.NewLoop(1)
-	r := NewReplicated(loop, 3, nil)
-	var rewritten []string
-	r.OnRewrite(func(key string) { rewritten = append(rewritten, key) })
-	if _, err := r.Put("/registry/Pod/default/a", spec.KindPod, []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	loop.RunUntil(loop.Now() + 5*time.Second) // let raft replicate
-	r.Replica(2).CorruptAtRest("/registry/Pod/default/a", func(b []byte) []byte { b[0] ^= 1; return b })
-	if len(rewritten) != 0 {
-		t.Fatalf("follower corruption notified the primary's hook: %v", rewritten)
-	}
-	r.Primary().CorruptAtRest("/registry/Pod/default/a", func(b []byte) []byte { b[0] ^= 1; return b })
-	if len(rewritten) != 1 {
-		t.Fatalf("primary corruption observed %d times, want 1", len(rewritten))
-	}
-}
-
 // The store's watcher list follows the API server's rule (see
 // TestCancelStormSweepsLogarithmically there): cancelled entries are swept
 // once they are half the list, and the survivors keep their order.
