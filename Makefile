@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check ci build vet test race race-all fuzz-smoke smoke docs-lint bench-full bench-codec bench-campaign
+.PHONY: check ci build vet test race race-all fuzz-smoke smoke docs-lint outcomes-cmp bench-full bench-codec bench-campaign
 
 check: build vet test race fuzz-smoke smoke docs-lint
 
@@ -74,6 +74,34 @@ docs-lint:
 		done; \
 	done; \
 	[ $$fail -eq 0 ] && echo "docs-lint OK"
+
+# Outcome neutrality against another revision: `make outcomes-cmp PARENT=HEAD~1`
+# builds mutiny-campaign from PARENT (a `git archive` of it, unpacked in a
+# temporary directory that is removed afterwards) and from the working tree,
+# runs both with -quiet on the six argument sets below — shared-bootstrap and
+# replay regimes, zoned, HA, admission, and HA with admission — and fails on the
+# first stdout that differs by a byte. For any change that must not move an
+# outcome: a read path, an index, a cache, a delivery path. Under a minute.
+OUTCOME_ARGS = \
+	"-stride 10 -golden 10 -share-bootstrap" \
+	"-stride 25 -golden 8" \
+	"-stride 60 -golden 8 -share-bootstrap -zones 3 -nodes 12" \
+	"-stride 60 -golden 8 -share-bootstrap -control-plane-replicas 3" \
+	"-stride 60 -golden 8 -share-bootstrap -admission-hooks 3" \
+	"-stride 40 -golden 8 -control-plane-replicas 3 -admission-hooks 3"
+
+outcomes-cmp:
+	@test -n "$(PARENT)" || { echo "usage: make outcomes-cmp PARENT=<rev>"; exit 2; }
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && mkdir "$$tmp/parent" && \
+	git archive "$(PARENT)" | tar -x -C "$$tmp/parent" && \
+	(cd "$$tmp/parent" && $(GO) build -o "$$tmp/campaign.parent" ./cmd/mutiny-campaign) && \
+	$(GO) build -o "$$tmp/campaign.new" ./cmd/mutiny-campaign && \
+	for args in $(OUTCOME_ARGS); do \
+		"$$tmp/campaign.parent" -quiet $$args > "$$tmp/parent.out" && \
+		"$$tmp/campaign.new" -quiet $$args > "$$tmp/new.out" && \
+		cmp "$$tmp/parent.out" "$$tmp/new.out" && echo "same: $$args" || \
+		{ echo "outcomes differ from $(PARENT): $$args"; exit 1; }; \
+	done
 
 # Performance is measured by the repository benchmark, `go run ./bench` (see
 # bench/README.md and BENCHMARK.json), not by a make target.

@@ -97,6 +97,11 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		// Flag parsing stops at the first positional argument: everything after
+		// a stray word (a flag missing its dash) would be silently ignored.
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
 	if *shards < 1 {
 		return fmt.Errorf("-shards must be >= 1, got %d", *shards)
 	}

@@ -35,3 +35,20 @@ func TestRunRejectsOutOfRangeCounts(t *testing.T) {
 		}
 	}
 }
+
+// Flag parsing stops at the first positional argument, so one missing dash
+// ("stride 400") used to turn a half-second mini campaign into the full
+// stride-1, 100-golden one without a word. A stray word is an error.
+func TestRunRejectsPositionalArguments(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string // substring of the error
+	}{
+		{[]string{"-quiet", "stride", "400", "-golden", "3"}, `unexpected argument "stride"`},
+		{[]string{"-quiet", "-stride", "400", "extra"}, `unexpected argument "extra"`},
+	} {
+		if err := run(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(%v) = %v, want error containing %q", tc.args, err, tc.want)
+		}
+	}
+}

@@ -32,6 +32,11 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		// Flag parsing stops at the first positional argument: everything after
+		// a stray word (a flag missing its dash) would be silently ignored.
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
 	kind, err := mutiny.ParseWorkload(*wl)
 	if err != nil {
 		return err

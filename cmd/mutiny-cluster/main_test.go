@@ -6,7 +6,8 @@ import (
 )
 
 // An unknown workload used to run a no-op driver and report a healthy cluster;
-// a negative horizon used to be ignored. Both are errors before anything boots.
+// a negative horizon, and whatever followed a positional argument, used to be
+// ignored. All are errors before anything boots.
 func TestRunRejectsBadInput(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -14,6 +15,8 @@ func TestRunRejectsBadInput(t *testing.T) {
 	}{
 		{[]string{"-workload", "bogus"}, `unknown workload "bogus"`},
 		{[]string{"-horizon", "-1s"}, "-horizon must be >= 0, got -1s"},
+		// Everything after a stray word used to be silently dropped.
+		{[]string{"workload", "scale", "-horizon", "1s"}, `unexpected argument "workload"`},
 	} {
 		err := run(append([]string{"-events=false"}, tc.args...))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -27,6 +27,11 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		// Flag parsing stops at the first positional argument: everything after
+		// a stray word (a flag missing its dash) would be silently ignored.
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
 
 	mutiny.RenderTable1(os.Stdout)
 	fmt.Println()

@@ -52,6 +52,11 @@ func parse(args []string) (mutiny.Spec, int, error) {
 	if err := fs.Parse(args); err != nil {
 		return mutiny.Spec{}, 0, err
 	}
+	if fs.NArg() > 0 {
+		// Flag parsing stops at the first positional argument: everything after
+		// a stray word (a flag missing its dash) would be silently ignored.
+		return mutiny.Spec{}, 0, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
 	workload, err := mutiny.ParseWorkload(*wl)
 	if err != nil {
 		return mutiny.Spec{}, 0, err

@@ -15,6 +15,9 @@ func TestParseRejectsUnknownNames(t *testing.T) {
 		{[]string{"-channel", "etcd"}, `unknown channel "etcd"`},
 		{[]string{"-workload", "depoly"}, `unknown workload "depoly"`},
 		{[]string{"-fault", "flip"}, `unknown fault model "flip"`},
+		// Everything after a stray word (a flag missing its dash) used to be
+		// silently dropped, and the default injection ran instead.
+		{[]string{"field", "spec.replicas", "-fault", "set"}, `unexpected argument "field"`},
 	} {
 		if _, _, err := parse(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("parse(%v) = %v, want error containing %q", tc.args, err, tc.want)

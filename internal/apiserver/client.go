@@ -119,10 +119,23 @@ func (c *Client) ListSelected(kind spec.Kind, namespace string, sel spec.LabelSe
 // objects are sealed references shared across all watchers. The cancel
 // function detaches the watcher.
 func (c *Client) Watch(kind spec.Kind, fn func(WatchEvent)) (cancel func()) {
+	return c.watch(kind, nil, fn)
+}
+
+// WatchPods subscribes to the pod events in scope: those whose object is bound
+// to scope.Node or carries a UID the scope has claimed (see PodScope) — what a
+// kubelet can act on, instead of every pod event in the cluster. Otherwise it
+// is Watch(spec.KindPod, fn): same event objects, same delivery order among
+// the receivers, same cancel.
+func (c *Client) WatchPods(scope *PodScope, fn func(WatchEvent)) (cancel func()) {
+	return c.watch(spec.KindPod, scope, fn)
+}
+
+func (c *Client) watch(kind spec.Kind, scope *PodScope, fn func(WatchEvent)) (cancel func()) {
 	if c.eps == nil {
-		return c.srv.watch(kind, fn)
+		return c.srv.watch(kind, scope, fn)
 	}
-	return c.watchFailover(kind, fn)
+	return c.watchFailover(kind, scope, fn)
 }
 
 // NoteAccess records a read of the given store key with the server's access

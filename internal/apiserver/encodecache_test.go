@@ -11,13 +11,15 @@ import (
 )
 
 // The write-path encode cache: sealed objects primed into the decode cache
-// also carry their canonical wire bytes, so a status-only update re-encodes
-// just the status section and splices it onto the cached metadata+spec
-// prefix. These tests pin down the mirror image of the decode-cache
-// contract: the cached bytes are always exactly what a fresh Marshal of the
-// sealed object produces, any byte-level fault (at-rest corruption, tampered
-// store writes, armed injection channels) suppresses or invalidates them,
-// and the spliced encoding is byte-identical to a full re-encode per kind.
+// also carry their wire bytes — the array the store holds for them — so a
+// status-only update re-encodes just the status section and splices it onto
+// that array's metadata+spec prefix, the committed revision patched in on the
+// way. These tests pin down the mirror image of the decode-cache contract:
+// the cached bytes are the stored array itself, what the splice builds from
+// them is always exactly what a fresh Marshal of the sealed object produces,
+// any byte-level fault (at-rest corruption, tampered store writes, armed
+// injection channels) suppresses or invalidates them, and the spliced encoding
+// is byte-identical to a full re-encode per kind.
 
 // wireOf returns the cached wire bytes for key, or nil.
 func wireOf(srv *Server, key string) ([]byte, int) {
@@ -29,6 +31,45 @@ func wireOf(srv *Server, key string) ([]byte, int) {
 	return obj.Meta().WireBytes()
 }
 
+// wireCanonical holds the encode-cache invariant for the object cached under
+// key and returns the canonical encoding rebuilt from its wire bytes: the
+// bytes are the array the store holds (the address the decode cache knows the
+// object by), the cached offset is where their status record starts, and
+// their prefix with the committed revision patched in, followed by the status
+// record — re-encoded as the splice does it, and as the store holds it — is a
+// fresh Marshal of the sealed object.
+func wireCanonical(t *testing.T, srv *Server, key string) []byte {
+	t.Helper()
+	e := srv.decoded.entries[key]
+	w, off := e.obj.Meta().WireBytes()
+	if w == nil {
+		t.Fatal("no cached wire bytes")
+	}
+	kv, ok, _ := srv.backendGet(key)
+	if !ok || &kv.Value[0] != &w[0] || len(kv.Value) != len(w) || e.src != &w[0] {
+		t.Fatal("cached wire bytes are not the stored array the decode cache entry is valid for")
+	}
+	if gotOff, ok := codec.StatusOffset(w); !ok || gotOff != off {
+		t.Fatalf("cached status offset %d, StatusOffset says %d (ok=%v)", off, gotOff, ok)
+	}
+	prefix, ok := codec.AppendPrefixWithRV(nil, w[:off], e.obj.Meta().ResourceVersion)
+	if !ok {
+		t.Fatal("cached prefix does not parse")
+	}
+	spliced, err := codec.NewArena().AppendStructField(append([]byte(nil), prefix...), codec.ObjectStatusField, statusOf(e.obj))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := mustMarshal(e.obj)
+	if string(spliced) != string(fresh) {
+		t.Fatal("patched prefix + re-encoded status differs from a fresh Marshal of the sealed object")
+	}
+	if string(prefix)+string(w[off:]) != string(fresh) {
+		t.Fatal("patched prefix + stored status record differs from a fresh Marshal of the sealed object")
+	}
+	return spliced
+}
+
 func TestEncodeCachePrimedBytesMatchFreshMarshal(t *testing.T) {
 	loop, st, srv := newTestServer(t)
 	c := srv.ClientFor("test")
@@ -37,17 +78,11 @@ func TestEncodeCachePrimedBytesMatchFreshMarshal(t *testing.T) {
 	}
 	settle(loop)
 	key := spec.Key(spec.KindPod, spec.DefaultNamespace, "web-1")
-	w, off := wireOf(srv, key)
+	w, _ := wireOf(srv, key)
 	if w == nil {
 		t.Fatal("create did not prime the encode cache")
 	}
-	cached := srv.decoded.entries[key].obj
-	if fresh := mustMarshal(cached); string(w) != string(fresh) {
-		t.Fatal("cached wire bytes differ from a fresh Marshal of the sealed object")
-	}
-	if gotOff, ok := codec.StatusOffset(w); !ok || gotOff != off {
-		t.Fatalf("cached status offset %d, StatusOffset says %d (ok=%v)", off, gotOff, ok)
-	}
+	wireCanonical(t, srv, key)
 
 	// A status update must splice onto the prefix and leave the new cached
 	// entry equally exact.
@@ -70,9 +105,7 @@ func TestEncodeCachePrimedBytesMatchFreshMarshal(t *testing.T) {
 	if string(w2) == string(w) {
 		t.Fatal("status update left the old wire bytes in place")
 	}
-	if fresh := mustMarshal(srv.decoded.entries[key].obj); string(w2) != string(fresh) {
-		t.Fatal("cached wire bytes after a spliced status update differ from a fresh Marshal")
-	}
+	wireCanonical(t, srv, key) // after a spliced status update, too
 	// The stored bytes decode to the merged object (splice exactness against
 	// the backend, not just the cache).
 	kv, _ := st.Get(key)
@@ -207,22 +240,18 @@ func TestEncodeCacheSpliceRoundTripsPerKind(t *testing.T) {
 				t.Fatal("spliced stored bytes are not the canonical encoding of the decoded object")
 			}
 			// The cached sealed object at the committed revision must
-			// re-encode to its own cached wire, and match a real decode.
-			e, ok := srv.decoded.entries[key]
-			if !ok {
+			// re-encode to what its own cached wire splices to, and match a
+			// real decode.
+			if _, ok := srv.decoded.entries[key]; !ok {
 				t.Fatal("status update did not prime the decode cache")
 			}
-			cached := e.obj
-			w, _ := cached.Meta().WireBytes()
-			if w == nil {
+			if w, _ := wireOf(srv, key); w == nil {
 				t.Fatal("status update did not prime the encode cache")
 			}
-			if fresh := mustMarshal(cached); string(w) != string(fresh) {
-				t.Fatal("cached wire differs from a fresh Marshal of the cached object")
-			}
+			canonical := wireCanonical(t, srv, key)
 			stored.Meta().ResourceVersion = kv.Revision
-			if refresh := mustMarshal(stored); string(refresh) != string(w) {
-				t.Fatal("a real decode at the committed revision differs from the cached wire")
+			if refresh := mustMarshal(stored); string(refresh) != string(canonical) {
+				t.Fatal("a real decode at the committed revision differs from the cached wire's canonical form")
 			}
 		})
 	}
@@ -307,7 +336,7 @@ func TestEncodeCacheSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	stored.Meta().ResourceVersion = kv.Revision
-	if string(mustMarshal(stored)) != string(w) {
+	if string(mustMarshal(stored)) != string(wireCanonical(t, srv, key)) {
 		t.Fatal("post-restart cached wire differs from a real decode of the stored bytes")
 	}
 }
@@ -392,9 +421,44 @@ func TestEncodeCacheSuppressedWhileRequestChannelArmed(t *testing.T) {
 	if w == nil {
 		t.Fatal("disarmed request channel did not restore encode-cache priming")
 	}
-	if fresh := mustMarshal(srv.decoded.entries[key].obj); string(w) != string(fresh) {
-		t.Fatal("cached wire after re-arming cycle differs from a fresh Marshal")
+	wireCanonical(t, srv, key) // exact after the re-arming cycle
+}
+
+// A cached prefix that does not parse as metadata-first records is never
+// guessed at: the status update falls back to a full marshal, and what reaches
+// the store is the canonical encoding all the same.
+func TestEncodeCacheMalformedPrefixFallsBackToFullMarshal(t *testing.T) {
+	loop, st, srv := newTestServer(t)
+	c := srv.ClientFor("test")
+	if err := c.Create(testPod("web-1")); err != nil {
+		t.Fatal(err)
 	}
+	settle(loop)
+	key := spec.Key(spec.KindPod, spec.DefaultNamespace, "web-1")
+	// Swap the cached object for a copy carrying garbage where its stored
+	// array should be; the entry stays valid for the real array, so the write
+	// path is served the copy.
+	e := srv.decoded.entries[key]
+	bad := e.obj.Clone()
+	bad.Meta().ResourceVersion = e.obj.Meta().ResourceVersion
+	bad.Meta().SetWireBytes([]byte{0x08, 0x01, 0xff}, 3)
+	spec.Seal(bad)
+	srv.decoded.entries[key] = decodedEntry{obj: bad, src: e.src}
+
+	upd := spec.CloneForStatusAs(bad.(*spec.Pod))
+	upd.Status.Phase = spec.PodRunning
+	upd.Status.Ready = true
+	if err := c.UpdateStatus(upd); err != nil {
+		t.Fatal(err)
+	}
+	settle(loop)
+	kv, _ := st.Get(key)
+	want := spec.CloneForStatusAs(bad.(*spec.Pod)) // at the revision the writer saw
+	want.Status.Phase, want.Status.Ready = spec.PodRunning, true
+	if string(kv.Value) != string(mustMarshal(want)) {
+		t.Fatal("a status update over a malformed cached prefix did not store a full marshal of the merged object")
+	}
+	wireCanonical(t, srv, key) // and the new entry is primed from the stored array
 }
 
 // A tampering store-write hook taints the key; the tainted write must not
@@ -446,9 +510,7 @@ func TestEncodeCacheUnharmedByWatchHookMutation(t *testing.T) {
 	if w == nil {
 		t.Fatal("create did not prime the encode cache")
 	}
-	if fresh := mustMarshal(srv.decoded.entries[key].obj); string(w) != string(fresh) {
-		t.Fatal("watch-hook scribbling reached the cached wire bytes")
-	}
+	wireCanonical(t, srv, key) // the watch hook's scribbling did not reach the cached bytes
 	obj, err := c.Get(spec.KindPod, spec.DefaultNamespace, "web-1")
 	if err != nil {
 		t.Fatal(err)

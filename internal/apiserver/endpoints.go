@@ -176,8 +176,9 @@ func (c *Client) evacuate() {
 }
 
 // failTo re-homes the client on endpoint idx and migrates its watches: each
-// is cancelled on the old server, re-registered on the new one, and then fed
-// the new server's current state as Added events — the re-list half of
+// is cancelled on the old server, re-registered on the new one — a scoped pod
+// watch with its scope, whose claims the new server indexes — and then fed the
+// new server's current state as Added events: the re-list half of
 // ListAndWatch. Consumers are built for replayed Addeds (idempotent handlers,
 // resync-repairing reflectors), exactly as across a server restart.
 func (c *Client) failTo(idx int) {
@@ -189,7 +190,7 @@ func (c *Client) failTo(idx int) {
 	}
 	for _, w := range c.watches {
 		w.cancel()
-		w.cancel = srv.watch(w.kind, w.fn)
+		w.cancel = srv.watch(w.kind, w.scope, w.fn)
 	}
 	for _, w := range c.watches {
 		w.replay(srv)
@@ -199,12 +200,15 @@ func (c *Client) failTo(idx int) {
 // clientWatch is one logical watch subscription that survives failover.
 type clientWatch struct {
 	kind   spec.Kind
+	scope  *PodScope // nil for an unscoped watch
 	fn     func(WatchEvent)
 	cancel func()
 }
 
 // replay feeds the server's current state for the watched kind(s) to the
-// subscriber as synthetic Added events, in store-key order.
+// subscriber as synthetic Added events, in store-key order — to a scoped
+// watch, the pods in scope as each is reached (an adopted pod is claimed by
+// the time a later one is tested).
 func (w *clientWatch) replay(srv *Server) {
 	kinds := []spec.Kind{w.kind}
 	if w.kind == "" {
@@ -212,15 +216,18 @@ func (w *clientWatch) replay(srv *Server) {
 	}
 	for _, kind := range kinds {
 		for _, obj := range srv.list(kind, "") {
+			if w.scope != nil && !w.scope.wants(obj.(*spec.Pod)) {
+				continue
+			}
 			w.fn(WatchEvent{Type: Added, Kind: kind, Object: obj})
 		}
 	}
 }
 
 // watchFailover registers a migrating watch subscription.
-func (c *Client) watchFailover(kind spec.Kind, fn func(WatchEvent)) (cancel func()) {
-	w := &clientWatch{kind: kind, fn: fn}
-	w.cancel = c.eps.servers[c.cur].watch(kind, fn)
+func (c *Client) watchFailover(kind spec.Kind, scope *PodScope, fn func(WatchEvent)) (cancel func()) {
+	w := &clientWatch{kind: kind, scope: scope, fn: fn}
+	w.cancel = c.eps.servers[c.cur].watch(kind, scope, fn)
 	c.watches = append(c.watches, w)
 	return func() {
 		w.cancel()

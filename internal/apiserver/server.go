@@ -195,14 +195,23 @@ type Server struct {
 	// dispatch time keeps indexing the same registrations.
 	watchers          []*watcher
 	cancelledWatchers int
-	// watcherIdx holds each kind's watcher positions (plus the all-kinds ""
-	// list), ascending. Fan-out walks the event kind's list merged with the
-	// wildcard list instead of scanning every registration: with 500 kubelet
-	// pod-watchers, the per-node-event scan was O(watchers) of pure kind
-	// mismatches. Rebuilt by sweepWatchers when cancellations compact the
-	// registration list.
+	// watcherIdx holds each kind's unscoped watcher positions (plus the
+	// all-kinds "" list), ascending. Fan-out walks the event kind's list merged
+	// with the wildcard list instead of scanning every registration. Scoped pod
+	// watchers (see PodScope) are not in it: byNode and byUID hold their
+	// positions under the node each answers for and under every pod UID each
+	// has claimed, and a pod event adds the two lists its object selects to the
+	// merge — the kubelets that can act on it, however many there are. All
+	// three are rebuilt together after cancellations compact the registration
+	// list, the scoped ones from the scopes' own claim lists; between the
+	// compaction and the rebuild (watcherIdxDirty) they hold stale positions,
+	// entries made then are thrown away with the rest, and the next fan-out
+	// rebuilds before it reads.
 	watcherIdx      map[spec.Kind][]int
+	byNode, byUID   posIndex
 	watcherIdxDirty bool
+	// fanoutScratch backs the receiver list of the fan-out in progress.
+	fanoutScratch []int
 
 	// Batched fan-out: each dispatch appends one pendingDispatch and
 	// schedules fanoutFn (built once — no per-dispatch closure) on the loop.
@@ -271,6 +280,8 @@ type Server struct {
 type watcher struct {
 	kind      spec.Kind
 	fn        func(WatchEvent)
+	scope     *PodScope // nil: every event of kind
+	pos       int       // index in Server.watchers
 	cancelled bool
 }
 
@@ -302,6 +313,8 @@ func NewAt(loop *sim.Loop, backend store.Backend, origin int, opts *Options) *Se
 		uidStride: 1,
 		cache:     make(map[string]spec.Object),
 		kindIndex: make(map[spec.Kind]*sortedBucket),
+		byNode:    make(posIndex),
+		byUID:     make(posIndex),
 		decoded:   &DecodeCache{entries: make(map[string]decodedEntry)},
 		audit:     NewAudit(loop),
 		arena:     codec.NewArena(),
@@ -332,13 +345,13 @@ func (s *Server) Reset() {
 	clear(s.decoded.entries)
 	s.decodeHits, s.decodeMisses, s.decodeRewrites = 0, 0, 0
 
+	for _, w := range s.watchers {
+		s.detach(w)
+	}
 	clear(s.watchers)
 	s.watchers = s.watchers[:0]
 	s.cancelledWatchers = 0
-	for k, idx := range s.watcherIdx {
-		s.watcherIdx[k] = idx[:0]
-	}
-	s.watcherIdxDirty = false
+	s.clearWatcherIdx()
 	clear(s.pending)
 	s.pending = s.pending[:0]
 	s.pendingHead, s.fanningOut = 0, 0
@@ -826,13 +839,15 @@ func (s *Server) persistWrite(identity string, verb Verb, msg *Message, obj spec
 	defer buf.Free()
 	var data []byte
 	var err error
+	statusOff := -1 // where data's status record starts, when a splice put it there
 	if spliceFrom != nil && !s.requestWireArmed() {
-		data, err = s.spliceStatus(buf.B[:0], spliceFrom, obj)
+		data, statusOff, err = s.spliceStatus(buf.B[:0], spliceFrom, obj)
 		if err != nil {
 			data = nil // malformed splice source: fall back to a full encode
 		}
 	}
 	if data == nil {
+		statusOff = -1
 		data, err = s.arena.AppendMarshal(buf.B[:0], obj)
 		if err != nil {
 			return s.audit.record(identity, verb, msg.Kind, msg.Name, fmt.Errorf("%w: %v", ErrBadRequest, err), msg.Tampered)
@@ -868,25 +883,29 @@ func (s *Server) persistWrite(identity string, verb Verb, msg *Message, obj spec
 	// real decode later.
 	if !out.Tampered && len(out.Data) == len(data) && arrayOf(out.Data) == arrayOf(data) {
 		obj.Meta().ResourceVersion = rev
-		// Cache the object's canonical encoding alongside the decoded form:
-		// data is verbatim the encoding of obj at the writer's RV, so
-		// patching in the committed revision yields exactly what a fresh
-		// Marshal of the sealed object would produce — the next status
-		// update to this key splices onto it instead of re-encoding
-		// metadata and spec. Only kinds with a status section benefit, and
-		// an armed request channel suppresses the cache entirely (byte
-		// faults must always act on freshly produced bytes).
-		if hasStatusSection(msg.Kind) && !s.requestWireArmed() {
-			if w := codec.RewriteObjectRV(data, rev); w != nil {
-				if off, ok := codec.StatusOffset(w); ok {
-					obj.Meta().SetWireBytes(w, off)
-				}
+		// The array the store installed (its one copy of data) is what every
+		// later read and event will present, so the decode-cache entry is valid
+		// for exactly that array — and the array doubles as the object's cached
+		// encoding: it is obj's wire form at the writer's RV, so the next status
+		// update to this key copies its metadata+spec prefix with the committed
+		// revision patched in flight (spliceStatus) instead of re-encoding the
+		// two sections. Nothing is copied or re-scanned here: a spliced write
+		// knows where its status record starts, and only a full marshal is
+		// scanned for it. Only kinds with a status section benefit, and an armed
+		// request channel suppresses the cache entirely (byte faults must
+		// always act on freshly produced bytes).
+		kv, ok, _ := s.backendGet(key)
+		stored := ok && len(kv.Value) > 0
+		if stored && kv.Revision == rev && hasStatusSection(msg.Kind) && !s.requestWireArmed() {
+			if statusOff < 0 {
+				statusOff, ok = codec.StatusOffset(kv.Value)
+			}
+			if ok {
+				obj.Meta().SetWireBytes(kv.Value, statusOff)
 			}
 		}
 		spec.Seal(obj) // entering the shared read path via the decode cache
-		// The entry is valid for the array the store installed (its one copy
-		// of data), which is what every later read and event will present.
-		if kv, ok, _ := s.backendGet(key); ok && len(kv.Value) > 0 {
+		if stored {
 			s.decoded.entries[key] = decodedEntry{obj: obj, src: &kv.Value[0]}
 		}
 	}
@@ -1077,25 +1096,15 @@ func (s *Server) fanout() {
 		if s.watcherIdxDirty {
 			s.rebuildWatcherIdx()
 		}
-		// Merge the event kind's watcher positions with the wildcard list in
-		// ascending registration order — identical delivery order to the old
-		// full scan, without touching the mismatched-kind registrations.
-		idx, wild := s.watcherIdx[ev.Kind], s.watcherIdx[""]
-		i, j := 0, 0
-		for i < len(idx) || j < len(wild) {
-			var n int
-			if j >= len(wild) || (i < len(idx) && idx[i] < wild[j]) {
-				n, i = idx[i], i+1
-			} else {
-				n, j = wild[j], j+1
-			}
-			if n >= pd.n {
-				break // merged sequence is ascending: nothing below pd.n remains
-			}
+		// The receivers are listed before the first callback runs: a callback
+		// may claim or release a UID, which edits the very lists being merged.
+		targets := s.receivers(ev, pd.n)
+		for _, n := range targets {
 			if w := s.watchers[n]; !w.cancelled {
 				w.fn(ev)
 			}
 		}
+		s.fanoutScratch = targets[:0]
 		s.fanningOut--
 	}
 	// Sweep only after delivering: pd.n indexes the pre-sweep list, so the
@@ -1225,20 +1234,80 @@ func (s *Server) list(kind spec.Kind, namespace string) []spec.Object {
 	return out
 }
 
-func (s *Server) watch(kind spec.Kind, fn func(WatchEvent)) (cancel func()) {
-	w := &watcher{kind: kind, fn: fn}
-	s.watchers = append(s.watchers, w)
-	if s.watcherIdx == nil {
-		s.watcherIdx = make(map[spec.Kind][]int)
+// receivers lists the positions, ascending and below limit (the registration
+// count when the event was dispatched), of the watchers ev goes to: the event
+// kind's unscoped watchers, the all-kinds ones and — for a pod event — the
+// scoped watchers answering for the node the delivered object names or holding
+// a claim on its UID. Registration order, each watcher once: identical to
+// walking every registration and asking each whether it wants the event,
+// without touching those that do not.
+func (s *Server) receivers(ev WatchEvent, limit int) []int {
+	lists := [4][]int{s.watcherIdx[ev.Kind], s.watcherIdx[""]}
+	var node, uid [1]int
+	if pod, ok := ev.Object.(*spec.Pod); ok {
+		lists[2] = s.byNode.list(pod.Spec.NodeName, &node)
+		lists[3] = s.byUID.list(pod.Metadata.UID, &uid)
 	}
-	s.watcherIdx[kind] = append(s.watcherIdx[kind], len(s.watchers)-1)
+	out := s.fanoutScratch[:0]
+	s.fanoutScratch = nil // a fan-out nested in a callback takes its own
+	for {
+		next := -1
+		for i, l := range lists {
+			if len(l) > 0 && (next < 0 || l[0] < lists[next][0]) {
+				next = i
+			}
+		}
+		if next < 0 || lists[next][0] >= limit {
+			return out // the lists are ascending: nothing below limit remains
+		}
+		n := lists[next][0]
+		lists[next] = lists[next][1:]
+		if len(out) == 0 || out[len(out)-1] != n {
+			out = append(out, n)
+		}
+	}
+}
+
+// watch registers fn for the events of kind ("" for all kinds) — for those in
+// scope only, when one is given (pod watchers; see PodScope).
+func (s *Server) watch(kind spec.Kind, scope *PodScope, fn func(WatchEvent)) (cancel func()) {
+	w := &watcher{kind: kind, fn: fn, scope: scope, pos: len(s.watchers)}
+	s.watchers = append(s.watchers, w)
+	if scope != nil {
+		scope.srv, scope.w = s, w
+	}
+	s.indexWatcher(w)
 	return func() {
 		if w.cancelled {
 			return
 		}
 		w.cancelled = true
+		s.detach(w)
 		s.cancelledWatchers++
 		s.sweepWatchers()
+	}
+}
+
+// detach ends w's hold on its scope, if it still has one: claims made from now
+// on are not this server's to index.
+func (s *Server) detach(w *watcher) {
+	if w.scope != nil && w.scope.w == w {
+		w.scope.srv, w.scope.w = nil, nil
+	}
+}
+
+// indexWatcher enters w, at w.pos, into the index its registration belongs to.
+func (s *Server) indexWatcher(w *watcher) {
+	if w.scope == nil {
+		if s.watcherIdx == nil {
+			s.watcherIdx = make(map[spec.Kind][]int)
+		}
+		s.watcherIdx[w.kind] = append(s.watcherIdx[w.kind], w.pos)
+		return
+	}
+	s.byNode.insert(w.scope.Node, w.pos)
+	for _, uid := range w.scope.claims {
+		s.byUID.insert(uid, w.pos)
 	}
 }
 
@@ -1270,14 +1339,26 @@ func (s *Server) sweepWatchers() {
 	s.watcherIdxDirty = true
 }
 
-// rebuildWatcherIdx re-derives the per-kind position lists after compaction.
+// rebuildWatcherIdx re-derives the position indexes after compaction. A
+// watcher cancelled since the sweep stays out: fan-out would skip it anyway,
+// and its scope may be registered elsewhere by now.
 func (s *Server) rebuildWatcherIdx() {
+	s.clearWatcherIdx()
+	for i, w := range s.watchers {
+		w.pos = i
+		if !w.cancelled {
+			s.indexWatcher(w)
+		}
+	}
+}
+
+// clearWatcherIdx empties the three position indexes, keeping their memory.
+func (s *Server) clearWatcherIdx() {
 	for k, idx := range s.watcherIdx {
 		s.watcherIdx[k] = idx[:0]
 	}
-	for i, w := range s.watchers {
-		s.watcherIdx[w.kind] = append(s.watcherIdx[w.kind], i)
-	}
+	clear(s.byNode)
+	clear(s.byUID)
 	s.watcherIdxDirty = false
 }
 
@@ -1319,28 +1400,43 @@ func (s *Server) requestWireArmed() bool {
 }
 
 // spliceStatus builds the canonical encoding of obj (a status clone of src)
-// by appending obj's re-encoded status section to src's cached metadata+spec
-// prefix. Returns nil bytes when src carries no cached encoding or obj's
-// kind has no status section — the caller falls back to a full encode.
-func (s *Server) spliceStatus(b []byte, src, obj spec.Object) ([]byte, error) {
+// from src's cached wire bytes — the array the store holds for src — by
+// copying their metadata+spec prefix with src's committed revision patched in
+// (stored bytes carry the RV their writer saw) and appending obj's re-encoded
+// status section. It also reports where in the result that section starts.
+// Returns nil bytes when src carries no cached encoding, its prefix does not
+// parse, or obj's kind has no status section — the caller falls back to a full
+// encode.
+func (s *Server) spliceStatus(b []byte, src, obj spec.Object) ([]byte, int, error) {
 	w, off := src.Meta().WireBytes()
-	if w == nil {
-		return nil, nil
+	status := statusOf(obj)
+	if w == nil || status == nil {
+		return nil, 0, nil
 	}
-	var status any
+	start := len(b)
+	b, ok := codec.AppendPrefixWithRV(b, w[:off], src.Meta().ResourceVersion)
+	if !ok {
+		return nil, 0, nil
+	}
+	statusOff := len(b) - start
+	b, err := s.arena.AppendStructField(b, codec.ObjectStatusField, status)
+	return b, statusOff, err
+}
+
+// statusOf returns a pointer to obj's status section, nil for a kind without
+// one.
+func statusOf(obj spec.Object) any {
 	switch t := obj.(type) {
 	case *spec.Pod:
-		status = &t.Status
+		return &t.Status
 	case *spec.ReplicaSet:
-		status = &t.Status
+		return &t.Status
 	case *spec.Deployment:
-		status = &t.Status
+		return &t.Status
 	case *spec.DaemonSet:
-		status = &t.Status
+		return &t.Status
 	case *spec.Node:
-		status = &t.Status
-	default:
-		return nil, nil
+		return &t.Status
 	}
-	return s.arena.AppendStructField(append(b, w[:off]...), codec.ObjectStatusField, status)
+	return nil
 }

@@ -12,13 +12,16 @@ import (
 )
 
 // TestSealedWireBytesAlwaysMatchEncoding extends the seal-contract guard to
-// the encode cache: every sealed object that carries cached wire bytes must
-// carry EXACTLY the bytes a fresh codec.Marshal of that object produces, with
+// the encode cache: every sealed object that carries cached wire bytes — the
+// array the store holds for it, encoded at its writer's resource version —
+// must carry bytes that, with the object's own revision patched into their
+// metadata+spec prefix (codec.AppendPrefixWithRV, what the status splice
+// does), are EXACTLY what a fresh codec.Marshal of that object produces, with
 // a status offset that agrees with a real scan of those bytes. The hook
-// checksums at seal time and the test re-verifies after full experiments on
-// both execution regimes — so a stale splice prefix, a missed invalidation,
-// or a consumer scribbling on the cached array would all surface as a
-// wire-vs-encoding divergence somewhere in the campaign's traffic.
+// checks the offset at seal time and the test re-verifies after full
+// experiments on both execution regimes — so a stale splice prefix, a missed
+// invalidation, or a consumer scribbling on the cached array would all surface
+// as a wire-vs-encoding divergence somewhere in the campaign's traffic.
 func TestSealedWireBytesAlwaysMatchEncoding(t *testing.T) {
 	ClearSnapshotCache()
 	defer ClearSnapshotCache()
@@ -26,6 +29,7 @@ func TestSealedWireBytesAlwaysMatchEncoding(t *testing.T) {
 	type cached struct {
 		obj  spec.Object
 		wire []byte
+		off  int
 	}
 	const maxTracked = 200_000
 	var (
@@ -43,7 +47,7 @@ func TestSealedWireBytesAlwaysMatchEncoding(t *testing.T) {
 		withWire++
 		ok := len(tracked) < maxTracked
 		if ok {
-			tracked = append(tracked, cached{obj: o, wire: w})
+			tracked = append(tracked, cached{obj: o, wire: w, off: off})
 		} else {
 			dropped++
 		}
@@ -90,11 +94,13 @@ func TestSealedWireBytesAlwaysMatchEncoding(t *testing.T) {
 	violations := 0
 	for _, c := range tracked {
 		b, err := codec.Marshal(c.obj)
-		if err != nil || !bytes.Equal(b, c.wire) {
+		canonical, ok := codec.AppendPrefixWithRV(nil, c.wire[:c.off], c.obj.Meta().ResourceVersion)
+		canonical = append(canonical, c.wire[c.off:]...)
+		if err != nil || !ok || !bytes.Equal(b, canonical) {
 			violations++
 			if violations <= 5 {
 				m := c.obj.Meta()
-				t.Errorf("sealed %s %s/%s (rv %d): cached wire differs from a fresh Marshal",
+				t.Errorf("sealed %s %s/%s (rv %d): cached wire at the committed revision differs from a fresh Marshal",
 					c.obj.Kind(), m.Namespace, m.Name, m.ResourceVersion)
 			}
 		}

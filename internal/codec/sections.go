@@ -12,18 +12,18 @@ import (
 // number order and omits empty sections. That layout makes two surgical
 // operations cheap and exact:
 //
-//   - RewriteObjectRV patches the resourceVersion varint inside the metadata
-//     record, turning the bytes that were just persisted (which carry the
-//     writer's RV, like an etcd txn payload) into the canonical encoding of
-//     the object at its committed revision — the invariant the cached wire
-//     bytes on sealed objects must satisfy.
+//   - AppendPrefixWithRV copies the metadata+spec prefix of stored bytes
+//     (which carry the writer's RV, like an etcd txn payload) with the
+//     resourceVersion varint inside the metadata record patched to the
+//     committed revision — the canonical encoding of those two sections of
+//     the sealed object, written straight into the caller's buffer.
 //   - StatusOffset finds where the status section starts, so a status-only
 //     update can splice a freshly encoded status record onto the cached
 //     prefix instead of re-marshalling metadata and spec. The encoder is
 //     deterministic (sorted map keys, fixed field order), so the splice is
 //     byte-identical to a full Marshal of the merged object.
 //
-// Both return "no" (nil / not-ok) on anything unexpected rather than
+// Both report not-ok on anything unexpected rather than
 // guessing: callers fall back to a full encode, which is always correct.
 
 // objectMetaField is the top-level field number of ObjectMeta on every kind.
@@ -65,28 +65,31 @@ func StatusOffset(data []byte) (int, bool) {
 	return off, true
 }
 
-// RewriteObjectRV returns a fresh slice holding data with the metadata
-// record's resourceVersion replaced by rv, or nil when data does not parse as
-// an object encoding (metadata must be the first record). The result is
-// exactly sized and owned by the caller; data is never modified.
-func RewriteObjectRV(data []byte, rv int64) []byte {
-	tag, n, err := readVarint(data)
+// AppendPrefixWithRV appends prefix — the leading records of an object
+// encoding, metadata first: in practice everything before the status record —
+// to dst with the metadata record's resourceVersion replaced by rv, and reports
+// whether prefix parsed that way. Stored bytes carry the RV their writer saw,
+// like an etcd txn payload; patched to the revision the write committed at, the
+// prefix is what encoding the sealed object's metadata and spec would produce.
+// On failure dst is returned as it came; prefix is never modified.
+func AppendPrefixWithRV(dst, prefix []byte, rv int64) ([]byte, bool) {
+	tag, n, err := readVarint(prefix)
 	if err != nil || tag>>3 != objectMetaField || tag&7 != wireBytes {
-		return nil
+		return dst, false
 	}
-	length, m, err := readVarint(data[n:])
-	if err != nil || length > uint64(len(data)-n-m) {
-		return nil
+	length, m, err := readVarint(prefix[n:])
+	if err != nil || length > uint64(len(prefix)-n-m) {
+		return dst, false
 	}
-	meta := data[n+m : n+m+int(length)]
-	rest := data[n+m+int(length):]
+	meta := prefix[n+m : n+m+int(length)]
+	rest := prefix[n+m+int(length):]
 
 	// Locate the RV record inside the metadata body: [i:j) spans the old
 	// record (i == j at the insertion point when the field is absent, which
 	// is how RV 0 — a create — is encoded).
 	i, j, ok := findVarintField(meta, metaRVField)
 	if !ok {
-		return nil
+		return dst, false
 	}
 	var rvRec []byte
 	var rvBuf [12]byte
@@ -94,15 +97,13 @@ func RewriteObjectRV(data []byte, rv int64) []byte {
 		rvRec = appendTag(rvBuf[:0], metaRVField, wireVarint)
 		rvRec = appendVarint(rvRec, uint64(rv))
 	}
-	newMetaLen := len(meta) - (j - i) + len(rvRec)
-	out := make([]byte, 0, 1+varintSize(uint64(newMetaLen))+newMetaLen+len(rest))
-	out = appendTag(out, objectMetaField, wireBytes)
-	out = appendVarint(out, uint64(newMetaLen))
-	out = append(out, meta[:i]...)
-	out = append(out, rvRec...)
-	out = append(out, meta[j:]...)
-	out = append(out, rest...)
-	return out
+	dst = appendTag(dst, objectMetaField, wireBytes)
+	dst = appendVarint(dst, uint64(len(meta)-(j-i)+len(rvRec)))
+	dst = append(dst, meta[:i]...)
+	dst = append(dst, rvRec...)
+	dst = append(dst, meta[j:]...)
+	dst = append(dst, rest...)
+	return dst, true
 }
 
 // findVarintField scans a struct body for the varint record with field
@@ -149,16 +150,6 @@ func findVarintField(body []byte, num int) (int, int, bool) {
 		off += size
 	}
 	return off, off, true
-}
-
-// varintSize returns the encoded size of v.
-func varintSize(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
 }
 
 // AppendStructField appends msg encoded as one length-delimited record with

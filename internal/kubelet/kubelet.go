@@ -60,6 +60,11 @@ type Kubelet struct {
 	cfg    Config
 
 	pods map[string]*podRuntime // by pod UID
+	// scope is the kubelet's interest in pod events, as registered with its
+	// pod watch: its node's name and the keys of pods, claimed and released
+	// exactly where the map gains and loses them. onPodEvent acts on nothing
+	// else, so nothing else is delivered.
+	scope apiserver.PodScope
 	// podOrder mirrors pods in ascending-UID order, maintained on track/
 	// untrack, so the write paths (status sync, eviction choice) never
 	// iterate the map — map order is randomized per run and would break
@@ -122,6 +127,7 @@ func New(loop *sim.Loop, srv apiserver.ClientSource, cfg Config) *Kubelet {
 		client: srv.ClientFor("kubelet-" + cfg.NodeName),
 		cfg:    cfg,
 		pods:   make(map[string]*podRuntime),
+		scope:  apiserver.PodScope{Node: cfg.NodeName},
 		pulled: make(map[string]bool),
 	}
 	k.onPodEventFn, k.heartbeatFn, k.syncAllStatusesFn = k.onPodEvent, k.heartbeat, k.syncAllStatuses
@@ -134,6 +140,7 @@ func New(loop *sim.Loop, srv apiserver.ClientSource, cfg Config) *Kubelet {
 // its watch was registered with have been reset and no longer know them.
 func (k *Kubelet) Reset() {
 	clear(k.pods)
+	k.scope.Reset()
 	clear(k.podOrder)
 	k.podOrder = k.podOrder[:0]
 	clear(k.restored)
@@ -154,7 +161,7 @@ func (k *Kubelet) Reset() {
 func (k *Kubelet) Start() {
 	k.stopped = false
 	k.registerNode()
-	k.cancelW = k.client.Watch(spec.KindPod, k.onPodEventFn)
+	k.cancelW = k.client.WatchPods(&k.scope, k.onPodEventFn)
 	k.hbTimer = k.loop.Every(heartbeatInterval, k.heartbeatFn)
 	k.stTimer = k.loop.Every(statusSyncPeriod, k.syncAllStatusesFn)
 }
@@ -253,6 +260,9 @@ func (k *Kubelet) heartbeat() {
 // since the scheduler respects allocatable.
 func (k *Kubelet) overloaded() bool {
 	var cpu int64
+	// The map, not podOrder: after a metadata.uid corruption podOrder can hold
+	// a runtime pods has dropped (TestPodOrderMirrorsPods), and which pods
+	// count here decides whether the node heartbeats.
 	for _, rt := range k.pods {
 		if rt.state != stateFailed {
 			cpu += rt.pod.RequestsMilliCPU()
@@ -529,6 +539,7 @@ func (k *Kubelet) allocateIP() (string, error) {
 func (k *Kubelet) trackPod(rt *podRuntime) {
 	uid := rt.pod.Metadata.UID
 	k.pods[uid] = rt
+	k.scope.Claim(uid)
 	i := sort.Search(len(k.podOrder), func(j int) bool {
 		return k.podOrder[j].pod.Metadata.UID >= uid
 	})
@@ -540,6 +551,7 @@ func (k *Kubelet) trackPod(rt *podRuntime) {
 // untrackPod removes a runtime from the pods map and the ordered list.
 func (k *Kubelet) untrackPod(uid string) {
 	delete(k.pods, uid)
+	k.scope.Release(uid)
 	i := sort.Search(len(k.podOrder), func(j int) bool {
 		return k.podOrder[j].pod.Metadata.UID >= uid
 	})

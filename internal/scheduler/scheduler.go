@@ -78,6 +78,13 @@ type Scheduler struct {
 	first    *election.Elector
 	restarts int
 	epoch    int
+
+	// The node snapshot of the scheduling cycle in progress (snapshotNodes),
+	// kept between cycles for its memory: the nodeInfo records, the list of
+	// pointers into them, and the per-zone buckets of the same pointers.
+	nodeSlab  []nodeInfo
+	nodeInfos []*nodeInfo
+	nodeZones map[string][]*nodeInfo
 }
 
 // New builds a scheduler against the API server (or, in an HA control plane,
@@ -120,6 +127,17 @@ func (s *Scheduler) Reset() {
 	s.ticker = sim.Timer{}
 	s.views.Reset()
 	s.restarts, s.epoch = 0, 0
+	s.nodeSlab, s.nodeInfos = emptied(s.nodeSlab), emptied(s.nodeInfos)
+	for zone, bucket := range s.nodeZones {
+		s.nodeZones[zone] = emptied(bucket)
+	}
+}
+
+// emptied returns s at length zero with every element of its array zeroed, for
+// a scratch buffer that is kept but must hold nothing.
+func emptied[T any](s []T) []T {
+	clear(s[:cap(s)])
+	return s[:0]
 }
 
 // clearCache empties the scheduler's local cache: what a (re)start rebuilds
@@ -355,30 +373,37 @@ func (s *Scheduler) chargePod(pod *spec.Pod) {
 // per-zone buckets (sharing the same nodeInfo pointers, so in-cycle bind
 // charges propagate to both views): a zone-pinned pod is scored against its
 // zone's nodes only, which keeps the scheduling cost of zone-local work
-// proportional to the touched zone rather than the whole cluster.
+// proportional to the touched zone rather than the whole cluster. All three
+// are the scheduler's own and valid until the next call: the records live in
+// one slab sized before the walk, so the pointers into it stay put.
 func (s *Scheduler) snapshotNodes() ([]*nodeInfo, map[string][]*nodeInfo) {
-	var infos []*nodeInfo
-	var zones map[string][]*nodeInfo
+	if n := s.views.Len(spec.KindNode); cap(s.nodeSlab) < n {
+		s.nodeSlab = make([]nodeInfo, 0, n)
+	}
+	slab, infos := s.nodeSlab[:0], s.nodeInfos[:0]
+	for zone, bucket := range s.nodeZones {
+		s.nodeZones[zone] = bucket[:0]
+	}
 	s.views.ForEach(spec.KindNode, "", func(no spec.Object) bool {
 		node := no.(*spec.Node)
-		info := &nodeInfo{
-			node:    node,
-			freeCPU: node.Status.AllocatableMilliCPU,
-			freeMem: node.Status.AllocatableMemMB,
-		}
 		u := s.nodeUsed[node.Metadata.Name]
-		info.freeCPU -= u.cpu
-		info.freeMem -= u.mem
+		slab = append(slab, nodeInfo{
+			node:    node,
+			freeCPU: node.Status.AllocatableMilliCPU - u.cpu,
+			freeMem: node.Status.AllocatableMemMB - u.mem,
+		})
+		info := &slab[len(slab)-1]
 		infos = append(infos, info)
 		if zone := node.Metadata.Labels[spec.LabelZone]; zone != "" {
-			if zones == nil {
-				zones = make(map[string][]*nodeInfo)
+			if s.nodeZones == nil {
+				s.nodeZones = make(map[string][]*nodeInfo)
 			}
-			zones[zone] = append(zones[zone], info)
+			s.nodeZones[zone] = append(s.nodeZones[zone], info)
 		}
 		return true
 	})
-	return infos, zones
+	s.nodeSlab, s.nodeInfos = slab, infos
+	return infos, s.nodeZones
 }
 
 // scheduleOne filters and scores nodes, then binds. Reports whether the pod
