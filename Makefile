@@ -1,7 +1,8 @@
 # Tier-1 verification targets. `make check` is what CI (and any PR) should
 # run: build, vet, the full test suite, a race-detector pass over the
 # packages with real concurrency (the parallel campaign pool and the tables
-# its workers share), ten seconds of fuzzing, and a short campaign smoke test.
+# its workers share), ten seconds of each fuzz target, and a short campaign
+# smoke test.
 
 GO ?= go
 
@@ -36,12 +37,17 @@ test:
 race:
 	$(GO) test -race ./internal/campaign/... ./internal/codec/... ./internal/apiserver/... ./internal/spec/... ./internal/cow/...
 
-# Ten seconds of the tree's one fuzz target: random At/After/Every/Stop/Reset
-# programs on the event loop, held to a slice sorted by (at, seq). A failing
-# input is written to internal/sim/testdata/fuzz and fails `go test` from then
-# on; commit it with the fix.
+# Ten seconds of each of the tree's two fuzz targets. FuzzLoopOrder: random
+# At/After/Every/Stop/Reset programs on the event loop, held to a slice sorted
+# by (at, seq). FuzzSchedulerRetry: random programs of cluster operations
+# (creates, deletes, resizes, cordons, heartbeats, at-rest rewrites, lost and
+# refused binds, a cache-mismatch restart) against the scheduler, every cycle
+# held to a pass over all pending pods that remembers nothing. A failing input
+# is written to the package's testdata/fuzz and fails `go test` from then on;
+# commit it with the fix.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzLoopOrder -fuzztime 10s ./internal/sim
+	$(GO) test -run xxx -fuzz FuzzSchedulerRetry -fuzztime 10s ./internal/scheduler
 
 # A fast, heavily-strided campaign through the real benchmark harness: one
 # end-to-end sanity pass over golden runs, generation, injection, and

@@ -105,6 +105,11 @@ func run(args []string) error {
 	if *shards < 1 {
 		return fmt.Errorf("-shards must be >= 1, got %d", *shards)
 	}
+	if *stride < 1 {
+		// The engine reads a stride below 1 as 1: the full campaign, hours at
+		// the default -golden, for what was most likely a typo.
+		return fmt.Errorf("-stride must be >= 1, got %d", *stride)
+	}
 	if *shardIndex >= *shards {
 		return fmt.Errorf("-shard-index %d out of range for -shards %d", *shardIndex, *shards)
 	}
@@ -118,7 +123,7 @@ func run(args []string) error {
 		val  int
 	}{
 		{"golden", *golden}, {"control-plane-replicas", *replicas}, {"admission-hooks", *hooks},
-		{"nodes", *nodes}, {"zones", *zones}, {"edge-nodes", *edgeNodes},
+		{"nodes", *nodes}, {"zones", *zones}, {"edge-nodes", *edgeNodes}, {"parallel", *parallel},
 	} {
 		if f.val < 0 {
 			return fmt.Errorf("-%s must be >= 0, got %d", f.name, f.val)

@@ -28,6 +28,9 @@ func TestRunRejectsOutOfRangeCounts(t *testing.T) {
 		{[]string{"-golden", "-5"}, "-golden must be >= 0, got -5"},
 		{[]string{"-admission-hooks", "-1"}, "-admission-hooks must be >= 0, got -1"},
 		{[]string{"-admission-hooks", "4"}, "-admission-hooks must be 0-3, got 4"},
+		{[]string{"-stride", "0"}, "-stride must be >= 1, got 0"},
+		{[]string{"-stride", "-5"}, "-stride must be >= 1, got -5"},
+		{[]string{"-parallel", "-3"}, "-parallel must be >= 0, got -3"},
 	} {
 		err := run(append([]string{"-quiet"}, tc.args...))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

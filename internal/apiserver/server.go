@@ -100,7 +100,13 @@ const (
 	Drop
 )
 
-// Hook intercepts messages on a channel.
+// Hook intercepts messages on a channel. The message is the server's own and
+// is valid only until the hook returns: a hook reads its fields and may mutate
+// Data and Tampered, but must not keep the pointer — the request and store
+// channels hand every hook the same two scratch values, zeroed when the
+// request ends, and Data may alias a buffer that is reused after it. The
+// hooks in the tree (inject.Recorder, inject.Injector, guard.Guard) copy what
+// they keep.
 type Hook func(*Message) Action
 
 // WatchEventType distinguishes watch notifications.
@@ -273,6 +279,14 @@ type Server struct {
 	// paths uses this arena instead of the process-wide buffer/encoder
 	// pools, which parallel workers would otherwise contend on.
 	arena *codec.Arena
+
+	// reqMsg and storeMsg are the messages of the request in progress on the
+	// component→apiserver and apiserver→store channels: every write needs both
+	// only to show them to the hooks, so handle fills these two instead of
+	// allocating a pair, and zeroes them when it returns (storeMsg.Data
+	// aliases an arena buffer that is freed then). A zero reqMsg.Verb means
+	// they are free; a handle entered while they are not takes its own.
+	reqMsg, storeMsg Message
 
 	cancelStoreWatch func()
 }
@@ -663,13 +677,18 @@ func (s *Server) handle(identity string, verb Verb, obj spec.Object) error {
 	}
 	kind := obj.Kind()
 	meta := obj.Meta()
-	msg := &Message{
+	msg := &s.reqMsg
+	if msg.Verb != 0 {
+		msg = new(Message) // nested in another request: its own pair
+	} else {
+		defer func() { s.reqMsg, s.storeMsg = Message{}, Message{} }()
+	}
+	*msg = Message{
 		Verb:      verb,
 		Kind:      kind,
 		Namespace: meta.Namespace,
 		Name:      meta.Name,
 		Source:    identity,
-		Data:      nil,
 	}
 	// Fast path: no request hook, or the installed hook declares (via the
 	// wire gate) that it does not currently need the serialized bytes —
@@ -854,7 +873,8 @@ func (s *Server) persistWrite(identity string, verb Verb, msg *Message, obj spec
 		}
 	}
 	buf.B = data
-	out := &Message{
+	out := s.storeMessage(msg)
+	*out = Message{
 		Verb: verb, Kind: msg.Kind, Namespace: msg.Namespace, Name: msg.Name,
 		Source: "apiserver", Data: data, Tampered: msg.Tampered,
 	}
@@ -916,8 +936,19 @@ func (s *Server) persistWrite(identity string, verb Verb, msg *Message, obj spec
 	return nil
 }
 
+// storeMessage returns the store-channel message that goes with request
+// message msg: the server's scratch one for its scratch request message, a
+// fresh one for a nested request's.
+func (s *Server) storeMessage(msg *Message) *Message {
+	if msg == &s.reqMsg {
+		return &s.storeMsg
+	}
+	return new(Message)
+}
+
 func (s *Server) persistDelete(identity string, msg *Message, key string) error {
-	out := &Message{
+	out := s.storeMessage(msg)
+	*out = Message{
 		Verb: VerbDelete, Kind: msg.Kind, Namespace: msg.Namespace, Name: msg.Name,
 		Source: "apiserver",
 	}

@@ -410,3 +410,82 @@ func TestValidNameCharsHelper(t *testing.T) {
 		t.Fatal("web_1 should be invalid")
 	}
 }
+
+// The messages a request shows its hooks are two scratch values of the
+// server's: nothing of a request is left in them once it has returned, on the
+// success path, an error path and a dropped write alike, and a request issued
+// from inside a hook gets a pair of its own instead of overwriting the outer
+// one's.
+func TestRequestMessagesAreScratch(t *testing.T) {
+	loop, st, srv := newTestServer(t)
+	c := srv.ClientFor("kcm")
+	idle := func(step string) {
+		t.Helper()
+		for name, m := range map[string]*Message{"reqMsg": &srv.reqMsg, "storeMsg": &srv.storeMsg} {
+			if m.Verb != 0 || m.Kind != "" || m.Name != "" || m.Source != "" || m.Data != nil || m.Tampered {
+				t.Fatalf("%s: %s = %+v after the request returned, want zero", step, name, *m)
+			}
+		}
+	}
+
+	var outerName, outerSource string
+	var outerData []byte
+	var innerErr error
+	srv.SetStoreWriteHook(func(m *Message) Action {
+		if m.Name != "outer" {
+			return Pass
+		}
+		if m != &srv.storeMsg {
+			t.Errorf("the outermost request was shown %p, want the server's scratch message", m)
+		}
+		before := append([]byte(nil), m.Data...)
+		innerErr = c.Create(testPod("inner")) // a request nested in this one
+		outerName, outerSource, outerData = m.Name, m.Source, m.Data
+		if string(before) != string(m.Data) {
+			t.Error("the nested request rewrote the outer request's bytes")
+		}
+		return Pass
+	})
+	if err := c.Create(testPod("outer")); err != nil {
+		t.Fatal(err)
+	}
+	if innerErr != nil {
+		t.Fatalf("nested create: %v", innerErr)
+	}
+	if outerName != "outer" || outerSource != "apiserver" || len(outerData) == 0 {
+		t.Fatalf("after the nested request the hook read name %q, source %q, %d bytes", outerName, outerSource, len(outerData))
+	}
+	idle("nested create")
+	loop.RunUntil(time.Second)
+	for _, name := range []string{"outer", "inner"} {
+		kv, ok := st.Get(spec.Key(spec.KindPod, spec.DefaultNamespace, name))
+		if !ok {
+			t.Fatalf("pod %s not stored", name)
+		}
+		got := &spec.Pod{}
+		if err := codecUnmarshal(kv.Value, got); err != nil || got.Metadata.Name != name {
+			t.Fatalf("stored pod %s decodes to %q, %v", name, got.Metadata.Name, err)
+		}
+	}
+
+	if err := c.Create(testPod("outer")); !errors.Is(err, ErrAlreadyExists) {
+		t.Fatalf("duplicate create: %v", err)
+	}
+	idle("refused create")
+	srv.SetStoreWriteHook(func(*Message) Action { return Drop })
+	if err := c.Delete(spec.KindPod, spec.DefaultNamespace, "inner"); err != nil {
+		t.Fatal(err)
+	}
+	idle("dropped delete")
+	srv.SetStoreWriteHook(nil)
+	srv.SetRequestHook(func(m *Message) Action {
+		if m != &srv.reqMsg {
+			t.Errorf("the request hook was shown %p, want the server's scratch message", m)
+		}
+		return Pass
+	})
+	if err := c.Create(testPod("wired")); err != nil {
+		t.Fatal(err)
+	}
+	idle("create over the request wire")
+}

@@ -53,8 +53,19 @@ type Scheduler struct {
 	elector *election.Elector
 
 	running bool
-	pending map[string]bool   // pod keys awaiting scheduling
-	assumed map[string]string // pod UID → node the scheduler bound it to
+	// pending holds the pod keys awaiting scheduling, each with the inputs
+	// generation (gen) at which the pod was last found to fit no node; 0 is a
+	// pod not tried yet. A pod whose entry equals gen is skipped: nothing that
+	// could turn its verdict has moved since. gen moves (inputsMoved) when a
+	// charge of the allocation index is released, shrinks or changes node, on
+	// any node event of the view, and with the cache; a pod's own event resets
+	// its entry alone. untried counts the entries that differ from gen — the
+	// pods a cycle has to look at.
+	pending  map[string]uint64
+	gen      uint64
+	untried  int
+	attempts int               // scheduleOne calls since the cache was cleared
+	assumed  map[string]string // pod UID → node the scheduler bound it to
 	// podAlloc/nodeUsed form the incremental allocation index: the per-node
 	// resource charge of every assigned active pod, maintained from the same
 	// view events that drive the pending set. Each scheduling pass reads node
@@ -98,7 +109,8 @@ func New(loop *sim.Loop, srv apiserver.ClientSource, opts Options) *Scheduler {
 		srv:         srv,
 		client:      srv.ClientFor("scheduler"),
 		opts:        opts,
-		pending:     make(map[string]bool),
+		pending:     make(map[string]uint64),
+		gen:         1,
 		assumed:     make(map[string]string),
 		podAlloc:    make(map[string]allocEntry),
 		nodeUsed:    make(map[string]allocUsage),
@@ -144,6 +156,7 @@ func emptied[T any](s []T) []T {
 // from the views, and what a cache-mismatch restart distrusts.
 func (s *Scheduler) clearCache() {
 	clear(s.pending)
+	s.gen, s.untried, s.attempts = 1, 0, 0
 	clear(s.assumed)
 	clear(s.podAlloc)
 	clear(s.nodeUsed)
@@ -180,6 +193,11 @@ func (s *Scheduler) Stop() {
 // failure signal for the classifier).
 func (s *Scheduler) Restarts() int { return s.restarts }
 
+// Attempts reports how many times the scheduler evaluated a pod against the
+// nodes since it last (re)started: the work a backlog of unschedulable pods
+// costs.
+func (s *Scheduler) Attempts() int { return s.attempts }
+
 // IsRunning reports whether the scheduler is actively scheduling.
 func (s *Scheduler) IsRunning() bool { return s.running }
 
@@ -196,7 +214,7 @@ func (s *Scheduler) run() {
 	s.views.ForEach(spec.KindPod, "", func(po spec.Object) bool {
 		pod := po.(*spec.Pod)
 		if pod.Spec.NodeName == "" && pod.Active() {
-			s.pending[podKey(pod)] = true
+			s.enqueue(podKey(pod))
 		} else if pod.Spec.NodeName != "" {
 			s.assumed[pod.Metadata.UID] = pod.Spec.NodeName
 		}
@@ -218,7 +236,13 @@ func (s *Scheduler) halt() {
 // and resync repairs alike, so a pod whose binding the scheduler missed on
 // the watch channel still trips the cache self-check at the next reconcile.
 func (s *Scheduler) onViewEvent(ev apiserver.WatchEvent) {
-	if !s.running || ev.Kind != spec.KindPod {
+	if !s.running {
+		return
+	}
+	if ev.Kind != spec.KindPod {
+		// A node changed. Which of its fields did, and whether that can make an
+		// unfit pod fit, is not looked into: every verdict is void.
+		s.inputsMoved()
 		return
 	}
 	s.trackAlloc(ev)
@@ -226,17 +250,21 @@ func (s *Scheduler) onViewEvent(ev apiserver.WatchEvent) {
 	key := podKey(pod)
 	switch ev.Type {
 	case apiserver.Deleted:
-		delete(s.pending, key)
+		s.dequeue(key)
 		delete(s.assumed, pod.Metadata.UID)
 		return
 	case apiserver.Added, apiserver.Modified:
 		if pod.Spec.NodeName == "" {
+			// The pod's own event voids its own verdict: its selector,
+			// tolerations or requests may be what changed.
 			if pod.Active() {
-				s.pending[key] = true
+				s.enqueue(key)
+			} else {
+				s.dequeue(key)
 			}
 			return
 		}
-		delete(s.pending, key)
+		s.dequeue(key)
 		if prev, ok := s.assumed[pod.Metadata.UID]; ok && prev != pod.Spec.NodeName {
 			// The store says this pod runs somewhere the scheduler never
 			// put it. Assume local cache corruption and restart (§V-C).
@@ -246,6 +274,31 @@ func (s *Scheduler) onViewEvent(ev apiserver.WatchEvent) {
 			}
 		}
 		s.assumed[pod.Metadata.UID] = pod.Spec.NodeName
+	}
+}
+
+// enqueue marks the pod as pending and not tried against the present inputs.
+func (s *Scheduler) enqueue(key string) {
+	if at, ok := s.pending[key]; !ok || at == s.gen {
+		s.untried++
+	}
+	s.pending[key] = 0
+}
+
+// dequeue removes the pod from the pending set.
+func (s *Scheduler) dequeue(key string) {
+	if at, ok := s.pending[key]; ok && at != s.gen {
+		s.untried--
+	}
+	delete(s.pending, key)
+}
+
+// inputsMoved voids every "fits no node" verdict: an input of feasible may have
+// moved in some pod's favour. Free while nothing is memoized.
+func (s *Scheduler) inputsMoved() {
+	if s.untried < len(s.pending) {
+		s.gen++
+		s.untried = len(s.pending)
 	}
 }
 
@@ -272,8 +325,17 @@ func (s *Scheduler) restart() {
 	})
 }
 
+// scheduleAll is one scheduling cycle. Unschedulable pods wait for a cluster
+// event, as in kube-scheduler's queue: a pod found to fit no node is not looked
+// at again until an input of that verdict moves (see pending), so a backlog in
+// a full cluster costs a cycle nothing. Three verdicts are not pure functions
+// of the inputs and are never kept: a pod with a priority (preemption runs on
+// a clock and deletes victims), a bind the server refused (retried every
+// cycle), and a failure after a bind of the same cycle — that bind's charge is
+// provisional until its event arrives, and if the write was dropped on the
+// store channel the capacity is back next cycle with no event to say so.
 func (s *Scheduler) scheduleAll() {
-	if !s.running || len(s.pending) == 0 {
+	if !s.running || s.untried == 0 {
 		return
 	}
 	nodes, zones := s.snapshotNodes()
@@ -281,17 +343,15 @@ func (s *Scheduler) scheduleAll() {
 	// per candidate node degrades quadratically once an uncontrolled-
 	// replication injection floods the cluster with pending pods.
 	var podSnapshot []*spec.Pod
+	bound := false // a bind of this cycle has charged the snapshot
 	// The view's order is the scheduling order (namespace/name), and every
-	// pending key is a view key: the view applies an event before
-	// onViewEvent sees it, and run re-primes pending from the view.
+	// pending key is a view key naming an unassigned active pod: the view
+	// applies an event before onViewEvent sees it, and run re-primes pending
+	// from the view.
 	s.views.ForEach(spec.KindPod, "", func(po spec.Object) bool {
 		pod := po.(*spec.Pod)
 		key := podKey(pod)
-		if !s.pending[key] {
-			return true
-		}
-		if pod.Spec.NodeName != "" || !pod.Active() {
-			delete(s.pending, key)
+		if at, ok := s.pending[key]; !ok || at == s.gen {
 			return true
 		}
 		if pod.Spec.Priority > 0 && podSnapshot == nil {
@@ -308,12 +368,32 @@ func (s *Scheduler) scheduleAll() {
 		if zone := pod.Spec.NodeSelector[spec.LabelZone]; zone != "" {
 			cand = zones[zone]
 		}
-		if s.scheduleOne(pod, cand, podSnapshot) {
-			delete(s.pending, key)
+		switch s.scheduleOne(pod, cand, podSnapshot) {
+		case bindDone:
+			s.dequeue(key)
+			bound = true
+		case fitsNowhere:
+			if !bound {
+				s.pending[key] = s.gen
+				s.untried--
+			}
 		}
 		return true
 	})
 }
+
+// verdict is what one scheduling attempt came to.
+type verdict int
+
+const (
+	// tryAgain: the pod stays pending and must be looked at next cycle.
+	tryAgain verdict = iota
+	// bindDone: the pod was bound and leaves the pending set.
+	bindDone
+	// fitsNowhere: no candidate node is feasible, and nothing was done about
+	// it — a pure function of the pod, the node views and the charges.
+	fitsNowhere
+)
 
 type nodeInfo struct {
 	node    *spec.Node
@@ -341,7 +421,8 @@ type allocUsage struct {
 func (s *Scheduler) trackAlloc(ev apiserver.WatchEvent) {
 	pod := ev.Object.(*spec.Pod)
 	uid := pod.Metadata.UID
-	if prev, ok := s.podAlloc[uid]; ok {
+	prev, charged := s.podAlloc[uid]
+	if charged {
 		if u, ok := s.nodeUsed[prev.node]; ok {
 			u.cpu -= prev.cpu
 			u.mem -= prev.mem
@@ -349,16 +430,22 @@ func (s *Scheduler) trackAlloc(ev apiserver.WatchEvent) {
 		}
 		delete(s.podAlloc, uid)
 	}
-	if ev.Type == apiserver.Deleted {
-		return
+	var now allocEntry
+	if ev.Type != apiserver.Deleted {
+		now = s.chargePod(pod)
 	}
-	s.chargePod(pod)
+	// Only capacity given back can make an unfit pod fit: a charge that is
+	// added, or grows where it is, voids no verdict.
+	if charged && (now.node != prev.node || now.cpu < prev.cpu || now.mem < prev.mem) {
+		s.inputsMoved()
+	}
 }
 
-// chargePod adds an assigned active pod to the allocation index.
-func (s *Scheduler) chargePod(pod *spec.Pod) {
+// chargePod adds an assigned active pod to the allocation index and returns
+// its charge; the zero entry for a pod that holds nothing.
+func (s *Scheduler) chargePod(pod *spec.Pod) allocEntry {
 	if pod.Spec.NodeName == "" || !pod.Active() {
-		return
+		return allocEntry{}
 	}
 	e := allocEntry{node: pod.Spec.NodeName, cpu: pod.RequestsMilliCPU(), mem: pod.RequestsMemMB()}
 	s.podAlloc[pod.Metadata.UID] = e
@@ -366,6 +453,7 @@ func (s *Scheduler) chargePod(pod *spec.Pod) {
 	u.cpu += e.cpu
 	u.mem += e.mem
 	s.nodeUsed[e.node] = u
+	return e
 }
 
 // snapshotNodes computes per-node free resources from the allocation index —
@@ -406,9 +494,9 @@ func (s *Scheduler) snapshotNodes() ([]*nodeInfo, map[string][]*nodeInfo) {
 	return infos, s.nodeZones
 }
 
-// scheduleOne filters and scores nodes, then binds. Reports whether the pod
-// left the pending set.
-func (s *Scheduler) scheduleOne(pod *spec.Pod, nodes []*nodeInfo, podSnapshot []*spec.Pod) bool {
+// scheduleOne filters and scores nodes, then binds.
+func (s *Scheduler) scheduleOne(pod *spec.Pod, nodes []*nodeInfo, podSnapshot []*spec.Pod) verdict {
+	s.attempts++
 	var best *nodeInfo
 	var bestScore int64 = -1
 	for _, info := range nodes {
@@ -423,22 +511,25 @@ func (s *Scheduler) scheduleOne(pod *spec.Pod, nodes []*nodeInfo, podSnapshot []
 		}
 	}
 	if best == nil {
-		if pod.Spec.Priority > 0 && s.loop.Now()-s.lastPreempt[pod.Metadata.UID] >= time.Second {
+		if pod.Spec.Priority <= 0 {
+			return fitsNowhere
+		}
+		if s.loop.Now()-s.lastPreempt[pod.Metadata.UID] >= time.Second {
 			s.lastPreempt[pod.Metadata.UID] = s.loop.Now()
 			s.preempt(pod, nodes, podSnapshot)
 		}
-		return false // stays pending
+		return tryAgain
 	}
 	// Bind on a private copy: the pod is a sealed cache reference.
 	bound := spec.CloneForWriteAs(pod)
 	bound.Spec.NodeName = best.node.Metadata.Name
 	if err := s.client.Update(bound); err != nil {
-		return false
+		return tryAgain
 	}
 	best.freeCPU -= pod.RequestsMilliCPU()
 	best.freeMem -= pod.RequestsMemMB()
 	s.assumed[pod.Metadata.UID] = best.node.Metadata.Name
-	return true
+	return bindDone
 }
 
 func (s *Scheduler) feasible(pod *spec.Pod, info *nodeInfo) bool {

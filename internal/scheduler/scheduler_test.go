@@ -262,8 +262,8 @@ func TestPendingStaysInsideTheView(t *testing.T) {
 	}
 	wantPending := func(key string, want bool) {
 		t.Helper()
-		if s.pending[key] != want {
-			t.Fatalf("%s: pending[%q] = %v, want %v", step, key, !want, want)
+		if _, got := s.pending[key]; got != want {
+			t.Fatalf("%s: pending[%q] = %v, want %v", step, key, got, want)
 		}
 	}
 	create := func(name string, cpu int64) {
