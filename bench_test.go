@@ -40,7 +40,6 @@ import (
 	"github.com/mutiny-sim/mutiny/internal/inject"
 	"github.com/mutiny-sim/mutiny/internal/report"
 	"github.com/mutiny-sim/mutiny/internal/spec"
-	"github.com/mutiny-sim/mutiny/internal/store"
 	"github.com/mutiny-sim/mutiny/internal/workload"
 )
 
@@ -286,7 +285,7 @@ func BenchmarkAblationAtRestCorruption(b *testing.B) {
 		driver.Setup()
 
 		key := spec.Key(spec.KindDeployment, spec.DefaultNamespace, workload.AppName(0))
-		st := cl.Backend.(*store.Store)
+		st := cl.Backend.Replica(0)
 		corrupt := func() bool {
 			return st.CorruptAtRest(key, func(data []byte) []byte {
 				obj := spec.New(spec.KindDeployment)

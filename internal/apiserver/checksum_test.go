@@ -13,9 +13,9 @@ import (
 func newChecksumServer(t *testing.T) (*sim.Loop, *store.Store, *Server) {
 	t.Helper()
 	loop := sim.NewLoop(1)
-	st := store.New(loop, nil)
+	st := store.NewReplicated(loop, 1, nil)
 	srv := New(loop, st, &Options{CriticalFieldChecksums: true})
-	return loop, st, srv
+	return loop, st.Replica(0), srv
 }
 
 func TestChecksumStampedOnWrite(t *testing.T) {

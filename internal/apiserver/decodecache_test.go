@@ -287,7 +287,7 @@ func TestDecodeCacheSkipsTamperedStoreWrites(t *testing.T) {
 // A restored server (the fork path) inherits the snapshot's decoded objects
 // and rebuilds its watch cache without re-decoding the whole store.
 func TestDecodeCacheSharedThroughSnapshotRestore(t *testing.T) {
-	loop, st, srv := newTestServer(t)
+	loop, _, srv := newTestServer(t)
 	c := srv.ClientFor("test")
 	for _, name := range []string{"web-1", "web-2", "web-3"} {
 		if err := c.Create(testPod(name)); err != nil {
@@ -297,11 +297,11 @@ func TestDecodeCacheSharedThroughSnapshotRestore(t *testing.T) {
 	settle(loop)
 	serverSnap := srv.Snapshot()
 	decodeSnap := srv.DecodeCache().Snapshot()
-	storeSnap := store.CaptureSnapshot(st)
+	storeSnap := srv.store.Snapshot()
 
 	loop2 := sim.NewLoop(2)
-	st2 := store.New(loop2, nil)
-	store.RestoreSnapshot(st2, storeSnap)
+	st2 := store.NewReplicated(loop2, 1, nil)
+	st2.Restore(storeSnap)
 	srv2 := New(loop2, st2, nil)
 	srv2.DecodeCache().Restore(decodeSnap)
 	srv2.RestoreSnapshot(serverSnap)

@@ -11,13 +11,14 @@ import (
 )
 
 // controlPlane is a test control plane wired the way cluster.assemble wires
-// one: n servers over one backend, sharing one decode cache. served records,
-// per server and key, the bytes the server's watch cache entry was last
-// served from: a store event's, or a re-list's.
+// one: n servers over one n-member store, sharing one decode cache. served
+// records, per server and key, the bytes the server's watch cache entry was
+// last served from: a store event's, or a re-list's.
 type controlPlane struct {
 	t       *testing.T
 	loop    *sim.Loop
-	rep     *store.Replicated // nil when n == 1
+	backend *store.Replicated
+	rep     *store.Replicated // backend when replicated (n > 1): the HA steps run only then
 	stores  []*store.Store
 	servers []*Server
 	served  []map[string]store.KV
@@ -26,19 +27,13 @@ type controlPlane struct {
 func newControlPlane(t *testing.T, n int) *controlPlane {
 	t.Helper()
 	cp := &controlPlane{t: t, loop: sim.NewLoop(7)}
-	var backend store.Backend
-	if n == 1 {
-		st := store.New(cp.loop, nil)
-		backend, cp.stores = st, []*store.Store{st}
-	} else {
-		cp.rep = store.NewReplicated(cp.loop, n, nil)
-		backend = cp.rep
-		for i := 0; i < n; i++ {
-			cp.stores = append(cp.stores, cp.rep.Replica(i))
-		}
+	cp.backend = store.NewReplicated(cp.loop, n, nil)
+	if n > 1 {
+		cp.rep = cp.backend
 	}
 	for i := 0; i < n; i++ {
-		srv := NewAt(cp.loop, backend, i, nil)
+		cp.stores = append(cp.stores, cp.backend.Replica(i))
+		srv := NewAt(cp.loop, cp.backend, i, nil)
 		srv.SetAdmissionStride(i, n)
 		if i > 0 {
 			srv.SetDecodeCache(cp.servers[0].DecodeCache())
@@ -66,7 +61,7 @@ func (cp *controlPlane) relisted(i int) {
 	srv := cp.servers[i]
 	clear(cp.served[i])
 	for _, kv := range cp.stores[i].List("/registry/") {
-		if srv.routed != nil {
+		if srv.store.Replicas() > 1 {
 			kv = srv.quorumVerify(kv)
 		}
 		cp.served[i][kv.Key] = kv

@@ -45,7 +45,7 @@ func wireCanonical(t *testing.T, srv *Server, key string) []byte {
 	if w == nil {
 		t.Fatal("no cached wire bytes")
 	}
-	kv, ok, _ := srv.backendGet(key)
+	kv, ok, _ := srv.store.GetFrom(srv.origin, key)
 	if !ok || &kv.Value[0] != &w[0] || len(kv.Value) != len(w) || e.src != &w[0] {
 		t.Fatal("cached wire bytes are not the stored array the decode cache entry is valid for")
 	}

@@ -38,7 +38,7 @@ func (p *PodScope) Claim(uid string) {
 	}
 	p.claims = append(p.claims, uid)
 	if p.srv != nil {
-		p.srv.byUID.insert(uid, p.w.pos)
+		p.srv.byUID.insert(uid, p.w)
 	}
 }
 
@@ -54,7 +54,7 @@ func (p *PodScope) Release(uid string) {
 	p.claims[last] = ""
 	p.claims = p.claims[:last]
 	if p.srv != nil {
-		p.srv.byUID.remove(uid, p.w.pos)
+		p.srv.byUID.remove(uid, p.w)
 	}
 }
 
@@ -78,69 +78,75 @@ func (p *PodScope) wants(pod *spec.Pod) bool {
 	return pod.Spec.NodeName == p.Node || p.claimed(pod.Metadata.UID)
 }
 
-// posIndex maps a node name or pod UID to the registration positions of the
-// scoped watchers interested in it, ascending.
+// posIndex maps a node name or pod UID to the scoped watchers interested in
+// it, ascending by sequence number.
 type posIndex map[string]posList
 
 // posList is one posIndex entry. Nearly every node has one kubelet and nearly
-// every pod one claimant, so the first position is held by value: filling the
+// every pod one claimant, so the first watcher is held by value: filling the
 // indexes of a 500-node cluster allocates nothing per entry. Once a second
-// position arrives, more holds them all and one is dead.
+// watcher arrives, more holds them all and one is unused.
 type posList struct {
-	one  int
-	more []int
+	one  *watcher
+	more []*watcher
 }
 
-func (m posIndex) insert(key string, pos int) {
+func (m posIndex) insert(key string, w *watcher) {
 	p, ok := m[key]
 	switch {
 	case !ok:
-		p.one = pos
+		p.one = w
 	case p.more == nil:
-		if p.one == pos {
+		if p.one == w {
 			return
 		}
-		p.more = []int{min(p.one, pos), max(p.one, pos)}
+		p.more = []*watcher{p.one, w}
+		if w.seq < p.one.seq {
+			p.more[0], p.more[1] = w, p.one
+		}
+		p.one = nil
 	default:
-		i, found := slices.BinarySearch(p.more, pos)
+		i, found := slices.BinarySearchFunc(p.more, w.seq, bySeq)
 		if found {
 			return
 		}
-		p.more = slices.Insert(p.more, i, pos)
+		p.more = slices.Insert(p.more, i, w)
 	}
 	m[key] = p
 }
 
-func (m posIndex) remove(key string, pos int) {
+func (m posIndex) remove(key string, w *watcher) {
 	p, ok := m[key]
 	if !ok {
 		return
 	}
 	if p.more == nil {
-		if p.one == pos {
+		if p.one == w {
 			delete(m, key)
 		}
 		return
 	}
-	i, found := slices.BinarySearch(p.more, pos)
-	if !found {
-		return
-	}
-	if len(p.more) == 1 {
+	p.more = without(p.more, w)
+	if len(p.more) == 0 {
 		delete(m, key)
 		return
 	}
-	p.more = slices.Delete(p.more, i, i+1)
 	m[key] = p
 }
 
-// list returns the positions under key, ascending; one backs the result when
-// there is a single position, and must outlive it.
-func (m posIndex) list(key string, one *[1]int) []int {
+// list returns the watchers under key, ascending; one backs the result when
+// there is a single watcher, and must outlive it.
+func (m posIndex) list(key string, one *[1]*watcher) []*watcher {
 	p, ok := m[key]
 	if !ok {
 		return nil
 	}
+	return p.all(one)
+}
+
+// all returns the entry's watchers, ascending, backed by one when there is a
+// single watcher.
+func (p posList) all(one *[1]*watcher) []*watcher {
 	if p.more != nil {
 		return p.more
 	}

@@ -297,19 +297,24 @@ func TestScopedWatchDeliversExactlyTheInterested(t *testing.T) {
 			h.step("registered under an event in flight", func() { h.setReady("p1", false) }, []int{1, 2})
 			h.step("hears the next one", func() { h.setReady("p1", true) }, []int{1, 2, 6})
 
-			// Cancel half the registrations with nothing pending: the list
-			// compacts, every position shifts, the indexes are rebuilt from the
-			// scopes' claims — including one made while they were stale.
-			before := len(h.active().watchers)
+			// Cancel half the registrations: each cancel takes its watcher out of
+			// every index at once, whatever it claimed, and the survivors'
+			// claims and a new registration are indexed as usual.
+			live := h.active().live
 			for _, i := range []int{0, 1, 2, 3, 6} {
 				h.cancel(i)
 			}
-			if after := len(h.active().watchers); after >= before {
-				t.Fatalf("cancelling 5 of %d watchers did not compact the list (%d left)", before, after)
+			for _, w := range indexed(h.active()) {
+				if w.cancelled {
+					t.Fatalf("cancelled watcher (registration %d) still indexed", w.seq)
+				}
+			}
+			if h.active().live != live-5 {
+				t.Fatalf("cancelling 5 of %d live watchers left %d", live, h.active().live)
 			}
 			h.claim(5, "uid-forged")
 			h.addScoped("n1") // 7
-			h.step("after compaction", func() { h.setReady("p1", false) }, []int{5, 7})
+			h.step("after cancels", func() { h.setReady("p1", false) }, []int{5, 7})
 
 			if replicas > 1 {
 				h.claim(4, "uid-forged") // n4's: carried to the next server
@@ -343,11 +348,7 @@ func TestScopedWatchDeliversExactlyTheInterested(t *testing.T) {
 			// a claim made afterwards is nobody's to index, and the scopes
 			// register again, claims and all.
 			h.cp.loop.Reset()
-			if h.cp.rep != nil {
-				h.cp.rep.Reset()
-			} else {
-				h.cp.stores[0].Reset()
-			}
+			h.cp.backend.Reset()
 			for _, srv := range h.cp.servers {
 				srv.Reset()
 				if len(srv.byNode)+len(srv.byUID) != 0 {

@@ -21,8 +21,10 @@ package apiserver
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -164,16 +166,14 @@ type Options struct {
 
 // Server is the API server.
 type Server struct {
-	loop    *sim.Loop
-	backend store.Backend
-	opts    Options
+	loop *sim.Loop
+	opts Options
 
-	// origin is the store replica this server binds to: its reads, writes
-	// and watch feed all go through replica `origin` when the backend is
-	// replicated (routed non-nil). Replica 0 with a plain Store backend is
-	// the historical single-apiserver shape.
+	// store is the cluster's data store and origin the replica this server
+	// binds to: its reads, writes and watch feed all go through replica
+	// origin. A single control plane is origin 0 of a one-member store.
+	store  *store.Replicated
 	origin int
-	routed *store.Replicated
 	// down marks a crashed apiserver replica (FaultAPIServerCrash): requests
 	// fail like timeouts, the store watch is detached, and no events fan out
 	// until restart.
@@ -193,31 +193,23 @@ type Server struct {
 	// collector scrape) — is a binary search plus one contiguous copy
 	// instead of a full map iteration and sort per call.
 	kindIndex map[spec.Kind]*sortedBucket
-	// watchers is kept in registration order: dispatch delivers in iteration
-	// order, and map iteration would randomize the delivery order of
-	// same-tick events across runs, breaking bit-reproducibility. The slice
-	// is append-only while deliveries are pending (cancelled watchers are
-	// flagged and swept lazily), so the watcher-count snapshot taken at
-	// dispatch time keeps indexing the same registrations.
-	watchers          []*watcher
-	cancelledWatchers int
-	// watcherIdx holds each kind's unscoped watcher positions (plus the
-	// all-kinds "" list), ascending. Fan-out walks the event kind's list merged
-	// with the wildcard list instead of scanning every registration. Scoped pod
-	// watchers (see PodScope) are not in it: byNode and byUID hold their
-	// positions under the node each answers for and under every pod UID each
-	// has claimed, and a pod event adds the two lists its object selects to the
-	// merge — the kubelets that can act on it, however many there are. All
-	// three are rebuilt together after cancellations compact the registration
-	// list, the scoped ones from the scopes' own claim lists; between the
-	// compaction and the rebuild (watcherIdxDirty) they hold stale positions,
-	// entries made then are thrown away with the rest, and the next fan-out
-	// rebuilds before it reads.
-	watcherIdx      map[spec.Kind][]int
-	byNode, byUID   posIndex
-	watcherIdxDirty bool
+	// Every registration draws the next sequence number (nextSeq), and
+	// delivery is in sequence order — registration order: map iteration would
+	// randomize the delivery order of same-tick events across runs, breaking
+	// bit-reproducibility. live counts the registrations not yet cancelled.
+	nextSeq, live int
+	// watcherIdx holds each kind's unscoped watchers (plus the all-kinds ""
+	// list), ascending by sequence number. Fan-out walks the event kind's list
+	// merged with the wildcard list instead of scanning every registration.
+	// Scoped pod watchers (see PodScope) are not in it: byNode and byUID hold
+	// them under the node each answers for and under every pod UID each has
+	// claimed, and a pod event adds the two lists its object selects to the
+	// merge — the kubelets that can act on it, however many there are. A
+	// cancel takes its watcher out of all three at once.
+	watcherIdx    map[spec.Kind][]*watcher
+	byNode, byUID posIndex
 	// fanoutScratch backs the receiver list of the fan-out in progress.
-	fanoutScratch []int
+	fanoutScratch []*watcher
 
 	// Batched fan-out: each dispatch appends one pendingDispatch and
 	// schedules fanoutFn (built once — no per-dispatch closure) on the loop.
@@ -228,7 +220,6 @@ type Server struct {
 	// the front; the backing array is reused once the queue drains.
 	pending     []pendingDispatch
 	pendingHead int
-	fanningOut  int // depth of in-flight fanout calls; blocks the sweep
 	fanoutFn    func()
 
 	// decoded is the control plane's decode cache (see DecodeCache): one per
@@ -295,34 +286,37 @@ type watcher struct {
 	kind      spec.Kind
 	fn        func(WatchEvent)
 	scope     *PodScope // nil: every event of kind
-	pos       int       // index in Server.watchers
+	seq       int       // the server's sequence number when it registered
 	cancelled bool
 }
 
+// bySeq orders watchers by sequence number, for binary searches of the
+// ascending lists that index them.
+func bySeq(w *watcher, seq int) int { return cmp.Compare(w.seq, seq) }
+
 // pendingDispatch is one watch event queued for batched fan-out: the event
-// plus the length of the watcher list at dispatch time, so watchers
-// registered between dispatch and delivery do not receive it (exactly as
-// under the old per-watcher scheduling, where missing the dispatch meant
-// missing the event).
+// plus the sequence number the next registration would have drawn at
+// dispatch time, so watchers registered between dispatch and delivery do not
+// receive it (exactly as under the old per-watcher scheduling, where missing
+// the dispatch meant missing the event).
 type pendingDispatch struct {
-	ev WatchEvent
-	n  int
+	ev    WatchEvent
+	limit int
 }
 
-// New creates a Server over the given backend and starts its store watch.
-// With a replicated backend it binds to replica 0.
-func New(loop *sim.Loop, backend store.Backend, opts *Options) *Server {
-	return NewAt(loop, backend, 0, opts)
+// New creates a Server bound to replica 0 of st and starts its store watch.
+func New(loop *sim.Loop, st *store.Replicated, opts *Options) *Server {
+	return NewAt(loop, st, 0, opts)
 }
 
 // NewAt creates a Server bound to store replica origin — one member of an HA
 // control plane. Every origin serves reads and its watch feed from its own
 // replica and writes through it, so a partitioned or lost replica degrades
 // exactly the apiservers bound to it while the survivors keep serving.
-func NewAt(loop *sim.Loop, backend store.Backend, origin int, opts *Options) *Server {
+func NewAt(loop *sim.Loop, st *store.Replicated, origin int, opts *Options) *Server {
 	s := &Server{
 		loop:      loop,
-		backend:   backend,
+		store:     st,
 		origin:    origin,
 		uidStride: 1,
 		cache:     make(map[string]spec.Object),
@@ -332,9 +326,6 @@ func NewAt(loop *sim.Loop, backend store.Backend, origin int, opts *Options) *Se
 		decoded:   &DecodeCache{entries: make(map[string]decodedEntry)},
 		audit:     NewAudit(loop),
 		arena:     codec.NewArena(),
-	}
-	if rep, ok := backend.(*store.Replicated); ok {
-		s.routed = rep
 	}
 	s.fanoutFn = s.fanout
 	if opts != nil {
@@ -348,10 +339,11 @@ func NewAt(loop *sim.Loop, backend store.Backend, origin int, opts *Options) *Se
 // it in, keeping the memory of its tables: empty watch cache, list index and
 // decode cache, no watchers, no queued dispatch, no hooks or gates, counters
 // at their configured start, up, audit trail empty. What survives is wiring,
-// not state: the backend binding, the admission stride, the shared audit
+// not state: the store binding, the admission stride, the shared audit
 // trail, decode cache and admission chain (the first two are emptied here, by
 // every replica alike; Reset does not touch the chain: it has one owner, the
-// servers are many), the encode arena. The backend must have been Reset
+// servers are many), the encode arena. Every registration counts as cancelled
+// from here on, so a late cancel is a no-op. The store must have been Reset
 // first — the server re-subscribes to it here, as NewAt did — and so must the
 // loop: a queued dispatch is dropped, not delivered.
 func (s *Server) Reset() {
@@ -359,16 +351,26 @@ func (s *Server) Reset() {
 	clear(s.decoded.entries)
 	s.decodeHits, s.decodeMisses, s.decodeRewrites = 0, 0, 0
 
-	for _, w := range s.watchers {
-		s.detach(w)
+	for k, ws := range s.watcherIdx {
+		for _, w := range ws {
+			w.cancelled = true
+		}
+		clear(ws)
+		s.watcherIdx[k] = ws[:0]
 	}
-	clear(s.watchers)
-	s.watchers = s.watchers[:0]
-	s.cancelledWatchers = 0
-	s.clearWatcherIdx()
+	for _, p := range s.byNode { // every scoped registration, under its node
+		var one [1]*watcher
+		for _, w := range p.all(&one) {
+			w.cancelled = true
+			s.detach(w)
+		}
+	}
+	clear(s.byNode)
+	clear(s.byUID)
+	s.nextSeq, s.live = 0, 0
 	clear(s.pending)
 	s.pending = s.pending[:0]
-	s.pendingHead, s.fanningOut = 0, 0
+	s.pendingHead = 0
 
 	s.uidCounter, s.ipCounter = s.uidOffset, s.uidOffset
 	s.down = false
@@ -380,10 +382,7 @@ func (s *Server) Reset() {
 
 // subscribeStore attaches the server's watch to its own store replica.
 func (s *Server) subscribeStore() func() {
-	if s.routed != nil {
-		return s.routed.WatchReplica(s.origin, "/registry/", s.onStoreEvent)
-	}
-	return s.backend.Watch("/registry/", s.onStoreEvent)
+	return s.store.WatchReplica(s.origin, "/registry/", s.onStoreEvent)
 }
 
 // SetAdmissionStride configures UID and service-IP assignment so this server
@@ -437,37 +436,6 @@ func (s *Server) SetDown(down bool) {
 
 // Down reports whether this apiserver replica is crashed.
 func (s *Server) Down() bool { return s.down }
-
-// --- origin-aware backend access ---------------------------------------------
-
-func (s *Server) backendGet(key string) (store.KV, bool, error) {
-	if s.routed != nil {
-		return s.routed.GetFrom(s.origin, key)
-	}
-	kv, ok := s.backend.Get(key)
-	return kv, ok, nil
-}
-
-func (s *Server) backendList(prefix string) ([]store.KV, error) {
-	if s.routed != nil {
-		return s.routed.ListFrom(s.origin, prefix)
-	}
-	return s.backend.List(prefix), nil
-}
-
-func (s *Server) backendPut(key string, kind spec.Kind, value []byte) (int64, error) {
-	if s.routed != nil {
-		return s.routed.PutVia(s.origin, key, kind, value)
-	}
-	return s.backend.Put(key, kind, value)
-}
-
-func (s *Server) backendDelete(key string) (bool, error) {
-	if s.routed != nil {
-		return s.routed.DeleteVia(s.origin, key)
-	}
-	return s.backend.Delete(key), nil
-}
 
 // DecodeCache holds, per store key, the sealed decoded form of one stored byte
 // array. A lookup hits only for that very array at the revision the object is
@@ -587,12 +555,12 @@ func (s *Server) Restart() {
 	s.rebuildCache(true)
 }
 
-// rebuildCache reloads the watch cache from the backend. With dispatch set,
-// every object is re-announced to current watchers (a restart's re-list);
-// without it, the cache is rebuilt silently (a fork's restore — components
-// prime their own views when they start).
+// rebuildCache reloads the watch cache from the server's store replica. With
+// dispatch set, every object is re-announced to current watchers (a restart's
+// re-list); without it, the cache is rebuilt silently (a fork's restore —
+// components prime their own views when they start).
 func (s *Server) rebuildCache(dispatch bool) {
-	kvs, err := s.backendList("/registry/")
+	kvs, err := s.store.ListFrom(s.origin, "/registry/")
 	if err != nil {
 		// The local replica is lost: keep serving the frozen cache (stale
 		// reads are this fault's signature) until the replica is restored.
@@ -600,11 +568,12 @@ func (s *Server) rebuildCache(dispatch bool) {
 	}
 	s.clearCache()
 	for _, kv := range kvs {
-		if s.routed != nil {
-			// A replicated backend re-lists through quorum reads: a restart
+		if s.store.Replicas() > 1 {
+			// A replicated store re-lists through quorum reads: a restart
 			// serves the value the majority agrees on, so single-replica
 			// at-rest corruption is masked instead of resurrected — "quorum
-			// reads mitigate corrupted values" (§V-C1).
+			// reads mitigate corrupted values" (§V-C1). One member has no
+			// majority to consult.
 			kv = s.quorumVerify(kv)
 		}
 		// decodeCached stamps the store's mod revision and seals, exactly
@@ -631,7 +600,7 @@ func (s *Server) rebuildCache(dispatch bool) {
 // bytes lose the vote (corrupted or lost-update replica), the quorum value is
 // served under the local revision so per-replica RV semantics hold.
 func (s *Server) quorumVerify(kv store.KV) store.KV {
-	qkv, ok := s.routed.QuorumGet(kv.Key)
+	qkv, ok := s.store.QuorumGet(kv.Key)
 	if !ok || bytes.Equal(qkv.Value, kv.Value) {
 		return kv
 	}
@@ -887,7 +856,7 @@ func (s *Server) persistWrite(identity string, verb Verb, msg *Message, obj spec
 			return nil // the caller believes the write happened
 		}
 	}
-	rev, err := s.backendPut(key, msg.Kind, out.Data)
+	rev, err := s.store.PutVia(s.origin, key, msg.Kind, out.Data)
 	if err != nil {
 		// %w on the cause too: failover clients match store.ErrReplicaDown /
 		// store.ErrNoQuorum to retry against another apiserver.
@@ -914,7 +883,7 @@ func (s *Server) persistWrite(identity string, verb Verb, msg *Message, obj spec
 		// scanned for it. Only kinds with a status section benefit, and an armed
 		// request channel suppresses the cache entirely (byte faults must
 		// always act on freshly produced bytes).
-		kv, ok, _ := s.backendGet(key)
+		kv, ok, _ := s.store.GetFrom(s.origin, key)
 		stored := ok && len(kv.Value) > 0
 		if stored && kv.Revision == rev && hasStatusSection(msg.Kind) && !s.requestWireArmed() {
 			if statusOff < 0 {
@@ -959,7 +928,7 @@ func (s *Server) persistDelete(identity string, msg *Message, key string) error 
 			return nil
 		}
 	}
-	ok, err := s.backendDelete(key)
+	ok, err := s.store.DeleteVia(s.origin, key)
 	if err != nil {
 		return s.audit.record(identity, VerbDelete, msg.Kind, msg.Name, fmt.Errorf("%w: %w", ErrUnavailable, err), msg.Tampered)
 	}
@@ -1038,15 +1007,15 @@ func (s *Server) handleUndecodable(key string, kind spec.Kind) {
 		return
 	}
 	s.loop.After(time.Millisecond, func() {
-		_, _ = s.backendDelete(key)
+		_, _ = s.store.DeleteVia(s.origin, key)
 	})
 }
 
-// current reads the authoritative state of key from the backend. The result
+// current reads the authoritative state of key from the store. The result
 // is the *sealed* decode-cache instance — shared, read-only; the one write
 // path that mutates it (status merge) goes through spec.CloneForWrite.
 func (s *Server) current(kind spec.Kind, key string) (spec.Object, bool, error) {
-	kv, ok, err := s.backendGet(key)
+	kv, ok, err := s.store.GetFrom(s.origin, key)
 	if err != nil {
 		return nil, false, err
 	}
@@ -1093,13 +1062,13 @@ func (s *Server) dispatch(key string, ev WatchEvent) {
 	// A burst of same-tick events (a reconcile loop's writes landing after
 	// the store's fixed watch latency, a restart re-list) schedules ~13 loop
 	// events total instead of ~13 per object.
-	// No watchers yet (e.g. a restart re-list before any component
-	// watches): pd.n would be zero and the fanout would deliver to nobody,
-	// so skip the queue and loop-event traffic outright.
-	if len(s.watchers) == 0 {
+	// No watchers (e.g. a restart re-list before any component watches):
+	// the fanout would deliver to nobody, so skip the queue and loop-event
+	// traffic outright.
+	if s.live == 0 {
 		return
 	}
-	s.pending = append(s.pending, pendingDispatch{ev: ev, n: len(s.watchers)})
+	s.pending = append(s.pending, pendingDispatch{ev: ev, limit: s.nextSeq})
 	s.loop.After(0, s.fanoutFn)
 }
 
@@ -1122,26 +1091,18 @@ func (s *Server) fanout() {
 		// the process.
 		deliver = false
 	}
-	if deliver {
-		s.fanningOut++
-		if s.watcherIdxDirty {
-			s.rebuildWatcherIdx()
-		}
-		// The receivers are listed before the first callback runs: a callback
-		// may claim or release a UID, which edits the very lists being merged.
-		targets := s.receivers(ev, pd.n)
-		for _, n := range targets {
-			if w := s.watchers[n]; !w.cancelled {
-				w.fn(ev)
-			}
-		}
-		s.fanoutScratch = targets[:0]
-		s.fanningOut--
+	if !deliver {
+		return
 	}
-	// Sweep only after delivering: pd.n indexes the pre-sweep list, so the
-	// list must not be compacted while any fanout is iterating it (a watcher
-	// callback may cancel watches mid-delivery).
-	s.sweepWatchers()
+	// The receivers are listed before the first callback runs: a callback may
+	// claim, release or cancel, which edits the very lists being merged.
+	targets := s.receivers(ev, pd.limit)
+	for _, w := range targets {
+		if !w.cancelled {
+			w.fn(ev)
+		}
+	}
+	s.fanoutScratch = targets[:0]
 }
 
 // interceptWatch offers ev to the watch-channel hook. It reports the event to
@@ -1265,36 +1226,49 @@ func (s *Server) list(kind spec.Kind, namespace string) []spec.Object {
 	return out
 }
 
-// receivers lists the positions, ascending and below limit (the registration
-// count when the event was dispatched), of the watchers ev goes to: the event
-// kind's unscoped watchers, the all-kinds ones and — for a pod event — the
-// scoped watchers answering for the node the delivered object names or holding
-// a claim on its UID. Registration order, each watcher once: identical to
-// walking every registration and asking each whether it wants the event,
-// without touching those that do not.
-func (s *Server) receivers(ev WatchEvent, limit int) []int {
-	lists := [4][]int{s.watcherIdx[ev.Kind], s.watcherIdx[""]}
-	var node, uid [1]int
+// receivers lists, in sequence order and below limit (the number the next
+// registration would have drawn when the event was dispatched), the watchers
+// ev goes to: the event kind's unscoped watchers, the all-kinds ones and — for
+// a pod event — the scoped watchers answering for the node the delivered
+// object names or holding a claim on its UID. Registration order, each watcher
+// once: identical to walking every registration and asking each whether it
+// wants the event, without touching those that do not.
+func (s *Server) receivers(ev WatchEvent, limit int) []*watcher {
+	lists := [4][]*watcher{s.watcherIdx[ev.Kind], s.watcherIdx[""]}
+	var node, uid [1]*watcher
 	if pod, ok := ev.Object.(*spec.Pod); ok {
 		lists[2] = s.byNode.list(pod.Spec.NodeName, &node)
 		lists[3] = s.byUID.list(pod.Metadata.UID, &uid)
 	}
+	// heads holds the sequence number at the front of each list — limit once
+	// the list has nothing below it — so the merge compares locals.
+	var heads [4]int
+	head := func(l []*watcher) int {
+		if len(l) == 0 || l[0].seq >= limit {
+			return limit
+		}
+		return l[0].seq
+	}
+	for i, l := range lists {
+		heads[i] = head(l)
+	}
 	out := s.fanoutScratch[:0]
 	s.fanoutScratch = nil // a fan-out nested in a callback takes its own
 	for {
-		next := -1
-		for i, l := range lists {
-			if len(l) > 0 && (next < 0 || l[0] < lists[next][0]) {
+		next := 0
+		for i := 1; i < len(heads); i++ {
+			if heads[i] < heads[next] {
 				next = i
 			}
 		}
-		if next < 0 || lists[next][0] >= limit {
-			return out // the lists are ascending: nothing below limit remains
+		if heads[next] == limit {
+			return out
 		}
-		n := lists[next][0]
+		w := lists[next][0]
 		lists[next] = lists[next][1:]
-		if len(out) == 0 || out[len(out)-1] != n {
-			out = append(out, n)
+		heads[next] = head(lists[next])
+		if len(out) == 0 || out[len(out)-1] != w {
+			out = append(out, w)
 		}
 	}
 }
@@ -1302,21 +1276,44 @@ func (s *Server) receivers(ev WatchEvent, limit int) []int {
 // watch registers fn for the events of kind ("" for all kinds) — for those in
 // scope only, when one is given (pod watchers; see PodScope).
 func (s *Server) watch(kind spec.Kind, scope *PodScope, fn func(WatchEvent)) (cancel func()) {
-	w := &watcher{kind: kind, fn: fn, scope: scope, pos: len(s.watchers)}
-	s.watchers = append(s.watchers, w)
-	if scope != nil {
-		scope.srv, scope.w = s, w
-	}
-	s.indexWatcher(w)
-	return func() {
-		if w.cancelled {
-			return
+	w := &watcher{kind: kind, fn: fn, scope: scope, seq: s.nextSeq}
+	s.nextSeq++
+	s.live++
+	if scope == nil {
+		if s.watcherIdx == nil {
+			s.watcherIdx = make(map[spec.Kind][]*watcher)
 		}
-		w.cancelled = true
-		s.detach(w)
-		s.cancelledWatchers++
-		s.sweepWatchers()
+		s.watcherIdx[kind] = append(s.watcherIdx[kind], w)
+	} else {
+		scope.srv, scope.w = s, w
+		s.byNode.insert(scope.Node, w)
+		for _, uid := range scope.claims {
+			s.byUID.insert(uid, w)
+		}
 	}
+	return func() { s.cancel(w) }
+}
+
+// cancel takes w out of every index it is in; cancelling twice is a no-op.
+func (s *Server) cancel(w *watcher) {
+	if w.cancelled {
+		return
+	}
+	w.cancelled = true
+	s.live--
+	if w.scope == nil {
+		s.watcherIdx[w.kind] = without(s.watcherIdx[w.kind], w)
+		return
+	}
+	s.byNode.remove(w.scope.Node, w)
+	if w.scope.w == w {
+		// The scope's claims are exactly the UIDs indexed under w: every claim
+		// and release since the registration went to this server.
+		for _, uid := range w.scope.claims {
+			s.byUID.remove(uid, w)
+		}
+	}
+	s.detach(w)
 }
 
 // detach ends w's hold on its scope, if it still has one: claims made from now
@@ -1327,70 +1324,12 @@ func (s *Server) detach(w *watcher) {
 	}
 }
 
-// indexWatcher enters w, at w.pos, into the index its registration belongs to.
-func (s *Server) indexWatcher(w *watcher) {
-	if w.scope == nil {
-		if s.watcherIdx == nil {
-			s.watcherIdx = make(map[spec.Kind][]int)
-		}
-		s.watcherIdx[w.kind] = append(s.watcherIdx[w.kind], w.pos)
-		return
+// without removes w from list, ascending by sequence number, in place.
+func without(list []*watcher, w *watcher) []*watcher {
+	if i, found := slices.BinarySearchFunc(list, w.seq, bySeq); found && list[i] == w {
+		return slices.Delete(list, i, i+1)
 	}
-	s.byNode.insert(w.scope.Node, w.pos)
-	for _, uid := range w.scope.claims {
-		s.byUID.insert(uid, w.pos)
-	}
-}
-
-// sweepWatchers splices cancelled watchers out of the registration list once
-// they make up half of it — sim.Loop.compact's rule, so that a shutdown's 500
-// back-to-back cancels cost O(log n) passes over the list instead of one each
-// — but only while no dispatches are pending, because pending deliveries index
-// the list by its dispatch-time length. Until then fan-out skips the cancelled
-// entries; delivery order is registration order either way.
-func (s *Server) sweepWatchers() {
-	if s.cancelledWatchers == 0 || s.cancelledWatchers*2 < len(s.watchers) ||
-		len(s.pending) != 0 || s.fanningOut != 0 {
-		return
-	}
-	live := s.watchers[:0]
-	for _, w := range s.watchers {
-		if !w.cancelled {
-			live = append(live, w)
-		}
-	}
-	for i := len(live); i < len(s.watchers); i++ {
-		s.watchers[i] = nil
-	}
-	s.watchers = live
-	s.cancelledWatchers = 0
-	// Compaction shifted positions; rebuild lazily at the next fan-out. A
-	// shutdown cancels hundreds of kubelet watches back to back, and an eager
-	// rebuild per cancel would be quadratic in watcher count.
-	s.watcherIdxDirty = true
-}
-
-// rebuildWatcherIdx re-derives the position indexes after compaction. A
-// watcher cancelled since the sweep stays out: fan-out would skip it anyway,
-// and its scope may be registered elsewhere by now.
-func (s *Server) rebuildWatcherIdx() {
-	s.clearWatcherIdx()
-	for i, w := range s.watchers {
-		w.pos = i
-		if !w.cancelled {
-			s.indexWatcher(w)
-		}
-	}
-}
-
-// clearWatcherIdx empties the three position indexes, keeping their memory.
-func (s *Server) clearWatcherIdx() {
-	for k, idx := range s.watcherIdx {
-		s.watcherIdx[k] = idx[:0]
-	}
-	clear(s.byNode)
-	clear(s.byUID)
-	s.watcherIdxDirty = false
+	return list
 }
 
 func mergeStatus(dst, src spec.Object) error {

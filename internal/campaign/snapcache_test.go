@@ -72,13 +72,13 @@ func TestSnapshotCacheForkEquivalence(t *testing.T) {
 	if f1.Loop.Now() != f2.Loop.Now() {
 		t.Fatalf("same-seed forks resumed at different clocks: %v vs %v", f1.Loop.Now(), f2.Loop.Now())
 	}
-	if !storesEqual(t, store.CaptureSnapshot(f1.Backend), store.CaptureSnapshot(f2.Backend)) {
+	if !storesEqual(t, f1.Backend.Snapshot(), f2.Backend.Snapshot()) {
 		t.Fatal("same-seed forks have diverging store contents")
 	}
 	// Drive both forks briefly: identical seeds must stay in lockstep.
 	f1.Loop.RunUntil(f1.Loop.Now() + 2_000_000_000)
 	f2.Loop.RunUntil(f2.Loop.Now() + 2_000_000_000)
-	if !storesEqual(t, store.CaptureSnapshot(f1.Backend), store.CaptureSnapshot(f2.Backend)) {
+	if !storesEqual(t, f1.Backend.Snapshot(), f2.Backend.Snapshot()) {
 		t.Fatal("same-seed forks diverged while running")
 	}
 	f1.Stop()
@@ -111,12 +111,12 @@ func TestWorkerViewForkEquivalence(t *testing.T) {
 	if f1.Loop.Now() != f2.Loop.Now() {
 		t.Fatalf("view fork resumed at a different clock: %v vs %v", f1.Loop.Now(), f2.Loop.Now())
 	}
-	if !storesEqual(t, store.CaptureSnapshot(f1.Backend), store.CaptureSnapshot(f2.Backend)) {
+	if !storesEqual(t, f1.Backend.Snapshot(), f2.Backend.Snapshot()) {
 		t.Fatal("view fork has diverging store contents")
 	}
 	f1.Loop.RunUntil(f1.Loop.Now() + 2_000_000_000)
 	f2.Loop.RunUntil(f2.Loop.Now() + 2_000_000_000)
-	if !storesEqual(t, store.CaptureSnapshot(f1.Backend), store.CaptureSnapshot(f2.Backend)) {
+	if !storesEqual(t, f1.Backend.Snapshot(), f2.Backend.Snapshot()) {
 		t.Fatal("view fork diverged from snapshot fork while running")
 	}
 	f1.Stop()

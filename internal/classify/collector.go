@@ -159,7 +159,7 @@ func (c *Collector) Finish(client *workload.Client) *Observation {
 	}
 
 	c.obs.ControlPlaneResponsive = c.cl.ControlPlaneResponsive()
-	c.obs.StoreQuotaExceeded = !c.cl.ControlPlaneResponsive() && quotaExceeded(c.cl)
+	c.obs.StoreQuotaExceeded = !c.cl.ControlPlaneResponsive() && c.cl.Backend.QuotaExceeded()
 	c.obs.NetworkPodsFailing = c.cl.Net.NetworkPodsFailing()
 	c.obs.DNSHealthy = c.cl.Net.DNSHealthy()
 	c.obs.PrometheusReachable = c.probePrometheus()
@@ -190,14 +190,6 @@ func (c *Collector) probePrometheus() bool {
 		if !c.cl.Net.Request(c.cl.MonitoringNode(), vip, 9090).Failed() {
 			return true
 		}
-	}
-	return false
-}
-
-func quotaExceeded(cl *cluster.Cluster) bool {
-	type quotaer interface{ QuotaExceeded() bool }
-	if q, ok := cl.Backend.(quotaer); ok {
-		return q.QuotaExceeded()
 	}
 	return false
 }

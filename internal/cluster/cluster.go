@@ -72,7 +72,7 @@ type Config struct {
 	// reserved for monitoring, mirroring §V-A).
 	Workers int
 	// ControlPlaneReplicas selects the §V-C1 ablation: >1 runs a
-	// raft-replicated store.
+	// raft-replicated store (one member, no raft, by default).
 	ControlPlaneReplicas int
 	// StoreOptions tunes the data store.
 	StoreOptions *store.Options
@@ -140,7 +140,7 @@ type Cluster struct {
 	cfg Config
 
 	Loop      *sim.Loop
-	Backend   store.Backend
+	Backend   *store.Replicated
 	Server    *apiserver.Server
 	Manager   *controller.Manager
 	Scheduler *scheduler.Scheduler
@@ -222,19 +222,12 @@ func (c Config) Clone() Config {
 func New(cfg Config) *Cluster {
 	cfg = cfg.withDefaults()
 	loop := sim.NewLoop(cfg.Seed)
-	return assemble(cfg, loop, newBackend(loop, cfg))
+	return assemble(cfg, loop, store.NewReplicated(loop, cfg.ControlPlaneReplicas, cfg.StoreOptions))
 }
 
-// newBackend builds the storage backend the config asks for.
-func newBackend(loop *sim.Loop, cfg Config) store.Backend {
-	if cfg.ControlPlaneReplicas > 1 {
-		return store.NewReplicated(loop, cfg.ControlPlaneReplicas, cfg.StoreOptions)
-	}
-	return store.New(loop, cfg.StoreOptions)
-}
-
-// assemble wires all components over a loop and an empty backend.
-func assemble(cfg Config, loop *sim.Loop, backend store.Backend) *Cluster {
+// assemble wires all components over a loop and an empty store with one
+// member per control-plane replica.
+func assemble(cfg Config, loop *sim.Loop, backend *store.Replicated) *Cluster {
 	n := cfg.ControlPlaneReplicas
 	servers := make([]*apiserver.Server, n)
 	for i := range servers {
@@ -293,10 +286,10 @@ func assemble(cfg Config, loop *sim.Loop, backend store.Backend) *Cluster {
 		Kubelets:   make(map[string]*kubelet.Kubelet),
 		monitoring: fmt.Sprintf("worker-%d", cfg.Workers-1),
 	}
-	if rep, ok := backend.(*store.Replicated); ok {
+	if n > 1 {
 		// The virtual network owns the master links; mirror its cuts into
-		// the replicated store's reachability.
-		c.Net.OnMasterLinkChange(func(isolated int) { c.applyMasterLinks(rep, isolated) })
+		// the replicated store's reachability. A lone member has no links.
+		c.Net.OnMasterLinkChange(c.applyMasterLinks)
 	}
 	if cfg.AdmissionHooks > 0 {
 		// Webhook backends live on the non-monitoring worker nodes (round-
@@ -550,13 +543,7 @@ func (c *Cluster) ControlPlaneResponsive() bool {
 	if !leading || !running {
 		return false
 	}
-	if st, ok := c.Backend.(*store.Store); ok && st.QuotaExceeded() {
-		return false
-	}
-	if rep, ok := c.Backend.(*store.Replicated); ok && rep.QuotaExceeded() {
-		return false
-	}
-	return true
+	return !c.Backend.QuotaExceeded()
 }
 
 // Guard returns the critical-field guard, or nil when not enabled.
@@ -673,7 +660,8 @@ func (c *Cluster) SetMasterIsolated(i int, isolated bool) {
 
 // applyMasterLinks mirrors the network's master-link state into the
 // replicated store's reachability.
-func (c *Cluster) applyMasterLinks(rep *store.Replicated, isolated int) {
+func (c *Cluster) applyMasterLinks(isolated int) {
+	rep := c.Backend
 	if isolated < 0 {
 		rep.Heal()
 		return
@@ -690,17 +678,17 @@ func (c *Cluster) applyMasterLinks(rep *store.Replicated, isolated int) {
 // SetStoreReplicaLost destroys the backing store replica of apiserver i —
 // disk loss under one etcd member: the member leaves the raft group, and
 // reads and writes through apiserver i fail — or rebuilds it from a surviving
-// member's snapshot and restarts apiserver i over it.
+// member's snapshot and restarts apiserver i over it. A one-member store has
+// no surviving member to restore from: the fault is a no-op there.
 func (c *Cluster) SetStoreReplicaLost(i int, lost bool) {
-	rep, ok := c.Backend.(*store.Replicated)
-	if !ok {
+	if c.Backend.Replicas() < 2 {
 		return
 	}
 	if lost {
-		rep.DropReplica(i)
+		c.Backend.DropReplica(i)
 		return
 	}
-	rep.RestoreReplica(i)
+	c.Backend.RestoreReplica(i)
 	c.Servers[i].Restart()
 }
 
@@ -808,14 +796,11 @@ func (c *Cluster) TopologyConverged() bool {
 }
 
 // StoreLagMax returns the largest revision lag of any live store replica
-// behind the most advanced one — 0 when converged or with a single store.
+// behind the most advanced one — 0 when converged or with a single member.
 // A positive lag means some apiserver is serving a stale view: the
 // campaign's stale-read-window probe.
 func (c *Cluster) StoreLagMax() int64 {
-	rep, ok := c.Backend.(*store.Replicated)
-	if !ok {
-		return 0
-	}
+	rep := c.Backend
 	max := rep.MaxRevision()
 	var lag int64
 	for i := 0; i < rep.Replicas(); i++ {

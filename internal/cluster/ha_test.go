@@ -1,9 +1,13 @@
 package cluster
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
+	"github.com/mutiny-sim/mutiny/internal/apiserver"
+	"github.com/mutiny-sim/mutiny/internal/inject"
 	"github.com/mutiny-sim/mutiny/internal/spec"
 	"github.com/mutiny-sim/mutiny/internal/store"
 )
@@ -78,7 +82,7 @@ func TestHAAPIServerCrashFailover(t *testing.T) {
 // reconverges the replicas.
 func TestHAMasterPartitionHeals(t *testing.T) {
 	c := bootHA(t, 5002)
-	rep := c.Backend.(*store.Replicated)
+	rep := c.Backend
 
 	c.SetMasterIsolated(0, true)
 	// Leadership moves to the majority side (the replica-0 leaders cannot
@@ -142,7 +146,7 @@ func TestHAMasterPartitionHeals(t *testing.T) {
 // restoring it from a surviving member brings both back.
 func TestHAStoreLossAndRestore(t *testing.T) {
 	c := bootHA(t, 5003)
-	rep := c.Backend.(*store.Replicated)
+	rep := c.Backend
 
 	c.SetStoreReplicaLost(1, true)
 	if !rep.ReplicaDown(1) {
@@ -196,5 +200,50 @@ func TestHACrashScenarioDeterministic(t *testing.T) {
 	if rev1 != rev2 || pods1 != pods2 || errs1 != errs2 {
 		t.Fatalf("same-seed HA crash runs diverged: rev %d/%d pods %d/%d errs %d/%d",
 			rev1, rev2, pods1, pods2, errs1, errs2)
+	}
+}
+
+// On a one-member store the HA fault axes have nothing to act on: armed
+// through the injector on a default cluster, a store loss and a master
+// partition of replica 0 fire, yet every write succeeds, no replica lags,
+// and the experiment ends exactly as it does unarmed.
+func TestOneReplicaHAAxesAreNoOps(t *testing.T) {
+	run := func(fault inject.FaultType) (kvs []store.KV, audit []apiserver.AuditEntry) {
+		c := bootCluster(t, 5005)
+		j := inject.New(c.Loop)
+		c.AttachInjector(j)
+		if fault != 0 {
+			j.Arm(inject.Injection{Type: fault, Replica: 0, After: time.Second, Heal: 15 * time.Second})
+		}
+		admin := c.Client("kbench")
+		if err := admin.Create(appDeployment("ride", 2)); err != nil {
+			t.Fatalf("%v: create: %v", fault, err)
+		}
+		for i := 0; i < 20; i++ {
+			c.Loop.RunUntil(c.Loop.Now() + time.Second)
+			cm := &spec.ConfigMap{Data: map[string]string{"i": fmt.Sprint(i)}}
+			cm.Metadata.Namespace, cm.Metadata.Name = spec.DefaultNamespace, fmt.Sprintf("write-%d", i)
+			if err := admin.Create(cm); err != nil {
+				t.Fatalf("%v: write %d at %v: %v", fault, i, c.Loop.Now(), err)
+			}
+			if lag := c.StoreLagMax(); lag != 0 {
+				t.Fatalf("%v: store lag %d at %v", fault, lag, c.Loop.Now())
+			}
+		}
+		if r := j.Report(); fault != 0 && (!r.Fired || !r.Healed) {
+			t.Fatalf("%v: fired %v, healed %v: the axis was not exercised", fault, r.Fired, r.Healed)
+		}
+		awaitDeploymentReady(t, c, "ride", 10*time.Second)
+		return c.Backend.List("/registry/"), c.Server.Audit().Entries
+	}
+	wantKVs, wantAudit := run(0)
+	for _, fault := range []inject.FaultType{inject.FaultStoreLoss, inject.FaultMasterPartition} {
+		kvs, audit := run(fault)
+		if !reflect.DeepEqual(kvs, wantKVs) {
+			t.Errorf("%v on a one-member store changed the stored state (%d keys, unarmed %d)", fault, len(kvs), len(wantKVs))
+		}
+		if !reflect.DeepEqual(audit, wantAudit) {
+			t.Errorf("%v on a one-member store changed the audit trail: %v, unarmed %v", fault, audit, wantAudit)
+		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"github.com/mutiny-sim/mutiny/internal/apiserver"
 	"github.com/mutiny-sim/mutiny/internal/inject"
 	"github.com/mutiny-sim/mutiny/internal/spec"
-	"github.com/mutiny-sim/mutiny/internal/store"
 )
 
 // rewindShapes are the cluster shapes the rewind tests cover: the paper's
@@ -70,12 +69,7 @@ func dirty(t *testing.T, c *Cluster) {
 
 	key := spec.Key(spec.KindDeployment, spec.DefaultNamespace, "web")
 	corrupt := func(b []byte) []byte { b[len(b)/2] ^= 0x10; return b }
-	switch be := c.Backend.(type) {
-	case *store.Store:
-		be.CorruptAtRest(key, corrupt)
-	case *store.Replicated:
-		be.Primary().CorruptAtRest(key, corrupt)
-	}
+	c.Backend.Replica(0).CorruptAtRest(key, corrupt)
 	c.CrashNode("worker-1")
 	if c.Replicas() > 1 {
 		c.SetAPIServerDown(0, true)

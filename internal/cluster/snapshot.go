@@ -83,7 +83,7 @@ func (c *Cluster) Snapshot() *Snapshot {
 		cfg:      c.cfg.Clone(),
 		now:      c.Loop.Now(),
 		executed: c.Loop.EventsExecuted(),
-		store:    store.CaptureSnapshot(c.Backend),
+		store:    c.Backend.Snapshot(),
 		decoded:  c.Server.DecodeCache().Snapshot(),
 		nameSeq:  c.Manager.NameSeq(),
 		kubelets: make(map[string]kubelet.Snapshot, len(c.Kubelets)),
@@ -180,12 +180,12 @@ func (s *Snapshot) Restore(c *Cluster, seed int64) {
 	c.cfg.Seed = seed
 	loop := c.Loop
 	// An empty cluster's loop is not quite empty: New started the raft group
-	// of a replicated backend on it.
+	// of a replicated store on it.
 	loop.Reset()
 	loop.Seed(seed)
 	loop.Resume(s.now, s.executed)
 
-	store.RestoreSnapshot(c.Backend, s.store)
+	c.Backend.Restore(s.store)
 	// Rebuild each replica's watch cache from the restored store, through the
 	// restored decode cache, and resume its admission counters before any
 	// component starts issuing requests.

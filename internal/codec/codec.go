@@ -161,30 +161,24 @@ type fieldDesc struct {
 // paths only ever touch the compiled plan.
 type structPlan struct {
 	fields []fieldDesc
-	// dense maps small field numbers (the only kind the resource model uses)
-	// to fields indexes, offset by one so zero means "unknown field".
+	// dense maps field numbers to fields indexes, offset by one so zero means
+	// "unknown field".
 	dense []int16
-	// byNum is the fallback decode index for types with large field numbers.
-	byNum map[int]int
 }
 
 // fieldByNum resolves a decoded field number to a fields index.
 func (p *structPlan) fieldByNum(num int) (int, bool) {
-	if p.dense != nil {
-		if num < len(p.dense) {
-			if i := p.dense[num]; i != 0 {
-				return int(i) - 1, true
-			}
+	if num < len(p.dense) {
+		if i := p.dense[num]; i != 0 {
+			return int(i) - 1, true
 		}
-		return 0, false
 	}
-	i, ok := p.byNum[num]
-	return i, ok
+	return 0, false
 }
 
-// maxDenseFieldNumber bounds the dense decode index; beyond it the plan falls
-// back to a map (never hit by the resource model, whose numbers are ≤ 10).
-const maxDenseFieldNumber = 127
+// maxFieldNumber bounds the field numbers a pb tag may carry, and with them
+// the dense decode index (the resource model's numbers are ≤ 10).
+const maxFieldNumber = 127
 
 var _schemaCache sync.Map // reflect.Type -> *structPlan
 
@@ -201,8 +195,8 @@ func planFor(t reflect.Type) *structPlan {
 		}
 		numStr, wireName, _ := strings.Cut(tag, ",")
 		num, err := strconv.Atoi(numStr)
-		if err != nil || num <= 0 {
-			panic(fmt.Sprintf("codec: bad pb tag %q on %s.%s", tag, t.Name(), f.Name))
+		if err != nil || num <= 0 || num > maxFieldNumber {
+			panic(fmt.Sprintf("codec: bad pb tag %q on %s.%s (field numbers run 1 to %d)", tag, t.Name(), f.Name, maxFieldNumber))
 		}
 		if wireName == "" {
 			wireName = lowerCamel(f.Name)
@@ -221,16 +215,9 @@ func planFor(t reflect.Type) *structPlan {
 			maxNum = fd.number
 		}
 	}
-	if maxNum <= maxDenseFieldNumber {
-		plan.dense = make([]int16, maxNum+1)
-		for i, fd := range fields {
-			plan.dense[fd.number] = int16(i + 1)
-		}
-	} else {
-		plan.byNum = make(map[int]int, len(fields))
-		for i, fd := range fields {
-			plan.byNum[fd.number] = i
-		}
+	plan.dense = make([]int16, maxNum+1)
+	for i, fd := range fields {
+		plan.dense[fd.number] = int16(i + 1)
 	}
 	cached, _ := _schemaCache.LoadOrStore(t, plan)
 	return cached.(*structPlan)

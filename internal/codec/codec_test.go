@@ -244,3 +244,44 @@ func TestPropertyBitFlipNeverPanics(t *testing.T) {
 	}
 	t.Logf("bit flips: %d decodable-but-possibly-wrong, %d detected corrupt", decodable, corrupt)
 }
+
+// A pb tag must carry a field number from 1 to maxFieldNumber: planFor panics
+// on anything else, a number too large for the dense decode index included.
+func TestPlanForRejectsBadFieldNumbers(t *testing.T) {
+	for _, c := range []struct {
+		typ  reflect.Type
+		bad  bool
+		name string
+	}{
+		{reflect.TypeOf(struct {
+			A int64 `pb:"1"`
+		}{}), false, "1"},
+		{reflect.TypeOf(struct {
+			A int64 `pb:"127"`
+		}{}), false, "127"},
+		{reflect.TypeOf(struct {
+			A int64 `pb:"128"`
+		}{}), true, "128"},
+		{reflect.TypeOf(struct {
+			A int64 `pb:"100000"`
+		}{}), true, "100000"},
+		{reflect.TypeOf(struct {
+			A int64 `pb:"0"`
+		}{}), true, "0"},
+		{reflect.TypeOf(struct {
+			A int64 `pb:"-3"`
+		}{}), true, "-3"},
+		{reflect.TypeOf(struct {
+			A int64 `pb:"x"`
+		}{}), true, "x"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); (r != nil) != c.bad {
+					t.Errorf("pb:%q: panic %v, want a panic: %v", c.name, r, c.bad)
+				}
+			}()
+			planFor(c.typ)
+		})
+	}
+}

@@ -25,7 +25,7 @@ type harness struct {
 func newHarness(t *testing.T, opts Options) *harness {
 	t.Helper()
 	loop := sim.NewLoop(1)
-	st := store.New(loop, nil)
+	st := store.NewReplicated(loop, 1, nil)
 	srv := apiserver.New(loop, st, nil)
 	opts.DisableLeaderElection = true
 	m := NewManager(loop, srv, opts)

@@ -13,7 +13,7 @@ import (
 func setup(t *testing.T) (*sim.Loop, *apiserver.Server) {
 	t.Helper()
 	loop := sim.NewLoop(1)
-	st := store.New(loop, nil)
+	st := store.NewReplicated(loop, 1, nil)
 	return loop, apiserver.New(loop, st, nil)
 }
 

@@ -13,7 +13,7 @@ import (
 func setup(t *testing.T) (*sim.Loop, *apiserver.Server, *Injector) {
 	t.Helper()
 	loop := sim.NewLoop(1)
-	st := store.New(loop, nil)
+	st := store.NewReplicated(loop, 1, nil)
 	srv := apiserver.New(loop, st, nil)
 	j := New(loop)
 	j.AttachTo(srv)
@@ -225,7 +225,7 @@ func TestProtoByteFlip(t *testing.T) {
 	decodable, deleted := 0, 0
 	for seed := int64(0); seed < 30; seed++ {
 		loop := sim.NewLoop(seed)
-		st := store.New(loop, nil)
+		st := store.NewReplicated(loop, 1, nil)
 		srv := apiserver.New(loop, st, nil)
 		j := New(loop)
 		j.AttachTo(srv)

@@ -13,7 +13,7 @@ import (
 func newNode(t *testing.T) (*sim.Loop, *apiserver.Server, *Kubelet) {
 	t.Helper()
 	loop := sim.NewLoop(1)
-	st := store.New(loop, nil)
+	st := store.NewReplicated(loop, 1, nil)
 	srv := apiserver.New(loop, st, nil)
 	k := New(loop, srv, Config{
 		NodeName: "worker-0", CapacityMilliCPU: 8000, CapacityMemMB: 4096,

@@ -22,7 +22,7 @@ type harness struct {
 func newHarness(t *testing.T) *harness {
 	t.Helper()
 	loop := sim.NewLoop(1)
-	st := store.New(loop, nil)
+	st := store.NewReplicated(loop, 1, nil)
 	srv := apiserver.New(loop, st, nil)
 	h := &harness{loop: loop, state: New(loop, srv), api: srv.ClientFor("test")}
 
@@ -258,7 +258,7 @@ func TestLatencyRisesWithLoad(t *testing.T) {
 func newZonedHarness(t *testing.T) *harness {
 	t.Helper()
 	loop := sim.NewLoop(1)
-	st := store.New(loop, nil)
+	st := store.NewReplicated(loop, 1, nil)
 	srv := apiserver.New(loop, st, nil)
 	h := &harness{loop: loop, state: New(loop, srv), api: srv.ClientFor("test")}
 

@@ -114,10 +114,10 @@ var rigNodes = []string{"node-a", "node-b", "node-c"}
 
 func newRetryRig(t testing.TB, selfCheck bool) *retryRig {
 	loop := sim.NewLoop(24)
-	st := store.New(loop, nil)
+	st := store.NewReplicated(loop, 1, nil)
 	srv := apiserver.New(loop, st, &apiserver.Options{DisableValidation: true})
 	r := &retryRig{
-		t: t, loop: loop, st: st, srv: srv, c: srv.ClientFor("test"),
+		t: t, loop: loop, st: st.Replica(0), srv: srv, c: srv.ClientFor("test"),
 		s:       New(loop, srv, Options{DisableLeaderElection: true, DisableCacheSelfCheck: !selfCheck}),
 		shelved: make(map[string]bool),
 	}

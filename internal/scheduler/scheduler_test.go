@@ -14,7 +14,7 @@ import (
 func newScheduler(t *testing.T) (*sim.Loop, *apiserver.Client, *Scheduler) {
 	t.Helper()
 	loop := sim.NewLoop(1)
-	st := store.New(loop, nil)
+	st := store.NewReplicated(loop, 1, nil)
 	srv := apiserver.New(loop, st, nil)
 	s := New(loop, srv, Options{})
 	c := srv.ClientFor("test")
@@ -181,7 +181,7 @@ func TestRestartAfterStoreMovesPod(t *testing.T) {
 	// Rebuild the harness with validation disabled so the nodeName change
 	// lands in the store like an apiserver→etcd injection.
 	loop := sim.NewLoop(2)
-	st := store.New(loop, nil)
+	st := store.NewReplicated(loop, 1, nil)
 	srv := apiserver.New(loop, st, &apiserver.Options{DisableValidation: true})
 	s := New(loop, srv, Options{})
 	c := srv.ClientFor("test")
@@ -234,7 +234,7 @@ func TestRestartAfterStoreMovesPod(t *testing.T) {
 // restart — and check the inclusion after every 50 ms of it.
 func TestPendingStaysInsideTheView(t *testing.T) {
 	loop := sim.NewLoop(3)
-	srv := apiserver.New(loop, store.New(loop, nil), &apiserver.Options{DisableValidation: true})
+	srv := apiserver.New(loop, store.NewReplicated(loop, 1, nil), &apiserver.Options{DisableValidation: true})
 	// No election: the views start with the scheduler at t=0, so their
 	// periodic resync falls on multiples of viewResync.
 	s := New(loop, srv, Options{DisableLeaderElection: true})

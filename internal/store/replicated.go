@@ -21,8 +21,11 @@ var (
 	ErrNoQuorum = errors.New("store: no quorum reachable")
 )
 
-// Replicated is a multi-replica Backend: each apiserver replica binds to one
-// store replica as its read/write/watch origin. An accepted write applies
+// Replicated is the cluster's data store: one or more store replicas, each
+// the read/write/watch origin of the apiserver bound to it. A single control
+// plane is a one-member group — the degenerate case of etcd's clustering, and
+// exactly a lone Store: no raft group runs below two members, and a write is
+// refused (or applied) by the one replica alone. An accepted write applies
 // synchronously at every replica reachable from its origin — the simulation's
 // stand-in for etcd's linearizable write (which commits through consensus
 // before acknowledging, so no two gateways can disagree on write order) —
@@ -38,12 +41,10 @@ var (
 // at-rest corruption of a single replica is masked by quorum reads. Both
 // behaviours are measured by the ablation benches.
 //
-// The legacy Backend methods (Get, List, Put, ...) are the origin-0 view and
-// keep their historical signatures; HA apiservers use the *From/*Via variants
-// that carry their origin and report replica health as errors.
+// Apiservers use the *From/*Via variants, which carry their origin and report
+// replica health as errors; List, Revision, SizeBytes and Len read replica 0.
 type Replicated struct {
 	loop     *sim.Loop
-	primary  *Store
 	replicas []*Store
 	cluster  *raft.Cluster
 	// down marks lost replicas (FaultStoreLoss). cut marks severed replica
@@ -65,10 +66,8 @@ type repOp struct {
 	Origin int64  `pb:"5"` // replica the write was accepted through
 }
 
-var _ Backend = (*Replicated)(nil)
-
-// NewReplicated creates n store replicas joined by a raft group. n must be
-// at least 1; production control planes use 3.
+// NewReplicated creates n store replicas, joined by a raft group when there
+// are two or more. n must be at least 1; production HA control planes use 3.
 func NewReplicated(loop *sim.Loop, n int, opts *Options) *Replicated {
 	if n < 1 {
 		n = 1
@@ -82,7 +81,6 @@ func NewReplicated(loop *sim.Loop, n int, opts *Options) *Replicated {
 	for i := 0; i < n; i++ {
 		r.replicas = append(r.replicas, New(loop, opts))
 	}
-	r.primary = r.replicas[0]
 	r.startRaft()
 	return r
 }
@@ -91,8 +89,12 @@ func NewReplicated(loop *sim.Loop, n int, opts *Options) *Replicated {
 // apply synchronously above); it models etcd's consensus liveness — election
 // churn under partition and member loss — and its snapshot transfer backs
 // replica restore. Starting it draws the members' first election timeouts from
-// the loop's random source and schedules them.
+// the loop's random source and schedules them, so a one-member store starts
+// none: a single control plane draws no election timeouts.
 func (r *Replicated) startRaft() {
+	if len(r.replicas) < 2 {
+		return
+	}
 	r.cluster = raft.NewCluster(r.loop, len(r.replicas), func(nodeID int, e raft.Entry) {})
 }
 
@@ -177,6 +179,10 @@ func (r *Replicated) PutVia(origin int, key string, kind spec.Kind, value []byte
 	if !r.quorumFrom(origin) {
 		return 0, ErrNoQuorum
 	}
+	rep := r.replicas[origin]
+	if err := rep.admits(value); err != nil {
+		return 0, err // refused before the copy: a rejected write allocates nothing
+	}
 	// One copy per accepted write, shared by every replica: the caller's
 	// bytes typically live in a pooled encode buffer, so the fan-out takes
 	// an owned immutable array up front and installs that same array at the
@@ -186,10 +192,7 @@ func (r *Replicated) PutVia(origin int, key string, kind spec.Kind, value []byte
 	if len(value) > 0 {
 		owned = append([]byte(nil), value...)
 	}
-	rev, err := r.replicas[origin].putOwned(key, kind, owned)
-	if err != nil {
-		return 0, err
-	}
+	rev := rep.install(key, kind, owned)
 	r.apply(origin, repOp{Op: 1, Key: key, Kind: string(kind), Value: owned, Origin: int64(origin)}, true)
 	return rev, nil
 }
@@ -234,27 +237,6 @@ func (r *Replicated) WatchReplica(i int, prefix string, fn func(Event)) (cancel 
 	return r.replicas[i].Watch(prefix, fn)
 }
 
-// Put writes via origin 0 (the legacy single-apiserver view).
-func (r *Replicated) Put(key string, kind spec.Kind, value []byte) (int64, error) {
-	return r.PutVia(0, key, kind, value)
-}
-
-// Delete removes via origin 0.
-func (r *Replicated) Delete(key string) bool {
-	ok, _ := r.DeleteVia(0, key)
-	return ok
-}
-
-// Get reads from replica 0. A lost replica reads as absent here; the
-// origin-aware GetFrom distinguishes "gone" from "not found".
-func (r *Replicated) Get(key string) (KV, bool) {
-	kv, ok, err := r.GetFrom(0, key)
-	if err != nil {
-		return KV{}, false
-	}
-	return kv, ok
-}
-
 // List reads from replica 0; empty when the replica is lost.
 func (r *Replicated) List(prefix string) []KV {
 	kvs, err := r.ListFrom(0, prefix)
@@ -264,13 +246,8 @@ func (r *Replicated) List(prefix string) []KV {
 	return kvs
 }
 
-// Watch observes replica 0.
-func (r *Replicated) Watch(prefix string, fn func(Event)) (cancel func()) {
-	return r.WatchReplica(0, prefix, fn)
-}
-
 // Revision returns replica 0's revision.
-func (r *Replicated) Revision() int64 { return r.primary.Revision() }
+func (r *Replicated) Revision() int64 { return r.replicas[0].Revision() }
 
 // RevisionAt returns the i-th replica's revision.
 func (r *Replicated) RevisionAt(i int) int64 { return r.replicas[i].Revision() }
@@ -288,10 +265,10 @@ func (r *Replicated) MaxRevision() int64 {
 }
 
 // Len returns replica 0's key count.
-func (r *Replicated) Len() int { return r.primary.Len() }
+func (r *Replicated) Len() int { return r.replicas[0].Len() }
 
 // SizeBytes returns replica 0's size.
-func (r *Replicated) SizeBytes() int64 { return r.primary.SizeBytes() }
+func (r *Replicated) SizeBytes() int64 { return r.replicas[0].SizeBytes() }
 
 // QuotaExceeded reports whether any live replica refused a write for space —
 // replicas see the same op stream, so replica 0 stands for all when up.
@@ -303,9 +280,6 @@ func (r *Replicated) QuotaExceeded() bool {
 	}
 	return false
 }
-
-// Primary exposes the primary replica (at-rest corruption ablation).
-func (r *Replicated) Primary() *Store { return r.primary }
 
 // Replica returns the i-th replica.
 func (r *Replicated) Replica(i int) *Store { return r.replicas[i] }
@@ -435,7 +409,7 @@ func (r *Replicated) QuorumGet(key string) (KV, bool) {
 
 // Converged reports whether all replicas hold byte-identical values for key.
 func (r *Replicated) Converged(key string) bool {
-	ref, refOK := r.primary.Get(key)
+	ref, refOK := r.replicas[0].Get(key)
 	for _, rep := range r.replicas[1:] {
 		kv, ok := rep.Get(key)
 		if ok != refOK || !bytes.Equal(kv.Value, ref.Value) {

@@ -34,9 +34,9 @@ type StoreSnapshot struct {
 	Size  int64
 }
 
-// Snapshot captures a whole Backend: one StoreSnapshot for a single-replica
-// Store, one per replica for a Replicated backend (replicas can diverge
-// transiently while the raft log drains, so each is captured independently).
+// Snapshot captures a whole Replicated store: one StoreSnapshot per replica
+// (replicas can diverge transiently while a partitioned one catches up, so
+// each is captured independently).
 type Snapshot struct {
 	Replicas []StoreSnapshot
 }
@@ -78,42 +78,30 @@ func (s StoreSnapshot) clone() StoreSnapshot {
 	return StoreSnapshot{Items: items, Rev: s.Rev, Size: s.Size}
 }
 
-// CaptureSnapshot snapshots any supported Backend.
-func CaptureSnapshot(b Backend) *Snapshot {
-	switch be := b.(type) {
-	case *Store:
-		return &Snapshot{Replicas: []StoreSnapshot{be.snapshot()}}
-	case *Replicated:
-		snap := &Snapshot{}
-		for _, rep := range be.replicas {
-			snap.Replicas = append(snap.Replicas, rep.snapshot())
-		}
-		return snap
-	default:
-		return nil
+// Snapshot captures every replica.
+func (r *Replicated) Snapshot() *Snapshot {
+	snap := &Snapshot{Replicas: make([]StoreSnapshot, len(r.replicas))}
+	for i, rep := range r.replicas {
+		snap.Replicas[i] = rep.snapshot()
 	}
+	return snap
 }
 
-// RestoreSnapshot loads a snapshot into an empty Backend of the same shape
-// (same replica count): freshly constructed, or Reset on a loop that was reset
-// too. It must run before any component writes: items are installed directly,
+// Restore loads a snapshot into an empty store of the same shape (same
+// replica count): freshly constructed, or Reset on a loop that was reset too.
+// It must run before any component writes: items are installed directly,
 // without watch notifications, exactly like a store process reopening its
-// database file. A replicated backend starts a new raft group as its first
-// step — the group of a fresh backend started on whatever the loop was before
-// it was positioned for the restore, and that of a Reset one is gone.
-func RestoreSnapshot(b Backend, snap *Snapshot) {
+// database file. A replicated store starts a new raft group as its first step
+// — the group of a fresh store started on whatever the loop was before it was
+// positioned for the restore, and that of a Reset one is gone.
+func (r *Replicated) Restore(snap *Snapshot) {
 	if snap == nil {
 		return
 	}
-	switch be := b.(type) {
-	case *Store:
-		be.restore(snap.Replicas[0])
-	case *Replicated:
-		be.startRaft()
-		for i, rep := range be.replicas {
-			if i < len(snap.Replicas) {
-				rep.restore(snap.Replicas[i])
-			}
+	r.startRaft()
+	for i, rep := range r.replicas {
+		if i < len(snap.Replicas) {
+			rep.restore(snap.Replicas[i])
 		}
 	}
 }

@@ -67,7 +67,7 @@ func TestResetAndRestoreInPlace(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap := CaptureSnapshot(s)
+	snap := s.snapshot()
 
 	delivered := 0
 	s.Watch("/registry/", func(Event) { delivered++ })
@@ -79,10 +79,10 @@ func TestResetAndRestoreInPlace(t *testing.T) {
 		t.Fatalf("after Reset: %d keys, rev %d, %d bytes, %d watchers", s.Len(), s.Revision(), s.SizeBytes(), len(s.watchers))
 	}
 
-	RestoreSnapshot(s, snap)
+	s.restore(snap)
 	array := &s.restored[0]
 	fresh := New(loop, nil)
-	RestoreSnapshot(fresh, snap)
+	fresh.restore(snap)
 	if got, want := s.List("/registry/"), fresh.List("/registry/"); !reflect.DeepEqual(got, want) || len(got) != 3 {
 		t.Fatalf("restored in place lists %v, a new store %v", got, want)
 	}
@@ -99,7 +99,7 @@ func TestResetAndRestoreInPlace(t *testing.T) {
 		t.Fatalf("a watcher from before the Reset heard %d events: undelivered ones go with the loop's, later ones have no subscriber", delivered)
 	}
 	s.Reset()
-	RestoreSnapshot(s, snap)
+	s.restore(snap)
 	if &s.restored[0] != array {
 		t.Error("the second restore did not reuse the item array")
 	}
@@ -108,7 +108,7 @@ func TestResetAndRestoreInPlace(t *testing.T) {
 		t.Fatalf("List after a Delete: %v", l)
 	}
 	s.Reset()
-	RestoreSnapshot(s, snap)
+	s.restore(snap)
 	s.CorruptAtRest("/registry/Pod/default/b", func(b []byte) []byte { return []byte("rotten") })
 	if l := s.List("/registry/Pod/default/b"); len(l) != 1 || string(l[0].Value) != "rotten" {
 		t.Fatalf("List after CorruptAtRest: %v", l)

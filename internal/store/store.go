@@ -12,8 +12,10 @@
 package store
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -67,23 +69,6 @@ type KV struct {
 	Revision int64
 }
 
-// Backend is the storage interface the API server programs against; it is
-// satisfied by Store and by raft-replicated wrappers.
-type Backend interface {
-	Put(key string, kind spec.Kind, value []byte) (int64, error)
-	Get(key string) (KV, bool)
-	Delete(key string) bool
-	List(prefix string) []KV
-	Watch(prefix string, fn func(Event)) (cancel func())
-	Revision() int64
-	SizeBytes() int64
-	// Len returns the number of stored keys.
-	Len() int
-	// Reset empties the backend to its freshly constructed state, keeping
-	// the memory of its tables for the next RestoreSnapshot.
-	Reset()
-}
-
 // Options configure a Store.
 type Options struct {
 	// QuotaBytes bounds the database size; writes fail with ErrNoSpace past
@@ -114,7 +99,8 @@ func (o *Options) withDefaults() Options {
 	return out
 }
 
-// Store is a single-replica data store. All methods must be called from the
+// Store is one replica of the data store; Replicated joins one or more of
+// them into the cluster's store. All methods must be called from the
 // simulation loop; watch callbacks are delivered asynchronously on the loop.
 type Store struct {
 	loop  *sim.Loop
@@ -132,27 +118,27 @@ type Store struct {
 	sorted []ItemSnapshot
 	rev    int64
 	size   int64
-	// watchers is kept in registration order so notify schedules deliveries
-	// deterministically (map iteration would randomize the order of
-	// same-tick events between runs). Cancellation marks and sweeps lazily
-	// (like the API server's fan-out list): pending deliveries snapshot the
-	// list length at notify time, so it must not be compacted under them.
-	watchers          []*watcher
-	cancelledWatchers int
+	// watchers holds the live registrations in registration order — ascending
+	// seq — so deliver hands an event out deterministically (map iteration
+	// would randomize the order of same-tick events between runs). A cancel
+	// takes its watcher out at once; nextSeq is the seq the next registration
+	// draws.
+	watchers []*watcher
+	nextSeq  int
 
 	// Batched delivery: notify queues one pendingEvent and schedules
 	// deliverFn (built once) after the watch latency; the fired event hands
 	// the queue's front entry to every watcher registered at notify time.
 	// Same commit order, same per-watcher order as the former
 	// one-closure-per-(event, watcher) scheduling, without the closure.
-	// This mirrors the apiserver's fan-out machinery (Server.pending /
-	// fanout / sweepWatchers) — the snapshot-by-length and sweep-deferral
-	// invariants are shared; a fix to one almost certainly applies to the
-	// other.
+	// The API server's fan-out (Server.pending / fanout) follows the same
+	// rule: a queued event carries the seq the next registration would have
+	// drawn, and only registrations below it hear the event.
 	pendingEv   []pendingEvent
 	pendingHead int
-	delivering  int
 	deliverFn   func()
+	// deliverScratch backs the receiver list of the delivery in progress.
+	deliverScratch []*watcher
 }
 
 type item struct {
@@ -165,18 +151,17 @@ type item struct {
 type watcher struct {
 	prefix    string
 	fn        func(Event)
+	seq       int // registration order: registrations before it since New or Reset
 	cancelled bool
 }
 
 // pendingEvent is one committed change awaiting delivery: the event plus the
-// watcher-list length at notify time, so watchers registered between commit
-// and delivery do not receive it.
+// seq the next registration would have drawn at notify time, so watchers
+// registered between commit and delivery do not receive it.
 type pendingEvent struct {
-	ev Event
-	n  int
+	ev    Event
+	limit int
 }
-
-var _ Backend = (*Store)(nil)
 
 // New returns an empty store bound to the simulation loop.
 func New(loop *sim.Loop, opts *Options) *Store {
@@ -192,19 +177,23 @@ func New(loop *sim.Loop, opts *Options) *Store {
 // Reset empties the store to the state New left it in — no keys, revision
 // zero, no subscribers — keeping the memory of its tables
 // for the next restore. Whoever subscribed re-subscribes (the API server does
-// in its own Reset). Events committed but not yet delivered are dropped with
-// the loop events that would have delivered them: reset the loop first.
+// in its own Reset); every earlier registration counts as cancelled, so a
+// late cancel is a no-op. Events committed but not yet delivered are dropped
+// with the loop events that would have delivered them: reset the loop first.
 func (s *Store) Reset() {
 	clear(s.items)
 	clear(s.restored)
 	s.sorted = nil
 	s.rev, s.size = 0, 0
+	for _, w := range s.watchers {
+		w.cancelled = true
+	}
 	clear(s.watchers)
 	s.watchers = s.watchers[:0]
-	s.cancelledWatchers = 0
+	s.nextSeq = 0
 	clear(s.pendingEv)
 	s.pendingEv = s.pendingEv[:0]
-	s.pendingHead, s.delivering = 0, 0
+	s.pendingHead = 0
 }
 
 // Revision returns the latest committed revision.
@@ -230,11 +219,8 @@ func (s *Store) QuotaExceeded() bool { return s.size > s.opts.QuotaBytes }
 // of scribbling over the old one, so readers holding the previous revision
 // keep a consistent view.
 func (s *Store) Put(key string, kind spec.Kind, value []byte) (int64, error) {
-	if int64(len(value)) > s.opts.MaxValueBytes {
-		return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(value))
-	}
-	if s.QuotaExceeded() {
-		return 0, ErrNoSpace
+	if err := s.admits(value); err != nil {
+		return 0, err
 	}
 	return s.install(key, kind, append([]byte(nil), value...)), nil
 }
@@ -245,13 +231,22 @@ func (s *Store) Put(key string, kind spec.Kind, value []byte) (int64, error) {
 // array at every replica (and in every catch-up queue). Callers passing
 // pooled or otherwise reused buffers must use Put.
 func (s *Store) putOwned(key string, kind spec.Kind, value []byte) (int64, error) {
-	if int64(len(value)) > s.opts.MaxValueBytes {
-		return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(value))
-	}
-	if s.QuotaExceeded() {
-		return 0, ErrNoSpace
+	if err := s.admits(value); err != nil {
+		return 0, err
 	}
 	return s.install(key, kind, value), nil
+}
+
+// admits reports why the store would refuse a write of value, nil if it
+// would take it: a value over the per-request limit, or a store over quota.
+func (s *Store) admits(value []byte) error {
+	if int64(len(value)) > s.opts.MaxValueBytes {
+		return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(value))
+	}
+	if s.QuotaExceeded() {
+		return ErrNoSpace
+	}
+	return nil
 }
 
 // install commits stored (already owned by the store) under key and notifies
@@ -327,53 +322,20 @@ func (s *Store) List(prefix string) []KV {
 	return out
 }
 
-// Count returns the number of keys under prefix.
-func (s *Store) Count(prefix string) int {
-	n := 0
-	for key := range s.items {
-		if strings.HasPrefix(key, prefix) {
-			n++
-		}
-	}
-	return n
-}
-
 // Watch registers fn for changes to keys under prefix. Events are delivered
 // asynchronously on the simulation loop in commit order.
 func (s *Store) Watch(prefix string, fn func(Event)) (cancel func()) {
-	w := &watcher{prefix: prefix, fn: fn}
+	w := &watcher{prefix: prefix, fn: fn, seq: s.nextSeq}
+	s.nextSeq++
 	s.watchers = append(s.watchers, w)
 	return func() {
 		if w.cancelled {
 			return
 		}
 		w.cancelled = true
-		s.cancelledWatchers++
-		s.sweepWatchers()
+		i, _ := slices.BinarySearchFunc(s.watchers, w.seq, func(x *watcher, seq int) int { return cmp.Compare(x.seq, seq) })
+		s.watchers = slices.Delete(s.watchers, i, i+1)
 	}
-}
-
-// sweepWatchers compacts cancelled watchers out of the registration list once
-// they make up half of it (sim.Loop.compact's rule: a run of n cancels costs
-// O(log n) passes, not n) — and only while no deliveries are pending or in
-// flight, because pending entries index the list by its notify-time length.
-// Until then delivery skips the cancelled entries, in the same order.
-func (s *Store) sweepWatchers() {
-	if s.cancelledWatchers == 0 || s.cancelledWatchers*2 < len(s.watchers) ||
-		len(s.pendingEv) != 0 || s.delivering != 0 {
-		return
-	}
-	live := s.watchers[:0]
-	for _, w := range s.watchers {
-		if !w.cancelled {
-			live = append(live, w)
-		}
-	}
-	for i := len(live); i < len(s.watchers); i++ {
-		s.watchers[i] = nil
-	}
-	s.watchers = live
-	s.cancelledWatchers = 0
 }
 
 // CorruptAtRest silently corrupts the stored bytes of key without bumping the
@@ -401,14 +363,15 @@ func (s *Store) notify(ev Event) {
 	if len(s.watchers) == 0 {
 		return
 	}
-	s.pendingEv = append(s.pendingEv, pendingEvent{ev: ev, n: len(s.watchers)})
+	s.pendingEv = append(s.pendingEv, pendingEvent{ev: ev, limit: s.nextSeq})
 	s.loop.After(s.opts.WatchLatency, s.deliverFn)
 }
 
 // deliver hands the front pending event to every watcher registered at
 // notify time, in registration order — the same delivery order as scheduling
 // one closure per (event, watcher), at one loop event and zero closures per
-// commit.
+// commit. The receivers are listed before the first callback runs: a callback
+// may cancel a watch, which edits the very list being walked.
 func (s *Store) deliver() {
 	pe := s.pendingEv[s.pendingHead]
 	s.pendingEv[s.pendingHead] = pendingEvent{}
@@ -417,14 +380,23 @@ func (s *Store) deliver() {
 		s.pendingEv = s.pendingEv[:0]
 		s.pendingHead = 0
 	}
-	s.delivering++
-	for _, w := range s.watchers[:pe.n] {
-		if !w.cancelled && strings.HasPrefix(pe.ev.Key, w.prefix) {
+	recv := s.deliverScratch[:0]
+	s.deliverScratch = nil // a delivery nested in a callback takes its own
+	for _, w := range s.watchers {
+		if w.seq >= pe.limit {
+			break
+		}
+		if strings.HasPrefix(pe.ev.Key, w.prefix) {
+			recv = append(recv, w)
+		}
+	}
+	for _, w := range recv {
+		if !w.cancelled {
 			w.fn(pe.ev)
 		}
 	}
-	s.delivering--
-	s.sweepWatchers()
+	clear(recv)
+	s.deliverScratch = recv[:0]
 }
 
 func sortKVs(kvs []KV) {

@@ -80,8 +80,8 @@ func TestListPrefix(t *testing.T) {
 	if got[0].Key != "/registry/Pod/default/a" || got[1].Key != "/registry/Pod/default/b" {
 		t.Fatalf("List order wrong: %v, %v", got[0].Key, got[1].Key)
 	}
-	if n := s.Count("/registry/Pod/"); n != 3 {
-		t.Fatalf("Count = %d, want 3", n)
+	if n := len(s.List("/registry/Pod/")); n != 3 {
+		t.Fatalf("List(/registry/Pod/) = %d entries, want 3", n)
 	}
 }
 
@@ -314,29 +314,27 @@ func hasKey(m map[string]int, k string) bool {
 	return ok
 }
 
-// The store's watcher list follows the API server's rule (see
-// TestCancelStormSweepsLogarithmically there): cancelled entries are swept
-// once they are half the list, and the survivors keep their order.
-func TestWatchCancelStormSweepsLogarithmically(t *testing.T) {
+// Cancelling n watches back to back leaves exactly the live registrations in
+// the list, each cancel taking its own watcher out at once (twice is a
+// no-op), and the survivors still hear the next event in registration order.
+// The API server's twin holds its indexes to the same rule.
+func TestCancelStormLeavesOnlyTheLive(t *testing.T) {
 	loop, s := newTestStore(t)
 	const n = 500
 	var heard []int
 	var cancels []func()
 	for i := 0; i < n+5; i++ {
 		cancel := s.Watch("/registry/", func(Event) { heard = append(heard, i) })
-		if i%100 != 50 {
+		if i%100 != 50 { // five survivors, spread over the list
 			cancels = append(cancels, cancel)
 		}
 	}
-	sweeps, size := 0, len(s.watchers)
 	for _, cancel := range cancels {
 		cancel()
-		if len(s.watchers) != size {
-			sweeps, size = sweeps+1, len(s.watchers)
-		}
+		cancel()
 	}
-	if sweeps == 0 || sweeps > 10 {
-		t.Errorf("%d cancels swept the watcher list %d times, want 1 to 10", len(cancels), sweeps)
+	if len(s.watchers) != 5 {
+		t.Fatalf("%d cancels of %d registrations left %d registered, want 5", len(cancels), n+5, len(s.watchers))
 	}
 	if _, err := s.Put("/registry/Pod/default/a", spec.KindPod, []byte("x")); err != nil {
 		t.Fatal(err)
