@@ -37,15 +37,18 @@ test:
 race:
 	$(GO) test -race ./internal/campaign/... ./internal/codec/... ./internal/apiserver/... ./internal/spec/... ./internal/cow/...
 
-# Ten seconds of each of the tree's four fuzz targets. FuzzLoopOrder: random
+# Ten seconds of each of the tree's five fuzz targets. FuzzLoopOrder: random
 # At/After/Every/Stop/Reset programs on the event loop, held to a slice sorted
 # by (at, seq). FuzzSchedulerRetry: random programs of cluster operations
 # (creates, deletes, resizes, cordons, heartbeats, at-rest rewrites, lost and
-# refused binds, a cache-mismatch restart) against the scheduler, every cycle
-# held to a pass over all pending pods that remembers nothing. FuzzUnmarshal:
-# arbitrary bytes into every resource kind, never a panic, and whatever decodes
-# re-encodes to a fixpoint. FuzzAppendPrefixWithRV: the status-splice RV patch
-# against its reference implementation on any bytes and revision. A failing
+# refused binds, a cache-mismatch restart) against the leader-elected
+# scheduler, every cycle held to a pass over all pending pods that remembers
+# nothing. FuzzUnmarshal: arbitrary bytes into every resource kind, never a
+# panic, and whatever decodes re-encodes to a fixpoint.
+# FuzzAppendPrefixWithRV: the status-splice RV patch against its reference
+# implementation on any bytes and revision. FuzzShardResultJSON: arbitrary
+# bytes into the shard wire's result decoder, never a panic, and whatever
+# decodes survives a Marshal/Unmarshal round trip. A failing
 # input is written to the package's testdata/fuzz and fails `go test` from then
 # on; commit it with the fix.
 fuzz-smoke:
@@ -53,6 +56,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzSchedulerRetry -fuzztime 10s ./internal/scheduler
 	$(GO) test -run xxx -fuzz FuzzUnmarshal -fuzztime 10s ./internal/codec
 	$(GO) test -run xxx -fuzz FuzzAppendPrefixWithRV -fuzztime 10s ./internal/codec
+	$(GO) test -run xxx -fuzz FuzzShardResultJSON -fuzztime 10s ./internal/campaign
 
 # A fast, heavily-strided campaign through the real benchmark harness: one
 # end-to-end sanity pass over golden runs, generation, injection, and

@@ -33,7 +33,6 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/mutiny-sim/mutiny/internal/apiserver"
 	"github.com/mutiny-sim/mutiny/internal/campaign"
 	"github.com/mutiny-sim/mutiny/internal/classify"
 	"github.com/mutiny-sim/mutiny/internal/cluster"
@@ -425,9 +424,7 @@ func BenchmarkMitigationChecksums(b *testing.B) {
 		runner := campaign.NewRunner()
 		runner.GoldenRuns = 20
 		if protected {
-			runner.ClusterConfig = cluster.Config{
-				ServerOptions: &apiserver.Options{CriticalFieldChecksums: true},
-			}
+			runner.ClusterConfig = cluster.Config{CriticalFieldChecksums: true}
 		}
 		for i, in := range injections {
 			inCopy := in

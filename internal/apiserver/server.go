@@ -147,11 +147,6 @@ type WatchEvent struct {
 
 // Options configure a Server.
 type Options struct {
-	// DisableValidation turns the validation layer off (ablation).
-	DisableValidation bool
-	// DisableUndecodableDeletion keeps undecodable resources in the store
-	// instead of deleting them (ablation of the §II-D strategy).
-	DisableUndecodableDeletion bool
 	// CriticalFieldChecksums enables the §VI-B redundancy-code mitigation:
 	// the server stamps every write with a checksum over its critical
 	// fields (computed before the transaction leaves the server) and
@@ -730,10 +725,8 @@ func (s *Server) apply(identity string, verb Verb, msg *Message, obj spec.Object
 		if exists {
 			return s.audit.record(identity, verb, kind, msg.Name, ErrAlreadyExists, msg.Tampered)
 		}
-		if !s.opts.DisableValidation {
-			if err := s.validate(verb, msg, obj, nil); err != nil {
-				return s.audit.record(identity, verb, kind, msg.Name, err, msg.Tampered)
-			}
+		if err := s.validate(verb, msg, obj, nil); err != nil {
+			return s.audit.record(identity, verb, kind, msg.Name, err, msg.Tampered)
 		}
 		s.admitCreate(obj)
 	case VerbUpdate:
@@ -743,10 +736,8 @@ func (s *Server) apply(identity string, verb Verb, msg *Message, obj spec.Object
 		if obj.Meta().ResourceVersion != cur.Meta().ResourceVersion {
 			return s.audit.record(identity, verb, kind, msg.Name, ErrConflict, msg.Tampered)
 		}
-		if !s.opts.DisableValidation {
-			if err := s.validate(verb, msg, obj, cur); err != nil {
-				return s.audit.record(identity, verb, kind, msg.Name, err, msg.Tampered)
-			}
+		if err := s.validate(verb, msg, obj, cur); err != nil {
+			return s.audit.record(identity, verb, kind, msg.Name, err, msg.Tampered)
 		}
 		// Updates preserve identity and creation metadata.
 		obj.Meta().UID = cur.Meta().UID
@@ -1003,9 +994,6 @@ func (s *Server) onStoreEvent(ev store.Event) {
 // lists that contain them.
 func (s *Server) handleUndecodable(key string, kind spec.Kind) {
 	s.audit.countUndecodable()
-	if s.opts.DisableUndecodableDeletion {
-		return
-	}
 	s.loop.After(time.Millisecond, func() {
 		_, _ = s.store.DeleteVia(s.origin, key)
 	})

@@ -166,17 +166,6 @@ func (a *Aggregate) TotalOF(of classify.OF) int {
 	return n
 }
 
-// TotalCF counts results in a CF category.
-func (a *Aggregate) TotalCF(cf classify.CF) int {
-	n := 0
-	for _, res := range a.Results {
-		if res.CF == cf {
-			n++
-		}
-	}
-	return n
-}
-
 // ActivationRate returns the fraction of fired injections whose instance
 // was later requested (the paper reports 82%).
 func (a *Aggregate) ActivationRate() float64 {

@@ -211,7 +211,7 @@ func (r *Runner) snapshotEntryFor(kind workload.Kind) *snapshotEntry {
 func (r *Runner) snapshotFor(kind workload.Kind) *cluster.Snapshot {
 	e := r.snapshotEntryFor(kind)
 	e.once.Do(func() {
-		cfg := r.ClusterConfig.Clone()
+		cfg := r.ClusterConfig
 		cfg.Seed = bootstrapSeed(kind)
 		shared := sharedSnapshotEntry(snapshotCacheKey(cfg, kind))
 		shared.once.Do(func() {
@@ -369,7 +369,7 @@ func (w *Worker) bootCluster(spec Spec) (cl *cluster.Cluster, snap *cluster.Snap
 		cl.AttachInjector(injector)
 		return cl, snap, injector, workload.NewDriver(cl, spec.Workload)
 	}
-	cfg := r.ClusterConfig.Clone()
+	cfg := r.ClusterConfig
 	cfg.Seed = spec.Seed
 	cl = cluster.New(cfg)
 	cl.Loop.SetEventBudget(eventBudget)
@@ -460,7 +460,7 @@ func (w *Worker) runExperiment(spec Spec, collect bool) experiment {
 // attached from cluster bootstrap (so node registrations, leases, and
 // system workloads are inventoried too) and returns the recorded fields.
 func (r *Runner) Record(kind workload.Kind) *inject.Recorder {
-	cfg := r.ClusterConfig.Clone()
+	cfg := r.ClusterConfig
 	cfg.Seed = goldenSeed(kind, 999)
 	cl := cluster.New(cfg)
 	rec := inject.NewRecorder()

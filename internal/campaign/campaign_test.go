@@ -1,6 +1,8 @@
 package campaign
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/mutiny-sim/mutiny/internal/classify"
@@ -267,4 +269,35 @@ func TestSemanticValues(t *testing.T) {
 	if vals := SemanticValues("status.ready", 3); vals != nil {
 		t.Fatalf("bool fields need no semantic values, got %v", vals)
 	}
+}
+
+// A shard that ran another matrix must not merge, even with the merge's spec
+// counts: without hooks installed, FailurePolicy changes the cluster every
+// experiment ran on but not one spec.
+func TestMergeRejectsAnotherMatrix(t *testing.T) {
+	cfg := Config{
+		Workloads:       []workload.Kind{workload.Deploy},
+		SampleStride:    251,
+		SkipRefinement:  true,
+		SkipPropagation: true,
+		Parallelism:     1,
+	}
+	other := cfg
+	other.FailurePolicy = "Fail"
+	p, q := prepare(cfg.withDefaults()), prepare(other.withDefaults())
+	if len(p.mainSpecs) == 0 || len(p.mainSpecs) != len(q.mainSpecs) || len(p.propSpecs) != len(q.propSpecs) {
+		t.Fatalf("setup: %d/%d and %d/%d specs, want equal non-zero counts",
+			len(p.mainSpecs), len(p.propSpecs), len(q.mainSpecs), len(q.propSpecs))
+	}
+	// Every index covered, so only the fingerprint can object.
+	shard := &ShardOutput{Shards: 1, MainTotal: len(q.mainSpecs), PropTotal: len(q.propSpecs), Fingerprint: q.fingerprint}
+	for i := range q.mainSpecs {
+		shard.Main = append(shard.Main, ShardResult{Index: i})
+	}
+	defer func() {
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "ran matrix") {
+			t.Fatalf("merging a shard of the FailurePolicy=Fail matrix into the default one: panic %v, want a fingerprint mismatch", r)
+		}
+	}()
+	MergeShardOutputs(cfg, []*ShardOutput{shard})
 }

@@ -3,6 +3,7 @@ package campaign
 import (
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 
 	"github.com/mutiny-sim/mutiny/internal/workload"
 )
@@ -40,6 +41,8 @@ type prepared struct {
 	mainSpecs      []Spec
 	propSpecs      []Spec
 	fieldsRecorded map[workload.Kind]int
+	// fingerprint identifies the matrix (see matrixFingerprint).
+	fingerprint string
 }
 
 // prepare records fields and generates the full (unsharded) spec matrix.
@@ -76,7 +79,24 @@ func prepare(cfg Config) *prepared {
 			}
 		}
 	}
+	p.fingerprint = matrixFingerprint(runner.ClusterConfig.Fingerprint(), p.mainSpecs, p.propSpecs)
 	return p
+}
+
+// matrixFingerprint hashes what a shard and its merge must agree on: the
+// cluster every experiment runs on and every generated spec, in order. Equal
+// spec counts do not imply it — a FailurePolicy, say, changes the cluster and
+// not the matrix.
+func matrixFingerprint(cluster string, lists ...[]Spec) string {
+	h := fnv.New64a()
+	fmt.Fprintln(h, cluster)
+	for _, specs := range lists {
+		fmt.Fprintln(h, len(specs))
+		for _, s := range specs {
+			fmt.Fprintf(h, "%s %d %s\n", s.Workload, s.Seed, s.Injection.Label())
+		}
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // WireValue is an explicitly type-tagged scalar for the shard wire format.
@@ -172,6 +192,7 @@ type ShardOutput struct {
 	ShardIndex     int                   `json:"shardIndex"`
 	MainTotal      int                   `json:"mainTotal"` // full matrix size, for validation
 	PropTotal      int                   `json:"propTotal"`
+	Fingerprint    string                `json:"fingerprint"` // the matrix's, for validation
 	Main           []ShardResult         `json:"main"`
 	Prop           []ShardResult         `json:"prop"`
 	FieldsRecorded map[workload.Kind]int `json:"fieldsRecorded"`
@@ -208,6 +229,7 @@ func RunShard(cfg Config) *ShardOutput {
 		ShardIndex:     cfg.ShardIndex,
 		MainTotal:      len(p.mainSpecs),
 		PropTotal:      len(p.propSpecs),
+		Fingerprint:    p.fingerprint,
 		FieldsRecorded: p.fieldsRecorded,
 		prep:           p,
 	}
@@ -244,7 +266,8 @@ func RunShard(cfg Config) *ShardOutput {
 // aggregates are bit-identical to a single-process run regardless of shard
 // count or completion order), then the refinement round runs here, against
 // the merged main aggregate. Shards must jointly cover every index exactly
-// once — a missing or duplicated index is a programming error and panics.
+// once — a missing or duplicated index is a programming error and panics, as
+// is a shard whose matrix fingerprint differs from the merge's.
 //
 // When the outputs came over the wire (no in-process runner), the merge
 // re-prepares locally: recording and generation are deterministic, so the
@@ -276,6 +299,10 @@ func MergeShardOutputs(cfg Config, shards []*ShardOutput) *Output {
 		if s.MainTotal != len(p.mainSpecs) || s.PropTotal != len(p.propSpecs) {
 			panic(fmt.Sprintf("campaign: shard %d/%d generated %d/%d specs, merge generated %d/%d — configs differ",
 				s.ShardIndex, s.Shards, s.MainTotal, s.PropTotal, len(p.mainSpecs), len(p.propSpecs)))
+		}
+		if s.Fingerprint != p.fingerprint {
+			panic(fmt.Sprintf("campaign: shard %d/%d ran matrix %s, merge generated %s — configs differ",
+				s.ShardIndex, s.Shards, s.Fingerprint, p.fingerprint))
 		}
 		for _, sr := range s.Main {
 			if sr.Index < 0 || sr.Index >= len(mainRes) || mainRes[sr.Index] != nil {

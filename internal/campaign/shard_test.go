@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"github.com/mutiny-sim/mutiny/internal/campaign"
+	"github.com/mutiny-sim/mutiny/internal/classify"
+	"github.com/mutiny-sim/mutiny/internal/inject"
 	"github.com/mutiny-sim/mutiny/internal/report"
 	"github.com/mutiny-sim/mutiny/internal/workload"
 )
@@ -124,4 +126,41 @@ func TestShardIndicesPartition(t *testing.T) {
 			t.Fatalf("index %d ran %d times", idx, n)
 		}
 	}
+}
+
+// FuzzShardResultJSON feeds the shard wire's hand-written decoder hostile
+// input: it must never panic, and whatever it accepts must survive a
+// Marshal→Unmarshal round trip unchanged, type-tagged values included.
+func FuzzShardResultJSON(f *testing.F) {
+	for _, sr := range []campaign.ShardResult{
+		{Index: 7, Result: campaign.Result{OF: classify.OFSta, CF: classify.CFSU, Z: 2.5, UserErrors: 3,
+			Report: inject.Report{Fired: true, Instance: "default/web", OldValue: int64(3), NewValue: int64(-9)}}},
+		{Index: 1, Result: campaign.Result{Report: inject.Report{OldValue: "web", NewValue: "wec"}, PropPersisted: true}},
+		{Index: 2, Result: campaign.Result{Report: inject.Report{OldValue: true, NewValue: false}, FailoverMillis: 1.5}},
+		{Index: 3, Result: campaign.Result{Report: inject.Report{OldValue: 80, NewValue: nil}}},
+		{},
+	} {
+		blob, err := json.Marshal(sr)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var first campaign.ShardResult
+		if json.Unmarshal(data, &first) != nil {
+			return
+		}
+		blob, err := json.Marshal(first)
+		if err != nil {
+			t.Fatalf("re-encoding an accepted input: %v", err)
+		}
+		var second campaign.ShardResult
+		if err := json.Unmarshal(blob, &second); err != nil {
+			t.Fatalf("decoding %s: %v", blob, err)
+		}
+		if !reflect.DeepEqual(first, second) {
+			t.Fatalf("not a fixpoint:\n  first  %#v\n  second %#v\n  wire   %s", first, second, blob)
+		}
+	})
 }

@@ -64,6 +64,13 @@ const ControlPlaneTaint = "node-role.kubernetes.io/control-plane"
 // MonitoringTaint reserves the monitoring node for client/monitoring pods.
 const MonitoringTaint = "dedicated"
 
+// The core node class: the paper's 8-CPU, 4 GB VMs. In a zoned cluster
+// regional nodes get half, edge nodes a quarter.
+const (
+	nodeMilliCPU = 8000
+	nodeMemMB    = 4096
+)
+
 // Config parameterizes the cluster.
 type Config struct {
 	// Seed drives all randomness in the simulation.
@@ -74,19 +81,6 @@ type Config struct {
 	// ControlPlaneReplicas selects the §V-C1 ablation: >1 runs a
 	// raft-replicated store (one member, no raft, by default).
 	ControlPlaneReplicas int
-	// StoreOptions tunes the data store.
-	StoreOptions *store.Options
-	// ServerOptions tunes the API server.
-	ServerOptions *apiserver.Options
-	// ManagerOptions tunes the controller manager.
-	ManagerOptions controller.Options
-	// SchedulerOptions tunes the scheduler.
-	SchedulerOptions scheduler.Options
-	// NodeMilliCPU / NodeMemMB size each node (default 8000 / 4096: the
-	// paper's 8-CPU, 4 GB VMs). In a zoned cluster this is the core node
-	// class; regional nodes get half, edge nodes a quarter.
-	NodeMilliCPU int64
-	NodeMemMB    int64
 	// Zones spreads the nodes over a cloud-edge topology: zone 0 is the
 	// cloud core (control plane, monitoring, and a share of the workers),
 	// the last zone is the edge, anything between is regional. 0 or 1 (the
@@ -99,6 +93,9 @@ type Config struct {
 	// dependency/identity/networking fields are journaled, monitored, and
 	// rolled back when the cluster degrades.
 	EnableFieldGuard bool
+	// CriticalFieldChecksums installs the §VI-B redundancy codes on critical
+	// fields (see apiserver.Options).
+	CriticalFieldChecksums bool
 	// AdmissionHooks installs the first N standard governance webhooks
 	// (defaulter, image-policy, limits-policy) as an admission chain shared
 	// by every apiserver replica. Zero (the default) means no chain and zero
@@ -116,12 +113,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ControlPlaneReplicas < 1 {
 		c.ControlPlaneReplicas = 1
-	}
-	if c.NodeMilliCPU == 0 {
-		c.NodeMilliCPU = 8000
-	}
-	if c.NodeMemMB == 0 {
-		c.NodeMemMB = 4096
 	}
 	return c
 }
@@ -177,52 +168,25 @@ type Cluster struct {
 	started bool
 }
 
-// Fingerprint returns a canonical string covering every configuration field,
-// with the pointer-typed option structs flattened to their values (or their
-// defaults when nil). Two configs with equal fingerprints build behaviorally
+// Fingerprint returns a canonical string covering every configuration field
+// after defaulting. Two configs with equal fingerprints build behaviorally
 // identical clusters for the same seed; the campaign's process-wide
-// bootstrap-snapshot cache keys on it. New Config fields are picked up
-// automatically (the fingerprint prints whole structs), so the cache can
-// never conflate two configs that differ in a future knob.
+// bootstrap-snapshot cache keys on it. Config holds plain values only (see
+// TestClusterConfigIsAPlainValue), so printing it covers every field, a
+// future one included.
 func (c Config) Fingerprint() string {
-	c = c.withDefaults()
-	var so store.Options
-	if c.StoreOptions != nil {
-		so = *c.StoreOptions
-	}
-	var ao apiserver.Options
-	if c.ServerOptions != nil {
-		ao = *c.ServerOptions
-	}
-	flat := c
-	flat.StoreOptions = nil
-	flat.ServerOptions = nil
-	return fmt.Sprintf("%+v|store:%+v|server:%+v", flat, so, ao)
+	return fmt.Sprintf("%+v", c.withDefaults())
 }
 
-// Clone deep-copies the config, including the pointer-typed option structs.
-// Callers that stamp per-experiment fields (like Seed) onto a shared template
-// must clone first: a by-value copy would share the options across clusters,
-// and concurrent campaign workers would then race on (or cross-contaminate)
-// option state.
-func (c Config) Clone() Config {
-	out := c
-	if c.StoreOptions != nil {
-		opts := *c.StoreOptions
-		out.StoreOptions = &opts
-	}
-	if c.ServerOptions != nil {
-		opts := *c.ServerOptions
-		out.ServerOptions = &opts
-	}
-	return out
-}
+// Clone returns a copy of the config: Config is a plain value, so a copy is
+// an assignment. It stays for the benchmark harness (bench/), which calls it.
+func (c Config) Clone() Config { return c }
 
 // New builds a cluster; call Start to boot it, then drive Loop.
 func New(cfg Config) *Cluster {
 	cfg = cfg.withDefaults()
 	loop := sim.NewLoop(cfg.Seed)
-	return assemble(cfg, loop, store.NewReplicated(loop, cfg.ControlPlaneReplicas, cfg.StoreOptions))
+	return assemble(cfg, loop, store.NewReplicated(loop, cfg.ControlPlaneReplicas, nil))
 }
 
 // assemble wires all components over a loop and an empty store with one
@@ -230,8 +194,9 @@ func New(cfg Config) *Cluster {
 func assemble(cfg Config, loop *sim.Loop, backend *store.Replicated) *Cluster {
 	n := cfg.ControlPlaneReplicas
 	servers := make([]*apiserver.Server, n)
+	opts := &apiserver.Options{CriticalFieldChecksums: cfg.CriticalFieldChecksums}
 	for i := range servers {
-		servers[i] = apiserver.NewAt(loop, backend, i, cfg.ServerOptions)
+		servers[i] = apiserver.NewAt(loop, backend, i, opts)
 		// Disjoint UID/IP residues per replica: replica i admits i, i+n,
 		// i+2n, ... so creates routed through different apiservers after a
 		// failover can never collide.
@@ -251,23 +216,18 @@ func assemble(cfg Config, loop *sim.Loop, backend *store.Replicated) *Cluster {
 	}
 
 	// One manager/scheduler pair per control-plane replica, each pinned to
-	// its co-located apiserver; leader election picks the active pair. With
-	// election disabled there is deliberately only the replica-0 pair — N
-	// unelected active managers would all reconcile at once.
-	managers := make([]*controller.Manager, 0, n)
-	scheds := make([]*scheduler.Scheduler, 0, n)
-	for i := 0; i < n; i++ {
-		mopts := cfg.ManagerOptions
-		sopts := cfg.SchedulerOptions
+	// its co-located apiserver; leader election picks the active pair.
+	managers := make([]*controller.Manager, n)
+	scheds := make([]*scheduler.Scheduler, n)
+	for i := range managers {
+		var mopts controller.Options
+		var sopts scheduler.Options
 		if i > 0 {
-			if mopts.DisableLeaderElection || sopts.DisableLeaderElection {
-				break
-			}
 			mopts.Identity = fmt.Sprintf("kcm-%d", i)
 			sopts.Identity = fmt.Sprintf("kube-scheduler-%d", i)
 		}
-		managers = append(managers, controller.NewManager(loop, servers[i], mopts))
-		scheds = append(scheds, scheduler.New(loop, servers[i], sopts))
+		managers[i] = controller.NewManager(loop, servers[i], mopts)
+		scheds[i] = scheduler.New(loop, servers[i], sopts)
 	}
 
 	c := &Cluster{
@@ -352,11 +312,11 @@ func (c Config) zoneOfWorker(i int) int {
 	return i % (c.Zones - 1)
 }
 
-// nodeClass scales the configured node size by zone: core nodes are the
+// nodeClass scales the core node class by zone: core nodes are the
 // paper's full-size VMs, regional nodes half, edge devices a quarter —
 // the heterogeneous node classes of cloud-edge deployments.
 func (c Config) nodeClass(zone int) (cpu, mem int64) {
-	cpu, mem = c.NodeMilliCPU, c.NodeMemMB
+	cpu, mem = nodeMilliCPU, nodeMemMB
 	if c.Zones < 2 || zone == 0 {
 		return cpu, mem
 	}
@@ -613,13 +573,6 @@ func (c *Cluster) guardHealth() guard.Health {
 func (c *Cluster) CrashNode(name string) {
 	if k, ok := c.Kubelets[name]; ok {
 		k.SetDown(true)
-	}
-}
-
-// RecoverNode reverses CrashNode.
-func (c *Cluster) RecoverNode(name string) {
-	if k, ok := c.Kubelets[name]; ok {
-		k.SetDown(false)
 	}
 }
 

@@ -1,11 +1,34 @@
 package cluster
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"github.com/mutiny-sim/mutiny/internal/spec"
 )
+
+// Config must hold plain values only: Clone is a copy, and Fingerprint prints
+// the struct, so a pointer, map, slice, func or interface field would share
+// state between clones and print an address instead of a setting.
+func TestClusterConfigIsAPlainValue(t *testing.T) {
+	var walk func(typ reflect.Type, path string)
+	walk = func(typ reflect.Type, path string) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.Map, reflect.Slice, reflect.Func, reflect.Interface,
+			reflect.Chan, reflect.UnsafePointer:
+			t.Errorf("%s is a %s: Config must be a plain value", path, typ.Kind())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(f.Type, path+"."+f.Name)
+			}
+		case reflect.Array:
+			walk(typ.Elem(), path+"[]")
+		}
+	}
+	walk(reflect.TypeOf(Config{}), "Config")
+}
 
 func bootCluster(t *testing.T, seed int64) *Cluster {
 	t.Helper()

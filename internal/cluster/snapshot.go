@@ -80,7 +80,7 @@ const forkDither = time.Second
 func (c *Cluster) Snapshot() *Snapshot {
 	c.Loop.RunUntil(c.Loop.Now() + settleMargin)
 	snap := &Snapshot{
-		cfg:      c.cfg.Clone(),
+		cfg:      c.cfg,
 		now:      c.Loop.Now(),
 		executed: c.Loop.EventsExecuted(),
 		store:    c.Backend.Snapshot(),
@@ -113,7 +113,7 @@ func (c *Cluster) Snapshot() *Snapshot {
 // the two Clones go.
 func (s *Snapshot) WorkerView() *Snapshot {
 	view := &Snapshot{
-		cfg:      s.cfg.Clone(),
+		cfg:      s.cfg,
 		now:      s.now,
 		executed: s.executed,
 		store:    s.store.Clone(),
@@ -157,7 +157,7 @@ func (s *Snapshot) Outgrown(c *Cluster) bool {
 // cluster instead, Rewinds it when an experiment ends and Restores it for the
 // next — the same Restore, so the two cannot drift apart.
 func (s *Snapshot) Fork(seed int64) *Cluster {
-	cfg := s.cfg.Clone()
+	cfg := s.cfg
 	cfg.Seed = seed
 	c := New(cfg)
 	s.Restore(c, seed)

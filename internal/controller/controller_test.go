@@ -12,9 +12,9 @@ import (
 	"github.com/mutiny-sim/mutiny/internal/store"
 )
 
-// harness runs a manager (without leader election) against a bare apiserver
-// with two ready nodes; there are no kubelets, so pods stay Pending unless a
-// test sets status explicitly.
+// harness runs a manager, leading, against a bare apiserver with two ready
+// nodes; there are no kubelets, so pods stay Pending unless a test sets status
+// explicitly.
 type harness struct {
 	loop *sim.Loop
 	srv  *apiserver.Server
@@ -22,13 +22,12 @@ type harness struct {
 	m    *Manager
 }
 
-func newHarness(t *testing.T, opts Options) *harness {
+func newHarness(t *testing.T) *harness {
 	t.Helper()
 	loop := sim.NewLoop(1)
 	st := store.NewReplicated(loop, 1, nil)
 	srv := apiserver.New(loop, st, nil)
-	opts.DisableLeaderElection = true
-	m := NewManager(loop, srv, opts)
+	m := NewManager(loop, srv, Options{})
 	h := &harness{loop: loop, srv: srv, c: srv.ClientFor("test"), m: m}
 	for _, name := range []string{"worker-0", "worker-1"} {
 		node := &spec.Node{
@@ -42,6 +41,9 @@ func newHarness(t *testing.T, opts Options) *harness {
 	}
 	m.Start()
 	loop.RunUntil(time.Second)
+	if !m.IsLeading() {
+		t.Fatal("setup: the manager did not win the lease")
+	}
 	return h
 }
 
@@ -58,6 +60,21 @@ func (h *harness) heartbeatNodes() {
 		node.Status.LastHeartbeatMillis = h.loop.Time().UnixMilli()
 		_ = h.c.UpdateStatus(node)
 	}
+}
+
+// keepHeartbeating renews the node's heartbeat every 5 s, well inside the
+// grace period, until the timer is stopped.
+func (h *harness) keepHeartbeating(name string) sim.Timer {
+	return h.loop.Every(5*time.Second, func() {
+		obj, err := h.c.Get(spec.KindNode, "", name)
+		if err != nil {
+			return
+		}
+		node := spec.CloneForWriteAs(obj.(*spec.Node))
+		node.Status.Ready = true
+		node.Status.LastHeartbeatMillis = h.loop.Time().UnixMilli()
+		_ = h.c.UpdateStatus(node)
+	})
 }
 
 func testRS(name string, replicas int64) *spec.ReplicaSet {
@@ -89,7 +106,7 @@ func (h *harness) pods(ns string) []*spec.Pod {
 }
 
 func TestReplicaSetCreatesPods(t *testing.T) {
-	h := newHarness(t, Options{})
+	h := newHarness(t)
 	if err := h.c.Create(testRS("web", 3)); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +124,7 @@ func TestReplicaSetCreatesPods(t *testing.T) {
 }
 
 func TestReplicaSetScalesDown(t *testing.T) {
-	h := newHarness(t, Options{})
+	h := newHarness(t)
 	if err := h.c.Create(testRS("web", 4)); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +144,7 @@ func TestReplicaSetScalesDown(t *testing.T) {
 // A pod whose labels no longer match its owner's selector is released (it
 // keeps running, orphaned) and replaced — silent over-provisioning.
 func TestReplicaSetReleasesMislabeledPod(t *testing.T) {
-	h := newHarness(t, Options{DisableGC: true})
+	h := newHarness(t)
 	if err := h.c.Create(testRS("web", 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -141,6 +158,8 @@ func TestReplicaSetReleasesMislabeledPod(t *testing.T) {
 	if err := h.c.Update(victim); err != nil {
 		t.Fatal(err)
 	}
+	// The run spans the garbage collector's first pass, which leaves the
+	// released pod alone: it names no controller.
 	h.run(6 * time.Second)
 	pods = h.pods(spec.DefaultNamespace)
 	if len(pods) != 3 {
@@ -154,7 +173,7 @@ func TestReplicaSetReleasesMislabeledPod(t *testing.T) {
 
 // Orphan pods matching the selector are adopted instead of duplicated.
 func TestReplicaSetAdoptsMatchingOrphan(t *testing.T) {
-	h := newHarness(t, Options{DisableGC: true})
+	h := newHarness(t)
 	orphan := &spec.Pod{
 		Metadata: spec.ObjectMeta{Name: "stray", Namespace: spec.DefaultNamespace,
 			Labels: map[string]string{"app": "web"}},
@@ -185,7 +204,7 @@ func TestReplicaSetAdoptsMatchingOrphan(t *testing.T) {
 // of this one's business: not adopted (it has a controller), not released (it
 // is not ours), not counted towards the replicas.
 func TestReplicaSetIgnoresAnothersPod(t *testing.T) {
-	h := newHarness(t, Options{DisableGC: true})
+	h := newHarness(t)
 	foreign := &spec.Pod{
 		Metadata: spec.ObjectMeta{Name: "foreign", Namespace: spec.DefaultNamespace,
 			Labels: map[string]string{"app": "web"},
@@ -216,10 +235,19 @@ func TestReplicaSetIgnoresAnothersPod(t *testing.T) {
 	if got := obj.(*spec.ReplicaSet).Status.Replicas; got != 2 {
 		t.Fatalf("status.replicas = %d, want 2", got)
 	}
+	// The other controller does not exist, so the garbage collector's first
+	// pass deletes the foreign pod; the ReplicaSet's own two stay.
+	h.run(gcInterval)
+	if _, err := h.c.Get(spec.KindPod, spec.DefaultNamespace, "foreign"); err == nil {
+		t.Fatal("the foreign pod outlived the garbage collector's pass, though its controller does not exist")
+	}
+	if pods := h.pods(spec.DefaultNamespace); len(pods) != 2 {
+		t.Fatalf("pods after the garbage collector's pass = %d, want the ReplicaSet's 2", len(pods))
+	}
 }
 
 func TestDeploymentCreatesReplicaSetWithHash(t *testing.T) {
-	h := newHarness(t, Options{})
+	h := newHarness(t)
 	d := &spec.Deployment{
 		Metadata: spec.ObjectMeta{Name: "web", Namespace: spec.DefaultNamespace,
 			Labels: map[string]string{"app": "web"}},
@@ -251,7 +279,7 @@ func TestDeploymentCreatesReplicaSetWithHash(t *testing.T) {
 }
 
 func TestDeploymentRollingUpdateCreatesNewRS(t *testing.T) {
-	h := newHarness(t, Options{})
+	h := newHarness(t)
 	d := &spec.Deployment{
 		Metadata: spec.ObjectMeta{Name: "web", Namespace: spec.DefaultNamespace},
 		Spec: spec.DeploymentSpec{
@@ -279,7 +307,7 @@ func TestDeploymentRollingUpdateCreatesNewRS(t *testing.T) {
 }
 
 func TestEndpointsTrackReadyPods(t *testing.T) {
-	h := newHarness(t, Options{})
+	h := newHarness(t)
 	if err := h.c.Create(testRS("web", 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +349,7 @@ func TestEndpointsTrackReadyPods(t *testing.T) {
 }
 
 func TestGarbageCollectorRemovesOrphans(t *testing.T) {
-	h := newHarness(t, Options{})
+	h := newHarness(t)
 	if err := h.c.Create(testRS("web", 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +368,7 @@ func TestGarbageCollectorRemovesOrphans(t *testing.T) {
 // deletes it and the controller respawns a replacement (dependency-field
 // failure mode).
 func TestGarbageCollectorDeletesOnUIDMismatch(t *testing.T) {
-	h := newHarness(t, Options{})
+	h := newHarness(t)
 	if err := h.c.Create(testRS("web", 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +393,7 @@ func TestGarbageCollectorDeletesOnUIDMismatch(t *testing.T) {
 }
 
 func TestPodGCRemovesPodsOnMissingNodes(t *testing.T) {
-	h := newHarness(t, Options{})
+	h := newHarness(t)
 	pod := &spec.Pod{
 		Metadata: spec.ObjectMeta{Name: "stranded", Namespace: spec.DefaultNamespace},
 		Spec: spec.PodSpec{
@@ -385,19 +413,9 @@ func TestPodGCRemovesPodsOnMissingNodes(t *testing.T) {
 }
 
 func TestNodeLifecycleMarksSilentNodeNotReady(t *testing.T) {
-	h := newHarness(t, Options{})
+	h := newHarness(t)
 	// Keep worker-1 heartbeating; let worker-0 go silent.
-	stop := h.loop.Every(5*time.Second, func() {
-		obj, err := h.c.Get(spec.KindNode, "", "worker-1")
-		if err != nil {
-			return
-		}
-		node := obj.(*spec.Node)
-		node.Status.Ready = true
-		node.Status.LastHeartbeatMillis = h.loop.Time().UnixMilli()
-		_ = h.c.UpdateStatus(node)
-	})
-	defer stop.Stop()
+	defer h.keepHeartbeating("worker-1").Stop()
 	h.run(nodeGracePeriod + 15*time.Second)
 	obj, _ := h.c.Get(spec.KindNode, "", "worker-0")
 	node := obj.(*spec.Node)
@@ -422,7 +440,7 @@ func TestNodeLifecycleMarksSilentNodeNotReady(t *testing.T) {
 // Full disruption mode (§II-D): when every node looks unhealthy, the fault
 // is likelier in the heartbeat path — evictions must stop.
 func TestFullDisruptionModeStopsEvictions(t *testing.T) {
-	h := newHarness(t, Options{})
+	h := newHarness(t)
 	if err := h.c.Create(testRS("web", 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -441,8 +459,11 @@ func TestFullDisruptionModeStopsEvictions(t *testing.T) {
 	}
 }
 
+// A partial disruption is not full disruption mode: with worker-1 still
+// heartbeating, the pods on silent worker-0 are evicted.
 func TestEvictionsResumeWithoutFullDisruption(t *testing.T) {
-	h := newHarness(t, Options{DisableFullDisruptionMode: true})
+	h := newHarness(t)
+	defer h.keepHeartbeating("worker-1").Stop()
 	if err := h.c.Create(testRS("web", 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -454,8 +475,8 @@ func TestEvictionsResumeWithoutFullDisruption(t *testing.T) {
 		}
 	}
 	h.run(nodeGracePeriod + 30*time.Second)
-	// With the safeguard disabled, the same scenario deletes (and then the
-	// RS recreates) pods: there must have been deletions.
+	// The pods were deleted (and the RS recreated them): there must have
+	// been deletions.
 	deleted := 0
 	for _, pod := range h.pods(spec.DefaultNamespace) {
 		if pod.Spec.NodeName == "" {
@@ -463,7 +484,7 @@ func TestEvictionsResumeWithoutFullDisruption(t *testing.T) {
 		}
 	}
 	if deleted == 0 {
-		t.Fatal("no evictions happened with full disruption mode disabled")
+		t.Fatal("no evictions happened with one node of two heartbeating")
 	}
 }
 
@@ -484,7 +505,7 @@ func testDS(name string) *spec.DaemonSet {
 }
 
 func TestDaemonSetOnePodPerNode(t *testing.T) {
-	h := newHarness(t, Options{})
+	h := newHarness(t)
 	if err := h.c.Create(testDS("agent")); err != nil {
 		t.Fatal(err)
 	}
@@ -558,7 +579,7 @@ func (h *harness) backends(t *testing.T, ns, name string) []string {
 // addresses come out in pod-name order, a selector with or without an app
 // label sees exactly its pods, and another namespace's pods never qualify.
 func TestEndpointsSelectorShapes(t *testing.T) {
-	h := newHarness(t, Options{})
+	h := newHarness(t)
 	ns := spec.DefaultNamespace
 	// Created out of name order on purpose.
 	h.readyPod(t, ns, "web-c", "10.244.0.3", map[string]string{"app": "web"})
@@ -615,7 +636,7 @@ func TestEndpointsSelectorShapes(t *testing.T) {
 // that is the pods of the namespace, for the DaemonSet controller the nodes.
 func TestNoOpSyncAllocationsDoNotScale(t *testing.T) {
 	endpointsSync := func(pods int) float64 {
-		h := newHarness(t, Options{})
+		h := newHarness(t)
 		for i := 0; i < pods; i++ {
 			h.readyPod(t, spec.DefaultNamespace, fmt.Sprintf("web-%03d", i), fmt.Sprintf("10.244.%d.%d", i/250, i%250+1),
 				map[string]string{"app": "web"})
@@ -633,7 +654,7 @@ func TestNoOpSyncAllocationsDoNotScale(t *testing.T) {
 	}
 
 	daemonSetSync := func(nodes int) float64 {
-		h := newHarness(t, Options{})
+		h := newHarness(t)
 		for i := 2; i < nodes; i++ { // the harness brings worker-0 and worker-1
 			node := &spec.Node{Metadata: spec.ObjectMeta{Name: fmt.Sprintf("worker-%d", i)}}
 			if err := h.c.Create(node); err != nil {

@@ -49,7 +49,7 @@ func (c *garbageCollector) resync() {}
 var ownedKinds = []spec.Kind{spec.KindPod, spec.KindReplicaSet, spec.KindEndpoints}
 
 func (c *garbageCollector) collect() {
-	if !c.m.running || c.m.opts.DisableGC {
+	if !c.m.running {
 		return
 	}
 	c.collectOrphans()

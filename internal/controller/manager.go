@@ -45,13 +45,6 @@ const (
 type Options struct {
 	// Identity distinguishes replicas in a redundant control plane.
 	Identity string
-	// DisableLeaderElection runs the controllers unconditionally.
-	DisableLeaderElection bool
-	// DisableGC turns off the garbage collector (ablation).
-	DisableGC bool
-	// DisableFullDisruptionMode turns off the §II-D safeguard that stops
-	// evictions when every node looks unhealthy (ablation).
-	DisableFullDisruptionMode bool
 }
 
 // Manager wires all controllers behind one leader election.
@@ -66,7 +59,6 @@ type Options struct {
 type Manager struct {
 	loop    *sim.Loop
 	client  *apiserver.Client
-	opts    Options
 	elector *election.Elector
 
 	deployments *deploymentController
@@ -102,7 +94,6 @@ func NewManager(loop *sim.Loop, srv apiserver.ClientSource, opts Options) *Manag
 	m := &Manager{
 		loop:   loop,
 		client: srv.ClientFor(managerIdentity),
-		opts:   opts,
 	}
 	m.deployments = newDeploymentController(m)
 	m.replicaSets = newReplicaSetController(m)
@@ -114,32 +105,21 @@ func NewManager(loop *sim.Loop, srv apiserver.ClientSource, opts Options) *Manag
 	// explicitly so view repair and the level-triggered re-enqueue happen on
 	// one schedule.
 	m.views = apiserver.NewReflector(m.loop, m.client, 0, m.route, viewKinds...)
-	if !opts.DisableLeaderElection {
-		m.elector = election.New(loop, srv.ClientFor(opts.Identity), election.Config{
-			LeaseName:        "kube-controller-manager",
-			Identity:         opts.Identity,
-			OnStartedLeading: m.startControllers,
-			OnStoppedLeading: m.stopControllers,
-		})
-	}
+	m.elector = election.New(loop, srv.ClientFor(opts.Identity), election.Config{
+		LeaseName:        "kube-controller-manager",
+		Identity:         opts.Identity,
+		OnStartedLeading: m.startControllers,
+		OnStoppedLeading: m.stopControllers,
+	})
 	return m
 }
 
-// Start begins campaigning (or starts controllers directly when leader
-// election is disabled).
-func (m *Manager) Start() {
-	if m.elector != nil {
-		m.elector.Start()
-		return
-	}
-	m.startControllers()
-}
+// Start begins campaigning; the controllers run while the manager leads.
+func (m *Manager) Start() { m.elector.Start() }
 
 // Stop halts everything.
 func (m *Manager) Stop() {
-	if m.elector != nil {
-		m.elector.Stop()
-	}
+	m.elector.Stop()
 	m.stopControllers()
 }
 
@@ -149,9 +129,7 @@ func (m *Manager) Stop() {
 // cancelled or released — the loop, the server and the store the manager
 // acted on are being reset with it.
 func (m *Manager) Reset() {
-	if m.elector != nil {
-		m.elector.Reset()
-	}
+	m.elector.Reset()
 	m.running = false
 	m.resync = sim.Timer{}
 	m.views.Reset()

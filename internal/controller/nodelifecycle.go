@@ -132,7 +132,7 @@ func (c *nodeLifecycleController) monitor() {
 
 	// Full disruption mode: every node unhealthy → the monitoring path
 	// itself is suspect; stop evicting.
-	if !c.m.opts.DisableFullDisruptionMode && total > 0 && unhealthy == total {
+	if total > 0 && unhealthy == total {
 		return
 	}
 	c.evict(nodes)

@@ -17,20 +17,22 @@ import (
 	"github.com/mutiny-sim/mutiny/internal/spec"
 )
 
+// The kube-controller-manager's lease timings.
+const (
+	// leaseDuration is how long a lease is valid after renewal.
+	leaseDuration = 15 * time.Second
+	// renewInterval is how often the leader renews.
+	renewInterval = 10 * time.Second
+	// retryInterval is how often a non-leader retries acquisition.
+	retryInterval = 2 * time.Second
+)
+
 // Config parameterizes an Elector.
 type Config struct {
 	// LeaseName identifies the contested lease in kube-system.
 	LeaseName string
 	// Identity is this candidate's holder identity.
 	Identity string
-	// LeaseDuration is how long a lease is valid after renewal.
-	// Defaults to 15 s (the kube-controller-manager default).
-	LeaseDuration time.Duration
-	// RenewInterval is how often the leader renews. Defaults to 10 s.
-	RenewInterval time.Duration
-	// RetryInterval is how often a non-leader retries acquisition.
-	// Defaults to 2 s.
-	RetryInterval time.Duration
 	// OnStartedLeading runs when leadership is acquired.
 	OnStartedLeading func()
 	// OnStoppedLeading runs when leadership is lost.
@@ -38,15 +40,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.LeaseDuration == 0 {
-		c.LeaseDuration = 15 * time.Second
-	}
-	if c.RenewInterval == 0 {
-		c.RenewInterval = 10 * time.Second
-	}
-	if c.RetryInterval == 0 {
-		c.RetryInterval = 2 * time.Second
-	}
 	if c.OnStartedLeading == nil {
 		c.OnStartedLeading = func() {}
 	}
@@ -65,7 +58,7 @@ type Elector struct {
 	ticker  sim.Timer
 	stopped bool
 	// lastContact is the loop time of the last successful lease read; a
-	// leader out of contact longer than LeaseDuration self-demotes.
+	// leader out of contact longer than leaseDuration self-demotes.
 	lastContact time.Duration
 }
 
@@ -87,7 +80,7 @@ func (e *Elector) Reset() {
 func (e *Elector) Start() {
 	e.stopped = false
 	e.tick()
-	e.ticker = e.loop.Every(e.cfg.RetryInterval, e.tick)
+	e.ticker = e.loop.Every(retryInterval, e.tick)
 }
 
 // Stop halts campaigning cleanly; a leading elector releases its lease
@@ -121,7 +114,7 @@ func (e *Elector) release(attempts int) {
 }
 
 // Abandon halts campaigning without touching the lease — crash semantics:
-// for everyone else the lease only expires after LeaseDuration.
+// for everyone else the lease only expires after leaseDuration.
 func (e *Elector) Abandon() {
 	e.stopped = true
 	e.ticker.Stop()
@@ -146,7 +139,7 @@ func (e *Elector) tick() {
 			Metadata: spec.ObjectMeta{Name: e.cfg.LeaseName, Namespace: spec.SystemNamespace},
 			Spec: spec.LeaseSpec{
 				HolderIdentity: e.cfg.Identity,
-				DurationSecs:   int64(e.cfg.LeaseDuration / time.Second),
+				DurationSecs:   int64(leaseDuration / time.Second),
 				RenewMillis:    nowMillis,
 			},
 		}
@@ -159,7 +152,7 @@ func (e *Elector) tick() {
 		// assume it lost the lease once the lease duration elapses — the
 		// client-go contract that keeps two leaders from acting at once when
 		// this replica's apiserver is the one that crashed.
-		if e.leading && e.loop.Now()-e.lastContact > e.cfg.LeaseDuration {
+		if e.leading && e.loop.Now()-e.lastContact > leaseDuration {
 			e.loseLeadership()
 		}
 		return
@@ -172,7 +165,7 @@ func (e *Elector) tick() {
 	}
 	// An empty holder identity is a released lease: immediately contestable.
 	expired := lease.Spec.HolderIdentity == "" ||
-		nowMillis-lease.Spec.RenewMillis > e.cfg.LeaseDuration.Milliseconds()
+		nowMillis-lease.Spec.RenewMillis > leaseDuration.Milliseconds()
 	switch {
 	case lease.Spec.HolderIdentity == e.cfg.Identity:
 		// Renew on the renew interval, not on every retry tick: holding the
@@ -180,7 +173,7 @@ func (e *Elector) tick() {
 		// kube-controller-manager renews every 10 s on a 15 s lease). A
 		// corrupted holder identity makes this branch unreachable: the
 		// component silently loses leadership.
-		if nowMillis-lease.Spec.RenewMillis < e.cfg.RenewInterval.Milliseconds() {
+		if nowMillis-lease.Spec.RenewMillis < renewInterval.Milliseconds() {
 			e.becomeLeader()
 			return
 		}
@@ -192,7 +185,7 @@ func (e *Elector) tick() {
 		} else if errors.Is(err, apiserver.ErrConflict) {
 			// Someone rewrote the lease under us: resolve next tick.
 			return
-		} else if nowMillis-lastRenew > e.cfg.LeaseDuration.Milliseconds() {
+		} else if nowMillis-lastRenew > leaseDuration.Milliseconds() {
 			// Renewals have failed for a full lease duration — e.g. our
 			// apiserver's store replica lost quorum, so reads still answer
 			// from its cache but writes bounce. For the rest of the cluster

@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"testing"
@@ -46,7 +47,7 @@ func step(op, arg int) byte { return byte(op | arg<<4) }
 
 // churn is the scripted program of TestSkippedPodsCouldNotHaveBound and the
 // fuzz target's first seed.
-var churn = []byte{
+var churn = slices.Concat([]byte{
 	// Eleven of the twelve places taken; then two pods for the last one, and
 	// the first one's bind is lost: the second must not be written off.
 	step(opCreateSmall, 10),
@@ -75,14 +76,20 @@ var churn = []byte{
 	// A pod with a priority preempts, on its own clock.
 	step(opCreateUrgent, 0), step(opTick, 15),
 	// The cache self-check: a restart, and the backlog is looked at afresh.
-	step(opMoveBound, 4), step(opTick, 15), step(opTick, 15), step(opTick, 15), step(opTick, 15),
+	step(opMoveBound, 4)}, awaitLease, []byte{
 	step(opDeleteBound, 2), step(opTick, 2),
-}
+})
 
-// moved is the one event the self-check hides by restarting: with the check
-// off, a charge that moves to another node gives its capacity back. Twelve pods
-// fill the cluster, a thirteenth waits, and one of node-a's is moved away.
-var moved = []byte{step(opCreateSmall, 11), step(opCreateSmall, 0), step(opTick, 2), step(opMoveBound, 0), step(opTick, 2)}
+// awaitLease covers a cache-mismatch restart: the scheduler leads again once
+// the lease it abandoned expires, at most 15 s after its last renewal plus a
+// 2 s retry, which thirteen 16-cycle ticks (20.8 s) outlast.
+var awaitLease = bytes.Repeat([]byte{step(opTick, 15)}, 13)
+
+// moved gives capacity back through the self-check: twelve pods fill the
+// cluster, a thirteenth waits, and one of node-a's is moved away. The
+// scheduler restarts, and once it leads again its rebuilt cache charges the
+// moved pod to the node the store names, so the thirteenth binds.
+var moved = slices.Concat([]byte{step(opCreateSmall, 11), step(opCreateSmall, 0), step(opTick, 2), step(opMoveBound, 0)}, awaitLease)
 
 type bind struct{ key, node string }
 
@@ -112,13 +119,13 @@ type retryRig struct {
 
 var rigNodes = []string{"node-a", "node-b", "node-c"}
 
-func newRetryRig(t testing.TB, selfCheck bool) *retryRig {
+func newRetryRig(t testing.TB) *retryRig {
 	loop := sim.NewLoop(24)
 	st := store.NewReplicated(loop, 1, nil)
-	srv := apiserver.New(loop, st, &apiserver.Options{DisableValidation: true})
+	srv := apiserver.New(loop, st, nil)
 	r := &retryRig{
 		t: t, loop: loop, st: st.Replica(0), srv: srv, c: srv.ClientFor("test"),
-		s:       New(loop, srv, Options{DisableLeaderElection: true, DisableCacheSelfCheck: !selfCheck}),
+		s:       New(loop, srv, Options{}),
 		shelved: make(map[string]bool),
 	}
 	for _, name := range rigNodes {
@@ -445,8 +452,7 @@ func (r *retryRig) do(i int, b byte) {
 		r.refuse++
 	case opMoveBound:
 		if pod := r.pick(true, arg); pod != nil {
-			pod.Spec.NodeName = "ghost-node"
-			r.must(r.c.Update(pod))
+			moveInStore(r.t, r.st, pod, "ghost-node")
 		}
 	case opFailPending:
 		if pod := r.pick(false, arg); pod != nil {
@@ -459,9 +465,9 @@ func (r *retryRig) do(i int, b byte) {
 	}
 }
 
-func runProgram(t testing.TB, prog []byte, selfCheck bool) *retryRig {
+func runProgram(t testing.TB, prog []byte) *retryRig {
 	t.Helper()
-	r := newRetryRig(t, selfCheck)
+	r := newRetryRig(t)
 	r.log = testing.Verbose()
 	r.step = "start"
 	r.tick()
@@ -476,7 +482,7 @@ func runProgram(t testing.TB, prog []byte, selfCheck bool) *retryRig {
 // over all pending pods — and a last look at whether the script still meets
 // what it was written to meet.
 func TestSkippedPodsCouldNotHaveBound(t *testing.T) {
-	r := runProgram(t, churn, true)
+	r := runProgram(t, churn)
 	if r.lost != 1 || r.refused != 1 || r.s.Restarts() != 1 {
 		t.Errorf("%d binds lost, %d refused, %d restarts: the script means one of each", r.lost, r.refused, r.s.Restarts())
 	}
@@ -497,24 +503,24 @@ func TestSkippedPodsCouldNotHaveBound(t *testing.T) {
 		t.Errorf("%d attempts in %d cycles where looking at every pending pod makes %d: the backlog is not being skipped", r.attempts, r.cycles, r.brute)
 	}
 
-	r = runProgram(t, moved, false)
-	if r.s.Restarts() != 0 || r.revived != 1 {
-		t.Errorf("self-check off: %d restarts and %d pods bound after having been written off, want 0 and 1", r.s.Restarts(), r.revived)
+	r = runProgram(t, moved)
+	if r.s.Restarts() != 1 || r.revived != 1 {
+		t.Errorf("a moved pod: %d restarts and %d pods bound after having been written off, want 1 and 1", r.s.Restarts(), r.revived)
 	}
 }
 
 // FuzzSchedulerRetry holds the same two invariants on whatever program the
 // fuzzer finds.
 func FuzzSchedulerRetry(f *testing.F) {
-	f.Add(churn, true)
-	f.Add(moved, false)
-	f.Add([]byte{step(opCreateSmall, 11), step(opCreateBig, 3), step(opRewriteNode, 0), step(opDeleteBound, 7), step(opRewriteNode, 0)}, true)
-	f.Add([]byte{step(opCreateSmall, 9), step(opLoseBind, 0), step(opRefuseBind, 0), step(opCreateSmall, 3), step(opCreateUrgent, 0), step(opTick, 12)}, false)
-	f.Fuzz(func(t *testing.T, prog []byte, selfCheck bool) {
+	f.Add(churn)
+	f.Add(moved)
+	f.Add([]byte{step(opCreateSmall, 11), step(opCreateBig, 3), step(opRewriteNode, 0), step(opDeleteBound, 7), step(opRewriteNode, 0)})
+	f.Add([]byte{step(opCreateSmall, 9), step(opLoseBind, 0), step(opRefuseBind, 0), step(opCreateSmall, 3), step(opCreateUrgent, 0), step(opTick, 12)})
+	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 96 {
 			prog = prog[:96]
 		}
-		runProgram(t, prog, selfCheck)
+		runProgram(t, prog)
 	})
 }
 

@@ -37,11 +37,6 @@ const (
 type Options struct {
 	// Identity distinguishes replicas.
 	Identity string
-	// DisableLeaderElection runs the scheduler unconditionally.
-	DisableLeaderElection bool
-	// DisableCacheSelfCheck turns off the restart-on-cache-mismatch
-	// behaviour (ablation).
-	DisableCacheSelfCheck bool
 }
 
 // Scheduler assigns pods to nodes.
@@ -117,10 +112,8 @@ func New(loop *sim.Loop, srv apiserver.ClientSource, opts Options) *Scheduler {
 		lastPreempt: make(map[string]time.Duration),
 	}
 	s.views = apiserver.NewReflector(loop, s.client, viewResync, s.onViewEvent, spec.KindPod, spec.KindNode)
-	if !opts.DisableLeaderElection {
-		s.newElector(opts.Identity)
-		s.first = s.elector
-	}
+	s.newElector(opts.Identity)
+	s.first = s.elector
 	return s
 }
 
@@ -130,10 +123,8 @@ func New(loop *sim.Loop, srv apiserver.ClientSource, opts Options) *Scheduler {
 // Nothing is cancelled or released — the loop, the server and the store the
 // scheduler acted on are being reset with it.
 func (s *Scheduler) Reset() {
-	if s.first != nil {
-		s.elector = s.first
-		s.elector.Reset()
-	}
+	s.elector = s.first
+	s.elector.Reset()
 	s.running = false
 	s.clearCache()
 	s.ticker = sim.Timer{}
@@ -172,20 +163,12 @@ func (s *Scheduler) newElector(identity string) {
 	})
 }
 
-// Start begins campaigning (or scheduling directly without election).
-func (s *Scheduler) Start() {
-	if s.elector != nil {
-		s.elector.Start()
-		return
-	}
-	s.run()
-}
+// Start begins campaigning; the scheduler runs while it leads.
+func (s *Scheduler) Start() { s.elector.Start() }
 
 // Stop halts the scheduler.
 func (s *Scheduler) Stop() {
-	if s.elector != nil {
-		s.elector.Stop()
-	}
+	s.elector.Stop()
 	s.halt()
 }
 
@@ -268,10 +251,8 @@ func (s *Scheduler) onViewEvent(ev apiserver.WatchEvent) {
 		if prev, ok := s.assumed[pod.Metadata.UID]; ok && prev != pod.Spec.NodeName {
 			// The store says this pod runs somewhere the scheduler never
 			// put it. Assume local cache corruption and restart (§V-C).
-			if !s.opts.DisableCacheSelfCheck {
-				s.restart()
-				return
-			}
+			s.restart()
+			return
 		}
 		s.assumed[pod.Metadata.UID] = pod.Spec.NodeName
 	}
@@ -308,11 +289,6 @@ func (s *Scheduler) inputsMoved() {
 func (s *Scheduler) restart() {
 	s.restarts++
 	s.halt()
-	if s.elector == nil {
-		// No election configured: come back after the restart delay alone.
-		s.loop.After(restartDelay, s.run)
-		return
-	}
 	// Abandon, not Stop: a crashed scheduler cannot release its lease, so the
 	// stale lease must expire before the fresh identity can campaign — the
 	// ~20 s restart gap the paper measures.

@@ -54,6 +54,22 @@ func nodeOf(t *testing.T, c *apiserver.Client, name string) string {
 	return obj.(*spec.Pod).Spec.NodeName
 }
 
+// moveInStore writes the pod back to the store as running on node, past the
+// apiserver and its validation (nodeName is immutable once bound): what a
+// store-channel injection into spec.nodeName lands.
+func moveInStore(t testing.TB, st *store.Store, pod *spec.Pod, node string) {
+	t.Helper()
+	moved := spec.CloneForWriteAs(pod)
+	moved.Spec.NodeName = node
+	data, err := codec.Marshal(moved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Put(spec.KeyOf(moved), spec.KindPod, data); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestBindsPendingPod(t *testing.T) {
 	loop, c, _ := newScheduler(t)
 	if err := c.Create(pendingPod("web-1", 500)); err != nil {
@@ -178,11 +194,9 @@ func TestExternallyBoundPodDoesNotRestart(t *testing.T) {
 }
 
 func TestRestartAfterStoreMovesPod(t *testing.T) {
-	// Rebuild the harness with validation disabled so the nodeName change
-	// lands in the store like an apiserver→etcd injection.
 	loop := sim.NewLoop(2)
 	st := store.NewReplicated(loop, 1, nil)
-	srv := apiserver.New(loop, st, &apiserver.Options{DisableValidation: true})
+	srv := apiserver.New(loop, st, nil)
 	s := New(loop, srv, Options{})
 	c := srv.ClientFor("test")
 	for _, name := range []string{"worker-0", "worker-1"} {
@@ -205,14 +219,11 @@ func TestRestartAfterStoreMovesPod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pod := spec.CloneForWriteAs(obj.(*spec.Pod))
+	pod := obj.(*spec.Pod)
 	if pod.Spec.NodeName == "" {
 		t.Fatal("setup: not scheduled")
 	}
-	pod.Spec.NodeName = "ghost-node"
-	if err := c.Update(pod); err != nil {
-		t.Fatal(err)
-	}
+	moveInStore(t, st.Replica(0), pod, "ghost-node")
 	loop.RunUntil(loop.Now() + 2*time.Second)
 	if s.Restarts() != 1 {
 		t.Fatalf("restarts = %d, want 1 after cache mismatch", s.Restarts())
@@ -234,10 +245,11 @@ func TestRestartAfterStoreMovesPod(t *testing.T) {
 // restart — and check the inclusion after every 50 ms of it.
 func TestPendingStaysInsideTheView(t *testing.T) {
 	loop := sim.NewLoop(3)
-	srv := apiserver.New(loop, store.NewReplicated(loop, 1, nil), &apiserver.Options{DisableValidation: true})
-	// No election: the views start with the scheduler at t=0, so their
-	// periodic resync falls on multiples of viewResync.
-	s := New(loop, srv, Options{DisableLeaderElection: true})
+	st := store.NewReplicated(loop, 1, nil)
+	srv := apiserver.New(loop, st, nil)
+	// The lease is free, so the scheduler leads and its views start at t=0:
+	// their periodic resync falls on multiples of viewResync.
+	s := New(loop, srv, Options{})
 	c := srv.ClientFor("test")
 	node := &spec.Node{
 		Metadata: spec.ObjectMeta{Name: "worker-0"},
@@ -366,19 +378,17 @@ func TestPendingStaysInsideTheView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	moved := spec.CloneForWriteAs(obj.(*spec.Pod))
-	if moved.Spec.NodeName == "" {
+	if obj.(*spec.Pod).Spec.NodeName == "" {
 		t.Fatal("setup: web-1 not scheduled")
 	}
-	moved.Spec.NodeName = "ghost-node"
-	if err := c.Update(moved); err != nil {
-		t.Fatal(err)
-	}
+	moveInStore(t, st.Replica(0), obj.(*spec.Pod), "ghost-node")
 	advance(settle)
 	if s.Restarts() != 1 || s.IsRunning() {
 		t.Fatalf("restarts = %d, running = %v, want 1 and stopped", s.Restarts(), s.IsRunning())
 	}
-	advance(restartDelay + settle)
+	// The restarted scheduler campaigns under a fresh identity, so it leads
+	// again once the lease it abandoned expires.
+	advance(restartDelay + 15*time.Second + settle)
 	if !s.IsRunning() {
 		t.Fatal("scheduler did not come back")
 	}

@@ -77,13 +77,13 @@ type Options struct {
 	QuotaBytes int64
 	// MaxValueBytes bounds one value. Zero means 64 KB.
 	MaxValueBytes int64
-	// WatchLatency is the delay before watch events reach watchers.
-	// Zero means 1 ms.
-	WatchLatency time.Duration
 }
 
+// watchLatency is the delay before watch events reach watchers.
+const watchLatency = time.Millisecond
+
 func (o *Options) withDefaults() Options {
-	out := Options{QuotaBytes: 512 << 10, MaxValueBytes: 64 << 10, WatchLatency: time.Millisecond}
+	out := Options{QuotaBytes: 512 << 10, MaxValueBytes: 64 << 10}
 	if o == nil {
 		return out
 	}
@@ -92,9 +92,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if o.MaxValueBytes > 0 {
 		out.MaxValueBytes = o.MaxValueBytes
-	}
-	if o.WatchLatency > 0 {
-		out.WatchLatency = o.WatchLatency
 	}
 	return out
 }
@@ -364,7 +361,7 @@ func (s *Store) notify(ev Event) {
 		return
 	}
 	s.pendingEv = append(s.pendingEv, pendingEvent{ev: ev, limit: s.nextSeq})
-	s.loop.After(s.opts.WatchLatency, s.deliverFn)
+	s.loop.After(watchLatency, s.deliverFn)
 }
 
 // deliver hands the front pending event to every watcher registered at

@@ -97,8 +97,9 @@
 //     prefix, byte-identical to a full re-encode. Byte-level fault
 //     semantics survive: tampered store writes are never cached, an armed
 //     request channel suppresses both caches, and at-rest corruption
-//     invalidates the entry through the store's rewrite hook, so corrupted
-//     bytes are always decoded — and re-encoded — for real.
+//     installs a new byte array, which the cache (keyed by revision and
+//     array) misses by construction, so corrupted bytes are always decoded
+//     — and re-encoded — for real.
 //
 //   - Shared bootstrap snapshots (CampaignConfig.ShareBootstrap, CLI
 //     -share-bootstrap, bench MUTINY_SHARE=1). Each experiment resumes a

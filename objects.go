@@ -44,9 +44,6 @@ type (
 
 	// APIClient is a component-scoped handle on the API server.
 	APIClient = apiserver.Client
-	// ServerOptions tunes the API server (validation ablation, the §VI-B
-	// critical-field checksum mitigation, ...).
-	ServerOptions = apiserver.Options
 	// FieldGuard is the §VI-B log+monitor+rollback mitigation.
 	FieldGuard = guard.Guard
 	// GuardChange is one journaled critical-field change.
