@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check ci build vet test race race-all fuzz-smoke smoke docs-lint outcomes-cmp bench-full bench-codec bench-campaign
+.PHONY: check ci build vet test race race-all fuzz-smoke smoke docs-lint outcomes-cmp findings-full bench-full bench-codec bench-campaign
 
 check: build vet test race fuzz-smoke smoke docs-lint
 
@@ -37,7 +37,7 @@ test:
 race:
 	$(GO) test -race ./internal/campaign/... ./internal/codec/... ./internal/apiserver/... ./internal/spec/... ./internal/cow/...
 
-# Ten seconds of each of the tree's five fuzz targets. FuzzLoopOrder: random
+# Ten seconds of each of the tree's six fuzz targets. FuzzLoopOrder: random
 # At/After/Every/Stop/Reset programs on the event loop, held to a slice sorted
 # by (at, seq). FuzzSchedulerRetry: random programs of cluster operations
 # (creates, deletes, resizes, cordons, heartbeats, at-rest rewrites, lost and
@@ -48,7 +48,10 @@ race:
 # FuzzAppendPrefixWithRV: the status-splice RV patch against its reference
 # implementation on any bytes and revision. FuzzShardResultJSON: arbitrary
 # bytes into the shard wire's result decoder, never a panic, and whatever
-# decodes survives a Marshal/Unmarshal round trip. A failing
+# decodes survives a Marshal/Unmarshal round trip. FuzzInjectionTarget:
+# arbitrary timed faults (any axis, Replica, Policy, After and Heal) on
+# platforms of random replica, hook and zone counts, never a panic, never a
+# target out of range, and a healed fault leaves the platform healthy. A failing
 # input is written to the package's testdata/fuzz and fails `go test` from then
 # on; commit it with the fix.
 fuzz-smoke:
@@ -57,6 +60,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzUnmarshal -fuzztime 10s ./internal/codec
 	$(GO) test -run xxx -fuzz FuzzAppendPrefixWithRV -fuzztime 10s ./internal/codec
 	$(GO) test -run xxx -fuzz FuzzShardResultJSON -fuzztime 10s ./internal/campaign
+	$(GO) test -run xxx -fuzz FuzzInjectionTarget -fuzztime 10s ./internal/inject
 
 # A fast, heavily-strided campaign through the real benchmark harness: one
 # end-to-end sanity pass over golden runs, generation, injection, and
@@ -117,6 +121,13 @@ outcomes-cmp:
 		cmp "$$tmp/parent.out" "$$tmp/new.out" && echo "same: $$args" || \
 		{ echo "outcomes differ from $(PARENT): $$args"; exit 1; }; \
 	done
+
+# The findings oracle over the full campaign: TestPaperFindingsHold runs every
+# generated experiment (stride 1) instead of tier-1's stride of 2, against the
+# same committed shares and bands in internal/report/testdata/findings.golden.
+# About twice the tier-1 run.
+findings-full:
+	$(GO) test -run TestPaperFindingsHold -count=1 ./internal/report -findings-full
 
 # Performance is measured by the repository benchmark, `go run ./bench` (see
 # bench/README.md and BENCHMARK.json), not by a make target.

@@ -47,7 +47,7 @@ func run(args []string) error {
 
 	cl := mutiny.NewCluster(mutiny.ClusterConfig{Seed: *seed})
 	if *events {
-		cl.Server.ClientFor("observer").Watch("", func(ev apiserver.WatchEvent) {
+		cl.Client("observer").Watch("", func(ev apiserver.WatchEvent) {
 			meta := ev.Object.Meta()
 			fmt.Printf("%8s  %-8s %-11s %s/%s\n",
 				cl.Loop.Now().Truncate(time.Millisecond), ev.Type, ev.Kind, meta.Namespace, meta.Name)

@@ -326,25 +326,10 @@ func violatesSkipped(h *AdmissionHook, verb Verb, obj spec.Object) bool {
 // validating hook would have denied — the enforcement-integrity loss.
 func (c *AdmissionChain) ViolationsAdmitted() int64 { return c.violationsAdmitted }
 
-// --- snapshot / fork safety ---------------------------------------------------
-
-// AdmissionSnapshot carries the chain's counters across a cluster fork.
-// Fault state is deliberately NOT captured: snapshots are taken of settled,
-// fault-free clusters, and each fork arms its own injector. Restore is a
-// full overwrite, so restoring once per apiserver replica (the chain is
-// shared) is idempotent — exactly the audit trail's contract.
-type AdmissionSnapshot struct {
-	Present            bool
-	ViolationsAdmitted int64
-}
-
-func (c *AdmissionChain) snapshot() AdmissionSnapshot {
-	return AdmissionSnapshot{Present: true, ViolationsAdmitted: c.violationsAdmitted}
-}
-
-func (c *AdmissionChain) restore(snap AdmissionSnapshot) {
-	c.violationsAdmitted = snap.ViolationsAdmitted
-}
+// ResumeViolations sets the violation count, for a cluster resuming from a
+// snapshot. Fault state is deliberately not part of a snapshot: snapshots are
+// taken of settled, fault-free clusters, and each fork arms its own injector.
+func (c *AdmissionChain) ResumeViolations(n int64) { c.violationsAdmitted = n }
 
 // --- the standard governance chain --------------------------------------------
 

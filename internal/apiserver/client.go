@@ -16,17 +16,16 @@ import (
 // spec.CloneForWrite before mutating. Writes serialize the argument without
 // copying it first (the server decodes its own private instance from the
 // wire bytes), so the caller keeps ownership of what it passed in.
-// An HA client (built via Endpoints.ClientFor) additionally knows every
-// apiserver replica and fails over between them; see endpoints.go. A client
-// built from a single Server (eps nil) takes none of those paths — the
-// single-apiserver hot path is unchanged.
+// Every client comes from an Endpoints set and knows each apiserver in it: in
+// an HA control plane it fails over between them; with one endpoint it sends
+// every request once to that server. See endpoints.go.
 type Client struct {
-	srv      *Server
+	srv      *Server // the endpoint the client is homed on
 	identity string
 
-	// Failover state; nil/empty for single-server clients. cur is the
-	// endpoint the client is homed on, deadline/fails the per-endpoint
-	// backoff state, watches the subscriptions that migrate on failover.
+	// Failover state, empty with one endpoint: cur is the index of srv in the
+	// set, deadline/fails the per-endpoint backoff state, watches the
+	// subscriptions that migrate on failover.
 	eps      *Endpoints
 	cur      int
 	deadline []time.Duration
@@ -37,26 +36,17 @@ type Client struct {
 // Create persists a new object. The argument is only serialized, never
 // retained or mutated by the server.
 func (c *Client) Create(obj spec.Object) error {
-	if c.eps == nil {
-		return c.srv.handle(c.identity, VerbCreate, obj)
-	}
 	return c.do(func(srv *Server) error { return srv.handle(c.identity, VerbCreate, obj) })
 }
 
 // Update replaces an existing object (spec + metadata); its resourceVersion
 // must match the current one.
 func (c *Client) Update(obj spec.Object) error {
-	if c.eps == nil {
-		return c.srv.handle(c.identity, VerbUpdate, obj)
-	}
 	return c.do(func(srv *Server) error { return srv.handle(c.identity, VerbUpdate, obj) })
 }
 
 // UpdateStatus updates only the status subresource of an existing object.
 func (c *Client) UpdateStatus(obj spec.Object) error {
-	if c.eps == nil {
-		return c.srv.handle(c.identity, VerbUpdateStatus, obj)
-	}
 	return c.do(func(srv *Server) error { return srv.handle(c.identity, VerbUpdateStatus, obj) })
 }
 
@@ -65,9 +55,6 @@ func (c *Client) Delete(kind spec.Kind, namespace, name string) error {
 	obj := spec.New(kind)
 	obj.Meta().Namespace = namespace
 	obj.Meta().Name = name
-	if c.eps == nil {
-		return c.srv.handle(c.identity, VerbDelete, obj)
-	}
 	return c.do(func(srv *Server) error { return srv.handle(c.identity, VerbDelete, obj) })
 }
 
@@ -75,9 +62,6 @@ func (c *Client) Delete(kind spec.Kind, namespace, name string) error {
 // read) as a sealed reference: shared, immutable, free to retain. To modify
 // the result, pass it through spec.CloneForWrite first.
 func (c *Client) Get(kind spec.Kind, namespace, name string) (spec.Object, error) {
-	if c.eps == nil {
-		return c.srv.get(kind, namespace, name)
-	}
 	var obj spec.Object
 	err := c.do(func(srv *Server) error {
 		var err error
@@ -91,9 +75,6 @@ func (c *Client) Get(kind spec.Kind, namespace, name string) (spec.Object, error
 // (empty namespace means all), as sealed references under the same contract
 // as Get.
 func (c *Client) List(kind spec.Kind, namespace string) []spec.Object {
-	if c.eps == nil {
-		return c.srv.list(kind, namespace)
-	}
 	var out []spec.Object
 	_ = c.do(func(srv *Server) error {
 		out = srv.list(kind, namespace)
@@ -129,13 +110,6 @@ func (c *Client) Watch(kind spec.Kind, fn func(WatchEvent)) (cancel func()) {
 // the receivers, same cancel.
 func (c *Client) WatchPods(scope *PodScope, fn func(WatchEvent)) (cancel func()) {
 	return c.watch(spec.KindPod, scope, fn)
-}
-
-func (c *Client) watch(kind spec.Kind, scope *PodScope, fn func(WatchEvent)) (cancel func()) {
-	if c.eps == nil {
-		return c.srv.watch(kind, scope, fn)
-	}
-	return c.watchFailover(kind, scope, fn)
 }
 
 // NoteAccess records a read of the given store key with the server's access

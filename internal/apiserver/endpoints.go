@@ -9,14 +9,22 @@ import (
 	"github.com/mutiny-sim/mutiny/internal/store"
 )
 
-// This file implements the failover-aware client layer of the HA control
-// plane: a Client built from an Endpoints set knows every apiserver replica,
-// sticks to one, and on endpoint failure retries the request against the
-// others in deterministic index order with exponential backoff (jitter drawn
-// from the simulation RNG, so bit-reproducibility holds). Its watches migrate
-// with it: reconnecting to a new endpoint replays that server's current state
-// as Added events — client-go's ListAndWatch on reconnect — and the Reflector
-// resync absorbs anything missed in between.
+// This file implements the client layer. A Client built from an Endpoints set
+// knows every apiserver of the set, sticks to one, and on endpoint failure
+// retries the request against the others in deterministic index order with
+// exponential backoff (jitter drawn from the simulation RNG, so
+// bit-reproducibility holds). Its watches migrate with it: reconnecting to a
+// new endpoint replays that server's current state as Added events —
+// client-go's ListAndWatch on reconnect — and the Reflector resync absorbs
+// anything missed in between.
+//
+// Every client is built this way, whatever the replica count: a single
+// control plane is a one-member set, and so is the set each co-located
+// manager and scheduler is pinned to (Server.Endpoints). One rule covers
+// them: with one endpoint there is nowhere to fail over to. ClientFor then
+// keeps no backoff state and does not track the client, do sends the request
+// once and returns its error, and watch registers on the server directly —
+// exactly what calling the server itself does.
 
 // Failover tuning. Base doubles per consecutive failure of one endpoint up
 // to the cap; a quarter of the resulting wait is added as seeded jitter.
@@ -25,49 +33,39 @@ const (
 	failoverBackoffCap  = 8 * time.Second
 )
 
-// ClientSource hands out identity-bound clients. Both a single *Server and an
-// HA *Endpoints satisfy it; components take this so their wiring is agnostic
-// to the control-plane replica count.
-type ClientSource interface {
-	ClientFor(identity string) *Client
-}
-
-var (
-	_ ClientSource = (*Server)(nil)
-	_ ClientSource = (*Endpoints)(nil)
-)
-
-// Endpoints is the client-side view of an HA apiserver set.
+// Endpoints is the client-side view of an apiserver set: every replica of an
+// HA control plane, or one server.
 type Endpoints struct {
 	loop    *sim.Loop
 	servers []*Server
-	// clients lists every handed-out client in creation order, for the eager
-	// migration sweep when a server crashes (a broken connection tells the
-	// client immediately; it does not wait for its next request to fail).
+	// clients lists every client that can fail over, in creation order, for
+	// the eager migration sweep when a server crashes (a broken connection
+	// tells the client immediately; it does not wait for its next request to
+	// fail). A one-endpoint set lists none.
 	clients []*Client
 }
 
-// NewEndpoints builds the failover client factory over the given servers.
+// NewEndpoints builds the client factory over the given servers.
 func NewEndpoints(loop *sim.Loop, servers ...*Server) *Endpoints {
 	return &Endpoints{loop: loop, servers: servers}
 }
 
-// ClientFor returns a failover-aware client bound to a component identity,
-// initially homed on endpoint 0 (every replica healthy, every client on the
-// first endpoint — byte-for-byte the single-server request stream).
+// ClientFor returns a client bound to a component identity, initially homed
+// on endpoint 0 (every replica healthy, every client on the first endpoint —
+// byte-for-byte the single-server request stream).
 func (e *Endpoints) ClientFor(identity string) *Client {
-	c := &Client{
-		srv:      e.servers[0],
-		identity: identity,
-		eps:      e,
-		deadline: make([]time.Duration, len(e.servers)),
-		fails:    make([]int, len(e.servers)),
+	c := &Client{srv: e.servers[0], identity: identity, eps: e}
+	if len(e.servers) == 1 {
+		return c // one endpoint: no backoff to keep, nowhere to migrate
 	}
+	c.deadline = make([]time.Duration, len(e.servers))
+	c.fails = make([]int, len(e.servers))
 	e.clients = append(e.clients, c)
 	return c
 }
 
-// ClientCount returns how many clients have been handed out.
+// ClientCount returns how many clients that can fail over have been handed
+// out (none from a one-endpoint set).
 func (e *Endpoints) ClientCount() int { return len(e.clients) }
 
 // Reset forgets every client handed out after the first keep — the ones an
@@ -109,10 +107,20 @@ func isEndpointFailure(err error) bool {
 		errors.Is(err, store.ErrNoQuorum)
 }
 
-// do runs req against the current endpoint, failing over through the others
-// in index order. Endpoints in backoff are skipped; a success pins the client
-// (and its watches) to the serving endpoint.
+// do runs req against the current endpoint. With one endpoint that is all it
+// does: the request's error is the caller's, with no backoff and no RNG draw.
+// Otherwise a failed endpoint hands the request on (failover).
 func (c *Client) do(req func(*Server) error) error {
+	if len(c.eps.servers) == 1 {
+		return req(c.srv) // one endpoint: nowhere to fail over to
+	}
+	return c.failover(req)
+}
+
+// failover runs req against the current endpoint, failing over through the
+// others in index order. Endpoints in backoff are skipped; a success pins the
+// client (and its watches) to the serving endpoint.
+func (c *Client) failover(req func(*Server) error) error {
 	n := len(c.eps.servers)
 	var lastErr error = ErrTimeout
 	for attempt := 0; attempt < n; attempt++ {
@@ -224,10 +232,16 @@ func (w *clientWatch) replay(srv *Server) {
 	}
 }
 
-// watchFailover registers a migrating watch subscription.
-func (c *Client) watchFailover(kind spec.Kind, scope *PodScope, fn func(WatchEvent)) (cancel func()) {
+// watch registers fn for the events of kind ("" for all kinds), in scope only
+// when one is given. With one endpoint it registers on the server directly:
+// there is no other server for the subscription to move to. Otherwise the
+// subscription is a clientWatch, which failTo moves with the client.
+func (c *Client) watch(kind spec.Kind, scope *PodScope, fn func(WatchEvent)) (cancel func()) {
+	if len(c.eps.servers) == 1 {
+		return c.srv.watch(kind, scope, fn) // one endpoint: nowhere to migrate
+	}
 	w := &clientWatch{kind: kind, scope: scope, fn: fn}
-	w.cancel = c.eps.servers[c.cur].watch(kind, scope, fn)
+	w.cancel = c.srv.watch(kind, scope, fn)
 	c.watches = append(c.watches, w)
 	return func() {
 		w.cancel()

@@ -27,7 +27,7 @@ type heard struct {
 type scopedFixture struct {
 	t   *testing.T
 	cp  *controlPlane
-	eps *Endpoints // nil with one server
+	eps *Endpoints
 
 	admin     *Client
 	scopes    []*PodScope
@@ -47,20 +47,13 @@ type scopedFixture struct {
 
 func newScopedFixture(t *testing.T, replicas int) *scopedFixture {
 	h := &scopedFixture{t: t, cp: newControlPlane(t, replicas), lateFrom: -1}
-	if replicas > 1 {
-		h.eps = NewEndpoints(h.cp.loop, h.cp.servers...)
-	}
+	h.eps = NewEndpoints(h.cp.loop, h.cp.servers...)
 	h.admin = h.client("admin")
 	h.client("oracle").Watch(spec.KindPod, h.oracle)
 	return h
 }
 
-func (h *scopedFixture) client(identity string) *Client {
-	if h.eps != nil {
-		return h.eps.ClientFor(identity)
-	}
-	return h.cp.servers[0].ClientFor(identity)
-}
+func (h *scopedFixture) client(identity string) *Client { return h.eps.ClientFor(identity) }
 
 // active is the server the clients are homed on.
 func (h *scopedFixture) active() *Server { return h.admin.srv }
@@ -355,9 +348,7 @@ func TestScopedWatchDeliversExactlyTheInterested(t *testing.T) {
 					t.Fatal("Reset left scoped registrations indexed")
 				}
 			}
-			if h.eps != nil {
-				h.eps.Reset(0)
-			}
+			h.eps.Reset(0)
 			for i, scope := range h.scopes {
 				if scope.srv != nil || scope.w != nil {
 					t.Fatalf("Reset left scope %d attached", i)

@@ -275,6 +275,11 @@ type Server struct {
 	reqMsg, storeMsg Message
 
 	cancelStoreWatch func()
+
+	// own is the one-member endpoint set of this server alone: ClientFor's
+	// clients, and those of a component pinned to this server (a co-located
+	// manager or scheduler), come from it.
+	own *Endpoints
 }
 
 type watcher struct {
@@ -323,6 +328,7 @@ func NewAt(loop *sim.Loop, st *store.Replicated, origin int, opts *Options) *Ser
 		arena:     codec.NewArena(),
 	}
 	s.fanoutFn = s.fanout
+	s.own = NewEndpoints(loop, s)
 	if opts != nil {
 		s.opts = *opts
 	}
@@ -534,10 +540,13 @@ func (s *Server) noteAccess(key string) {
 	}
 }
 
-// ClientFor returns a client bound to a component identity.
-func (s *Server) ClientFor(identity string) *Client {
-	return &Client{srv: s, identity: identity}
-}
+// ClientFor returns a client of this server alone, bound to a component
+// identity.
+func (s *Server) ClientFor(identity string) *Client { return s.own.ClientFor(identity) }
+
+// Endpoints returns the one-member endpoint set of this server alone, for a
+// component that must stay pinned to it.
+func (s *Server) Endpoints() *Endpoints { return s.own }
 
 // CacheLen reports the number of cached objects (diagnostics).
 func (s *Server) CacheLen() int { return len(s.cache) }

@@ -3,25 +3,19 @@ package apiserver
 import "maps"
 
 // This file implements server snapshot/restore for the bootstrapped-cluster
-// fork path. The server's durable state outside the store is tiny: the
+// fork path. The server's own durable state outside the store is tiny: the
 // admission counters (UIDs and service cluster IPs must keep advancing in a
-// fork, or new objects would collide with bootstrap-era ones) and the audit
-// trail (a fork must account bootstrap-time requests exactly like a full
-// replay would). The watch cache is not copied — it is rebuilt from the
-// restored backend, the same re-list a real apiserver performs on restart —
-// and the decode cache that makes that re-list cheap is captured once per
-// control plane, not per server (DecodeCache.Snapshot).
+// fork, or new objects would collide with bootstrap-era ones). The watch cache
+// is not copied — it is rebuilt from the restored backend, the same re-list a
+// real apiserver performs on restart. What every replica shares — the decode
+// cache that makes that re-list cheap, the audit trail, the admission chain —
+// is captured once per control plane, not per server (DecodeCache.Snapshot,
+// Audit.Snapshot, AdmissionChain.ViolationsAdmitted).
 
 // Snapshot captures the server state that must survive a fork.
 type Snapshot struct {
 	UIDCounter int64
 	IPCounter  int64
-	Audit      AuditSnapshot
-	// Admission carries the (cluster-shared) admission chain's counters;
-	// Present is false when no chain is installed. Restoring it is a full
-	// overwrite, so N replicas restoring the same shared chain is idempotent
-	// — the audit trail's contract.
-	Admission AdmissionSnapshot
 }
 
 // Snapshot returns a copy of the cache that nothing writes to: immutable data,
@@ -52,29 +46,15 @@ type AuditSnapshot struct {
 	ChecksumFailures int
 }
 
-// Snapshot captures the server's fork-relevant state. The result is
-// immutable data, safe to restore into many forks concurrently.
+// Snapshot captures the server's fork-relevant state.
 func (s *Server) Snapshot() Snapshot {
-	snap := Snapshot{
-		UIDCounter: s.uidCounter,
-		IPCounter:  s.ipCounter,
-		Audit:      s.audit.snapshot(),
-	}
-	if s.admission != nil {
-		snap.Admission = s.admission.snapshot()
-	}
-	return snap
+	return Snapshot{UIDCounter: s.uidCounter, IPCounter: s.ipCounter}
 }
 
-// Clone returns a snapshot with private map and slice structure (the audit
-// entries and counters). Its only caller is cluster.Snapshot.WorkerView, which
-// stays compiled only for the benchmark's cluster.worker_view_ms metric.
-func (s Snapshot) Clone() Snapshot {
-	s.Audit = s.Audit.clone() // the rest is plain values — a copy is private already
-	return s
-}
-
-func (a AuditSnapshot) clone() AuditSnapshot {
+// Clone returns a snapshot with private map and slice structure (the entries
+// and counters). Its only caller is cluster.Snapshot.WorkerView, which stays
+// compiled only for the benchmark's cluster.worker_view_ms metric.
+func (a AuditSnapshot) Clone() AuditSnapshot {
 	a.Entries = append([]AuditEntry(nil), a.Entries...)
 	a.OKByIdentity = copyCounts(a.OKByIdentity)
 	a.ErrByIdentity = copyCounts(a.ErrByIdentity)
@@ -82,9 +62,10 @@ func (a AuditSnapshot) clone() AuditSnapshot {
 }
 
 // RestoreSnapshot installs snapshot state into a server that is freshly built
-// or Reset, and whose backend (and decode cache, if one was captured) has
-// already been restored, then silently rebuilds the watch cache from it — into
-// the tables the server already has.
+// or Reset, and whose backend, decode cache and audit trail have already been
+// restored, then silently rebuilds the watch cache from it — into the tables
+// the server already has. An undecodable value the rebuild meets is counted on
+// top of the restored audit trail.
 // No events are dispatched: components prime their own views when they
 // start, exactly as they do against a live control plane they reconnect to
 // (netsim's Prime, the scheduler's run-time listing, the controllers'
@@ -92,10 +73,6 @@ func (a AuditSnapshot) clone() AuditSnapshot {
 func (s *Server) RestoreSnapshot(snap Snapshot) {
 	s.uidCounter = snap.UIDCounter
 	s.ipCounter = snap.IPCounter
-	s.audit.restore(snap.Audit)
-	if s.admission != nil && snap.Admission.Present {
-		s.admission.restore(snap.Admission)
-	}
 	s.rebuildCache(false)
 }
 
@@ -111,7 +88,9 @@ func (s *Server) SkewUIDCounter(n int64) {
 	}
 }
 
-func (a *Audit) snapshot() AuditSnapshot {
+// Snapshot returns a deep copy of the trail: immutable data, safe to restore
+// into many forks concurrently.
+func (a *Audit) Snapshot() AuditSnapshot {
 	return AuditSnapshot{
 		Entries:          append([]AuditEntry(nil), a.Entries...),
 		OKByIdentity:     copyCounts(a.okByIdentity),
@@ -124,7 +103,9 @@ func (a *Audit) snapshot() AuditSnapshot {
 	}
 }
 
-func (a *Audit) restore(snap AuditSnapshot) {
+// Restore replaces the trail's contents with the snapshot's, before the
+// servers sharing the trail rebuild their watch caches.
+func (a *Audit) Restore(snap AuditSnapshot) {
 	a.Entries = append(a.Entries[:0], snap.Entries...)
 	clear(a.okByIdentity)
 	maps.Copy(a.okByIdentity, snap.OKByIdentity)

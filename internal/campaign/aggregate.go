@@ -175,17 +175,19 @@ func (a *Aggregate) ActivationRate() float64 {
 	return float64(a.Activated) / float64(a.Fired)
 }
 
+// Critical reports whether the experiment ended in a critical failure: Sta,
+// Out, or a client SU — the failures finding F2 attributes to fields.
+func (res *Result) Critical() bool {
+	return res.OF == classify.OFSta || res.OF == classify.OFOut || res.CF == classify.CFSU
+}
+
 // CriticalFieldShare computes the F2 statistic: among experiments that
 // ended in a critical failure (Sta, Out, or client SU), the share whose
 // injected field belongs to each category.
 func (a *Aggregate) CriticalFieldShare() (byCategory map[FieldCategory]int, total int) {
 	byCategory = make(map[FieldCategory]int)
 	for _, res := range a.Results {
-		if res.Spec.Injection == nil || res.Spec.Injection.FieldPath == "" {
-			continue
-		}
-		critical := res.OF == classify.OFSta || res.OF == classify.OFOut || res.CF == classify.CFSU
-		if !critical {
+		if res.Spec.Injection == nil || res.Spec.Injection.FieldPath == "" || !res.Critical() {
 			continue
 		}
 		byCategory[Categorize(res.Spec.Injection.FieldPath)]++
@@ -200,11 +202,7 @@ func (a *Aggregate) CriticalFields() []inject.RecordedField {
 	seen := make(map[string]inject.RecordedField)
 	for _, res := range a.Results {
 		in := res.Spec.Injection
-		if in == nil || in.FieldPath == "" {
-			continue
-		}
-		critical := res.OF == classify.OFSta || res.OF == classify.OFOut || res.CF == classify.CFSU
-		if !critical {
+		if in == nil || in.FieldPath == "" || !res.Critical() {
 			continue
 		}
 		key := string(in.Kind) + "\x00" + in.FieldPath

@@ -119,12 +119,14 @@ func (c Config) withDefaults() Config {
 
 // Cluster is one fully wired simulated cluster.
 //
-// With Config.ControlPlaneReplicas > 1 the control plane is highly available:
-// Servers holds one apiserver per replica (each bound to its own store
-// replica), Endpoints is the failover-aware client factory every component
-// uses, and Managers/Scheds hold one controller manager and scheduler per
-// replica, each pinned to its own apiserver (the co-located deployment kubeadm
-// builds) and leader-elected so exactly one of each is active. Server,
+// Servers holds one apiserver per control-plane replica (each bound to its own
+// store replica), Endpoints is the client factory over all of them that every
+// component not on the control plane uses, and Managers/Scheds hold one
+// controller manager and scheduler per replica, each pinned to its own
+// apiserver (the co-located deployment kubeadm builds) and leader-elected so
+// exactly one of each is active. With Config.ControlPlaneReplicas > 1 the
+// control plane is highly available and Endpoints' clients fail over; with
+// one replica every slice has one element and Endpoints one member. Server,
 // Manager and Scheduler always alias replica 0 for single-control-plane
 // callers.
 type Cluster struct {
@@ -139,7 +141,7 @@ type Cluster struct {
 	Kubelets  map[string]*kubelet.Kubelet
 	guard     *guard.Guard
 
-	// HA control plane (len 1 with a single replica; Endpoints nil then).
+	// The control plane's replicas (len 1 with a single replica).
 	Servers   []*apiserver.Server
 	Managers  []*controller.Manager
 	Scheds    []*scheduler.Scheduler
@@ -147,8 +149,9 @@ type Cluster struct {
 	// admission is the webhook chain shared by every apiserver replica;
 	// nil when Config.AdmissionHooks is zero.
 	admission *apiserver.AdmissionChain
-	// source hands out clients: the Endpoints set when HA, Server otherwise.
-	source apiserver.ClientSource
+	// probe is the cluster's own read client, for the guard's health checks
+	// and the topology probe.
+	probe *apiserver.Client
 	// ownClients is how many of Endpoints' clients the cluster's own
 	// components hold; the ones handed out later belong to an experiment and
 	// are forgotten by Rewind.
@@ -208,12 +211,7 @@ func assemble(cfg Config, loop *sim.Loop, backend *store.Replicated) *Cluster {
 		servers[i].SetAudit(servers[0].Audit())
 		servers[i].SetDecodeCache(servers[0].DecodeCache())
 	}
-	var source apiserver.ClientSource = servers[0]
-	var eps *apiserver.Endpoints
-	if n > 1 {
-		eps = apiserver.NewEndpoints(loop, servers...)
-		source = eps
-	}
+	eps := apiserver.NewEndpoints(loop, servers...)
 
 	// One manager/scheduler pair per control-plane replica, each pinned to
 	// its co-located apiserver; leader election picks the active pair.
@@ -226,8 +224,8 @@ func assemble(cfg Config, loop *sim.Loop, backend *store.Replicated) *Cluster {
 			mopts.Identity = fmt.Sprintf("kcm-%d", i)
 			sopts.Identity = fmt.Sprintf("kube-scheduler-%d", i)
 		}
-		managers[i] = controller.NewManager(loop, servers[i], mopts)
-		scheds[i] = scheduler.New(loop, servers[i], sopts)
+		managers[i] = controller.NewManager(loop, servers[i].Endpoints(), mopts)
+		scheds[i] = scheduler.New(loop, servers[i].Endpoints(), sopts)
 	}
 
 	c := &Cluster{
@@ -241,8 +239,7 @@ func assemble(cfg Config, loop *sim.Loop, backend *store.Replicated) *Cluster {
 		Scheduler:  scheds[0],
 		Scheds:     scheds,
 		Endpoints:  eps,
-		source:     source,
-		Net:        netsim.New(loop, source),
+		Net:        netsim.New(loop, eps),
 		Kubelets:   make(map[string]*kubelet.Kubelet),
 		monitoring: fmt.Sprintf("worker-%d", cfg.Workers-1),
 	}
@@ -271,7 +268,7 @@ func assemble(cfg Config, loop *sim.Loop, backend *store.Replicated) *Cluster {
 		c.admission = chain
 	}
 	if cfg.EnableFieldGuard {
-		c.guard = guard.New(loop, source, c.guardHealth)
+		c.guard = guard.New(loop, eps, c.guardHealth)
 		c.hookGuard(nil)
 	}
 	c.zoneByNode = make(map[string]string)
@@ -285,9 +282,8 @@ func assemble(cfg Config, loop *sim.Loop, backend *store.Replicated) *Cluster {
 		}
 		c.addKubelet(name, i+1, labels, cfg.zoneOfWorker(i))
 	}
-	if eps != nil {
-		c.ownClients = eps.ClientCount()
-	}
+	c.probe = eps.ClientFor("cluster-probe")
+	c.ownClients = eps.ClientCount()
 	return c
 }
 
@@ -334,7 +330,7 @@ func (c *Cluster) addKubelet(name string, cidrIndex int, labels map[string]strin
 		c.zoneNodes[zoneName] = append(c.zoneNodes[zoneName], name)
 	}
 	c.nodeOrder = append(c.nodeOrder, name)
-	c.Kubelets[name] = kubelet.New(c.Loop, c.source, kubelet.Config{
+	c.Kubelets[name] = kubelet.New(c.Loop, c.Endpoints, kubelet.Config{
 		NodeName:         name,
 		CapacityMilliCPU: cpu,
 		CapacityMemMB:    mem,
@@ -357,7 +353,7 @@ func (c *Cluster) MonitoringNode() string { return c.monitoringNode() }
 // cluster user driving the workloads). In an HA control plane the client is
 // failover-aware.
 func (c *Cluster) Client(identity string) *apiserver.Client {
-	return c.source.ClientFor(identity)
+	return c.Endpoints.ClientFor(identity)
 }
 
 // Start boots the cluster: registers nodes, installs the system workloads,
@@ -433,9 +429,7 @@ func (c *Cluster) Rewind() {
 	for _, srv := range c.Servers {
 		srv.Reset()
 	}
-	if c.Endpoints != nil {
-		c.Endpoints.Reset(c.ownClients)
-	}
+	c.Endpoints.Reset(c.ownClients)
 	for i, m := range c.Managers {
 		m.Reset()
 		c.Scheds[i].Reset()
@@ -556,7 +550,7 @@ func (c *Cluster) AdmissionViolations() int {
 
 func (c *Cluster) guardHealth() guard.Health {
 	active := 0
-	for _, po := range c.Server.ClientFor("field-guard").List(spec.KindPod, "") {
+	for _, po := range c.probe.List(spec.KindPod, "") {
 		if po.(*spec.Pod).Active() {
 			active++
 		}
@@ -592,7 +586,7 @@ func (c *Cluster) Replicas() int { return len(c.Servers) }
 // resumes serving.
 func (c *Cluster) SetAPIServerDown(i int, down bool) {
 	c.Servers[i].SetDown(down)
-	if down && c.Endpoints != nil {
+	if down {
 		c.Endpoints.NoteServerDown(i)
 	}
 }
@@ -734,7 +728,7 @@ func (c *Cluster) TopologyConverged() bool {
 			return false
 		}
 	}
-	for _, obj := range c.Client("topology-probe").List(spec.KindNode, "") {
+	for _, obj := range c.probe.List(spec.KindNode, "") {
 		node := obj.(*spec.Node)
 		if !node.Status.Ready {
 			return false

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"time"
 
 	"github.com/mutiny-sim/mutiny/internal/apiserver"
@@ -14,17 +15,17 @@ import (
 // every injection experiment.
 //
 // A Snapshot holds only immutable data: store contents (every replica of a
-// replicated backend), the API server's admission counters and audit trail,
-// the control plane's decode cache (so a restore re-lists without decoding),
-// the controller manager's child-name counter, and each kubelet's runtime
-// state (image cache, IP allocator, per-pod pipeline position). Everything
-// else — watch registrations, periodic timers, controller caches, the
-// scheduler's pending/assumed sets, the data-plane view — is deliberately
-// NOT captured: Restore re-derives it by re-listing the restored store, the
-// same recovery path every real component walks after a restart. That keeps
-// the snapshot free of closures (simulation events cannot be copied between
-// loops) and makes one snapshot safely restorable from many goroutines at
-// once.
+// replicated backend), each API server's admission counters, the control
+// plane's audit trail, admission violation count and decode cache (so a
+// restore re-lists without decoding), the controller manager's child-name
+// counter, and each kubelet's runtime state (image cache, IP allocator,
+// per-pod pipeline position). Everything else — watch registrations,
+// periodic timers, controller caches, the scheduler's pending/assumed sets,
+// the data-plane view — is deliberately NOT captured: Restore re-derives it
+// by re-listing the restored store, the same recovery path every real
+// component walks after a restart. That keeps the snapshot free of closures
+// (simulation events cannot be copied between loops) and makes one snapshot
+// safely restorable from many goroutines at once.
 //
 // Resuming is one operation, Restore, on an empty cluster of the snapshot's
 // shape. Fork builds that cluster (New) and restores it; a caller that runs
@@ -44,15 +45,17 @@ type Snapshot struct {
 	executed int64
 
 	store *store.Snapshot
-	// servers holds one snapshot per control-plane replica (len 1 without
-	// HA): admission counters differ per replica (strided residues), audit
-	// copies are identical (shared trail) and restore idempotently.
+	// servers holds one snapshot per control-plane replica: their admission
+	// counters differ (strided residues).
 	servers []apiserver.Snapshot
-	// decoded is the control plane's one decode cache, whatever the replica
-	// count; never written, so views share it.
-	decoded  *apiserver.DecodeCache
-	nameSeq  int64
-	kubelets map[string]kubelet.Snapshot
+	// What every replica shares is captured once, whatever the replica count:
+	// the audit trail, the admission chain's violation count (zero without a
+	// chain) and the decode cache, which is never written, so views share it.
+	audit      apiserver.AuditSnapshot
+	violations int64
+	decoded    *apiserver.DecodeCache
+	nameSeq    int64
+	kubelets   map[string]kubelet.Snapshot
 }
 
 // settleMargin is simulated after capture-point checks before the state is
@@ -84,9 +87,13 @@ func (c *Cluster) Snapshot() *Snapshot {
 		now:      c.Loop.Now(),
 		executed: c.Loop.EventsExecuted(),
 		store:    c.Backend.Snapshot(),
+		audit:    c.Server.Audit().Snapshot(),
 		decoded:  c.Server.DecodeCache().Snapshot(),
 		nameSeq:  c.Manager.NameSeq(),
 		kubelets: make(map[string]kubelet.Snapshot, len(c.Kubelets)),
+	}
+	if c.admission != nil {
+		snap.violations = c.admission.ViolationsAdmitted()
 	}
 	for _, srv := range c.Servers {
 		snap.servers = append(snap.servers, srv.Snapshot())
@@ -99,8 +106,8 @@ func (c *Cluster) Snapshot() *Snapshot {
 
 // WorkerView returns a copy of the snapshot that shares no byte arrays or
 // map/slice structure with the original: the store snapshot's value bytes
-// move into fresh per-replica arenas (store.Snapshot.Clone) and each server
-// snapshot gets private maps (apiserver.Snapshot.Clone). Forking from the
+// move into fresh per-replica arenas (store.Snapshot.Clone) and the audit
+// trail gets private maps (apiserver.AuditSnapshot.Clone). Forking from the
 // view is byte-equivalent to forking from the original. The decode cache and
 // kubelet pod records stay shared: both are immutable, and only read; the
 // cache's entries decode the original's arrays, so a view's fork misses on
@@ -113,16 +120,16 @@ func (c *Cluster) Snapshot() *Snapshot {
 // the two Clones go.
 func (s *Snapshot) WorkerView() *Snapshot {
 	view := &Snapshot{
-		cfg:      s.cfg,
-		now:      s.now,
-		executed: s.executed,
-		store:    s.store.Clone(),
-		decoded:  s.decoded,
-		nameSeq:  s.nameSeq,
-		kubelets: make(map[string]kubelet.Snapshot, len(s.kubelets)),
-	}
-	for _, srv := range s.servers {
-		view.servers = append(view.servers, srv.Clone())
+		cfg:        s.cfg,
+		now:        s.now,
+		executed:   s.executed,
+		store:      s.store.Clone(),
+		servers:    slices.Clone(s.servers),
+		audit:      s.audit.Clone(),
+		violations: s.violations,
+		decoded:    s.decoded,
+		nameSeq:    s.nameSeq,
+		kubelets:   make(map[string]kubelet.Snapshot, len(s.kubelets)),
 	}
 	for name, ks := range s.kubelets {
 		view.kubelets[name] = ks
@@ -143,7 +150,7 @@ const outgrowth = 4
 // campaign's experiments.
 func (s *Snapshot) Outgrown(c *Cluster) bool {
 	return c.Backend.Len() > outgrowth*len(s.store.Replicas[0].Items) ||
-		len(c.Server.Audit().Entries) > outgrowth*(len(s.servers[0].Audit.Entries)+256)
+		len(c.Server.Audit().Entries) > outgrowth*(len(s.audit.Entries)+256)
 }
 
 // Fork builds a started cluster that resumes from the snapshot: same store
@@ -186,10 +193,16 @@ func (s *Snapshot) Restore(c *Cluster, seed int64) {
 	loop.Resume(s.now, s.executed)
 
 	c.Backend.Restore(s.store)
-	// Rebuild each replica's watch cache from the restored store, through the
-	// restored decode cache, and resume its admission counters before any
-	// component starts issuing requests.
+	// Restore what the replicas share once, then rebuild each replica's watch
+	// cache from the restored store, through the restored decode cache, and
+	// resume its admission counters before any component starts issuing
+	// requests. Undecodable values a rebuild meets are counted in the restored
+	// audit trail.
 	c.Server.DecodeCache().Restore(s.decoded)
+	c.Server.Audit().Restore(s.audit)
+	if c.admission != nil {
+		c.admission.ResumeViolations(s.violations)
+	}
 	for i, srv := range c.Servers {
 		srv.RestoreSnapshot(s.servers[i])
 	}

@@ -27,7 +27,7 @@ func newHarness(t *testing.T) *harness {
 	loop := sim.NewLoop(1)
 	st := store.NewReplicated(loop, 1, nil)
 	srv := apiserver.New(loop, st, nil)
-	m := NewManager(loop, srv, Options{})
+	m := NewManager(loop, srv.Endpoints(), Options{})
 	h := &harness{loop: loop, srv: srv, c: srv.ClientFor("test"), m: m}
 	for _, name := range []string{"worker-0", "worker-1"} {
 		node := &spec.Node{

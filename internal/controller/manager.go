@@ -85,15 +85,15 @@ var viewKinds = []spec.Kind{
 	spec.KindService, spec.KindEndpoints, spec.KindNode,
 }
 
-// NewManager builds a controller manager against the given API server (or,
-// in an HA control plane, against a failover-aware endpoint set).
-func NewManager(loop *sim.Loop, srv apiserver.ClientSource, opts Options) *Manager {
+// NewManager builds a controller manager whose clients come from eps: its own
+// apiserver's, in the co-located deployment every cluster here builds.
+func NewManager(loop *sim.Loop, eps *apiserver.Endpoints, opts Options) *Manager {
 	if opts.Identity == "" {
 		opts.Identity = managerIdentity + "-0"
 	}
 	m := &Manager{
 		loop:   loop,
-		client: srv.ClientFor(managerIdentity),
+		client: eps.ClientFor(managerIdentity),
 	}
 	m.deployments = newDeploymentController(m)
 	m.replicaSets = newReplicaSetController(m)
@@ -105,7 +105,7 @@ func NewManager(loop *sim.Loop, srv apiserver.ClientSource, opts Options) *Manag
 	// explicitly so view repair and the level-triggered re-enqueue happen on
 	// one schedule.
 	m.views = apiserver.NewReflector(m.loop, m.client, 0, m.route, viewKinds...)
-	m.elector = election.New(loop, srv.ClientFor(opts.Identity), election.Config{
+	m.elector = election.New(loop, eps.ClientFor(opts.Identity), election.Config{
 		LeaseName:        "kube-controller-manager",
 		Identity:         opts.Identity,
 		OnStartedLeading: m.startControllers,

@@ -90,10 +90,10 @@ type probationWatch struct {
 }
 
 // New builds a guard. health supplies the cluster's current vital signs.
-func New(loop *sim.Loop, srv apiserver.ClientSource, health func() Health) *Guard {
+func New(loop *sim.Loop, eps *apiserver.Endpoints, health func() Health) *Guard {
 	return &Guard{
 		loop:    loop,
-		client:  srv.ClientFor("field-guard"),
+		client:  eps.ClientFor("field-guard"),
 		health:  health,
 		pending: make(map[string]*probationWatch),
 		enabled: true,

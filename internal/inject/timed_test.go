@@ -3,6 +3,8 @@ package inject
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -14,8 +16,8 @@ import (
 )
 
 // fakePlatform is a Platform that only remembers which faults are currently
-// applied. The admission chain is a real one — an allow-everything hook and a
-// deny-everything hook — whose faults are observed through what it does to a
+// applied. The admission chain is a real one — hooks that alternately allow
+// and deny everything — whose faults are observed through what it does to a
 // write.
 type fakePlatform struct {
 	replicas, zones int
@@ -24,18 +26,33 @@ type fakePlatform struct {
 	calls           int
 }
 
-func newFakePlatform() *fakePlatform {
-	hook := func(name string, verdict error) *apiserver.AdmissionHook {
-		return &apiserver.AdmissionHook{
+// newFakePlatform is three replicas, three zones, and a chain of an
+// allow-everything "image-policy" hook and a deny-everything "limits-policy".
+func newFakePlatform() *fakePlatform { return newFakePlatformOf(3, 2, 3) }
+
+// newFakePlatformOf is a platform of the given size; no hooks means no chain.
+func newFakePlatformOf(replicas, hooks, zones int) *fakePlatform {
+	p := &fakePlatform{replicas: replicas, zones: zones, applied: make(map[string]bool)}
+	if hooks == 0 {
+		return p
+	}
+	var chain []*apiserver.AdmissionHook
+	for i := 0; i < hooks; i++ {
+		name := fmt.Sprintf("hook-%d", i)
+		if i < 2 {
+			name = [...]string{"image-policy", "limits-policy"}[i]
+		}
+		var verdict error
+		if i%2 == 1 {
+			verdict = errors.New("denied")
+		}
+		chain = append(chain, &apiserver.AdmissionHook{
 			Name: name, Policy: apiserver.FailOpen, Timeout: time.Second,
 			Validate: func(spec.Object) error { return verdict },
-		}
+		})
 	}
-	return &fakePlatform{
-		replicas: 3, zones: 3,
-		chain:   apiserver.NewAdmissionChain(hook("image-policy", nil), hook("limits-policy", errors.New("denied"))),
-		applied: make(map[string]bool),
-	}
+	p.chain = apiserver.NewAdmissionChain(chain...)
+	return p
 }
 
 func (f *fakePlatform) set(fault string, on bool) {
@@ -264,4 +281,51 @@ func TestTimedFaultTable(t *testing.T) {
 			t.Errorf("%s is a message fault but has family %s", fault, fault.Family())
 		}
 	}
+}
+
+// FuzzInjectionTarget arms arbitrary timed faults — any axis, any Replica
+// (negative and math.MinInt included), any Policy, any After and Heal — on
+// platforms of random size, and holds the one arm → fire → heal path to three
+// things: it never panics, the target it touches is one the family can
+// address, and a healed fault leaves the platform as healthy as it found it.
+func FuzzInjectionTarget(f *testing.F) {
+	f.Add(uint8(0), int64(1), "Fail", int64(testAfter), int64(testHeal), uint8(3), uint8(2), uint8(3))
+	f.Add(uint8(4), int64(-1), "", int64(0), int64(0), uint8(1), uint8(3), uint8(1))
+	f.Add(uint8(7), int64(math.MinInt), "Ignore", int64(-time.Second), int64(time.Minute), uint8(2), uint8(0), uint8(4))
+	f.Add(uint8(9), int64(math.MaxInt), "bogus", int64(testHeal), int64(testAfter), uint8(0), uint8(1), uint8(2))
+	f.Fuzz(func(t *testing.T, axisIdx uint8, replica int64, policy string, after, heal int64, replicas, hooks, zones uint8) {
+		ax := &axes[int(axisIdx)%len(axes)]
+		// Windows of up to ten minutes either way: long enough to order After
+		// and Heal every way round, short enough that a flap ends.
+		const window = int64(10 * time.Minute)
+		in := Injection{
+			Type: ax.fault, Replica: int(replica), Policy: policy,
+			After: time.Duration(after % window), Heal: time.Duration(heal % window),
+		}
+		size := func(n uint8) int { return int(n % 6) }
+		p := newFakePlatformOf(size(replicas), size(hooks), size(zones))
+		healthy := newFakePlatformOf(size(replicas), size(hooks), size(zones)).state()
+
+		loop, j := armed(p, in)
+		loop.RunUntil(max(in.After, in.Heal, 0) + time.Minute)
+		rep := j.Report()
+
+		if !rep.Fired {
+			if p.calls != 0 {
+				t.Fatalf("%s never fired but touched the platform %d times: %v", in.Label(), p.calls, p.applied)
+			}
+			return
+		}
+		fam := &families[ax.family]
+		var targets []string
+		for i := 0; i < fam.targets(p); i++ {
+			targets = append(targets, fam.name+"/"+ax.instance(p, i))
+		}
+		if !slices.Contains(targets, rep.Instance) {
+			t.Fatalf("%s hit %q, not one of the platform's %v", in.Label(), rep.Instance, targets)
+		}
+		if rep.Healed && p.state() != healthy {
+			t.Fatalf("%s healed at %v but left the platform %q, want %q", in.Label(), rep.HealedAt, p.state(), healthy)
+		}
+	})
 }

@@ -121,10 +121,10 @@ type podRuntime struct {
 }
 
 // New builds a kubelet and registers (or refreshes) its Node object.
-func New(loop *sim.Loop, srv apiserver.ClientSource, cfg Config) *Kubelet {
+func New(loop *sim.Loop, eps *apiserver.Endpoints, cfg Config) *Kubelet {
 	k := &Kubelet{
 		loop:   loop,
-		client: srv.ClientFor("kubelet-" + cfg.NodeName),
+		client: eps.ClientFor("kubelet-" + cfg.NodeName),
 		cfg:    cfg,
 		pods:   make(map[string]*podRuntime),
 		scope:  apiserver.PodScope{Node: cfg.NodeName},

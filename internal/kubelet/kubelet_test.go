@@ -15,7 +15,7 @@ func newNode(t *testing.T) (*sim.Loop, *apiserver.Server, *Kubelet) {
 	loop := sim.NewLoop(1)
 	st := store.NewReplicated(loop, 1, nil)
 	srv := apiserver.New(loop, st, nil)
-	k := New(loop, srv, Config{
+	k := New(loop, srv.Endpoints(), Config{
 		NodeName: "worker-0", CapacityMilliCPU: 8000, CapacityMemMB: 4096,
 		PodCIDR: "10.244.1.0/24",
 	})

@@ -102,10 +102,10 @@ type State struct {
 }
 
 // New builds the network state and subscribes to the control plane.
-func New(loop *sim.Loop, srv apiserver.ClientSource) *State {
+func New(loop *sim.Loop, eps *apiserver.Endpoints) *State {
 	s := &State{
 		loop:             loop,
-		client:           srv.ClientFor("netsim"),
+		client:           eps.ClientFor("netsim"),
 		services:         make(map[string]*spec.Service),
 		endpoints:        make(map[string]*spec.Endpoints),
 		pods:             make(map[string]*spec.Pod),

@@ -24,7 +24,7 @@ func newHarness(t *testing.T) *harness {
 	loop := sim.NewLoop(1)
 	st := store.NewReplicated(loop, 1, nil)
 	srv := apiserver.New(loop, st, nil)
-	h := &harness{loop: loop, state: New(loop, srv), api: srv.ClientFor("test")}
+	h := &harness{loop: loop, state: New(loop, srv.Endpoints()), api: srv.ClientFor("test")}
 
 	for _, ns := range []string{spec.DefaultNamespace, spec.SystemNamespace} {
 		h.mustCreate(&spec.Namespace{Metadata: spec.ObjectMeta{Name: ns}, Phase: "Active"})
@@ -260,7 +260,7 @@ func newZonedHarness(t *testing.T) *harness {
 	loop := sim.NewLoop(1)
 	st := store.NewReplicated(loop, 1, nil)
 	srv := apiserver.New(loop, st, nil)
-	h := &harness{loop: loop, state: New(loop, srv), api: srv.ClientFor("test")}
+	h := &harness{loop: loop, state: New(loop, srv.Endpoints()), api: srv.ClientFor("test")}
 
 	for _, ns := range []string{spec.DefaultNamespace, spec.SystemNamespace} {
 		h.mustCreate(&spec.Namespace{Metadata: spec.ObjectMeta{Name: ns}, Phase: "Active"})

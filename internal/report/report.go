@@ -104,8 +104,6 @@ func failureTable[K comparable](w io.Writer, title string, categories []K, count
 		fmt.Fprintf(tw, "\t%v", cat)
 	}
 	fmt.Fprintln(tw)
-	colTotals := make(map[K]int)
-	grand := 0
 	for _, wl := range workload.Kinds() {
 		for _, group := range campaign.InjGroups() {
 			row := counts[wl][group]
@@ -119,12 +117,11 @@ func failureTable[K comparable](w io.Writer, title string, categories []K, count
 			fmt.Fprintf(tw, "%s\t%s\t%d", wl, group, perf)
 			for _, cat := range categories {
 				fmt.Fprintf(tw, "\t%d", row[cat])
-				colTotals[cat] += row[cat]
 			}
 			fmt.Fprintln(tw)
-			grand += perf
 		}
 	}
+	colTotals, grand := marginals(counts)
 	fmt.Fprintf(tw, "Sum\t\t%d", grand)
 	for _, cat := range categories {
 		fmt.Fprintf(tw, "\t%d", colTotals[cat])
@@ -136,6 +133,22 @@ func failureTable[K comparable](w io.Writer, title string, categories []K, count
 	}
 	fmt.Fprintln(tw)
 	tw.Flush()
+}
+
+// marginals sums a failure table's counts per category over its rows — every
+// workload of workload.Kinds and every injection group — and in all: the
+// table's Sum row.
+func marginals[K comparable](counts map[workload.Kind]map[campaign.InjGroup]map[K]int) (byCategory map[K]int, total int) {
+	byCategory = make(map[K]int)
+	for _, wl := range workload.Kinds() {
+		for _, row := range counts[wl] {
+			for cat, n := range row {
+				byCategory[cat] += n
+				total += n
+			}
+		}
+	}
+	return byCategory, total
 }
 
 // Table6 renders the propagation experiments (Table VI).
@@ -442,15 +455,22 @@ func Findings(w io.Writer, agg *campaign.Aggregate) {
 	dep := byCat[campaign.CategoryDependency]
 	fmt.Fprintf(w, "F2: dependency-tracking fields caused %s of critical failures (%d/%d).\n",
 		pct(dep, critTotal), dep, critTotal)
-	errored := 0
-	for _, res := range agg.Results {
-		if res.UserErrors > 0 {
-			errored++
-		}
-	}
+	errored := userErrored(agg)
 	fmt.Fprintf(w, "F4: the user received an API error in only %s of experiments (%d/%d).\n",
 		pct(errored, total), errored, total)
 	fmt.Fprintf(w, "Activation rate: %.0f%% (paper: 82%%).\n", 100*agg.ActivationRate())
+}
+
+// userErrored counts the experiments in which the user received an API error
+// (finding F4).
+func userErrored(agg *campaign.Aggregate) int {
+	n := 0
+	for _, res := range agg.Results {
+		if res.UserErrors > 0 {
+			n++
+		}
+	}
+	return n
 }
 
 func workloadTotal(agg *campaign.Aggregate, wl workload.Kind) int {

@@ -125,7 +125,7 @@ func newRetryRig(t testing.TB) *retryRig {
 	srv := apiserver.New(loop, st, nil)
 	r := &retryRig{
 		t: t, loop: loop, st: st.Replica(0), srv: srv, c: srv.ClientFor("test"),
-		s:       New(loop, srv, Options{}),
+		s:       New(loop, srv.Endpoints(), Options{}),
 		shelved: make(map[string]bool),
 	}
 	for _, name := range rigNodes {

@@ -42,7 +42,7 @@ type Options struct {
 // Scheduler assigns pods to nodes.
 type Scheduler struct {
 	loop    *sim.Loop
-	srv     apiserver.ClientSource
+	eps     *apiserver.Endpoints
 	client  *apiserver.Client
 	opts    Options
 	elector *election.Elector
@@ -93,16 +93,16 @@ type Scheduler struct {
 	nodeZones map[string][]*nodeInfo
 }
 
-// New builds a scheduler against the API server (or, in an HA control plane,
-// against a failover-aware endpoint set).
-func New(loop *sim.Loop, srv apiserver.ClientSource, opts Options) *Scheduler {
+// New builds a scheduler whose clients come from eps: its own apiserver's, in
+// the co-located deployment every cluster here builds.
+func New(loop *sim.Loop, eps *apiserver.Endpoints, opts Options) *Scheduler {
 	if opts.Identity == "" {
 		opts.Identity = "kube-scheduler-0"
 	}
 	s := &Scheduler{
 		loop:        loop,
-		srv:         srv,
-		client:      srv.ClientFor("scheduler"),
+		eps:         eps,
+		client:      eps.ClientFor("scheduler"),
 		opts:        opts,
 		pending:     make(map[string]uint64),
 		gen:         1,
@@ -155,7 +155,7 @@ func (s *Scheduler) clearCache() {
 }
 
 func (s *Scheduler) newElector(identity string) {
-	s.elector = election.New(s.loop, s.srv.ClientFor(identity), election.Config{
+	s.elector = election.New(s.loop, s.eps.ClientFor(identity), election.Config{
 		LeaseName:        "kube-scheduler",
 		Identity:         identity,
 		OnStartedLeading: s.run,
