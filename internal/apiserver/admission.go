@@ -4,20 +4,19 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"time"
 
 	"github.com/mutiny-sim/mutiny/internal/spec"
 )
 
 // The admission chain is the fourth injectable surface (after the store,
 // request, and watch channels): a mutating + validating webhook pipeline
-// evaluated on every spec-carrying write before it persists. Each hook is
-// backed by an endpoint hosted on a cluster node; the server reaches it
-// through the virtual network (a reachability probe injected by the cluster,
-// so the apiserver package never imports netsim), with a per-call timeout
-// and bounded retry-with-backoff on transient failure.
+// evaluated on every spec-carrying write in its scope — the application
+// namespace's workload objects — before it persists. Each hook is backed by
+// an endpoint hosted on a cluster node; the server reaches it through the
+// virtual network (a reachability probe injected by the cluster, so the
+// apiserver package never imports netsim).
 //
-// What happens when a webhook is unreachable is the hook's FailurePolicy —
+// What happens when a webhook is unavailable is the chain's FailurePolicy —
 // the fail-open vs fail-closed dilemma the campaign measures:
 //
 //   - Fail (fail-closed): the write is rejected with ErrAdmission. Policy
@@ -29,10 +28,10 @@ import (
 //     shadow-evaluates the skipped predicate and counts those admissions in
 //     ViolationsAdmitted (an observer-only tally; it never alters behavior).
 //
-// Hook calls are synchronous on the write path, so network latency and
-// retry backoff are returned-value accounting (like netsim.Request), never
-// clock advancement: a delayed webhook whose effective latency exceeds its
-// timeout is a transient failure, not a stalled simulation.
+// Hook calls are synchronous on the write path and never advance the clock:
+// a webhook is available or it is not for the whole write, so a slow webhook
+// (one whose latency is past the call timeout) is simply unavailable, and no
+// retry inside one write could change that.
 //
 // One chain is shared by every apiserver replica (like the shared Audit):
 // admission configuration is cluster state, not per-replica state, and a
@@ -55,44 +54,16 @@ const (
 	FailOpen FailurePolicy = "Ignore"
 )
 
-// webhookLatency is the virtual-network round trip of one webhook call
-// (mirrors netsim's proxy latency; accounting-only, see package comment).
-const webhookLatency = 2 * time.Millisecond
-
-// AdmissionSelector scopes a hook to a subset of writes: any of the listed
-// kinds (empty = all), one namespace (empty = all), and a label subset.
-// Real policy webhooks are scoped the same way (objectSelector +
-// namespaceSelector), which is what keeps system namespaces writable while
-// a fail-closed hook is down.
-type AdmissionSelector struct {
-	Kinds     []spec.Kind
-	Namespace string
-	Labels    map[string]string
-}
-
-func (s AdmissionSelector) matches(obj spec.Object) bool {
-	if len(s.Kinds) > 0 {
-		ok := false
-		for _, k := range s.Kinds {
-			if obj.Kind() == k {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
+// inScope reports whether a write falls under the chain: the workload kinds
+// of the application namespace. Real policy webhooks are scoped the same way
+// (objectSelector + namespaceSelector), which is what keeps kube-system — and
+// the control plane's own writes — writable while a fail-closed hook is down.
+func inScope(obj spec.Object) bool {
+	switch obj.Kind() {
+	case spec.KindPod, spec.KindReplicaSet, spec.KindDeployment, spec.KindDaemonSet:
+		return obj.Meta().Namespace == spec.DefaultNamespace
 	}
-	m := obj.Meta()
-	if s.Namespace != "" && m.Namespace != s.Namespace {
-		return false
-	}
-	for k, v := range s.Labels {
-		if m.Labels[k] != v {
-			return false
-		}
-	}
-	return true
+	return false
 }
 
 // AdmissionHook is one registered webhook. Mutating hooks run first (in
@@ -103,15 +74,7 @@ func (s AdmissionSelector) matches(obj spec.Object) bool {
 type AdmissionHook struct {
 	Name     string
 	Mutating bool
-	Selector AdmissionSelector
-	Policy   FailurePolicy
-	// Timeout bounds one webhook call; an injected delay pushing the
-	// effective latency past it counts as a transient failure.
-	Timeout time.Duration
-	// Retries and Backoff bound the retry loop on transient failure.
-	Retries int
-	Backoff time.Duration
-	Backend string
+	Backend  string
 
 	// Mutate rewrites the (request-private) object; nil for validating hooks.
 	Mutate func(obj spec.Object)
@@ -120,7 +83,7 @@ type AdmissionHook struct {
 
 	// Injected fault state (see the chain's fault methods).
 	down           bool
-	delay          time.Duration
+	slow           bool
 	selectorBroken bool
 	policyDropped  bool
 }
@@ -131,26 +94,28 @@ type AdmissionChain struct {
 	// reach probes the virtual network: can the control plane currently
 	// route to the named node? Injected by the cluster at assembly.
 	reach func(node string) bool
-	// override, when set, replaces every hook's configured FailurePolicy for
-	// the rest of the experiment — how one bootstrap snapshot serves both
-	// policy regimes (the policy is behaviorally inert while hooks are
-	// healthy, so it can be chosen at injector-arm time).
-	override FailurePolicy
+	// policy is the configured failure policy of every hook. override, when
+	// set, replaces it for the rest of the experiment — how one bootstrap
+	// snapshot serves both policy regimes (the policy is behaviorally inert
+	// while hooks are healthy, so it can be chosen at injector-arm time).
+	policy, override FailurePolicy
 
 	violationsAdmitted int64
 }
 
 // NewAdmissionChain builds a chain over the given hooks (evaluation order:
-// mutating hooks in slice order, then validating hooks in slice order).
-func NewAdmissionChain(hooks ...*AdmissionHook) *AdmissionChain {
-	return &AdmissionChain{hooks: hooks}
+// mutating hooks in slice order, then validating hooks in slice order), every
+// one configured with the given failure policy (empty: the platform default,
+// Ignore).
+func NewAdmissionChain(policy FailurePolicy, hooks ...*AdmissionHook) *AdmissionChain {
+	return &AdmissionChain{hooks: hooks, policy: policy}
 }
 
 // SetReachability installs the virtual-network probe webhook calls consult.
 func (c *AdmissionChain) SetReachability(f func(node string) bool) { c.reach = f }
 
-// SetFailurePolicy overrides every hook's failure policy for the rest of the
-// experiment. Empty restores the per-hook configuration.
+// SetFailurePolicy overrides the configured failure policy for the rest of
+// the experiment. Empty restores the configuration.
 func (c *AdmissionChain) SetFailurePolicy(p FailurePolicy) { c.override = p }
 
 // HookCount returns the number of registered hooks.
@@ -164,18 +129,9 @@ func (c *AdmissionChain) HookName(i int) string { return c.hooks[i].Name }
 // SetWebhookDown takes hook i's backend process down or brings it back.
 func (c *AdmissionChain) SetWebhookDown(i int, down bool) { c.hooks[i].down = down }
 
-// webhookFaultDelay is the extra latency SetWebhookSlow adds to a hook's
-// backend — far past the 1s hook call timeout.
-const webhookFaultDelay = 5 * time.Second
-
-// SetWebhookSlow pushes hook i's latency past its timeout, so every call
-// becomes a transient failure — the slow-webhook outage mode.
-func (c *AdmissionChain) SetWebhookSlow(i int, slow bool) {
-	c.hooks[i].delay = 0
-	if slow {
-		c.hooks[i].delay = webhookFaultDelay
-	}
-}
+// SetWebhookSlow pushes hook i's latency past the call timeout, so every call
+// fails — the slow-webhook outage mode.
+func (c *AdmissionChain) SetWebhookSlow(i int, slow bool) { c.hooks[i].slow = slow }
 
 // SetSelectorBroken misconfigures hook i's selector so it matches nothing
 // (the wrong-selector configuration defect): the policy silently stops
@@ -197,52 +153,29 @@ func (c *AdmissionChain) SetPolicyDropped(i int, dropped bool) {
 // violation count: the chain NewAdmissionChain built.
 func (c *AdmissionChain) Reset() {
 	for _, h := range c.hooks {
-		h.down, h.delay, h.selectorBroken, h.policyDropped = false, 0, false, false
+		h.down, h.slow, h.selectorBroken, h.policyDropped = false, false, false, false
 	}
 	c.override = ""
 	c.violationsAdmitted = 0
 }
 
 func (c *AdmissionChain) effectivePolicy(h *AdmissionHook) FailurePolicy {
-	if h.policyDropped {
+	switch {
+	case h.policyDropped:
 		return FailOpen
-	}
-	if c.override != "" {
+	case c.override != "":
 		return c.override
-	}
-	if h.Policy == "" {
+	case c.policy == "":
 		return FailOpen
 	}
-	return h.Policy
+	return c.policy
 }
 
-// unavailable reports whether a call to h would fail right now: backend
-// process down, node unreachable through the virtual network, or effective
-// latency past the hook timeout.
+// unavailable reports whether a call to h fails right now: backend process
+// down, node unreachable through the virtual network, or latency past the
+// call timeout.
 func (c *AdmissionChain) unavailable(h *AdmissionHook) bool {
-	if h.down {
-		return true
-	}
-	if c.reach != nil && h.Backend != "" && !c.reach(h.Backend) {
-		return true
-	}
-	return h.Timeout > 0 && webhookLatency+h.delay > h.Timeout
-}
-
-// call performs one webhook call with bounded retry. The fault state is
-// stable within a synchronous write, so the retry loop is accounting (each
-// attempt charges latency+backoff by the returned-value model), but it keeps
-// the configured bound meaningful for fault state that changes between
-// writes.
-func (c *AdmissionChain) call(h *AdmissionHook) error {
-	for attempt := 0; ; attempt++ {
-		if !c.unavailable(h) {
-			return nil
-		}
-		if attempt >= h.Retries {
-			return fmt.Errorf("webhook %q unavailable after %d attempt(s)", h.Name, attempt+1)
-		}
-	}
+	return h.down || (c.reach != nil && h.Backend != "" && !c.reach(h.Backend)) || h.slow
 }
 
 // Degraded reports whether some hook is currently turning webhook downtime
@@ -262,12 +195,15 @@ func (c *AdmissionChain) Degraded() bool {
 	return false
 }
 
-// Admit evaluates the chain on one write: mutating hooks first (registration
-// order), then validating hooks. It returns nil to admit (possibly after
-// mutation) or an ErrAdmission-wrapped error to reject, and counts
-// ViolationsAdmitted once per admitted write that a skipped validating hook
-// would have denied.
+// Admit evaluates the chain on one write in its scope: mutating hooks first
+// (registration order), then validating hooks. It returns nil to admit
+// (possibly after mutation) or an ErrAdmission-wrapped error to reject, and
+// counts ViolationsAdmitted once per admitted write that a skipped validating
+// hook would have denied.
 func (c *AdmissionChain) Admit(verb Verb, obj spec.Object) error {
+	if !inScope(obj) {
+		return nil
+	}
 	violated := false
 	for _, mutating := range [2]bool{true, false} {
 		for _, h := range c.hooks {
@@ -278,17 +214,14 @@ func (c *AdmissionChain) Admit(verb Verb, obj spec.Object) error {
 				// Wrong selector: the hook silently stops applying. Shadow-
 				// evaluate the intended configuration so the integrity loss
 				// is measurable.
-				if violatesSkipped(h, verb, obj) && h.Selector.matches(obj) {
+				if violatesSkipped(h, verb, obj) {
 					violated = true
 				}
 				continue
 			}
-			if !h.Selector.matches(obj) {
-				continue
-			}
-			if err := c.call(h); err != nil {
+			if c.unavailable(h) {
 				if c.effectivePolicy(h) == FailClosed {
-					return fmt.Errorf("%w: %v (failurePolicy=Fail)", ErrAdmission, err)
+					return fmt.Errorf("%w: webhook %q unavailable (failurePolicy=Fail)", ErrAdmission, h.Name)
 				}
 				// Fail-open: skip the hook, note what slipped through.
 				if violatesSkipped(h, verb, obj) {
@@ -338,27 +271,15 @@ func (c *AdmissionChain) ResumeViolations(n int64) { c.violationsAdmitted = n }
 const AdmissionDefaultedLabel = "policy.mutiny.io/defaulted"
 
 // StandardAdmissionHooks builds the first n of the standard governance-
-// operator chain, every hook configured with the given failure policy and
-// its backend on one of the given nodes (round-robin):
+// operator chain, every hook's backend on one of the given nodes
+// (round-robin):
 //
 //  1. "defaulter" (mutating): stamps AdmissionDefaultedLabel.
 //  2. "image-policy" (validating): images must come from registry.local and
 //     must not float on :latest.
 //  3. "limits-policy" (validating): every container must set CPU and memory
 //     limits.
-//
-// All three select application-namespace workload objects only — scoping
-// that keeps kube-system (and the control plane's own writes) out of the
-// blast radius of a fail-closed outage, as real governance webhooks do.
-func StandardAdmissionHooks(n int, policy FailurePolicy, backends []string) []*AdmissionHook {
-	selector := func() AdmissionSelector {
-		return AdmissionSelector{
-			Kinds: []spec.Kind{
-				spec.KindPod, spec.KindReplicaSet, spec.KindDeployment, spec.KindDaemonSet,
-			},
-			Namespace: spec.DefaultNamespace,
-		}
-	}
+func StandardAdmissionHooks(n int, backends []string) []*AdmissionHook {
 	backend := func(i int) string {
 		if len(backends) == 0 {
 			return ""
@@ -391,11 +312,6 @@ func StandardAdmissionHooks(n int, policy FailurePolicy, backends []string) []*A
 	}
 	hooks := all[:n]
 	for i, h := range hooks {
-		h.Selector = selector()
-		h.Policy = policy
-		h.Timeout = time.Second
-		h.Retries = 2
-		h.Backoff = 100 * time.Millisecond
 		h.Backend = backend(i)
 	}
 	return hooks

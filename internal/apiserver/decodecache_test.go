@@ -123,18 +123,21 @@ func TestDecodeCacheInvalidatedByCorruptAtRest(t *testing.T) {
 	// The write path reads the backend: it must decode the corrupted bytes
 	// for real.
 	_, misses0, _ := srv.DecodeCacheStats()
-	cur, exists, err := srv.current(spec.KindPod, key)
+	cur, prefix, exists, err := srv.current(spec.KindPod, key)
 	if err != nil || !exists {
 		t.Fatalf("current() = exists %v, err %v", exists, err)
 	}
 	if got := cur.(*spec.Pod).Spec.NodeName; got != "corrupted-node" {
 		t.Fatalf("current() served NodeName %q for corrupted bytes, want \"corrupted-node\"", got)
 	}
+	if prefix != nil {
+		t.Fatal("current() offered a splice prefix of bytes rewritten at rest")
+	}
 	if _, misses, rewrites := srv.DecodeCacheStats(); misses != misses0+1 || rewrites != 1 {
 		t.Fatalf("after the next read: %d new real decodes, %d rewrites detected; want 1 and 1", misses-misses0, rewrites)
 	}
 	// The entry now decodes the corrupted array: the next read hits.
-	if _, _, err := srv.current(spec.KindPod, key); err != nil {
+	if _, _, _, err := srv.current(spec.KindPod, key); err != nil {
 		t.Fatal(err)
 	}
 	if _, misses, rewrites := srv.DecodeCacheStats(); misses != misses0+1 || rewrites != 1 {

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/mutiny-sim/mutiny/internal/codec"
 	"github.com/mutiny-sim/mutiny/internal/sim"
 	"github.com/mutiny-sim/mutiny/internal/spec"
 	"github.com/mutiny-sim/mutiny/internal/store"
@@ -87,7 +88,7 @@ func (cp *controlPlane) check(step string) {
 	cp.t.Helper()
 	for i, srv := range cp.servers {
 		for _, kv := range cp.stores[i].List("/registry/") {
-			obj, exists, err := srv.current(kv.Kind, kv.Key)
+			obj, prefix, exists, err := srv.current(kv.Kind, kv.Key)
 			if cp.rep != nil && cp.rep.ReplicaDown(i) {
 				if err == nil {
 					cp.t.Errorf("%s: server %d read %s through a lost replica", step, i, kv.Key)
@@ -100,6 +101,14 @@ func (cp *controlPlane) check(step string) {
 			}
 			if want := cp.fresh(kv); !reflect.DeepEqual(obj.Clone(), want) {
 				cp.t.Errorf("%s: server %d current(%s) = %s, its bytes decode to %s", step, i, kv.Key, brief(obj), brief(want))
+			}
+			if prefix != nil {
+				// The splice source: the head of these very bytes, which with
+				// the revision patched in rebuild the object's encoding.
+				patched, ok := codec.AppendPrefixWithRV(nil, prefix, obj.Meta().ResourceVersion)
+				if !ok || &prefix[:1][0] != &kv.Value[0] || string(patched)+string(kv.Value[len(prefix):]) != string(mustMarshal(obj)) {
+					cp.t.Errorf("%s: server %d current(%s) offered a splice prefix that does not rebuild %s", step, i, kv.Key, brief(obj))
+				}
 			}
 		}
 		if srv.Down() {

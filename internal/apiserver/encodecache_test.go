@@ -10,57 +10,47 @@ import (
 	"github.com/mutiny-sim/mutiny/internal/store"
 )
 
-// The write-path encode cache: sealed objects primed into the decode cache
-// also carry their wire bytes — the array the store holds for them — so a
-// status-only update re-encodes just the status section and splices it onto
-// that array's metadata+spec prefix, the committed revision patched in on the
-// way. These tests pin down the mirror image of the decode-cache contract:
-// the cached bytes are the stored array itself, what the splice builds from
-// them is always exactly what a fresh Marshal of the sealed object produces,
-// any byte-level fault (at-rest corruption, tampered store writes, armed
-// injection channels) suppresses or invalidates them, and the spliced encoding
-// is byte-identical to a full re-encode per kind.
+// The status splice: a decode-cache entry the write path primed records where
+// its stored array's status record starts, so a status-only update re-encodes
+// just the status section and splices it onto that array's metadata+spec
+// prefix, the committed revision patched in on the way. These tests pin down
+// the mirror image of the decode-cache contract: what the splice builds from
+// the stored array is always exactly what a fresh Marshal of the sealed object
+// produces, any byte-level fault (at-rest corruption, tampered store writes,
+// armed injection channels) leaves the entry without an offset, and the
+// spliced encoding is byte-identical to a full re-encode per kind.
 
-// wireOf returns the cached wire bytes for key, or nil.
-func wireOf(srv *Server, key string) ([]byte, int) {
-	e, ok := srv.decoded.entries[key]
-	obj := e.obj
-	if !ok {
-		return nil, 0
-	}
-	return obj.Meta().WireBytes()
+// wireOf returns the stored array under key when its decode-cache entry
+// records a status offset for it, or nil.
+func wireOf(srv *Server, key string) []byte {
+	_, w, _, _ := srv.PrimedEncoding(key)
+	return w
 }
 
-// wireCanonical holds the encode-cache invariant for the object cached under
-// key and returns the canonical encoding rebuilt from its wire bytes: the
-// bytes are the array the store holds (the address the decode cache knows the
-// object by), the cached offset is where their status record starts, and
-// their prefix with the committed revision patched in, followed by the status
-// record — re-encoded as the splice does it, and as the store holds it — is a
-// fresh Marshal of the sealed object.
+// wireCanonical holds the splice invariant for the entry cached under key and
+// returns the canonical encoding rebuilt from its array: the entry is valid
+// for the array the store holds, its offset is where a scan of that array
+// finds the status record, and the array's prefix with the committed revision
+// patched in, followed by the status record — re-encoded as the splice does
+// it, and as the store holds it — is a fresh Marshal of the sealed object.
 func wireCanonical(t *testing.T, srv *Server, key string) []byte {
 	t.Helper()
-	e := srv.decoded.entries[key]
-	w, off := e.obj.Meta().WireBytes()
-	if w == nil {
-		t.Fatal("no cached wire bytes")
-	}
-	kv, ok, _ := srv.store.GetFrom(srv.origin, key)
-	if !ok || &kv.Value[0] != &w[0] || len(kv.Value) != len(w) || e.src != &w[0] {
-		t.Fatal("cached wire bytes are not the stored array the decode cache entry is valid for")
+	obj, w, off, ok := srv.PrimedEncoding(key)
+	if !ok {
+		t.Fatal("the decode-cache entry records no status offset for the stored array")
 	}
 	if gotOff, ok := codec.StatusOffset(w); !ok || gotOff != off {
-		t.Fatalf("cached status offset %d, StatusOffset says %d (ok=%v)", off, gotOff, ok)
+		t.Fatalf("entry's status offset %d, StatusOffset says %d (ok=%v)", off, gotOff, ok)
 	}
-	prefix, ok := codec.AppendPrefixWithRV(nil, w[:off], e.obj.Meta().ResourceVersion)
+	prefix, ok := codec.AppendPrefixWithRV(nil, w[:off], obj.Meta().ResourceVersion)
 	if !ok {
-		t.Fatal("cached prefix does not parse")
+		t.Fatal("stored prefix does not parse")
 	}
-	spliced, err := codec.NewArena().AppendStructField(append([]byte(nil), prefix...), codec.ObjectStatusField, statusOf(e.obj))
+	spliced, err := codec.NewArena().AppendStructField(append([]byte(nil), prefix...), codec.ObjectStatusField, statusOf(obj))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := mustMarshal(e.obj)
+	fresh := mustMarshal(obj)
 	if string(spliced) != string(fresh) {
 		t.Fatal("patched prefix + re-encoded status differs from a fresh Marshal of the sealed object")
 	}
@@ -78,9 +68,9 @@ func TestEncodeCachePrimedBytesMatchFreshMarshal(t *testing.T) {
 	}
 	settle(loop)
 	key := spec.Key(spec.KindPod, spec.DefaultNamespace, "web-1")
-	w, _ := wireOf(srv, key)
+	w := wireOf(srv, key)
 	if w == nil {
-		t.Fatal("create did not prime the encode cache")
+		t.Fatal("create did not record a status offset for the stored array")
 	}
 	wireCanonical(t, srv, key)
 
@@ -98,12 +88,12 @@ func TestEncodeCachePrimedBytesMatchFreshMarshal(t *testing.T) {
 		t.Fatal(err)
 	}
 	settle(loop)
-	w2, _ := wireOf(srv, key)
+	w2 := wireOf(srv, key)
 	if w2 == nil {
-		t.Fatal("status update did not re-prime the encode cache")
+		t.Fatal("status update did not record a status offset for its new array")
 	}
 	if string(w2) == string(w) {
-		t.Fatal("status update left the old wire bytes in place")
+		t.Fatal("status update left the old array in place")
 	}
 	wireCanonical(t, srv, key) // after a spliced status update, too
 	// The stored bytes decode to the merged object (splice exactness against
@@ -240,26 +230,26 @@ func TestEncodeCacheSpliceRoundTripsPerKind(t *testing.T) {
 				t.Fatal("spliced stored bytes are not the canonical encoding of the decoded object")
 			}
 			// The cached sealed object at the committed revision must
-			// re-encode to what its own cached wire splices to, and match a
+			// re-encode to what its entry's array splices to, and match a
 			// real decode.
 			if _, ok := srv.decoded.entries[key]; !ok {
 				t.Fatal("status update did not prime the decode cache")
 			}
-			if w, _ := wireOf(srv, key); w == nil {
-				t.Fatal("status update did not prime the encode cache")
+			if w := wireOf(srv, key); w == nil {
+				t.Fatal("status update did not record a status offset for the stored array")
 			}
 			canonical := wireCanonical(t, srv, key)
 			stored.Meta().ResourceVersion = kv.Revision
 			if refresh := mustMarshal(stored); string(refresh) != string(canonical) {
-				t.Fatal("a real decode at the committed revision differs from the cached wire's canonical form")
+				t.Fatal("a real decode at the committed revision differs from the canonical form the stored array splices to")
 			}
 		})
 	}
 }
 
-// At-rest corruption invalidates the encode cache with the decode cache: the
-// next status update must be built from the corrupted current state, never
-// from the stale cached prefix.
+// At-rest corruption installs an array the decode-cache entry is not valid
+// for: the next status update must be built from the corrupted current state,
+// never from the pre-corruption prefix.
 func TestEncodeCacheNeverServesStaleBytes(t *testing.T) {
 	loop, st, srv := newTestServer(t)
 	c := srv.ClientFor("test")
@@ -268,8 +258,8 @@ func TestEncodeCacheNeverServesStaleBytes(t *testing.T) {
 	}
 	settle(loop)
 	key := spec.Key(spec.KindPod, spec.DefaultNamespace, "web-1")
-	if w, _ := wireOf(srv, key); w == nil {
-		t.Fatal("create did not prime the encode cache")
+	if w := wireOf(srv, key); w == nil {
+		t.Fatal("create did not record a status offset for the stored array")
 	}
 
 	// Rewrite a label at rest: the stale cached prefix still carries
@@ -326,9 +316,9 @@ func TestEncodeCacheSurvivesRestart(t *testing.T) {
 	}
 	settle(loop)
 	key := spec.Key(spec.KindPod, spec.DefaultNamespace, "web-1")
-	w, _ := wireOf(srv, key)
+	w := wireOf(srv, key)
 	if w == nil {
-		t.Fatal("post-restart status update did not prime the encode cache")
+		t.Fatal("post-restart status update did not record a status offset for the stored array")
 	}
 	kv, _ := st.Get(key)
 	stored := spec.New(spec.KindPod)
@@ -337,7 +327,7 @@ func TestEncodeCacheSurvivesRestart(t *testing.T) {
 	}
 	stored.Meta().ResourceVersion = kv.Revision
 	if string(mustMarshal(stored)) != string(wireCanonical(t, srv, key)) {
-		t.Fatal("post-restart cached wire differs from a real decode of the stored bytes")
+		t.Fatal("post-restart splice source differs from a real decode of the stored bytes")
 	}
 }
 
@@ -388,9 +378,9 @@ func TestEncodeCacheSplicedWritesConvergeAcrossReplicas(t *testing.T) {
 	}
 }
 
-// An armed request channel must keep byte-fault semantics: no write primes
-// the encode cache while the hook is live, and disarming via the wire gate
-// restores caching.
+// An armed request channel must keep byte-fault semantics: no write records
+// a status offset while the hook is live, and disarming via the wire gate
+// restores the splice.
 func TestEncodeCacheSuppressedWhileRequestChannelArmed(t *testing.T) {
 	loop, _, srv := newTestServer(t)
 	armed := true
@@ -402,8 +392,8 @@ func TestEncodeCacheSuppressedWhileRequestChannelArmed(t *testing.T) {
 	}
 	settle(loop)
 	key := spec.Key(spec.KindPod, spec.DefaultNamespace, "web-1")
-	if w, _ := wireOf(srv, key); w != nil {
-		t.Fatal("encode cache primed while the request channel was armed")
+	if w := wireOf(srv, key); w != nil {
+		t.Fatal("a status offset was recorded while the request channel was armed")
 	}
 
 	armed = false
@@ -417,16 +407,16 @@ func TestEncodeCacheSuppressedWhileRequestChannelArmed(t *testing.T) {
 		t.Fatal(err)
 	}
 	settle(loop)
-	w, _ := wireOf(srv, key)
+	w := wireOf(srv, key)
 	if w == nil {
 		t.Fatal("disarmed request channel did not restore encode-cache priming")
 	}
 	wireCanonical(t, srv, key) // exact after the re-arming cycle
 }
 
-// A cached prefix that does not parse as metadata-first records is never
-// guessed at: the status update falls back to a full marshal, and what reaches
-// the store is the canonical encoding all the same.
+// A prefix that does not parse as metadata-first records is never guessed at:
+// the status update falls back to a full marshal, and what reaches the store is
+// the canonical encoding all the same.
 func TestEncodeCacheMalformedPrefixFallsBackToFullMarshal(t *testing.T) {
 	loop, st, srv := newTestServer(t)
 	c := srv.ClientFor("test")
@@ -435,15 +425,16 @@ func TestEncodeCacheMalformedPrefixFallsBackToFullMarshal(t *testing.T) {
 	}
 	settle(loop)
 	key := spec.Key(spec.KindPod, spec.DefaultNamespace, "web-1")
-	// Swap the cached object for a copy carrying garbage where its stored
-	// array should be; the entry stays valid for the real array, so the write
-	// path is served the copy.
+	// Move the entry's status offset into the metadata record's length: the
+	// entry stays valid for the stored array, so the write path is offered a
+	// prefix cut mid-record.
 	e := srv.decoded.entries[key]
-	bad := e.obj.Clone()
-	bad.Meta().ResourceVersion = e.obj.Meta().ResourceVersion
-	bad.Meta().SetWireBytes([]byte{0x08, 0x01, 0xff}, 3)
-	spec.Seal(bad)
-	srv.decoded.entries[key] = decodedEntry{obj: bad, src: e.src}
+	e.statusOff = 1
+	srv.decoded.entries[key] = e
+	if _, ok := codec.AppendPrefixWithRV(nil, wireOf(srv, key)[:e.statusOff], 1); ok {
+		t.Fatal("a prefix cut mid-record parses; the test no longer offers a malformed one")
+	}
+	bad := e.obj
 
 	upd := spec.CloneForStatusAs(bad.(*spec.Pod))
 	upd.Status.Phase = spec.PodRunning
@@ -462,7 +453,7 @@ func TestEncodeCacheMalformedPrefixFallsBackToFullMarshal(t *testing.T) {
 }
 
 // A tampering store-write hook taints the key; the tainted write must not
-// prime the encode cache with bytes that never reached the store.
+// record a status offset for bytes it did not encode.
 func TestEncodeCacheNotPrimedByTamperedWrite(t *testing.T) {
 	loop, _, srv := newTestServer(t)
 	srv.SetStoreWriteHook(func(m *Message) Action {
@@ -484,14 +475,14 @@ func TestEncodeCacheNotPrimedByTamperedWrite(t *testing.T) {
 	}
 	settle(loop)
 	key := spec.Key(spec.KindPod, spec.DefaultNamespace, "web-1")
-	if w, _ := wireOf(srv, key); w != nil {
-		t.Fatal("tampered write primed the encode cache")
+	if w := wireOf(srv, key); w != nil {
+		t.Fatal("a tampered write recorded a status offset")
 	}
 }
 
-// The watch channel serves freshly encoded bytes, never the cached wire: a
-// hook that scribbles over the event payload must not damage the encode
-// cache, and later spliced writes stay exact.
+// The watch channel serves freshly encoded bytes, never a stored array: a
+// hook that scribbles over the event payload must not damage what a splice
+// copies, and later spliced writes stay exact.
 func TestEncodeCacheUnharmedByWatchHookMutation(t *testing.T) {
 	loop, st, srv := newTestServer(t)
 	srv.SetWatchHook(func(m *Message) Action {
@@ -506,11 +497,11 @@ func TestEncodeCacheUnharmedByWatchHookMutation(t *testing.T) {
 	}
 	settle(loop)
 	key := spec.Key(spec.KindPod, spec.DefaultNamespace, "web-1")
-	w, _ := wireOf(srv, key)
+	w := wireOf(srv, key)
 	if w == nil {
-		t.Fatal("create did not prime the encode cache")
+		t.Fatal("create did not record a status offset for the stored array")
 	}
-	wireCanonical(t, srv, key) // the watch hook's scribbling did not reach the cached bytes
+	wireCanonical(t, srv, key) // the watch hook's scribbling did not reach the stored array
 	obj, err := c.Get(spec.KindPod, spec.DefaultNamespace, "web-1")
 	if err != nil {
 		t.Fatal(err)

@@ -120,8 +120,8 @@ func (b *sortedBucket) nsRange(ns string) (int, int) {
 	return i, j
 }
 
-// NewReflector builds a reflector over the given kinds (none = every kind).
-// resyncEvery is the safety-net re-list period; zero disables periodic
+// NewReflector builds a reflector over the given kinds (spec.Kinds() for all
+// of them). resyncEvery is the safety-net re-list period; zero disables periodic
 // resyncs (Resync can still be called explicitly). onEvent may be nil.
 // Call Start to prime the view and begin watching.
 func NewReflector(loop *sim.Loop, client *Client, resyncEvery time.Duration, onEvent func(WatchEvent), kinds ...spec.Kind) *Reflector {
@@ -151,16 +151,8 @@ func (r *Reflector) Start() {
 	for _, b := range r.views {
 		b.reset()
 	}
-	if len(r.kinds) == 0 {
-		// All-kinds mode: one wildcard watch, primed and resynced over the
-		// full kind vocabulary so kinds that never produce an event are
-		// still visible in the view.
-		r.kinds = spec.Kinds()
-		r.cancels = append(r.cancels, r.client.Watch("", r.apply))
-	} else {
-		for _, kind := range r.kinds {
-			r.cancels = append(r.cancels, r.client.Watch(kind, r.apply))
-		}
+	for _, kind := range r.kinds {
+		r.cancels = append(r.cancels, r.client.Watch(kind, r.apply))
 	}
 	r.prime()
 	if r.resyncEvery > 0 {
@@ -300,9 +292,6 @@ func (r *Reflector) Len(kind spec.Kind) int {
 // with occasional reads outside the mirrored set (e.g. the garbage
 // collector resolving an arbitrary owner kind) fall back to a server read.
 func (r *Reflector) Tracks(kind spec.Kind) bool {
-	if len(r.kinds) == 0 {
-		return true
-	}
 	for _, k := range r.kinds {
 		if k == kind {
 			return true

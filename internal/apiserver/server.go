@@ -259,20 +259,26 @@ type Server struct {
 	// plane: admission configuration is cluster state.
 	admission *AdmissionChain
 
-	// arena is the server's private encode workspace. A simulated cluster
-	// runs single-threaded on one campaign worker goroutine, so server-local
-	// is worker-local: every encode on the request, persist, and watch-hook
-	// paths uses this arena instead of the process-wide buffer/encoder
-	// pools, which parallel workers would otherwise contend on.
+	// arena is the server's private encoder. A simulated cluster runs
+	// single-threaded on one campaign worker goroutine, so server-local is
+	// worker-local: every encode on the request, persist, and watch-hook
+	// paths uses this arena instead of the process-wide encoder pool, which
+	// parallel workers would otherwise contend on.
 	arena *codec.Arena
 
 	// reqMsg and storeMsg are the messages of the request in progress on the
 	// component→apiserver and apiserver→store channels: every write needs both
 	// only to show them to the hooks, so handle fills these two instead of
-	// allocating a pair, and zeroes them when it returns (storeMsg.Data
-	// aliases an arena buffer that is freed then). A zero reqMsg.Verb means
-	// they are free; a handle entered while they are not takes its own.
-	reqMsg, storeMsg Message
+	// allocating a pair, and zeroes them when it returns. reqData and
+	// storeData are the buffers their Data is encoded into, reused by the next
+	// request (the store copies what it keeps). A zero reqMsg.Verb means all
+	// four are free; a handle entered while they are not takes its own
+	// messages and encodes into fresh arrays (see scratch).
+	reqMsg, storeMsg   Message
+	reqData, storeData []byte
+	// watchData is the buffer a watch-hook event is encoded into, for as long
+	// as the hook and the decode after it run.
+	watchData []byte
 
 	cancelStoreWatch func()
 
@@ -450,12 +456,23 @@ type DecodeCache struct {
 	entries map[string]decodedEntry
 }
 
-// decodedEntry is one cached decode: the object and the address of the first
+// decodedEntry is one cached decode: the object, the address of the first
 // byte of the array it was decoded from (never nil: empty values are not
-// cached). A pointer, not a slice — a storm holds 2,000 of these.
+// cached; a pointer, not a slice — a storm holds 2,000 of these), and where
+// that array's status record starts.
+//
+// statusOff is set (≥ 0) only when the write path produced the array
+// (persistWrite): the array is then obj's encoding at the RV its writer saw,
+// so array[:statusOff] with the RV patched to obj's
+// (codec.AppendPrefixWithRV), followed by array[statusOff:], is byte for byte
+// codec.Marshal(obj), and a status update to the key copies that prefix
+// instead of re-encoding metadata and spec (spliceStatus). It is -1 for an
+// array that was decoded: a tampered write, bytes rewritten at rest, a
+// lagging replica's array.
 type decodedEntry struct {
-	obj spec.Object
-	src *byte
+	obj       spec.Object
+	src       *byte
+	statusOff int
 }
 
 // arrayOf returns the identity of a stored array — the address of its first
@@ -475,22 +492,23 @@ func (s *Server) DecodeCacheStats() (hits, misses, rewrites int64) {
 }
 
 // decodeCached returns the sealed decoded form of data, the bytes stored under
-// key at backend mod revision rev: the cached object when it was decoded from
+// key at backend mod revision rev, and the entry's status offset (-1 unless
+// the write path produced data): the cached object when it was decoded from
 // this array at this revision, a real (and then cached) decode otherwise.
 // Decode errors are never cached: undecodable bytes are re-examined on every
 // access.
-func (s *Server) decodeCached(kind spec.Kind, key string, data []byte, rev int64) (spec.Object, error) {
+func (s *Server) decodeCached(kind spec.Kind, key string, data []byte, rev int64) (spec.Object, int, error) {
 	src := arrayOf(data)
 	if e, ok := s.decoded.entries[key]; ok && e.obj.Meta().ResourceVersion == rev {
 		if e.src == src {
 			s.decodeHits++
-			return e.obj, nil
+			return e.obj, e.statusOff, nil
 		}
 		s.decodeRewrites++
 	}
 	obj, err := s.decode(kind, data)
 	if err != nil {
-		return nil, err
+		return nil, -1, err
 	}
 	s.decodeMisses++
 	// The resource version every reader sees is the store revision of the
@@ -498,9 +516,9 @@ func (s *Server) decodeCached(kind spec.Kind, key string, data []byte, rev int64
 	obj.Meta().ResourceVersion = rev
 	spec.Seal(obj) // entering the shared read path: immutable from here on
 	if src != nil {
-		s.decoded.entries[key] = decodedEntry{obj: obj, src: src}
+		s.decoded.entries[key] = decodedEntry{obj: obj, src: src, statusOff: -1}
 	}
-	return obj, nil
+	return obj, -1, nil
 }
 
 // Audit returns the server's audit trail.
@@ -588,7 +606,7 @@ func (s *Server) rebuildCache(dispatch bool) {
 		// fork restore decodes almost nothing); a key whose bytes were
 		// rewritten at rest presents another array and decodes for real,
 		// which is when the corruption becomes visible (§V-C1).
-		obj, err := s.decodeCached(kv.Kind, kv.Key, kv.Value, kv.Revision)
+		obj, _, err := s.decodeCached(kv.Kind, kv.Key, kv.Value, kv.Revision)
 		if err != nil {
 			s.handleUndecodable(kv.Key, kv.Kind)
 			continue
@@ -680,16 +698,13 @@ func (s *Server) handle(identity string, verb Verb, obj spec.Object) error {
 		return s.apply(identity, verb, msg, obj.Clone())
 	}
 	// The request wire bytes live only for the duration of this (synchronous)
-	// handle call — the store copies on Put — so they are encoded into an
-	// arena buffer instead of a per-request allocation.
-	buf := s.arena.NewBuffer()
-	defer buf.Free()
-	data, err := s.arena.AppendMarshal(buf.B[:0], obj)
+	// handle call — the store copies on Put — so they are encoded into the
+	// server's request buffer instead of a per-request allocation.
+	data, err := s.arena.AppendMarshal(s.scratch(msg, s.reqData), obj)
 	if err != nil {
 		return s.audit.record(identity, verb, kind, meta.Name, fmt.Errorf("%w: %v", ErrBadRequest, err), false)
 	}
-	buf.B = data
-	msg.Data = data
+	s.reqData, msg.Data = data, data
 
 	// Channel 1: component → apiserver. Tampering here faces validation.
 	if s.requestHook != nil {
@@ -715,8 +730,9 @@ func (s *Server) handle(identity string, verb Verb, obj spec.Object) error {
 func (s *Server) apply(identity string, verb Verb, msg *Message, obj spec.Object) error {
 	kind := msg.Kind
 	key := spec.Key(kind, msg.Namespace, msg.Name)
-	var spliceFrom, donor spec.Object
-	cur, exists, curErr := s.current(kind, key)
+	var donor spec.Object
+	var splice []byte
+	cur, prefix, exists, curErr := s.current(kind, key)
 	if errors.Is(curErr, store.ErrReplicaDown) {
 		// This server's store replica is lost: every verb fails, and the
 		// wrapped cause lets failover clients tell "endpoint unusable" from
@@ -763,10 +779,10 @@ func (s *Server) apply(identity string, verb Verb, msg *Message, obj spec.Object
 		// status onto the current object (subresource semantics). cur is the
 		// shared decode-cache instance, so take a private copy to mutate —
 		// a shallow status clone, since only the Status struct is written
-		// before the object is re-sealed. The sealed original rides along as
-		// the splice source: its cached wire bytes are the canonical encoding
-		// of exactly the metadata+spec prefix the merged object shares.
-		spliceFrom = cur
+		// before the object is re-sealed. The stored array's prefix rides
+		// along as the splice source: with the revision patched in, it is the
+		// encoding of exactly the metadata and spec the merged object shares.
+		splice = prefix
 		cur = spec.CloneForStatus(cur)
 		if err := mergeStatus(cur, obj); err != nil {
 			return s.audit.record(identity, verb, kind, msg.Name, err, msg.Tampered)
@@ -792,7 +808,7 @@ func (s *Server) apply(identity string, verb Verb, msg *Message, obj spec.Object
 		}
 	}
 
-	err := s.persistWrite(identity, verb, msg, obj, key, spliceFrom)
+	err := s.persistWrite(identity, verb, msg, obj, key, splice)
 	if err == nil && donor != nil && !donor.Meta().Sealed() {
 		// Report the committed revision back on the status donor — the
 		// response body a real apiserver returns as the updated object. A
@@ -807,41 +823,40 @@ func (s *Server) apply(identity string, verb Verb, msg *Message, obj spec.Object
 	return err
 }
 
-// persistWrite encodes obj and commits it. When spliceFrom is non-nil (a
-// status update's sealed current object) and carries cached wire bytes, the
-// encode re-uses its metadata+spec prefix and re-encodes only the status
-// section — byte-identical to a full Marshal, because the merged object
-// shares metadata and spec with spliceFrom and the encoder is deterministic.
-// The splice is off whenever a request-channel injection is armed (cached
-// bytes must never stand in for real ones under byte-fault semantics) and
+// persistWrite encodes obj and commits it. When prefix is non-nil (a status
+// update whose current array the write path produced), the encode copies it
+// with the revision patched in and re-encodes only the status section —
+// byte-identical to a full Marshal, because the merged object shares metadata
+// and spec with the current one and the encoder is deterministic. The splice
+// is off whenever a request-channel injection is armed (stored bytes must
+// never stand in for freshly encoded ones under byte-fault semantics) and
 // under critical-field checksums (the fresh stamp changes the metadata
-// section the cached prefix covers).
-func (s *Server) persistWrite(identity string, verb Verb, msg *Message, obj spec.Object, key string, spliceFrom spec.Object) error {
+// section the prefix covers).
+func (s *Server) persistWrite(identity string, verb Verb, msg *Message, obj spec.Object, key string, prefix []byte) error {
 	if s.opts.CriticalFieldChecksums {
 		stampChecksum(obj)
-		spliceFrom = nil
+		prefix = nil
 	}
-	// Same arena-buffer discipline as handle: the store copies the value,
-	// and injection hooks that replace out.Data swap in their own slice.
-	buf := s.arena.NewBuffer()
-	defer buf.Free()
+	// Same buffer discipline as handle: the store copies the value, and
+	// injection hooks that replace out.Data swap in their own slice.
+	buf := s.scratch(msg, s.storeData)
 	var data []byte
 	var err error
 	statusOff := -1 // where data's status record starts, when a splice put it there
-	if spliceFrom != nil && !s.requestWireArmed() {
-		data, statusOff, err = s.spliceStatus(buf.B[:0], spliceFrom, obj)
+	if prefix != nil && !s.requestWireArmed() {
+		data, statusOff, err = s.spliceStatus(buf, prefix, obj)
 		if err != nil {
 			data = nil // malformed splice source: fall back to a full encode
 		}
 	}
 	if data == nil {
 		statusOff = -1
-		data, err = s.arena.AppendMarshal(buf.B[:0], obj)
+		data, err = s.arena.AppendMarshal(buf, obj)
 		if err != nil {
 			return s.audit.record(identity, verb, msg.Kind, msg.Name, fmt.Errorf("%w: %v", ErrBadRequest, err), msg.Tampered)
 		}
 	}
-	buf.B = data
+	s.storeData = data
 	out := s.storeMessage(msg)
 	*out = Message{
 		Verb: verb, Kind: msg.Kind, Namespace: msg.Namespace, Name: msg.Name,
@@ -872,30 +887,27 @@ func (s *Server) persistWrite(identity string, verb Verb, msg *Message, obj spec
 	// real decode later.
 	if !out.Tampered && len(out.Data) == len(data) && arrayOf(out.Data) == arrayOf(data) {
 		obj.Meta().ResourceVersion = rev
+		spec.Seal(obj) // entering the shared read path via the decode cache
 		// The array the store installed (its one copy of data) is what every
 		// later read and event will present, so the decode-cache entry is valid
-		// for exactly that array — and the array doubles as the object's cached
-		// encoding: it is obj's wire form at the writer's RV, so the next status
-		// update to this key copies its metadata+spec prefix with the committed
-		// revision patched in flight (spliceStatus) instead of re-encoding the
-		// two sections. Nothing is copied or re-scanned here: a spliced write
-		// knows where its status record starts, and only a full marshal is
-		// scanned for it. Only kinds with a status section benefit, and an armed
-		// request channel suppresses the cache entirely (byte faults must
-		// always act on freshly produced bytes).
+		// for exactly that array — and the entry records where the array's
+		// status record starts, so the next status update to this key copies
+		// the array's metadata+spec prefix with the committed revision patched
+		// in flight (spliceStatus) instead of re-encoding the two sections.
+		// Nothing is re-scanned here when a splice already knows the offset;
+		// only a full marshal is scanned for it. Only kinds with a status
+		// section record one, and an armed request channel records none (byte
+		// faults must always act on freshly produced bytes).
 		kv, ok, _ := s.store.GetFrom(s.origin, key)
-		stored := ok && len(kv.Value) > 0
-		if stored && kv.Revision == rev && hasStatusSection(msg.Kind) && !s.requestWireArmed() {
-			if statusOff < 0 {
-				statusOff, ok = codec.StatusOffset(kv.Value)
+		if ok && len(kv.Value) > 0 {
+			if kv.Revision != rev || statusOf(obj) == nil || s.requestWireArmed() {
+				statusOff = -1
+			} else if statusOff < 0 {
+				if off, scanned := codec.StatusOffset(kv.Value); scanned {
+					statusOff = off
+				}
 			}
-			if ok {
-				obj.Meta().SetWireBytes(kv.Value, statusOff)
-			}
-		}
-		spec.Seal(obj) // entering the shared read path via the decode cache
-		if stored {
-			s.decoded.entries[key] = decodedEntry{obj: obj, src: &kv.Value[0]}
+			s.decoded.entries[key] = decodedEntry{obj: obj, src: &kv.Value[0], statusOff: statusOff}
 		}
 	}
 	s.audit.countOK(identity, verb)
@@ -975,7 +987,7 @@ func (s *Server) onStoreEvent(ev store.Event) {
 		// event still in flight when its key was rewritten at rest carries
 		// the pre-rewrite array: it is served that array's decode, and the
 		// rewritten bytes keep missing until something reads them.
-		obj, err := s.decodeCached(ev.Kind, ev.Key, ev.Value, ev.Revision)
+		obj, _, err := s.decodeCached(ev.Kind, ev.Key, ev.Value, ev.Revision)
 		if err != nil {
 			s.handleUndecodable(ev.Key, ev.Kind)
 			return
@@ -1008,23 +1020,26 @@ func (s *Server) handleUndecodable(key string, kind spec.Kind) {
 	})
 }
 
-// current reads the authoritative state of key from the store. The result
-// is the *sealed* decode-cache instance — shared, read-only; the one write
-// path that mutates it (status merge) goes through spec.CloneForWrite.
-func (s *Server) current(kind spec.Kind, key string) (spec.Object, bool, error) {
+// current reads the authoritative state of key from the store. The object is
+// the *sealed* decode-cache instance — shared, read-only; the one write path
+// that mutates it (status merge) goes through spec.CloneForStatus. prefix is
+// the metadata+spec records of the array just read when the write path
+// produced that array (see decodedEntry), nil otherwise: what a status update
+// splices its status record onto.
+func (s *Server) current(kind spec.Kind, key string) (obj spec.Object, prefix []byte, exists bool, err error) {
 	kv, ok, err := s.store.GetFrom(s.origin, key)
-	if err != nil {
-		return nil, false, err
+	if err != nil || !ok {
+		return nil, nil, false, err
 	}
-	if !ok {
-		return nil, false, nil
-	}
-	obj, err := s.decodeCached(kind, key, kv.Value, kv.Revision)
+	obj, off, err := s.decodeCached(kind, key, kv.Value, kv.Revision)
 	if err != nil {
 		s.handleUndecodable(key, kind)
-		return nil, true, err
+		return nil, nil, true, err
 	}
-	return obj, true, nil
+	if off >= 0 {
+		prefix = kv.Value[:off]
+	}
+	return obj, prefix, true, nil
 }
 
 func (s *Server) decode(kind spec.Kind, data []byte) (spec.Object, error) {
@@ -1119,17 +1134,14 @@ func (s *Server) interceptWatch(ev WatchEvent) (WatchEvent, bool) {
 		Source:    "apiserver",
 	}
 	// Deletion notifications carry no payload worth tampering; field and
-	// byte faults need the serialized event object on the wire. Same pooled-
-	// buffer discipline as handle/persistWrite: the bytes live only until
-	// the in-function decode below, and a hook that swaps in its own slice
-	// leaves the pooled one free regardless.
+	// byte faults need the serialized event object on the wire. Same buffer
+	// discipline as handle/persistWrite: the bytes live only until the
+	// in-function decode below, and a hook that swaps in its own slice leaves
+	// the server's one untouched regardless.
 	if ev.Type != Deleted {
-		buf := s.arena.NewBuffer()
-		defer buf.Free()
-		data, err := s.arena.AppendMarshal(buf.B[:0], ev.Object)
+		data, err := s.arena.AppendMarshal(s.watchData[:0], ev.Object)
 		if err == nil {
-			buf.B = data
-			msg.Data = data
+			s.watchData, msg.Data = data, data
 		}
 	}
 	if s.watchHook(msg) == Drop {
@@ -1347,41 +1359,39 @@ func mergeStatus(dst, src spec.Object) error {
 	return nil
 }
 
-// hasStatusSection reports whether kind carries a status subresource — a
-// top-level field-3 record on the wire, and the only write class that can
-// splice onto cached encodings.
-func hasStatusSection(kind spec.Kind) bool {
-	switch kind {
-	case spec.KindPod, spec.KindReplicaSet, spec.KindDeployment, spec.KindDaemonSet, spec.KindNode:
-		return true
-	}
-	return false
-}
-
 // requestWireArmed reports whether a request-channel hook currently wants
-// serialized bytes. While armed, the write path neither serves nor populates
-// cached encodings: byte-fault semantics require every wire byte a hook can
-// observe or tamper to be freshly produced.
+// serialized bytes. While armed, the write path neither splices onto stored
+// arrays nor records their status offsets: byte-fault semantics require every
+// wire byte a hook can observe or tamper to be freshly produced.
 func (s *Server) requestWireArmed() bool {
 	return s.requestHook != nil && (s.requestWireGate == nil || s.requestWireGate())
 }
 
-// spliceStatus builds the canonical encoding of obj (a status clone of src)
-// from src's cached wire bytes — the array the store holds for src — by
-// copying their metadata+spec prefix with src's committed revision patched in
-// (stored bytes carry the RV their writer saw) and appending obj's re-encoded
-// status section. It also reports where in the result that section starts.
-// Returns nil bytes when src carries no cached encoding, its prefix does not
-// parse, or obj's kind has no status section — the caller falls back to a full
-// encode.
-func (s *Server) spliceStatus(b []byte, src, obj spec.Object) ([]byte, int, error) {
-	w, off := src.Meta().WireBytes()
+// scratch returns buf, emptied, as the encode destination of the request
+// whose message is msg when that is the outermost request, and nil — a fresh
+// array — for a request nested in it (issued from a hook), whose encode must
+// not overwrite the bytes the outer request is still showing its hooks.
+func (s *Server) scratch(msg *Message, buf []byte) []byte {
+	if msg != &s.reqMsg {
+		return nil
+	}
+	return buf[:0]
+}
+
+// spliceStatus builds the canonical encoding of obj, a status clone of the
+// current object, from prefix — the metadata+spec records of the array the
+// store holds for the current object — by copying them with obj's revision
+// patched in (stored bytes carry the RV their writer saw) and appending obj's
+// re-encoded status section. It also reports where in the result that section
+// starts. Returns nil bytes when prefix does not parse or obj's kind has no
+// status section — the caller falls back to a full encode.
+func (s *Server) spliceStatus(b, prefix []byte, obj spec.Object) ([]byte, int, error) {
 	status := statusOf(obj)
-	if w == nil || status == nil {
+	if status == nil {
 		return nil, 0, nil
 	}
 	start := len(b)
-	b, ok := codec.AppendPrefixWithRV(b, w[:off], src.Meta().ResourceVersion)
+	b, ok := codec.AppendPrefixWithRV(b, prefix, obj.Meta().ResourceVersion)
 	if !ok {
 		return nil, 0, nil
 	}
@@ -1391,7 +1401,8 @@ func (s *Server) spliceStatus(b []byte, src, obj spec.Object) ([]byte, int, erro
 }
 
 // statusOf returns a pointer to obj's status section, nil for a kind without
-// one.
+// one — a kind without a status subresource, whose encoding has no top-level
+// field-3 record for a status update to splice.
 func statusOf(obj spec.Object) any {
 	switch t := obj.(type) {
 	case *spec.Pod:

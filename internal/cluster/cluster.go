@@ -243,11 +243,6 @@ func assemble(cfg Config, loop *sim.Loop, backend *store.Replicated) *Cluster {
 		Kubelets:   make(map[string]*kubelet.Kubelet),
 		monitoring: fmt.Sprintf("worker-%d", cfg.Workers-1),
 	}
-	if n > 1 {
-		// The virtual network owns the master links; mirror its cuts into
-		// the replicated store's reachability. A lone member has no links.
-		c.Net.OnMasterLinkChange(c.applyMasterLinks)
-	}
 	if cfg.AdmissionHooks > 0 {
 		// Webhook backends live on the non-monitoring worker nodes (round-
 		// robin), so they are reachable through the virtual network and share
@@ -259,8 +254,8 @@ func assemble(cfg Config, loop *sim.Loop, backend *store.Replicated) *Cluster {
 				backends = append(backends, name)
 			}
 		}
-		chain := apiserver.NewAdmissionChain(
-			apiserver.StandardAdmissionHooks(cfg.AdmissionHooks, apiserver.FailurePolicy(cfg.FailurePolicy), backends)...)
+		chain := apiserver.NewAdmissionChain(apiserver.FailurePolicy(cfg.FailurePolicy),
+			apiserver.StandardAdmissionHooks(cfg.AdmissionHooks, backends)...)
 		chain.SetReachability(c.Net.RoutesUp)
 		for _, srv := range servers {
 			srv.SetAdmissionChain(chain)
@@ -591,35 +586,29 @@ func (c *Cluster) SetAPIServerDown(i int, down bool) {
 	}
 }
 
-// SetMasterIsolated cuts control-plane replica i off from its peers at the
-// network level: its store replica loses quorum (writes through apiserver i
-// fail, clients fail over), while its apiserver keeps serving progressively
-// staler reads — the stale-read window the campaign measures. Undoing it
-// reconnects the replicas; the replicated store flushes writes queued on the
-// majority side and the isolated replica catches up.
+// SetMasterIsolated cuts control-plane replica i off from its peers: its
+// store replica loses quorum (writes through apiserver i fail, clients fail
+// over), while its apiserver keeps serving progressively staler reads — the
+// stale-read window the campaign measures. Undoing it heals every replica
+// link; the replicated store flushes writes queued on the majority side and
+// the isolated replica catches up. A one-member store has no links to cut:
+// the fault is a no-op there.
 func (c *Cluster) SetMasterIsolated(i int, isolated bool) {
-	if isolated {
-		c.Net.PartitionMasters(i)
-	} else {
-		c.Net.HealMasters()
-	}
-}
-
-// applyMasterLinks mirrors the network's master-link state into the
-// replicated store's reachability.
-func (c *Cluster) applyMasterLinks(isolated int) {
 	rep := c.Backend
-	if isolated < 0 {
+	if rep.Replicas() < 2 {
+		return
+	}
+	if !isolated {
 		rep.Heal()
 		return
 	}
 	rest := make([]int, 0, rep.Replicas()-1)
-	for i := 0; i < rep.Replicas(); i++ {
-		if i != isolated {
-			rest = append(rest, i)
+	for j := 0; j < rep.Replicas(); j++ {
+		if j != i {
+			rest = append(rest, j)
 		}
 	}
-	rep.Partition([]int{isolated}, rest)
+	rep.Partition([]int{i}, rest)
 }
 
 // SetStoreReplicaLost destroys the backing store replica of apiserver i —
@@ -645,8 +634,7 @@ func (c *Cluster) SetStoreReplicaLost(i int, lost bool) {
 // (edge-link flap, zone partition, mass node-kill) act through them. The
 // virtual network owns the link state; the cluster mirrors a severed zone
 // uplink into the zone's kubelets (their heartbeats cross the same link the
-// data plane lost), exactly as applyMasterLinks mirrors master cuts into the
-// replicated store.
+// data plane lost).
 
 // Zones returns the number of topology zones (1 for flat clusters).
 func (c *Cluster) Zones() int {

@@ -56,7 +56,7 @@ func dirty(t *testing.T, c *Cluster) {
 	})
 
 	user := c.Client("kbench")
-	view := apiserver.NewReflector(c.Loop, user, time.Second, func(apiserver.WatchEvent) {})
+	view := apiserver.NewReflector(c.Loop, user, time.Second, func(apiserver.WatchEvent) {}, spec.Kinds()...)
 	view.Start()
 	_ = c.Client("monitoring").Watch(spec.KindPod, func(apiserver.WatchEvent) {})
 	_ = user.Create(appDeployment("storm", 3))
@@ -136,8 +136,9 @@ var scratch = map[string]bool{
 	// The event free list, and the generation counters that make a recycled
 	// event struct distinguishable from its earlier uses.
 	"Loop.free": true, "event.gen": true, "Timer.gen": true,
-	// Encode workspaces: buffers between uses.
-	"Server.arena": true,
+	// Encode workspaces: the encoder and the request, store and watch-event
+	// buffers, holding the last request's bytes between uses.
+	"Server.arena": true, "Server.reqData": true, "Server.storeData": true, "Server.watchData": true,
 }
 
 // walker compares two values structurally: pointers by what they point to,

@@ -15,45 +15,16 @@ func TestArenaMarshalMatchesMarshal(t *testing.T) {
 		t.Fatalf("Marshal: %v", err)
 	}
 	a := NewArena()
+	var buf []byte
 	for i := 0; i < 10; i++ {
-		buf := a.NewBuffer()
-		got, err := a.AppendMarshal(buf.B[:0], &in)
+		got, err := a.AppendMarshal(buf[:0], &in)
 		if err != nil {
 			t.Fatalf("Arena.AppendMarshal: %v", err)
 		}
 		if !bytes.Equal(want, got) {
 			t.Fatalf("arena encode diverges from Marshal on iteration %d", i)
 		}
-		buf.B = got
-		buf.Free()
-	}
-}
-
-// TestArenaBufferRecycling checks that Free returns arena buffers to the
-// arena's free list and NewBuffer reuses them.
-func TestArenaBufferRecycling(t *testing.T) {
-	a := NewArena()
-	b1 := a.NewBuffer()
-	if b1.owner != a {
-		t.Fatal("arena buffer not tagged with its owner")
-	}
-	b1.B = append(b1.B, "hello"...)
-	b1.Free()
-	if len(a.free) != 1 {
-		t.Fatalf("free list len = %d, want 1", len(a.free))
-	}
-	b2 := a.NewBuffer()
-	if b2 != b1 {
-		t.Fatal("NewBuffer did not reuse the freed buffer")
-	}
-	if len(b2.B) != 0 {
-		t.Fatal("recycled buffer not reset")
-	}
-	// Oversized buffers are dropped rather than retained.
-	b2.B = make([]byte, maxPooledBuffer+1)
-	b2.Free()
-	if len(a.free) != 0 {
-		t.Fatal("oversized buffer retained on the free list")
+		buf = got
 	}
 }
 

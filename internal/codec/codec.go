@@ -57,7 +57,7 @@ func Marshal(msg any) ([]byte, error) {
 }
 
 // AppendMarshal encodes msg like Marshal but appends the wire bytes to b
-// (which may be nil, or a pooled buffer reset with b[:0]) and returns the
+// (which may be nil, or a reused buffer reset with b[:0]) and returns the
 // extended slice. It borrows a process-wide encoder for the duration of the
 // call; single-owner call sites that encode constantly (the API server's
 // request, persist and watch paths) hold an Arena instead and use
@@ -69,16 +69,15 @@ func AppendMarshal(b []byte, msg any) ([]byte, error) {
 	return out, err
 }
 
-// An Arena is a private encode workspace: the nested-message scratch stack,
-// the map-key sort buffer, and a free list of wire Buffers, all owned by one
-// worker. The campaign engine runs one isolated simulation per worker
-// goroutine, and before arenas every encode in every worker met in the same
-// process-wide sync.Pools; an arena keeps that state worker-local so the
-// encode hot path shares nothing. An Arena must not be used from two
+// An Arena is a private encoder: the nested-message scratch stack and the
+// map-key sort buffer, owned by one worker. The campaign engine runs one
+// isolated simulation per worker goroutine, and before arenas every encode in
+// every worker met in the same process-wide sync.Pool; an arena keeps that
+// state worker-local so the encode hot path shares nothing. Where the encoded
+// bytes go is the caller's business. An Arena must not be used from two
 // goroutines at once. The zero value is ready to use.
 type Arena struct {
-	enc  encoder
-	free []*Buffer
+	enc encoder
 }
 
 // NewArena returns an empty arena.
@@ -90,41 +89,9 @@ func (a *Arena) AppendMarshal(b []byte, msg any) ([]byte, error) {
 	return a.enc.marshal(b, msg)
 }
 
-// NewBuffer borrows a wire buffer from the arena's free list; Free returns
-// it there.
-func (a *Arena) NewBuffer() *Buffer {
-	if n := len(a.free); n > 0 {
-		b := a.free[n-1]
-		a.free = a.free[:n-1]
-		return b
-	}
-	return &Buffer{B: make([]byte, 0, 1024), owner: a}
-}
-
-// A Buffer is a reusable encode destination for AppendMarshal call sites
-// that would otherwise allocate a fresh wire buffer per message. Borrow one
-// with Arena.NewBuffer, encode into B (typically via
-// arena.AppendMarshal(buf.B[:0], msg)), store the returned slice back into B,
-// and Free it once the bytes are no longer referenced — e.g. after the store
-// has copied them into an item.
-type Buffer struct {
-	B     []byte
-	owner *Arena
-}
-
-// maxPooledBuffer bounds what Free returns to the arena, so one giant message
-// does not pin a giant backing array forever.
+// maxPooledBuffer bounds the nested-message scratch an encoder keeps, so one
+// giant message does not pin a giant backing array forever.
 const maxPooledBuffer = 1 << 16
-
-// Free returns the buffer to its owning arena's free list. The caller must
-// not retain b.B.
-func (b *Buffer) Free() {
-	if cap(b.B) > maxPooledBuffer {
-		return
-	}
-	b.B = b.B[:0]
-	b.owner.free = append(b.owner.free, b)
-}
 
 // Unmarshal decodes data into msg, which must be a non-nil pointer to a
 // struct with pb tags. Unknown fields are skipped; structural damage

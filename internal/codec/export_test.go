@@ -1,8 +1,8 @@
 package codec
 
 // RewriteObjectRV is the test reference for AppendPrefixWithRV: the
-// implementation the write path used until the cached wire bytes became the
-// stored array itself. It returns a fresh, exactly sized slice holding data
+// implementation the write path used until the status splice started copying
+// the stored array's prefix. It returns a fresh, exactly sized slice holding data
 // with the metadata record's resourceVersion replaced by rv, or nil when data
 // does not parse as an object encoding. Kept independent of AppendPrefixWithRV
 // (it sizes its result up front and assembles it itself) so that holding one

@@ -97,23 +97,22 @@ func representativeObjects() []spec.Object {
 	}
 }
 
-// TestAppendMarshalRoundTripsEveryKind is the pooled-buffer regression test:
+// TestAppendMarshalRoundTripsEveryKind is the reused-buffer regression test:
 // encoding every kind through one reused buffer must produce exactly the
 // bytes Marshal produces, and those bytes must decode back to an object that
 // re-encodes identically.
 func TestAppendMarshalRoundTripsEveryKind(t *testing.T) {
-	buf := codec.NewArena().NewBuffer()
-	defer buf.Free()
+	var buf []byte
 	for _, obj := range representativeObjects() {
 		want, err := codec.Marshal(obj)
 		if err != nil {
 			t.Fatalf("%s: Marshal: %v", obj.Kind(), err)
 		}
-		got, err := codec.AppendMarshal(buf.B[:0], obj)
+		got, err := codec.AppendMarshal(buf[:0], obj)
 		if err != nil {
 			t.Fatalf("%s: AppendMarshal: %v", obj.Kind(), err)
 		}
-		buf.B = got
+		buf = got
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s: AppendMarshal bytes differ from Marshal (%d vs %d bytes)", obj.Kind(), len(got), len(want))
 		}
@@ -126,7 +125,7 @@ func TestAppendMarshalRoundTripsEveryKind(t *testing.T) {
 			t.Fatalf("%s: re-Marshal: %v", obj.Kind(), err)
 		}
 		if !bytes.Equal(again, want) {
-			t.Fatalf("%s: pooled round trip not stable", obj.Kind())
+			t.Fatalf("%s: reused-buffer round trip not stable", obj.Kind())
 		}
 	}
 }
@@ -164,21 +163,20 @@ func BenchmarkCodecMarshal(b *testing.B) {
 	}
 }
 
-// BenchmarkCodecAppendMarshal measures the pooled-buffer encode path used by
+// BenchmarkCodecAppendMarshal measures the reused-buffer encode path used by
 // the apiserver: one buffer reused across all kinds.
 func BenchmarkCodecAppendMarshal(b *testing.B) {
 	objs := representativeObjects()
-	buf := codec.NewArena().NewBuffer()
-	defer buf.Free()
+	var buf []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, obj := range objs {
-			out, err := codec.AppendMarshal(buf.B[:0], obj)
+			out, err := codec.AppendMarshal(buf[:0], obj)
 			if err != nil {
 				b.Fatal(err)
 			}
-			buf.B = out
+			buf = out
 		}
 	}
 }

@@ -260,26 +260,25 @@ func BenchmarkCodecStatusSplice(b *testing.B) {
 		b.Fatal("StatusOffset failed")
 	}
 	arena := codec.NewArena()
-	buf := arena.NewBuffer()
-	defer buf.Free()
+	var buf []byte
 	b.Run("splice", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			out, err := arena.AppendStructField(append(buf.B[:0], full[:off]...), codec.ObjectStatusField, &pod.Status)
+			out, err := arena.AppendStructField(append(buf[:0], full[:off]...), codec.ObjectStatusField, &pod.Status)
 			if err != nil {
 				b.Fatal(err)
 			}
-			buf.B = out
+			buf = out
 		}
 	})
 	b.Run("full-marshal", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			out, err := arena.AppendMarshal(buf.B[:0], pod)
+			out, err := arena.AppendMarshal(buf[:0], pod)
 			if err != nil {
 				b.Fatal(err)
 			}
-			buf.B = out
+			buf = out
 		}
 	})
 }

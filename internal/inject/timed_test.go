@@ -47,11 +47,11 @@ func newFakePlatformOf(replicas, hooks, zones int) *fakePlatform {
 			verdict = errors.New("denied")
 		}
 		chain = append(chain, &apiserver.AdmissionHook{
-			Name: name, Policy: apiserver.FailOpen, Timeout: time.Second,
+			Name:     name,
 			Validate: func(spec.Object) error { return verdict },
 		})
 	}
-	p.chain = apiserver.NewAdmissionChain(chain...)
+	p.chain = apiserver.NewAdmissionChain(apiserver.FailOpen, chain...)
 	return p
 }
 

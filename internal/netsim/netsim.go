@@ -91,13 +91,6 @@ type State struct {
 	zoneDown map[string]bool
 	nodeDown map[string]bool
 
-	// masterIsolated is the control-plane replica currently cut off from its
-	// peers by a master partition, or -1 when the links are intact. The
-	// network owns the link state; the cluster mirrors it into the replicated
-	// store via the change callback.
-	masterIsolated int
-	onMasterLink   func(isolated int)
-
 	cancels []func()
 }
 
@@ -119,7 +112,6 @@ func New(loop *sim.Loop, eps *apiserver.Endpoints) *State {
 		reqTimes:         make(map[string][]time.Duration),
 		zoneDown:         make(map[string]bool),
 		nodeDown:         make(map[string]bool),
-		masterIsolated:   -1,
 	}
 	s.subscribe()
 	return s
@@ -144,11 +136,9 @@ func (s *State) Close() {
 }
 
 // Reset returns the data plane to the state New left it in, keeping the
-// memory of its tables: nothing observed, no fault applied, master links
-// intact (the change callback is not fired: the replicated store's
-// reachability is reset by its own owner), watching again. The server must
-// have been Reset first — it forgot the old watches, which are therefore
-// dropped here, not cancelled.
+// memory of its tables: nothing observed, no fault applied, watching again.
+// The server must have been Reset first — it forgot the old watches, which
+// are therefore dropped here, not cancelled.
 func (s *State) Reset() {
 	clear(s.services)
 	clear(s.endpoints)
@@ -164,40 +154,7 @@ func (s *State) Reset() {
 	clear(s.reqTimes)
 	clear(s.zoneDown)
 	clear(s.nodeDown)
-	s.masterIsolated = -1
 	s.subscribe()
-}
-
-// --- control-plane (master) link state ---------------------------------------
-//
-// The virtual network also owns the links between control-plane replicas: a
-// master partition is a network event, so the fault axis cuts links here and
-// the cluster mirrors the state into the replicated store's reachability.
-
-// OnMasterLinkChange registers the callback fired whenever the master link
-// state changes; isolated is the cut-off replica index, or -1 on heal.
-func (s *State) OnMasterLinkChange(fn func(isolated int)) { s.onMasterLink = fn }
-
-// PartitionMasters cuts control-plane replica isolated off from its peers.
-func (s *State) PartitionMasters(isolated int) {
-	if s.masterIsolated == isolated {
-		return
-	}
-	s.masterIsolated = isolated
-	if s.onMasterLink != nil {
-		s.onMasterLink(isolated)
-	}
-}
-
-// HealMasters restores all master links.
-func (s *State) HealMasters() {
-	if s.masterIsolated < 0 {
-		return
-	}
-	s.masterIsolated = -1
-	if s.onMasterLink != nil {
-		s.onMasterLink(-1)
-	}
 }
 
 // Prime rebuilds the data-plane view from the control plane's current state,

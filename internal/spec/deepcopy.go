@@ -34,8 +34,6 @@ func (m ObjectMeta) clone() ObjectMeta {
 	out := m
 	out.sealed = false // clones are private until sealed themselves
 	out.nsName = ""    // a clone may be renamed before it is written back
-	out.wire = nil     // a mutated clone invalidates the cached encoding
-	out.wireStatusOff = 0
 	out.Labels = cloneStringMap(m.Labels)
 	out.Annotations = cloneStringMap(m.Annotations)
 	if m.OwnerReferences != nil {

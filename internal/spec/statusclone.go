@@ -19,12 +19,10 @@ package spec
 
 // statusMeta shallow-copies sealed metadata for a status clone: the maps and
 // owner references stay aliased (immutable on the sealed source), the seal
-// state and cached encoding are cleared, and nsName is kept — a status write
-// cannot rename, so the cached identity stays valid for the re-seal.
+// state is cleared, and nsName is kept — a status write cannot rename, so the
+// cached identity stays valid for the re-seal.
 func statusMeta(m ObjectMeta) ObjectMeta {
 	m.sealed = false
-	m.wire = nil
-	m.wireStatusOff = 0
 	return m
 }
 

@@ -25,9 +25,6 @@ func TestCloneForStatusSharesMetadataAndSpec(t *testing.T) {
 	if c.Meta().Sealed() {
 		t.Fatal("status clone is sealed")
 	}
-	if w, _ := c.Meta().WireBytes(); w != nil {
-		t.Fatal("status clone inherited the source's wire bytes")
-	}
 	if !sameMap(c.Metadata.Labels, p.Metadata.Labels) {
 		t.Fatal("status clone deep-copied the label map it should share")
 	}
@@ -65,26 +62,6 @@ func TestCloneForStatusFallsBackToDeepClone(t *testing.T) {
 	c.Spec.Selector["app"] = "mutated"
 	if svc.Spec.Selector["app"] != "web" {
 		t.Fatal("fallback clone shares mutable state with the sealed source")
-	}
-}
-
-func TestStatusCloneResealsWithOwnWire(t *testing.T) {
-	p := sealedPod()
-	c := CloneForStatusAs(p)
-	c.Status.Phase = PodRunning
-	c.Metadata.ResourceVersion = 5
-	c.Meta().SetWireBytes([]byte{1, 2, 3}, 2)
-	Seal(c)
-	if w, off := c.Meta().WireBytes(); w == nil || off != 2 {
-		t.Fatal("re-sealed status clone lost its wire bytes")
-	}
-	if w, _ := p.Meta().WireBytes(); len(w) == 3 && w[0] == 1 {
-		t.Fatal("source object picked up the clone's wire bytes")
-	}
-	// SetWireBytes after sealing is a no-op.
-	c.Meta().SetWireBytes([]byte{9}, 0)
-	if w, _ := c.Meta().WireBytes(); len(w) != 3 {
-		t.Fatal("SetWireBytes mutated a sealed object")
 	}
 }
 

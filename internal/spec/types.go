@@ -105,44 +105,6 @@ type ObjectMeta struct {
 	// the same two strings millions of times per campaign. Like sealed, it is
 	// not part of the wire format and never survives Clone or decode.
 	nsName string
-	// wire, when non-nil, is the byte array the store holds for the object
-	// carrying this metadata — the very array, not a copy: its address is what
-	// the apiserver's decode cache knows the object by. It is the object's
-	// encoding at the resource version its *writer* saw (like an etcd txn
-	// payload), so wire[:wireStatusOff] with the RV varint patched to
-	// ResourceVersion (codec.AppendPrefixWithRV), followed by the status
-	// record, is byte for byte what codec.Marshal would produce for the sealed
-	// object. The apiserver write path sets it immediately before Seal (never
-	// after — sealed objects are shared across campaign workers), and
-	// status-only updates copy that patched prefix and append their re-encoded
-	// status section instead of re-marshalling the whole object. Like sealed
-	// and nsName, it is not part of the wire format and never survives Clone or
-	// decode.
-	wire []byte
-	// wireStatusOff is the offset in wire where the top-level status record
-	// begins; equal to len(wire) when the status section is empty. Meaningless
-	// while wire is nil.
-	wireStatusOff int
-}
-
-// WireBytes returns the stored byte array of the object carrying this metadata
-// (nil when none is cached) and the offset where its status section starts;
-// see the wire field for how it relates to the object's canonical encoding.
-// The returned slice is immutable — it is shared exactly like the sealed
-// object itself.
-func (m *ObjectMeta) WireBytes() ([]byte, int) { return m.wire, m.wireStatusOff }
-
-// SetWireBytes installs the stored byte array. Callers must guarantee b is the
-// encoding of the object at its writer's resource version, statusOff what
-// codec.StatusOffset(b) reports, and must never mutate b afterwards. Setting
-// wire bytes on an already-sealed object is refused: sealed objects are shared
-// across goroutines, and a late write would race every reader.
-func (m *ObjectMeta) SetWireBytes(b []byte, statusOff int) {
-	if m.sealed {
-		return
-	}
-	m.wire = b
-	m.wireStatusOff = statusOff
 }
 
 // OwnerReference links a dependent object to its owner; the garbage

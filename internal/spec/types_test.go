@@ -3,9 +3,24 @@ package spec
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/mutiny-sim/mutiny/internal/codec"
 )
+
+// ObjectMeta is embedded in every object, so its size sets the allocation
+// size class of every Pod, Node and ReplicaSet: the wire fields plus the seal
+// bit and the cached namespaced name, 152 bytes on a 64-bit platform. The
+// stored encoding a status update splices onto lives in the apiserver's
+// decode-cache entry, not here.
+func TestObjectMetaSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the size is pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(ObjectMeta{}); got != 152 {
+		t.Fatalf("unsafe.Sizeof(ObjectMeta{}) = %d, want 152", got)
+	}
+}
 
 func TestNewCoversAllKinds(t *testing.T) {
 	for _, k := range Kinds() {

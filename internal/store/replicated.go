@@ -58,12 +58,14 @@ type Replicated struct {
 	missed [][]repOp
 }
 
+// repOp is one committed op, as a replica applies it live or on catch-up.
+// Value is PutVia's one owned copy of the written bytes, shared by every
+// replica; nil for a delete.
 type repOp struct {
-	Op     int64  `pb:"1"` // 1 = put, 2 = delete
-	Key    string `pb:"2"`
-	Kind   string `pb:"3"`
-	Value  []byte `pb:"4"`
-	Origin int64  `pb:"5"` // replica the write was accepted through
+	Op    int64 // 1 = put, 2 = delete
+	Key   string
+	Kind  string
+	Value []byte
 }
 
 // NewReplicated creates n store replicas, joined by a raft group when there
@@ -114,31 +116,18 @@ func (r *Replicated) Reset() {
 // from the origin, queued for the rest. The loop executes events one at a
 // time, so accepted writes form a single global order that every replica
 // applies (live or on catch-up) identically.
-// valueOwned reports whether op.Value's backing array is immutable and owned
-// by the replication layer (PutVia's once-per-write copy). Without it,
-// op.Value may alias a caller's pooled, reused encode buffer, so live
-// applies must go through the copying Store.Put and a queued op takes its
-// own copy before it outlives the call.
-func (r *Replicated) apply(origin int, op repOp, valueOwned bool) {
+func (r *Replicated) apply(origin int, op repOp) {
 	for i, rep := range r.replicas {
 		if i == origin || r.down[i] {
 			continue
 		}
 		if !r.linkUp(origin, i) {
-			if !valueOwned && len(op.Value) > 0 {
-				op.Value = append([]byte(nil), op.Value...)
-				valueOwned = true
-			}
 			r.missed[i] = append(r.missed[i], op)
 			continue
 		}
 		switch op.Op {
 		case 1:
-			if valueOwned {
-				_, _ = rep.putOwned(op.Key, spec.Kind(op.Kind), op.Value)
-			} else {
-				_, _ = rep.Put(op.Key, spec.Kind(op.Kind), op.Value)
-			}
+			_, _ = rep.putOwned(op.Key, spec.Kind(op.Kind), op.Value)
 		case 2:
 			rep.Delete(op.Key)
 		}
@@ -184,7 +173,7 @@ func (r *Replicated) PutVia(origin int, key string, kind spec.Kind, value []byte
 		return 0, err // refused before the copy: a rejected write allocates nothing
 	}
 	// One copy per accepted write, shared by every replica: the caller's
-	// bytes typically live in a pooled encode buffer, so the fan-out takes
+	// bytes typically live in a reused encode buffer, so the fan-out takes
 	// an owned immutable array up front and installs that same array at the
 	// origin, at every reachable replica, and in every catch-up queue —
 	// instead of one defensive copy per replica.
@@ -193,7 +182,7 @@ func (r *Replicated) PutVia(origin int, key string, kind spec.Kind, value []byte
 		owned = append([]byte(nil), value...)
 	}
 	rev := rep.install(key, kind, owned)
-	r.apply(origin, repOp{Op: 1, Key: key, Kind: string(kind), Value: owned, Origin: int64(origin)}, true)
+	r.apply(origin, repOp{Op: 1, Key: key, Kind: string(kind), Value: owned})
 	return rev, nil
 }
 
@@ -208,7 +197,7 @@ func (r *Replicated) DeleteVia(origin int, key string) (bool, error) {
 	}
 	ok := r.replicas[origin].Delete(key)
 	if ok {
-		r.apply(origin, repOp{Op: 2, Key: key, Origin: int64(origin)}, false)
+		r.apply(origin, repOp{Op: 2, Key: key})
 	}
 	return ok, nil
 }
@@ -353,8 +342,6 @@ func (r *Replicated) Heal() {
 		for _, op := range ops {
 			switch op.Op {
 			case 1:
-				// Queued ops always own their bytes (PutVia's shared copy, or
-				// the defensive copy apply took before queueing).
 				_, _ = r.replicas[i].putOwned(op.Key, spec.Kind(op.Kind), op.Value)
 			case 2:
 				r.replicas[i].Delete(op.Key)

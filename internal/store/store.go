@@ -210,7 +210,7 @@ func (s *Store) QuotaExceeded() bool { return s.size > s.opts.QuotaBytes }
 // every component, exactly like a faulty transaction committed to etcd.
 //
 // Copy-on-write discipline: Put copies the caller's bytes exactly once into a
-// fresh backing array (callers commonly pass pooled encode buffers), and that
+// fresh backing array (callers commonly pass reused encode buffers), and that
 // array becomes *immutable* — the watch event, every Get/List, and snapshot
 // capture all share it by reference. Overwrites install a new array instead
 // of scribbling over the old one, so readers holding the previous revision
@@ -226,7 +226,7 @@ func (s *Store) Put(key string, kind spec.Kind, value []byte) (int64, error) {
 // backing array of value is immutable and never reused — the replication
 // fan-out copies an accepted op's payload exactly once and installs that one
 // array at every replica (and in every catch-up queue). Callers passing
-// pooled or otherwise reused buffers must use Put.
+// reused buffers must use Put.
 func (s *Store) putOwned(key string, kind spec.Kind, value []byte) (int64, error) {
 	if err := s.admits(value); err != nil {
 		return 0, err

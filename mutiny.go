@@ -89,17 +89,17 @@
 //     with its mod revision, primed directly by untampered writes. Conflict
 //     checks, watch ingest, and cache rebuilds (restarts, forks — snapshots
 //     carry the cache) skip the backend-byte decode when the tag matches.
-//     The same sealed objects also carry their canonical wire bytes, so a
-//     status-only update — the hottest write class (kubelet heartbeats, pod
-//     phase transitions, controller status syncs) — clones just the status
-//     section (metadata and spec stay shared with the sealed source) and
-//     splices a freshly encoded status record onto the cached metadata+spec
-//     prefix, byte-identical to a full re-encode. Byte-level fault
-//     semantics survive: tampered store writes are never cached, an armed
-//     request channel suppresses both caches, and at-rest corruption
-//     installs a new byte array, which the cache (keyed by revision and
-//     array) misses by construction, so corrupted bytes are always decoded
-//     — and re-encoded — for real.
+//     An entry a write primed also records where its stored array's status
+//     record starts, so a status-only update — the hottest write class
+//     (kubelet heartbeats, pod phase transitions, controller status syncs)
+//     — clones just the status section (metadata and spec stay shared with
+//     the sealed source) and splices a freshly encoded status record onto
+//     the array's metadata+spec prefix, byte-identical to a full re-encode.
+//     Byte-level fault semantics survive: tampered store writes are never
+//     primed, an armed request channel suppresses the splice, and at-rest
+//     corruption installs a new byte array, which the cache (keyed by
+//     revision and array) misses by construction, so corrupted bytes are
+//     always decoded — and re-encoded — for real.
 //
 //   - Shared bootstrap snapshots (CampaignConfig.ShareBootstrap, CLI
 //     -share-bootstrap, bench MUTINY_SHARE=1). Each experiment resumes a
