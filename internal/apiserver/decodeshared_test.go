@@ -14,7 +14,8 @@ import (
 // controlPlane is a test control plane wired the way cluster.assemble wires
 // one: n servers over one n-member store, sharing one decode cache. served
 // records, per server and key, the bytes the server's watch cache entry was
-// last served from: a store event's, or a re-list's.
+// last served from: a store event's, or a re-list's. heard, when set, runs
+// each time server i has ingested a store event.
 type controlPlane struct {
 	t       *testing.T
 	loop    *sim.Loop
@@ -23,6 +24,7 @@ type controlPlane struct {
 	stores  []*store.Store
 	servers []*Server
 	served  []map[string]store.KV
+	heard   func(i int)
 }
 
 func newControlPlane(t *testing.T, n int) *controlPlane {
@@ -42,15 +44,17 @@ func newControlPlane(t *testing.T, n int) *controlPlane {
 		cp.servers = append(cp.servers, srv)
 		served := make(map[string]store.KV)
 		cp.served = append(cp.served, served)
-		cp.stores[i].Watch("/registry/", func(ev store.Event) {
-			if srv.Down() {
-				return
-			}
+		// The server's own store subscription, recording what it is served.
+		srv.cancelStoreWatch = cp.backend.Subscribe(i, func(ev store.Event) {
+			srv.onStoreEvent(ev)
 			if ev.Type == store.EventDelete {
 				delete(served, ev.Key)
-				return
+			} else {
+				served[ev.Key] = store.KV{Key: ev.Key, Kind: ev.Kind, Value: ev.Value, Revision: ev.Revision}
 			}
-			served[ev.Key] = store.KV{Key: ev.Key, Kind: ev.Kind, Value: ev.Value, Revision: ev.Revision}
+			if cp.heard != nil {
+				cp.heard(i)
+			}
 		})
 	}
 	return cp

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/mutiny-sim/mutiny/internal/spec"
-	"github.com/mutiny-sim/mutiny/internal/store"
 )
 
 // The scoped pod watch delivers a pod event to exactly the scoped watchers
@@ -281,12 +280,12 @@ func TestScopedWatchDeliversExactlyTheInterested(t *testing.T) {
 			// A watcher registered after an event was dispatched does not hear
 			// it, whatever its scope.
 			armed := true
-			h.cp.stores[0].Watch("/registry/", func(store.Event) {
-				if armed { // runs after the server's own store watch dispatched the event
+			h.cp.heard = func(i int) {
+				if i == 0 && armed { // server 0 has dispatched the event
 					armed = false
 					h.lateFrom = h.addScoped("n1")
 				}
-			})
+			}
 			h.step("registered under an event in flight", func() { h.setReady("p1", false) }, []int{1, 2})
 			h.step("hears the next one", func() { h.setReady("p1", true) }, []int{1, 2, 6})
 

@@ -387,9 +387,9 @@ func (s *Server) Reset() {
 	s.cancelStoreWatch = s.subscribeStore()
 }
 
-// subscribeStore attaches the server's watch to its own store replica.
+// subscribeStore makes the server its own store replica's subscriber.
 func (s *Server) subscribeStore() func() {
-	return s.store.WatchReplica(s.origin, "/registry/", s.onStoreEvent)
+	return s.store.Subscribe(s.origin, s.onStoreEvent)
 }
 
 // SetAdmissionStride configures UID and service-IP assignment so this server

@@ -55,7 +55,7 @@ func (h *harness) heartbeatNodes() {
 		if err != nil {
 			continue
 		}
-		node := obj.(*spec.Node)
+		node := spec.CloneForStatusAs(obj.(*spec.Node)) // obj is the server's sealed instance
 		node.Status.Ready = true
 		node.Status.LastHeartbeatMillis = h.loop.Time().UnixMilli()
 		_ = h.c.UpdateStatus(node)
@@ -673,5 +673,67 @@ func TestNoOpSyncAllocationsDoNotScale(t *testing.T) {
 	}
 	if few, many := daemonSetSync(5), daemonSetSync(50); few != many {
 		t.Errorf("steady-state DaemonSet sync: %.0f allocs on 5 nodes, %.0f on 50", few, many)
+	}
+}
+
+// The manager drops node heartbeats before any controller sees them: a
+// status-only Node write (generation unchanged) starts no DaemonSet sync and
+// no event-driven monitor pass, while a cordon (a generation-bumping Update),
+// a new node and a delete start both. The first sighting of a node since the manager
+// started or was reset counts as a heartbeat.
+func TestNodeHeartbeatsAreGatedOnce(t *testing.T) {
+	h := newHarness(t)
+	if err := h.c.Create(testDS("agent")); err != nil {
+		t.Fatal(err)
+	}
+	h.run(time.Second)
+	syncs, monitors := 0, 0
+	sync, monitor := h.m.daemonSets.q.handler, h.m.nodes.monitorFn
+	h.m.daemonSets.q.handler = func(key string) { syncs++; sync(key) }
+	h.m.nodes.monitorFn = func() { monitors++; monitor() }
+	node := func(name string) *spec.Node {
+		obj, err := h.c.Get(spec.KindNode, "", name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return obj.(*spec.Node)
+	}
+	heartbeat := func() error {
+		hb := spec.CloneForStatusAs(node("worker-0"))
+		hb.Status.LastHeartbeatMillis = h.loop.Time().UnixMilli()
+		return h.c.UpdateStatus(hb)
+	}
+	// Each step runs well inside the periodic resync and monitor periods.
+	step := func(name string, write func() error, react bool) {
+		t.Helper()
+		syncs, monitors = 0, 0
+		if err := write(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		h.run(200 * time.Millisecond)
+		if (syncs > 0) != react || (monitors > 0) != react {
+			t.Errorf("%s: %d DaemonSet syncs and %d event-driven monitor passes, want both > 0: %v", name, syncs, monitors, react)
+		}
+	}
+	step("first sighting since the start", heartbeat, false)
+	step("heartbeat", heartbeat, false)
+	step("cordon", func() error {
+		cordoned := spec.CloneForWriteAs(node("worker-0"))
+		cordoned.Spec.Unschedulable = true
+		return h.c.Update(cordoned)
+	}, true)
+	step("heartbeat after the cordon", heartbeat, false)
+	step("a new node", func() error { return h.c.Create(&spec.Node{Metadata: spec.ObjectMeta{Name: "worker-2"}}) }, true)
+	step("delete", func() error { return h.c.Delete(spec.KindNode, "", "worker-1") }, true)
+
+	// After a Reset, a node's next event is its first sighting again, even
+	// at a generation the manager has not seen.
+	h.m.Reset()
+	h.m.running = true // routing as a manager leading again would
+	bumped := spec.CloneForWriteAs(node("worker-0"))
+	bumped.Metadata.Generation++
+	h.m.route(apiserver.WatchEvent{Type: apiserver.Modified, Kind: spec.KindNode, Object: bumped})
+	if len(h.m.daemonSets.q.dirty) > 0 || h.m.nodes.monitorPending {
+		t.Error("the first sighting of a node after a Reset reached the controllers")
 	}
 }

@@ -13,19 +13,11 @@ import (
 // spawns replacements forever, and the high-priority replicas evict every
 // application pod while the store fills up (§V-C1 example).
 type daemonSetController struct {
-	m *Manager
-	q *queue
+	keyed
 	// byNodeScratch / nodeSeenScratch are the per-sync grouping structures,
 	// reused across syncs (neither outlives the sync call).
 	byNodeScratch   map[string]nodePods
 	nodeSeenScratch []string
-	// nodeGen remembers each node's last-seen Generation. Generation only
-	// moves on spec updates, and nodeEligible reads nothing outside spec,
-	// labels, and taints — so a Modified event at an unchanged generation is
-	// a kubelet heartbeat and cannot alter any placement decision. At 500
-	// nodes those heartbeats would otherwise re-sync every DaemonSet
-	// (a full pod+node scan each) about twenty times a second.
-	nodeGen map[string]int64
 }
 
 // nodePods is one node's share of a DaemonSet's pods, in view order. The
@@ -47,44 +39,22 @@ func (g nodePods) all() []*spec.Pod {
 }
 
 func newDaemonSetController(m *Manager) *daemonSetController {
-	c := &daemonSetController{m: m}
-	c.q = newQueue(m.loop, syncDelay, c.sync)
+	c := &daemonSetController{}
+	c.keyed = newKeyed(m, spec.KindDaemonSet, c.sync)
 	return c
 }
-
-func (c *daemonSetController) start() { c.q.start() }
-func (c *daemonSetController) stop()  { c.q.stop() }
 
 func (c *daemonSetController) reset() {
 	c.q.reset()
 	clear(c.byNodeScratch)
 	c.nodeSeenScratch = emptied(c.nodeSeenScratch)
-	clear(c.nodeGen)
 }
 
 func (c *daemonSetController) enqueueFor(ev apiserver.WatchEvent) {
 	switch ev.Kind {
 	case spec.KindDaemonSet:
 		c.q.add(objKey(ev.Object))
-	case spec.KindNode:
-		meta := ev.Object.Meta()
-		if ev.Type == apiserver.Deleted {
-			delete(c.nodeGen, meta.Name)
-			c.resync()
-			return
-		}
-		gen, known := c.nodeGen[meta.Name]
-		if c.nodeGen == nil {
-			c.nodeGen = make(map[string]int64)
-		}
-		c.nodeGen[meta.Name] = meta.Generation
-		if ev.Type == apiserver.Modified && (!known || gen == meta.Generation) {
-			// A heartbeat, or the first sighting after a restart cleared the
-			// map: eligibility can't have changed on the former, and the
-			// periodic resync bounds staleness on the latter — same
-			// poll-bounded repair as a lost watch event.
-			return
-		}
+	case spec.KindNode: // not a heartbeat: Manager.route drops those
 		c.resync()
 	case spec.KindPod:
 		meta := ev.Object.Meta()
@@ -92,13 +62,6 @@ func (c *daemonSetController) enqueueFor(ev apiserver.WatchEvent) {
 			c.q.add(meta.Namespace + "/" + ref.Name)
 		}
 	}
-}
-
-func (c *daemonSetController) resync() {
-	c.m.views.ForEach(spec.KindDaemonSet, "", func(o spec.Object) bool {
-		c.q.add(objKey(o))
-		return true
-	})
 }
 
 func (c *daemonSetController) sync(key string) {
@@ -112,9 +75,9 @@ func (c *daemonSetController) sync(key string) {
 	// Group this DaemonSet's pods by node. Identification goes through the
 	// selector AND the owner reference, like the ReplicaSet controller.
 	// Informer-view scan: pods are only grouped and inspected; release
-	// mutates a private clone (see releasePod). nodeSeen records first-seen
-	// order so the missing-node sweep below is deterministic (map iteration
-	// would randomize delete order between runs).
+	// mutates a private clone (see Manager.releasePod). nodeSeen records
+	// first-seen order so the missing-node sweep below is deterministic (map
+	// iteration would randomize delete order between runs).
 	if c.byNodeScratch == nil {
 		c.byNodeScratch = make(map[string]nodePods)
 	} else {
@@ -135,7 +98,7 @@ func (c *daemonSetController) sync(key string) {
 			// The pod no longer looks like ours: release it. The replacement
 			// spawned below starts the uncontrolled-replication loop if the
 			// corruption is in the template.
-			c.releasePod(pod)
+			c.m.releasePod(pod)
 			return true
 		}
 		group, seen := podsByNode[pod.Spec.NodeName]
@@ -164,7 +127,9 @@ func (c *daemonSetController) sync(key string) {
 		desired++
 		switch {
 		case group.first == nil:
-			c.createPod(ds, node.Metadata.Name)
+			pod := c.m.childPod(spec.KindDaemonSet, &ds.Metadata, &ds.Spec.Template)
+			pod.Spec.NodeName = node.Metadata.Name // daemon pods bypass the scheduler
+			_ = c.m.client.Create(pod)
 		case len(group.more) > 0:
 			pods := group.all()
 			for _, pod := range podsToDelete(pods, len(pods)-1) {
@@ -208,36 +173,6 @@ func (c *daemonSetController) nodeEligible(ds *spec.DaemonSet, node *spec.Node) 
 		}
 	}
 	return true
-}
-
-func (c *daemonSetController) createPod(ds *spec.DaemonSet, nodeName string) {
-	podSpec := clonePodSpec(&ds.Spec.Template.Spec)
-	podSpec.NodeName = nodeName // daemon pods bypass the scheduler
-	pod := &spec.Pod{
-		Metadata: spec.ObjectMeta{
-			Name:      c.m.nextName(ds.Metadata.Name),
-			Namespace: ds.Metadata.Namespace,
-			Labels:    cloneLabels(ds.Spec.Template.Labels),
-			OwnerReferences: []spec.OwnerReference{{
-				Kind: string(spec.KindDaemonSet), Name: ds.Metadata.Name,
-				UID: ds.Metadata.UID, Controller: true,
-			}},
-		},
-		Spec: *podSpec,
-	}
-	_ = c.m.client.Create(pod)
-}
-
-func (c *daemonSetController) releasePod(pod *spec.Pod) {
-	pod = spec.CloneForWriteAs(pod) // the argument may be a sealed cache reference
-	var kept []spec.OwnerReference
-	for _, ref := range pod.Metadata.OwnerReferences {
-		if !ref.Controller {
-			kept = append(kept, ref)
-		}
-	}
-	pod.Metadata.OwnerReferences = kept
-	_ = c.m.client.Update(pod)
 }
 
 func (c *daemonSetController) updateStatus(ds *spec.DaemonSet, desired, current, ready int64) {

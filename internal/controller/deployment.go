@@ -11,8 +11,7 @@ import (
 // pod-template hash and performs rolling updates bounded by MaxSurge and
 // MaxUnavailable (§II-D's MaxUnavailability strategy).
 type deploymentController struct {
-	m *Manager
-	q *queue
+	keyed
 	// hashes memoizes templateHash per sealed Deployment revision. Sealed
 	// objects are immutable, so the object pointer is a sound cache key; a
 	// new revision is a new decoded object and misses naturally. Without
@@ -24,8 +23,8 @@ type deploymentController struct {
 }
 
 func newDeploymentController(m *Manager) *deploymentController {
-	c := &deploymentController{m: m, hashes: make(map[*spec.Deployment]string)}
-	c.q = newQueue(m.loop, syncDelay, c.sync)
+	c := &deploymentController{hashes: make(map[*spec.Deployment]string)}
+	c.keyed = newKeyed(m, spec.KindDeployment, c.sync)
 	return c
 }
 
@@ -49,9 +48,6 @@ func (c *deploymentController) hashFor(d *spec.Deployment) string {
 	return h
 }
 
-func (c *deploymentController) start() { c.q.start() }
-func (c *deploymentController) stop()  { c.q.stop() }
-
 func (c *deploymentController) reset() {
 	c.q.reset()
 	clear(c.hashes)
@@ -68,13 +64,6 @@ func (c *deploymentController) enqueueFor(ev apiserver.WatchEvent) {
 			c.q.add(meta.Namespace + "/" + ref.Name)
 		}
 	}
-}
-
-func (c *deploymentController) resync() {
-	c.m.views.ForEach(spec.KindDeployment, "", func(o spec.Object) bool {
-		c.q.add(objKey(o))
-		return true
-	})
 }
 
 func (c *deploymentController) sync(key string) {
@@ -131,13 +120,10 @@ func (c *deploymentController) createReplicaSet(d *spec.Deployment, hash string)
 
 	rs := &spec.ReplicaSet{
 		Metadata: spec.ObjectMeta{
-			Name:      d.Metadata.Name + "-" + hash,
-			Namespace: d.Metadata.Namespace,
-			Labels:    cloneLabels(tpl.Labels),
-			OwnerReferences: []spec.OwnerReference{{
-				Kind: string(spec.KindDeployment), Name: d.Metadata.Name,
-				UID: d.Metadata.UID, Controller: true,
-			}},
+			Name:            d.Metadata.Name + "-" + hash,
+			Namespace:       d.Metadata.Namespace,
+			Labels:          cloneLabels(tpl.Labels),
+			OwnerReferences: []spec.OwnerReference{controllerRef(spec.KindDeployment, d.Metadata.Name, d.Metadata.UID)},
 		},
 		Spec: spec.ReplicaSetSpec{
 			Replicas: 0, // scaled up by the rolling logic

@@ -13,8 +13,7 @@ import (
 // stale, or wrong endpoints — the Net failure family (service reachable
 // resources exist but are incorrectly networked).
 type endpointsController struct {
-	m *Manager
-	q *queue
+	keyed
 	// addrScratch / portScratch back the rebuilt endpoint table, reused
 	// across syncs: the desired object is serialized (or deep-copied) by the
 	// client write path and never retained, so the backing arrays are free
@@ -27,13 +26,10 @@ type endpointsController struct {
 }
 
 func newEndpointsController(m *Manager) *endpointsController {
-	c := &endpointsController{m: m}
-	c.q = newQueue(m.loop, syncDelay, c.sync)
+	c := &endpointsController{}
+	c.keyed = newKeyed(m, spec.KindService, c.sync)
 	return c
 }
-
-func (c *endpointsController) start() { c.q.start() }
-func (c *endpointsController) stop()  { c.q.stop() }
 
 func (c *endpointsController) reset() {
 	c.q.reset()
@@ -59,13 +55,6 @@ func (c *endpointsController) enqueueFor(ev apiserver.WatchEvent) {
 	case spec.KindEndpoints:
 		c.q.add(objKey(ev.Object)) // repair manual/corrupted edits
 	}
-}
-
-func (c *endpointsController) resync() {
-	c.m.views.ForEach(spec.KindService, "", func(o spec.Object) bool {
-		c.q.add(objKey(o))
-		return true
-	})
 }
 
 func (c *endpointsController) sync(key string) {
@@ -106,11 +95,8 @@ func (c *endpointsController) sync(key string) {
 	desired := &spec.Endpoints{
 		Metadata: spec.ObjectMeta{
 			Name: name, Namespace: ns,
-			Labels: cloneLabels(svc.Metadata.Labels),
-			OwnerReferences: []spec.OwnerReference{{
-				Kind: string(spec.KindService), Name: name,
-				UID: svc.Metadata.UID, Controller: true,
-			}},
+			Labels:          cloneLabels(svc.Metadata.Labels),
+			OwnerReferences: []spec.OwnerReference{controllerRef(spec.KindService, name, svc.Metadata.UID)},
 		},
 	}
 	if len(addrs) > 0 {

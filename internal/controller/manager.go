@@ -74,6 +74,16 @@ type Manager struct {
 	// resync is the periodic resyncAll, live while the controllers run.
 	resync sim.Timer
 
+	// nodeGen remembers each node's last-seen Generation. Generation only
+	// moves on spec updates, so a Modified Node event at an unchanged
+	// generation is a kubelet heartbeat, and route drops it before any
+	// controller sees it: DaemonSet placement reads nothing outside a node's
+	// spec, labels and taints, and node freshness is re-read by the periodic
+	// monitor. At 500 nodes the heartbeats would otherwise re-sync every
+	// DaemonSet (a full pod+node scan each) and drive a full monitor pass
+	// about twenty times a second.
+	nodeGen map[string]int64
+
 	nameSeq int64
 	running bool
 }
@@ -92,8 +102,9 @@ func NewManager(loop *sim.Loop, eps *apiserver.Endpoints, opts Options) *Manager
 		opts.Identity = managerIdentity + "-0"
 	}
 	m := &Manager{
-		loop:   loop,
-		client: eps.ClientFor(managerIdentity),
+		loop:    loop,
+		client:  eps.ClientFor(managerIdentity),
+		nodeGen: make(map[string]int64),
 	}
 	m.deployments = newDeploymentController(m)
 	m.replicaSets = newReplicaSetController(m)
@@ -136,6 +147,7 @@ func (m *Manager) Reset() {
 	for _, c := range m.controllers() {
 		c.reset()
 	}
+	clear(m.nodeGen)
 	m.nameSeq = 0
 }
 
@@ -189,9 +201,27 @@ func (m *Manager) route(ev apiserver.WatchEvent) {
 	if !m.running {
 		return
 	}
+	if ev.Kind == spec.KindNode && m.heartbeat(ev) {
+		return
+	}
 	for _, c := range m.controllers() {
 		c.enqueueFor(ev)
 	}
+}
+
+// heartbeat records a Node event's generation and reports whether the event is
+// a heartbeat (see nodeGen). The first sighting of a node since the manager
+// was reset counts as one: the periodic resync bounds the staleness, the same
+// poll-bounded repair as for a lost watch event.
+func (m *Manager) heartbeat(ev apiserver.WatchEvent) bool {
+	meta := ev.Object.Meta()
+	if ev.Type == apiserver.Deleted {
+		delete(m.nodeGen, meta.Name)
+		return false
+	}
+	gen, known := m.nodeGen[meta.Name]
+	m.nodeGen[meta.Name] = meta.Generation
+	return ev.Type == apiserver.Modified && (!known || gen == meta.Generation)
 }
 
 func (m *Manager) resyncAll() {
@@ -212,6 +242,40 @@ func (m *Manager) resyncAll() {
 func (m *Manager) nextName(base string) string {
 	m.nameSeq++
 	return fmt.Sprintf("%s-%05d", base, m.nameSeq)
+}
+
+// controllerRef names the owner (kind, name, uid) as a dependent's managing
+// controller.
+func controllerRef(kind spec.Kind, name, uid string) spec.OwnerReference {
+	return spec.OwnerReference{Kind: string(kind), Name: name, UID: uid, Controller: true}
+}
+
+// childPod builds a new pod from tpl, named after its owner and controlled by
+// it (a kind object); the caller may bind it to a node before creating it.
+func (m *Manager) childPod(kind spec.Kind, owner *spec.ObjectMeta, tpl *spec.PodTemplate) *spec.Pod {
+	return &spec.Pod{
+		Metadata: spec.ObjectMeta{
+			Name:            m.nextName(owner.Name),
+			Namespace:       owner.Namespace,
+			Labels:          cloneLabels(tpl.Labels),
+			OwnerReferences: []spec.OwnerReference{controllerRef(kind, owner.Name, owner.UID)},
+		},
+		Spec: *clonePodSpec(&tpl.Spec),
+	}
+}
+
+// releasePod strips a pod's controller reference: the pod keeps running,
+// orphaned.
+func (m *Manager) releasePod(pod *spec.Pod) {
+	pod = spec.CloneForWriteAs(pod) // the argument may be a sealed cache reference
+	var kept []spec.OwnerReference
+	for _, ref := range pod.Metadata.OwnerReferences {
+		if !ref.Controller {
+			kept = append(kept, ref)
+		}
+	}
+	pod.Metadata.OwnerReferences = kept
+	_ = m.client.Update(pod)
 }
 
 // NameSeq exposes the child-name counter for cluster snapshots.

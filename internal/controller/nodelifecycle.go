@@ -29,12 +29,6 @@ type nodeLifecycleController struct {
 	monitorFn      func()
 	// scratch is the reused node slice the monitor pass collects into.
 	scratch []*spec.Node
-	// nodeGen remembers each node's last-seen Generation, to tell heartbeats
-	// (status-only, generation unchanged) from spec changes. Freshness only
-	// matters at monitor-poll granularity, so heartbeats ride the periodic
-	// ticker; without the distinction a 500-node cluster's heartbeat stream
-	// would drive a full monitor pass almost every tick.
-	nodeGen map[string]int64
 }
 
 func newNodeLifecycleController(m *Manager) *nodeLifecycleController {
@@ -60,30 +54,14 @@ func (c *nodeLifecycleController) reset() {
 	clear(c.taintedSince)
 	c.monitorPending = false
 	c.scratch = emptied(c.scratch)
-	clear(c.nodeGen)
 }
 
 func (c *nodeLifecycleController) enqueueFor(ev apiserver.WatchEvent) {
 	// Node state is polled on a fixed monitor period, like the real
 	// controller; node add/remove and spec changes (taints, cordons) react
-	// immediately though.
+	// immediately though. Heartbeats never get here (Manager.route).
 	if ev.Kind != spec.KindNode {
 		return
-	}
-	meta := ev.Object.Meta()
-	if ev.Type == apiserver.Deleted {
-		delete(c.nodeGen, meta.Name)
-	} else {
-		gen, known := c.nodeGen[meta.Name]
-		if c.nodeGen == nil {
-			c.nodeGen = make(map[string]int64)
-		}
-		c.nodeGen[meta.Name] = meta.Generation
-		if ev.Type == apiserver.Modified && (!known || gen == meta.Generation) {
-			// A heartbeat (or its first sighting after a restart): freshness
-			// is re-read by the next periodic monitor anyway.
-			return
-		}
 	}
 	if !c.monitorPending {
 		c.monitorPending = true

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/mutiny-sim/mutiny/internal/sim"
+	"github.com/mutiny-sim/mutiny/internal/spec"
 )
 
 // queue is a deduplicating dirty-key work queue: keys added while a drain is
@@ -82,6 +83,30 @@ func (q *queue) reset() {
 	q.scheduled, q.stopped = false, false
 	clear(q.dirty)
 	q.scratch = emptied(q.scratch)
+}
+
+// keyed is the skeleton of a controller that syncs one object of kind per
+// queued key — deployment, ReplicaSet, DaemonSet, endpoints (kind Service):
+// its queue runs while the manager leads, and a resync enqueues every object
+// of kind in the views.
+type keyed struct {
+	m    *Manager
+	q    *queue
+	kind spec.Kind
+}
+
+func newKeyed(m *Manager, kind spec.Kind, sync func(key string)) keyed {
+	return keyed{m: m, q: newQueue(m.loop, syncDelay, sync), kind: kind}
+}
+
+func (k *keyed) start() { k.q.start() }
+func (k *keyed) stop()  { k.q.stop() }
+
+func (k *keyed) resync() {
+	k.m.views.ForEach(k.kind, "", func(o spec.Object) bool {
+		k.q.add(objKey(o))
+		return true
+	})
 }
 
 // emptied returns s at length zero with every element of its array zeroed —

@@ -21,8 +21,7 @@ import (
 // selector, every sync creates more pods: the paper's uncontrolled
 // replication (§V-C1), bounded only by node and store capacity.
 type replicaSetController struct {
-	m *Manager
-	q *queue
+	keyed
 	// ownedScratch is the owned-pod buffer reused across syncs (the
 	// collected set never outlives the sync call).
 	ownedScratch []*spec.Pod
@@ -32,13 +31,10 @@ type replicaSetController struct {
 }
 
 func newReplicaSetController(m *Manager) *replicaSetController {
-	c := &replicaSetController{m: m}
-	c.q = newQueue(m.loop, syncDelay, c.sync)
+	c := &replicaSetController{}
+	c.keyed = newKeyed(m, spec.KindReplicaSet, c.sync)
 	return c
 }
-
-func (c *replicaSetController) start() { c.q.start() }
-func (c *replicaSetController) stop()  { c.q.stop() }
 
 func (c *replicaSetController) reset() {
 	c.q.reset()
@@ -69,13 +65,6 @@ func (c *replicaSetController) enqueueFor(ev apiserver.WatchEvent) {
 	}
 }
 
-func (c *replicaSetController) resync() {
-	c.m.views.ForEach(spec.KindReplicaSet, "", func(o spec.Object) bool {
-		c.q.add(objKey(o))
-		return true
-	})
-}
-
 func (c *replicaSetController) sync(key string) {
 	ns, _ := splitKey(key)
 	obj, ok := c.m.views.GetByKey(spec.KindReplicaSet, key)
@@ -85,7 +74,7 @@ func (c *replicaSetController) sync(key string) {
 	rs := obj.(*spec.ReplicaSet)
 
 	// Informer-view scan: owned pods are only inspected here; adoption and
-	// release mutate a private clone (see adoptPod / releasePod).
+	// release mutate a private clone (see adoptPod / Manager.releasePod).
 	owned := c.ownedScratch[:0]
 	sel := rs.Spec.Selector.AppendPairs(c.selScratch)
 	c.m.views.ForEach(spec.KindPod, ns, func(po spec.Object) bool {
@@ -105,7 +94,7 @@ func (c *replicaSetController) sync(key string) {
 			} else {
 				// Labels diverged from the selector: release the pod. It
 				// keeps running as an orphan — silent over-provisioning.
-				c.releasePod(pod)
+				c.m.releasePod(pod)
 			}
 		case matches: // an orphan
 			if c.adoptPod(rs, pod) {
@@ -125,7 +114,7 @@ func (c *replicaSetController) sync(key string) {
 			n = burstReplicas
 		}
 		for i := 0; i < n; i++ {
-			c.createPod(rs)
+			_ = c.m.client.Create(c.m.childPod(spec.KindReplicaSet, &rs.Metadata, &rs.Spec.Template))
 		}
 		if diff > n {
 			c.q.addAfter(key, syncDelay)
@@ -140,41 +129,11 @@ func (c *replicaSetController) sync(key string) {
 	c.updateStatus(rs, owned)
 }
 
-func (c *replicaSetController) createPod(rs *spec.ReplicaSet) {
-	pod := &spec.Pod{
-		Metadata: spec.ObjectMeta{
-			Name:      c.m.nextName(rs.Metadata.Name),
-			Namespace: rs.Metadata.Namespace,
-			Labels:    cloneLabels(rs.Spec.Template.Labels),
-			OwnerReferences: []spec.OwnerReference{{
-				Kind: string(spec.KindReplicaSet), Name: rs.Metadata.Name,
-				UID: rs.Metadata.UID, Controller: true,
-			}},
-		},
-		Spec: *clonePodSpec(&rs.Spec.Template.Spec),
-	}
-	_ = c.m.client.Create(pod)
-}
-
 func (c *replicaSetController) adoptPod(rs *spec.ReplicaSet, pod *spec.Pod) bool {
 	pod = spec.CloneForWriteAs(pod) // the argument may be a sealed cache reference
-	pod.Metadata.OwnerReferences = append(pod.Metadata.OwnerReferences, spec.OwnerReference{
-		Kind: string(spec.KindReplicaSet), Name: rs.Metadata.Name,
-		UID: rs.Metadata.UID, Controller: true,
-	})
+	pod.Metadata.OwnerReferences = append(pod.Metadata.OwnerReferences,
+		controllerRef(spec.KindReplicaSet, rs.Metadata.Name, rs.Metadata.UID))
 	return c.m.client.Update(pod) == nil
-}
-
-func (c *replicaSetController) releasePod(pod *spec.Pod) {
-	pod = spec.CloneForWriteAs(pod) // the argument may be a sealed cache reference
-	var kept []spec.OwnerReference
-	for _, ref := range pod.Metadata.OwnerReferences {
-		if !ref.Controller {
-			kept = append(kept, ref)
-		}
-	}
-	pod.Metadata.OwnerReferences = kept
-	_ = c.m.client.Update(pod)
 }
 
 func (c *replicaSetController) updateStatus(rs *spec.ReplicaSet, owned []*spec.Pod) {

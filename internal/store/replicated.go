@@ -58,14 +58,23 @@ type Replicated struct {
 	missed [][]repOp
 }
 
-// repOp is one committed op, as a replica applies it live or on catch-up.
-// Value is PutVia's one owned copy of the written bytes, shared by every
-// replica; nil for a delete.
+// repOp is one committed op, as a replica applies it live or on catch-up: a
+// delete of key, or a put of value — PutVia's one owned copy of the written
+// bytes, shared by every replica.
 type repOp struct {
-	Op    int64 // 1 = put, 2 = delete
-	Key   string
-	Kind  string
-	Value []byte
+	key   string
+	kind  spec.Kind
+	value []byte
+	del   bool
+}
+
+// applyOp applies one committed op at a replica other than its origin.
+func applyOp(rep *Store, op repOp) {
+	if op.del {
+		rep.Delete(op.key)
+		return
+	}
+	_, _ = rep.putOwned(op.key, op.kind, op.value)
 }
 
 // NewReplicated creates n store replicas, joined by a raft group when there
@@ -125,12 +134,7 @@ func (r *Replicated) apply(origin int, op repOp) {
 			r.missed[i] = append(r.missed[i], op)
 			continue
 		}
-		switch op.Op {
-		case 1:
-			_, _ = rep.putOwned(op.Key, spec.Kind(op.Kind), op.Value)
-		case 2:
-			rep.Delete(op.Key)
-		}
+		applyOp(rep, op)
 	}
 }
 
@@ -182,7 +186,7 @@ func (r *Replicated) PutVia(origin int, key string, kind spec.Kind, value []byte
 		owned = append([]byte(nil), value...)
 	}
 	rev := rep.install(key, kind, owned)
-	r.apply(origin, repOp{Op: 1, Key: key, Kind: string(kind), Value: owned})
+	r.apply(origin, repOp{key: key, kind: kind, value: owned})
 	return rev, nil
 }
 
@@ -197,7 +201,7 @@ func (r *Replicated) DeleteVia(origin int, key string) (bool, error) {
 	}
 	ok := r.replicas[origin].Delete(key)
 	if ok {
-		r.apply(origin, repOp{Op: 2, Key: key})
+		r.apply(origin, repOp{key: key, del: true})
 	}
 	return ok, nil
 }
@@ -220,10 +224,10 @@ func (r *Replicated) ListFrom(origin int, prefix string) ([]KV, error) {
 	return r.replicas[origin].List(prefix), nil
 }
 
-// WatchReplica observes one replica's local apply stream — the watch feed of
-// the apiserver bound to it.
-func (r *Replicated) WatchReplica(i int, prefix string, fn func(Event)) (cancel func()) {
-	return r.replicas[i].Watch(prefix, fn)
+// Subscribe makes fn the one subscriber to the i-th replica's local apply
+// stream — the watch feed of the apiserver bound to it (see Store.Subscribe).
+func (r *Replicated) Subscribe(i int, fn func(Event)) (cancel func()) {
+	return r.replicas[i].Subscribe(fn)
 }
 
 // List reads from replica 0; empty when the replica is lost.
@@ -332,7 +336,7 @@ func (r *Replicated) Partition(groupA, groupB []int) {
 // Heal removes all replica-link cuts; replicas that missed writes while cut
 // off apply them now, in the order the majority committed them.
 func (r *Replicated) Heal() {
-	r.cut = make(map[[2]int]bool)
+	clear(r.cut)
 	r.cluster.Heal()
 	for i, ops := range r.missed {
 		if len(ops) == 0 {
@@ -340,12 +344,7 @@ func (r *Replicated) Heal() {
 		}
 		r.missed[i] = nil
 		for _, op := range ops {
-			switch op.Op {
-			case 1:
-				_, _ = r.replicas[i].putOwned(op.Key, spec.Kind(op.Kind), op.Value)
-			case 2:
-				r.replicas[i].Delete(op.Key)
-			}
+			applyOp(r.replicas[i], op)
 		}
 	}
 }

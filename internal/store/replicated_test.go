@@ -104,7 +104,7 @@ func TestReplicatedWatchServesPrimary(t *testing.T) {
 	loop := sim.NewLoop(5)
 	r := NewReplicated(loop, 3, nil)
 	var events []Event
-	r.WatchReplica(0, "/", func(ev Event) { events = append(events, ev) })
+	r.Subscribe(0, func(ev Event) { events = append(events, ev) })
 	if _, err := r.PutVia(0, "/k", spec.KindPod, []byte("v")); err != nil {
 		t.Fatal(err)
 	}
@@ -117,18 +117,19 @@ func TestReplicatedWatchServesPrimary(t *testing.T) {
 // storeOps is the surface a one-member script drives: a lone Store's own
 // methods, or a one-member Replicated's origin-0 paths.
 type storeOps struct {
-	put     func(key string, value []byte) (int64, error)
-	del     func(key string) bool
-	watch   func(prefix string, fn func(Event)) (cancel func())
-	corrupt func(key string, mutate func([]byte) []byte) bool
+	put       func(key string, value []byte) (int64, error)
+	del       func(key string) bool
+	subscribe func(fn func(Event)) (cancel func())
+	corrupt   func(key string, mutate func([]byte) []byte) bool
 	// rewind snapshots the store, resets it and restores the snapshot.
 	rewind func()
 	st     *Store
 }
 
-// oneMemberScript runs the same writes, watches, rewrites and rewind against
-// ops and logs everything observable: every result, every delivered event,
-// the final contents, the loop's event count and its next random draw.
+// oneMemberScript runs the same writes, subscriptions, cancels, rewrites and
+// rewind against ops and logs everything observable: every result, every
+// delivered event, the final contents, the loop's event count and its next
+// random draw.
 func oneMemberScript(loop *sim.Loop, ops storeOps) []string {
 	var log []string
 	note := func(format string, args ...any) { log = append(log, fmt.Sprintf(format, args...)) }
@@ -139,30 +140,34 @@ func oneMemberScript(loop *sim.Loop, ops storeOps) []string {
 		rev, err := ops.put(key, bytes.Repeat([]byte{byte(n)}, n))
 		note("put %s (%d bytes): rev %d, err %v", key, n, rev, err)
 	}
-	cancelA := ops.watch("/registry/", hear("a"))
-	registered := false
-	ops.watch("/registry/Pod/", func(ev Event) {
-		hear("b")(ev)
-		if !registered { // mid-delivery: hears the next event, not this one
-			registered = true
-			ops.watch("/registry/", hear("c"))
-		}
-	})
+	cancelA := ops.subscribe(hear("a"))
 	put("/registry/Pod/default/a", 10)
 	put("/registry/Pod/default/b", 20)
 	put("/registry/Node//big", 65) // over the value limit
 	loop.RunUntil(loop.Now() + time.Second)
-	note("delete a: %v", ops.del("/registry/Pod/default/a"))
+	note("delete a: %v", ops.del("/registry/Pod/default/a")) // in flight to a, which b replaces
+	var cancelC func()
+	ops.subscribe(func(ev Event) {
+		hear("b")(ev)
+		if cancelC == nil { // mid-delivery: c hears the next commit, not this one
+			cancelC = ops.subscribe(hear("c"))
+		}
+	})
+	cancelA() // stale: a no-op
 	note("delete a again: %v", ops.del("/registry/Pod/default/a"))
 	note("corrupt b: %v", ops.corrupt("/registry/Pod/default/b", func(b []byte) []byte { b[0] ^= 0xff; return b }))
-	cancelA()
 	for i := 0; i < 5; i++ { // the last ones are over quota
 		put(fmt.Sprintf("/registry/Pod/default/fill-%d", i), 60)
 	}
 	loop.RunUntil(loop.Now() + time.Second)
-	ops.rewind()
-	ops.watch("/registry/", hear("d"))
 	note("delete fill-0: %v", ops.del("/registry/Pod/default/fill-0"))
+	loop.RunUntil(loop.Now() + time.Second)
+	cancelC()
+	note("delete fill-1: %v", ops.del("/registry/Pod/default/fill-1"))
+	loop.RunUntil(loop.Now() + time.Second)
+	ops.rewind()
+	ops.subscribe(hear("d"))
+	note("delete b: %v", ops.del("/registry/Pod/default/b"))
 	put("/registry/Pod/default/after", 5)
 	loop.RunUntil(loop.Now() + time.Second)
 	for _, kv := range ops.st.List("/") {
@@ -182,10 +187,10 @@ func TestOneMemberStoreIsAStore(t *testing.T) {
 	loop := sim.NewLoop(9)
 	s := New(loop, opts)
 	lone := oneMemberScript(loop, storeOps{
-		put:     func(key string, v []byte) (int64, error) { return s.Put(key, spec.KindPod, v) },
-		del:     s.Delete,
-		watch:   s.Watch,
-		corrupt: s.CorruptAtRest,
+		put:       func(key string, v []byte) (int64, error) { return s.Put(key, spec.KindPod, v) },
+		del:       s.Delete,
+		subscribe: s.Subscribe,
+		corrupt:   s.CorruptAtRest,
 		rewind: func() {
 			snap := s.snapshot()
 			s.Reset()
@@ -202,8 +207,8 @@ func TestOneMemberStoreIsAStore(t *testing.T) {
 			ok, err := r.DeleteVia(0, key)
 			return ok && err == nil
 		},
-		watch:   func(prefix string, fn func(Event)) func() { return r.WatchReplica(0, prefix, fn) },
-		corrupt: r.Replica(0).CorruptAtRest,
+		subscribe: func(fn func(Event)) func() { return r.Subscribe(0, fn) },
+		corrupt:   r.Replica(0).CorruptAtRest,
 		rewind: func() {
 			snap := r.Snapshot()
 			r.Reset()

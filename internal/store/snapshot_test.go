@@ -70,13 +70,13 @@ func TestResetAndRestoreInPlace(t *testing.T) {
 	snap := s.snapshot()
 
 	delivered := 0
-	s.Watch("/registry/", func(Event) { delivered++ })
+	s.Subscribe(func(Event) { delivered++ })
 	_, _ = s.Put("/registry/Pod/default/zzz", spec.KindPod, []byte("dirty"))
 	s.Delete("/registry/Node//n1")
 	s.Reset()
 	loop.Reset()
-	if s.Len() != 0 || s.Revision() != 0 || s.SizeBytes() != 0 || len(s.watchers) != 0 {
-		t.Fatalf("after Reset: %d keys, rev %d, %d bytes, %d watchers", s.Len(), s.Revision(), s.SizeBytes(), len(s.watchers))
+	if s.Len() != 0 || s.Revision() != 0 || s.SizeBytes() != 0 || s.sub != nil {
+		t.Fatalf("after Reset: %d keys, rev %d, %d bytes, subscription %v", s.Len(), s.Revision(), s.SizeBytes(), s.sub)
 	}
 
 	s.restore(snap)
@@ -96,7 +96,7 @@ func TestResetAndRestoreInPlace(t *testing.T) {
 	}
 	loop.RunUntil(time.Second)
 	if delivered != 0 {
-		t.Fatalf("a watcher from before the Reset heard %d events: undelivered ones go with the loop's, later ones have no subscriber", delivered)
+		t.Fatalf("a subscription from before the Reset heard %d events: undelivered ones go with the loop's, later ones have no subscriber", delivered)
 	}
 	s.Reset()
 	s.restore(snap)

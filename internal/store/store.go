@@ -12,10 +12,8 @@
 package store
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -35,7 +33,7 @@ var ErrTooLarge = errors.New("store: request too large")
 // EventType distinguishes watch events.
 type EventType int
 
-// Watch event types.
+// Event types.
 const (
 	EventPut EventType = iota + 1
 	EventDelete
@@ -79,7 +77,7 @@ type Options struct {
 	MaxValueBytes int64
 }
 
-// watchLatency is the delay before watch events reach watchers.
+// watchLatency is the delay before an event reaches the subscriber.
 const watchLatency = time.Millisecond
 
 func (o *Options) withDefaults() Options {
@@ -98,7 +96,7 @@ func (o *Options) withDefaults() Options {
 
 // Store is one replica of the data store; Replicated joins one or more of
 // them into the cluster's store. All methods must be called from the
-// simulation loop; watch callbacks are delivered asynchronously on the loop.
+// simulation loop; events are delivered asynchronously on the loop.
 type Store struct {
 	loop  *sim.Loop
 	opts  Options
@@ -115,27 +113,19 @@ type Store struct {
 	sorted []ItemSnapshot
 	rev    int64
 	size   int64
-	// watchers holds the live registrations in registration order — ascending
-	// seq — so deliver hands an event out deterministically (map iteration
-	// would randomize the order of same-tick events between runs). A cancel
-	// takes its watcher out at once; nextSeq is the seq the next registration
-	// draws.
-	watchers []*watcher
-	nextSeq  int
+	// sub is the store's one subscription — the API server bound to this
+	// replica — or nil. A subscription is known by its address: a pending
+	// event carries the one it was committed under and is delivered only
+	// while that is still the store's, so a cancel, a resubscription or a
+	// Reset drops whatever was committed before it.
+	sub *subscription
 
 	// Batched delivery: notify queues one pendingEvent and schedules
 	// deliverFn (built once) after the watch latency; the fired event hands
-	// the queue's front entry to every watcher registered at notify time.
-	// Same commit order, same per-watcher order as the former
-	// one-closure-per-(event, watcher) scheduling, without the closure.
-	// The API server's fan-out (Server.pending / fanout) follows the same
-	// rule: a queued event carries the seq the next registration would have
-	// drawn, and only registrations below it hear the event.
+	// the queue's front entry to its subscription.
 	pendingEv   []pendingEvent
 	pendingHead int
 	deliverFn   func()
-	// deliverScratch backs the receiver list of the delivery in progress.
-	deliverScratch []*watcher
 }
 
 type item struct {
@@ -145,19 +135,13 @@ type item struct {
 	modRev    int64
 }
 
-type watcher struct {
-	prefix    string
-	fn        func(Event)
-	seq       int // registration order: registrations before it since New or Reset
-	cancelled bool
-}
+type subscription struct{ fn func(Event) }
 
-// pendingEvent is one committed change awaiting delivery: the event plus the
-// seq the next registration would have drawn at notify time, so watchers
-// registered between commit and delivery do not receive it.
+// pendingEvent is one committed change awaiting delivery, with the
+// subscription it was committed under.
 type pendingEvent struct {
-	ev    Event
-	limit int
+	ev  Event
+	sub *subscription
 }
 
 // New returns an empty store bound to the simulation loop.
@@ -172,22 +156,17 @@ func New(loop *sim.Loop, opts *Options) *Store {
 }
 
 // Reset empties the store to the state New left it in — no keys, revision
-// zero, no subscribers — keeping the memory of its tables
-// for the next restore. Whoever subscribed re-subscribes (the API server does
-// in its own Reset); every earlier registration counts as cancelled, so a
-// late cancel is a no-op. Events committed but not yet delivered are dropped
-// with the loop events that would have delivered them: reset the loop first.
+// zero, no subscription — keeping the memory of its tables for the next
+// restore. The subscriber re-subscribes (the API server does in its own
+// Reset); a cancel from before the Reset is a no-op. Events committed but not
+// yet delivered are dropped with the loop events that would have delivered
+// them: reset the loop first.
 func (s *Store) Reset() {
 	clear(s.items)
 	clear(s.restored)
 	s.sorted = nil
 	s.rev, s.size = 0, 0
-	for _, w := range s.watchers {
-		w.cancelled = true
-	}
-	clear(s.watchers)
-	s.watchers = s.watchers[:0]
-	s.nextSeq = 0
+	s.sub = nil
 	clear(s.pendingEv)
 	s.pendingEv = s.pendingEv[:0]
 	s.pendingHead = 0
@@ -205,7 +184,7 @@ func (s *Store) SizeBytes() int64 { return s.size }
 // QuotaExceeded reports whether the store is refusing writes.
 func (s *Store) QuotaExceeded() bool { return s.size > s.opts.QuotaBytes }
 
-// Put stores value under key and notifies watchers. The value is stored
+// Put stores value under key and notifies the subscriber. The value is stored
 // verbatim: corruption introduced upstream is preserved and observed by
 // every component, exactly like a faulty transaction committed to etcd.
 //
@@ -247,7 +226,7 @@ func (s *Store) admits(value []byte) error {
 }
 
 // install commits stored (already owned by the store) under key and notifies
-// watchers.
+// the subscriber.
 func (s *Store) install(key string, kind spec.Kind, stored []byte) int64 {
 	s.sorted = nil
 	s.rev++
@@ -282,7 +261,7 @@ func (s *Store) Get(key string) (KV, bool) {
 	return KV{Key: key, Kind: it.kind, Value: it.value, Revision: it.modRev}, true
 }
 
-// Delete removes key, notifying watchers. Deletes succeed even past quota so
+// Delete removes key, notifying the subscriber. Deletes succeed even past quota so
 // that the system can always shed state.
 func (s *Store) Delete(key string) bool {
 	it, ok := s.items[key]
@@ -319,24 +298,23 @@ func (s *Store) List(prefix string) []KV {
 	return out
 }
 
-// Watch registers fn for changes to keys under prefix. Events are delivered
-// asynchronously on the simulation loop in commit order.
-func (s *Store) Watch(prefix string, fn func(Event)) (cancel func()) {
-	w := &watcher{prefix: prefix, fn: fn, seq: s.nextSeq}
-	s.nextSeq++
-	s.watchers = append(s.watchers, w)
+// Subscribe makes fn the store's one subscriber, in place of any earlier
+// one: every change committed from now on is delivered to it asynchronously
+// on the simulation loop, in commit order. cancel ends the subscription and
+// drops what is still in flight to it; once another subscription or a Reset
+// has replaced it, cancel is a no-op.
+func (s *Store) Subscribe(fn func(Event)) (cancel func()) {
+	sub := &subscription{fn: fn}
+	s.sub = sub
 	return func() {
-		if w.cancelled {
-			return
+		if s.sub == sub {
+			s.sub = nil
 		}
-		w.cancelled = true
-		i, _ := slices.BinarySearchFunc(s.watchers, w.seq, func(x *watcher, seq int) int { return cmp.Compare(x.seq, seq) })
-		s.watchers = slices.Delete(s.watchers, i, i+1)
 	}
 }
 
 // CorruptAtRest silently corrupts the stored bytes of key without bumping the
-// revision or notifying watchers (the §V-C1 ablation: such corruption hides
+// revision or notifying the subscriber (the §V-C1 ablation: such corruption hides
 // behind the API server's watch cache until a refresh happens). The mutate
 // callback receives a private copy and the result becomes a new backing
 // array, honoring the copy-on-write discipline — readers and snapshots that
@@ -357,18 +335,16 @@ func (s *Store) CorruptAtRest(key string, mutate func([]byte) []byte) bool {
 }
 
 func (s *Store) notify(ev Event) {
-	if len(s.watchers) == 0 {
+	if s.sub == nil {
 		return
 	}
-	s.pendingEv = append(s.pendingEv, pendingEvent{ev: ev, limit: s.nextSeq})
+	s.pendingEv = append(s.pendingEv, pendingEvent{ev: ev, sub: s.sub})
 	s.loop.After(watchLatency, s.deliverFn)
 }
 
-// deliver hands the front pending event to every watcher registered at
-// notify time, in registration order — the same delivery order as scheduling
-// one closure per (event, watcher), at one loop event and zero closures per
-// commit. The receivers are listed before the first callback runs: a callback
-// may cancel a watch, which edits the very list being walked.
+// deliver hands the front pending event to the subscription it was committed
+// under, if that is still the store's: one loop event and no closure per
+// commit.
 func (s *Store) deliver() {
 	pe := s.pendingEv[s.pendingHead]
 	s.pendingEv[s.pendingHead] = pendingEvent{}
@@ -377,23 +353,9 @@ func (s *Store) deliver() {
 		s.pendingEv = s.pendingEv[:0]
 		s.pendingHead = 0
 	}
-	recv := s.deliverScratch[:0]
-	s.deliverScratch = nil // a delivery nested in a callback takes its own
-	for _, w := range s.watchers {
-		if w.seq >= pe.limit {
-			break
-		}
-		if strings.HasPrefix(pe.ev.Key, w.prefix) {
-			recv = append(recv, w)
-		}
+	if pe.sub == s.sub {
+		pe.sub.fn(pe.ev)
 	}
-	for _, w := range recv {
-		if !w.cancelled {
-			w.fn(pe.ev)
-		}
-	}
-	clear(recv)
-	s.deliverScratch = recv[:0]
 }
 
 func sortKVs(kvs []KV) {

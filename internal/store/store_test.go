@@ -88,7 +88,7 @@ func TestListPrefix(t *testing.T) {
 func TestWatchDeliveryAndOrdering(t *testing.T) {
 	loop, s := newTestStore(t)
 	var events []Event
-	s.Watch("/registry/Pod/", func(ev Event) { events = append(events, ev) })
+	s.Subscribe(func(ev Event) { events = append(events, ev) })
 	if _, err := s.Put("/registry/Pod/default/a", spec.KindPod, []byte("1")); err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +103,8 @@ func TestWatchDeliveryAndOrdering(t *testing.T) {
 		t.Fatal("watch delivered synchronously; must be async")
 	}
 	loop.RunUntil(time.Second)
-	if len(events) != 3 {
-		t.Fatalf("got %d events, want 3 (node event must be filtered)", len(events))
+	if len(events) != 4 {
+		t.Fatalf("got %d events, want 4", len(events))
 	}
 	if events[0].Type != EventPut || string(events[0].Value) != "1" {
 		t.Fatalf("event 0 = %+v", events[0])
@@ -115,15 +115,20 @@ func TestWatchDeliveryAndOrdering(t *testing.T) {
 	if events[2].Type != EventDelete {
 		t.Fatalf("event 2 = %+v", events[2])
 	}
-	if !(events[0].Revision < events[1].Revision && events[1].Revision < events[2].Revision) {
-		t.Fatal("events out of revision order")
+	if events[3].Type != EventPut || events[3].Kind != spec.KindNode {
+		t.Fatalf("event 3 = %+v", events[3])
+	}
+	for i := 1; i < len(events); i++ {
+		if events[i-1].Revision >= events[i].Revision {
+			t.Fatal("events out of revision order")
+		}
 	}
 }
 
 func TestWatchCancel(t *testing.T) {
 	loop, s := newTestStore(t)
 	var n int
-	cancel := s.Watch("/", func(Event) { n++ })
+	cancel := s.Subscribe(func(Event) { n++ })
 	if _, err := s.Put("/a", spec.KindPod, []byte("1")); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +138,7 @@ func TestWatchCancel(t *testing.T) {
 	}
 	loop.RunUntil(time.Second)
 	if n != 0 {
-		t.Fatalf("cancelled watcher received %d events (cancel must also drop in-flight)", n)
+		t.Fatalf("a cancelled subscription received %d events (cancel must also drop in-flight)", n)
 	}
 }
 
@@ -172,7 +177,7 @@ func TestMaxValueSize(t *testing.T) {
 func TestCorruptAtRestIsSilent(t *testing.T) {
 	loop, s := newTestStore(t)
 	var n int
-	s.Watch("/", func(Event) { n++ })
+	s.Subscribe(func(Event) { n++ })
 	if _, err := s.Put("/a", spec.KindPod, []byte{0x00}); err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +191,7 @@ func TestCorruptAtRestIsSilent(t *testing.T) {
 		t.Fatal("at-rest corruption bumped the revision")
 	}
 	if n != 1 {
-		t.Fatalf("at-rest corruption notified watchers (n=%d)", n)
+		t.Fatalf("at-rest corruption notified the subscriber (n=%d)", n)
 	}
 	kv, _ := s.Get("/a")
 	if kv.Value[0] != 0xff {
@@ -314,33 +319,57 @@ func hasKey(m map[string]int, k string) bool {
 	return ok
 }
 
-// Cancelling n watches back to back leaves exactly the live registrations in
-// the list, each cancel taking its own watcher out at once (twice is a
-// no-op), and the survivors still hear the next event in registration order.
-// The API server's twin holds its indexes to the same rule.
-func TestCancelStormLeavesOnlyTheLive(t *testing.T) {
-	loop, s := newTestStore(t)
-	const n = 500
-	var heard []int
-	var cancels []func()
-	for i := 0; i < n+5; i++ {
-		cancel := s.Watch("/registry/", func(Event) { heard = append(heard, i) })
-		if i%100 != 50 { // five survivors, spread over the list
-			cancels = append(cancels, cancel)
+// A subscription is known by its address: an event goes to the subscription
+// it was committed under, and only while that is still the store's.
+func TestSubscriptionIsKnownByAddress(t *testing.T) {
+	put := func(s *Store, key string) {
+		t.Helper()
+		if _, err := s.Put(key, spec.KindPod, []byte("x")); err != nil {
+			t.Fatal(err)
 		}
 	}
-	for _, cancel := range cancels {
-		cancel()
-		cancel()
-	}
-	if len(s.watchers) != 5 {
-		t.Fatalf("%d cancels of %d registrations left %d registered, want 5", len(cancels), n+5, len(s.watchers))
-	}
-	if _, err := s.Put("/registry/Pod/default/a", spec.KindPod, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
+
+	// A cancelled subscription hears nothing still in flight to it.
+	loop, s := newTestStore(t)
+	n := 0
+	cancel := s.Subscribe(func(Event) { n++ })
+	put(s, "/a")
+	put(s, "/b")
+	cancel()
 	loop.RunUntil(time.Second)
-	if want := []int{50, 150, 250, 350, 450}; !reflect.DeepEqual(heard, want) {
-		t.Fatalf("event reached watchers %v, want %v in that order", heard, want)
+	if n != 0 {
+		t.Errorf("a subscription cancelled with two events in flight heard %d", n)
+	}
+
+	// A resubscription made inside a delivery hears the next commit: not the
+	// one being delivered, nor those committed under its predecessor.
+	loop, s = newTestStore(t)
+	var heard []string
+	s.Subscribe(func(ev Event) {
+		heard = append(heard, "a "+ev.Key)
+		if len(heard) == 1 {
+			s.Subscribe(func(ev Event) { heard = append(heard, "b "+ev.Key) })
+		}
+	})
+	put(s, "/1")
+	put(s, "/2")
+	loop.RunUntil(time.Second)
+	put(s, "/3")
+	loop.RunUntil(2 * time.Second)
+	if want := []string{"a /1", "b /3"}; !reflect.DeepEqual(heard, want) {
+		t.Errorf("resubscribed while delivering /1 of /1, /2: heard %v, want %v", heard, want)
+	}
+
+	// A cancel from before a Reset leaves the subscription made after it alone.
+	loop, s = newTestStore(t)
+	stale := s.Subscribe(func(Event) { t.Error("a subscription from before the Reset heard an event") })
+	s.Reset()
+	n = 0
+	s.Subscribe(func(Event) { n++ })
+	stale()
+	put(s, "/a")
+	loop.RunUntil(time.Second)
+	if n != 1 {
+		t.Errorf("after a stale cancel the live subscription heard %d events, want 1", n)
 	}
 }
