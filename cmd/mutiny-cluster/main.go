@@ -47,11 +47,15 @@ func run(args []string) error {
 
 	cl := mutiny.NewCluster(mutiny.ClusterConfig{Seed: *seed})
 	if *events {
-		cl.Client("observer").Watch("", func(ev apiserver.WatchEvent) {
+		observer := cl.Client("observer")
+		show := func(ev apiserver.WatchEvent) {
 			meta := ev.Object.Meta()
 			fmt.Printf("%8s  %-8s %-11s %s/%s\n",
 				cl.Loop.Now().Truncate(time.Millisecond), ev.Type, ev.Kind, meta.Namespace, meta.Name)
-		})
+		}
+		for _, k := range spec.Kinds() {
+			observer.Watch(k, show)
+		}
 	}
 	cl.Start()
 	if !cl.AwaitSettled(30 * time.Second) {

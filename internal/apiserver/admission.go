@@ -319,15 +319,11 @@ func StandardAdmissionHooks(n int, backends []string) []*AdmissionHook {
 
 // workloadContainers extracts the container list a policy hook inspects.
 func workloadContainers(obj spec.Object) []spec.Container {
-	switch o := obj.(type) {
-	case *spec.Pod:
-		return o.Spec.Containers
-	case *spec.ReplicaSet:
-		return o.Spec.Template.Spec.Containers
-	case *spec.Deployment:
-		return o.Spec.Template.Spec.Containers
-	case *spec.DaemonSet:
-		return o.Spec.Template.Spec.Containers
+	if pod, ok := obj.(*spec.Pod); ok {
+		return pod.Spec.Containers
+	}
+	if _, tpl := spec.TemplateOf(obj); tpl != nil {
+		return tpl.Spec.Containers
 	}
 	return nil
 }

@@ -99,14 +99,3 @@ func (a *Audit) TamperedPersisted() int { return a.tamperedOK }
 // TamperedErrored returns how many tampered requests drew an error
 // (the "Err" column of Table VI).
 func (a *Audit) TamperedErrored() int { return a.tamperedErrored }
-
-// ErrorEntriesBy returns the audit entries recorded for identity.
-func (a *Audit) ErrorEntriesBy(identity string) []AuditEntry {
-	var out []AuditEntry
-	for _, e := range a.Entries {
-		if e.Source == identity {
-			out = append(out, e)
-		}
-	}
-	return out
-}

@@ -83,22 +83,9 @@ func (c *Client) List(kind spec.Kind, namespace string) []spec.Object {
 	return out
 }
 
-// ListSelected returns the objects of a kind in a namespace whose labels
-// match the selector, as sealed references.
-func (c *Client) ListSelected(kind spec.Kind, namespace string, sel spec.LabelSelector) []spec.Object {
-	all := c.List(kind, namespace)
-	var out []spec.Object
-	for _, obj := range all {
-		if sel.Matches(obj.Meta().Labels) {
-			out = append(out, obj)
-		}
-	}
-	return out
-}
-
-// Watch subscribes to change events for a kind ("" for all kinds). Event
-// objects are sealed references shared across all watchers. The cancel
-// function detaches the watcher.
+// Watch subscribes to change events for a kind. Event objects are sealed
+// references shared across all watchers. The cancel function detaches the
+// watcher.
 func (c *Client) Watch(kind spec.Kind, fn func(WatchEvent)) (cancel func()) {
 	return c.watch(kind, nil, fn)
 }

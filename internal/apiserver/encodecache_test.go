@@ -46,7 +46,7 @@ func wireCanonical(t *testing.T, srv *Server, key string) []byte {
 	if !ok {
 		t.Fatal("stored prefix does not parse")
 	}
-	spliced, err := codec.NewArena().AppendStructField(append([]byte(nil), prefix...), codec.ObjectStatusField, statusOf(obj))
+	spliced, err := codec.NewArena().AppendStructField(append([]byte(nil), prefix...), codec.ObjectStatusField, spec.StatusOf(obj))
 	if err != nil {
 		t.Fatal(err)
 	}

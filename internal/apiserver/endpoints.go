@@ -213,29 +213,23 @@ type clientWatch struct {
 	cancel func()
 }
 
-// replay feeds the server's current state for the watched kind(s) to the
+// replay feeds the server's current state for the watched kind to the
 // subscriber as synthetic Added events, in store-key order — to a scoped
 // watch, the pods in scope as each is reached (an adopted pod is claimed by
 // the time a later one is tested).
 func (w *clientWatch) replay(srv *Server) {
-	kinds := []spec.Kind{w.kind}
-	if w.kind == "" {
-		kinds = spec.Kinds()
-	}
-	for _, kind := range kinds {
-		for _, obj := range srv.list(kind, "") {
-			if w.scope != nil && !w.scope.wants(obj.(*spec.Pod)) {
-				continue
-			}
-			w.fn(WatchEvent{Type: Added, Kind: kind, Object: obj})
+	for _, obj := range srv.list(w.kind, "") {
+		if w.scope != nil && !w.scope.wants(obj.(*spec.Pod)) {
+			continue
 		}
+		w.fn(WatchEvent{Type: Added, Kind: w.kind, Object: obj})
 	}
 }
 
-// watch registers fn for the events of kind ("" for all kinds), in scope only
-// when one is given. With one endpoint it registers on the server directly:
-// there is no other server for the subscription to move to. Otherwise the
-// subscription is a clientWatch, which failTo moves with the client.
+// watch registers fn for the events of kind, in scope only when one is given.
+// With one endpoint it registers on the server directly: there is no other
+// server for the subscription to move to. Otherwise the subscription is a
+// clientWatch, which failTo moves with the client.
 func (c *Client) watch(kind spec.Kind, scope *PodScope, fn func(WatchEvent)) (cancel func()) {
 	if len(c.eps.servers) == 1 {
 		return c.srv.watch(kind, scope, fn) // one endpoint: nowhere to migrate

@@ -209,15 +209,15 @@ func TestScopedWatchDeliversExactlyTheInterested(t *testing.T) {
 		t.Run(fmt.Sprintf("%d-servers", replicas), func(t *testing.T) {
 			h := newScopedFixture(t, replicas)
 			// Scoped watchers 0-5 for nodes n0-n4 and n0 again, with an unscoped
-			// node watcher and an all-kinds one registered among them: the merge
-			// is over four lists.
+			// node watcher and a second unscoped pod watcher registered among
+			// them: the merge is over three lists.
 			for i, node := range []string{"n0", "n1", "n2", "n3", "n4", "n0"} {
 				h.addScoped(node)
 				switch i {
 				case 1:
 					h.client("nodes").Watch(spec.KindNode, func(WatchEvent) {})
 				case 3:
-					h.client("everything").Watch("", func(WatchEvent) {})
+					h.client("pods").Watch(spec.KindPod, func(WatchEvent) {})
 				}
 			}
 			none := []int{}

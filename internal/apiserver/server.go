@@ -193,9 +193,9 @@ type Server struct {
 	// randomize the delivery order of same-tick events across runs, breaking
 	// bit-reproducibility. live counts the registrations not yet cancelled.
 	nextSeq, live int
-	// watcherIdx holds each kind's unscoped watchers (plus the all-kinds ""
-	// list), ascending by sequence number. Fan-out walks the event kind's list
-	// merged with the wildcard list instead of scanning every registration.
+	// watcherIdx holds each kind's unscoped watchers, ascending by sequence
+	// number. Fan-out walks the event kind's list instead of scanning every
+	// registration.
 	// Scoped pod watchers (see PodScope) are not in it: byNode and byUID hold
 	// them under the node each answers for and under every pod UID each has
 	// claimed, and a pod event adds the two lists its object selects to the
@@ -776,19 +776,17 @@ func (s *Server) apply(identity string, verb Verb, msg *Message, obj spec.Object
 			return s.audit.record(identity, verb, kind, msg.Name, ErrConflict, msg.Tampered)
 		}
 		// Status updates cannot change spec or metadata: graft the incoming
-		// status onto the current object (subresource semantics). cur is the
-		// shared decode-cache instance, so take a private copy to mutate —
-		// a shallow status clone, since only the Status struct is written
-		// before the object is re-sealed. The stored array's prefix rides
-		// along as the splice source: with the revision patched in, it is the
-		// encoding of exactly the metadata and spec the merged object shares.
+		// status onto a status clone of the current object (subresource
+		// semantics) — cur is the shared decode-cache instance. The stored
+		// array's prefix rides along as the splice source: with the revision
+		// patched in, it is the encoding of exactly the metadata and spec the
+		// merged object shares.
 		splice = prefix
-		cur = spec.CloneForStatus(cur)
-		if err := mergeStatus(cur, obj); err != nil {
+		donor, obj = obj, spec.WithStatus(cur, obj)
+		if obj == nil {
+			err := fmt.Errorf("%w: kind %s has no status subresource", ErrBadRequest, kind)
 			return s.audit.record(identity, verb, kind, msg.Name, err, msg.Tampered)
 		}
-		donor = obj
-		obj = cur
 	case VerbDelete:
 		if !exists {
 			return s.audit.record(identity, verb, kind, msg.Name, ErrNotFound, msg.Tampered)
@@ -900,7 +898,7 @@ func (s *Server) persistWrite(identity string, verb Verb, msg *Message, obj spec
 		// faults must always act on freshly produced bytes).
 		kv, ok, _ := s.store.GetFrom(s.origin, key)
 		if ok && len(kv.Value) > 0 {
-			if kv.Revision != rev || statusOf(obj) == nil || s.requestWireArmed() {
+			if kv.Revision != rev || spec.StatusOf(obj) == nil || s.requestWireArmed() {
 				statusOff = -1
 			} else if statusOff < 0 {
 				if off, scanned := codec.StatusOffset(kv.Value); scanned {
@@ -1237,21 +1235,21 @@ func (s *Server) list(kind spec.Kind, namespace string) []spec.Object {
 
 // receivers lists, in sequence order and below limit (the number the next
 // registration would have drawn when the event was dispatched), the watchers
-// ev goes to: the event kind's unscoped watchers, the all-kinds ones and — for
-// a pod event — the scoped watchers answering for the node the delivered
-// object names or holding a claim on its UID. Registration order, each watcher
-// once: identical to walking every registration and asking each whether it
-// wants the event, without touching those that do not.
+// ev goes to: the event kind's unscoped watchers and — for a pod event — the
+// scoped watchers answering for the node the delivered object names or
+// holding a claim on its UID. Registration order, each watcher once: identical
+// to walking every registration and asking each whether it wants the event,
+// without touching those that do not.
 func (s *Server) receivers(ev WatchEvent, limit int) []*watcher {
-	lists := [4][]*watcher{s.watcherIdx[ev.Kind], s.watcherIdx[""]}
+	lists := [3][]*watcher{s.watcherIdx[ev.Kind]}
 	var node, uid [1]*watcher
 	if pod, ok := ev.Object.(*spec.Pod); ok {
-		lists[2] = s.byNode.list(pod.Spec.NodeName, &node)
-		lists[3] = s.byUID.list(pod.Metadata.UID, &uid)
+		lists[1] = s.byNode.list(pod.Spec.NodeName, &node)
+		lists[2] = s.byUID.list(pod.Metadata.UID, &uid)
 	}
 	// heads holds the sequence number at the front of each list — limit once
 	// the list has nothing below it — so the merge compares locals.
-	var heads [4]int
+	var heads [3]int
 	head := func(l []*watcher) int {
 		if len(l) == 0 || l[0].seq >= limit {
 			return limit
@@ -1282,8 +1280,8 @@ func (s *Server) receivers(ev WatchEvent, limit int) []*watcher {
 	}
 }
 
-// watch registers fn for the events of kind ("" for all kinds) — for those in
-// scope only, when one is given (pod watchers; see PodScope).
+// watch registers fn for the events of kind — for those in scope only, when
+// one is given (pod watchers; see PodScope).
 func (s *Server) watch(kind spec.Kind, scope *PodScope, fn func(WatchEvent)) (cancel func()) {
 	w := &watcher{kind: kind, fn: fn, scope: scope, seq: s.nextSeq}
 	s.nextSeq++
@@ -1341,24 +1339,6 @@ func without(list []*watcher, w *watcher) []*watcher {
 	return list
 }
 
-func mergeStatus(dst, src spec.Object) error {
-	switch d := dst.(type) {
-	case *spec.Pod:
-		d.Status = src.(*spec.Pod).Status
-	case *spec.ReplicaSet:
-		d.Status = src.(*spec.ReplicaSet).Status
-	case *spec.Deployment:
-		d.Status = src.(*spec.Deployment).Status
-	case *spec.DaemonSet:
-		d.Status = src.(*spec.DaemonSet).Status
-	case *spec.Node:
-		d.Status = src.(*spec.Node).Status
-	default:
-		return fmt.Errorf("%w: kind %s has no status subresource", ErrBadRequest, dst.Kind())
-	}
-	return nil
-}
-
 // requestWireArmed reports whether a request-channel hook currently wants
 // serialized bytes. While armed, the write path neither splices onto stored
 // arrays nor records their status offsets: byte-fault semantics require every
@@ -1386,7 +1366,7 @@ func (s *Server) scratch(msg *Message, buf []byte) []byte {
 // starts. Returns nil bytes when prefix does not parse or obj's kind has no
 // status section — the caller falls back to a full encode.
 func (s *Server) spliceStatus(b, prefix []byte, obj spec.Object) ([]byte, int, error) {
-	status := statusOf(obj)
+	status := spec.StatusOf(obj)
 	if status == nil {
 		return nil, 0, nil
 	}
@@ -1398,23 +1378,4 @@ func (s *Server) spliceStatus(b, prefix []byte, obj spec.Object) ([]byte, int, e
 	statusOff := len(b) - start
 	b, err := s.arena.AppendStructField(b, codec.ObjectStatusField, status)
 	return b, statusOff, err
-}
-
-// statusOf returns a pointer to obj's status section, nil for a kind without
-// one — a kind without a status subresource, whose encoding has no top-level
-// field-3 record for a status update to splice.
-func statusOf(obj spec.Object) any {
-	switch t := obj.(type) {
-	case *spec.Pod:
-		return &t.Status
-	case *spec.ReplicaSet:
-		return &t.Status
-	case *spec.Deployment:
-		return &t.Status
-	case *spec.DaemonSet:
-		return &t.Status
-	case *spec.Node:
-		return &t.Status
-	}
-	return nil
 }

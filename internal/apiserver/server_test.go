@@ -145,26 +145,6 @@ func TestDeleteAndWatchEvents(t *testing.T) {
 	}
 }
 
-func TestListSelected(t *testing.T) {
-	loop, _, srv := newTestServer(t)
-	c := srv.ClientFor("test")
-	p1 := testPod("web-1")
-	p2 := testPod("web-2")
-	p2.Metadata.Labels = map[string]string{"app": "db"}
-	if err := c.Create(p1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Create(p2); err != nil {
-		t.Fatal(err)
-	}
-	loop.RunUntil(time.Second)
-	sel := spec.LabelSelector{MatchLabels: map[string]string{"app": "web"}}
-	got := c.ListSelected(spec.KindPod, spec.DefaultNamespace, sel)
-	if len(got) != 1 || got[0].Meta().Name != "web-1" {
-		t.Fatalf("ListSelected = %d objects", len(got))
-	}
-}
-
 func TestValidationRejectsBadObjects(t *testing.T) {
 	loop, _, srv := newTestServer(t)
 	c := srv.ClientFor("kbench")
@@ -367,9 +347,9 @@ func TestAuditCountsUserErrors(t *testing.T) {
 	if got := srv.Audit().OKBy("kbench"); got != 1 {
 		t.Fatalf("OKBy(kbench) = %d, want 1", got)
 	}
-	entries := srv.Audit().ErrorEntriesBy("kbench")
-	if len(entries) != 1 || entries[0].Kind != spec.KindPod {
-		t.Fatalf("ErrorEntriesBy = %+v", entries)
+	entries := srv.Audit().Entries
+	if len(entries) != 1 || entries[0].Source != "kbench" || entries[0].Kind != spec.KindPod {
+		t.Fatalf("audit entries = %+v", entries)
 	}
 }
 

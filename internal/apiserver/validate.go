@@ -83,7 +83,7 @@ func (s *Server) validate(verb Verb, msg *Message, obj spec.Object, cur spec.Obj
 	if err := validateName(m.Name); err != nil {
 		return err
 	}
-	if clusterScoped(obj.Kind()) {
+	if obj.Kind().ClusterScoped() {
 		if m.Namespace != "" {
 			return fmt.Errorf("%w: %s is cluster-scoped", ErrInvalid, obj.Kind())
 		}
@@ -131,10 +131,6 @@ func validateName(name string) error {
 		return fmt.Errorf("%w: invalid DNS-1123 name %q", ErrInvalid, name)
 	}
 	return nil
-}
-
-func clusterScoped(kind spec.Kind) bool {
-	return kind == spec.KindNode || kind == spec.KindNamespace
 }
 
 func (s *Server) validatePod(p *spec.Pod, cur spec.Object) error {
@@ -195,7 +191,7 @@ func validateWorkload(replicas int64, sel spec.LabelSelector, tpl spec.PodTempla
 	}
 	// Selectors are immutable after creation (apps/v1 semantics).
 	if cur != nil {
-		if !selectorsEqual(sel, currentSelector(cur)) {
+		if curSel, _ := spec.TemplateOf(cur); curSel == nil || !selectorsEqual(sel, *curSel) {
 			return fmt.Errorf("%w: selector is immutable", ErrInvalid)
 		}
 	}
@@ -212,19 +208,6 @@ func validateWorkload(replicas int64, sel spec.LabelSelector, tpl spec.PodTempla
 		}
 	}
 	return nil
-}
-
-func currentSelector(cur spec.Object) spec.LabelSelector {
-	switch o := cur.(type) {
-	case *spec.ReplicaSet:
-		return o.Spec.Selector
-	case *spec.Deployment:
-		return o.Spec.Selector
-	case *spec.DaemonSet:
-		return o.Spec.Selector
-	default:
-		return spec.LabelSelector{}
-	}
 }
 
 func selectorsEqual(a, b spec.LabelSelector) bool {

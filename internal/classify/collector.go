@@ -100,8 +100,6 @@ func (c *Collector) onPod(ev apiserver.WatchEvent) {
 		if pod.Status.RestartCount > 0 {
 			c.obs.AppPodRestart = true
 		}
-	case apiserver.Deleted:
-		c.obs.PodsDeleted++
 	}
 }
 
@@ -138,11 +136,6 @@ func (c *Collector) sample() {
 	for _, eo := range c.admin.List(spec.KindEndpoints, spec.DefaultNamespace) {
 		s.Endpoints += eo.(*spec.Endpoints).Count()
 	}
-	for _, po := range c.admin.List(spec.KindPod, spec.DefaultNamespace) {
-		if po.(*spec.Pod).Active() {
-			s.ActivePods++
-		}
-	}
 	c.obs.Samples = append(c.obs.Samples, s)
 }
 
@@ -170,11 +163,7 @@ func (c *Collector) Finish(client *workload.Client) *Observation {
 	if client != nil {
 		c.obs.Series = client.Series()
 		c.obs.TrailingFailures = client.TrailingFailures()
-		lead, scattered, timeouts, total := analyzeErrors(client.Records)
-		c.obs.LeadingFailures = lead
-		c.obs.ScatteredErrors = scattered
-		c.obs.TimeoutErrors = timeouts
-		c.obs.TotalErrors = total
+		c.obs.LeadingFailures, c.obs.ScatteredErrors = analyzeErrors(client.Records)
 	}
 	obs := c.obs
 	return &obs
@@ -198,7 +187,7 @@ func (c *Collector) probePrometheus() bool {
 // not yet deployed — present in golden deploy runs too), a trailing run
 // (service unreachable), and scattered non-timeout errors in between
 // (intermittent availability).
-func analyzeErrors(records []workload.RequestRecord) (leading, scattered, timeouts, total int) {
+func analyzeErrors(records []workload.RequestRecord) (leading, scattered int) {
 	n := len(records)
 	i := 0
 	for i < n && records[i].Err != "" {
@@ -209,17 +198,10 @@ func analyzeErrors(records []workload.RequestRecord) (leading, scattered, timeou
 	for j >= i && records[j].Err != "" {
 		j--
 	}
-	for k := 0; k < n; k++ {
-		if records[k].Err == "" {
-			continue
-		}
-		total++
-		if records[k].Err == netsim.ErrTimeout {
-			timeouts++
-		}
-		if k >= i && k <= j && records[k].Err != netsim.ErrTimeout {
+	for k := i; k <= j; k++ {
+		if records[k].Err != "" && records[k].Err != netsim.ErrTimeout {
 			scattered++
 		}
 	}
-	return leading, scattered, timeouts, total
+	return leading, scattered
 }

@@ -87,8 +87,6 @@ type Sample struct {
 	ReadyReplicas int64
 	// Endpoints sums endpoint addresses across app Services.
 	Endpoints int
-	// ActivePods counts non-terminated app pods.
-	ActivePods int
 }
 
 // Observation is everything measured during one experiment window.
@@ -96,8 +94,7 @@ type Observation struct {
 	Samples []Sample
 
 	// Cumulative counters over the window.
-	PodsCreated   int // cluster-wide pod creations
-	PodsDeleted   int
+	PodsCreated   int  // cluster-wide pod creations
 	AppPodRestart bool // any service pod restarted
 
 	// kbench-style startup statistics (milliseconds).
@@ -144,8 +141,6 @@ type Observation struct {
 	TrailingFailures int
 	LeadingFailures  int
 	ScatteredErrors  int // non-timeout errors outside leading/trailing runs
-	TimeoutErrors    int
-	TotalErrors      int
 
 	// User-visible API errors (the kbench identity), for Figure 7.
 	UserErrors int

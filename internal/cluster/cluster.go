@@ -558,13 +558,6 @@ func (c *Cluster) guardHealth() guard.Health {
 	}
 }
 
-// CrashNode simulates a node failure (heartbeats stop, pods stop serving).
-func (c *Cluster) CrashNode(name string) {
-	if k, ok := c.Kubelets[name]; ok {
-		k.SetDown(true)
-	}
-}
-
 // --- control-plane fault axes -------------------------------------------------
 //
 // Together with Admission and the topology section below these implement

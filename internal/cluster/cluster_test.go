@@ -283,7 +283,7 @@ func TestNodeCrashTriggersEviction(t *testing.T) {
 			break
 		}
 	}
-	c.CrashNode(victim)
+	c.Kubelets[victim].SetDown(true)
 	// Heartbeats stop; after the grace period the node goes NotReady and
 	// pods are evicted and respawned elsewhere.
 	deadline := c.Loop.Now() + 120*time.Second

@@ -70,7 +70,7 @@ func dirty(t *testing.T, c *Cluster) {
 	key := spec.Key(spec.KindDeployment, spec.DefaultNamespace, "web")
 	corrupt := func(b []byte) []byte { b[len(b)/2] ^= 0x10; return b }
 	c.Backend.Replica(0).CorruptAtRest(key, corrupt)
-	c.CrashNode("worker-1")
+	c.Kubelets["worker-1"].SetDown(true)
 	if c.Replicas() > 1 {
 		c.SetAPIServerDown(0, true)
 		c.SetMasterIsolated(1, true)

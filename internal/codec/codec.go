@@ -233,17 +233,26 @@ func (e *encoder) put(slot int, b []byte) {
 }
 
 func (e *encoder) marshal(b []byte, msg any) ([]byte, error) {
+	v, err := structValue(msg)
+	if err != nil {
+		return nil, err
+	}
+	return e.appendStruct(b, v)
+}
+
+// structValue returns the struct msg holds or points to.
+func structValue(msg any) (reflect.Value, error) {
 	v := reflect.ValueOf(msg)
 	for v.Kind() == reflect.Pointer {
 		if v.IsNil() {
-			return nil, fmt.Errorf("codec: marshal nil %T", msg)
+			return v, fmt.Errorf("codec: marshal nil %T", msg)
 		}
 		v = v.Elem()
 	}
 	if v.Kind() != reflect.Struct {
-		return nil, fmt.Errorf("codec: marshal non-struct %T", msg)
+		return v, fmt.Errorf("codec: marshal non-struct %T", msg)
 	}
-	return e.appendStruct(b, v)
+	return v, nil
 }
 
 func lowerCamel(s string) string {

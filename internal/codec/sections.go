@@ -1,9 +1,6 @@
 package codec
 
-import (
-	"fmt"
-	"reflect"
-)
+import "reflect"
 
 // Sectioned access to encoded objects, for the apiserver's write-path encode
 // elision. Every top-level object encoding is a sequence of length-delimited
@@ -161,27 +158,9 @@ func (a *Arena) AppendStructField(b []byte, num int, msg any) ([]byte, error) {
 }
 
 func (e *encoder) appendStructField(b []byte, num int, msg any) ([]byte, error) {
-	v := reflect.ValueOf(msg)
-	for v.Kind() == reflect.Pointer {
-		if v.IsNil() {
-			return nil, fmt.Errorf("codec: marshal nil %T", msg)
-		}
-		v = v.Elem()
-	}
-	if v.Kind() != reflect.Struct {
-		return nil, fmt.Errorf("codec: marshal non-struct %T", msg)
-	}
-	slot := e.grab()
-	inner, err := e.appendStruct(e.scratch[slot][:0], v)
+	v, err := structValue(msg)
 	if err != nil {
-		e.put(slot, e.scratch[slot])
 		return nil, err
 	}
-	if len(inner) != 0 {
-		b = appendTag(b, num, wireBytes)
-		b = appendVarint(b, uint64(len(inner)))
-		b = append(b, inner...)
-	}
-	e.put(slot, inner)
-	return b, nil
+	return e.appendField(b, &fieldDesc{number: num, kind: reflect.Struct}, v)
 }

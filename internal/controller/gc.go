@@ -81,7 +81,7 @@ func (c *garbageCollector) ownerAlive(namespace string, ref *spec.OwnerReference
 		return false // unknown owner kind: treat as missing
 	}
 	ns := namespace
-	if kind == spec.KindNode || kind == spec.KindNamespace {
+	if kind.ClusterScoped() {
 		ns = ""
 	}
 	var obj spec.Object

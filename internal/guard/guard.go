@@ -78,7 +78,6 @@ type Guard struct {
 	pending map[string]*probationWatch
 
 	rollbacks int
-	enabled   bool
 }
 
 type probationWatch struct {
@@ -96,26 +95,20 @@ func New(loop *sim.Loop, eps *apiserver.Endpoints, health func() Health) *Guard 
 		client:  eps.ClientFor("field-guard"),
 		health:  health,
 		pending: make(map[string]*probationWatch),
-		enabled: true,
 	}
 }
 
 // Reset returns the guard to the state New left it in: empty journal, nothing
-// on probation, no rollback counted, enabled. The probation timers went with
-// the loop's events.
+// on probation, no rollback counted. The probation timers went with the
+// loop's events.
 func (g *Guard) Reset() {
 	g.Journal = nil
 	clear(g.pending)
 	g.rollbacks = 0
-	g.enabled = true
 }
 
 // Rollbacks reports how many changes the guard reverted.
 func (g *Guard) Rollbacks() int { return g.rollbacks }
-
-// SetEnabled toggles the rollback action (journaling continues), for the
-// mitigation ablation.
-func (g *Guard) SetEnabled(on bool) { g.enabled = on }
 
 // Hook returns the apiserver→store hook. Chain it with an injector's hook if
 // both are in use: the guard must observe the channel after the injector so
@@ -229,9 +222,6 @@ func (g *Guard) rollback(key string, w *probationWatch, reason string) {
 			j.RolledBack = true
 			j.Reason = reason
 		}
-	}
-	if !g.enabled {
-		return
 	}
 	ns, name := splitInstance(w.change.Instance)
 	cur, err := g.client.Get(w.change.Kind, ns, name)

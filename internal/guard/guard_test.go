@@ -136,35 +136,3 @@ func TestGuardRollsBackUncontrolledReplication(t *testing.T) {
 		t.Fatal("control plane not responsive after mitigation")
 	}
 }
-
-func TestGuardDisabledOnlyJournals(t *testing.T) {
-	cl := guardedCluster(t, 3)
-	cl.Guard().SetEnabled(false)
-	injector := inject.New(cl.Loop)
-	cl.AttachInjector(injector)
-
-	driver := workload.NewDriver(cl, workload.Deploy)
-	driver.Setup()
-	injector.Arm(inject.Injection{
-		Channel: inject.ChannelStore, Kind: spec.KindReplicaSet,
-		FieldPath: "spec.template.labels[app]",
-		Type:      inject.SetValue, Value: "mislabeled",
-		Occurrence: 2,
-	})
-	driver.Run()
-	cl.Loop.RunUntil(cl.Loop.Now() + 40*time.Second)
-
-	g := cl.Guard()
-	if g.Rollbacks() != 0 {
-		t.Fatal("disabled guard still rolled back")
-	}
-	flagged := false
-	for _, ch := range g.Journal {
-		if ch.RolledBack {
-			flagged = true
-		}
-	}
-	if !flagged {
-		t.Fatal("disabled guard did not even flag the degradation")
-	}
-}

@@ -1,17 +1,14 @@
 package kubelet
 
-import (
-	"fmt"
-	"slices"
-)
+import "slices"
 
-// TrackedUIDs returns the keys of the pods map, sorted.
+// TrackedUIDs returns the UIDs the pod table holds runtimes under, in table
+// order.
 func (k *Kubelet) TrackedUIDs() []string {
-	uids := make([]string, 0, len(k.pods))
-	for uid := range k.pods {
-		uids = append(uids, uid)
+	uids := make([]string, len(k.pods))
+	for i, rt := range k.pods {
+		uids[i] = rt.uid
 	}
-	slices.Sort(uids)
 	return uids
 }
 
@@ -23,23 +20,11 @@ func (k *Kubelet) ClaimedUIDs() []string {
 	return uids
 }
 
-// OrderMirrorsPods reports how podOrder differs from the runtimes in the pods
-// map: nil when it holds exactly those, each once.
-func (k *Kubelet) OrderMirrorsPods() error {
-	if len(k.podOrder) != len(k.pods) {
-		return fmt.Errorf("podOrder holds %d runtimes, pods %d", len(k.podOrder), len(k.pods))
+// SnapshotUIDs returns the pod UIDs Snapshot captures, in capture order.
+func (k *Kubelet) SnapshotUIDs() []string {
+	var uids []string
+	for _, ps := range k.Snapshot().pods {
+		uids = append(uids, ps.uid)
 	}
-	inOrder := make(map[*podRuntime]bool, len(k.podOrder))
-	for _, rt := range k.podOrder {
-		inOrder[rt] = true
-	}
-	for uid, rt := range k.pods {
-		if !inOrder[rt] {
-			return fmt.Errorf("the runtime of pod %s (uid %s) is in pods but not in podOrder", rt.pod.Metadata.Name, uid)
-		}
-	}
-	if len(inOrder) != len(k.podOrder) {
-		return fmt.Errorf("podOrder holds a runtime twice")
-	}
-	return nil
+	return uids
 }

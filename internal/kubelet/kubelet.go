@@ -11,7 +11,7 @@ package kubelet
 import (
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -59,23 +59,21 @@ type Kubelet struct {
 	client *apiserver.Client
 	cfg    Config
 
-	pods map[string]*podRuntime // by pod UID
+	// pods is the kubelet's pod table: one runtime per tracked pod, ascending
+	// by the UID it was tracked under. Walking it is deterministic, which the
+	// write paths (status sync, eviction choice) need for bit-reproducibility.
+	pods []*podRuntime
 	// scope is the kubelet's interest in pod events, as registered with its
-	// pod watch: its node's name and the keys of pods, claimed and released
-	// exactly where the map gains and loses them. onPodEvent acts on nothing
-	// else, so nothing else is delivered.
-	scope apiserver.PodScope
-	// podOrder mirrors pods in ascending-UID order, maintained on track/
-	// untrack, so the write paths (status sync, eviction choice) never
-	// iterate the map — map order is randomized per run and would break
-	// bit-reproducibility.
-	podOrder []*podRuntime
-	pulled   map[string]bool // images already present on this node
-	ipSeq    int64
-	hbTimer  sim.Timer
-	stTimer  sim.Timer
-	cancelW  func()
-	stopped  bool
+	// pod watch: its node's name and the UIDs of its pods, claimed and
+	// released exactly where the table gains and loses them. onPodEvent acts
+	// on nothing else, so nothing else is delivered.
+	scope   apiserver.PodScope
+	pulled  map[string]bool // images already present on this node
+	ipSeq   int64
+	hbTimer sim.Timer
+	stTimer sim.Timer
+	cancelW func()
+	stopped bool
 	// Down simulates a node crash: no heartbeats, no pod management.
 	down bool
 	// node is the kubelet's private status-write base for its Node object,
@@ -111,6 +109,11 @@ const (
 )
 
 type podRuntime struct {
+	// uid is the UID the pod was admitted or adopted under, the runtime's key
+	// in the pod table. pod is the kubelet's latest view of the pod, which a
+	// status write replaces with what the store holds under the pod's name —
+	// after a metadata.uid corruption, under another UID.
+	uid          string
 	pod          *spec.Pod
 	state        podState
 	ip           string
@@ -126,7 +129,6 @@ func New(loop *sim.Loop, eps *apiserver.Endpoints, cfg Config) *Kubelet {
 		loop:   loop,
 		client: eps.ClientFor("kubelet-" + cfg.NodeName),
 		cfg:    cfg,
-		pods:   make(map[string]*podRuntime),
 		scope:  apiserver.PodScope{Node: cfg.NodeName},
 		pulled: make(map[string]bool),
 	}
@@ -140,9 +142,8 @@ func New(loop *sim.Loop, eps *apiserver.Endpoints, cfg Config) *Kubelet {
 // its watch was registered with have been reset and no longer know them.
 func (k *Kubelet) Reset() {
 	clear(k.pods)
+	k.pods = k.pods[:0]
 	k.scope.Reset()
-	clear(k.podOrder)
-	k.podOrder = k.podOrder[:0]
 	clear(k.restored)
 	clear(k.pulled)
 	k.ipSeq = 0
@@ -189,8 +190,8 @@ func (k *Kubelet) IsDown() bool { return k.down }
 
 // PodIP returns the runtime-assigned IP of a pod UID, if running here.
 func (k *Kubelet) PodIP(uid string) (string, bool) {
-	rt, ok := k.pods[uid]
-	if !ok || rt.state != stateRunning {
+	rt := k.find(uid)
+	if rt == nil || rt.state != stateRunning {
 		return "", false
 	}
 	return rt.ip, true
@@ -260,9 +261,6 @@ func (k *Kubelet) heartbeat() {
 // since the scheduler respects allocatable.
 func (k *Kubelet) overloaded() bool {
 	var cpu int64
-	// The map, not podOrder: after a metadata.uid corruption podOrder can hold
-	// a runtime pods has dropped (TestPodOrderMirrorsPods), and which pods
-	// count here decides whether the node heartbeats.
 	for _, rt := range k.pods {
 		if rt.state != stateFailed {
 			cpu += rt.pod.RequestsMilliCPU()
@@ -279,7 +277,7 @@ func (k *Kubelet) onPodEvent(ev apiserver.WatchEvent) {
 	uid := pod.Metadata.UID
 	switch ev.Type {
 	case apiserver.Deleted:
-		if rt, ok := k.pods[uid]; ok {
+		if rt := k.find(uid); rt != nil {
 			rt.timer.Stop()
 			k.untrackPod(uid)
 		}
@@ -287,7 +285,7 @@ func (k *Kubelet) onPodEvent(ev apiserver.WatchEvent) {
 		if pod.Spec.NodeName != k.cfg.NodeName {
 			// Pod moved away (corrupted nodeName): the local runtime keeps
 			// no claim on it.
-			if rt, ok := k.pods[uid]; ok {
+			if rt := k.find(uid); rt != nil {
 				rt.timer.Stop()
 				k.untrackPod(uid)
 			}
@@ -296,7 +294,7 @@ func (k *Kubelet) onPodEvent(ev apiserver.WatchEvent) {
 		if !pod.Active() {
 			return
 		}
-		if rt, ok := k.pods[uid]; ok {
+		if rt := k.find(uid); rt != nil {
 			rt.pod = pod // refresh spec view
 			return
 		}
@@ -313,7 +311,7 @@ func (k *Kubelet) admit(pod *spec.Pod) {
 	freeCPU := k.cfg.CapacityMilliCPU
 	freeMem := k.cfg.CapacityMemMB
 	var running []*podRuntime
-	for _, rt := range k.orderedPods() {
+	for _, rt := range k.pods {
 		if rt.state == stateFailed {
 			continue
 		}
@@ -438,7 +436,7 @@ func (k *Kubelet) startPod(rt *podRuntime) {
 		if k.stopped || k.down {
 			return
 		}
-		if _, alive := k.pods[rt.pod.Metadata.UID]; !alive {
+		if k.find(rt.pod.Metadata.UID) == nil {
 			return
 		}
 		rt.state = stateRunning
@@ -491,7 +489,7 @@ func (k *Kubelet) syncAllStatuses() {
 	if k.stopped || k.down {
 		return
 	}
-	for _, rt := range k.orderedPods() {
+	for _, rt := range k.pods {
 		if rt.state != stateRunning {
 			continue
 		}
@@ -535,36 +533,37 @@ func (k *Kubelet) allocateIP() (string, error) {
 	return out.String(), nil
 }
 
-// trackPod registers a runtime in the pods map and the UID-ordered list.
-func (k *Kubelet) trackPod(rt *podRuntime) {
-	uid := rt.pod.Metadata.UID
-	k.pods[uid] = rt
-	k.scope.Claim(uid)
-	i := sort.Search(len(k.podOrder), func(j int) bool {
-		return k.podOrder[j].pod.Metadata.UID >= uid
+// search returns where the runtime tracked under uid is in the pod table, or
+// where it would go, and whether it is there.
+func (k *Kubelet) search(uid string) (int, bool) {
+	return slices.BinarySearchFunc(k.pods, uid, func(rt *podRuntime, uid string) int {
+		return strings.Compare(rt.uid, uid)
 	})
-	k.podOrder = append(k.podOrder, nil)
-	copy(k.podOrder[i+1:], k.podOrder[i:])
-	k.podOrder[i] = rt
 }
 
-// untrackPod removes a runtime from the pods map and the ordered list.
-func (k *Kubelet) untrackPod(uid string) {
-	delete(k.pods, uid)
-	k.scope.Release(uid)
-	i := sort.Search(len(k.podOrder), func(j int) bool {
-		return k.podOrder[j].pod.Metadata.UID >= uid
-	})
-	if i < len(k.podOrder) && k.podOrder[i].pod.Metadata.UID == uid {
-		k.podOrder = append(k.podOrder[:i], k.podOrder[i+1:]...)
+// find returns the runtime tracked under uid, nil if there is none.
+func (k *Kubelet) find(uid string) *podRuntime {
+	if i, ok := k.search(uid); ok {
+		return k.pods[i]
 	}
+	return nil
 }
 
-// orderedPods returns the pod runtimes in ascending-UID order. The pods map
-// must never be iterated directly on a path with side effects (status
-// writes, eviction choices): map order is randomized per run, and campaign
-// experiments must stay bit-reproducible.
-func (k *Kubelet) orderedPods() []*podRuntime { return k.podOrder }
+// trackPod enters a runtime in the pod table under its pod's UID.
+func (k *Kubelet) trackPod(rt *podRuntime) {
+	rt.uid = rt.pod.Metadata.UID
+	i, _ := k.search(rt.uid)
+	k.pods = slices.Insert(k.pods, i, rt)
+	k.scope.Claim(rt.uid)
+}
+
+// untrackPod removes the runtime tracked under uid from the pod table.
+func (k *Kubelet) untrackPod(uid string) {
+	if i, ok := k.search(uid); ok {
+		k.pods = slices.Delete(k.pods, i, i+1)
+	}
+	k.scope.Release(uid)
+}
 
 func sortVictims(victims []*podRuntime) {
 	for i := 1; i < len(victims); i++ {

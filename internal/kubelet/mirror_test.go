@@ -1,7 +1,6 @@
 package kubelet_test
 
 import (
-	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -11,11 +10,11 @@ import (
 	"github.com/mutiny-sim/mutiny/internal/spec"
 )
 
-// The kubelet keeps two mirrors of its pods map: the claims of its pod-watch
-// scope (what the API server delivers pod events by) and podOrder (what the
-// heartbeat and the status sweep walk). These tests hold both to the map at
-// every sampled instant of a zoned cluster going through the events that move
-// pods between kubelets and in and out of them.
+// The kubelet keeps one pod table, and two things must mirror it: the claims
+// of its pod-watch scope (what the API server delivers pod events by) and the
+// pods its Snapshot captures (what a fork adopts). The test below holds both
+// to the table at every sampled instant of a zoned cluster going through the
+// events that move pods between kubelets and in and out of them.
 
 func webDeployment(name string, replicas int64) *spec.Deployment {
 	return &spec.Deployment{
@@ -60,7 +59,7 @@ func run(c *cluster.Cluster, d time.Duration, sample func()) {
 	}
 }
 
-// churn is the experiment both tests sample: a deployment rolls out with one
+// churn is the experiment the test samples: a deployment rolls out with one
 // pod write corrupted on its way to the store, a zone is partitioned off,
 // another zone's nodes are killed, both heal, and the deployment is scaled
 // down.
@@ -95,94 +94,59 @@ func churn(t *testing.T, c *cluster.Cluster, in inject.Injection, sample func())
 	run(c, 10*time.Second, sample)
 }
 
-// TestClaimsMirrorTrackedPods: each kubelet's claims are the keys of its pods
-// map — through a spec.nodeName corruption (a pod leaves one kubelet for
-// another), a zone partition and a mass node-kill (evictions, replacements),
-// and again after the cluster is rewound and restored (adoption).
+// TestClaimsMirrorTrackedPods: each kubelet's claims, and the pods its
+// Snapshot captures, are the UIDs its pod table holds runtimes under — through
+// a spec.nodeName corruption (a pod leaves one kubelet for another) and a
+// metadata.uid corruption (a status write hands a runtime a pod stored under
+// another UID, and the runtime tracked under that UID has to stay the one
+// found), a zone partition and a mass node-kill (evictions, replacements), and
+// again after the cluster is rewound and restored (adoption).
 func TestClaimsMirrorTrackedPods(t *testing.T) {
 	snap := settledZoned(t)
-	c := snap.Fork(5)
-	samples, tracked := 0, 0
-	sample := func() {
-		samples++
-		for name, k := range c.Kubelets {
-			uids := k.TrackedUIDs()
-			tracked += len(uids)
-			if claims := k.ClaimedUIDs(); !slices.Equal(claims, uids) {
-				t.Fatalf("at %v, %s tracks pods %v but claims %v", c.Loop.Now(), name, uids, claims)
-			}
-		}
-	}
-	sample() // right after the restore: the adopted pods
-	churn(t, c, inject.Injection{
-		Channel: inject.ChannelStore, Kind: spec.KindPod, Type: inject.SetValue,
-		FieldPath: "spec.nodeName", Value: "worker-2", Occurrence: 3,
-	}, sample)
-	c.Rewind()
-	for name, k := range c.Kubelets {
-		if claims := k.ClaimedUIDs(); len(claims) != 0 {
-			t.Fatalf("rewound %s still claims %v", name, claims)
-		}
-	}
-	snap.Restore(c, 6)
-	sample()
-	run(c, 15*time.Second, sample)
-	if tracked == 0 {
-		t.Fatal("no kubelet tracked a pod at any sample")
-	}
-	t.Logf("%d samples, %d tracked pods seen", samples, tracked)
-}
-
-// TestPodOrderMirrorsPods: podOrder holds exactly the runtimes in the pods
-// map, at every sample of the same churn — the precondition for walking it
-// where the map is walked today (Kubelet.overloaded, once per heartbeat).
-//
-// It does not hold under a metadata.uid corruption, and the second subtest
-// records that instead of failing: untrackPod finds a runtime in podOrder by
-// binary search on rt.pod's UID, setStatus replaces rt.pod with what the store
-// holds under the pod's name, so once a stored UID changes the slice is no
-// longer sorted by the key it is searched with and the untrack of a neighbour
-// misses. The neighbour's runtime stays in podOrder for good — counted by
-// admission, swept by the status sync, captured by snapshots, absent from the
-// map. Repairing that moves experiment outcomes, so it is not done in passing;
-// until it is, overloaded walks the map.
-func TestPodOrderMirrorsPods(t *testing.T) {
-	snap := settledZoned(t)
 	for _, tc := range []struct {
-		name    string
-		in      inject.Injection
-		diverge bool // known to; see above
+		name string
+		in   inject.Injection
 	}{
 		{"nodeName-corruption", inject.Injection{
 			Channel: inject.ChannelStore, Kind: spec.KindPod, Type: inject.SetValue,
 			FieldPath: "spec.nodeName", Value: "worker-2", Occurrence: 3,
-		}, false},
+		}},
 		{"uid-corruption", inject.Injection{
 			Channel: inject.ChannelStore, Kind: spec.KindPod, Type: inject.BitFlip,
 			FieldPath: "metadata.uid", CharIndex: 4, Occurrence: 3,
-		}, true},
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := snap.Fork(5)
-			var diverged error
+			samples, tracked := 0, 0
 			sample := func() {
+				samples++
 				for name, k := range c.Kubelets {
-					if err := k.OrderMirrorsPods(); err != nil && diverged == nil {
-						diverged = fmt.Errorf("at %v, %s: %w", c.Loop.Now(), name, err)
+					uids := k.TrackedUIDs()
+					tracked += len(uids)
+					if claims := k.ClaimedUIDs(); !slices.Equal(claims, uids) {
+						t.Fatalf("at %v, %s tracks pods %v but claims %v", c.Loop.Now(), name, uids, claims)
+					}
+					if captured := k.SnapshotUIDs(); !slices.Equal(captured, uids) {
+						t.Fatalf("at %v, %s tracks pods %v but its snapshot captures %v", c.Loop.Now(), name, uids, captured)
 					}
 				}
 			}
-			sample()
+			sample() // right after the restore: the adopted pods
 			churn(t, c, tc.in, sample)
-			switch {
-			case diverged != nil && tc.diverge:
-				t.Skipf("known divergence, overloaded keeps walking the map: %v", diverged)
-			case diverged != nil:
-				t.Fatal(diverged)
-			case tc.diverge:
-				t.Fatal("podOrder mirrored pods through a metadata.uid corruption: the divergence is repaired; " +
-					"expect it to hold from now on, and let overloaded walk podOrder")
+			c.Rewind()
+			for name, k := range c.Kubelets {
+				if claims := k.ClaimedUIDs(); len(claims) != 0 {
+					t.Fatalf("rewound %s still claims %v", name, claims)
+				}
 			}
+			snap.Restore(c, 6)
+			sample()
+			run(c, 15*time.Second, sample)
+			if tracked == 0 {
+				t.Fatal("no kubelet tracked a pod at any sample")
+			}
+			t.Logf("%d samples, %d tracked pods seen", samples, tracked)
 		})
 	}
 }

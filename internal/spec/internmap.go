@@ -96,18 +96,14 @@ func internObjectMaps(o Object) {
 	m := o.Meta()
 	m.Labels = InternStringMap(m.Labels)
 	m.Annotations = InternStringMap(m.Annotations)
+	if sel, tpl := TemplateOf(o); sel != nil {
+		sel.MatchLabels = InternStringMap(sel.MatchLabels)
+		tpl.Labels = InternStringMap(tpl.Labels)
+		return
+	}
 	switch t := o.(type) {
 	case *Pod:
 		t.Spec.NodeSelector = InternStringMap(t.Spec.NodeSelector)
-	case *ReplicaSet:
-		t.Spec.Selector.MatchLabels = InternStringMap(t.Spec.Selector.MatchLabels)
-		t.Spec.Template.Labels = InternStringMap(t.Spec.Template.Labels)
-	case *Deployment:
-		t.Spec.Selector.MatchLabels = InternStringMap(t.Spec.Selector.MatchLabels)
-		t.Spec.Template.Labels = InternStringMap(t.Spec.Template.Labels)
-	case *DaemonSet:
-		t.Spec.Selector.MatchLabels = InternStringMap(t.Spec.Selector.MatchLabels)
-		t.Spec.Template.Labels = InternStringMap(t.Spec.Template.Labels)
 	case *Service:
 		t.Spec.Selector = InternStringMap(t.Spec.Selector)
 	case *ConfigMap:

@@ -33,6 +33,10 @@ const (
 	KindLease      Kind = "Lease"
 )
 
+// ClusterScoped reports whether objects of the kind live outside any
+// namespace: their keys carry an empty one.
+func (k Kind) ClusterScoped() bool { return k == KindNode || k == KindNamespace }
+
 // Kinds lists every kind in deterministic order.
 func Kinds() []Kind {
 	return []Kind{
@@ -200,9 +204,6 @@ func (p *Pod) Meta() *ObjectMeta { return &p.Metadata }
 // Kind implements Object.
 func (p *Pod) Kind() Kind { return KindPod }
 
-// Clone implements Object.
-func (p *Pod) Clone() Object { return ClonePod(p) }
-
 // RequestsMilliCPU sums CPU requests across containers.
 func (p *Pod) RequestsMilliCPU() int64 {
 	var total int64
@@ -298,6 +299,21 @@ func PairsMatch(pairs []LabelPair, labels map[string]string) bool {
 	return len(pairs) > 0
 }
 
+// TemplateOf returns pointers to the pod selector and pod template of a
+// workload kind (ReplicaSet, Deployment, DaemonSet) — the dependency fields
+// that tie a controller to the pods it creates — and nils for any other kind.
+func TemplateOf(o Object) (*LabelSelector, *PodTemplate) {
+	switch t := o.(type) {
+	case *ReplicaSet:
+		return &t.Spec.Selector, &t.Spec.Template
+	case *Deployment:
+		return &t.Spec.Selector, &t.Spec.Template
+	case *DaemonSet:
+		return &t.Spec.Selector, &t.Spec.Template
+	}
+	return nil, nil
+}
+
 // ReplicaSet maintains a stable set of pod replicas.
 type ReplicaSet struct {
 	Metadata ObjectMeta       `pb:"1,metadata"`
@@ -323,9 +339,6 @@ func (r *ReplicaSet) Meta() *ObjectMeta { return &r.Metadata }
 
 // Kind implements Object.
 func (r *ReplicaSet) Kind() Kind { return KindReplicaSet }
-
-// Clone implements Object.
-func (r *ReplicaSet) Clone() Object { return CloneReplicaSet(r) }
 
 // Deployment manages ReplicaSets and rolling updates.
 type Deployment struct {
@@ -356,9 +369,6 @@ func (d *Deployment) Meta() *ObjectMeta { return &d.Metadata }
 // Kind implements Object.
 func (d *Deployment) Kind() Kind { return KindDeployment }
 
-// Clone implements Object.
-func (d *Deployment) Clone() Object { return CloneDeployment(d) }
-
 // DaemonSet runs one pod per matching node (network manager, DNS are
 // deployed this way; their pods carry system-critical priority).
 type DaemonSet struct {
@@ -385,9 +395,6 @@ func (d *DaemonSet) Meta() *ObjectMeta { return &d.Metadata }
 
 // Kind implements Object.
 func (d *DaemonSet) Kind() Kind { return KindDaemonSet }
-
-// Clone implements Object.
-func (d *DaemonSet) Clone() Object { return CloneDaemonSet(d) }
 
 // --- networking ---------------------------------------------------------------
 
@@ -417,9 +424,6 @@ func (s *Service) Meta() *ObjectMeta { return &s.Metadata }
 
 // Kind implements Object.
 func (s *Service) Kind() Kind { return KindService }
-
-// Clone implements Object.
-func (s *Service) Clone() Object { return CloneService(s) }
 
 // Endpoints lists the ready backends of a Service.
 type Endpoints struct {
@@ -452,9 +456,6 @@ func (e *Endpoints) Meta() *ObjectMeta { return &e.Metadata }
 
 // Kind implements Object.
 func (e *Endpoints) Kind() Kind { return KindEndpoints }
-
-// Clone implements Object.
-func (e *Endpoints) Clone() Object { return CloneEndpoints(e) }
 
 // Count returns the number of endpoint addresses.
 func (e *Endpoints) Count() int {
@@ -512,9 +513,6 @@ func (n *Node) Meta() *ObjectMeta { return &n.Metadata }
 // Kind implements Object.
 func (n *Node) Kind() Kind { return KindNode }
 
-// Clone implements Object.
-func (n *Node) Clone() Object { return CloneNode(n) }
-
 // Namespace partitions resources.
 type Namespace struct {
 	Metadata ObjectMeta `pb:"1,metadata"`
@@ -526,9 +524,6 @@ func (n *Namespace) Meta() *ObjectMeta { return &n.Metadata }
 
 // Kind implements Object.
 func (n *Namespace) Kind() Kind { return KindNamespace }
-
-// Clone implements Object.
-func (n *Namespace) Clone() Object { return CloneNamespace(n) }
 
 // ConfigMap holds configuration data (the network manager reads its overlay
 // configuration from one, mirroring flannel).
@@ -542,9 +537,6 @@ func (c *ConfigMap) Meta() *ObjectMeta { return &c.Metadata }
 
 // Kind implements Object.
 func (c *ConfigMap) Kind() Kind { return KindConfigMap }
-
-// Clone implements Object.
-func (c *ConfigMap) Clone() Object { return CloneConfigMap(c) }
 
 // Lease implements leader election and component heartbeats.
 type Lease struct {
@@ -565,9 +557,6 @@ func (l *Lease) Meta() *ObjectMeta { return &l.Metadata }
 // Kind implements Object.
 func (l *Lease) Kind() Kind { return KindLease }
 
-// Clone implements Object.
-func (l *Lease) Clone() Object { return CloneLease(l) }
-
 // --- helpers ------------------------------------------------------------------
 
 // Key returns the canonical storage key for an object of the given identity,
@@ -576,12 +565,6 @@ func (l *Lease) Clone() Object { return CloneLease(l) }
 // sighting.
 func Key(kind Kind, namespace, name string) string {
 	return internKey(kind, namespace, name)
-}
-
-// KeyOf returns the storage key of an object.
-func KeyOf(o Object) string {
-	m := o.Meta()
-	return Key(o.Kind(), m.Namespace, m.Name)
 }
 
 // FormatUID builds a deterministic UID from a counter; real clusters use

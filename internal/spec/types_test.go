@@ -190,9 +190,8 @@ func TestControllerOf(t *testing.T) {
 }
 
 func TestKeys(t *testing.T) {
-	p := &Pod{Metadata: ObjectMeta{Name: "web-1", Namespace: "default"}}
-	if got := KeyOf(p); got != "/registry/Pod/default/web-1" {
-		t.Fatalf("KeyOf = %q", got)
+	if got := Key(KindPod, "default", "web-1"); got != "/registry/Pod/default/web-1" {
+		t.Fatalf("Key = %q", got)
 	}
 	if got := Key(KindNode, "", "node-1"); got != "/registry/Node//node-1" {
 		t.Fatalf("Key = %q", got)
@@ -274,10 +273,10 @@ func TestFieldInventoryIncludesCriticalFields(t *testing.T) {
 	}
 }
 
-// The hand-written clones must agree with a wire round trip for every kind:
-// any divergence would mean a field the codec knows about is not deep-copied.
-func TestHandClonesMatchWireRoundTrip(t *testing.T) {
-	objects := []Object{
+// sampleObjects returns one object of every kind, in Kinds() order, with every
+// section populated.
+func sampleObjects() []Object {
+	return []Object{
 		&Pod{
 			Metadata: ObjectMeta{Name: "p", Namespace: "default", UID: "u1",
 				Labels:          map[string]string{"a": "b"},
@@ -317,7 +316,12 @@ func TestHandClonesMatchWireRoundTrip(t *testing.T) {
 		&ConfigMap{Metadata: ObjectMeta{Name: "cm"}, Data: map[string]string{"k": "v"}},
 		&Lease{Metadata: ObjectMeta{Name: "l"}, Spec: LeaseSpec{HolderIdentity: "h", DurationSecs: 15, RenewMillis: 42}},
 	}
-	for _, o := range objects {
+}
+
+// The hand-written clones must agree with a wire round trip for every kind:
+// any divergence would mean a field the codec knows about is not deep-copied.
+func TestHandClonesMatchWireRoundTrip(t *testing.T) {
+	for _, o := range sampleObjects() {
 		hand := o.Clone()
 		wire, err := codec.Marshal(o)
 		if err != nil {
