@@ -37,7 +37,7 @@ test:
 race:
 	$(GO) test -race ./internal/campaign/... ./internal/codec/... ./internal/apiserver/... ./internal/spec/... ./internal/cow/...
 
-# Ten seconds of each of the tree's six fuzz targets. FuzzLoopOrder: random
+# Ten seconds of each of the tree's seven fuzz targets. FuzzLoopOrder: random
 # At/After/Every/Stop/Reset programs on the event loop, held to a slice sorted
 # by (at, seq). FuzzSchedulerRetry: random programs of cluster operations
 # (creates, deletes, resizes, cordons, heartbeats, at-rest rewrites, lost and
@@ -51,7 +51,10 @@ race:
 # decodes survives a Marshal/Unmarshal round trip. FuzzInjectionTarget:
 # arbitrary timed faults (any axis, Replica, Policy, After and Heal) on
 # platforms of random replica, hook and zone counts, never a panic, never a
-# target out of range, and a healed fault leaves the platform healthy. A failing
+# target out of range, and a healed fault leaves the platform healthy.
+# FuzzRequestPath: random programs of pod, node, config, service, endpoints and
+# topology events, time steps, rewinds and request bursts, the data plane held
+# to its map-per-fact reference answer for answer and draw for draw. A failing
 # input is written to the package's testdata/fuzz and fails `go test` from then
 # on; commit it with the fix.
 fuzz-smoke:
@@ -61,6 +64,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzAppendPrefixWithRV -fuzztime 10s ./internal/codec
 	$(GO) test -run xxx -fuzz FuzzShardResultJSON -fuzztime 10s ./internal/campaign
 	$(GO) test -run xxx -fuzz FuzzInjectionTarget -fuzztime 10s ./internal/inject
+	$(GO) test -run xxx -fuzz FuzzRequestPath -fuzztime 10s ./internal/netsim
 
 # A fast, heavily-strided campaign through the real benchmark harness: one
 # end-to-end sanity pass over golden runs, generation, injection, and

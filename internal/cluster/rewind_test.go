@@ -139,6 +139,10 @@ var scratch = map[string]bool{
 	// Encode workspaces: the encoder and the request, store and watch-event
 	// buffers, holding the last request's bytes between uses.
 	"Server.arena": true, "Server.reqData": true, "Server.storeData": true, "Server.watchData": true,
+	// The data plane's free list of load-window rings: the buffers of the
+	// windows a Reset dropped, their times dead, waiting for the next pods
+	// that serve a request.
+	"State.spareTimes": true,
 }
 
 // walker compares two values structurally: pointers by what they point to,

@@ -56,34 +56,45 @@ const (
 
 // State tracks the simulated data plane. It observes the control plane
 // through ordinary watches (it is the kube-proxy + CNI view of the world).
+//
+// Everything a request reads, apart from the RNG draws and the load windows
+// it advances, is kept by the watch handlers in the shape the request reads
+// it: one entry per node name, per cluster IP and per Endpoints object, so a
+// request is a handful of lookups and no scans (ARCHITECTURE §4).
 type State struct {
 	loop   *sim.Loop
 	client *apiserver.Client
 
-	services  map[string]*spec.Service   // by clusterIP
-	endpoints map[string]*spec.Endpoints // by namespace/name
-	pods      map[string]*spec.Pod       // by namespace/name
-	nodes     map[string]*spec.Node      // by name
-	// nodeZone is the zone label of every zoned node, kept beside nodes so
-	// ZoneOf — several calls per request — is one lookup, and none at all on
-	// a flat cluster, where the table stays empty.
-	nodeZone  map[string]string
-	netConfig string
+	// configValid is whether the overlay ConfigMap names an overlay network;
+	// set on its events, false while it is missing.
+	configValid bool
 
-	// flannelLastReady records when a node's network-manager pod was last
-	// observed ready; routes survive routeDecay past that.
-	flannelLastReady map[string]time.Duration
+	// nodes holds one entry per node name seen on a Node object or on a
+	// system pod. An entry outlives its Node object: route liveness is
+	// keyed by the pods' node name, which need not be a node.
+	nodes map[string]nodeState
 
-	// Derived indexes, maintained incrementally on pod events so the
-	// request path (20 req/s × every experiment) and the health probes never
-	// scan the pods map: ready network-manager pods per node, ready DNS pods
-	// per node, and pods by IP.
-	flannelReady map[string]int       // node → ready flannel pod count
-	dnsReady     map[string]int       // node → ready DNS pod count
-	podsByIP     map[string]*spec.Pod // PodIP → active pod
+	// vips indexes vipSlots by cluster IP. A slot stays when its Service is
+	// deleted, so the round-robin counter survives a delete and re-add.
+	vips     map[string]int32
+	vipSlots []vipSlot
 
-	rr       map[string]int // round-robin counter per clusterIP
-	reqTimes map[string][]time.Duration
+	// endpoints holds each Endpoints object's addresses, all subsets in
+	// order, flattened when the object is observed.
+	endpoints map[string][]spec.EndpointAddress // by namespace/name
+
+	pods     map[string]*spec.Pod // by namespace/name
+	podsByIP map[string]*spec.Pod // PodIP → active pod
+
+	// windows indexes windowSlots, the pods' load windows, by pod
+	// namespace/name. A window is made on a pod's first request and outlives
+	// the pod, so a pod re-created under its name inherits the load of the
+	// last second.
+	windows     map[string]int32
+	windowSlots []loadRing
+	// spareTimes holds the ring buffers of the windows Reset dropped, for
+	// the next windows to reuse.
+	spareTimes [][]time.Duration
 
 	// Topology fault state (topology.go): zones with their uplink cut and
 	// nodes with their link cut. Both empty on a healthy network; fault state
@@ -94,24 +105,44 @@ type State struct {
 	cancels []func()
 }
 
+// nodeState is what the data plane knows about one node name.
+type nodeState struct {
+	zone string // zone label of the Node object; "" if unzoned or absent
+	// lastReady is when a ready network-manager pod on the node was last
+	// observed (valid when seenReady); routes survive routeDecay past it.
+	lastReady time.Duration
+	flannel   int32 // ready network-manager pods on the node
+	dns       int32 // ready DNS pods on the node
+	seenReady bool
+	isNode    bool // a Node object of this name exists
+}
+
+// vipSlot is one cluster IP's kube-proxy entry.
+type vipSlot struct {
+	svc *spec.Service // nil while no Service holds the IP
+	rr  int           // round-robin counter
+}
+
+// loadRing is one pod's request times of the last loadWindow, oldest
+// first: a ring of n times starting at times[head].
+type loadRing struct {
+	times   []time.Duration
+	head, n int
+}
+
 // New builds the network state and subscribes to the control plane.
 func New(loop *sim.Loop, eps *apiserver.Endpoints) *State {
 	s := &State{
-		loop:             loop,
-		client:           eps.ClientFor("netsim"),
-		services:         make(map[string]*spec.Service),
-		endpoints:        make(map[string]*spec.Endpoints),
-		pods:             make(map[string]*spec.Pod),
-		nodes:            make(map[string]*spec.Node),
-		nodeZone:         make(map[string]string),
-		flannelLastReady: make(map[string]time.Duration),
-		flannelReady:     make(map[string]int),
-		dnsReady:         make(map[string]int),
-		podsByIP:         make(map[string]*spec.Pod),
-		rr:               make(map[string]int),
-		reqTimes:         make(map[string][]time.Duration),
-		zoneDown:         make(map[string]bool),
-		nodeDown:         make(map[string]bool),
+		loop:      loop,
+		client:    eps.ClientFor("netsim"),
+		nodes:     make(map[string]nodeState),
+		vips:      make(map[string]int32),
+		endpoints: make(map[string][]spec.EndpointAddress),
+		pods:      make(map[string]*spec.Pod),
+		podsByIP:  make(map[string]*spec.Pod),
+		windows:   make(map[string]int32),
+		zoneDown:  make(map[string]bool),
+		nodeDown:  make(map[string]bool),
 	}
 	s.subscribe()
 	return s
@@ -140,18 +171,22 @@ func (s *State) Close() {
 // The server must have been Reset first — it forgot the old watches, which
 // are therefore dropped here, not cancelled.
 func (s *State) Reset() {
-	clear(s.services)
+	s.configValid = false
+	clear(s.nodes)
+	clear(s.vips)
+	clear(s.vipSlots)
+	s.vipSlots = s.vipSlots[:0]
 	clear(s.endpoints)
 	clear(s.pods)
-	clear(s.nodes)
-	clear(s.nodeZone)
-	s.netConfig = ""
-	clear(s.flannelLastReady)
-	clear(s.flannelReady)
-	clear(s.dnsReady)
 	clear(s.podsByIP)
-	clear(s.rr)
-	clear(s.reqTimes)
+	for i := range s.windowSlots {
+		if times := s.windowSlots[i].times; times != nil {
+			s.spareTimes = append(s.spareTimes, times)
+		}
+	}
+	clear(s.windows)
+	clear(s.windowSlots)
+	s.windowSlots = s.windowSlots[:0]
 	clear(s.zoneDown)
 	clear(s.nodeDown)
 	s.subscribe()
@@ -184,13 +219,23 @@ func (s *State) Prime() {
 
 func (s *State) onService(ev apiserver.WatchEvent) {
 	svc := ev.Object.(*spec.Service)
+	ip := svc.Spec.ClusterIP
+	i, ok := s.vips[ip]
 	if ev.Type == apiserver.Deleted {
-		delete(s.services, svc.Spec.ClusterIP)
+		if ok {
+			s.vipSlots[i].svc = nil
+		}
 		return
 	}
-	if svc.Spec.ClusterIP != "" {
-		s.services[svc.Spec.ClusterIP] = svc
+	if ip == "" {
+		return
 	}
+	if !ok {
+		i = int32(len(s.vipSlots))
+		s.vips[ip] = i
+		s.vipSlots = append(s.vipSlots, vipSlot{})
+	}
+	s.vipSlots[i].svc = svc
 }
 
 func (s *State) onEndpoints(ev apiserver.WatchEvent) {
@@ -200,7 +245,17 @@ func (s *State) onEndpoints(ev apiserver.WatchEvent) {
 		delete(s.endpoints, key)
 		return
 	}
-	s.endpoints[key] = ep
+	// The endpoints controller emits a single subset, whose (sealed,
+	// immutable) address slice is aliased; more subsets are copied into one.
+	var addrs []spec.EndpointAddress
+	if len(ep.Subsets) == 1 {
+		addrs = ep.Subsets[0].Addresses
+	} else {
+		for i := range ep.Subsets {
+			addrs = append(addrs, ep.Subsets[i].Addresses...)
+		}
+	}
+	s.endpoints[key] = addrs
 }
 
 func (s *State) onPod(ev apiserver.WatchEvent) {
@@ -214,35 +269,32 @@ func (s *State) onPod(ev apiserver.WatchEvent) {
 	} else {
 		s.pods[key] = pod
 	}
-	s.updateSystemIndex(old, next)
+	s.countSystemPod(old, -1)
+	s.countSystemPod(next, +1)
 	s.updateIPIndex(old, next)
-	if next != nil && isSystemApp(next, NetManagerLabel) && next.Status.Ready && next.Spec.NodeName != "" {
-		s.flannelLastReady[next.Spec.NodeName] = s.loop.Now()
-	}
 }
 
-func isSystemApp(pod *spec.Pod, label string) bool {
-	return pod.Metadata.Namespace == spec.SystemNamespace &&
-		pod.Metadata.Labels[spec.LabelApp] == label
-}
-
-// updateSystemIndex maintains the per-node ready counts of the two system
-// networking workloads across one pod transition (old → next; nil on either
-// side for add/delete).
-func (s *State) updateSystemIndex(old, next *spec.Pod) {
-	bump := func(p *spec.Pod, delta int) {
-		if p == nil || !p.Status.Ready || p.Spec.NodeName == "" {
-			return
-		}
-		switch {
-		case isSystemApp(p, NetManagerLabel):
-			s.flannelReady[p.Spec.NodeName] += delta
-		case isSystemApp(p, DNSLabel):
-			s.dnsReady[p.Spec.NodeName] += delta
+// countSystemPod adds delta to the ready count of the node a ready system
+// networking pod runs on; counting a ready network-manager pod in also
+// confirms its node's routes now.
+func (s *State) countSystemPod(p *spec.Pod, delta int32) {
+	if p == nil || !p.Status.Ready || p.Spec.NodeName == "" || p.Metadata.Namespace != spec.SystemNamespace {
+		return
+	}
+	app := p.Metadata.Labels[spec.LabelApp]
+	if app != NetManagerLabel && app != DNSLabel {
+		return
+	}
+	n := s.nodes[p.Spec.NodeName]
+	if app == DNSLabel {
+		n.dns += delta
+	} else {
+		n.flannel += delta
+		if delta > 0 {
+			n.lastReady, n.seenReady = s.loop.Now(), true
 		}
 	}
-	bump(old, -1)
-	bump(next, +1)
+	s.nodes[p.Spec.NodeName] = n
 }
 
 // ipOf returns the indexable IP of a pod: active pods with a status IP.
@@ -311,17 +363,13 @@ func (s *State) rescanIP(ip string) {
 func (s *State) onNode(ev apiserver.WatchEvent) {
 	node := ev.Object.(*spec.Node)
 	name := node.Metadata.Name
+	n := s.nodes[name]
 	if ev.Type == apiserver.Deleted {
-		delete(s.nodes, name)
-		delete(s.nodeZone, name)
-		return
-	}
-	s.nodes[name] = node
-	if zone := node.Metadata.Labels[LabelZone]; zone != "" {
-		s.nodeZone[name] = zone
+		n.zone, n.isNode = "", false
 	} else {
-		delete(s.nodeZone, name)
+		n.zone, n.isNode = node.Metadata.Labels[LabelZone], true
 	}
+	s.nodes[name] = n
 }
 
 func (s *State) onConfigMap(ev apiserver.WatchEvent) {
@@ -329,46 +377,31 @@ func (s *State) onConfigMap(ev apiserver.WatchEvent) {
 	if cm.Metadata.Namespace != spec.SystemNamespace || cm.Metadata.Name != NetConfigMapName {
 		return
 	}
-	if ev.Type == apiserver.Deleted {
-		s.netConfig = ""
-		return
-	}
-	s.netConfig = cm.Data[NetConfigKey]
+	s.configValid = ev.Type != apiserver.Deleted && strings.Contains(cm.Data[NetConfigKey], "overlay")
 }
 
 // RoutesUp reports whether a node's overlay routes are operational: the
 // network configuration must be sane and the node's network-manager pod
 // must be (recently) ready.
 func (s *State) RoutesUp(node string) bool {
-	if !s.configValid() {
-		return false
-	}
-	last, ok := s.flannelLastReady[node]
-	if !ok {
+	return s.routesUp(s.nodes[node])
+}
+
+func (s *State) routesUp(n nodeState) bool {
+	if !s.configValid || !n.seenReady {
 		return false
 	}
 	// Routes persist briefly after the manager pod stops being ready, then
 	// decay (restart loops and reconfigurations flush them).
-	if pod := s.readyFlannelPod(node); pod {
-		return true
-	}
-	return s.loop.Now()-last < routeDecay
-}
-
-func (s *State) readyFlannelPod(node string) bool {
-	return s.flannelReady[node] > 0
-}
-
-func (s *State) configValid() bool {
-	return strings.Contains(s.netConfig, "overlay")
+	return n.flannel > 0 || s.loop.Now()-n.lastReady < routeDecay
 }
 
 // DNSHealthy reports whether cluster DNS can answer: at least one ready DNS
 // pod on a routable node. (The node count is tiny and the answer is a single
-// bool, so iterating the index map cannot introduce order dependence.)
+// bool, so iterating the node map cannot introduce order dependence.)
 func (s *State) DNSHealthy() bool {
-	for node, n := range s.dnsReady {
-		if n > 0 && s.RoutesUp(node) {
+	for _, n := range s.nodes {
+		if n.dns > 0 && s.routesUp(n) {
 			return true
 		}
 	}
@@ -378,23 +411,28 @@ func (s *State) DNSHealthy() bool {
 // NetworkPodsFailing reports whether any expected network-manager pod is
 // missing or not ready (a Stall/Outage signal for the classifier).
 func (s *State) NetworkPodsFailing() bool {
-	for name := range s.nodes {
-		if !s.readyFlannelPod(name) {
-			return true
+	nodes := 0
+	for _, n := range s.nodes {
+		if n.isNode {
+			if n.flannel <= 0 {
+				return true
+			}
+			nodes++
 		}
 	}
-	return len(s.nodes) == 0
+	return nodes == 0
 }
 
 // Request performs one client request from fromNode to a service VIP.
 func (s *State) Request(fromNode, clusterIP string, port int64) RequestResult {
-	svc, ok := s.services[clusterIP]
-	if !ok {
+	i, ok := s.vips[clusterIP]
+	if !ok || s.vipSlots[i].svc == nil {
 		return RequestResult{Err: ErrRefused}
 	}
+	vip := &s.vipSlots[i]
 	// Service port → target port.
 	var targetPort int64 = -1
-	for _, p := range svc.Spec.Ports {
+	for _, p := range vip.svc.Spec.Ports {
 		if p.Port == port {
 			targetPort = p.TargetPort
 			break
@@ -403,37 +441,28 @@ func (s *State) Request(fromNode, clusterIP string, port int64) RequestResult {
 	if targetPort < 0 {
 		return RequestResult{Err: ErrRefused}
 	}
-	ep, ok := s.endpoints[svc.Metadata.NamespacedName()]
-	if !ok || ep.Count() == 0 {
+	addrs := s.endpoints[vip.svc.Metadata.NamespacedName()]
+	if len(addrs) == 0 {
 		return RequestResult{Err: ErrRefused}
 	}
-	// kube-proxy round-robin across all subset addresses. The endpoints
-	// controller emits a single subset, so the common case aliases its
-	// (sealed, immutable) address slice instead of flattening per request.
-	var addrs []spec.EndpointAddress
-	if len(ep.Subsets) == 1 {
-		addrs = ep.Subsets[0].Addresses
-	} else {
-		for i := range ep.Subsets {
-			addrs = append(addrs, ep.Subsets[i].Addresses...)
-		}
-	}
-	addr := s.pickEndpoint(clusterIP, fromNode, addrs)
+	from := s.nodes[fromNode]
+	addr := s.pickEndpoint(vip, from.zone, addrs)
 
 	// Overlay path between client node and endpoint node: per-node routes,
 	// node links, and the zone links between them must all be up.
-	if !s.RouteBetween(fromNode, addr.NodeName) {
+	to := s.nodes[addr.NodeName]
+	if !s.routeBetween(fromNode, from, addr.NodeName, to) {
 		return RequestResult{Err: ErrTimeout}
 	}
 	// The link class between the caller's and the endpoint's zones sets the
 	// request's network envelope: latency, loss, and bandwidth. On flat
 	// clusters every path is LinkLocal and this is the old fixed proxy hop.
-	prof := linkProfiles[LinkClassBetween(s.ZoneOf(fromNode), s.ZoneOf(addr.NodeName))]
+	prof := linkProfiles[LinkClassBetween(from.zone, to.zone)]
 	if prof.Loss > 0 && s.loop.Rand().Float64() < prof.Loss {
 		return RequestResult{Err: ErrTimeout}
 	}
 	// The endpoint must correspond to a live, ready pod at that IP.
-	pod := s.findPodByIP(addr.IP)
+	pod := s.podsByIP[addr.IP]
 	if pod == nil || !pod.Status.Ready || pod.Spec.NodeName != addr.NodeName {
 		return RequestResult{Err: ErrReset}
 	}
@@ -448,10 +477,10 @@ func (s *State) Request(fromNode, clusterIP string, port int64) RequestResult {
 // caller's zone has ready endpoints, traffic stays in-zone; otherwise it
 // spills over all endpoints. Unzoned callers (flat clusters) round-robin
 // over everything, exactly the pre-topology behavior.
-func (s *State) pickEndpoint(clusterIP, fromNode string, addrs []spec.EndpointAddress) spec.EndpointAddress {
-	n := s.rr[clusterIP]
-	s.rr[clusterIP]++
-	if fromZone := s.ZoneOf(fromNode); fromZone != "" {
+func (s *State) pickEndpoint(vip *vipSlot, fromZone string, addrs []spec.EndpointAddress) spec.EndpointAddress {
+	n := vip.rr
+	vip.rr++
+	if fromZone != "" {
 		same := 0
 		for i := range addrs {
 			if s.ZoneOf(addrs[i].NodeName) == fromZone {
@@ -473,13 +502,6 @@ func (s *State) pickEndpoint(clusterIP, fromNode string, addrs []spec.EndpointAd
 	return addrs[n%len(addrs)]
 }
 
-func (s *State) findPodByIP(ip string) *spec.Pod {
-	if ip == "" {
-		return nil
-	}
-	return s.podsByIP[ip]
-}
-
 func podListensOn(pod *spec.Pod, port int64) bool {
 	for i := range pod.Spec.Containers {
 		if pod.Spec.Containers[i].Port == port {
@@ -495,20 +517,8 @@ func podListensOn(pod *spec.Pod, port int64) bool {
 // the LeR → HRT propagation of Table III. bandwidth scales the base for
 // responses crossing a thin cross-zone link (1.0 in-zone).
 func (s *State) serviceLatency(pod *spec.Pod, bandwidth float64) time.Duration {
-	key := pod.Metadata.NamespacedName() // cached on sealed pods
-
-	now := s.loop.Now()
-	times := s.reqTimes[key]
-	keep := times[:0]
-	for _, t := range times {
-		if now-t < loadWindow {
-			keep = append(keep, t)
-		}
-	}
-	keep = append(keep, now)
-	s.reqTimes[key] = keep
-
-	rate := float64(len(keep)) / loadWindow.Seconds()
+	recent := s.window(pod.Metadata.NamespacedName()).admit(s.loop.Now())
+	rate := float64(recent) / loadWindow.Seconds()
 	rho := rate / podCapacityRPS
 	if rho >= 0.95 {
 		rho = 0.95
@@ -519,6 +529,43 @@ func (s *State) serviceLatency(pod *spec.Pod, bandwidth float64) time.Duration {
 	// well-defined.
 	jitter := time.Duration(s.loop.Rand().Int63n(int64(8 * time.Millisecond)))
 	return lat + jitter
+}
+
+// window returns the load window of the pod named key, making it on the
+// pod's first request.
+func (s *State) window(key string) *loadRing {
+	if i, ok := s.windows[key]; ok {
+		return &s.windowSlots[i]
+	}
+	var w loadRing
+	if n := len(s.spareTimes); n > 0 {
+		w.times = s.spareTimes[n-1]
+		s.spareTimes[n-1] = nil
+		s.spareTimes = s.spareTimes[:n-1]
+	}
+	s.windows[key] = int32(len(s.windowSlots))
+	s.windowSlots = append(s.windowSlots, w)
+	return &s.windowSlots[len(s.windowSlots)-1]
+}
+
+// admit drops the times that fell out of the window, records a request at
+// now and returns how many the window holds. Times arrive in order (the loop
+// clock never runs back between Resets), so the expired ones lead the ring.
+func (w *loadRing) admit(now time.Duration) int {
+	for w.n > 0 && now-w.times[w.head] >= loadWindow {
+		w.head = (w.head + 1) % len(w.times)
+		w.n--
+	}
+	if w.n == len(w.times) {
+		// Double, as append would: a pod that serves once costs one word.
+		grown := make([]time.Duration, max(1, 2*len(w.times)))
+		k := copy(grown, w.times[w.head:])
+		copy(grown[k:], w.times[:w.head])
+		w.times, w.head = grown, 0
+	}
+	w.times[(w.head+w.n)%len(w.times)] = now
+	w.n++
+	return w.n
 }
 
 // podSpeedOffset derives a stable per-pod service-time offset (pods differ:

@@ -19,7 +19,7 @@ type harness struct {
 	api   *apiserver.Client
 }
 
-func newHarness(t *testing.T) *harness {
+func newHarness(t testing.TB) *harness {
 	t.Helper()
 	loop := sim.NewLoop(1)
 	st := store.NewReplicated(loop, 1, nil)
@@ -124,7 +124,7 @@ func TestEmptyEndpointsRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep := obj.(*spec.Endpoints)
+	ep := spec.CloneForWriteAs(obj.(*spec.Endpoints))
 	ep.Subsets = nil
 	if err := h.api.Update(ep); err != nil {
 		t.Fatal(err)
@@ -213,30 +213,43 @@ func TestDNSHealth(t *testing.T) {
 
 func TestRoundRobinSpreadsLoad(t *testing.T) {
 	h := newHarness(t)
+	// The same burst of 40 requests, first on the one backend, then — once
+	// the burst has left the load window — on two: round-robin halves each
+	// pod's load, so the average must fall below the single backend's.
+	burst := func(backends int) time.Duration {
+		t.Helper()
+		var sum time.Duration
+		for i := 0; i < 40; i++ {
+			res := h.state.Request("node-a", "10.96.0.1", 80)
+			if res.Failed() {
+				t.Fatalf("%d backends: request %d failed: %s", backends, i, res.Err)
+			}
+			sum += res.Latency
+		}
+		return sum / 40
+	}
+	single := burst(1)
+
 	h.mustCreate(h.webPod("web-2", "node-a", "10.244.1.3"))
-	obj, _ := h.api.Get(spec.KindEndpoints, spec.DefaultNamespace, "web")
-	ep := obj.(*spec.Endpoints)
+	obj, err := h.api.Get(spec.KindEndpoints, spec.DefaultNamespace, "web")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := spec.CloneForWriteAs(obj.(*spec.Endpoints))
 	ep.Subsets[0].Addresses = append(ep.Subsets[0].Addresses, spec.EndpointAddress{
 		IP: "10.244.1.3", NodeName: "node-a", TargetRef: spec.TargetRef{Kind: "Pod", Name: "web-2"},
 	})
 	if err := h.api.Update(ep); err != nil {
 		t.Fatal(err)
 	}
-	h.loop.RunUntil(h.loop.Now() + time.Second)
-	// With two backends, latency under sustained load must stay below the
-	// single-backend saturation latency.
-	var single, double time.Duration
-	for i := 0; i < 40; i++ {
-		res := h.state.Request("node-a", "10.96.0.1", 80)
-		if res.Failed() {
-			t.Fatalf("request %d failed: %s", i, res.Err)
-		}
-		double += res.Latency
+	h.loop.RunUntil(h.loop.Now() + loadWindow)
+	double := burst(2)
+
+	if double >= single {
+		t.Fatalf("average latency %v with two backends, not below the single backend's %v", double, single)
 	}
-	_ = single
-	avg := double / 40
-	if avg > 120*time.Millisecond {
-		t.Fatalf("average latency %v implausible with two backends", avg)
+	if double > 120*time.Millisecond {
+		t.Fatalf("average latency %v implausible with two backends", double)
 	}
 }
 
@@ -255,7 +268,7 @@ func TestLatencyRisesWithLoad(t *testing.T) {
 // zonedHarness builds a three-zone cloud-edge data plane: one node per zone
 // (core, regional-1, edge-2), flannel on each, and a web service backed by a
 // single pod in the core zone.
-func newZonedHarness(t *testing.T) *harness {
+func newZonedHarness(t testing.TB) *harness {
 	t.Helper()
 	loop := sim.NewLoop(1)
 	st := store.NewReplicated(loop, 1, nil)

@@ -118,7 +118,7 @@ func ProfileFor(c LinkClass) LinkProfile { return linkProfiles[c] }
 
 // ZoneOf returns the zone a node belongs to, or "" for unzoned nodes.
 func (s *State) ZoneOf(node string) string {
-	return s.nodeZone[node]
+	return s.nodes[node].zone
 }
 
 // SetZoneLink cuts (up=false) or restores (up=true) a zone's uplink to every
@@ -147,7 +147,7 @@ func (s *State) SetNodeLink(node string, up bool) {
 
 // ZonesConnected reports whether traffic can flow between two zones.
 func (s *State) ZonesConnected(a, b string) bool {
-	if a == b {
+	if a == b || len(s.zoneDown) == 0 {
 		return true
 	}
 	return !s.zoneDown[a] && !s.zoneDown[b]
@@ -156,13 +156,19 @@ func (s *State) ZonesConnected(a, b string) bool {
 // RouteBetween reports whether a request can travel from one node to
 // another: both overlays up, both node links up, and the zone path intact.
 func (s *State) RouteBetween(from, to string) bool {
-	if s.nodeDown[from] || s.nodeDown[to] {
+	return s.routeBetween(from, s.nodes[from], to, s.nodes[to])
+}
+
+// routeBetween is RouteBetween on the two nodes' entries, for a caller that
+// already holds them.
+func (s *State) routeBetween(from string, fromNode nodeState, to string, toNode nodeState) bool {
+	if len(s.nodeDown) > 0 && (s.nodeDown[from] || s.nodeDown[to]) {
 		return false
 	}
-	if !s.RoutesUp(from) || !s.RoutesUp(to) {
+	if !s.routesUp(fromNode) || !s.routesUp(toNode) {
 		return false
 	}
-	return s.ZonesConnected(s.ZoneOf(from), s.ZoneOf(to))
+	return s.ZonesConnected(fromNode.zone, toNode.zone)
 }
 
 // TopologyImpaired reports whether any topology fault is currently applied

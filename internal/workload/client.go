@@ -33,17 +33,20 @@ type RequestRecord struct {
 //
 // The VIP is resolved from a watch-maintained service view (the same
 // informer-style pipeline the driver's readiness checks use) instead of a
-// per-request server Get; each request still notes an access of the service
-// key so the injection framework's activation accounting keeps per-request
-// granularity.
+// per-request server Get: the view's events keep svc, the view's entry for
+// the target service, so a request reads a field. Each request still notes
+// an access of the service key so the injection framework's activation
+// accounting keeps per-request granularity.
 type Client struct {
 	cl      *cluster.Cluster
 	api     *apiserver.Client
 	ns      string
 	service string
-	// view mirrors the target service; nsKey is the precomputed view key and
-	// svcKey the precomputed store key the per-request access note reports.
+	// view mirrors the services and svc is its entry for the target (nil
+	// while it has none); nsKey is the target's view key and svcKey the
+	// precomputed store key the per-request access note reports.
 	view   *apiserver.Reflector
+	svc    *spec.Service
 	nsKey  string
 	svcKey string
 
@@ -74,8 +77,12 @@ func (c *Client) Start() {
 	if c.Records == nil {
 		c.Records = make([]RequestRecord, 0, TotalRequests)
 	}
-	c.view = apiserver.NewReflector(c.cl.Loop, c.api, readinessResync, nil, spec.KindService)
+	c.view = apiserver.NewReflector(c.cl.Loop, c.api, readinessResync, c.observe, spec.KindService)
 	c.view.Start()
+	c.svc = nil
+	if obj, ok := c.view.GetByKey(spec.KindService, c.nsKey); ok {
+		c.svc = obj.(*spec.Service)
+	}
 	c.ticker = c.cl.Loop.Every(requestInterval, c.issue)
 }
 
@@ -106,16 +113,29 @@ func (c *Client) issue() {
 	c.Records = append(c.Records, rec)
 }
 
+// observe follows the view's events — live deliveries and resync repairs
+// alike — for the target service, so svc is always what the view holds
+// under nsKey.
+func (c *Client) observe(ev apiserver.WatchEvent) {
+	if ev.Object.Meta().NamespacedName() != c.nsKey {
+		return
+	}
+	if ev.Type == apiserver.Deleted {
+		c.svc = nil
+		return
+	}
+	c.svc = ev.Object.(*spec.Service)
+}
+
 func (c *Client) request() netsim.RequestResult {
-	// The VIP comes from the watch-maintained view: a local lookup over the
-	// sealed service object, no server round-trip per request. NoteAccess
-	// preserves the activation accounting a per-request Get used to provide.
-	obj, ok := c.view.GetByKey(spec.KindService, c.nsKey)
-	if !ok {
+	// The VIP comes from the watch-maintained view: the sealed service object
+	// its events keep, no server round-trip per request. NoteAccess counts one
+	// access of the service per request, as a server Get would.
+	if c.svc == nil {
 		return netsim.RequestResult{Err: netsim.ErrRefused}
 	}
 	c.api.NoteAccess(c.svcKey)
-	vip := obj.(*spec.Service).Spec.ClusterIP
+	vip := c.svc.Spec.ClusterIP
 	if vip == "" {
 		return netsim.RequestResult{Err: netsim.ErrRefused}
 	}

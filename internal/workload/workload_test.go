@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/mutiny-sim/mutiny/internal/apiserver"
 	"github.com/mutiny-sim/mutiny/internal/cluster"
 	"github.com/mutiny-sim/mutiny/internal/netsim"
 	"github.com/mutiny-sim/mutiny/internal/spec"
@@ -196,4 +197,62 @@ func TestClientLogsIntoSuppliedRecords(t *testing.T) {
 	if own.Series()[TotalRequests-1] == 0 || lent.TrailingFailures() != 0 {
 		t.Error("requests against a ready service failed")
 	}
+}
+
+// The client's target Service is the view's entry at every instant — through
+// a delete whose watch event is lost and which the view's resync repairs,
+// and through a re-create — so a request never reads a Service the view no
+// longer holds, nor misses one it does.
+func TestClientServiceFollowsItsView(t *testing.T) {
+	c := bootCluster(t, 7)
+	d := NewDriver(c, ScaleUp)
+	d.Setup()
+	ns, name := d.TargetService()
+	client := NewClient(c, ns, name)
+	client.Start()
+	admin := c.Client("test")
+	check := func(step string, wantService bool) {
+		t.Helper()
+		for end := c.Loop.Now() + readinessResync + time.Second; c.Loop.Now() < end; {
+			c.Loop.RunUntil(c.Loop.Now() + 50*time.Millisecond)
+			var got spec.Object
+			if client.svc != nil {
+				got = client.svc
+			}
+			if want, _ := client.view.GetByKey(spec.KindService, client.nsKey); got != want {
+				t.Fatalf("%s, at %v: client holds %v, its view %v", step, c.Loop.Now(), got, want)
+			}
+		}
+		if (client.svc != nil) != wantService {
+			t.Fatalf("%s: client holds a service: %v, want %v", step, client.svc != nil, wantService)
+		}
+	}
+	check("started", true)
+
+	obj, err := admin.Get(spec.KindService, ns, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropping := true
+	c.Server.SetWatchHook(func(m *apiserver.Message) apiserver.Action {
+		if dropping && m.Kind == spec.KindService {
+			return apiserver.Drop
+		}
+		return apiserver.Pass
+	})
+	if err := admin.Delete(spec.KindService, ns, name); err != nil {
+		t.Fatal(err)
+	}
+	check("delete lost, then repaired by the resync", false)
+	if client.view.ResyncRepairs() == 0 {
+		t.Fatal("the delete reached the view; the step tests nothing")
+	}
+
+	dropping = false
+	again := spec.CloneForWriteAs(obj.(*spec.Service))
+	again.Metadata.UID, again.Metadata.ResourceVersion = "", 0
+	if err := admin.Create(again); err != nil {
+		t.Fatal(err)
+	}
+	check("re-created", true)
 }
