@@ -2,6 +2,7 @@ package apiserver
 
 import (
 	"sort"
+	"strings"
 	"time"
 
 	"github.com/mutiny-sim/mutiny/internal/sim"
@@ -106,16 +107,34 @@ func (b *sortedBucket) get(key string) (spec.Object, bool) {
 	return nil, false
 }
 
+// nsLinear is how many keys past a namespace's first nsRange compares one by
+// one before it binary-searches for the end: most namespaces hold a handful
+// of keys, and a short scan beats a search there.
+const nsLinear = 8
+
 // nsRange returns the [i, j) index range of keys in namespace ns ("" = all).
+// The keys carrying the prefix "ns/" are one contiguous run, so both ends are
+// found by search: the start as the first key not below the prefix, the end as
+// the first key of the run without it.
 func (b *sortedBucket) nsRange(ns string) (int, int) {
 	if ns == "" {
 		return 0, len(b.keys)
 	}
 	prefix := ns + "/"
 	i := sort.SearchStrings(b.keys, prefix)
-	j := i
-	for j < len(b.keys) && len(b.keys[j]) >= len(prefix) && b.keys[j][:len(prefix)] == prefix {
-		j++
+	j, hi := i, len(b.keys)
+	for lim := min(i+nsLinear, hi); j < lim; j++ {
+		if !strings.HasPrefix(b.keys[j], prefix) {
+			return i, j
+		}
+	}
+	for j < hi {
+		m := int(uint(j+hi) >> 1)
+		if strings.HasPrefix(b.keys[m], prefix) {
+			j = m + 1
+		} else {
+			hi = m
+		}
 	}
 	return i, j
 }
@@ -257,6 +276,22 @@ func (r *Reflector) ForEach(kind spec.Kind, ns string, fn func(spec.Object) bool
 	}
 	i, j := b.nsRange(ns)
 	for ; i < j; i++ {
+		if !fn(b.objs[i]) {
+			return
+		}
+	}
+}
+
+// ForEachFrom calls fn for every object of kind whose key (namespace/name) is
+// fromKey or after it, in key order, stopping early when fn returns false:
+// ForEach over all namespaces, entered at fromKey by one search. The same
+// contract as ForEach holds.
+func (r *Reflector) ForEachFrom(kind spec.Kind, fromKey string, fn func(spec.Object) bool) {
+	b := r.views[kind]
+	if b == nil {
+		return
+	}
+	for i := sort.SearchStrings(b.keys, fromKey); i < len(b.keys); i++ {
 		if !fn(b.objs[i]) {
 			return
 		}

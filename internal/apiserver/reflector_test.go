@@ -1,6 +1,9 @@
 package apiserver
 
 import (
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -284,4 +287,68 @@ func TestReflectorPrimesInKeyOrder(t *testing.T) {
 	b.delete(first)
 	b.set(first, obj) // before every other key: search and shift
 	check("first key re-inserted")
+}
+
+// nsRange searches where the scan it replaced walked: over namespaces that
+// prefix one another or continue with bytes below and above '/', at sizes on
+// both sides of the linear stretch, both ends must land where the prefix scan
+// lands, and ForEachFrom must visit exactly the keys from its start on, in
+// order.
+func TestNamespaceRangeMatchesPrefixScan(t *testing.T) {
+	namespaces := []string{"a", "a-b", "a.b", "a0", "ab", "default", "default-x"}
+	queries := append([]string{"", "b", "0", "defaul", "default-", "zz"}, namespaces...)
+	const nameBytes = "-.09az"
+	rng := rand.New(rand.NewSource(33))
+	for round := 0; round < 200; round++ {
+		b := &sortedBucket{}
+		for _, ns := range namespaces {
+			for n := rng.Intn(41); n > 0; n-- {
+				name := []byte{'p'}
+				for l := rng.Intn(4); l >= 0; l-- {
+					name = append(name, nameBytes[rng.Intn(len(nameBytes))])
+				}
+				pod := testPod(string(name))
+				pod.Metadata.Namespace = ns
+				b.set(ns+"/"+string(name), pod)
+			}
+		}
+		for _, ns := range queries {
+			wantI, wantJ := 0, len(b.keys)
+			if ns != "" {
+				// The prefix scan: every key below the namespace's prefix, then
+				// every key that carries it.
+				prefix := ns + "/"
+				for wantI < len(b.keys) && b.keys[wantI] < prefix {
+					wantI++
+				}
+				for wantJ = wantI; wantJ < len(b.keys) && strings.HasPrefix(b.keys[wantJ], prefix); wantJ++ {
+				}
+			}
+			if i, j := b.nsRange(ns); i != wantI || j != wantJ {
+				t.Fatalf("round %d, namespace %q over %d keys: nsRange = [%d, %d), the prefix scan finds [%d, %d)", round, ns, len(b.keys), i, j, wantI, wantJ)
+			}
+		}
+
+		r := &Reflector{views: map[spec.Kind]*sortedBucket{spec.KindPod: b}}
+		froms := []string{"", "a/", "a-b/p", "a0/", "default-x/pzz", "zz"}
+		if len(b.keys) > 0 {
+			k := b.keys[rng.Intn(len(b.keys))]
+			froms = append(froms, k, k+"-", k[:len(k)-1])
+		}
+		for _, from := range froms {
+			var want, got []string
+			for _, k := range b.keys {
+				if k >= from {
+					want = append(want, k)
+				}
+			}
+			r.ForEachFrom(spec.KindPod, from, func(o spec.Object) bool {
+				got = append(got, o.Meta().NamespacedName())
+				return true
+			})
+			if !slices.Equal(got, want) {
+				t.Fatalf("round %d: ForEachFrom(%q) visits %v, the keys from it on are %v", round, from, got, want)
+			}
+		}
+	}
 }

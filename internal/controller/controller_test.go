@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/mutiny-sim/mutiny/internal/apiserver"
+	"github.com/mutiny-sim/mutiny/internal/codec"
 	"github.com/mutiny-sim/mutiny/internal/sim"
 	"github.com/mutiny-sim/mutiny/internal/spec"
 	"github.com/mutiny-sim/mutiny/internal/store"
@@ -17,6 +18,7 @@ import (
 // explicitly.
 type harness struct {
 	loop *sim.Loop
+	st   *store.Store
 	srv  *apiserver.Server
 	c    *apiserver.Client
 	m    *Manager
@@ -28,7 +30,7 @@ func newHarness(t *testing.T) *harness {
 	st := store.NewReplicated(loop, 1, nil)
 	srv := apiserver.New(loop, st, nil)
 	m := NewManager(loop, srv.Endpoints(), Options{})
-	h := &harness{loop: loop, srv: srv, c: srv.ClientFor("test"), m: m}
+	h := &harness{loop: loop, st: st.Replica(0), srv: srv, c: srv.ClientFor("test"), m: m}
 	for _, name := range []string{"worker-0", "worker-1"} {
 		node := &spec.Node{
 			Metadata: spec.ObjectMeta{Name: name},
@@ -130,7 +132,7 @@ func TestReplicaSetScalesDown(t *testing.T) {
 	}
 	h.run(3 * time.Second)
 	obj, _ := h.c.Get(spec.KindReplicaSet, spec.DefaultNamespace, "web")
-	rs := obj.(*spec.ReplicaSet)
+	rs := spec.CloneForWriteAs(obj.(*spec.ReplicaSet))
 	rs.Spec.Replicas = 1
 	if err := h.c.Update(rs); err != nil {
 		t.Fatal(err)
@@ -294,7 +296,7 @@ func TestDeploymentRollingUpdateCreatesNewRS(t *testing.T) {
 	}
 	h.run(3 * time.Second)
 	obj, _ := h.c.Get(spec.KindDeployment, spec.DefaultNamespace, "web")
-	deploy := obj.(*spec.Deployment)
+	deploy := spec.CloneForWriteAs(obj.(*spec.Deployment))
 	deploy.Spec.Template.Spec.Containers[0].Image = "registry.local/web:2"
 	if err := h.c.Update(deploy); err != nil {
 		t.Fatal(err)
@@ -330,11 +332,11 @@ func TestEndpointsTrackReadyPods(t *testing.T) {
 		t.Fatal("endpoints contain non-ready pods")
 	}
 	// Mark one pod ready (playing kubelet).
-	pods := h.pods(spec.DefaultNamespace)
-	pods[0].Status.Ready = true
-	pods[0].Status.Phase = spec.PodRunning
-	pods[0].Status.PodIP = "10.244.1.5"
-	if err := h.c.UpdateStatus(pods[0]); err != nil {
+	pod := spec.CloneForStatusAs(h.pods(spec.DefaultNamespace)[0])
+	pod.Status.Ready = true
+	pod.Status.Phase = spec.PodRunning
+	pod.Status.PodIP = "10.244.1.5"
+	if err := h.c.UpdateStatus(pod); err != nil {
 		t.Fatal(err)
 	}
 	h.run(3 * time.Second)
@@ -377,9 +379,10 @@ func TestGarbageCollectorDeletesOnUIDMismatch(t *testing.T) {
 	if len(pods) != 1 {
 		t.Fatalf("setup pods = %d", len(pods))
 	}
-	name := pods[0].Metadata.Name
-	pods[0].Metadata.OwnerReferences[0].UID = "uid-999999"
-	if err := h.c.Update(pods[0]); err != nil {
+	pod := spec.CloneForWriteAs(pods[0])
+	name := pod.Metadata.Name
+	pod.Metadata.OwnerReferences[0].UID = "uid-999999"
+	if err := h.c.Update(pod); err != nil {
 		t.Fatal(err)
 	}
 	h.run(2*gcInterval + 2*time.Second)
@@ -447,6 +450,7 @@ func TestFullDisruptionModeStopsEvictions(t *testing.T) {
 	h.run(3 * time.Second)
 	// Bind pods to nodes (no kubelet here).
 	for i, pod := range h.pods(spec.DefaultNamespace) {
+		pod = spec.CloneForWriteAs(pod)
 		pod.Spec.NodeName = []string{"worker-0", "worker-1"}[i%2]
 		if err := h.c.Update(pod); err != nil {
 			t.Fatal(err)
@@ -469,6 +473,7 @@ func TestEvictionsResumeWithoutFullDisruption(t *testing.T) {
 	}
 	h.run(3 * time.Second)
 	for _, pod := range h.pods(spec.DefaultNamespace) {
+		pod = spec.CloneForWriteAs(pod)
 		pod.Spec.NodeName = "worker-0"
 		if err := h.c.Update(pod); err != nil {
 			t.Fatal(err)
@@ -736,4 +741,185 @@ func TestNodeHeartbeatsAreGatedOnce(t *testing.T) {
 	if len(h.m.daemonSets.q.dirty) > 0 || h.m.nodes.monitorPending {
 		t.Error("the first sighting of a node after a Reset reached the controllers")
 	}
+}
+
+// writeToStore puts obj into the store past the apiserver and its validation,
+// as a store-channel corruption lands it: the only way a workload's selector,
+// immutable through the API, changes.
+func (h *harness) writeToStore(t *testing.T, obj spec.Object) {
+	t.Helper()
+	data, err := codec.Marshal(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := obj.Meta()
+	if _, err := h.st.Put(spec.Key(obj.Kind(), meta.Namespace, meta.Name), obj.Kind(), data); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// viewPod is the manager's view of a pod: the sealed object its syncs walk.
+func (h *harness) viewPod(t *testing.T, name string) *spec.Pod {
+	t.Helper()
+	obj, ok := h.m.views.Get(spec.KindPod, spec.DefaultNamespace, name)
+	if !ok {
+		t.Fatalf("pod %s is not in the manager's view", name)
+	}
+	return obj.(*spec.Pod)
+}
+
+// bigLabels is a label set too large to intern: every pod it is given to
+// holds a map of its own.
+func bigLabels(app string) map[string]string {
+	return map[string]string{"app": app, "k1": "v1", "k2": "v2", "k3": "v3", "k4": "v4"}
+}
+
+// A sync judges a label map once, and the verdict dies with the sync. Orphans
+// of one template share one interned map: once a store write makes the
+// ReplicaSet's selector pick them, the next sync adopts them all, where a
+// verdict kept from the sync before would pass them by and create three
+// more. Maps too large to intern are each judged on their own. A DaemonSet
+// keeps and releases its pods by the same verdicts.
+func TestSelectorVerdictIsPerSync(t *testing.T) {
+	orphan := func(t *testing.T, h *harness, name string, labels map[string]string) {
+		t.Helper()
+		pod := &spec.Pod{
+			Metadata: spec.ObjectMeta{Name: name, Namespace: spec.DefaultNamespace, Labels: labels},
+			Spec: spec.PodSpec{Containers: []spec.Container{{
+				Name: "c", Image: "registry.local/web:1", Command: []string{"serve"},
+			}}},
+		}
+		if err := h.c.Create(pod); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// judged holds each pod's ownership by the workload to what PairsMatch says
+	// of its labels against the selector.
+	judged := func(t *testing.T, h *harness, uid string, sel spec.LabelSelector, names ...string) {
+		t.Helper()
+		pairs := sel.AppendPairs(nil)
+		for _, name := range names {
+			pod := h.viewPod(t, name)
+			ref := pod.Metadata.ControllerOf()
+			owned := ref != nil && ref.UID == uid
+			if want := spec.PairsMatch(pairs, pod.Metadata.Labels); owned != want {
+				t.Errorf("pod %s with labels %v: owned = %v, the selector %v matches them: %v", name, pod.Metadata.Labels, owned, sel.MatchLabels, want)
+			}
+		}
+	}
+
+	t.Run("replicaset-shared-map", func(t *testing.T) {
+		h := newHarness(t)
+		strays := []string{"stray-0", "stray-1", "stray-2"}
+		for _, name := range strays {
+			orphan(t, h, name, map[string]string{"app": "stray"})
+		}
+		if err := h.c.Create(testRS("web", 0)); err != nil {
+			t.Fatal(err)
+		}
+		h.run(time.Second)
+		if !spec.SameMap(h.viewPod(t, "stray-0").Metadata.Labels, h.viewPod(t, "stray-2").Metadata.Labels) {
+			t.Fatal("setup: the orphans' equal label sets are not one interned map")
+		}
+		obj, _ := h.m.views.Get(spec.KindReplicaSet, spec.DefaultNamespace, "web")
+		rs := spec.CloneForWriteAs(obj.(*spec.ReplicaSet))
+		judged(t, h, rs.Metadata.UID, rs.Spec.Selector, strays...)
+
+		rs.Spec.Replicas = 3
+		rs.Spec.Selector.MatchLabels = map[string]string{"app": "stray"}
+		rs.Spec.Template.Labels = map[string]string{"app": "stray"}
+		h.writeToStore(t, rs)
+		h.run(time.Second)
+		judged(t, h, rs.Metadata.UID, rs.Spec.Selector, strays...)
+		if pods := h.pods(spec.DefaultNamespace); len(pods) != 3 {
+			t.Errorf("pods = %d, want the 3 adopted orphans", len(pods))
+		}
+	})
+
+	t.Run("replicaset-large-maps", func(t *testing.T) {
+		h := newHarness(t)
+		apps := []string{"web", "web", "other", "web", "other", "other"}
+		var names []string
+		for i, app := range apps {
+			names = append(names, fmt.Sprintf("big-%d", i))
+			orphan(t, h, names[i], bigLabels(app))
+		}
+		h.run(time.Second)
+		if spec.SameMap(h.viewPod(t, "big-0").Metadata.Labels, h.viewPod(t, "big-1").Metadata.Labels) {
+			t.Fatal("setup: labels too large to intern are one map")
+		}
+		if err := h.c.Create(testRS("web", 3)); err != nil {
+			t.Fatal(err)
+		}
+		h.run(time.Second)
+		obj, _ := h.m.views.Get(spec.KindReplicaSet, spec.DefaultNamespace, "web")
+		rs := obj.(*spec.ReplicaSet)
+		judged(t, h, rs.Metadata.UID, rs.Spec.Selector, names...)
+		if pods := h.pods(spec.DefaultNamespace); len(pods) != len(apps) {
+			t.Errorf("pods = %d, want the %d orphans and none created", len(pods), len(apps))
+		}
+	})
+
+	t.Run("daemonset-shared-map", func(t *testing.T) {
+		h := newHarness(t)
+		if err := h.c.Create(testDS("agent")); err != nil {
+			t.Fatal(err)
+		}
+		h.run(time.Second)
+		var names []string
+		for _, pod := range h.pods(spec.DefaultNamespace) {
+			names = append(names, pod.Metadata.Name)
+		}
+		if len(names) != 2 || !spec.SameMap(h.viewPod(t, names[0]).Metadata.Labels, h.viewPod(t, names[1]).Metadata.Labels) {
+			t.Fatalf("setup: daemon pods %v, want two sharing one interned label map", names)
+		}
+		obj, _ := h.m.views.Get(spec.KindDaemonSet, spec.DefaultNamespace, "agent")
+		ds := spec.CloneForWriteAs(obj.(*spec.DaemonSet))
+		judged(t, h, ds.Metadata.UID, ds.Spec.Selector, names...)
+
+		ds.Spec.Selector.MatchLabels = map[string]string{"app": "agent-2"}
+		ds.Spec.Template.Labels = map[string]string{"app": "agent-2"}
+		h.writeToStore(t, ds)
+		h.run(time.Second)
+		judged(t, h, ds.Metadata.UID, ds.Spec.Selector, names...)
+		if pods := h.pods(spec.DefaultNamespace); len(pods) != 4 {
+			t.Errorf("pods = %d, want the 2 released and 2 replacements", len(pods))
+		}
+	})
+
+	t.Run("daemonset-large-maps", func(t *testing.T) {
+		h := newHarness(t)
+		for i := 2; i < 6; i++ { // the harness brings worker-0 and worker-1
+			if err := h.c.Create(&spec.Node{Metadata: spec.ObjectMeta{Name: fmt.Sprintf("worker-%d", i)}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ds := testDS("agent")
+		ds.Spec.Template.Labels = bigLabels("agent")
+		if err := h.c.Create(ds); err != nil {
+			t.Fatal(err)
+		}
+		h.run(time.Second)
+		var names []string
+		for i, pod := range h.pods(spec.DefaultNamespace) {
+			names = append(names, pod.Metadata.Name)
+			if i == 1 || i == 2 || i == 5 {
+				relabeled := spec.CloneForWriteAs(pod)
+				relabeled.Metadata.Labels = bigLabels("other")
+				if err := h.c.Update(relabeled); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if len(names) != 6 {
+			t.Fatalf("setup: %d daemon pods, want 6", len(names))
+		}
+		h.run(time.Second)
+		obj, _ := h.m.views.Get(spec.KindDaemonSet, spec.DefaultNamespace, "agent")
+		ds = obj.(*spec.DaemonSet)
+		judged(t, h, ds.Metadata.UID, ds.Spec.Selector, names...)
+		if pods := h.pods(spec.DefaultNamespace); len(pods) != 9 {
+			t.Errorf("pods = %d, want the 6 and 3 replacements for the released", len(pods))
+		}
+	})
 }

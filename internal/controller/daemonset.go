@@ -18,6 +18,9 @@ type daemonSetController struct {
 	// reused across syncs (neither outlives the sync call).
 	byNodeScratch   map[string]nodePods
 	nodeSeenScratch []string
+	// selScratch holds the selector of the DaemonSet being synced as a flat
+	// list; empty between syncs.
+	selScratch []spec.LabelPair
 }
 
 // nodePods is one node's share of a DaemonSet's pods, in view order. The
@@ -85,6 +88,8 @@ func (c *daemonSetController) sync(key string) {
 	}
 	podsByNode := c.byNodeScratch
 	nodeSeen := c.nodeSeenScratch[:0]
+	sel := ds.Spec.Selector.AppendPairs(c.selScratch)
+	verdict := labelVerdict{sel: sel}
 	c.m.views.ForEach(spec.KindPod, ns, func(po spec.Object) bool {
 		pod := po.(*spec.Pod)
 		if !pod.Active() {
@@ -94,7 +99,7 @@ func (c *daemonSetController) sync(key string) {
 		if ref == nil || ref.UID != ds.Metadata.UID {
 			return true
 		}
-		if !ds.Spec.Selector.Matches(pod.Metadata.Labels) {
+		if !verdict.matches(pod.Metadata.Labels) {
 			// The pod no longer looks like ours: release it. The replacement
 			// spawned below starts the uncontrolled-replication loop if the
 			// corruption is in the template.
@@ -151,6 +156,7 @@ func (c *daemonSetController) sync(key string) {
 		}
 	}
 	c.nodeSeenScratch = nodeSeen
+	c.selScratch = emptied(sel)
 
 	c.updateStatus(ds, desired, current, ready)
 }

@@ -77,29 +77,30 @@ func (c *replicaSetController) sync(key string) {
 	// release mutate a private clone (see adoptPod / Manager.releasePod).
 	owned := c.ownedScratch[:0]
 	sel := rs.Spec.Selector.AppendPairs(c.selScratch)
+	verdict := labelVerdict{sel: sel}
 	c.m.views.ForEach(spec.KindPod, ns, func(po spec.Object) bool {
 		pod := po.(*spec.Pod)
-		if !pod.Active() {
-			return true
-		}
+		// Cheapest test first: in a storm nearly every pod of the namespace is
+		// an orphan the selector does not pick, all with one label map.
 		ref := pod.Metadata.ControllerOf()
 		if ref != nil && ref.UID != rs.Metadata.UID {
 			return true // another controller's pod: not ours to count, release or adopt
 		}
-		matches := spec.PairsMatch(sel, pod.Metadata.Labels)
+		matches := verdict.matches(pod.Metadata.Labels)
+		if (ref == nil && !matches) || !pod.Active() {
+			return true
+		}
 		switch {
-		case ref != nil:
-			if matches {
-				owned = append(owned, pod)
-			} else {
-				// Labels diverged from the selector: release the pod. It
-				// keeps running as an orphan — silent over-provisioning.
-				c.m.releasePod(pod)
-			}
-		case matches: // an orphan
+		case ref == nil: // an orphan the selector picks
 			if c.adoptPod(rs, pod) {
 				owned = append(owned, pod)
 			}
+		case matches:
+			owned = append(owned, pod)
+		default:
+			// Labels diverged from the selector: release the pod. It keeps
+			// running as an orphan — silent over-provisioning.
+			c.m.releasePod(pod)
 		}
 		return true
 	})
@@ -127,6 +128,25 @@ func (c *replicaSetController) sync(key string) {
 	}
 
 	c.updateStatus(rs, owned)
+}
+
+// labelVerdict is one selector's verdict on label sets during one walk of the
+// pod view, kept for the last label map it judged. Seal interns small label
+// maps, so the pods of one template share one map and a storm's orphans cost
+// one match between them. Nothing changes during a walk, so the same map
+// holds the same labels even when it was too large to intern; a selector
+// changes between syncs, so a labelVerdict never outlives one.
+type labelVerdict struct {
+	sel           []spec.LabelPair
+	labels        map[string]string
+	judged, match bool
+}
+
+func (v *labelVerdict) matches(labels map[string]string) bool {
+	if !v.judged || !spec.SameMap(labels, v.labels) {
+		v.labels, v.judged, v.match = labels, true, spec.PairsMatch(v.sel, labels)
+	}
+	return v.match
 }
 
 func (c *replicaSetController) adoptPod(rs *spec.ReplicaSet, pod *spec.Pod) bool {

@@ -252,7 +252,7 @@ func (r *retryRig) want() []bind {
 
 // check holds the memo to what it claims, against the views and sums as they
 // are now: an entry equal to gen names a pod without a priority that fits no
-// node, and untried counts the other entries.
+// node, untried counts the other entries, and none of those sorts below low.
 func (r *retryRig) check(when string) {
 	r.t.Helper()
 	if !r.s.running {
@@ -277,6 +277,9 @@ func (r *retryRig) check(when string) {
 	for key, at := range r.s.pending {
 		if at != r.s.gen {
 			untried++
+			if key < r.s.low {
+				r.t.Fatalf("%s, %s: untried key %q sorts below low %q, where a cycle's walk starts", r.step, when, key, r.s.low)
+			}
 		}
 		if _, ok := r.s.views.GetByKey(spec.KindPod, key); !ok {
 			r.t.Fatalf("%s, %s: pending key %q is not in the pod view", r.step, when, key)
@@ -516,6 +519,9 @@ func FuzzSchedulerRetry(f *testing.F) {
 	f.Add(moved)
 	f.Add([]byte{step(opCreateSmall, 11), step(opCreateBig, 3), step(opRewriteNode, 0), step(opDeleteBound, 7), step(opRewriteNode, 0)})
 	f.Add([]byte{step(opCreateSmall, 9), step(opLoseBind, 0), step(opRefuseBind, 0), step(opCreateSmall, 3), step(opCreateUrgent, 0), step(opTick, 12)})
+	// The lost bind's pod is pending again, behind a memoized pod that sorts
+	// after it: its enqueue must lower where the next walk starts.
+	f.Add([]byte{step(opCreateBig, 3), step(opCreateBig, 3), step(opLoseBind, 2), step(opRewriteNode, 5), step(opRewriteNode, 5)})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 96 {
 			prog = prog[:96]

@@ -55,11 +55,14 @@ type Scheduler struct {
 	// charge of the allocation index is released, shrinks or changes node, on
 	// any node event of the view, and with the cache; a pod's own event resets
 	// its entry alone. untried counts the entries that differ from gen — the
-	// pods a cycle has to look at.
+	// pods a cycle has to look at — and, while there are any, low is a key no
+	// greater than any of theirs: a cycle's walk of the view starts there.
 	pending  map[string]uint64
 	gen      uint64
 	untried  int
+	low      string
 	attempts int               // scheduleOne calls since the cache was cleared
+	walked   int               // pods the cycles' walks looked at since the cache was cleared
 	assumed  map[string]string // pod UID → node the scheduler bound it to
 	// podAlloc/nodeUsed form the incremental allocation index: the per-node
 	// resource charge of every assigned active pod, maintained from the same
@@ -147,7 +150,7 @@ func emptied[T any](s []T) []T {
 // from the views, and what a cache-mismatch restart distrusts.
 func (s *Scheduler) clearCache() {
 	clear(s.pending)
-	s.gen, s.untried, s.attempts = 1, 0, 0
+	s.gen, s.untried, s.low, s.attempts, s.walked = 1, 0, "", 0, 0
 	clear(s.assumed)
 	clear(s.podAlloc)
 	clear(s.nodeUsed)
@@ -261,6 +264,9 @@ func (s *Scheduler) onViewEvent(ev apiserver.WatchEvent) {
 // enqueue marks the pod as pending and not tried against the present inputs.
 func (s *Scheduler) enqueue(key string) {
 	if at, ok := s.pending[key]; !ok || at == s.gen {
+		if s.untried == 0 || key < s.low {
+			s.low = key
+		}
 		s.untried++
 	}
 	s.pending[key] = 0
@@ -280,6 +286,7 @@ func (s *Scheduler) inputsMoved() {
 	if s.untried < len(s.pending) {
 		s.gen++
 		s.untried = len(s.pending)
+		s.low = ""
 	}
 }
 
@@ -323,13 +330,19 @@ func (s *Scheduler) scheduleAll() {
 	// The view's order is the scheduling order (namespace/name), and every
 	// pending key is a view key naming an unassigned active pod: the view
 	// applies an event before onViewEvent sees it, and run re-primes pending
-	// from the view.
-	s.views.ForEach(spec.KindPod, "", func(po spec.Object) bool {
+	// from the view. The walk enters the view at low, below which no pod is
+	// untried, and ends at the last untried pod: every pod it skips would
+	// have been skipped. What stays untried after the cycle is the pods the
+	// walk left at 0, so low moves up to the first of them.
+	left, low := s.untried, ""
+	s.views.ForEachFrom(spec.KindPod, s.low, func(po spec.Object) bool {
+		s.walked++
 		pod := po.(*spec.Pod)
 		key := podKey(pod)
 		if at, ok := s.pending[key]; !ok || at == s.gen {
 			return true
 		}
+		left--
 		if pod.Spec.Priority > 0 && podSnapshot == nil {
 			// Informer-view scan: preemption picks victims by name; they are
 			// deleted, never mutated.
@@ -344,18 +357,19 @@ func (s *Scheduler) scheduleAll() {
 		if zone := pod.Spec.NodeSelector[spec.LabelZone]; zone != "" {
 			cand = zones[zone]
 		}
-		switch s.scheduleOne(pod, cand, podSnapshot) {
-		case bindDone:
+		switch v := s.scheduleOne(pod, cand, podSnapshot); {
+		case v == bindDone:
 			s.dequeue(key)
 			bound = true
-		case fitsNowhere:
-			if !bound {
-				s.pending[key] = s.gen
-				s.untried--
-			}
+		case v == fitsNowhere && !bound:
+			s.pending[key] = s.gen
+			s.untried--
+		case low == "": // tryAgain, or a failure after a bind: still untried
+			low = key
 		}
-		return true
+		return left > 0
 	})
+	s.low = low
 }
 
 // verdict is what one scheduling attempt came to.

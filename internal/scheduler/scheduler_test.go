@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -422,5 +423,32 @@ func TestSchedulesPendingInKeyOrder(t *testing.T) {
 		if got != want {
 			t.Errorf("pod %s/%s on node %q, want %q", p[0], p[1], got, want)
 		}
+	}
+}
+
+// A cycle enters the pod view at the first pod it has to try: one new pending
+// pod behind 300 bound ones costs the walk that pod, not the 301 a walk from
+// the first key looks at.
+func TestCycleStartsAtFirstUntried(t *testing.T) {
+	loop, c, s := newScheduler(t)
+	for i := 0; i < 300; i++ {
+		pod := pendingPod(fmt.Sprintf("bound-%03d", i), 0)
+		pod.Spec.NodeName = "worker-0"
+		pod.Spec.Containers[0].RequestsMemMB = 0
+		if err := c.Create(pod); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loop.RunUntil(loop.Now() + time.Second)
+	before := s.walked
+	if err := c.Create(pendingPod("web-new", 500)); err != nil {
+		t.Fatal(err)
+	}
+	loop.RunUntil(loop.Now() + time.Second)
+	if nodeOf(t, c, "web-new") == "" {
+		t.Fatal("the new pod was not scheduled")
+	}
+	if got := s.walked - before; got > 2 {
+		t.Fatalf("the cycles walked %d pods to schedule one pending pod that sorts last, want at most 2", got)
 	}
 }

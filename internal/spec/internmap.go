@@ -1,6 +1,10 @@
 package spec
 
-import "github.com/mutiny-sim/mutiny/internal/cow"
+import (
+	"unsafe"
+
+	"github.com/mutiny-sim/mutiny/internal/cow"
+)
 
 // Label-map interning.
 //
@@ -77,6 +81,16 @@ func InternStringMap(m map[string]string) map[string]string {
 		return v
 	}
 	return s.Insert(string(b), m, maxMapShardEntries)
+}
+
+// SameMap reports whether a and b are one map instance (or both nil). Sealed
+// objects never change their maps and Seal interns the small ones, so pods
+// stamped from one template share one label map: a caller judging many label
+// sets against one selector can keep the verdict of the last map it saw and
+// reuse it for the same instance. Equal contents in different instances are
+// not the same map; that only costs the reuse.
+func SameMap(a, b map[string]string) bool {
+	return *(*unsafe.Pointer)(unsafe.Pointer(&a)) == *(*unsafe.Pointer)(unsafe.Pointer(&b))
 }
 
 // sortSmall insertion-sorts a tiny string slice (≤ maxInternMapEntries) with

@@ -7,9 +7,26 @@ import (
 	"testing"
 )
 
-// sameMap reports whether a and b are one map instance, not merely equal.
-func sameMap(a, b map[string]string) bool {
-	return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
+// SameMap is identity as reflect sees it: one instance, or both nil; equal
+// contents are not enough, and interning is what makes them one.
+func TestSameMapIsIdentity(t *testing.T) {
+	a := map[string]string{"app": "same-map-test"}
+	b := map[string]string{"app": "same-map-test"}
+	var none map[string]string
+	for i, c := range []struct {
+		x, y map[string]string
+		want bool
+	}{
+		{a, a, true},
+		{a, b, false},
+		{none, nil, true},
+		{none, map[string]string{}, false},
+		{InternStringMap(a), InternStringMap(b), true},
+	} {
+		if got := SameMap(c.x, c.y); got != c.want || got != (reflect.ValueOf(c.x).Pointer() == reflect.ValueOf(c.y).Pointer()) {
+			t.Errorf("case %d: SameMap = %v, want %v", i, got, c.want)
+		}
+	}
 }
 
 func TestInternStringMapCanonicalizes(t *testing.T) {
@@ -17,14 +34,14 @@ func TestInternStringMapCanonicalizes(t *testing.T) {
 	b := map[string]string{"tier": "frontend", "app": "web"}
 	ia := InternStringMap(a)
 	ib := InternStringMap(b)
-	if !sameMap(ia, ib) {
+	if !SameMap(ia, ib) {
 		t.Fatal("equal maps interned to different instances")
 	}
 	if len(ia) != 2 || ia["app"] != "web" || ia["tier"] != "frontend" {
 		t.Fatalf("interned map lost content: %v", ia)
 	}
 	// The canonical instance is identity-stable: re-interning it is a hit.
-	if !sameMap(InternStringMap(ia), ia) {
+	if !SameMap(InternStringMap(ia), ia) {
 		t.Fatal("re-interning the canonical map returned a different instance")
 	}
 	// So is an equal private map, and the hit allocates nothing: the entries
@@ -39,15 +56,15 @@ func TestInternStringMapPassthroughs(t *testing.T) {
 		t.Fatal("nil map not passed through")
 	}
 	empty := map[string]string{}
-	if got := InternStringMap(empty); !sameMap(got, empty) {
+	if got := InternStringMap(empty); !SameMap(got, empty) {
 		t.Fatal("empty map not passed through unchanged")
 	}
 	big := map[string]string{"a": "1", "b": "2", "c": "3", "d": "4", "e": "5"}
-	if got := InternStringMap(big); !sameMap(got, big) {
+	if got := InternStringMap(big); !SameMap(got, big) {
 		t.Fatal("over-limit map should pass through uninterned")
 	}
 	long := map[string]string{"k": strings.Repeat("v", maxInternMapKVLen+1)}
-	if got := InternStringMap(long); !sameMap(got, long) {
+	if got := InternStringMap(long); !SameMap(got, long) {
 		t.Fatal("long-value map should pass through uninterned")
 	}
 }
@@ -78,10 +95,10 @@ func TestSealInternsObjectMaps(t *testing.T) {
 	p1, p2 := mk(), mk()
 	Seal(p1)
 	Seal(p2)
-	if !sameMap(p1.Metadata.Labels, p2.Metadata.Labels) {
+	if !SameMap(p1.Metadata.Labels, p2.Metadata.Labels) {
 		t.Fatal("sealed equal label maps are not shared")
 	}
-	if !sameMap(p1.Spec.NodeSelector, p2.Spec.NodeSelector) {
+	if !SameMap(p1.Spec.NodeSelector, p2.Spec.NodeSelector) {
 		t.Fatal("sealed equal node selectors are not shared")
 	}
 	// Clones deep-copy back out of the canonical instance: mutating a clone

@@ -28,7 +28,7 @@ func TestCloneForStatusSharesMetadataAndSpec(t *testing.T) {
 	if c.Meta().Sealed() {
 		t.Fatal("status clone is sealed")
 	}
-	if !sameMap(c.Metadata.Labels, p.Metadata.Labels) {
+	if !SameMap(c.Metadata.Labels, p.Metadata.Labels) {
 		t.Fatal("status clone deep-copied the label map it should share")
 	}
 	// Mutating status must not touch the sealed source.
@@ -81,7 +81,7 @@ func TestStatusCloneResealDoesNotAllocate(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("re-sealing a status clone allocates %.1f per call, want 0", allocs)
 	}
-	if !sameMap(c.Metadata.Labels, p.Metadata.Labels) {
+	if !SameMap(c.Metadata.Labels, p.Metadata.Labels) {
 		t.Fatal("re-seal replaced the label map the clone shares with its source")
 	}
 }
@@ -156,7 +156,7 @@ func TestKindModel(t *testing.T) {
 		if !reflect.DeepEqual(got, exp.Interface()) {
 			t.Errorf("%s: WithStatus = %+v, want %+v", k, got, exp.Interface())
 		}
-		if m := o.Meta(); m.Labels != nil && !sameMap(got.Meta().Labels, m.Labels) {
+		if m := o.Meta(); m.Labels != nil && !SameMap(got.Meta().Labels, m.Labels) {
 			t.Errorf("%s: WithStatus deep-copied the label map it should share", k)
 		}
 		if !reflect.DeepEqual(o.Clone(), before) || !o.Meta().Sealed() {
