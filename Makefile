@@ -37,7 +37,7 @@ test:
 race:
 	$(GO) test -race ./internal/campaign/... ./internal/codec/... ./internal/apiserver/... ./internal/spec/... ./internal/cow/...
 
-# Ten seconds of each of the tree's seven fuzz targets. FuzzLoopOrder: random
+# Ten seconds of each of the tree's eight fuzz targets. FuzzLoopOrder: random
 # At/After/Every/Stop/Reset programs on the event loop, held to a slice sorted
 # by (at, seq). FuzzSchedulerRetry: random programs of cluster operations
 # (creates, deletes, resizes, cordons, heartbeats, at-rest rewrites, lost and
@@ -54,8 +54,11 @@ race:
 # target out of range, and a healed fault leaves the platform healthy.
 # FuzzRequestPath: random programs of pod, node, config, service, endpoints and
 # topology events, time steps, rewinds and request bursts, the data plane held
-# to its map-per-fact reference answer for answer and draw for draw. A failing
-# input is written to the package's testdata/fuzz and fails `go test` from then
+# to its map-per-fact reference answer for answer and draw for draw.
+# FuzzDaemonSetGrouping: random clusters of nodes (duplicate names, ineligible
+# and tainted) and pods (on absent nodes, foreign, mislabeled, finished) changed
+# between syncs, the DaemonSet sync held to its map-based reference write for
+# write and in its status counts. A failing input is written to the package's testdata/fuzz and fails `go test` from then
 # on; commit it with the fix.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzLoopOrder -fuzztime 10s ./internal/sim
@@ -65,6 +68,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzShardResultJSON -fuzztime 10s ./internal/campaign
 	$(GO) test -run xxx -fuzz FuzzInjectionTarget -fuzztime 10s ./internal/inject
 	$(GO) test -run xxx -fuzz FuzzRequestPath -fuzztime 10s ./internal/netsim
+	$(GO) test -run xxx -fuzz FuzzDaemonSetGrouping -fuzztime 10s ./internal/controller
 
 # A fast, heavily-strided campaign through the real benchmark harness: one
 # end-to-end sanity pass over golden runs, generation, injection, and

@@ -10,7 +10,7 @@ import (
 // identity so that the audit trail and the propagation experiments can
 // attribute every request.
 //
-// Reads follow the sealed-read contract: Get and List return the server's
+// Reads follow the sealed-read contract: Get, List and Range hand out the server's
 // sealed cache instances with zero copies. Callers may read and retain them
 // freely — sealed objects never change — but must obtain a private copy via
 // spec.CloneForWrite before mutating. Writes serialize the argument without
@@ -81,6 +81,21 @@ func (c *Client) List(kind spec.Kind, namespace string) []spec.Object {
 		return nil
 	})
 	return out
+}
+
+// Range calls fn on each object List(kind, namespace) would return, in the
+// same order, stopping early when fn returns false. It reads the server's
+// index in place instead of copying it, and calls the access hook for the
+// whole range before the first visit, as List does; a down server visits
+// nothing. fn must not write through the server — no Create, Update,
+// UpdateStatus or Delete on any client of it — since a write moves the index
+// being walked: a caller that acts on what it sees collects the actions and
+// takes them after Range returns.
+func (c *Client) Range(kind spec.Kind, namespace string, fn func(spec.Object) bool) {
+	_ = c.do(func(srv *Server) error {
+		srv.rangeKind(kind, namespace, fn)
+		return nil
+	})
 }
 
 // Watch subscribes to change events for a kind. Event objects are sealed

@@ -107,20 +107,24 @@ func (b *sortedBucket) get(key string) (spec.Object, bool) {
 	return nil, false
 }
 
-// nsLinear is how many keys past a namespace's first nsRange compares one by
-// one before it binary-searches for the end: most namespaces hold a handful
+// nsLinear is how many keys past a namespace's first prefixRange compares one
+// by one before it binary-searches for the end: most namespaces hold a handful
 // of keys, and a short scan beats a search there.
 const nsLinear = 8
 
 // nsRange returns the [i, j) index range of keys in namespace ns ("" = all).
-// The keys carrying the prefix "ns/" are one contiguous run, so both ends are
-// found by search: the start as the first key not below the prefix, the end as
-// the first key of the run without it.
 func (b *sortedBucket) nsRange(ns string) (int, int) {
 	if ns == "" {
 		return 0, len(b.keys)
 	}
-	prefix := ns + "/"
+	return b.prefixRange(ns + "/")
+}
+
+// prefixRange returns the [i, j) index range of the keys carrying prefix. They
+// are one contiguous run, so both ends are found by search: the start as the
+// first key not below the prefix, the end as the first key of the run without
+// it.
+func (b *sortedBucket) prefixRange(prefix string) (int, int) {
 	i := sort.SearchStrings(b.keys, prefix)
 	j, hi := i, len(b.keys)
 	for lim := min(i+nsLinear, hi); j < lim; j++ {
@@ -214,9 +218,10 @@ func (r *Reflector) Reset() {
 func (r *Reflector) prime() {
 	for _, kind := range r.kinds {
 		b := r.bucket(kind)
-		for _, obj := range r.client.List(kind, "") {
+		r.client.Range(kind, "", func(obj spec.Object) bool {
 			b.set(obj.Meta().NamespacedName(), obj) // in key order: appends
-		}
+			return true
+		})
 	}
 }
 
@@ -339,7 +344,7 @@ func (r *Reflector) Tracks(kind spec.Kind) bool {
 // observable trace of lost watch events.
 func (r *Reflector) ResyncRepairs() int64 { return r.resyncRepairs }
 
-// Resync reconciles the view against a fresh server list, kind by kind: the
+// Resync reconciles the view against the server's index, kind by kind: the
 // low-frequency safety net that turns a lost watch notification (crash,
 // injected drop, tampered-undecodable event) from permanent staleness into
 // bounded staleness. Entries that differ are repaired and re-announced to the
@@ -353,12 +358,12 @@ func (r *Reflector) Resync() {
 }
 
 func (r *Reflector) resyncKind(kind spec.Kind) {
-	fresh := r.client.List(kind, "")
 	b := r.bucket(kind)
-	// Walk the sorted server list against the sorted view in lockstep.
+	// Walk the server's sorted index against the sorted view in lockstep. A
+	// view in step with the server repairs nothing and copies nothing.
 	i := 0 // index into b.keys (stale view)
 	var repaired []WatchEvent
-	for _, obj := range fresh {
+	r.client.Range(kind, "", func(obj spec.Object) bool {
 		key := obj.Meta().NamespacedName()
 		for i < len(b.keys) && b.keys[i] < key {
 			repaired = append(repaired, WatchEvent{Type: Deleted, Kind: kind, Object: b.objs[i]})
@@ -369,15 +374,17 @@ func (r *Reflector) resyncKind(kind spec.Kind) {
 				repaired = append(repaired, WatchEvent{Type: Modified, Kind: kind, Object: obj})
 			}
 			i++
-			continue
+			return true
 		}
 		repaired = append(repaired, WatchEvent{Type: Added, Kind: kind, Object: obj})
-	}
+		return true
+	})
 	for ; i < len(b.keys); i++ {
 		repaired = append(repaired, WatchEvent{Type: Deleted, Kind: kind, Object: b.objs[i]})
 	}
 	r.resyncRepairs += int64(len(repaired))
-	// Apply after the walk: apply mutates the bucket the walk indexes.
+	// Apply after the walk: apply mutates the bucket the walk indexes, and a
+	// consumer's handler may write through the server whose index Range walks.
 	for _, ev := range repaired {
 		r.apply(ev)
 	}

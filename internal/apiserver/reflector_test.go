@@ -293,14 +293,16 @@ func TestReflectorPrimesInKeyOrder(t *testing.T) {
 // prefix one another or continue with bytes below and above '/', at sizes on
 // both sides of the linear stretch, both ends must land where the prefix scan
 // lands, and ForEachFrom must visit exactly the keys from its start on, in
-// order.
+// order. The server's index holds the same objects under store keys
+// ("/registry/<kind>/<ns>/<name>"): its list and Range must serve exactly the
+// run the prefix scan finds there.
 func TestNamespaceRangeMatchesPrefixScan(t *testing.T) {
 	namespaces := []string{"a", "a-b", "a.b", "a0", "ab", "default", "default-x"}
 	queries := append([]string{"", "b", "0", "defaul", "default-", "zz"}, namespaces...)
 	const nameBytes = "-.09az"
 	rng := rand.New(rand.NewSource(33))
 	for round := 0; round < 200; round++ {
-		b := &sortedBucket{}
+		b, sb := &sortedBucket{}, &sortedBucket{}
 		for _, ns := range namespaces {
 			for n := rng.Intn(41); n > 0; n-- {
 				name := []byte{'p'}
@@ -310,8 +312,10 @@ func TestNamespaceRangeMatchesPrefixScan(t *testing.T) {
 				pod := testPod(string(name))
 				pod.Metadata.Namespace = ns
 				b.set(ns+"/"+string(name), pod)
+				sb.set(spec.Key(spec.KindPod, ns, string(name)), pod)
 			}
 		}
+		srv := &Server{kindIndex: map[spec.Kind]*sortedBucket{spec.KindPod: sb}}
 		for _, ns := range queries {
 			wantI, wantJ := 0, len(b.keys)
 			if ns != "" {
@@ -326,6 +330,25 @@ func TestNamespaceRangeMatchesPrefixScan(t *testing.T) {
 			}
 			if i, j := b.nsRange(ns); i != wantI || j != wantJ {
 				t.Fatalf("round %d, namespace %q over %d keys: nsRange = [%d, %d), the prefix scan finds [%d, %d)", round, ns, len(b.keys), i, j, wantI, wantJ)
+			}
+
+			var want []spec.Object
+			prefix := "/registry/" + string(spec.KindPod) + "/" + ns
+			if ns != "" {
+				prefix += "/"
+			}
+			for k, key := range sb.keys {
+				if strings.HasPrefix(key, prefix) {
+					want = append(want, sb.objs[k])
+				}
+			}
+			var ranged []spec.Object
+			srv.rangeKind(spec.KindPod, ns, func(o spec.Object) bool {
+				ranged = append(ranged, o)
+				return true
+			})
+			if listed := srv.list(spec.KindPod, ns); !slices.Equal(listed, want) || !slices.Equal(ranged, want) {
+				t.Fatalf("round %d, namespace %q over %d store keys: list serves %d objects and Range %d, the prefix scan finds %d", round, ns, len(sb.keys), len(listed), len(ranged), len(want))
 			}
 		}
 

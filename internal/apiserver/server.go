@@ -25,8 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
-	"strings"
 	"time"
 
 	"github.com/mutiny-sim/mutiny/internal/codec"
@@ -1200,37 +1198,51 @@ func (s *Server) get(kind spec.Kind, namespace, name string) (spec.Object, error
 	return obj, nil
 }
 
-// list returns sealed references in key order, under the same contract as
-// get. The per-kind index makes this a binary search plus one contiguous
-// copy: no map iteration, no per-call sort, no per-item clone.
-func (s *Server) list(kind spec.Kind, namespace string) []spec.Object {
+// span returns kind's index and the [i, j) run of it that a list of
+// namespace ("" = all) serves, after calling the access hook for every key of
+// the run: the one read behind list and rangeKind. The index is sorted by
+// store key, so a namespace's run is found by search, not by a scan. A down
+// server serves nothing.
+func (s *Server) span(kind spec.Kind, namespace string) (b *sortedBucket, i, j int) {
 	if s.down {
-		return nil
+		return nil, 0, 0
 	}
-	b := s.kindIndex[kind]
-	if b == nil || len(b.keys) == 0 {
-		return nil
+	if b = s.kindIndex[kind]; b == nil {
+		return nil, 0, 0
 	}
-	i, j := 0, len(b.keys)
+	i, j = 0, len(b.keys)
 	if namespace != "" {
-		prefix := "/registry/" + string(kind) + "/" + namespace + "/"
-		i = sort.SearchStrings(b.keys, prefix)
-		j = i
-		for j < len(b.keys) && strings.HasPrefix(b.keys[j], prefix) {
-			j++
-		}
-	}
-	if i == j {
-		return nil
+		i, j = b.prefixRange("/registry/" + string(kind) + "/" + namespace + "/")
 	}
 	if s.accessHook != nil {
 		for _, key := range b.keys[i:j] {
 			s.accessHook(key)
 		}
 	}
+	return b, i, j
+}
+
+// list returns sealed references in key order, under the same contract as
+// get: a copy of the run span finds, with no per-item clone.
+func (s *Server) list(kind spec.Kind, namespace string) []spec.Object {
+	b, i, j := s.span(kind, namespace)
+	if i == j {
+		return nil
+	}
 	out := make([]spec.Object, j-i)
 	copy(out, b.objs[i:j])
 	return out
+}
+
+// rangeKind calls fn on what list returns, in the same order, without the
+// copy: fn reads the index in place, so it must not write through the server.
+func (s *Server) rangeKind(kind spec.Kind, namespace string, fn func(spec.Object) bool) {
+	b, i, j := s.span(kind, namespace)
+	for ; i < j; i++ {
+		if !fn(b.objs[i]) {
+			return
+		}
+	}
 }
 
 // receivers lists, in sequence order and below limit (the number the next

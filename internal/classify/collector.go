@@ -128,14 +128,16 @@ func (c *Collector) sample() {
 	}
 	c.lastSampleAt = now
 
-	// View reads: the scrape only tallies status fields.
+	// The scrape only tallies status fields.
 	s := Sample{At: now - c.windowStart}
-	for _, ro := range c.admin.List(spec.KindReplicaSet, spec.DefaultNamespace) {
+	c.admin.Range(spec.KindReplicaSet, spec.DefaultNamespace, func(ro spec.Object) bool {
 		s.ReadyReplicas += ro.(*spec.ReplicaSet).Status.ReadyReplicas
-	}
-	for _, eo := range c.admin.List(spec.KindEndpoints, spec.DefaultNamespace) {
+		return true
+	})
+	c.admin.Range(spec.KindEndpoints, spec.DefaultNamespace, func(eo spec.Object) bool {
 		s.Endpoints += eo.(*spec.Endpoints).Count()
-	}
+		return true
+	})
 	c.obs.Samples = append(c.obs.Samples, s)
 }
 

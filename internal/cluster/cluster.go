@@ -457,14 +457,13 @@ func (c *Cluster) AwaitSettled(deadline time.Duration) bool {
 }
 
 func (c *Cluster) systemReady(admin *apiserver.Client) bool {
-	// Network manager on every node (view reads: the probe only inspects).
-	nodes := admin.List(spec.KindNode, "")
-	for _, no := range nodes {
-		if !c.Net.RoutesUp(no.Meta().Name) {
-			return false
-		}
-	}
-	if !c.Net.DNSHealthy() {
+	// Network manager on every node (the probe only inspects).
+	routesUp := true
+	admin.Range(spec.KindNode, "", func(no spec.Object) bool {
+		routesUp = c.Net.RoutesUp(no.Meta().Name)
+		return routesUp
+	})
+	if !routesUp || !c.Net.DNSHealthy() {
 		return false
 	}
 	// Monitoring stack serving.
@@ -545,11 +544,12 @@ func (c *Cluster) AdmissionViolations() int {
 
 func (c *Cluster) guardHealth() guard.Health {
 	active := 0
-	for _, po := range c.probe.List(spec.KindPod, "") {
+	c.probe.Range(spec.KindPod, "", func(po spec.Object) bool {
 		if po.(*spec.Pod).Active() {
 			active++
 		}
-	}
+		return true
+	})
 	return guard.Health{
 		ControlPlaneResponsive: c.ControlPlaneResponsive(),
 		NetworkPodsFailing:     c.Net.NetworkPodsFailing(),
@@ -709,18 +709,18 @@ func (c *Cluster) TopologyConverged() bool {
 			return false
 		}
 	}
-	for _, obj := range c.probe.List(spec.KindNode, "") {
+	converged := true
+	c.probe.Range(spec.KindNode, "", func(obj spec.Object) bool {
 		node := obj.(*spec.Node)
-		if !node.Status.Ready {
-			return false
-		}
+		converged = node.Status.Ready
 		for _, t := range node.Spec.Taints {
 			if t.Effect == spec.TaintNoExecute {
-				return false
+				converged = false
 			}
 		}
-	}
-	return true
+		return converged
+	})
+	return converged
 }
 
 // StoreLagMax returns the largest revision lag of any live store replica

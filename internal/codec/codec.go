@@ -107,7 +107,7 @@ func Unmarshal(data []byte, msg any) error {
 		return fmt.Errorf("codec: unmarshal into non-struct %T", msg)
 	}
 	elem.SetZero()
-	return decodeStruct(data, elem)
+	return decodeStruct(data, planFor(elem.Type()), elem)
 }
 
 // --- encoding -------------------------------------------------------------
@@ -120,6 +120,10 @@ type fieldDesc struct {
 	// re-derive them from reflection per call.
 	kind     reflect.Kind
 	elemKind reflect.Kind // slice element kind; Invalid otherwise
+	// sub is the plan of a struct field's type, or of a slice field's struct
+	// element, resolved when the plan is built: a nested encode or decode
+	// looks nothing up.
+	sub *structPlan
 }
 
 // structPlan is the precompiled wire schema of one struct type: its tagged
@@ -153,6 +157,32 @@ func planFor(t reflect.Type) *structPlan {
 	if cached, ok := _schemaCache.Load(t); ok {
 		return cached.(*structPlan)
 	}
+	building := make(map[reflect.Type]*structPlan)
+	plan := buildPlan(t, building)
+	// Publish only complete plans: a child plan may point back at a parent
+	// that was still being filled in when the child was built.
+	for bt, bp := range building {
+		if bt != t {
+			_schemaCache.LoadOrStore(bt, bp)
+		}
+	}
+	cached, _ := _schemaCache.LoadOrStore(t, plan)
+	return cached.(*structPlan)
+}
+
+// buildPlan compiles t's plan and, through sub, the plans of the struct types
+// it nests. building holds the plans of this build, each entered before its
+// fields are compiled, so a recursive type resolves to the plan being built
+// and the build terminates.
+func buildPlan(t reflect.Type, building map[reflect.Type]*structPlan) *structPlan {
+	if plan, ok := building[t]; ok {
+		return plan
+	}
+	if cached, ok := _schemaCache.Load(t); ok {
+		return cached.(*structPlan)
+	}
+	plan := &structPlan{}
+	building[t] = plan
 	var fields []fieldDesc
 	for i := 0; i < t.NumField(); i++ {
 		f := t.Field(i)
@@ -169,25 +199,30 @@ func planFor(t reflect.Type) *structPlan {
 			wireName = lowerCamel(f.Name)
 		}
 		fd := fieldDesc{index: i, number: num, name: wireName, kind: f.Type.Kind()}
-		if fd.kind == reflect.Slice {
+		switch fd.kind {
+		case reflect.Struct:
+			fd.sub = buildPlan(f.Type, building)
+		case reflect.Slice:
 			fd.elemKind = f.Type.Elem().Kind()
+			if fd.elemKind == reflect.Struct {
+				fd.sub = buildPlan(f.Type.Elem(), building)
+			}
 		}
 		fields = append(fields, fd)
 	}
 	sort.Slice(fields, func(i, j int) bool { return fields[i].number < fields[j].number })
-	plan := &structPlan{fields: fields}
 	maxNum := 0
 	for _, fd := range fields {
 		if fd.number > maxNum {
 			maxNum = fd.number
 		}
 	}
+	plan.fields = fields
 	plan.dense = make([]int16, maxNum+1)
 	for i, fd := range fields {
 		plan.dense[fd.number] = int16(i + 1)
 	}
-	cached, _ := _schemaCache.LoadOrStore(t, plan)
-	return cached.(*structPlan)
+	return plan
 }
 
 func structFields(t reflect.Type) []fieldDesc {
@@ -237,7 +272,7 @@ func (e *encoder) marshal(b []byte, msg any) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.appendStruct(b, v)
+	return e.appendStruct(b, planFor(v.Type()), v)
 }
 
 // structValue returns the struct msg holds or points to.
@@ -262,9 +297,8 @@ func lowerCamel(s string) string {
 	return strings.ToLower(s[:1]) + s[1:]
 }
 
-func (e *encoder) appendStruct(b []byte, v reflect.Value) ([]byte, error) {
+func (e *encoder) appendStruct(b []byte, plan *structPlan, v reflect.Value) ([]byte, error) {
 	var err error
-	plan := planFor(v.Type())
 	for i := range plan.fields {
 		fd := &plan.fields[i]
 		b, err = e.appendField(b, fd, v.Field(fd.index))
@@ -302,7 +336,7 @@ func (e *encoder) appendField(b []byte, fd *fieldDesc, v reflect.Value) ([]byte,
 
 	case reflect.Struct:
 		slot := e.grab()
-		inner, err := e.appendStruct(e.scratch[slot][:0], v)
+		inner, err := e.appendStruct(e.scratch[slot][:0], fd.sub, v)
 		if err != nil {
 			e.put(slot, e.scratch[slot]) // appendStruct returned nil; keep the buffer
 			return nil, err
@@ -324,7 +358,7 @@ func (e *encoder) appendField(b []byte, fd *fieldDesc, v reflect.Value) ([]byte,
 			b = appendVarint(b, uint64(v.Len()))
 			return append(b, v.Bytes()...), nil
 		}
-		return e.appendSlice(b, num, fd.elemKind, v)
+		return e.appendSlice(b, fd, v)
 
 	case reflect.Map:
 		return e.appendMap(b, num, v)
@@ -334,12 +368,13 @@ func (e *encoder) appendField(b []byte, fd *fieldDesc, v reflect.Value) ([]byte,
 	}
 }
 
-func (e *encoder) appendSlice(b []byte, num int, elemKind reflect.Kind, v reflect.Value) ([]byte, error) {
+func (e *encoder) appendSlice(b []byte, fd *fieldDesc, v reflect.Value) ([]byte, error) {
 	n := v.Len()
 	if n == 0 {
 		return b, nil
 	}
-	switch elemKind {
+	num := fd.number
+	switch fd.elemKind {
 	case reflect.String:
 		// Repeated strings emit every element, including empty ones, so
 		// that round trips preserve slice length.
@@ -359,7 +394,7 @@ func (e *encoder) appendSlice(b []byte, num int, elemKind reflect.Kind, v reflec
 		inner := e.scratch[slot][:0]
 		for i := 0; i < n; i++ {
 			var err error
-			inner, err = e.appendStruct(inner[:0], v.Index(i))
+			inner, err = e.appendStruct(inner[:0], fd.sub, v.Index(i))
 			if err != nil {
 				e.put(slot, e.scratch[slot]) // appendStruct returned nil; keep the buffer
 				return nil, err
@@ -370,7 +405,7 @@ func (e *encoder) appendSlice(b []byte, num int, elemKind reflect.Kind, v reflec
 		}
 		e.put(slot, inner)
 	default:
-		return nil, fmt.Errorf("codec: unsupported slice element kind %s", elemKind)
+		return nil, fmt.Errorf("codec: unsupported slice element kind %s", fd.elemKind)
 	}
 	return b, nil
 }
@@ -429,8 +464,7 @@ func appendVarint(b []byte, v uint64) []byte {
 
 // --- decoding ---------------------------------------------------------------
 
-func decodeStruct(data []byte, v reflect.Value) error {
-	plan := planFor(v.Type())
+func decodeStruct(data []byte, plan *structPlan, v reflect.Value) error {
 	for len(data) > 0 {
 		tag, n, err := readVarint(data)
 		if err != nil {
@@ -517,7 +551,7 @@ func setDecoded(f reflect.Value, fd *fieldDesc, wt int, scalar uint64, body []by
 		if wt != wireBytes {
 			return nil
 		}
-		return decodeStruct(body, f)
+		return decodeStruct(body, fd.sub, f)
 
 	case reflect.Slice:
 		if fd.elemKind == reflect.Uint8 {
@@ -527,7 +561,7 @@ func setDecoded(f reflect.Value, fd *fieldDesc, wt int, scalar uint64, body []by
 			f.SetBytes(append([]byte(nil), body...))
 			return nil
 		}
-		return appendDecodedElem(f, fd.elemKind, wt, scalar, body)
+		return appendDecodedElem(f, fd, wt, scalar, body)
 
 	case reflect.Map:
 		if wt != wireBytes {
@@ -548,7 +582,8 @@ func setDecoded(f reflect.Value, fd *fieldDesc, wt int, scalar uint64, body []by
 	return nil
 }
 
-func appendDecodedElem(f reflect.Value, elemKind reflect.Kind, wt int, scalar uint64, body []byte) error {
+func appendDecodedElem(f reflect.Value, fd *fieldDesc, wt int, scalar uint64, body []byte) error {
+	elemKind := fd.elemKind
 	// Wire-type mismatches are checked before growing the slice so a mangled
 	// tag does not append a spurious zero element.
 	switch elemKind {
@@ -578,7 +613,7 @@ func appendDecodedElem(f reflect.Value, elemKind reflect.Kind, wt int, scalar ui
 	case reflect.Int, reflect.Int32, reflect.Int64:
 		el.SetInt(int64(scalar))
 	case reflect.Struct:
-		if err := decodeStruct(body, el); err != nil {
+		if err := decodeStruct(body, fd.sub, el); err != nil {
 			f.Set(f.Slice(0, n))
 			return err
 		}

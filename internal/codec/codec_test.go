@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -284,4 +285,81 @@ func TestPlanForRejectsBadFieldNumbers(t *testing.T) {
 			planFor(c.typ)
 		})
 	}
+}
+
+// tree nests itself through a slice and, through branch, through a struct
+// field: a plan resolves its children when it is built, so building one for a
+// recursive type must end, and the plans must encode and decode it.
+type tree struct {
+	Name   string `pb:"1"`
+	Kids   []tree `pb:"2"`
+	Branch branch `pb:"3"`
+}
+
+type branch struct {
+	Leaves []tree `pb:"1"`
+}
+
+func TestRecursivePlanRoundTrips(t *testing.T) {
+	plan := planFor(reflect.TypeOf(tree{}))
+	if kids := plan.fields[1].sub; kids != plan {
+		t.Fatalf("tree.Kids resolves to plan %p, want tree's own plan %p", kids, plan)
+	}
+	if leaves := plan.fields[2].sub.fields[0].sub; leaves != plan {
+		t.Fatalf("branch.Leaves resolves to plan %p, want tree's plan %p", leaves, plan)
+	}
+	in := tree{Name: "root", Kids: []tree{
+		{Name: "a", Kids: []tree{{Name: "a1"}}},
+		{Name: "b", Branch: branch{Leaves: []tree{{Name: "b1", Kids: []tree{{Name: "b11"}}}}}},
+	}}
+	data, err := Marshal(&in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out tree
+	if err := Unmarshal(data, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(in, out) {
+		t.Fatalf("round trip: got %+v, want %+v", out, in)
+	}
+}
+
+// grove is built only by the test below, so its plans are first built there,
+// by several goroutines at once.
+type grove struct {
+	Name  string  `pb:"1"`
+	Trees []grove `pb:"2"`
+	Edge  edge    `pb:"3"`
+}
+
+type edge struct {
+	To []grove `pb:"1"`
+}
+
+// Goroutines racing to build a recursive type's plans each get complete
+// plans: a plan is published only once the build that made it is done.
+func TestConcurrentPlanBuilds(t *testing.T) {
+	in := grove{Name: "g", Trees: []grove{{Name: "t", Edge: edge{To: []grove{{Name: "u"}}}}}}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			data, err := Marshal(&in)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			var out grove
+			if err := Unmarshal(data, &out); err != nil {
+				t.Error(err)
+				return
+			}
+			if !reflect.DeepEqual(in, out) {
+				t.Errorf("round trip: got %+v, want %+v", out, in)
+			}
+		}()
+	}
+	wg.Wait()
 }

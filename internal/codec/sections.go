@@ -162,5 +162,5 @@ func (e *encoder) appendStructField(b []byte, num int, msg any) ([]byte, error) 
 	if err != nil {
 		return nil, err
 	}
-	return e.appendField(b, &fieldDesc{number: num, kind: reflect.Struct}, v)
+	return e.appendField(b, &fieldDesc{number: num, kind: reflect.Struct, sub: planFor(v.Type())}, v)
 }

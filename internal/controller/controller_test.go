@@ -415,6 +415,32 @@ func TestPodGCRemovesPodsOnMissingNodes(t *testing.T) {
 	}
 }
 
+// A node the pod GC saw on one tick and that is gone by the next no longer
+// holds its pods: the GC reads the node view afresh on every tick.
+func TestPodGCForgetsDeletedNodes(t *testing.T) {
+	h := newHarness(t)
+	pod := &spec.Pod{
+		Metadata: spec.ObjectMeta{Name: "left", Namespace: spec.DefaultNamespace},
+		Spec: spec.PodSpec{
+			NodeName: "worker-1",
+			Containers: []spec.Container{{
+				Name: "c", Image: "registry.local/web:1", Command: []string{"serve"},
+			}},
+		},
+	}
+	if err := h.c.Create(pod); err != nil {
+		t.Fatal(err)
+	}
+	h.run(gcInterval + time.Second) // a tick sees worker-1 and its pod
+	if err := h.c.Delete(spec.KindNode, "", "worker-1"); err != nil {
+		t.Fatal(err)
+	}
+	h.run(podGCMinAge + 2*gcInterval + time.Second)
+	if _, err := h.c.Get(spec.KindPod, spec.DefaultNamespace, "left"); err == nil {
+		t.Fatal("pod on a deleted node survived pod GC")
+	}
+}
+
 func TestNodeLifecycleMarksSilentNodeNotReady(t *testing.T) {
 	h := newHarness(t)
 	// Keep worker-1 heartbeating; let worker-0 go silent.
@@ -779,7 +805,8 @@ func bigLabels(app string) map[string]string {
 // ReplicaSet's selector pick them, the next sync adopts them all, where a
 // verdict kept from the sync before would pass them by and create three
 // more. Maps too large to intern are each judged on their own. A DaemonSet
-// keeps and releases its pods by the same verdicts.
+// keeps and releases its pods by the same verdicts, and the endpoints
+// controller picks its backends by them.
 func TestSelectorVerdictIsPerSync(t *testing.T) {
 	orphan := func(t *testing.T, h *harness, name string, labels map[string]string) {
 		t.Helper()
@@ -884,6 +911,30 @@ func TestSelectorVerdictIsPerSync(t *testing.T) {
 		judged(t, h, ds.Metadata.UID, ds.Spec.Selector, names...)
 		if pods := h.pods(spec.DefaultNamespace); len(pods) != 4 {
 			t.Errorf("pods = %d, want the 2 released and 2 replacements", len(pods))
+		}
+	})
+
+	t.Run("endpoints-shared-map", func(t *testing.T) {
+		h := newHarness(t)
+		ns, backends := spec.DefaultNamespace, []string{"stray-0", "stray-1", "stray-2"}
+		for i, name := range backends {
+			h.readyPod(t, ns, name, fmt.Sprintf("10.244.0.%d", i+2), map[string]string{"app": "stray"})
+		}
+		h.service(t, ns, "web", map[string]string{"app": "web"})
+		h.run(time.Second)
+		if !spec.SameMap(h.viewPod(t, "stray-0").Metadata.Labels, h.viewPod(t, "stray-2").Metadata.Labels) {
+			t.Fatal("setup: the pods' equal label sets are not one interned map")
+		}
+		if got := h.backends(t, ns, "web"); len(got) != 0 {
+			t.Fatalf("backends %v before the selector picks the pods", got)
+		}
+		obj, _ := h.m.views.Get(spec.KindService, ns, "web")
+		svc := spec.CloneForWriteAs(obj.(*spec.Service))
+		svc.Spec.Selector = map[string]string{"app": "stray"}
+		h.writeToStore(t, svc)
+		h.run(time.Second)
+		if got := h.backends(t, ns, "web"); !slices.Equal(got, backends) {
+			t.Errorf("backends %v once the selector picks the pods, want %v", got, backends)
 		}
 	})
 

@@ -1,6 +1,8 @@
 package controller
 
 import (
+	"slices"
+
 	"github.com/mutiny-sim/mutiny/internal/apiserver"
 	"github.com/mutiny-sim/mutiny/internal/spec"
 )
@@ -14,22 +16,37 @@ import (
 // application pod while the store fills up (§V-C1 example).
 type daemonSetController struct {
 	keyed
-	// byNodeScratch / nodeSeenScratch are the per-sync grouping structures,
-	// reused across syncs (neither outlives the sync call).
-	byNodeScratch   map[string]nodePods
-	nodeSeenScratch []string
+	// nodeNames is the Node view's names in view order and nodePos each
+	// name's first position in it: the positions a sync groups pods by. Every
+	// sync checks them against the view and rebuilds them only when a name
+	// moved, which at 500 nodes is almost never. Emptied by reset.
+	nodeNames []string
+	nodePos   map[string]int
+	// groups[i] is the synced DaemonSet's share of the pods on the node at
+	// position i, and absent (in absentSeen's first-seen order) its pods on
+	// nodes the view does not hold. Scratch for one sync: empty between syncs.
+	groups     []nodePods
+	absent     map[string]nodePods
+	absentSeen []string
 	// selScratch holds the selector of the DaemonSet being synced as a flat
 	// list; empty between syncs.
 	selScratch []spec.LabelPair
 }
 
 // nodePods is one node's share of a DaemonSet's pods, in view order. The
-// steady state is exactly one pod per node, so the first is kept by value:
-// the scratch map is cleared every sync, and a slice per node would be
-// allocated afresh each time (500 nodes × every resync).
+// steady state is exactly one pod per node, so the first is kept by value and
+// a group of one allocates nothing.
 type nodePods struct {
 	first *spec.Pod
 	more  []*spec.Pod
+}
+
+func (g *nodePods) add(pod *spec.Pod) {
+	if g.first == nil {
+		g.first = pod
+	} else {
+		g.more = append(g.more, pod)
+	}
 }
 
 // all materialises the group as a slice, for the rare paths that act on
@@ -42,15 +59,18 @@ func (g nodePods) all() []*spec.Pod {
 }
 
 func newDaemonSetController(m *Manager) *daemonSetController {
-	c := &daemonSetController{}
+	c := &daemonSetController{nodePos: make(map[string]int), absent: make(map[string]nodePods)}
 	c.keyed = newKeyed(m, spec.KindDaemonSet, c.sync)
 	return c
 }
 
 func (c *daemonSetController) reset() {
 	c.q.reset()
-	clear(c.byNodeScratch)
-	c.nodeSeenScratch = emptied(c.nodeSeenScratch)
+	c.nodeNames = emptied(c.nodeNames)
+	clear(c.nodePos)
+	c.groups = emptied(c.groups)
+	clear(c.absent)
+	c.absentSeen = emptied(c.absentSeen)
 }
 
 func (c *daemonSetController) enqueueFor(ev apiserver.WatchEvent) {
@@ -67,6 +87,38 @@ func (c *daemonSetController) enqueueFor(ev apiserver.WatchEvent) {
 	}
 }
 
+// indexNodes brings nodeNames and nodePos in line with the Node view and
+// sizes groups to it. The view's names are the same strings sync after sync,
+// so the check is one pointer-equal string compare per node; a corrupted
+// duplicate name keeps the first position, as the map of names it replaced
+// handed the first node in view order all the name's pods.
+func (c *daemonSetController) indexNodes() {
+	same := c.m.views.Len(spec.KindNode) == len(c.nodeNames)
+	if same {
+		i := 0
+		c.m.views.ForEach(spec.KindNode, "", func(no spec.Object) bool {
+			same = no.Meta().Name == c.nodeNames[i]
+			i++
+			return same
+		})
+	}
+	if same {
+		return
+	}
+	names := c.nodeNames[:0]
+	clear(c.nodePos)
+	c.m.views.ForEach(spec.KindNode, "", func(no spec.Object) bool {
+		name := no.Meta().Name
+		if _, dup := c.nodePos[name]; !dup {
+			c.nodePos[name] = len(names)
+		}
+		names = append(names, name)
+		return true
+	})
+	c.nodeNames = names
+	c.groups = slices.Grow(c.groups[:0], len(names))[:len(names)]
+}
+
 func (c *daemonSetController) sync(key string) {
 	ns, _ := splitKey(key)
 	obj, ok := c.m.views.GetByKey(spec.KindDaemonSet, key)
@@ -75,19 +127,14 @@ func (c *daemonSetController) sync(key string) {
 	}
 	ds := obj.(*spec.DaemonSet)
 
-	// Group this DaemonSet's pods by node. Identification goes through the
-	// selector AND the owner reference, like the ReplicaSet controller.
-	// Informer-view scan: pods are only grouped and inspected; release
-	// mutates a private clone (see Manager.releasePod). nodeSeen records
-	// first-seen order so the missing-node sweep below is deterministic (map
-	// iteration would randomize delete order between runs).
-	if c.byNodeScratch == nil {
-		c.byNodeScratch = make(map[string]nodePods)
-	} else {
-		clear(c.byNodeScratch)
-	}
-	podsByNode := c.byNodeScratch
-	nodeSeen := c.nodeSeenScratch[:0]
+	// Group this DaemonSet's pods by node position. Identification goes
+	// through the selector AND the owner reference, like the ReplicaSet
+	// controller. Informer-view scan: pods are only grouped and inspected;
+	// release mutates a private clone (see Manager.releasePod). A pod whose
+	// node the view lacks is grouped by name, in first-seen order, so the
+	// missing-node sweep below is deterministic.
+	c.indexNodes()
+	groups, absentSeen := c.groups, c.absentSeen[:0]
 	sel := ds.Spec.Selector.AppendPairs(c.selScratch)
 	verdict := labelVerdict{sel: sel}
 	c.m.views.ForEach(spec.KindPod, ns, func(po spec.Object) bool {
@@ -106,24 +153,29 @@ func (c *daemonSetController) sync(key string) {
 			c.m.releasePod(pod)
 			return true
 		}
-		group, seen := podsByNode[pod.Spec.NodeName]
-		if !seen {
-			nodeSeen = append(nodeSeen, pod.Spec.NodeName)
-			group.first = pod
-		} else {
-			group.more = append(group.more, pod)
+		if i, ok := c.nodePos[pod.Spec.NodeName]; ok {
+			groups[i].add(pod)
+			return true
 		}
-		podsByNode[pod.Spec.NodeName] = group
+		group, seen := c.absent[pod.Spec.NodeName]
+		if !seen {
+			absentSeen = append(absentSeen, pod.Spec.NodeName)
+		}
+		group.add(pod)
+		c.absent[pod.Spec.NodeName] = group
 		return true
 	})
 
+	// DaemonSet pods tolerate taints per their template tolerations; the
+	// probe pod carries them.
+	probe := spec.Pod{Spec: ds.Spec.Template.Spec}
 	var desired, current, ready int64
+	i := 0
 	c.m.views.ForEach(spec.KindNode, "", func(no spec.Object) bool {
 		node := no.(*spec.Node)
-		eligible := c.nodeEligible(ds, node)
-		group := podsByNode[node.Metadata.Name]
-		delete(podsByNode, node.Metadata.Name)
-		if !eligible {
+		group := groups[i]
+		i++
+		if !nodeEligible(ds, &probe, node) {
 			for _, pod := range group.all() {
 				_ = c.m.client.Delete(spec.KindPod, ns, pod.Metadata.Name)
 			}
@@ -150,18 +202,22 @@ func (c *daemonSetController) sync(key string) {
 		return true
 	})
 	// Pods on nodes that no longer exist, in first-seen node order.
-	for _, name := range nodeSeen {
-		for _, pod := range podsByNode[name].all() {
+	for _, name := range absentSeen {
+		for _, pod := range c.absent[name].all() {
 			_ = c.m.client.Delete(spec.KindPod, ns, pod.Metadata.Name)
 		}
 	}
-	c.nodeSeenScratch = nodeSeen
+	clear(groups)
+	clear(c.absent)
+	c.absentSeen = emptied(absentSeen)
 	c.selScratch = emptied(sel)
 
 	c.updateStatus(ds, desired, current, ready)
 }
 
-func (c *daemonSetController) nodeEligible(ds *spec.DaemonSet, node *spec.Node) bool {
+// nodeEligible reports whether ds places a pod on node; probe carries the
+// DaemonSet's template spec, whose tolerations decide the taints.
+func nodeEligible(ds *spec.DaemonSet, probe *spec.Pod, node *spec.Node) bool {
 	if node.Spec.Unschedulable {
 		return false
 	}
@@ -170,9 +226,6 @@ func (c *daemonSetController) nodeEligible(ds *spec.DaemonSet, node *spec.Node) 
 			return false
 		}
 	}
-	// DaemonSet pods tolerate taints per their template tolerations; the
-	// probe pod below carries them.
-	probe := spec.Pod{Spec: ds.Spec.Template.Spec}
 	for _, taint := range node.Spec.Taints {
 		if taint.Effect == spec.TaintNoSchedule && !probe.Tolerates(taint) {
 			return false

@@ -71,8 +71,9 @@ func (c *endpointsController) sync(key string) {
 	if len(sel) > 0 { // a selector-less service's endpoints are managed manually
 		// Informer-view scan: the endpoint table is rebuilt from scratch;
 		// pods are never mutated here.
+		verdict := labelVerdict{sel: sel}
 		c.m.views.ForEach(spec.KindPod, ns, func(po spec.Object) bool {
-			addrs = appendAddr(addrs, sel, po.(*spec.Pod))
+			addrs = appendAddr(addrs, &verdict, po.(*spec.Pod))
 			return true
 		})
 	}
@@ -118,12 +119,12 @@ func (c *endpointsController) sync(key string) {
 }
 
 // appendAddr appends the pod's endpoint address iff it is a ready, addressed
-// backend matching the selector.
-func appendAddr(addrs []spec.EndpointAddress, sel []spec.LabelPair, pod *spec.Pod) []spec.EndpointAddress {
+// backend matching the selector, whose verdict is the current walk's.
+func appendAddr(addrs []spec.EndpointAddress, verdict *labelVerdict, pod *spec.Pod) []spec.EndpointAddress {
 	if !pod.Active() || !pod.Status.Ready || pod.Status.PodIP == "" {
 		return addrs
 	}
-	if !spec.PairsMatch(sel, pod.Metadata.Labels) {
+	if !verdict.matches(pod.Metadata.Labels) {
 		return addrs
 	}
 	return append(addrs, spec.EndpointAddress{

@@ -21,10 +21,14 @@ type garbageCollector struct {
 	ticker sim.Timer
 	// firstMissing records when a pod's node was first seen missing.
 	firstMissing map[string]time.Duration
+	// nodeNames is the node view's name set during one pod-GC pass, refilled
+	// on every tick; it keeps its memory between ticks and holds nothing
+	// after a reset.
+	nodeNames map[string]bool
 }
 
 func newGarbageCollector(m *Manager) *garbageCollector {
-	return &garbageCollector{m: m, firstMissing: make(map[string]time.Duration)}
+	return &garbageCollector{m: m, firstMissing: make(map[string]time.Duration), nodeNames: make(map[string]bool)}
 }
 
 func (c *garbageCollector) start() {
@@ -39,6 +43,7 @@ func (c *garbageCollector) stop() {
 func (c *garbageCollector) reset() {
 	c.ticker = sim.Timer{}
 	clear(c.firstMissing)
+	clear(c.nodeNames)
 }
 
 func (c *garbageCollector) enqueueFor(apiserver.WatchEvent) {}
@@ -107,18 +112,21 @@ func (c *garbageCollector) ownerAlive(namespace string, ref *spec.OwnerReference
 
 func (c *garbageCollector) collectPodsOnMissingNodes() {
 	now := c.m.loop.Now()
-	nodeNames := make(map[string]bool)
+	nodeNames := c.nodeNames
+	clear(nodeNames)
 	c.m.views.ForEach(spec.KindNode, "", func(no spec.Object) bool {
 		nodeNames[no.Meta().Name] = true
 		return true
 	})
 	c.m.views.ForEach(spec.KindPod, "", func(po spec.Object) bool {
 		pod := po.(*spec.Pod)
-		key := pod.Metadata.NamespacedName()
 		if pod.Spec.NodeName == "" || nodeNames[pod.Spec.NodeName] {
-			delete(c.firstMissing, key)
+			if len(c.firstMissing) > 0 { // nearly every tick: nothing to forget
+				delete(c.firstMissing, pod.Metadata.NamespacedName())
+			}
 			return true
 		}
+		key := pod.Metadata.NamespacedName()
 		first, seen := c.firstMissing[key]
 		if !seen {
 			c.firstMissing[key] = now

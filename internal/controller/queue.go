@@ -15,6 +15,9 @@ type queue struct {
 	loop    *sim.Loop
 	delay   time.Duration
 	handler func(key string)
+	// drainFn is q.drain bound once in newQueue: a method value handed to
+	// loop.After allocates on every scheduled drain.
+	drainFn func()
 
 	dirty     map[string]bool
 	scheduled bool
@@ -26,7 +29,9 @@ type queue struct {
 }
 
 func newQueue(loop *sim.Loop, delay time.Duration, handler func(key string)) *queue {
-	return &queue{loop: loop, delay: delay, handler: handler, dirty: make(map[string]bool)}
+	q := &queue{loop: loop, delay: delay, handler: handler, dirty: make(map[string]bool)}
+	q.drainFn = q.drain
+	return q
 }
 
 // add marks a key dirty and schedules a drain.
@@ -37,7 +42,7 @@ func (q *queue) add(key string) {
 	q.dirty[key] = true
 	if !q.scheduled {
 		q.scheduled = true
-		q.loop.After(q.delay, q.drain)
+		q.loop.After(q.delay, q.drainFn)
 	}
 }
 

@@ -200,21 +200,26 @@ func (s *State) Reset() {
 // freshly confirmed (their route-decay clock starts at the prime instant,
 // exactly as if the ready status had just been observed).
 func (s *State) Prime() {
-	for _, o := range s.client.List(spec.KindService, "") {
+	s.client.Range(spec.KindService, "", func(o spec.Object) bool {
 		s.onService(apiserver.WatchEvent{Type: apiserver.Added, Kind: spec.KindService, Object: o})
-	}
-	for _, o := range s.client.List(spec.KindEndpoints, "") {
+		return true
+	})
+	s.client.Range(spec.KindEndpoints, "", func(o spec.Object) bool {
 		s.onEndpoints(apiserver.WatchEvent{Type: apiserver.Added, Kind: spec.KindEndpoints, Object: o})
-	}
-	for _, o := range s.client.List(spec.KindPod, "") {
+		return true
+	})
+	s.client.Range(spec.KindPod, "", func(o spec.Object) bool {
 		s.onPod(apiserver.WatchEvent{Type: apiserver.Added, Kind: spec.KindPod, Object: o})
-	}
-	for _, o := range s.client.List(spec.KindNode, "") {
+		return true
+	})
+	s.client.Range(spec.KindNode, "", func(o spec.Object) bool {
 		s.onNode(apiserver.WatchEvent{Type: apiserver.Added, Kind: spec.KindNode, Object: o})
-	}
-	for _, o := range s.client.List(spec.KindConfigMap, "") {
+		return true
+	})
+	s.client.Range(spec.KindConfigMap, "", func(o spec.Object) bool {
 		s.onConfigMap(apiserver.WatchEvent{Type: apiserver.Added, Kind: spec.KindConfigMap, Object: o})
-	}
+		return true
+	})
 }
 
 func (s *State) onService(ev apiserver.WatchEvent) {

@@ -323,12 +323,13 @@ func (d *Driver) scaleTo(name string, replicas int64) {
 // Nodes". It returns the tainted node's name.
 func (d *Driver) taintBusiestNode() string {
 	counts := make(map[string]int)
-	for _, po := range d.User.List(spec.KindPod, spec.DefaultNamespace) {
+	d.User.Range(spec.KindPod, spec.DefaultNamespace, func(po spec.Object) bool {
 		pod := po.(*spec.Pod)
 		if pod.Active() && pod.Spec.NodeName != "" {
 			counts[pod.Spec.NodeName]++
 		}
-	}
+		return true
+	})
 	var victim string
 	best := -1
 	for node, n := range counts {
