@@ -1,12 +1,12 @@
 # Tier-1 verification targets. `make check` is what CI (and any PR) should
 # run: build, vet, the full test suite, a race-detector pass over the
 # packages with real concurrency (the parallel campaign pool and the tables
-# its workers share), ten seconds of each fuzz target, and a short campaign
-# smoke test.
+# its workers share), ten seconds of each fuzz target, and the HA, admission
+# and 500-node smokes.
 
 GO ?= go
 
-.PHONY: check ci build vet test race race-all fuzz-smoke smoke docs-lint outcomes-cmp findings-full loc bench-full bench-codec bench-campaign
+.PHONY: check ci build vet test race race-all fuzz-smoke smoke docs-lint outcomes-cmp findings-full loc
 
 check: build vet test race fuzz-smoke smoke docs-lint
 
@@ -70,18 +70,15 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzRequestPath -fuzztime 10s ./internal/netsim
 	$(GO) test -run xxx -fuzz FuzzDaemonSetGrouping -fuzztime 10s ./internal/controller
 
-# A fast, heavily-strided campaign through the real benchmark harness: one
-# end-to-end sanity pass over golden runs, generation, injection, and
-# aggregation on all cores — plus the HA control-plane smoke campaign (a
-# three-replica control plane riding out an apiserver crash and a healed
-# master partition while the workload completes on the survivors) and the
-# admission smoke campaign (a three-hook governance chain riding out a
-# webhook backend crash under both failure policies, measuring the
-# fail-closed outage against the fail-open enforcement loss) and the
-# 500-node scale smoke (a three-zone cloud-edge cluster bootstrapping inside
-# a wall/alloc budget and riding out an edge-zone partition).
+# The three platform smokes: a three-replica control plane riding out an
+# apiserver crash and a healed master partition while the workload completes
+# on the survivors; a three-hook admission chain riding out a webhook backend
+# crash under both failure policies, measuring the fail-closed outage against
+# the fail-open enforcement loss; and a three-zone 500-node cloud-edge cluster
+# bootstrapping inside a wall/alloc budget and riding out an edge-zone
+# partition. Campaigns end to end run in `go run ./bench` and in
+# internal/report's TestPaperFindingsHold.
 smoke:
-	MUTINY_STRIDE=200 MUTINY_GOLDEN=5 $(GO) test -run xxx -bench 'BenchmarkCampaignParallel' -benchtime=1x .
 	$(GO) test -run TestHAControlPlaneSmoke -count=1 .
 	$(GO) test -run TestAdmissionSmoke -count=1 .
 	$(GO) test -run TestScale500Smoke -count=1 .
@@ -147,14 +144,8 @@ loc:
 	echo "apiserver+codec+spec+store: $$(count internal/apiserver internal/codec internal/spec internal/store)"
 
 # Performance is measured by the repository benchmark, `go run ./bench` (see
-# bench/README.md and BENCHMARK.json), not by a make target.
-
-# Full paper-style benchmark run (minutes; see bench_test.go header).
-bench-full:
-	$(GO) test -bench=. -benchmem .
-
-bench-codec:
-	$(GO) test -run xxx -bench 'BenchmarkCodec' -benchmem ./internal/codec/
-
-bench-campaign:
-	$(GO) test -run xxx -bench 'BenchmarkCampaignParallel' -benchmem .
+# bench/README.md and BENCHMARK.json), not by a make target. Package
+# benchmarks run as plain Go benchmarks, e.g.
+# `go test -run xxx -bench BenchmarkCodec -benchmem ./internal/codec`; lock
+# contention on the parallel campaign path is Go's standard profiling flags,
+# `go test -mutexprofile m.out -blockprofile b.out ./internal/campaign`.

@@ -1,7 +1,8 @@
 // Command mutiny-inject runs a single fault/error injection experiment: one
 // workload, one injection described by the (where, what, when) triple, and
 // prints the two-level failure classification — the smallest useful unit of
-// the paper's method.
+// the paper's method — followed by Figure 5: the client latency series of the
+// experiment next to an uninjected run on the same seed, with their z-scores.
 //
 // Examples:
 //
@@ -12,6 +13,12 @@
 //	    -fault bitflip -bit 4
 //
 //	mutiny-inject -workload deploy -kind Deployment -fault drop
+//
+// Figure 5 of the paper (a replica-count corruption that under-provisions the
+// target service):
+//
+//	mutiny-inject -workload scale -kind Deployment -field spec.replicas \
+//	    -fault set -value 0 -occurrence 2
 package main
 
 import (
@@ -120,7 +127,8 @@ func run(args []string) error {
 	runner := mutiny.NewRunner()
 	runner.GoldenRuns = golden
 	fmt.Fprintf(os.Stderr, "building %d-run golden baseline for %q...\n", golden, spec.Workload)
-	res := runner.Run(spec)
+	res, obs := runner.RunObserved(spec)
+	base, baseObs := runner.RunObserved(mutiny.Spec{Workload: spec.Workload, Seed: spec.Seed})
 
 	fmt.Printf("injection: %s\n", in.Label())
 	fmt.Printf("fired: %v", res.Report.Fired)
@@ -135,5 +143,7 @@ func run(args []string) error {
 	fmt.Printf("client-level failure:       %s (z = %.2f)\n", res.CF, res.Z)
 	fmt.Printf("pods created in window:     %d\n", res.PodsCreated)
 	fmt.Printf("user-visible API errors:    %d\n", res.UserErrors)
+	fmt.Println()
+	mutiny.RenderFigure5(os.Stdout, baseObs.Series, obs.Series, base.Z, res.Z)
 	return nil
 }

@@ -67,3 +67,13 @@ func TestParseChannelsAndWorkloads(t *testing.T) {
 		}
 	}
 }
+
+// Figure 5's experiment: the scale workload with its Deployment's replica
+// count set to 0 on the second write.
+func TestRunFigure5(t *testing.T) {
+	args := []string{"-workload", "scale", "-kind", "Deployment", "-field", "spec.replicas",
+		"-fault", "set", "-value", "0", "-occurrence", "2"}
+	if err := run(args); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -37,8 +37,10 @@
 //	fmt.Println(res.OF, res.CF) // e.g. "Sta SU"
 //
 // Full campaigns (Tables III–V, Figures 6–7 of the paper) run through
-// RunCampaign; see the examples directory and the benchmark harness in
-// bench_test.go for the per-table reproduction entry points.
+// RunCampaign; see the examples directory and the commands: mutiny-ffda
+// prints Tables I and VII, mutiny-campaign Tables III–VI and Figures 6–7, and
+// mutiny-inject one experiment with its Figure 5. internal/report's tests
+// hold the paper's findings and claims.
 //
 // # Performance model
 //
@@ -102,13 +104,12 @@
 //     always decoded — and re-encoded — for real.
 //
 //   - Shared bootstrap snapshots (CampaignConfig.ShareBootstrap, CLI
-//     -share-bootstrap, bench MUTINY_SHARE=1). Each experiment resumes a
-//     settled per-workload snapshot instead of replaying the ~20 s simulated
-//     bootstrap. Snapshots are cached process-wide, keyed on the cluster
-//     configuration plus workload, so every Runner in the process bootstraps
-//     each workload at most once. Reflector views established on a resumed
-//     cluster prime from the restored store — the same re-list a restarted
-//     component performs.
+//     -share-bootstrap). Each experiment resumes a settled per-workload
+//     snapshot instead of replaying the ~20 s simulated bootstrap. Snapshots
+//     are cached process-wide, keyed on the cluster configuration plus
+//     workload, so every Runner in the process bootstraps each workload at
+//     most once. Reflector views established on a resumed cluster prime from
+//     the restored store — the same re-list a restarted component performs.
 //
 //   - Rewind, don't rebuild. A campaign worker forks a snapshot once and
 //     keeps the cluster: when an experiment ends the cluster is rewound —
@@ -121,14 +122,13 @@
 //     instead, so no worker sits on a storm's memory.
 //
 //   - Contention-free parallel execution (CampaignConfig.Parallelism, CLI
-//     -parallel, bench MUTINY_PARALLEL). Experiments are isolated
-//     simulations merged in generated order; outputs are bit-identical for
-//     every worker count. Each worker owns the mutable state its running
-//     experiment touches — its classification buffer pool and the
-//     per-apiserver codec arenas for encode buffers, inside the rewound
-//     cluster it keeps per snapshot — and shares only immutable data: golden
-//     baselines, sealed objects, and the bootstrap snapshots every worker
-//     restores from.
+//     -parallel). Experiments are isolated simulations merged in generated
+//     order; outputs are bit-identical for every worker count. Each worker
+//     owns the mutable state its running experiment touches — its
+//     classification buffer pool and the per-apiserver codec arenas for
+//     encode buffers, inside the rewound cluster it keeps per snapshot — and
+//     shares only immutable data: golden baselines, sealed objects, and the
+//     bootstrap snapshots every worker restores from.
 //
 //   - Multi-process sharding (CampaignConfig.Shards/ShardIndex, CLI
 //     -shards/-shard-index). Campaign generation is deterministic, so each
@@ -139,9 +139,9 @@
 //     one-shard case of the same pipeline.
 //
 // `go run ./bench` measures all of it: five campaign workloads, end-to-end
-// and layer by layer (see bench/README.md). Set MUTINY_MUTEXPROF=1 on a
-// `go test -bench` run to capture mutex/block pprof artifacts for the
-// parallel path.
+// and layer by layer (see bench/README.md). Go's standard profiling flags
+// capture lock contention on the parallel path:
+// `go test -mutexprofile m.out -blockprofile b.out ./internal/campaign`.
 package mutiny
 
 import (
