@@ -136,10 +136,12 @@ findings-full:
 
 # Non-test Go lines, blank lines and whole-line // comments not counted: the
 # figures ROADMAP and CHANGES quote for internal/ plus the root package, for
-# bench/, and for the four packages of the apiserver→store path.
+# the command-line tools under cmd/, for bench/, and for the four packages of
+# the apiserver→store path.
 loc:
 	@count() { find "$$@" -name '*.go' ! -name '*_test.go' -exec cat {} + | grep -Ev '^[[:space:]]*(//|$$)' | wc -l; }; \
 	echo "internal/ + root:           $$(( $$(count internal) + $$(count . -maxdepth 1) ))"; \
+	echo "cmd/:                       $$(count cmd)"; \
 	echo "bench/:                     $$(count bench)"; \
 	echo "apiserver+codec+spec+store: $$(count internal/apiserver internal/codec internal/spec internal/store)"
 

@@ -7,23 +7,14 @@
 //
 //	mutiny-campaign [flags]
 //
-// The full campaign (stride 1, 100 golden runs) reproduces the paper-scale
-// ~9,000-experiment study; larger strides subsample it evenly for quick
-// looks.
+// The full campaign (stride 1, 100 golden runs per workload) is the
+// paper-scale study: 6,429 injection experiments, 207 refinement runs and
+// 849 propagation experiments, about half a minute on two cores. Larger
+// strides subsample it evenly for quick looks.
 //
 // Experiments fan out across -parallel worker goroutines (default: all
 // cores). Campaign outputs are bit-identical for every -parallel value, so
 // the knob only trades wall-clock for CPU.
-//
-// -shards splits the campaign across OS processes: the driver spawns N
-// copies of itself (one per shard), each running the experiments whose
-// generated index ≡ shard-index (mod N), then merges their JSON outputs in
-// index order and runs the refinement round. The merged output is
-// bit-identical to a single-process run — campaign generation is
-// deterministic, so every process regenerates the same spec matrix and only
-// results cross the process boundary. -shard-index runs a single shard
-// directly (emitting JSON on stdout), which is how one campaign spreads
-// across machines: run shard i on machine i, ship the JSON back, merge.
 //
 // -share-bootstrap forks every experiment from a settled per-workload
 // bootstrap snapshot instead of replaying the ~20 s simulated bootstrap each
@@ -54,14 +45,10 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
-	"sync"
+	"strings"
 	"time"
 
 	mutiny "github.com/mutiny-sim/mutiny"
@@ -77,22 +64,20 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("mutiny-campaign", flag.ContinueOnError)
 	var (
-		stride     = fs.Int("stride", 1, "run every n-th generated field/drop/serialization experiment (1 = full campaign); the timed-fault matrices always run in full")
-		golden     = fs.Int("golden", 100, "golden runs per workload")
-		parallel   = fs.Int("parallel", 0, "experiment worker goroutines (0 = all cores, 1 = sequential; output is bit-identical either way)")
-		shards     = fs.Int("shards", 1, "split the campaign across this many OS processes (driver mode: spawns one child per shard, merges their outputs bit-identically to a single-process run)")
-		shardIndex = fs.Int("shard-index", -1, "run only shard shard-index of -shards and emit its JSON ShardOutput on stdout (child/remote mode; -1 = not a shard)")
-		share      = fs.Bool("share-bootstrap", false, "fork each experiment from a settled bootstrap snapshot instead of replaying bootstrap (snapshots are cached process-wide per cluster-config+workload; preserves classification aggregates, not bit-level observations)")
-		replicas   = fs.Int("control-plane-replicas", 1, "apiserver/store replicas per experiment cluster; >= 2 adds the HA fault axes (apiserver crash, master partition, store loss) and the failover/stale-read table")
-		hooks      = fs.Int("admission-hooks", 0, "admission webhooks per experiment cluster (0-3: defaulter, image-policy, limits-policy); >= 1 adds the webhook fault axes (down, latency, wrong selector, missing policy) under both failure policies and the admission table, and defaults -workloads to the policy workload")
-		policy     = fs.String("failure-policy", "", "configured failure policy of the admission hooks: Fail (fail-closed) or Ignore (fail-open; the default when empty) — the generated admission axes override it per experiment")
-		nodes      = fs.Int("nodes", 0, "worker nodes per experiment cluster (0 = the cluster default); large clusters pair naturally with -share-bootstrap")
-		zones      = fs.Int("zones", 0, "cloud-edge zones per experiment cluster (0/1 = flat network); >= 2 splits the workers over a cloud core, regional, and edge zones with per-link latency/loss/bandwidth classes, adds the topology fault axes (edge-link flap, zone partition, mass node-kill) per non-core zone, and renders the topology table")
-		edgeNodes  = fs.Int("edge-nodes", 0, "worker nodes in the edge zone (0 with -zones >= 2 = an even split)")
-		noRefine   = fs.Bool("no-refinement", false, "skip the critical-field refinement round")
-		noProp     = fs.Bool("no-propagation", false, "skip the component-channel propagation experiments")
-		quiet      = fs.Bool("quiet", false, "suppress progress output")
-		workloads  = fs.String("workloads", "", "comma-separated workload subset (deploy,scale,failover,policy)")
+		stride    = fs.Int("stride", 1, "run every n-th generated field/drop/serialization experiment (1 = full campaign); the timed-fault matrices always run in full")
+		golden    = fs.Int("golden", 100, "golden runs per workload")
+		parallel  = fs.Int("parallel", 0, "experiment worker goroutines (0 = all cores, 1 = sequential; output is bit-identical either way)")
+		share     = fs.Bool("share-bootstrap", false, "fork each experiment from a settled bootstrap snapshot instead of replaying bootstrap (snapshots are cached process-wide per cluster-config+workload; preserves classification aggregates, not bit-level observations)")
+		replicas  = fs.Int("control-plane-replicas", 1, "apiserver/store replicas per experiment cluster; >= 2 adds the HA fault axes (apiserver crash, master partition, store loss) and the failover/stale-read table")
+		hooks     = fs.Int("admission-hooks", 0, "admission webhooks per experiment cluster (0-3: defaulter, image-policy, limits-policy); >= 1 adds the webhook fault axes (down, latency, wrong selector, missing policy) under both failure policies and the admission table, and defaults -workloads to the policy workload")
+		policy    = fs.String("failure-policy", "", "configured failure policy of the admission hooks: Fail (fail-closed) or Ignore (fail-open; the default when empty) — the generated admission axes override it per experiment")
+		nodes     = fs.Int("nodes", 0, "worker nodes per experiment cluster (0 = the cluster default); large clusters pair naturally with -share-bootstrap")
+		zones     = fs.Int("zones", 0, "cloud-edge zones per experiment cluster (0/1 = flat network); >= 2 splits the workers over a cloud core, regional, and edge zones with per-link latency/loss/bandwidth classes, adds the topology fault axes (edge-link flap, zone partition, mass node-kill) per non-core zone, and renders the topology table")
+		edgeNodes = fs.Int("edge-nodes", 0, "worker nodes in the edge zone (0 with -zones >= 2 = an even split)")
+		noRefine  = fs.Bool("no-refinement", false, "skip the critical-field refinement round")
+		noProp    = fs.Bool("no-propagation", false, "skip the component-channel propagation experiments")
+		quiet     = fs.Bool("quiet", false, "suppress progress output")
+		workloads = fs.String("workloads", "", "comma-separated workload subset (deploy,scale,failover,policy)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -102,16 +87,10 @@ func run(args []string) error {
 		// a stray word (a flag missing its dash) would be silently ignored.
 		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
-	if *shards < 1 {
-		return fmt.Errorf("-shards must be >= 1, got %d", *shards)
-	}
 	if *stride < 1 {
-		// The engine reads a stride below 1 as 1: the full campaign, hours at
-		// the default -golden, for what was most likely a typo.
+		// The engine reads a stride below 1 as 1: the full campaign, for what
+		// was most likely a typo.
 		return fmt.Errorf("-stride must be >= 1, got %d", *stride)
-	}
-	if *shardIndex >= *shards {
-		return fmt.Errorf("-shard-index %d out of range for -shards %d", *shardIndex, *shards)
 	}
 	if *policy != "" && *policy != "Fail" && *policy != "Ignore" {
 		return fmt.Errorf("-failure-policy must be Fail or Ignore, got %q", *policy)
@@ -132,12 +111,31 @@ func run(args []string) error {
 	if *hooks > 3 {
 		return fmt.Errorf("-admission-hooks must be 0-3, got %d", *hooks)
 	}
+	if *edgeNodes > 0 && *zones < 2 {
+		return fmt.Errorf("-edge-nodes needs -zones >= 2, got -zones %d", *zones)
+	}
+	if *zones >= 2 {
+		// The cluster places the workers; a zone it would leave empty has no
+		// node for its fault axes to act on.
+		perZone := mutiny.ClusterConfig{Workers: *nodes, Zones: *zones, EdgeNodes: *edgeNodes}.WorkersPerZone()
+		if edge := perZone[*zones-1]; edge < *edgeNodes {
+			return fmt.Errorf("-edge-nodes %d exceeds the %d workers outside the monitoring node", *edgeNodes, edge)
+		}
+		var empty []int
+		for zone, n := range perZone {
+			if n == 0 {
+				empty = append(empty, zone)
+			}
+		}
+		if len(empty) > 0 {
+			return fmt.Errorf("-zones %d leaves zones %v without a worker node (zone 0 is the core, zone %d the edge); raise -nodes or lower -zones", *zones, empty, *zones-1)
+		}
+	}
 
 	cfg := mutiny.CampaignConfig{
 		GoldenRuns:           *golden,
 		SampleStride:         *stride,
 		Parallelism:          *parallel,
-		Shards:               *shards,
 		ShareBootstrap:       *share,
 		ControlPlaneReplicas: *replicas,
 		AdmissionHooks:       *hooks,
@@ -149,12 +147,16 @@ func run(args []string) error {
 		SkipPropagation:      *noProp,
 	}
 	if *workloads != "" {
-		for _, name := range splitComma(*workloads) {
+		// Empty names between commas are skipped, as in "deploy,,scale".
+		for _, name := range strings.FieldsFunc(*workloads, func(r rune) bool { return r == ',' }) {
 			wl, err := mutiny.ParseWorkload(name)
 			if err != nil {
 				return fmt.Errorf("-workloads: %w", err)
 			}
 			cfg.Workloads = append(cfg.Workloads, wl)
+		}
+		if len(cfg.Workloads) == 0 {
+			return fmt.Errorf("-workloads %q names no workload", *workloads)
 		}
 	}
 	start := time.Now()
@@ -166,26 +168,7 @@ func run(args []string) error {
 		}
 	}
 
-	// Child/remote mode: run one shard, emit JSON, done.
-	if *shardIndex >= 0 {
-		cfg.ShardIndex = *shardIndex
-		out := mutiny.RunCampaignShard(cfg)
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "\nshard %d/%d finished in %s\n", *shardIndex, *shards, time.Since(start).Round(time.Second))
-		}
-		return json.NewEncoder(os.Stdout).Encode(out)
-	}
-
-	var out *mutiny.CampaignOutput
-	if *shards > 1 {
-		shardOuts, err := spawnShards(args, *shards, *quiet)
-		if err != nil {
-			return err
-		}
-		out = mutiny.MergeCampaignShards(cfg, shardOuts)
-	} else {
-		out = mutiny.RunCampaign(cfg)
-	}
+	out := mutiny.RunCampaign(cfg)
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "\ncampaign finished in %s\n\n", time.Since(start).Round(time.Second))
 	}
@@ -220,98 +203,4 @@ func run(args []string) error {
 	fmt.Println()
 	mutiny.RenderFindings(os.Stdout, out.Main)
 	return nil
-}
-
-// spawnShards runs one child process per shard (this binary, same flags,
-// plus -shard-index), collects their JSON outputs, and returns them in
-// shard order. Children run concurrently — the merge is index-ordered, so
-// completion order is irrelevant to the result.
-//
-// Failure propagation is all-or-nothing: a non-zero child exit (with its
-// stderr attached), empty or undecodable child output, or output claiming a
-// different shard identity each fail the whole driver run, and every shard's
-// failure is reported — partial shard sets are never merged, since a merge
-// with a hole panics deep in the campaign package with far less context.
-func spawnShards(args []string, shards int, quiet bool) ([]*mutiny.ShardOutput, error) {
-	self, err := os.Executable()
-	if err != nil {
-		return nil, fmt.Errorf("locating own binary for shard spawn: %w", err)
-	}
-	outs := make([]*mutiny.ShardOutput, shards)
-	errs := make([]error, shards)
-	var wg sync.WaitGroup
-	for i := 0; i < shards; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			childArgs := append(append([]string{}, args...), fmt.Sprintf("-shard-index=%d", i))
-			if !quiet {
-				// Child progress lines would interleave; keep children quiet
-				// and report shard completion from the driver instead.
-				childArgs = append(childArgs, "-quiet")
-			}
-			cmd := exec.Command(self, childArgs...)
-			var stdout, stderr bytes.Buffer
-			cmd.Stdout = &stdout
-			cmd.Stderr = &stderr
-			if err := cmd.Run(); err != nil {
-				errs[i] = fmt.Errorf("shard %d: child failed: %w\nchild stderr:\n%s", i, err, indent(stderr.Bytes()))
-				return
-			}
-			if len(bytes.TrimSpace(stdout.Bytes())) == 0 {
-				errs[i] = fmt.Errorf("shard %d: child exited 0 but produced no output\nchild stderr:\n%s", i, indent(stderr.Bytes()))
-				return
-			}
-			so := new(mutiny.ShardOutput)
-			if err := json.Unmarshal(stdout.Bytes(), so); err != nil {
-				errs[i] = fmt.Errorf("shard %d: decoding child output: %w\nchild stderr:\n%s", i, err, indent(stderr.Bytes()))
-				return
-			}
-			if so.Shards != shards || so.ShardIndex != i {
-				errs[i] = fmt.Errorf("shard %d: child output identifies as shard %d/%d — flag mismatch between driver and child",
-					i, so.ShardIndex, so.Shards)
-				return
-			}
-			outs[i] = so
-			if !quiet {
-				fmt.Fprintf(os.Stderr, "shard %d/%d done (%d main, %d propagation results)\n",
-					i, shards, len(so.Main), len(so.Prop))
-			}
-		}(i)
-	}
-	wg.Wait()
-	var failed []error
-	for _, err := range errs {
-		if err != nil {
-			failed = append(failed, err)
-		}
-	}
-	if len(failed) > 0 {
-		return nil, errors.Join(failed...)
-	}
-	return outs, nil
-}
-
-// indent prefixes child stderr with two spaces per line so it reads as a
-// quoted block inside the driver's error message.
-func indent(b []byte) []byte {
-	b = bytes.TrimRight(b, "\n")
-	if len(b) == 0 {
-		return []byte("  (empty)")
-	}
-	return append([]byte("  "), bytes.ReplaceAll(b, []byte("\n"), []byte("\n  "))...)
-}
-
-func splitComma(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
 }

@@ -6,11 +6,20 @@ import (
 )
 
 // An unknown workload name must fail the run before anything executes, not
-// campaign a no-op driver.
+// campaign a no-op driver; a list that names no workload must not fall back
+// to every workload.
 func TestRunRejectsUnknownWorkload(t *testing.T) {
-	err := run([]string{"-quiet", "-workloads", "deploy,scael"})
-	if err == nil || !strings.Contains(err.Error(), `unknown workload "scael"`) {
-		t.Fatalf("run = %v, want unknown-workload error", err)
+	for _, tc := range []struct {
+		list string
+		want string // substring of the error
+	}{
+		{"deploy,scael", `unknown workload "scael"`},
+		{",", `-workloads "," names no workload`},
+	} {
+		err := run([]string{"-quiet", "-workloads", tc.list})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run(-workloads %q) = %v, want error containing %q", tc.list, err, tc.want)
+		}
 	}
 }
 
@@ -31,6 +40,11 @@ func TestRunRejectsOutOfRangeCounts(t *testing.T) {
 		{[]string{"-stride", "0"}, "-stride must be >= 1, got 0"},
 		{[]string{"-stride", "-5"}, "-stride must be >= 1, got -5"},
 		{[]string{"-parallel", "-3"}, "-parallel must be >= 0, got -3"},
+		// Zone layouts the cluster would build with a zone holding no node.
+		{[]string{"-zones", "5"}, "-zones 5 leaves zones [3 4] without a worker node"},
+		{[]string{"-zones", "3", "-nodes", "3", "-edge-nodes", "2"}, "-zones 3 leaves zones [1] without a worker node"},
+		{[]string{"-edge-nodes", "2"}, "-edge-nodes needs -zones >= 2, got -zones 0"},
+		{[]string{"-nodes", "4", "-zones", "2", "-edge-nodes", "9"}, "-edge-nodes 9 exceeds the 3 workers outside the monitoring node"},
 	} {
 		err := run(append([]string{"-quiet"}, tc.args...))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

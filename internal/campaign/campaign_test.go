@@ -271,7 +271,7 @@ func TestSemanticValues(t *testing.T) {
 	}
 }
 
-// A shard that ran another matrix must not merge, even with the merge's spec
+// An output that ran another matrix must not merge, even with the merge's spec
 // counts: without hooks installed, FailurePolicy changes the cluster every
 // experiment ran on but not one spec.
 func TestMergeRejectsAnotherMatrix(t *testing.T) {
@@ -290,13 +290,13 @@ func TestMergeRejectsAnotherMatrix(t *testing.T) {
 			len(p.mainSpecs), len(p.propSpecs), len(q.mainSpecs), len(q.propSpecs))
 	}
 	// Every index covered, so only the fingerprint can object.
-	shard := &ShardOutput{Shards: 1, MainTotal: len(q.mainSpecs), PropTotal: len(q.propSpecs), Fingerprint: q.fingerprint}
+	shard := &ShardOutput{MainTotal: len(q.mainSpecs), PropTotal: len(q.propSpecs), Fingerprint: q.fingerprint}
 	for i := range q.mainSpecs {
 		shard.Main = append(shard.Main, ShardResult{Index: i})
 	}
 	defer func() {
 		if r := recover(); !strings.Contains(fmt.Sprint(r), "ran matrix") {
-			t.Fatalf("merging a shard of the FailurePolicy=Fail matrix into the default one: panic %v, want a fingerprint mismatch", r)
+			t.Fatalf("merging an output of the FailurePolicy=Fail matrix into the default one: panic %v, want a fingerprint mismatch", r)
 		}
 	}()
 	MergeShardOutputs(cfg, []*ShardOutput{shard})

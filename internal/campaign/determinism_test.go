@@ -10,7 +10,7 @@ import (
 	"github.com/mutiny-sim/mutiny/internal/workload"
 )
 
-// Bit-for-bit reproducibility is the property that makes a ~9,000-experiment
+// Bit-for-bit reproducibility is the property that makes a ~7,500-experiment
 // campaign debuggable: the same spec must always produce the same verdict,
 // the same z-score, and the same injection report.
 func TestExperimentsAreDeterministic(t *testing.T) {

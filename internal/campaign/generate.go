@@ -212,8 +212,9 @@ func GenerateAdmission(kind workload.Kind, hooks int) []Spec {
 // GenerateTopology derives the cloud-edge topology fault-axis campaign: for
 // every non-core zone, an edge-link flap, a zone partition, and a mass
 // node-kill — all healed within the window so reconvergence is observable.
-// Injection.Value carries the zone name, so aggregation and sharding key the
-// per-zone rows without a cluster handle. Empty on flat clusters.
+// Injection.Value carries the zone name, so aggregation and a merge of decoded
+// results key the per-zone rows without a cluster handle. Empty on flat
+// clusters.
 func GenerateTopology(kind workload.Kind, zones int) []Spec {
 	return generateTimed(kind, inject.FamilyTopology, 600_000, 1, zones, func(zone int) []inject.Injection {
 		return []inject.Injection{{Value: netsim.ZoneName(zone, zones)}}

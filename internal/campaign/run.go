@@ -63,16 +63,6 @@ type Config struct {
 	// isolated simulations and results are merged in generated-spec order —
 	// so this knob trades only wall-clock for cores.
 	Parallelism int
-	// Shards and ShardIndex partition the generated spec matrix across
-	// cooperating processes: experiment i (in generated order) runs in
-	// shard i % Shards, and RunShard executes exactly that slice. Shards
-	// <= 1 means unsharded. Generation is deterministic, so every shard
-	// process regenerates the identical matrix from the same Config and the
-	// index-ordered merge of all shard outputs (MergeShardOutputs) is
-	// bit-identical to a single-process run. Only RunShard reads these;
-	// RunCampaign ignores them (it always runs the full matrix).
-	Shards     int
-	ShardIndex int
 	// ShareBootstrap runs every experiment as a fork of one settled
 	// bootstrap snapshot per workload instead of replaying bootstrap and
 	// scenario setup per experiment, cutting per-experiment cost by the
@@ -100,12 +90,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SampleStride <= 0 {
 		c.SampleStride = 1
-	}
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
-	if c.ShardIndex < 0 || c.ShardIndex >= c.Shards {
-		panic("campaign: ShardIndex out of range")
 	}
 	return c
 }
@@ -144,12 +128,10 @@ type Output struct {
 // in generated-spec order and the golden baselines are built once per
 // workload before the fan-out.
 //
-// RunCampaign is exactly the one-shard case of the sharded pipeline: it runs
-// the full matrix as a single shard and merges it (see shard.go), so the
-// sharded and unsharded paths share every line of execution and merge code.
+// It runs the matrix (RunShard) and merges the results in generated order,
+// running the refinement round on the merged aggregate (MergeShardOutputs;
+// see shard.go).
 func RunCampaign(cfg Config) *Output {
-	cfg = cfg.withDefaults()
-	cfg.Shards, cfg.ShardIndex = 1, 0
 	return MergeShardOutputs(cfg, []*ShardOutput{RunShard(cfg)})
 }
 

@@ -8,34 +8,26 @@ import (
 	"github.com/mutiny-sim/mutiny/internal/workload"
 )
 
-// Campaign sharding: partition the generated spec matrix across cooperating
-// processes and merge their outputs bit-identically to a single-process run.
+// A campaign runs in two steps: RunShard runs the generated spec matrix, and
+// MergeShardOutputs folds its results in generated order and runs the
+// refinement round (§V-C2), whose specs derive from the merged main aggregate.
 //
-// The whole design leans on one property: campaign generation is
-// deterministic. Field recording, spec generation, golden seeds, and the
-// refinement derivation depend only on Config, so every shard process — and
-// the merging parent — regenerates the identical spec matrix locally and
-// communicates only *results*, keyed by global spec index. The wire format
-// (ShardOutput) therefore never has to serialize a Spec, an Injection, or
-// anything `any`-typed except the injection report's observed values, which
-// travel as explicitly tagged WireValues (an int64 that round-tripped
-// through a JSON float64 would corrupt the refinement round's field-kind
-// inference and break bit-identity).
-//
-// Spec i runs in shard i%Shards. The modulus (not a contiguous split)
-// interleaves workloads and fault models evenly, so shard wall-clock stays
-// balanced even though spec cost varies by kind.
-//
-// The refinement round (§V-C2) derives its specs from the *merged* main
-// aggregate, so it cannot run inside any single shard: MergeShardOutputs
-// runs it after reassembly, on the merging process's own workers. A
-// single-process RunCampaign is literally RunShard(Shards=1) + merge, so
-// the sharded and unsharded paths cannot drift apart.
+// Campaign generation is deterministic: field recording, spec generation,
+// golden seeds and the refinement derivation depend only on Config. So a
+// result travels keyed by its spec's index, and a merge that has only
+// decoded results regenerates the matrix from Config and grafts each result
+// back onto its spec. The JSON wire (ShardOutput) therefore never serializes
+// a Spec, an Injection, or anything `any`-typed except the injection
+// report's observed values, which travel as explicitly tagged WireValues (an
+// int64 that round-tripped through a JSON float64 would corrupt the
+// refinement round's field-kind inference). Only the tests and the benchmark
+// use that wire, which the benchmark times as campaign.pipeline_s and
+// campaign.shard_roundtrip_ms; it goes when the benchmark stops timing it.
 
 // prepared is the deterministic front half of a campaign: the configured
 // Runner, the recorded fields, and the fully generated main and propagation
 // spec lists. Two prepares of the same Config produce identical spec lists
-// in identical order — the property sharding rests on.
+// in identical order — the property merging a decoded output rests on.
 type prepared struct {
 	runner         *Runner
 	mainSpecs      []Spec
@@ -45,7 +37,7 @@ type prepared struct {
 	fingerprint string
 }
 
-// prepare records fields and generates the full (unsharded) spec matrix.
+// prepare records fields and generates the full spec matrix.
 func prepare(cfg Config) *prepared {
 	workers := resolveParallelism(cfg.Parallelism)
 	runner := NewRunner()
@@ -83,7 +75,7 @@ func prepare(cfg Config) *prepared {
 	return p
 }
 
-// matrixFingerprint hashes what a shard and its merge must agree on: the
+// matrixFingerprint hashes what a run and its merge must agree on: the
 // cluster every experiment runs on and every generated spec, in order. Equal
 // spec counts do not imply it — a FailurePolicy, say, changes the cluster and
 // not the matrix.
@@ -99,7 +91,7 @@ func matrixFingerprint(cluster string, lists ...[]Spec) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// WireValue is an explicitly type-tagged scalar for the shard wire format.
+// WireValue is an explicitly type-tagged scalar for the JSON wire.
 // Kind is "int", "str", or "bool"; absent (nil pointer) means the value was
 // nil. The tag preserves the Go dynamic type across JSON, which float64
 // round-tripping would destroy.
@@ -141,7 +133,7 @@ func (w *WireValue) value() any {
 	}
 }
 
-// ShardResult is one experiment's outcome on the shard wire: the Result at
+// ShardResult is one experiment's outcome on the wire: the Result at
 // Index, the spec's position in the full generated list. Its JSON carries the
 // Result itself minus what JSON cannot: the Spec, which the merger
 // regenerates from Config and grafts back on by Index, and the report's
@@ -175,21 +167,17 @@ func (sr *ShardResult) UnmarshalJSON(data []byte) error {
 	return err
 }
 
-// result reassembles the full Result around the regenerated spec. Both the
-// in-process and the cross-process merge paths go through here.
+// result reassembles the full Result around the spec at its index. Both an
+// in-process and a decoded output merge through here.
 func (sr ShardResult) result(spec Spec) *Result {
 	res := sr.Result
 	res.Spec = spec
 	return &res
 }
 
-// ShardOutput is one shard's share of a campaign: main and propagation
-// results for every global spec index i with i % Shards == ShardIndex. It
-// is the unit the multi-process driver serializes (JSON) between child and
-// parent.
+// ShardOutput is a campaign's main and propagation results, keyed by
+// generated spec index, before the merge. It is JSON-serializable.
 type ShardOutput struct {
-	Shards         int                   `json:"shards"`
-	ShardIndex     int                   `json:"shardIndex"`
 	MainTotal      int                   `json:"mainTotal"` // full matrix size, for validation
 	PropTotal      int                   `json:"propTotal"`
 	Fingerprint    string                `json:"fingerprint"` // the matrix's, for validation
@@ -197,36 +185,23 @@ type ShardOutput struct {
 	Prop           []ShardResult         `json:"prop"`
 	FieldsRecorded map[workload.Kind]int `json:"fieldsRecorded"`
 
-	// prep is carried only within a process: RunCampaign hands its shard's
-	// runner (with built baselines and recorded fields) straight to the
-	// merge so nothing is recomputed. A deserialized ShardOutput has
-	// prep == nil and the merge prepares its own.
+	// prep is carried only within a process: RunCampaign hands its runner
+	// (with built baselines and recorded fields) straight to the merge so
+	// nothing is recomputed. A deserialized ShardOutput has prep == nil and
+	// the merge prepares its own.
 	prep *prepared
 }
 
-// shardIndices enumerates this shard's global indices: index, index+shards,
-// index+2·shards, …
-func shardIndices(n, shards, index int) []int {
-	var out []int
-	for i := index; i < n; i += shards {
-		out = append(out, i)
-	}
-	return out
-}
-
-// RunShard executes one shard of the campaign: field recording, golden
-// baselines, and this shard's slice of the main and propagation experiments.
-// Shards/ShardIndex come from Config; Shards <= 1 runs the whole matrix.
-// The refinement round is NOT run here — it depends on the merged main
-// aggregate and belongs to MergeShardOutputs.
+// RunShard runs a campaign's experiments: field recording, golden
+// baselines, and every main and propagation experiment of the generated
+// matrix. The refinement round is NOT run here — it depends on the merged
+// main aggregate and belongs to MergeShardOutputs.
 func RunShard(cfg Config) *ShardOutput {
 	cfg = cfg.withDefaults()
 	workers := resolveParallelism(cfg.Parallelism)
 	p := prepare(cfg)
 
 	out := &ShardOutput{
-		Shards:         cfg.Shards,
-		ShardIndex:     cfg.ShardIndex,
 		MainTotal:      len(p.mainSpecs),
 		PropTotal:      len(p.propSpecs),
 		Fingerprint:    p.fingerprint,
@@ -234,44 +209,38 @@ func RunShard(cfg Config) *ShardOutput {
 		prep:           p,
 	}
 
-	mainIdx := shardIndices(len(p.mainSpecs), cfg.Shards, cfg.ShardIndex)
-	propIdx := shardIndices(len(p.propSpecs), cfg.Shards, cfg.ShardIndex)
-
 	// Golden baselines are built up front (each internally parallel) so the
 	// experiment workers never contend on a baseline build.
 	for _, wl := range cfg.Workloads {
 		p.runner.Baseline(wl)
 	}
 
-	progress := newProgressTicker(len(mainIdx)+len(propIdx), cfg.Progress)
+	progress := newProgressTicker(len(p.mainSpecs)+len(p.propSpecs), cfg.Progress)
 
-	out.Main = make([]ShardResult, len(mainIdx))
-	forEachWorker(len(mainIdx), workers, p.runner, func(w *Worker, k int) {
-		i := mainIdx[k]
-		out.Main[k] = ShardResult{i, *w.Run(p.mainSpecs[i])}
+	out.Main = make([]ShardResult, len(p.mainSpecs))
+	forEachWorker(len(p.mainSpecs), workers, p.runner, func(w *Worker, i int) {
+		out.Main[i] = ShardResult{i, *w.Run(p.mainSpecs[i])}
 		progress.tick()
 	})
 
-	out.Prop = make([]ShardResult, len(propIdx))
-	forEachWorker(len(propIdx), workers, p.runner, func(w *Worker, k int) {
-		i := propIdx[k]
-		out.Prop[k] = ShardResult{i, *w.RunPropagation(p.propSpecs[i])}
+	out.Prop = make([]ShardResult, len(p.propSpecs))
+	forEachWorker(len(p.propSpecs), workers, p.runner, func(w *Worker, i int) {
+		out.Prop[i] = ShardResult{i, *w.RunPropagation(p.propSpecs[i])}
 		progress.tick()
 	})
 	return out
 }
 
-// MergeShardOutputs reassembles shard outputs into the full campaign Output:
-// results slot into generated-spec order by global index (so the merged
-// aggregates are bit-identical to a single-process run regardless of shard
-// count or completion order), then the refinement round runs here, against
-// the merged main aggregate. Shards must jointly cover every index exactly
-// once — a missing or duplicated index is a programming error and panics, as
-// is a shard whose matrix fingerprint differs from the merge's.
+// MergeShardOutputs reassembles outputs into the full campaign Output:
+// results slot into generated-spec order by index (so the aggregates do not
+// depend on completion order), then the refinement round runs here, against
+// the merged main aggregate. The outputs must jointly cover every index
+// exactly once — a missing or duplicated index is a programming error and
+// panics, as is an output whose matrix fingerprint differs from the merge's.
 //
 // When the outputs came over the wire (no in-process runner), the merge
 // re-prepares locally: recording and generation are deterministic, so the
-// regenerated specs are the ones the shards ran.
+// regenerated specs are the ones the outputs' experiments ran.
 func MergeShardOutputs(cfg Config, shards []*ShardOutput) *Output {
 	cfg = cfg.withDefaults()
 
@@ -297,29 +266,29 @@ func MergeShardOutputs(cfg Config, shards []*ShardOutput) *Output {
 	propRes := make([]*Result, len(p.propSpecs))
 	for _, s := range shards {
 		if s.MainTotal != len(p.mainSpecs) || s.PropTotal != len(p.propSpecs) {
-			panic(fmt.Sprintf("campaign: shard %d/%d generated %d/%d specs, merge generated %d/%d — configs differ",
-				s.ShardIndex, s.Shards, s.MainTotal, s.PropTotal, len(p.mainSpecs), len(p.propSpecs)))
+			panic(fmt.Sprintf("campaign: output generated %d/%d specs, merge generated %d/%d — configs differ",
+				s.MainTotal, s.PropTotal, len(p.mainSpecs), len(p.propSpecs)))
 		}
 		if s.Fingerprint != p.fingerprint {
-			panic(fmt.Sprintf("campaign: shard %d/%d ran matrix %s, merge generated %s — configs differ",
-				s.ShardIndex, s.Shards, s.Fingerprint, p.fingerprint))
+			panic(fmt.Sprintf("campaign: output ran matrix %s, merge generated %s — configs differ",
+				s.Fingerprint, p.fingerprint))
 		}
 		for _, sr := range s.Main {
 			if sr.Index < 0 || sr.Index >= len(mainRes) || mainRes[sr.Index] != nil {
-				panic(fmt.Sprintf("campaign: bad or duplicate main index %d from shard %d", sr.Index, s.ShardIndex))
+				panic(fmt.Sprintf("campaign: bad or duplicate main index %d", sr.Index))
 			}
 			mainRes[sr.Index] = sr.result(p.mainSpecs[sr.Index])
 		}
 		for _, sr := range s.Prop {
 			if sr.Index < 0 || sr.Index >= len(propRes) || propRes[sr.Index] != nil {
-				panic(fmt.Sprintf("campaign: bad or duplicate prop index %d from shard %d", sr.Index, s.ShardIndex))
+				panic(fmt.Sprintf("campaign: bad or duplicate prop index %d", sr.Index))
 			}
 			propRes[sr.Index] = sr.result(p.propSpecs[sr.Index])
 		}
 	}
 	for i, res := range mainRes {
 		if res == nil {
-			panic(fmt.Sprintf("campaign: main index %d not covered by any shard", i))
+			panic(fmt.Sprintf("campaign: main index %d missing from the outputs", i))
 		}
 		out.Main.Add(res)
 	}
@@ -338,7 +307,7 @@ func MergeShardOutputs(cfg Config, shards []*ShardOutput) *Output {
 		for i, spec := range p.propSpecs {
 			res := propRes[i]
 			if res == nil {
-				panic(fmt.Sprintf("campaign: prop index %d not covered by any shard", i))
+				panic(fmt.Sprintf("campaign: prop index %d missing from the outputs", i))
 			}
 			key := string(spec.Workload) + "/" + spec.Injection.SourcePrefix
 			cell, ok := cells[key]

@@ -28,12 +28,11 @@ func renderAll(t *testing.T, out *campaign.Output) []byte {
 	return buf.Bytes()
 }
 
-// TestShardingIsBitIdentical: the index-ordered merge of shards ∈ {1, 2, 4}
-// must be bit-identical to the sequential single-process run — same golden
-// tables, same OF/CF classifications, same propagation cells. Each shard
-// output takes a JSON round trip before merging, exactly as it would
-// crossing the process boundary in the multi-process driver (so the tagged
-// wire values are exercised, and the merge is forced to regenerate specs).
+// TestShardingIsBitIdentical: a RunShard output that took a JSON round trip
+// merges bit-identically to the sequential RunCampaign — same golden tables,
+// same OF/CF classifications, same propagation cells. The round trip
+// exercises the tagged wire values and forces the merge to regenerate the
+// specs, since a decoded output carries no in-process state.
 func TestShardingIsBitIdentical(t *testing.T) {
 	base := campaign.Config{
 		Workloads:      []workload.Kind{workload.Deploy, workload.ScaleUp},
@@ -50,85 +49,36 @@ func TestShardingIsBitIdentical(t *testing.T) {
 		t.Fatal("reference campaign ran zero main experiments; the test is vacuous")
 	}
 
-	for _, shards := range []int{1, 2, 4} {
-		outs := make([]*campaign.ShardOutput, shards)
-		for i := 0; i < shards; i++ {
-			cfg := base
-			cfg.Parallelism = 2
-			cfg.Shards, cfg.ShardIndex = shards, i
-			so := campaign.RunShard(cfg)
+	cfg := base
+	cfg.Parallelism = 2
+	blob, err := json.Marshal(campaign.RunShard(cfg))
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	decoded := new(campaign.ShardOutput)
+	if err := json.Unmarshal(blob, decoded); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	merged := campaign.MergeShardOutputs(cfg, []*campaign.ShardOutput{decoded})
 
-			// Simulate the process boundary: serialize, then decode into a
-			// fresh ShardOutput with no in-process state attached.
-			blob, err := json.Marshal(so)
-			if err != nil {
-				t.Fatalf("shards=%d: marshal shard %d: %v", shards, i, err)
-			}
-			decoded := new(campaign.ShardOutput)
-			if err := json.Unmarshal(blob, decoded); err != nil {
-				t.Fatalf("shards=%d: unmarshal shard %d: %v", shards, i, err)
-			}
-			outs[i] = decoded
-		}
-		cfg := base
-		cfg.Parallelism = 2
-		cfg.Shards = shards
-		merged := campaign.MergeShardOutputs(cfg, outs)
-
-		if !reflect.DeepEqual(ref.Main, merged.Main) {
-			t.Errorf("shards=%d: Main aggregate diverged (%d vs %d results)", shards, ref.Main.Total(), merged.Main.Total())
-		}
-		if !reflect.DeepEqual(ref.Refinement, merged.Refinement) {
-			t.Errorf("shards=%d: Refinement aggregate diverged (%d vs %d results)", shards, ref.Refinement.Total(), merged.Refinement.Total())
-		}
-		if !reflect.DeepEqual(ref.Propagation, merged.Propagation) {
-			t.Errorf("shards=%d: Propagation cells diverged:\n  ref=%+v\n  got=%+v", shards, ref.Propagation, merged.Propagation)
-		}
-		if !reflect.DeepEqual(ref.FieldsRecorded, merged.FieldsRecorded) {
-			t.Errorf("shards=%d: FieldsRecorded diverged: %v vs %v", shards, ref.FieldsRecorded, merged.FieldsRecorded)
-		}
-		if got := renderAll(t, merged); !bytes.Equal(refTables, got) {
-			t.Errorf("shards=%d: rendered golden tables diverged from the sequential run", shards)
-		}
+	if !reflect.DeepEqual(ref.Main, merged.Main) {
+		t.Errorf("Main aggregate diverged (%d vs %d results)", ref.Main.Total(), merged.Main.Total())
+	}
+	if !reflect.DeepEqual(ref.Refinement, merged.Refinement) {
+		t.Errorf("Refinement aggregate diverged (%d vs %d results)", ref.Refinement.Total(), merged.Refinement.Total())
+	}
+	if !reflect.DeepEqual(ref.Propagation, merged.Propagation) {
+		t.Errorf("Propagation cells diverged:\n  ref=%+v\n  got=%+v", ref.Propagation, merged.Propagation)
+	}
+	if !reflect.DeepEqual(ref.FieldsRecorded, merged.FieldsRecorded) {
+		t.Errorf("FieldsRecorded diverged: %v vs %v", ref.FieldsRecorded, merged.FieldsRecorded)
+	}
+	if got := renderAll(t, merged); !bytes.Equal(refTables, got) {
+		t.Errorf("rendered golden tables diverged from the sequential run")
 	}
 }
 
-// TestShardIndicesPartition: every index lands in exactly one shard.
-func TestShardIndicesPartition(t *testing.T) {
-	base := campaign.Config{
-		Workloads:      []workload.Kind{workload.Deploy},
-		GoldenRuns:     3,
-		SampleStride:   251,
-		SkipRefinement: true,
-		ShareBootstrap: true,
-		Parallelism:    1,
-	}
-	const shards = 3
-	seen := make(map[int]int)
-	var mainTotal int
-	for i := 0; i < shards; i++ {
-		cfg := base
-		cfg.Shards, cfg.ShardIndex = shards, i
-		so := campaign.RunShard(cfg)
-		mainTotal = so.MainTotal
-		for _, sr := range so.Main {
-			seen[sr.Index]++
-			if sr.Index%shards != i {
-				t.Errorf("index %d ran in shard %d, want shard %d", sr.Index, i, sr.Index%shards)
-			}
-		}
-	}
-	if len(seen) != mainTotal {
-		t.Fatalf("shards covered %d of %d main indices", len(seen), mainTotal)
-	}
-	for idx, n := range seen {
-		if n != 1 {
-			t.Fatalf("index %d ran %d times", idx, n)
-		}
-	}
-}
-
-// FuzzShardResultJSON feeds the shard wire's hand-written decoder hostile
+// FuzzShardResultJSON feeds the result wire's hand-written decoder hostile
 // input: it must never panic, and whatever it accepts must survive a
 // Marshal→Unmarshal round trip unchanged, type-tagged values included.
 func FuzzShardResultJSON(f *testing.F) {

@@ -303,6 +303,19 @@ func (c Config) zoneOfWorker(i int) int {
 	return i % (c.Zones - 1)
 }
 
+// WorkersPerZone counts the workers zoneOfWorker places in each zone, zone 0
+// first; a flat cluster has one entry. A layout can leave a zone with no
+// worker, and the edge holds fewer than EdgeNodes when they exceed the
+// workers outside the monitoring reservation.
+func (c Config) WorkersPerZone() []int {
+	c = c.withDefaults()
+	counts := make([]int, max(c.Zones, 1))
+	for i := 0; i < c.Workers; i++ {
+		counts[c.zoneOfWorker(i)]++
+	}
+	return counts
+}
+
 // nodeClass scales the core node class by zone: core nodes are the
 // paper's full-size VMs, regional nodes half, edge devices a quarter —
 // the heterogeneous node classes of cloud-edge deployments.

@@ -320,3 +320,41 @@ func TestNodeCrashTriggersEviction(t *testing.T) {
 		t.Fatal("crashed node still marked Ready")
 	}
 }
+
+// WorkersPerZone reports a zone empty exactly when no worker index maps to
+// it, and its counts are the zone memberships New builds: the CLI rejects a
+// layout on its word, so it must not disagree with the placement.
+func TestWorkersPerZoneMatchesPlacement(t *testing.T) {
+	for zones := 2; zones <= 6; zones++ {
+		for workers := 1; workers <= 12; workers++ {
+			for edge := 0; edge <= workers; edge++ {
+				cfg := Config{Workers: workers, Zones: zones, EdgeNodes: edge}
+				got := cfg.WorkersPerZone()
+				if len(got) != zones {
+					t.Fatalf("%+v: %d zone counts, want %d", cfg, len(got), zones)
+				}
+				built := New(cfg)
+				for zone, n := range got {
+					mapped := false
+					for i := 0; i < workers; i++ {
+						mapped = mapped || cfg.zoneOfWorker(i) == zone
+					}
+					if (n == 0) == mapped {
+						t.Errorf("%+v: zone %d counts %d workers; a worker index maps to it: %v", cfg, zone, n, mapped)
+					}
+					// The control-plane node also sits in the core.
+					want := n
+					if zone == 0 {
+						want++
+					}
+					if members := len(built.zoneNodes[built.ZoneName(zone)]); members != want {
+						t.Errorf("%+v: zone %d holds %d nodes, WorkersPerZone says %d workers", cfg, zone, members, n)
+					}
+				}
+			}
+		}
+	}
+	if got := (Config{}).WorkersPerZone(); !reflect.DeepEqual(got, []int{4}) {
+		t.Errorf("flat default cluster: WorkersPerZone = %v, want [4]", got)
+	}
+}

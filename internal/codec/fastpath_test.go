@@ -2,7 +2,7 @@
 // external test package so they can exercise the real resource kinds from
 // internal/spec (which itself imports codec): Marshal/Unmarshal run on every
 // store transaction of every campaign experiment, so allocs/op here multiply
-// by the ~9,000-experiment campaign.
+// by the ~7,500-experiment campaign.
 package codec_test
 
 import (

@@ -132,13 +132,13 @@ func TestWindowTablesMatchGolden(t *testing.T) {
 	}
 }
 
-// throughShardWire sends results through ShardOutput JSON, as between a shard
-// process and the merging parent, and requires what arrives to equal what was
+// throughShardWire sends results through ShardOutput JSON, as to a merge that
+// has only the decoded output, and requires what arrives to equal what was
 // sent — dynamic types of the observed values included. The specs do not
 // travel: the receiver grafts its own back on by index.
 func throughShardWire(t *testing.T, results []*campaign.Result) []*campaign.Result {
 	t.Helper()
-	sent := campaign.ShardOutput{Shards: 1, MainTotal: len(results)}
+	sent := campaign.ShardOutput{MainTotal: len(results)}
 	for i, res := range results {
 		sent.Main = append(sent.Main, campaign.ShardResult{Index: i, Result: *res})
 	}

@@ -6,7 +6,7 @@
 // a virtual clock. An experiment that spans a minute of simulated time
 // executes in well under a millisecond of wall time, and two runs with the
 // same seed produce bit-identical event orders, which is what makes a
-// ~9,000-experiment injection campaign tractable and reproducible.
+// ~7,500-experiment injection campaign tractable and reproducible.
 //
 // The scheduler is allocation-frugal: event structs are recycled on a
 // per-loop free list (a campaign schedules hundreds of thousands of events

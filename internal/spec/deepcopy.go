@@ -3,7 +3,7 @@ package spec
 // Hand-written deep copies. Cloning is the hottest operation at campaign
 // scale (every read and every watch dispatch copies objects), and the
 // reflective generic copy showed up as >50% of campaign CPU time; these
-// methods keep the simulation fast enough to run ~9,000 experiments.
+// methods keep the simulation fast enough to run ~7,500 experiments.
 
 func cloneStringMap(in map[string]string) map[string]string {
 	if in == nil {

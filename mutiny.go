@@ -130,14 +130,6 @@
 //     shares only immutable data: golden baselines, sealed objects, and the
 //     bootstrap snapshots every worker restores from.
 //
-//   - Multi-process sharding (CampaignConfig.Shards/ShardIndex, CLI
-//     -shards/-shard-index). Campaign generation is deterministic, so each
-//     shard process regenerates the full spec matrix and runs its
-//     index-slice; only JSON-safe results cross the process boundary, and
-//     the index-ordered merge (plus the post-merge refinement round) is
-//     bit-identical to a single-process run. RunCampaign itself is the
-//     one-shard case of the same pipeline.
-//
 // `go run ./bench` measures all of it: five campaign workloads, end-to-end
 // and layer by layer (see bench/README.md). Go's standard profiling flags
 // capture lock contention on the parallel path:
@@ -172,9 +164,6 @@ type (
 	CampaignOutput = campaign.Output
 	// PropagationCell is one Table VI cell (Inj/Prop/Err).
 	PropagationCell = campaign.PropagationCell
-	// ShardOutput is one shard's share of a campaign (JSON-serializable),
-	// produced by RunCampaignShard and consumed by MergeCampaignShards.
-	ShardOutput = campaign.ShardOutput
 
 	// Injection is the (where, what, when) fault triple.
 	Injection = inject.Injection
@@ -341,21 +330,6 @@ func NewAggregate() *Aggregate { return campaign.NewAggregate() }
 // field recording, campaign generation, injections, the critical-field
 // refinement round, and the propagation experiments.
 func RunCampaign(cfg CampaignConfig) *CampaignOutput { return campaign.RunCampaign(cfg) }
-
-// RunCampaignShard executes one shard of a campaign: the experiments whose
-// generated index i satisfies i % cfg.Shards == cfg.ShardIndex. Generation
-// is deterministic, so cooperating processes running distinct shard indices
-// of the same config jointly cover the full matrix exactly once; merge their
-// outputs with MergeCampaignShards. The refinement round is deferred to the
-// merge (it depends on the full main aggregate).
-func RunCampaignShard(cfg CampaignConfig) *ShardOutput { return campaign.RunShard(cfg) }
-
-// MergeCampaignShards reassembles shard outputs — local or decoded from
-// JSON — into the full campaign Output, bit-identical to a single-process
-// run, then executes the refinement round.
-func MergeCampaignShards(cfg CampaignConfig, shards []*ShardOutput) *CampaignOutput {
-	return campaign.MergeShardOutputs(cfg, shards)
-}
 
 // NewCluster builds a standalone simulated cluster (the substrate) for
 // direct experimentation outside the campaign harness.
