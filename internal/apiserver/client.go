@@ -13,9 +13,9 @@ import (
 // Reads follow the sealed-read contract: Get, List and Range hand out the server's
 // sealed cache instances with zero copies. Callers may read and retain them
 // freely — sealed objects never change — but must obtain a private copy via
-// spec.CloneForWrite before mutating. Writes serialize the argument without
-// copying it first (the server decodes its own private instance from the
-// wire bytes), so the caller keeps ownership of what it passed in.
+// spec.CloneForWrite before mutating. Create and Update hand their argument
+// over to the server (see Create); UpdateStatus only reads its argument, and
+// the caller keeps it.
 // Every client comes from an Endpoints set and knows each apiserver in it: in
 // an HA control plane it fails over between them; with one endpoint it sends
 // every request once to that server. See endpoints.go.
@@ -33,14 +33,19 @@ type Client struct {
 	watches  []*clientWatch
 }
 
-// Create persists a new object. The argument is only serialized, never
-// retained or mutated by the server.
+// Create persists a new object. The argument is handed over: after the call
+// it belongs to the server, which stamps and admits it in place and seals it
+// on commit, so the caller must neither read nor write it again — to write
+// the same object twice, build a new one or pass it through
+// spec.CloneForWrite. A sealed argument is copied first. A create that fails
+// carries none of the identities a server drew for it, so failover resends
+// it as it was passed in.
 func (c *Client) Create(obj spec.Object) error {
 	return c.do(func(srv *Server) error { return srv.handle(c.identity, VerbCreate, obj) })
 }
 
 // Update replaces an existing object (spec + metadata); its resourceVersion
-// must match the current one.
+// must match the current one. The argument is handed over, as with Create.
 func (c *Client) Update(obj spec.Object) error {
 	return c.do(func(srv *Server) error { return srv.handle(c.identity, VerbUpdate, obj) })
 }

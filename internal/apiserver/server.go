@@ -243,9 +243,9 @@ type Server struct {
 	// requestWireGate, when set alongside a request hook, reports whether the
 	// hook currently needs the serialized request bytes. While it returns
 	// false the server elides the component→apiserver wire round-trip
-	// (encode + decode) and applies a deep copy of the request object
-	// directly — semantically identical for an uninterested hook, and the
-	// dominant write-path saving of the copy-on-write pipeline.
+	// (encode + decode) and applies the object the caller handed over —
+	// semantically identical for an uninterested hook, and the dominant
+	// write-path saving of the copy-on-write pipeline.
 	requestWireGate func() bool
 	accessHook      func(key string)
 
@@ -682,18 +682,13 @@ func (s *Server) handle(identity string, verb Verb, obj spec.Object) error {
 	// Fast path: no request hook, or the installed hook declares (via the
 	// wire gate) that it does not currently need the serialized bytes —
 	// e.g. an injector armed on the store channel. The component→apiserver
-	// round-trip (encode + decode) is then observationally dead weight; a
-	// deep copy of the request object is bit-equivalent to decoding its own
-	// encoding, and roughly 5× cheaper. Status updates and deletes skip
-	// even that copy: the server never retains or mutates the request
-	// object on those verbs (the status is grafted onto the server's own
-	// clone of the current object; a delete only reads identity), so the
-	// caller's instance can be read in place.
+	// round-trip (encode + decode) is then observationally dead weight, and
+	// so is a copy: every write hands its object over (see Client.Create),
+	// and the server stamps, admits and seals the caller's instance itself.
+	// Only a sealed argument — a cache reference passed straight back — is
+	// copied first.
 	if !s.requestWireArmed() {
-		if verb == VerbUpdateStatus || verb == VerbDelete {
-			return s.apply(identity, verb, msg, obj)
-		}
-		return s.apply(identity, verb, msg, obj.Clone())
+		return s.apply(identity, verb, msg, spec.CloneForWrite(obj))
 	}
 	// The request wire bytes live only for the duration of this (synchronous)
 	// handle call — the store copies on Put — so they are encoded into the
@@ -721,15 +716,17 @@ func (s *Server) handle(identity string, verb Verb, obj spec.Object) error {
 	return s.apply(identity, verb, msg, recv)
 }
 
-// apply validates, admits and persists a decoded request object. Existence
-// and resource-version checks read the backend, not the watch cache: writes
-// are transactional against the store (like etcd txns), while reads are
-// served from the cache.
+// apply validates, admits and persists a request object: the one the caller
+// handed over, or the decode of its wire bytes. Existence and
+// resource-version checks read the backend, not the watch cache: writes are
+// transactional against the store (like etcd txns), while reads are served
+// from the cache.
 func (s *Server) apply(identity string, verb Verb, msg *Message, obj spec.Object) error {
 	kind := msg.Kind
 	key := spec.Key(kind, msg.Namespace, msg.Name)
 	var donor spec.Object
 	var splice []byte
+	var stamped drawn
 	cur, prefix, exists, curErr := s.current(kind, key)
 	if errors.Is(curErr, store.ErrReplicaDown) {
 		// This server's store replica is lost: every verb fails, and the
@@ -751,7 +748,7 @@ func (s *Server) apply(identity string, verb Verb, msg *Message, obj spec.Object
 		if err := s.validate(verb, msg, obj, nil); err != nil {
 			return s.audit.record(identity, verb, kind, msg.Name, err, msg.Tampered)
 		}
-		s.admitCreate(obj)
+		stamped = s.admitCreate(obj)
 	case VerbUpdate:
 		if !exists {
 			return s.audit.record(identity, verb, kind, msg.Name, ErrNotFound, msg.Tampered)
@@ -800,11 +797,15 @@ func (s *Server) apply(identity string, verb Verb, msg *Message, obj spec.Object
 	// was admitted when it was written.
 	if s.admission != nil && (verb == VerbCreate || verb == VerbUpdate) {
 		if err := s.admission.Admit(verb, obj); err != nil {
+			stamped.undo(obj)
 			return s.audit.record(identity, verb, kind, msg.Name, err, msg.Tampered)
 		}
 	}
 
 	err := s.persistWrite(identity, verb, msg, obj, key, splice)
+	if err != nil {
+		stamped.undo(obj)
+	}
 	if err == nil && donor != nil && !donor.Meta().Sealed() {
 		// Report the committed revision back on the status donor — the
 		// response body a real apiserver returns as the updated object. A
@@ -947,12 +948,30 @@ func (s *Server) persistDelete(identity string, msg *Message, key string) error 
 	return nil
 }
 
-// admitCreate fills server-assigned defaults on object creation.
-func (s *Server) admitCreate(obj spec.Object) {
+// drawn records which identities admitCreate drew from the server's counters.
+type drawn struct{ uid, clusterIP bool }
+
+// undo clears the identities drawn for a create that then failed. The object
+// is the caller's own (a write hands it over), and a failover client resends
+// it to the next server, which must stamp it as it would a fresh copy: with a
+// UID and ClusterIP drawn from its own counters.
+func (d drawn) undo(obj spec.Object) {
+	if d.uid {
+		obj.Meta().UID = ""
+	}
+	if d.clusterIP {
+		obj.(*spec.Service).Spec.ClusterIP = ""
+	}
+}
+
+// admitCreate fills server-assigned defaults on object creation and reports
+// the identities it drew.
+func (s *Server) admitCreate(obj spec.Object) (d drawn) {
 	m := obj.Meta()
 	if m.UID == "" {
 		s.uidCounter += s.uidStride
 		m.UID = spec.FormatUID(s.uidCounter)
+		d.uid = true
 	}
 	if m.CreatedMillis == 0 {
 		m.CreatedMillis = s.loop.Time().UnixMilli()
@@ -962,6 +981,7 @@ func (s *Server) admitCreate(obj spec.Object) {
 		if svc.Spec.ClusterIP == "" {
 			s.ipCounter += s.uidStride
 			svc.Spec.ClusterIP = fmt.Sprintf("10.96.0.%d", s.ipCounter%250+1)
+			d.clusterIP = true
 		}
 		for i := range svc.Spec.Ports {
 			if svc.Spec.Ports[i].Protocol == "" {
@@ -969,6 +989,7 @@ func (s *Server) admitCreate(obj spec.Object) {
 			}
 		}
 	}
+	return d
 }
 
 // --- store event path (store → apiserver → watchers) -------------------------

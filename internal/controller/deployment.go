@@ -118,10 +118,11 @@ func (c *deploymentController) createReplicaSet(d *spec.Deployment, hash string)
 	sel := spec.LabelSelector{MatchLabels: cloneLabels(d.Spec.Selector.MatchLabels)}
 	sel.MatchLabels[spec.LabelPodHash] = hash
 
+	ns, name := d.Metadata.Namespace, d.Metadata.Name+"-"+hash
 	rs := &spec.ReplicaSet{
 		Metadata: spec.ObjectMeta{
-			Name:            d.Metadata.Name + "-" + hash,
-			Namespace:       d.Metadata.Namespace,
+			Name:            name,
+			Namespace:       ns,
 			Labels:          cloneLabels(tpl.Labels),
 			OwnerReferences: []spec.OwnerReference{controllerRef(spec.KindDeployment, d.Metadata.Name, d.Metadata.UID)},
 		},
@@ -131,15 +132,15 @@ func (c *deploymentController) createReplicaSet(d *spec.Deployment, hash string)
 			Template: tpl,
 		},
 	}
-	if err := c.m.client.Create(rs); err != nil {
+	if err := c.m.client.Create(rs); err != nil { // rs is the server's now
 		if errors.Is(err, apiserver.ErrAlreadyExists) {
-			if obj, getErr := c.m.client.Get(spec.KindReplicaSet, rs.Metadata.Namespace, rs.Metadata.Name); getErr == nil {
+			if obj, getErr := c.m.client.Get(spec.KindReplicaSet, ns, name); getErr == nil {
 				return obj.(*spec.ReplicaSet)
 			}
 		}
 		return nil
 	}
-	obj, err := c.m.client.Get(spec.KindReplicaSet, rs.Metadata.Namespace, rs.Metadata.Name)
+	obj, err := c.m.client.Get(spec.KindReplicaSet, ns, name)
 	if err != nil {
 		return nil
 	}
@@ -199,9 +200,9 @@ func (c *deploymentController) setReplicas(rs *spec.ReplicaSet, n int64) {
 	if rs.Spec.Replicas == n {
 		return
 	}
-	rs = spec.CloneForWriteAs(rs) // the argument may be a sealed cache reference
-	rs.Spec.Replicas = n
-	if err := c.m.client.Update(rs); errors.Is(err, apiserver.ErrConflict) {
+	next := spec.CloneForWriteAs(rs) // the argument may be a sealed cache reference
+	next.Spec.Replicas = n
+	if err := c.m.client.Update(next); errors.Is(err, apiserver.ErrConflict) {
 		// Re-read next sync; the resync loop will retry.
 		c.q.addAfter(objKey(rs), conflictRetryDelay)
 	}

@@ -15,9 +15,9 @@ import (
 type endpointsController struct {
 	keyed
 	// addrScratch / portScratch back the rebuilt endpoint table, reused
-	// across syncs: the desired object is serialized (or deep-copied) by the
-	// client write path and never retained, so the backing arrays are free
-	// again once sync returns.
+	// across syncs. A write hands its object over to the server, which keeps
+	// it, so the desired object gets copies of the two, made only when the
+	// table changed.
 	addrScratch []spec.EndpointAddress
 	portScratch []int64
 	// selScratch holds the selector of the service being synced as a flat
@@ -101,7 +101,10 @@ func (c *endpointsController) sync(key string) {
 		},
 	}
 	if len(addrs) > 0 {
-		desired.Subsets = []spec.EndpointSubset{{Addresses: addrs, Ports: ports}}
+		desired.Subsets = []spec.EndpointSubset{{
+			Addresses: append([]spec.EndpointAddress(nil), addrs...),
+			Ports:     append([]int64(nil), ports...),
+		}}
 	}
 
 	if !curOK {

@@ -10,6 +10,7 @@ package kubelet
 
 import (
 	"fmt"
+	"maps"
 	"net"
 	"slices"
 	"strings"
@@ -206,7 +207,9 @@ func (k *Kubelet) registerNode() {
 		return
 	}
 	node := &spec.Node{
-		Metadata: spec.ObjectMeta{Name: k.cfg.NodeName, Labels: k.cfg.Labels},
+		// The labels are copied: the node is handed over, and a mutating
+		// admission hook writes into its Labels in place.
+		Metadata: spec.ObjectMeta{Name: k.cfg.NodeName, Labels: maps.Clone(k.cfg.Labels)},
 		Spec:     spec.NodeSpec{PodCIDR: k.cfg.PodCIDR},
 		Status: spec.NodeStatus{
 			CapacityMilliCPU:    k.cfg.CapacityMilliCPU,

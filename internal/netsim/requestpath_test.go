@@ -347,7 +347,7 @@ func (p *pathPair) run(data []byte) {
 				ep.Subsets = append(ep.Subsets, sub)
 			}
 			p.do(fmt.Sprintf("put endpoints %s (%d subsets)", name, len(ep.Subsets)), func(s *side) error {
-				return s.put(spec.CloneForWriteAs(ep))
+				return s.put(ep.Clone()) // a write hands its object over: each side its own
 			})
 		case op < 21:
 			name := pathSvcs[next(2)]

@@ -9,10 +9,11 @@
 // ~7,500-experiment injection campaign tractable and reproducible.
 //
 // The scheduler is allocation-frugal: event structs are recycled on a
-// per-loop free list (a campaign schedules hundreds of thousands of events
-// per experiment), periodic timers rearm their own event instead of
-// scheduling a fresh closure every tick, and cancelled events are compacted
-// out of the heap lazily once they outnumber the live ones.
+// per-loop free list (an experiment schedules some 1,400 to 9,400 events,
+// and a campaign runs thousands of experiments), periodic timers rearm their
+// own event instead of scheduling a fresh closure every tick, and cancelled
+// events are compacted out of the heap lazily once they outnumber the live
+// ones.
 package sim
 
 import (

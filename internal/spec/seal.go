@@ -19,6 +19,11 @@ package spec
 //     makes retention safe); before mutating, they CloneForWrite and operate
 //     on the clone. Clones are unsealed — sealing is per revision, and a
 //     mutated clone is a new revision in the making.
+//   - writers: a Create or Update hands its object to the apiserver, which
+//     stamps and admits that very instance and seals it on commit. The
+//     writer keeps no reference to it and shares none of its maps or slices
+//     with anything it keeps: to write the same object again it builds a new
+//     one or CloneForWrites it.
 //   - tests: RegisterSealHook observes every Seal call, so a guard test can
 //     checksum sealed objects and prove nothing mutates them in place (run
 //     under -race to cover cross-goroutine access too).
