@@ -114,6 +114,17 @@ func parse(args []string) (mutiny.Spec, int, error) {
 	default:
 		return mutiny.Spec{}, 0, fmt.Errorf("unknown fault model %q", *fault)
 	}
+	// A flag the injection would not read is refused, not silently dropped.
+	given := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	switch {
+	case given["value"] && in.Type != mutiny.SetValue:
+		return mutiny.Spec{}, 0, fmt.Errorf("-value needs -fault set, got -fault %s", *fault)
+	case given["source"] && in.Channel != mutiny.ChannelRequest:
+		return mutiny.Spec{}, 0, fmt.Errorf("-source needs -channel request, got -channel %s", *channel)
+	case given["field"] && (in.Type == mutiny.DropMessage || in.Type == mutiny.FlipProtoByte):
+		return mutiny.Spec{}, 0, fmt.Errorf("-field does not apply to -fault %s, which tampers the whole message", *fault)
+	}
 	return mutiny.Spec{Workload: workload, Seed: *seed, Injection: &in}, *golden, nil
 }
 

@@ -25,19 +25,16 @@ func TestParseRejectsUnknownNames(t *testing.T) {
 	}
 }
 
-func TestParseRejectsOutOfRangeIndexes(t *testing.T) {
-	for _, tc := range []struct {
-		args []string
-		want string // substring of the error; "" = accepted
-	}{
-		{[]string{"-bit", "-3"}, "-bit must be 0-63, got -3"},
-		{[]string{"-bit", "64"}, "-bit must be 0-63, got 64"},
-		{[]string{"-bit", "63"}, ""},
-		{[]string{"-char", "-1"}, "-char must be >= 0, got -1"},
-		{[]string{"-char", "0"}, ""},
-		{[]string{"-occurrence", "0"}, "-occurrence must be >= 1, got 0"},
-		{[]string{"-occurrence", "-2"}, "-occurrence must be >= 1, got -2"},
-	} {
+type parseCase struct {
+	args []string
+	want string // substring of the error; "" = accepted
+}
+
+// parseCases runs parse on each case's arguments and holds it to the case's
+// error substring.
+func parseCases(t *testing.T, cases []parseCase) {
+	t.Helper()
+	for _, tc := range cases {
 		_, _, err := parse(tc.args)
 		switch {
 		case tc.want == "" && err != nil:
@@ -46,6 +43,32 @@ func TestParseRejectsOutOfRangeIndexes(t *testing.T) {
 			t.Errorf("parse(%v) = %v, want error containing %q", tc.args, err, tc.want)
 		}
 	}
+}
+
+func TestParseRejectsOutOfRangeIndexes(t *testing.T) {
+	parseCases(t, []parseCase{
+		{[]string{"-bit", "-3"}, "-bit must be 0-63, got -3"},
+		{[]string{"-bit", "64"}, "-bit must be 0-63, got 64"},
+		{[]string{"-bit", "63"}, ""},
+		{[]string{"-char", "-1"}, "-char must be >= 0, got -1"},
+		{[]string{"-char", "0"}, ""},
+		{[]string{"-occurrence", "0"}, "-occurrence must be >= 1, got 0"},
+		{[]string{"-occurrence", "-2"}, "-occurrence must be >= 1, got -2"},
+	})
+}
+
+// A flag the chosen injection would not read used to be dropped without a
+// word, and a plainer injection ran in its place.
+func TestParseRejectsFlagsTheInjectionIgnores(t *testing.T) {
+	parseCases(t, []parseCase{
+		{[]string{"-kind", "Deployment", "-fault", "drop", "-field", "spec.replicas", "-value", "7"}, "-value needs -fault set, got -fault drop"},
+		{[]string{"-channel", "store", "-source", "kcm"}, "-source needs -channel request, got -channel store"},
+		{[]string{"-kind", "Deployment", "-fault", "drop", "-field", "spec.replicas"}, "-field does not apply to -fault drop"},
+		{[]string{"-kind", "Deployment", "-fault", "protobyte", "-field", "spec.replicas"}, "-field does not apply to -fault protobyte"},
+		{[]string{"-channel", "request", "-source", "kcm", "-kind", "ReplicaSet", "-field", "spec.replicas", "-fault", "set", "-value", "0"}, ""},
+		// The paper's empty-string set.
+		{[]string{"-field", "spec.containers[0].image", "-fault", "set", "-value", ""}, ""},
+	})
 }
 
 func TestParseChannelsAndWorkloads(t *testing.T) {

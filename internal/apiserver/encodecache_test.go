@@ -378,40 +378,66 @@ func TestEncodeCacheSplicedWritesConvergeAcrossReplicas(t *testing.T) {
 	}
 }
 
-// An armed request channel must keep byte-fault semantics: no write records
-// a status offset while the hook is live, and disarming via the wire gate
-// restores the splice.
-func TestEncodeCacheSuppressedWhileRequestChannelArmed(t *testing.T) {
-	loop, _, srv := newTestServer(t)
-	armed := true
-	srv.SetRequestHook(func(m *Message) Action { return Pass })
-	srv.SetRequestWireGate(func() bool { return armed })
-	c := srv.ClientFor("test")
-	if err := c.Create(testPod("web-1")); err != nil {
-		t.Fatal(err)
+// A request hook changes only the bytes the server decodes its request object
+// from: what reaches the store is still the write path's own encoding — a full
+// marshal for the create, a splice for the status update — so each write
+// records its status offset and the splice invariant holds, whether the hook
+// passes the bytes through or flips a status field in them. The flipping hook
+// leaves Tampered unset, as a component's own change would: a tampered write
+// is never primed (TestEncodeCacheNotPrimedByTamperedWrite).
+func TestEncodeCacheRecordsStatusOffsetUnderRequestHook(t *testing.T) {
+	flipReady := func(m *Message) Action {
+		if m.Verb != VerbUpdateStatus {
+			return Pass
+		}
+		p := &spec.Pod{}
+		if err := codec.Unmarshal(m.Data, p); err != nil {
+			t.Fatal(err)
+		}
+		p.Status.Ready = !p.Status.Ready
+		m.Data = mustMarshal(p)
+		return Pass
 	}
-	settle(loop)
-	key := spec.Key(spec.KindPod, spec.DefaultNamespace, "web-1")
-	if w := wireOf(srv, key); w != nil {
-		t.Fatal("a status offset was recorded while the request channel was armed")
-	}
+	for _, tc := range []struct {
+		name  string
+		hook  Hook
+		ready bool // status.ready stored by an update that sets it
+	}{
+		{"pass-through", func(*Message) Action { return Pass }, true},
+		{"status flip", flipReady, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			loop, st, srv := newTestServer(t)
+			srv.SetRequestHook(tc.hook)
+			c := srv.ClientFor("test")
+			if err := c.Create(testPod("web-1")); err != nil {
+				t.Fatal(err)
+			}
+			settle(loop)
+			key := spec.Key(spec.KindPod, spec.DefaultNamespace, "web-1")
+			wireCanonical(t, srv, key)
 
-	armed = false
-	obj, err := c.Get(spec.KindPod, spec.DefaultNamespace, "web-1")
-	if err != nil {
-		t.Fatal(err)
+			obj, err := c.Get(spec.KindPod, spec.DefaultNamespace, "web-1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			upd := spec.CloneForStatusAs(obj.(*spec.Pod))
+			upd.Status.Ready = true
+			if err := c.UpdateStatus(upd); err != nil {
+				t.Fatal(err)
+			}
+			settle(loop)
+			wireCanonical(t, srv, key)
+			kv, _ := st.Get(key)
+			got := &spec.Pod{}
+			if err := codecUnmarshal(kv.Value, got); err != nil {
+				t.Fatal(err)
+			}
+			if got.Status.Ready != tc.ready {
+				t.Fatalf("stored status.ready = %v, want %v", got.Status.Ready, tc.ready)
+			}
+		})
 	}
-	upd := spec.CloneForStatusAs(obj.(*spec.Pod))
-	upd.Status.Ready = true
-	if err := c.UpdateStatus(upd); err != nil {
-		t.Fatal(err)
-	}
-	settle(loop)
-	w := wireOf(srv, key)
-	if w == nil {
-		t.Fatal("disarmed request channel did not restore encode-cache priming")
-	}
-	wireCanonical(t, srv, key) // exact after the re-arming cycle
 }
 
 // A prefix that does not parse as metadata-first records is never guessed at:

@@ -235,19 +235,9 @@ type Server struct {
 	// notification (the cache and store keep the change — only the
 	// subscribers go stale until their next resync re-list); a tampered
 	// payload is decoded into a private corrupted instance that only the
-	// watchers see. watchGate mirrors requestWireGate: while it reports
-	// false, the hook (and the per-event encode it requires) is skipped
-	// entirely, keeping the fan-out free for campaigns armed elsewhere.
-	watchHook Hook
-	watchGate func() bool
-	// requestWireGate, when set alongside a request hook, reports whether the
-	// hook currently needs the serialized request bytes. While it returns
-	// false the server elides the component→apiserver wire round-trip
-	// (encode + decode) and applies the object the caller handed over —
-	// semantically identical for an uninterested hook, and the dominant
-	// write-path saving of the copy-on-write pipeline.
-	requestWireGate func() bool
-	accessHook      func(key string)
+	// watchers see. Without a hook the fan-out does no per-event encode.
+	watchHook  Hook
+	accessHook func(key string)
 
 	audit *Audit
 
@@ -342,7 +332,7 @@ func NewAt(loop *sim.Loop, st *store.Replicated, origin int, opts *Options) *Ser
 
 // Reset returns the server to the state NewAt and the Set* wiring calls left
 // it in, keeping the memory of its tables: empty watch cache, list index and
-// decode cache, no watchers, no queued dispatch, no hooks or gates, counters
+// decode cache, no watchers, no queued dispatch, no hooks, counters
 // at their configured start, up, audit trail empty. What survives is wiring,
 // not state: the store binding, the admission stride, the shared audit
 // trail, decode cache and admission chain (the first two are emptied here, by
@@ -379,8 +369,7 @@ func (s *Server) Reset() {
 
 	s.uidCounter, s.ipCounter = s.uidOffset, s.uidOffset
 	s.down = false
-	s.storeWriteHook, s.requestHook, s.watchHook = nil, nil, nil
-	s.watchGate, s.requestWireGate, s.accessHook = nil, nil, nil
+	s.storeWriteHook, s.requestHook, s.watchHook, s.accessHook = nil, nil, nil, nil
 	s.audit.reset()
 	s.cancelStoreWatch = s.subscribeStore()
 }
@@ -525,22 +514,18 @@ func (s *Server) Audit() *Audit { return s.audit }
 // SetStoreWriteHook installs the apiserver→store channel hook.
 func (s *Server) SetStoreWriteHook(h Hook) { s.storeWriteHook = h }
 
-// SetRequestHook installs the component→apiserver channel hook.
+// SetRequestHook installs the component→apiserver channel hook, nil to remove
+// it. While a hook is present every request crosses the wire: it is encoded,
+// shown to the hook and decoded again. Without one the server applies the
+// object the caller handed over, so a hook belongs on a server only while
+// something listens on the channel.
 func (s *Server) SetRequestHook(h Hook) { s.requestHook = h }
 
-// SetRequestWireGate installs the request-wire interest gate (see the field
-// docs). Without a gate, any installed request hook always receives the
-// serialized message, preserving the legacy contract.
-func (s *Server) SetRequestWireGate(g func() bool) { s.requestWireGate = g }
-
 // SetWatchHook installs the apiserver→component watch-channel hook (see the
-// field docs): the third injectable channel, covering the notifications the
-// informer-style readiness pipeline depends on.
+// field docs), nil to remove it: the third injectable channel, covering the
+// notifications the informer-style readiness pipeline depends on. A present
+// hook sees every event.
 func (s *Server) SetWatchHook(h Hook) { s.watchHook = h }
-
-// SetWatchGate installs the watch-channel interest gate. Without a gate, an
-// installed watch hook sees every event.
-func (s *Server) SetWatchGate(g func() bool) { s.watchGate = g }
 
 // SetAccessHook installs a callback invoked with the store key of every
 // object served by a read or watch dispatch; the injection framework uses it
@@ -679,15 +664,13 @@ func (s *Server) handle(identity string, verb Verb, obj spec.Object) error {
 		Name:      meta.Name,
 		Source:    identity,
 	}
-	// Fast path: no request hook, or the installed hook declares (via the
-	// wire gate) that it does not currently need the serialized bytes —
-	// e.g. an injector armed on the store channel. The component→apiserver
-	// round-trip (encode + decode) is then observationally dead weight, and
-	// so is a copy: every write hands its object over (see Client.Create),
-	// and the server stamps, admits and seals the caller's instance itself.
-	// Only a sealed argument — a cache reference passed straight back — is
-	// copied first.
-	if !s.requestWireArmed() {
+	// Fast path: no request hook, so nothing listens on the component→
+	// apiserver wire. Its round-trip (encode + decode) is then
+	// observationally dead weight, and so is a copy: every write hands its
+	// object over (see Client.Create), and the server stamps, admits and
+	// seals the caller's instance itself. Only a sealed argument — a cache
+	// reference passed straight back — is copied first.
+	if s.requestHook == nil {
 		return s.apply(identity, verb, msg, spec.CloneForWrite(obj))
 	}
 	// The request wire bytes live only for the duration of this (synchronous)
@@ -700,12 +683,9 @@ func (s *Server) handle(identity string, verb Verb, obj spec.Object) error {
 	s.reqData, msg.Data = data, data
 
 	// Channel 1: component → apiserver. Tampering here faces validation.
-	if s.requestHook != nil {
-		switch s.requestHook(msg) {
-		case Drop:
-			// The request never reaches the server; the component times out.
-			return s.audit.record(identity, verb, kind, msg.Name, ErrTimeout, msg.Tampered)
-		}
+	if s.requestHook(msg) == Drop {
+		// The request never reaches the server; the component times out.
+		return s.audit.record(identity, verb, kind, msg.Name, ErrTimeout, msg.Tampered)
 	}
 
 	recv := spec.New(kind)
@@ -825,9 +805,7 @@ func (s *Server) apply(identity string, verb Verb, msg *Message, obj spec.Object
 // with the revision patched in and re-encodes only the status section —
 // byte-identical to a full Marshal, because the merged object shares metadata
 // and spec with the current one and the encoder is deterministic. The splice
-// is off whenever a request-channel injection is armed (stored bytes must
-// never stand in for freshly encoded ones under byte-fault semantics) and
-// under critical-field checksums (the fresh stamp changes the metadata
+// is off under critical-field checksums (the fresh stamp changes the metadata
 // section the prefix covers).
 func (s *Server) persistWrite(identity string, verb Verb, msg *Message, obj spec.Object, key string, prefix []byte) error {
 	if s.opts.CriticalFieldChecksums {
@@ -840,7 +818,7 @@ func (s *Server) persistWrite(identity string, verb Verb, msg *Message, obj spec
 	var data []byte
 	var err error
 	statusOff := -1 // where data's status record starts, when a splice put it there
-	if prefix != nil && !s.requestWireArmed() {
+	if prefix != nil {
 		data, statusOff, err = s.spliceStatus(buf, prefix, obj)
 		if err != nil {
 			data = nil // malformed splice source: fall back to a full encode
@@ -893,11 +871,10 @@ func (s *Server) persistWrite(identity string, verb Verb, msg *Message, obj spec
 		// in flight (spliceStatus) instead of re-encoding the two sections.
 		// Nothing is re-scanned here when a splice already knows the offset;
 		// only a full marshal is scanned for it. Only kinds with a status
-		// section record one, and an armed request channel records none (byte
-		// faults must always act on freshly produced bytes).
+		// section record one.
 		kv, ok, _ := s.store.GetFrom(s.origin, key)
 		if ok && len(kv.Value) > 0 {
-			if kv.Revision != rev || spec.StatusOf(obj) == nil || s.requestWireArmed() {
+			if kv.Revision != rev || spec.StatusOf(obj) == nil {
 				statusOff = -1
 			} else if statusOff < 0 {
 				if off, scanned := codec.StatusOffset(kv.Value); scanned {
@@ -1139,7 +1116,7 @@ func (s *Server) fanout() {
 // deliver it at all. The store and the server's own cache are untouched
 // either way — this channel models the notifications, not the state.
 func (s *Server) interceptWatch(ev WatchEvent) (WatchEvent, bool) {
-	if s.watchHook == nil || (s.watchGate != nil && !s.watchGate()) {
+	if s.watchHook == nil {
 		return ev, true
 	}
 	meta := ev.Object.Meta()
@@ -1370,14 +1347,6 @@ func without(list []*watcher, w *watcher) []*watcher {
 		return slices.Delete(list, i, i+1)
 	}
 	return list
-}
-
-// requestWireArmed reports whether a request-channel hook currently wants
-// serialized bytes. While armed, the write path neither splices onto stored
-// arrays nor records their status offsets: byte-fault semantics require every
-// wire byte a hook can observe or tamper to be freshly produced.
-func (s *Server) requestWireArmed() bool {
-	return s.requestHook != nil && (s.requestWireGate == nil || s.requestWireGate())
 }
 
 // scratch returns buf, emptied, as the encode destination of the request

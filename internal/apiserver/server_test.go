@@ -2,6 +2,7 @@ package apiserver
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -380,6 +381,12 @@ func TestClusterScopedRejectsNamespace(t *testing.T) {
 	if err := c.Create(n); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("namespaced node err = %v, want ErrInvalid", err)
 	}
+}
+
+// validNameChars reports whether every byte of s could appear in a DNS-1123
+// name (used by tests exploring the bit-flip space).
+func validNameChars(s string) bool {
+	return matchDNS1123(strings.ToLower(s))
 }
 
 func TestValidNameCharsHelper(t *testing.T) {

@@ -3,7 +3,6 @@ package apiserver
 import (
 	"fmt"
 	"net"
-	"strings"
 
 	"github.com/mutiny-sim/mutiny/internal/spec"
 )
@@ -278,10 +277,4 @@ func validateEndpoints(e *spec.Endpoints) error {
 		}
 	}
 	return nil
-}
-
-// validNameChars reports whether every byte of s could appear in a DNS-1123
-// name (used by tests exploring the bit-flip space).
-func validNameChars(s string) bool {
-	return matchDNS1123(strings.ToLower(s))
 }

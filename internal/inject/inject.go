@@ -259,6 +259,9 @@ type Injector struct {
 	counts map[string]int
 	report Report
 
+	// servers are the API servers the injector is attached to: arming puts on
+	// each the hooks the armed channel uses, and nil in place of the rest.
+	servers     []*apiserver.Server
 	platform    Platform
 	faultTimers []sim.Timer
 }
@@ -268,33 +271,37 @@ func New(loop *sim.Loop) *Injector {
 	return &Injector{loop: loop, counts: make(map[string]int)}
 }
 
-// AttachTo installs the injector's hooks on the API server. It must be
-// called once per server; arming happens separately.
+// AttachTo installs the injector's store-channel hook on the API server and
+// remembers the server, so that arming installs the hooks an injection uses
+// there too. It must be called once per server, before Arm.
 func (j *Injector) AttachTo(srv *apiserver.Server) {
 	srv.SetStoreWriteHook(j.Hook(ChannelStore))
-	srv.SetRequestHook(j.Hook(ChannelRequest))
-	srv.SetRequestWireGate(j.WantsRequestWire)
-	srv.SetWatchHook(j.Hook(ChannelWatch))
-	srv.SetWatchGate(j.WantsWatchChannel)
-	srv.SetAccessHook(j.AccessHook())
+	j.servers = append(j.servers, srv)
 }
 
-// WantsRequestWire reports whether the currently armed injection targets the
-// component→apiserver channel and therefore needs the serialized request
-// bytes. The API server consults it (as its request-wire gate) to skip the
-// per-request encode/decode round-trip for store-channel campaigns, where the
-// request hook would pass every message through untouched.
-func (j *Injector) WantsRequestWire() bool {
-	return j.armed != nil && j.armed.Channel == ChannelRequest
-}
-
-// WantsWatchChannel reports whether the currently armed injection targets the
-// apiserver→component watch stream. The API server consults it (as its watch
-// gate) so the batched fan-out stays hook- and encode-free whenever the
-// campaign is armed on another channel — the watch path is on every
-// experiment's hot path, the fault on it is not.
-func (j *Injector) WantsWatchChannel() bool {
-	return j.armed != nil && j.armed.Channel == ChannelWatch
+// install puts on every attached server the hooks the armed injection uses:
+// the request or watch hook of its channel, and the activation hook for any
+// message-channel injection. Every other request, watch and access hook is
+// removed, so the server skips the wire encode of a channel nobody listens on.
+// Timed faults and golden runs get neither: a timed fault activates itself
+// when it fires.
+func (j *Injector) install() {
+	var request, watch apiserver.Hook
+	var access func(key string)
+	if in := j.armed; in != nil && in.Channel != 0 {
+		switch in.Channel {
+		case ChannelRequest:
+			request = j.Hook(ChannelRequest)
+		case ChannelWatch:
+			watch = j.Hook(ChannelWatch)
+		}
+		access = j.noteAccess
+	}
+	for _, srv := range j.servers {
+		srv.SetRequestHook(request)
+		srv.SetWatchHook(watch)
+		srv.SetAccessHook(access)
+	}
 }
 
 // Hook returns the injector's hook for one channel, for callers that need to
@@ -309,12 +316,10 @@ func (j *Injector) Hook(ch Channel) apiserver.Hook {
 	}
 }
 
-// AccessHook returns the activation-tracking hook.
-func (j *Injector) AccessHook() func(key string) {
-	return func(key string) {
-		if j.report.Fired && key == j.report.StoreKey {
-			j.report.Activated = true
-		}
+// noteAccess is the activation-tracking hook.
+func (j *Injector) noteAccess(key string) {
+	if j.report.Fired && key == j.report.StoreKey {
+		j.report.Activated = true
 	}
 }
 
@@ -339,15 +344,19 @@ func (j *Injector) Arm(in Injection) {
 		cp.Channel = 0
 		j.arm(&cp, ax)
 	}
+	j.install()
 }
 
-// Disarm cancels any pending injection (the report is preserved).
+// Disarm cancels any pending injection and removes the hooks it installed.
+// The report is kept, but no longer updates: a read of the injected instance
+// after Disarm does not activate it.
 func (j *Injector) Disarm() {
 	j.armed = nil
 	for _, t := range j.faultTimers {
 		t.Stop()
 	}
 	j.faultTimers = nil
+	j.install()
 }
 
 // Report returns what happened.

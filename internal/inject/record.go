@@ -16,24 +16,19 @@ type RecordedField struct {
 	Kind      spec.Kind
 	Path      string
 	FieldKind codec.FieldKind
-	// MaxOccurrence is the highest per-instance occurrence index at which
-	// the field was observed; triggers beyond it would never fire.
-	MaxOccurrence int
 }
 
 // Recorder observes the apiserver→store channel and inventories every field
 // of every resource kind that crosses it.
 type Recorder struct {
-	fields map[string]*RecordedField // kind+"\x00"+path
-	counts map[string]int            // kind+"\x00"+instance → occurrence
-	kinds  map[spec.Kind]int         // messages observed per kind
+	fields map[string]RecordedField // kind+"\x00"+path
+	kinds  map[spec.Kind]int        // messages observed per kind
 }
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder {
 	return &Recorder{
-		fields: make(map[string]*RecordedField),
-		counts: make(map[string]int),
+		fields: make(map[string]RecordedField),
 		kinds:  make(map[spec.Kind]int),
 	}
 }
@@ -58,18 +53,10 @@ func (r *Recorder) observe(m *apiserver.Message) {
 	if err := codec.Unmarshal(m.Data, obj); err != nil {
 		return
 	}
-	instKey := string(m.Kind) + "\x00" + m.Namespace + "/" + m.Name
-	r.counts[instKey]++
-	occ := r.counts[instKey]
 	for _, f := range codec.Fields(obj) {
 		key := string(m.Kind) + "\x00" + f.Path
-		rec, ok := r.fields[key]
-		if !ok {
-			rec = &RecordedField{Kind: m.Kind, Path: f.Path, FieldKind: f.Kind}
-			r.fields[key] = rec
-		}
-		if occ > rec.MaxOccurrence {
-			rec.MaxOccurrence = occ
+		if _, ok := r.fields[key]; !ok {
+			r.fields[key] = RecordedField{Kind: m.Kind, Path: f.Path, FieldKind: f.Kind}
 		}
 	}
 }
@@ -78,7 +65,7 @@ func (r *Recorder) observe(m *apiserver.Message) {
 func (r *Recorder) Fields() []RecordedField {
 	out := make([]RecordedField, 0, len(r.fields))
 	for _, f := range r.fields {
-		out = append(out, *f)
+		out = append(out, f)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Kind != out[j].Kind {

@@ -21,12 +21,6 @@ func TestWatchChannelDropAndReflectorRecovery(t *testing.T) {
 		Channel: ChannelWatch, Kind: spec.KindPod,
 		Type: DropMessage, Occurrence: 1,
 	})
-	if !j.WantsWatchChannel() {
-		t.Fatal("armed watch injection must report WantsWatchChannel")
-	}
-	if j.WantsRequestWire() {
-		t.Fatal("watch injection must not request the request wire")
-	}
 
 	if err := c.Create(pod("web-1")); err != nil {
 		t.Fatal(err)
@@ -91,22 +85,5 @@ func TestWatchChannelFieldCorruptionIsSubscriberLocal(t *testing.T) {
 	obj, err := c.Get(spec.KindPod, spec.DefaultNamespace, "web-1")
 	if err != nil || obj.(*spec.Pod).Spec.NodeName != "" {
 		t.Fatal("watch-channel tampering reached the server state")
-	}
-}
-
-// While the armed injection targets another channel, the watch gate must
-// keep the fan-out hook-free (no per-event encode).
-func TestWatchGateIdleOnOtherChannels(t *testing.T) {
-	_, _, j := setup(t)
-	j.Arm(Injection{
-		Channel: ChannelStore, Kind: spec.KindPod,
-		FieldPath: "spec.priority", Type: BitFlip, Bit: 0, Occurrence: 1,
-	})
-	if j.WantsWatchChannel() {
-		t.Fatal("store-channel injection must not arm the watch gate")
-	}
-	j.Disarm()
-	if j.WantsWatchChannel() {
-		t.Fatal("disarmed injector must not arm the watch gate")
 	}
 }

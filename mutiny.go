@@ -98,10 +98,11 @@
 //     the sealed source) and splices a freshly encoded status record onto
 //     the array's metadata+spec prefix, byte-identical to a full re-encode.
 //     Byte-level fault semantics survive: tampered store writes are never
-//     primed, an armed request channel suppresses the splice, and at-rest
-//     corruption installs a new byte array, which the cache (keyed by
-//     revision and array) misses by construction, so corrupted bytes are
-//     always decoded — and re-encoded — for real.
+//     primed, request-channel faults tamper request bytes that are always
+//     encoded fresh, and at-rest corruption installs a new byte array,
+//     which the cache (keyed by revision and array) misses by
+//     construction, so corrupted bytes are always decoded — and
+//     re-encoded — for real.
 //
 //   - Shared bootstrap snapshots (CampaignConfig.ShareBootstrap, CLI
 //     -share-bootstrap). Each experiment resumes a settled per-workload
