@@ -78,8 +78,9 @@ type Config struct {
 	// Workers is the number of worker nodes (default 4; the last one is
 	// reserved for monitoring, mirroring §V-A).
 	Workers int
-	// ControlPlaneReplicas selects the §V-C1 ablation: >1 runs a
-	// raft-replicated store (one member, no raft, by default).
+	// ControlPlaneReplicas selects the §V-C1 ablation: >1 runs a replicated
+	// store, one member per control-plane replica, whose members elect a
+	// leader (one member, no election, by default).
 	ControlPlaneReplicas int
 	// Zones spreads the nodes over a cloud-edge topology: zone 0 is the
 	// cloud core (control plane, monitoring, and a share of the workers),
@@ -376,11 +377,11 @@ func (c *Cluster) Start() {
 	}
 	c.applyNodeRoles()
 	c.installSystemWorkloads()
-	// Stagger the standby control loops well past raft leader election and
-	// the first lease replication (~300 ms): a standby whose first tick runs
-	// before the leader's lease create reaches its own store replica would
-	// create a second, divergent lease through it — members join one
-	// kubeadm-join at a time, they don't race the first one.
+	// Stagger the standby control loops well past the store's leader
+	// election and the first lease replication (~300 ms): a standby whose
+	// first tick runs before the leader's lease create reaches its own store
+	// replica would create a second, divergent lease through it — members
+	// join one kubeadm-join at a time, they don't race the first one.
 	c.startControlLoops(2 * time.Second)
 }
 
@@ -618,7 +619,7 @@ func (c *Cluster) SetMasterIsolated(i int, isolated bool) {
 }
 
 // SetStoreReplicaLost destroys the backing store replica of apiserver i —
-// disk loss under one etcd member: the member leaves the raft group, and
+// disk loss under one etcd member: the member leaves the store's election, and
 // reads and writes through apiserver i fail — or rebuilds it from a surviving
 // member's snapshot and restarts apiserver i over it. A one-member store has
 // no surviving member to restore from: the fault is a no-op there.

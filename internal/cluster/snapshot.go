@@ -175,9 +175,9 @@ func (s *Snapshot) Fork(seed int64) *Cluster {
 // fresh from New (as in Fork) or rewound (Cluster.Rewind) after an earlier
 // experiment. Every table is refilled in place, so on a rewound cluster the
 // restore allocates next to nothing; what it does is the same either way, and
-// its side effects are part of the contract, in this order: the raft group
-// draws its election timeouts first, kubelets adopt their pods through
-// (access-noted) Gets, watches register in component order (which is
+// its side effects are part of the contract, in this order: the store's
+// election group draws its election timeouts first, kubelets adopt their pods
+// through (access-noted) Gets, watches register in component order (which is
 // same-tick delivery order), timers are scheduled in start order (which
 // breaks ties), and the UID-skew draw precedes the dither draw.
 func (s *Snapshot) Restore(c *Cluster, seed int64) {
@@ -186,8 +186,8 @@ func (s *Snapshot) Restore(c *Cluster, seed int64) {
 	}
 	c.cfg.Seed = seed
 	loop := c.Loop
-	// An empty cluster's loop is not quite empty: New started the raft group
-	// of a replicated store on it.
+	// An empty cluster's loop is not quite empty: New started the election
+	// group of a replicated store on it.
 	loop.Reset()
 	loop.Seed(seed)
 	loop.Resume(s.now, s.executed)

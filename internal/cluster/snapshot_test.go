@@ -106,8 +106,8 @@ func TestForkDeterminism(t *testing.T) {
 }
 
 // A replicated-backend snapshot captures every replica; the fork keeps
-// serving from the restored primary and re-converges replication for new
-// writes once its fresh raft group elects a leader.
+// serving from the restored primary, and a new write applies at every replica
+// as it is accepted (the fork's fresh election group carries no data).
 func TestForkReplicatedBackend(t *testing.T) {
 	c := New(Config{Seed: 4004, ControlPlaneReplicas: 3})
 	c.Start()

@@ -28,8 +28,7 @@ func claimRunner(cfg cluster.Config) *campaign.Runner {
 }
 
 // TestReplicatedControlPlaneChangesNothing is the §V-C1 ablation: repeating
-// critical-field injections against a three-replica (raft-replicated) control
-// plane shows "no significant difference", because the values are corrupted
+// critical-field injections against a three-replica control plane shows "no significant difference", because the values are corrupted
 // before consensus runs — the replicas agree on whatever they are given.
 func TestReplicatedControlPlaneChangesNothing(t *testing.T) {
 	injections := []inject.Injection{

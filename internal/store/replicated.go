@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 
-	"github.com/mutiny-sim/mutiny/internal/raft"
 	"github.com/mutiny-sim/mutiny/internal/sim"
 	"github.com/mutiny-sim/mutiny/internal/spec"
 )
@@ -24,16 +23,16 @@ var (
 // Replicated is the cluster's data store: one or more store replicas, each
 // the read/write/watch origin of the apiserver bound to it. A single control
 // plane is a one-member group — the degenerate case of etcd's clustering, and
-// exactly a lone Store: no raft group runs below two members, and a write is
+// exactly a lone Store: no election runs below two members, and a write is
 // refused (or applied) by the one replica alone. An accepted write applies
 // synchronously at every replica reachable from its origin — the simulation's
 // stand-in for etcd's linearizable write (which commits through consensus
 // before acknowledging, so no two gateways can disagree on write order) —
 // while replicas unreachable at write time (partition minority) queue the op
-// and catch up in commit order on heal. A raft group runs alongside as the
-// liveness model: member loss and partitions drive its elections exactly as
-// they would etcd's, and its membership/state-transfer machinery backs
-// DropReplica/RestoreReplica.
+// and catch up in commit order on heal. The members run Raft's leader
+// election alongside (raft.go) as the liveness model: member loss and
+// partitions drive its elections exactly as they would etcd's. It carries no
+// data: RestoreReplica's state transfer is a copy of a live replica's store.
 //
 // It exists for the §V-C1 ablation and the HA fault axes: injections on the
 // apiserver→store channel happen *before* consensus, so all replicas agree on
@@ -46,7 +45,9 @@ var (
 type Replicated struct {
 	loop     *sim.Loop
 	replicas []*Store
-	cluster  *raft.Cluster
+	// members is the election group, one member per replica; nil below two
+	// replicas.
+	members []member
 	// down marks lost replicas (FaultStoreLoss). cut marks severed replica
 	// links (FaultMasterPartition); it is queried per-pair, never iterated,
 	// so determinism is unaffected.
@@ -77,7 +78,7 @@ func applyOp(rep *Store, op repOp) {
 	_, _ = rep.putOwned(op.key, op.kind, op.value)
 }
 
-// NewReplicated creates n store replicas, joined by a raft group when there
+// NewReplicated creates n store replicas, which run an election when there
 // are two or more. n must be at least 1; production HA control planes use 3.
 func NewReplicated(loop *sim.Loop, n int, opts *Options) *Replicated {
 	if n < 1 {
@@ -96,22 +97,9 @@ func NewReplicated(loop *sim.Loop, n int, opts *Options) *Replicated {
 	return r
 }
 
-// startRaft starts a fresh raft group on the loop. It carries no data (writes
-// apply synchronously above); it models etcd's consensus liveness — election
-// churn under partition and member loss — and its snapshot transfer backs
-// replica restore. Starting it draws the members' first election timeouts from
-// the loop's random source and schedules them, so a one-member store starts
-// none: a single control plane draws no election timeouts.
-func (r *Replicated) startRaft() {
-	if len(r.replicas) < 2 {
-		return
-	}
-	r.cluster = raft.NewCluster(r.loop, len(r.replicas), func(nodeID int, e raft.Entry) {})
-}
-
 // Reset empties every replica (see Store.Reset) and forgets lost members,
-// cuts and catch-up queues. The raft group is left as it is — its timers went
-// with the loop's events — because a restore starts a new one.
+// cuts and catch-up queues. The election group is left as it is — its timers
+// went with the loop's events — because a restore starts a new one.
 func (r *Replicated) Reset() {
 	for i, rep := range r.replicas {
 		rep.Reset()
@@ -283,23 +271,24 @@ func (r *Replicated) Replicas() int { return len(r.replicas) }
 // ReplicaDown reports whether the i-th replica is lost.
 func (r *Replicated) ReplicaDown(i int) bool { return r.down[i] }
 
-// DropReplica loses the i-th replica: its raft node crashes and every access
-// through it fails until RestoreReplica. The data stays in place (a wiped
-// store is restored by state transfer on recovery, not by log replay), and
-// any catch-up queue is voided — the state transfer supersedes it.
+// DropReplica loses the i-th replica: its election member stops and every
+// access through it fails until RestoreReplica. The data stays in place (a
+// wiped store is restored by state transfer on recovery, not by log replay),
+// and any catch-up queue is voided — the state transfer supersedes it.
 func (r *Replicated) DropReplica(i int) {
 	if r.down[i] {
 		return
 	}
 	r.down[i] = true
 	r.missed[i] = nil
-	r.cluster.StopNode(i)
+	r.leave(i)
 }
 
 // RestoreReplica revives a lost replica by state transfer from the
-// lowest-indexed live replica (an etcd snapshot install): store contents are
-// copied and the raft node fast-forwards past the transferred state, so
-// catch-up never double-applies.
+// lowest-indexed live replica (an etcd snapshot install): the donor's store
+// contents are copied, and the member rejoins the election at the donor's
+// term if that is higher. With no live donor — a one-member store, or every
+// other replica lost — the replica comes back with its own data.
 func (r *Replicated) RestoreReplica(i int) {
 	if !r.down[i] {
 		return
@@ -313,16 +302,15 @@ func (r *Replicated) RestoreReplica(i int) {
 	}
 	if donor >= 0 {
 		r.replicas[i].restore(r.replicas[donor].snapshot())
-		r.cluster.InstallSnapshot(i, donor)
 	}
 	r.down[i] = false
 	r.missed[i] = nil
-	r.cluster.RestartNode(i)
+	r.rejoin(i, donor)
 }
 
-// Partition severs the links between the two replica groups until Heal. The
-// raft transport is cut symmetrically, so a minority-side origin loses write
-// quorum while its local reads keep serving (stale) truth.
+// Partition severs the links between the two replica groups until Heal, in
+// both directions and for election messages too, so a minority-side origin
+// loses write quorum while its local reads keep serving (stale) truth.
 func (r *Replicated) Partition(groupA, groupB []int) {
 	for _, a := range groupA {
 		for _, b := range groupB {
@@ -330,14 +318,12 @@ func (r *Replicated) Partition(groupA, groupB []int) {
 			r.cut[[2]int{b, a}] = true
 		}
 	}
-	r.cluster.Partition(groupA, groupB)
 }
 
 // Heal removes all replica-link cuts; replicas that missed writes while cut
 // off apply them now, in the order the majority committed them.
 func (r *Replicated) Heal() {
 	clear(r.cut)
-	r.cluster.Heal()
 	for i, ops := range r.missed {
 		if len(ops) == 0 {
 			continue

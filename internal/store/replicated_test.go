@@ -23,7 +23,8 @@ func TestReplicatedConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _ = r.DeleteVia(0, "/registry/Pod/default/b")
-	// Allow the raft election and replication to complete.
+	// Writes apply synchronously at every reachable replica: running the
+	// loop (the election, no replication round) changes nothing here.
 	loop.RunUntil(5 * time.Second)
 	if !r.Converged("/registry/Pod/default/a") {
 		t.Fatal("replicas did not converge on /a")

@@ -91,9 +91,9 @@ func (r *Replicated) Snapshot() *Snapshot {
 // replica count): freshly constructed, or Reset on a loop that was reset too.
 // It must run before any component writes: items are installed directly,
 // without watch notifications, exactly like a store process reopening its
-// database file. A replicated store starts a new raft group as its first step
-// — the group of a fresh store started on whatever the loop was before it was
-// positioned for the restore, and that of a Reset one is gone.
+// database file. A replicated store starts a new election group as its first
+// step — the group of a fresh store started on whatever the loop was before it
+// was positioned for the restore, and that of a Reset one is gone.
 func (r *Replicated) Restore(snap *Snapshot) {
 	if snap == nil {
 		return
