@@ -37,7 +37,7 @@ test:
 race:
 	$(GO) test -race ./internal/campaign/... ./internal/codec/... ./internal/apiserver/... ./internal/spec/... ./internal/cow/...
 
-# Ten seconds of each of the tree's eight fuzz targets. FuzzLoopOrder: random
+# Ten seconds of each of the tree's seven fuzz targets. FuzzLoopOrder: random
 # At/After/Every/Stop/Reset programs on the event loop, held to a slice sorted
 # by (at, seq). FuzzSchedulerRetry: random programs of cluster operations
 # (creates, deletes, resizes, cordons, heartbeats, at-rest rewrites, lost and
@@ -46,9 +46,7 @@ race:
 # nothing. FuzzUnmarshal: arbitrary bytes into every resource kind, never a
 # panic, and whatever decodes re-encodes to a fixpoint.
 # FuzzAppendPrefixWithRV: the status-splice RV patch against its reference
-# implementation on any bytes and revision. FuzzShardResultJSON: arbitrary
-# bytes into the shard wire's result decoder, never a panic, and whatever
-# decodes survives a Marshal/Unmarshal round trip. FuzzInjectionTarget:
+# implementation on any bytes and revision. FuzzInjectionTarget:
 # arbitrary timed faults (any axis, Replica, Policy, After and Heal) on
 # platforms of random replica, hook and zone counts, never a panic, never a
 # target out of range, and a healed fault leaves the platform healthy.
@@ -65,7 +63,6 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzSchedulerRetry -fuzztime 10s ./internal/scheduler
 	$(GO) test -run xxx -fuzz FuzzUnmarshal -fuzztime 10s ./internal/codec
 	$(GO) test -run xxx -fuzz FuzzAppendPrefixWithRV -fuzztime 10s ./internal/codec
-	$(GO) test -run xxx -fuzz FuzzShardResultJSON -fuzztime 10s ./internal/campaign
 	$(GO) test -run xxx -fuzz FuzzInjectionTarget -fuzztime 10s ./internal/inject
 	$(GO) test -run xxx -fuzz FuzzRequestPath -fuzztime 10s ./internal/netsim
 	$(GO) test -run xxx -fuzz FuzzDaemonSetGrouping -fuzztime 10s ./internal/controller

@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 
 	mutiny "github.com/mutiny-sim/mutiny"
@@ -75,6 +76,10 @@ func parse(args []string) (mutiny.Spec, int, error) {
 		return mutiny.Spec{}, 0, fmt.Errorf("-char must be >= 0, got %d", *char)
 	case *occ < 1:
 		return mutiny.Spec{}, 0, fmt.Errorf("-occurrence must be >= 1, got %d", *occ)
+	case *golden < 1:
+		return mutiny.Spec{}, 0, fmt.Errorf("-golden must be >= 1, got %d", *golden)
+	case !slices.Contains(mutiny.ResourceKinds(), mutiny.ResourceKind(*kind)):
+		return mutiny.Spec{}, 0, fmt.Errorf("unknown kind %q (want one of %v)", *kind, mutiny.ResourceKinds())
 	}
 
 	in := mutiny.Injection{

@@ -15,6 +15,9 @@ func TestParseRejectsUnknownNames(t *testing.T) {
 		{[]string{"-channel", "etcd"}, `unknown channel "etcd"`},
 		{[]string{"-workload", "depoly"}, `unknown workload "depoly"`},
 		{[]string{"-fault", "flip"}, `unknown fault model "flip"`},
+		// An unknown kind ran an injection that could never match a message.
+		{[]string{"-kind", "pod"}, `unknown kind "pod" (want one of [Pod ReplicaSet`},
+		{[]string{"-kind", "Foo"}, `unknown kind "Foo"`},
 		// Everything after a stray word (a flag missing its dash) used to be
 		// silently dropped, and the default injection ran instead.
 		{[]string{"field", "spec.replicas", "-fault", "set"}, `unexpected argument "field"`},
@@ -54,6 +57,10 @@ func TestParseRejectsOutOfRangeIndexes(t *testing.T) {
 		{[]string{"-char", "0"}, ""},
 		{[]string{"-occurrence", "0"}, "-occurrence must be >= 1, got 0"},
 		{[]string{"-occurrence", "-2"}, "-occurrence must be >= 1, got -2"},
+		// Below 1 the runner silently built its default 100 golden runs.
+		{[]string{"-golden", "0"}, "-golden must be >= 1, got 0"},
+		{[]string{"-golden", "-5"}, "-golden must be >= 1, got -5"},
+		{[]string{"-golden", "1"}, ""},
 	})
 }
 

@@ -48,8 +48,7 @@ func GroupOf(t inject.FaultType) InjGroup {
 // WindowKey addresses one row of a timed-fault table: a fault axis, split by
 // the family's sub-key — the failure policy for admission faults, the zone
 // for topology faults (from Injection.Value, stamped by GenerateTopology, so
-// a merge of decoded results reconstructs the rows without a cluster handle),
-// nothing for control-plane faults.
+// the rows need no cluster handle), nothing for control-plane faults.
 type WindowKey struct {
 	Fault inject.FaultType
 	Sub   string

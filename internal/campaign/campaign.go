@@ -39,8 +39,7 @@ type Spec struct {
 
 // Result is the outcome of one experiment.
 type Result struct {
-	// Spec never crosses the shard wire: the merger regenerates it.
-	Spec        Spec `json:"-"`
+	Spec        Spec
 	OF          classify.OF
 	CF          classify.CF
 	Z           float64

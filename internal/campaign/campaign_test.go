@@ -1,8 +1,7 @@
 package campaign
 
 import (
-	"fmt"
-	"strings"
+	"encoding/json"
 	"testing"
 
 	"github.com/mutiny-sim/mutiny/internal/classify"
@@ -271,33 +270,25 @@ func TestSemanticValues(t *testing.T) {
 	}
 }
 
-// An output that ran another matrix must not merge, even with the merge's spec
-// counts: without hooks installed, FailurePolicy changes the cluster every
-// experiment ran on but not one spec.
-func TestMergeRejectsAnotherMatrix(t *testing.T) {
-	cfg := Config{
-		Workloads:       []workload.Kind{workload.Deploy},
-		SampleStride:    251,
-		SkipRefinement:  true,
-		SkipPropagation: true,
-		Parallelism:     1,
+// The benchmark's campaign.shard_roundtrip_ms row times json.Marshal and
+// json.Unmarshal of a RunShard output and fails on either error; this test
+// goes with that row.
+func TestShardOutputSurvivesJSON(t *testing.T) {
+	out := RunShard(Config{
+		Workloads:      []workload.Kind{workload.Deploy},
+		GoldenRuns:     3,
+		SampleStride:   251,
+		SkipRefinement: true,
+		Parallelism:    1,
+	})
+	if len(out.Main) == 0 || len(out.Prop) == 0 {
+		t.Fatalf("setup: %d main and %d propagation results, want both non-zero", len(out.Main), len(out.Prop))
 	}
-	other := cfg
-	other.FailurePolicy = "Fail"
-	p, q := prepare(cfg.withDefaults()), prepare(other.withDefaults())
-	if len(p.mainSpecs) == 0 || len(p.mainSpecs) != len(q.mainSpecs) || len(p.propSpecs) != len(q.propSpecs) {
-		t.Fatalf("setup: %d/%d and %d/%d specs, want equal non-zero counts",
-			len(p.mainSpecs), len(p.propSpecs), len(q.mainSpecs), len(q.propSpecs))
+	blob, err := json.Marshal(out)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
 	}
-	// Every index covered, so only the fingerprint can object.
-	shard := &ShardOutput{MainTotal: len(q.mainSpecs), PropTotal: len(q.propSpecs), Fingerprint: q.fingerprint}
-	for i := range q.mainSpecs {
-		shard.Main = append(shard.Main, ShardResult{Index: i})
+	if err := json.Unmarshal(blob, new(ShardOutput)); err != nil {
+		t.Fatalf("unmarshal: %v", err)
 	}
-	defer func() {
-		if r := recover(); !strings.Contains(fmt.Sprint(r), "ran matrix") {
-			t.Fatalf("merging an output of the FailurePolicy=Fail matrix into the default one: panic %v, want a fingerprint mismatch", r)
-		}
-	}()
-	MergeShardOutputs(cfg, []*ShardOutput{shard})
 }

@@ -241,11 +241,9 @@ type Report struct {
 	Instance  string // namespace/name of the injected instance
 	StoreKey  string
 	Activated bool
-	// OldValue and NewValue hold the field values around a field fault. JSON
-	// would lose their dynamic types (int64, bool, string), so they do not
-	// marshal; the campaign's shard wire carries them type-tagged instead.
-	OldValue any `json:"-"`
-	NewValue any `json:"-"`
+	// OldValue and NewValue hold the field values around a field fault.
+	OldValue any
+	NewValue any
 	// Healed and HealedAt record the undoing of a timed fault.
 	Healed   bool
 	HealedAt time.Duration

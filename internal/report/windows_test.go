@@ -2,10 +2,8 @@ package report
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"os"
-	"reflect"
 	"testing"
 	"time"
 
@@ -105,8 +103,7 @@ func renderWindowTables(results []*campaign.Result) []byte {
 // TestWindowTablesMatchGolden is the byte-identity oracle of the timed-fault
 // refactor: testdata/windows.golden was rendered by the three hand-written
 // per-family tables at the commit before the refactor; the one table-driven
-// renderer must reproduce it byte for byte — from the results themselves and
-// from their copies that crossed the shard wire.
+// renderer must reproduce it byte for byte.
 func TestWindowTablesMatchGolden(t *testing.T) {
 	results := windowResults()
 	got := renderWindowTables(results)
@@ -127,43 +124,4 @@ func TestWindowTablesMatchGolden(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("window tables diverged from %s:\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
 	}
-	if got := renderWindowTables(throughShardWire(t, results)); !bytes.Equal(got, want) {
-		t.Fatalf("window tables diverged from %s after the shard wire:\n%s", path, got)
-	}
-}
-
-// throughShardWire sends results through ShardOutput JSON, as to a merge that
-// has only the decoded output, and requires what arrives to equal what was
-// sent — dynamic types of the observed values included. The specs do not
-// travel: the receiver grafts its own back on by index.
-func throughShardWire(t *testing.T, results []*campaign.Result) []*campaign.Result {
-	t.Helper()
-	sent := campaign.ShardOutput{MainTotal: len(results)}
-	for i, res := range results {
-		sent.Main = append(sent.Main, campaign.ShardResult{Index: i, Result: *res})
-	}
-	blob, err := json.Marshal(sent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var received campaign.ShardOutput
-	if err := json.Unmarshal(blob, &received); err != nil {
-		t.Fatal(err)
-	}
-	if len(received.Main) != len(results) {
-		t.Fatalf("sent %d results, received %d", len(results), len(received.Main))
-	}
-	out := make([]*campaign.Result, len(results))
-	for i, sr := range received.Main {
-		if sr.Index != i || sr.Spec.Injection != nil {
-			t.Fatalf("result %d arrived as index %d with spec %+v", i, sr.Index, sr.Spec)
-		}
-		res := sr.Result
-		res.Spec = results[i].Spec
-		if !reflect.DeepEqual(&res, results[i]) {
-			t.Errorf("result %d changed on the wire:\n sent %+v\n got  %+v", i, *results[i], res)
-		}
-		out[i] = &res
-	}
-	return out
 }

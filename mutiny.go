@@ -347,5 +347,8 @@ func NewInjector(c *Cluster) *Injector { return inject.New(c.Loop) }
 // any other name is an error.
 func ParseWorkload(name string) (WorkloadKind, error) { return workload.ParseKind(name) }
 
-// Workloads lists the three workloads in paper order.
+// Workloads lists the workloads in paper order.
 func Workloads() []WorkloadKind { return workload.Kinds() }
+
+// ResourceKinds lists the resource kinds an injection can target.
+func ResourceKinds() []ResourceKind { return spec.Kinds() }
