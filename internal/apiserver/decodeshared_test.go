@@ -92,7 +92,7 @@ func (cp *controlPlane) check(step string) {
 	cp.t.Helper()
 	for i, srv := range cp.servers {
 		for _, kv := range cp.stores[i].List("/registry/") {
-			obj, prefix, exists, err := srv.current(kv.Kind, kv.Key)
+			obj, written, exists, err := srv.current(kv.Kind, kv.Key)
 			if cp.rep != nil && cp.rep.ReplicaDown(i) {
 				if err == nil {
 					cp.t.Errorf("%s: server %d read %s through a lost replica", step, i, kv.Key)
@@ -106,23 +106,32 @@ func (cp *controlPlane) check(step string) {
 			if want := cp.fresh(kv); !reflect.DeepEqual(obj.Clone(), want) {
 				cp.t.Errorf("%s: server %d current(%s) = %s, its bytes decode to %s", step, i, kv.Key, brief(obj), brief(want))
 			}
-			if prefix != nil {
-				// The splice source: the head of these very bytes, which with
-				// the revision patched in rebuild the object's encoding.
-				patched, ok := codec.AppendPrefixWithRV(nil, prefix, obj.Meta().ResourceVersion)
-				if !ok || &prefix[:1][0] != &kv.Value[0] || string(patched)+string(kv.Value[len(prefix):]) != string(mustMarshal(obj)) {
-					cp.t.Errorf("%s: server %d current(%s) offered a splice prefix that does not rebuild %s", step, i, kv.Key, brief(obj))
+			if written != nil {
+				// The splice source: these very bytes, whose metadata+spec
+				// prefix with the revision patched in, followed by their status
+				// record, rebuild the object's encoding.
+				off, scanned := codec.StatusOffset(written)
+				patched, ok := codec.AppendPrefixWithRV(nil, written[:off], obj.Meta().ResourceVersion)
+				if !scanned || !ok || &written[0] != &kv.Value[0] || string(patched)+string(written[off:]) != string(mustMarshal(obj)) {
+					cp.t.Errorf("%s: server %d current(%s) offered a splice source that does not rebuild %s", step, i, kv.Key, brief(obj))
 				}
 			}
 		}
 		if srv.Down() {
 			continue
 		}
-		if len(srv.cache) != len(cp.served[i]) {
-			cp.t.Errorf("%s: server %d watch cache holds %d objects, was served %d", step, i, len(srv.cache), len(cp.served[i]))
+		if srv.CacheLen() != len(cp.served[i]) {
+			cp.t.Errorf("%s: server %d watch cache holds %d objects, was served %d", step, i, srv.CacheLen(), len(cp.served[i]))
 		}
 		for key, kv := range cp.served[i] {
-			obj, ok := srv.cache[key]
+			var obj spec.Object
+			ok := false
+			if b := srv.kindIndex[kv.Kind]; b != nil {
+				obj, ok = b.get(key)
+			}
+			if ok && srv.byKey[key] != obj {
+				cp.t.Errorf("%s: server %d serves %s to get and list from different objects", step, i, key)
+			}
 			if !ok {
 				cp.t.Errorf("%s: server %d watch cache lacks %s", step, i, key)
 				continue

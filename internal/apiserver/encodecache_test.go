@@ -10,37 +10,38 @@ import (
 	"github.com/mutiny-sim/mutiny/internal/store"
 )
 
-// The status splice: a decode-cache entry the write path primed records where
-// its stored array's status record starts, so a status-only update re-encodes
-// just the status section and splices it onto that array's metadata+spec
-// prefix, the committed revision patched in on the way. These tests pin down
-// the mirror image of the decode-cache contract: what the splice builds from
-// the stored array is always exactly what a fresh Marshal of the sealed object
-// produces, any byte-level fault (at-rest corruption, tampered store writes,
-// armed injection channels) leaves the entry without an offset, and the
-// spliced encoding is byte-identical to a full re-encode per kind.
+// The status splice: a decode-cache entry the write path primed is written —
+// its stored array is the write path's own encoding — so a status-only update
+// re-encodes just the status section and splices it onto that array's
+// metadata+spec prefix, the committed revision patched in on the way. These
+// tests pin down the mirror image of the decode-cache contract: what the
+// splice builds from the stored array is always exactly what a fresh Marshal
+// of the sealed object produces, any byte-level fault (at-rest corruption,
+// tampered store writes, armed injection channels) leaves the entry
+// unwritten, and the spliced encoding is byte-identical to a full re-encode
+// per kind.
 
-// wireOf returns the stored array under key when its decode-cache entry
-// records a status offset for it, or nil.
+// wireOf returns the stored array under key when its decode-cache entry is
+// written for it, or nil.
 func wireOf(srv *Server, key string) []byte {
 	_, w, _, _ := srv.PrimedEncoding(key)
 	return w
 }
 
 // wireCanonical holds the splice invariant for the entry cached under key and
-// returns the canonical encoding rebuilt from its array: the entry is valid
-// for the array the store holds, its offset is where a scan of that array
-// finds the status record, and the array's prefix with the committed revision
-// patched in, followed by the status record — re-encoded as the splice does
-// it, and as the store holds it — is a fresh Marshal of the sealed object.
+// returns the canonical encoding rebuilt from its array: the entry is written
+// for the array the store holds, a scan of that array finds the status
+// record, and the array's prefix with the committed revision patched in,
+// followed by the status record — re-encoded as the splice does it, and as
+// the store holds it — is a fresh Marshal of the sealed object.
 func wireCanonical(t *testing.T, srv *Server, key string) []byte {
 	t.Helper()
 	obj, w, off, ok := srv.PrimedEncoding(key)
 	if !ok {
-		t.Fatal("the decode-cache entry records no status offset for the stored array")
+		t.Fatal("the decode-cache entry is not written for the stored array")
 	}
-	if gotOff, ok := codec.StatusOffset(w); !ok || gotOff != off {
-		t.Fatalf("entry's status offset %d, StatusOffset says %d (ok=%v)", off, gotOff, ok)
+	if off < 0 {
+		t.Fatal("a scan of the written array finds no status record")
 	}
 	prefix, ok := codec.AppendPrefixWithRV(nil, w[:off], obj.Meta().ResourceVersion)
 	if !ok {
@@ -70,7 +71,7 @@ func TestEncodeCachePrimedBytesMatchFreshMarshal(t *testing.T) {
 	key := spec.Key(spec.KindPod, spec.DefaultNamespace, "web-1")
 	w := wireOf(srv, key)
 	if w == nil {
-		t.Fatal("create did not record a status offset for the stored array")
+		t.Fatal("create did not leave a written entry for the stored array")
 	}
 	wireCanonical(t, srv, key)
 
@@ -90,7 +91,7 @@ func TestEncodeCachePrimedBytesMatchFreshMarshal(t *testing.T) {
 	settle(loop)
 	w2 := wireOf(srv, key)
 	if w2 == nil {
-		t.Fatal("status update did not record a status offset for its new array")
+		t.Fatal("status update did not leave a written entry for its new array")
 	}
 	if string(w2) == string(w) {
 		t.Fatal("status update left the old array in place")
@@ -236,7 +237,7 @@ func TestEncodeCacheSpliceRoundTripsPerKind(t *testing.T) {
 				t.Fatal("status update did not prime the decode cache")
 			}
 			if w := wireOf(srv, key); w == nil {
-				t.Fatal("status update did not record a status offset for the stored array")
+				t.Fatal("status update did not leave a written entry for the stored array")
 			}
 			canonical := wireCanonical(t, srv, key)
 			stored.Meta().ResourceVersion = kv.Revision
@@ -259,7 +260,7 @@ func TestEncodeCacheNeverServesStaleBytes(t *testing.T) {
 	settle(loop)
 	key := spec.Key(spec.KindPod, spec.DefaultNamespace, "web-1")
 	if w := wireOf(srv, key); w == nil {
-		t.Fatal("create did not record a status offset for the stored array")
+		t.Fatal("create did not leave a written entry for the stored array")
 	}
 
 	// Rewrite a label at rest: the stale cached prefix still carries
@@ -318,7 +319,7 @@ func TestEncodeCacheSurvivesRestart(t *testing.T) {
 	key := spec.Key(spec.KindPod, spec.DefaultNamespace, "web-1")
 	w := wireOf(srv, key)
 	if w == nil {
-		t.Fatal("post-restart status update did not record a status offset for the stored array")
+		t.Fatal("post-restart status update did not leave a written entry for the stored array")
 	}
 	kv, _ := st.Get(key)
 	stored := spec.New(spec.KindPod)
@@ -381,7 +382,7 @@ func TestEncodeCacheSplicedWritesConvergeAcrossReplicas(t *testing.T) {
 // A request hook changes only the bytes the server decodes its request object
 // from: what reaches the store is still the write path's own encoding — a full
 // marshal for the create, a splice for the status update — so each write
-// records its status offset and the splice invariant holds, whether the hook
+// leaves a written entry and the splice invariant holds, whether the hook
 // passes the bytes through or flips a status field in them. The flipping hook
 // leaves Tampered unset, as a component's own change would: a tampered write
 // is never primed (TestEncodeCacheNotPrimedByTamperedWrite).
@@ -440,9 +441,9 @@ func TestEncodeCacheRecordsStatusOffsetUnderRequestHook(t *testing.T) {
 	}
 }
 
-// A prefix that does not parse as metadata-first records is never guessed at:
-// the status update falls back to a full marshal, and what reaches the store is
-// the canonical encoding all the same.
+// A written array whose prefix does not parse as metadata-first records is
+// never guessed at: the status update falls back to a full marshal, and what
+// reaches the store is the canonical encoding all the same.
 func TestEncodeCacheMalformedPrefixFallsBackToFullMarshal(t *testing.T) {
 	loop, st, srv := newTestServer(t)
 	c := srv.ClientFor("test")
@@ -451,16 +452,23 @@ func TestEncodeCacheMalformedPrefixFallsBackToFullMarshal(t *testing.T) {
 	}
 	settle(loop)
 	key := spec.Key(spec.KindPod, spec.DefaultNamespace, "web-1")
-	// Move the entry's status offset into the metadata record's length: the
-	// entry stays valid for the stored array, so the write path is offered a
-	// prefix cut mid-record.
+	// Cut the stored array at rest inside the metadata record, and keep the
+	// written entry valid for the cut array: the write path is offered bytes
+	// whose prefix ends mid-record.
+	if !st.CorruptAtRest(key, func(b []byte) []byte { return b[:1] }) {
+		t.Fatal("nothing stored to cut")
+	}
+	kv, _ := st.Get(key)
 	e := srv.decoded.entries[key]
-	e.statusOff = 1
+	e.src = &kv.Value[0]
 	srv.decoded.entries[key] = e
-	if _, ok := codec.AppendPrefixWithRV(nil, wireOf(srv, key)[:e.statusOff], 1); ok {
-		t.Fatal("a prefix cut mid-record parses; the test no longer offers a malformed one")
+	if wireOf(srv, key) == nil {
+		t.Fatal("the entry is not written for the cut array; the test no longer offers it to the splice")
 	}
 	bad := e.obj
+	if b, _ := srv.spliceStatus(nil, kv.Value, spec.CloneForStatusAs(bad.(*spec.Pod))); b != nil {
+		t.Fatal("a splice onto an array cut mid-record succeeds; the test no longer offers a malformed one")
+	}
 
 	upd := spec.CloneForStatusAs(bad.(*spec.Pod))
 	upd.Status.Phase = spec.PodRunning
@@ -469,7 +477,7 @@ func TestEncodeCacheMalformedPrefixFallsBackToFullMarshal(t *testing.T) {
 		t.Fatal(err)
 	}
 	settle(loop)
-	kv, _ := st.Get(key)
+	kv, _ = st.Get(key)
 	want := spec.CloneForStatusAs(bad.(*spec.Pod)) // at the revision the writer saw
 	want.Status.Phase, want.Status.Ready = spec.PodRunning, true
 	if string(kv.Value) != string(mustMarshal(want)) {
@@ -479,7 +487,7 @@ func TestEncodeCacheMalformedPrefixFallsBackToFullMarshal(t *testing.T) {
 }
 
 // A tampering store-write hook taints the key; the tainted write must not
-// record a status offset for bytes it did not encode.
+// leave a written entry for bytes it did not encode.
 func TestEncodeCacheNotPrimedByTamperedWrite(t *testing.T) {
 	loop, _, srv := newTestServer(t)
 	srv.SetStoreWriteHook(func(m *Message) Action {
@@ -502,7 +510,7 @@ func TestEncodeCacheNotPrimedByTamperedWrite(t *testing.T) {
 	settle(loop)
 	key := spec.Key(spec.KindPod, spec.DefaultNamespace, "web-1")
 	if w := wireOf(srv, key); w != nil {
-		t.Fatal("a tampered write recorded a status offset")
+		t.Fatal("a tampered write left a written entry")
 	}
 }
 
@@ -525,7 +533,7 @@ func TestEncodeCacheUnharmedByWatchHookMutation(t *testing.T) {
 	key := spec.Key(spec.KindPod, spec.DefaultNamespace, "web-1")
 	w := wireOf(srv, key)
 	if w == nil {
-		t.Fatal("create did not record a status offset for the stored array")
+		t.Fatal("create did not leave a written entry for the stored array")
 	}
 	wireCanonical(t, srv, key) // the watch hook's scribbling did not reach the stored array
 	obj, err := c.Get(spec.KindPod, spec.DefaultNamespace, "web-1")

@@ -3,6 +3,7 @@ package apiserver
 import (
 	"sort"
 
+	"github.com/mutiny-sim/mutiny/internal/codec"
 	"github.com/mutiny-sim/mutiny/internal/spec"
 )
 
@@ -18,15 +19,20 @@ func (s *Server) DecodeCacheKeys() []string {
 
 // PrimedEncoding returns what a status update to key would splice onto: the
 // decode-cache entry's sealed object, the array the server's store replica
-// holds under key, and where the entry says that array's status record
-// starts. ok is false unless the entry is valid for that very array at its
-// revision and records an offset — the write path produced the array.
-func (s *Server) PrimedEncoding(key string) (obj spec.Object, array []byte, statusOff int, ok bool) {
+// holds under key, and where a scan of that array (codec.StatusOffset, as
+// spliceStatus does it) finds its status record, -1 if the scan fails. ok is
+// false unless the entry is valid for that very array at its revision and is
+// written — the write path produced the array.
+func (s *Server) PrimedEncoding(key string) (obj spec.Object, array []byte, off int, ok bool) {
 	e, cached := s.decoded.entries[key]
 	kv, stored, err := s.store.GetFrom(s.origin, key)
-	if !cached || !stored || err != nil || e.statusOff < 0 ||
+	if !cached || !stored || err != nil || !e.written ||
 		arrayOf(kv.Value) != e.src || e.obj.Meta().ResourceVersion != kv.Revision {
 		return nil, nil, 0, false
 	}
-	return e.obj, kv.Value, e.statusOff, true
+	off, scanned := codec.StatusOffset(kv.Value)
+	if !scanned {
+		off = -1
+	}
+	return e.obj, kv.Value, off, true
 }

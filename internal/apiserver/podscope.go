@@ -134,22 +134,14 @@ func (m posIndex) remove(key string, w *watcher) {
 	m[key] = p
 }
 
-// list returns the watchers under key, ascending; one backs the result when
-// there is a single watcher, and must outlive it.
-func (m posIndex) list(key string, one *[1]*watcher) []*watcher {
-	p, ok := m[key]
-	if !ok {
-		return nil
-	}
-	return p.all(one)
-}
-
-// all returns the entry's watchers, ascending, backed by one when there is a
-// single watcher.
-func (p posList) all(one *[1]*watcher) []*watcher {
+// appendBelow appends the entry's watchers whose sequence number lies below
+// limit, ascending. The zero entry, a key not in the index, has none.
+func (p posList) appendBelow(out []*watcher, limit int) []*watcher {
 	if p.more != nil {
-		return p.more
+		return appendBelow(out, p.more, limit)
 	}
-	one[0] = p.one
-	return one[:]
+	if p.one != nil && p.one.seq < limit {
+		out = append(out, p.one)
+	}
+	return out
 }

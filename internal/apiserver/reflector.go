@@ -51,9 +51,9 @@ type Reflector struct {
 }
 
 // sortedBucket holds one kind's objects in key order; keys and objs move in
-// lockstep. A Reflector view keys it by namespace/name, the server's per-kind
-// list index by store key — the same order, so view iteration order matches
-// server list order.
+// lockstep. A Reflector view keys it by namespace/name, the server's watch
+// cache by store key — the same order, so view iteration order matches server
+// list order.
 type sortedBucket struct {
 	keys []string
 	objs []spec.Object
@@ -66,19 +66,20 @@ func (b *sortedBucket) reset() {
 	b.objs = b.objs[:0]
 }
 
-func (b *sortedBucket) set(key string, obj spec.Object) {
+// set installs obj under key and reports whether it replaced an object there.
+func (b *sortedBucket) set(key string, obj spec.Object) (replaced bool) {
 	// Keys mostly arrive in order — a re-list walks the server's sorted
 	// index, children are named by a counter — and one past the last is
 	// appended without the search and the shift.
 	if n := len(b.keys); n == 0 || b.keys[n-1] < key {
 		b.keys = append(b.keys, key)
 		b.objs = append(b.objs, obj)
-		return
+		return false
 	}
 	i := sort.SearchStrings(b.keys, key)
 	if i < len(b.keys) && b.keys[i] == key {
 		b.objs[i] = obj
-		return
+		return true
 	}
 	b.keys = append(b.keys, "")
 	copy(b.keys[i+1:], b.keys[i:])
@@ -86,17 +87,21 @@ func (b *sortedBucket) set(key string, obj spec.Object) {
 	b.objs = append(b.objs, nil)
 	copy(b.objs[i+1:], b.objs[i:])
 	b.objs[i] = obj
+	return false
 }
 
-func (b *sortedBucket) delete(key string) {
+// delete removes key and returns the object it held, if there was one.
+func (b *sortedBucket) delete(key string) (spec.Object, bool) {
 	i := sort.SearchStrings(b.keys, key)
 	if i >= len(b.keys) || b.keys[i] != key {
-		return
+		return nil, false
 	}
+	obj := b.objs[i]
 	b.keys = append(b.keys[:i], b.keys[i+1:]...)
 	copy(b.objs[i:], b.objs[i+1:])
 	b.objs[len(b.objs)-1] = nil
 	b.objs = b.objs[:len(b.objs)-1]
+	return obj, true
 }
 
 func (b *sortedBucket) get(key string) (spec.Object, bool) {

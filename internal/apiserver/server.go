@@ -180,12 +180,14 @@ type Server struct {
 	// UID and service-IP counters start, and where Reset puts them back.
 	uidOffset int64
 
-	cache map[string]spec.Object // decoded watch cache, by store key
-	// kindIndex mirrors cache as per-kind slices sorted by store key, so
-	// list — the hottest read (every controller scan, scheduler pass, and
-	// collector scrape) — is a binary search plus one contiguous copy
-	// instead of a full map iteration and sort per call.
+	// kindIndex is the watch cache: the decoded objects, per kind, in slices
+	// sorted by store key, so list — the hottest read (every controller scan,
+	// scheduler pass, and collector scrape) — is a binary search plus one
+	// contiguous copy. byKey holds the same objects by store key for get: at
+	// a thousand keys a bucket search costs several map lookups, and every
+	// kubelet gets each of its running pods on every status sync.
 	kindIndex map[spec.Kind]*sortedBucket
+	byKey     map[string]spec.Object
 	// Every registration draws the next sequence number (nextSeq), and
 	// delivery is in sequence order — registration order: map iteration would
 	// randomize the delivery order of same-tick events across runs, breaking
@@ -196,21 +198,20 @@ type Server struct {
 	// registration.
 	// Scoped pod watchers (see PodScope) are not in it: byNode and byUID hold
 	// them under the node each answers for and under every pod UID each has
-	// claimed, and a pod event adds the two lists its object selects to the
-	// merge — the kubelets that can act on it, however many there are. A
+	// claimed, and a pod event adds the two lists its object selects to its
+	// receivers — the kubelets that can act on it, however many there are. A
 	// cancel takes its watcher out of all three at once.
 	watcherIdx    map[spec.Kind][]*watcher
 	byNode, byUID posIndex
 	// fanoutScratch backs the receiver list of the fan-out in progress.
 	fanoutScratch []*watcher
 
-	// Batched fan-out: each dispatch appends one pendingDispatch and
+	// The pending ring: each dispatch appends one pendingDispatch and
 	// schedules fanoutFn (built once — no per-dispatch closure) on the loop.
 	// The scheduled events fire in dispatch order, and each delivers the
-	// queue's front event to every matching watcher in one callback — the
-	// exact delivery order of the former one-loop-event-per-watcher
-	// scheduling, at a thirteenth of the event-heap traffic. head indexes
-	// the front; the backing array is reused once the queue drains.
+	// ring's front event to all its receivers in one callback: one loop event
+	// per dispatch, whatever the number of watchers. pendingHead indexes the
+	// front; the backing array is reused once the ring drains.
 	pending     []pendingDispatch
 	pendingHead int
 	fanoutFn    func()
@@ -313,8 +314,8 @@ func NewAt(loop *sim.Loop, st *store.Replicated, origin int, opts *Options) *Ser
 		store:     st,
 		origin:    origin,
 		uidStride: 1,
-		cache:     make(map[string]spec.Object),
 		kindIndex: make(map[spec.Kind]*sortedBucket),
+		byKey:     make(map[string]spec.Object),
 		byNode:    make(posIndex),
 		byUID:     make(posIndex),
 		decoded:   &DecodeCache{entries: make(map[string]decodedEntry)},
@@ -331,8 +332,8 @@ func NewAt(loop *sim.Loop, st *store.Replicated, origin int, opts *Options) *Ser
 }
 
 // Reset returns the server to the state NewAt and the Set* wiring calls left
-// it in, keeping the memory of its tables: empty watch cache, list index and
-// decode cache, no watchers, no queued dispatch, no hooks, counters
+// it in, keeping the memory of its tables: empty watch cache and decode
+// cache, no watchers, no queued dispatch, no hooks, counters
 // at their configured start, up, audit trail empty. What survives is wiring,
 // not state: the store binding, the admission stride, the shared audit
 // trail, decode cache and admission chain (the first two are emptied here, by
@@ -346,20 +347,22 @@ func (s *Server) Reset() {
 	clear(s.decoded.entries)
 	s.decodeHits, s.decodeMisses, s.decodeRewrites = 0, 0, 0
 
-	for k, ws := range s.watcherIdx {
-		for _, w := range ws {
-			w.cancelled = true
-		}
-		clear(ws)
-		s.watcherIdx[k] = ws[:0]
+	// Every registration, gathered in the fan-out scratch, is cancelled.
+	ws := s.fanoutScratch[:0]
+	for k, l := range s.watcherIdx {
+		ws = append(ws, l...)
+		clear(l)
+		s.watcherIdx[k] = l[:0]
 	}
 	for _, p := range s.byNode { // every scoped registration, under its node
-		var one [1]*watcher
-		for _, w := range p.all(&one) {
-			w.cancelled = true
-			s.detach(w)
-		}
+		ws = p.appendBelow(ws, s.nextSeq)
 	}
+	for _, w := range ws {
+		w.cancelled = true
+		s.detach(w)
+	}
+	clear(ws)
+	s.fanoutScratch = ws[:0]
 	clear(s.byNode)
 	clear(s.byUID)
 	s.nextSeq, s.live = 0, 0
@@ -445,21 +448,19 @@ type DecodeCache struct {
 
 // decodedEntry is one cached decode: the object, the address of the first
 // byte of the array it was decoded from (never nil: empty values are not
-// cached; a pointer, not a slice — a storm holds 2,000 of these), and where
-// that array's status record starts.
+// cached; a pointer, not a slice — a storm holds 2,000 of these), and whether
+// the write path produced that array.
 //
-// statusOff is set (≥ 0) only when the write path produced the array
-// (persistWrite): the array is then obj's encoding at the RV its writer saw,
-// so array[:statusOff] with the RV patched to obj's
-// (codec.AppendPrefixWithRV), followed by array[statusOff:], is byte for byte
-// codec.Marshal(obj), and a status update to the key copies that prefix
-// instead of re-encoding metadata and spec (spliceStatus). It is -1 for an
-// array that was decoded: a tampered write, bytes rewritten at rest, a
+// written is set only by persistWrite: the array is then obj's encoding at the
+// RV its writer saw, so with the RV patched to obj's it is byte for byte
+// codec.Marshal(obj), and a status update to the key copies its metadata+spec
+// prefix instead of re-encoding the two sections (spliceStatus). It is false
+// for an array that was decoded: a tampered write, bytes rewritten at rest, a
 // lagging replica's array.
 type decodedEntry struct {
-	obj       spec.Object
-	src       *byte
-	statusOff int
+	obj     spec.Object
+	src     *byte
+	written bool
 }
 
 // arrayOf returns the identity of a stored array — the address of its first
@@ -479,23 +480,22 @@ func (s *Server) DecodeCacheStats() (hits, misses, rewrites int64) {
 }
 
 // decodeCached returns the sealed decoded form of data, the bytes stored under
-// key at backend mod revision rev, and the entry's status offset (-1 unless
-// the write path produced data): the cached object when it was decoded from
-// this array at this revision, a real (and then cached) decode otherwise.
-// Decode errors are never cached: undecodable bytes are re-examined on every
-// access.
-func (s *Server) decodeCached(kind spec.Kind, key string, data []byte, rev int64) (spec.Object, int, error) {
+// key at backend mod revision rev, and whether the write path produced data:
+// the cached object when it was decoded from this array at this revision, a
+// real (and then cached) decode otherwise. Decode errors are never cached:
+// undecodable bytes are re-examined on every access.
+func (s *Server) decodeCached(kind spec.Kind, key string, data []byte, rev int64) (spec.Object, bool, error) {
 	src := arrayOf(data)
 	if e, ok := s.decoded.entries[key]; ok && e.obj.Meta().ResourceVersion == rev {
 		if e.src == src {
 			s.decodeHits++
-			return e.obj, e.statusOff, nil
+			return e.obj, e.written, nil
 		}
 		s.decodeRewrites++
 	}
 	obj, err := s.decode(kind, data)
 	if err != nil {
-		return nil, -1, err
+		return nil, false, err
 	}
 	s.decodeMisses++
 	// The resource version every reader sees is the store revision of the
@@ -503,9 +503,9 @@ func (s *Server) decodeCached(kind spec.Kind, key string, data []byte, rev int64
 	obj.Meta().ResourceVersion = rev
 	spec.Seal(obj) // entering the shared read path: immutable from here on
 	if src != nil {
-		s.decoded.entries[key] = decodedEntry{obj: obj, src: src, statusOff: -1}
+		s.decoded.entries[key] = decodedEntry{obj: obj, src: src}
 	}
-	return obj, -1, nil
+	return obj, false, nil
 }
 
 // Audit returns the server's audit trail.
@@ -550,7 +550,7 @@ func (s *Server) ClientFor(identity string) *Client { return s.own.ClientFor(ide
 func (s *Server) Endpoints() *Endpoints { return s.own }
 
 // CacheLen reports the number of cached objects (diagnostics).
-func (s *Server) CacheLen() int { return len(s.cache) }
+func (s *Server) CacheLen() int { return len(s.byKey) }
 
 // Restart simulates an apiserver restart: the watch cache is dropped and
 // rebuilt from the store, which is when at-rest corruption becomes visible
@@ -613,32 +613,24 @@ func (s *Server) quorumVerify(kv store.KV) store.KV {
 	return kv
 }
 
-// clearCache empties the watch cache and the per-kind list index, keeping
-// their memory.
+// clearCache empties the watch cache, keeping its memory.
 func (s *Server) clearCache() {
-	clear(s.cache)
+	clear(s.byKey)
 	for _, b := range s.kindIndex {
 		b.reset()
 	}
 }
 
-// cacheSet installs obj in the watch cache and the per-kind list index.
-func (s *Server) cacheSet(key string, kind spec.Kind, obj spec.Object) {
-	s.cache[key] = obj
+// cacheSet installs obj in the watch cache and reports whether it replaced an
+// object cached under key.
+func (s *Server) cacheSet(key string, kind spec.Kind, obj spec.Object) (replaced bool) {
+	s.byKey[key] = obj
 	b := s.kindIndex[kind]
 	if b == nil {
 		b = &sortedBucket{}
 		s.kindIndex[kind] = b
 	}
-	b.set(key, obj)
-}
-
-// cacheDelete removes key from the watch cache and the per-kind list index.
-func (s *Server) cacheDelete(key string, kind spec.Kind) {
-	delete(s.cache, key)
-	if b := s.kindIndex[kind]; b != nil {
-		b.delete(key)
-	}
+	return b.set(key, obj)
 }
 
 // --- request path (component → apiserver → store) ---------------------------
@@ -707,7 +699,7 @@ func (s *Server) apply(identity string, verb Verb, msg *Message, obj spec.Object
 	var donor spec.Object
 	var splice []byte
 	var stamped drawn
-	cur, prefix, exists, curErr := s.current(kind, key)
+	cur, written, exists, curErr := s.current(kind, key)
 	if errors.Is(curErr, store.ErrReplicaDown) {
 		// This server's store replica is lost: every verb fails, and the
 		// wrapped cause lets failover clients tell "endpoint unusable" from
@@ -753,10 +745,10 @@ func (s *Server) apply(identity string, verb Verb, msg *Message, obj spec.Object
 		// Status updates cannot change spec or metadata: graft the incoming
 		// status onto a status clone of the current object (subresource
 		// semantics) — cur is the shared decode-cache instance. The stored
-		// array's prefix rides along as the splice source: with the revision
-		// patched in, it is the encoding of exactly the metadata and spec the
-		// merged object shares.
-		splice = prefix
+		// array rides along as the splice source: with the revision patched
+		// in, its metadata+spec prefix is the encoding of exactly the metadata
+		// and spec the merged object shares.
+		splice = written
 		donor, obj = obj, spec.WithStatus(cur, obj)
 		if obj == nil {
 			err := fmt.Errorf("%w: kind %s has no status subresource", ErrBadRequest, kind)
@@ -800,32 +792,30 @@ func (s *Server) apply(identity string, verb Verb, msg *Message, obj spec.Object
 	return err
 }
 
-// persistWrite encodes obj and commits it. When prefix is non-nil (a status
-// update whose current array the write path produced), the encode copies it
-// with the revision patched in and re-encodes only the status section —
-// byte-identical to a full Marshal, because the merged object shares metadata
-// and spec with the current one and the encoder is deterministic. The splice
-// is off under critical-field checksums (the fresh stamp changes the metadata
-// section the prefix covers).
-func (s *Server) persistWrite(identity string, verb Verb, msg *Message, obj spec.Object, key string, prefix []byte) error {
+// persistWrite encodes obj and commits it. When splice is set (a status
+// update whose current array the write path produced), the encode copies that
+// array's metadata+spec prefix with the revision patched in and re-encodes only
+// the status section — byte-identical to a full Marshal, because the merged
+// object shares metadata and spec with the current one and the encoder is
+// deterministic. The splice is off under critical-field checksums (the fresh
+// stamp changes the metadata section the prefix covers).
+func (s *Server) persistWrite(identity string, verb Verb, msg *Message, obj spec.Object, key string, splice []byte) error {
 	if s.opts.CriticalFieldChecksums {
 		stampChecksum(obj)
-		prefix = nil
+		splice = nil
 	}
 	// Same buffer discipline as handle: the store copies the value, and
 	// injection hooks that replace out.Data swap in their own slice.
 	buf := s.scratch(msg, s.storeData)
 	var data []byte
 	var err error
-	statusOff := -1 // where data's status record starts, when a splice put it there
-	if prefix != nil {
-		data, statusOff, err = s.spliceStatus(buf, prefix, obj)
+	if splice != nil {
+		data, err = s.spliceStatus(buf, splice, obj)
 		if err != nil {
 			data = nil // malformed splice source: fall back to a full encode
 		}
 	}
 	if data == nil {
-		statusOff = -1
 		data, err = s.arena.AppendMarshal(buf, obj)
 		if err != nil {
 			return s.audit.record(identity, verb, msg.Kind, msg.Name, fmt.Errorf("%w: %v", ErrBadRequest, err), msg.Tampered)
@@ -846,7 +836,7 @@ func (s *Server) persistWrite(identity string, verb Verb, msg *Message, obj spec
 			return nil // the caller believes the write happened
 		}
 	}
-	rev, err := s.store.PutVia(s.origin, key, msg.Kind, out.Data)
+	kv, err := s.store.PutVia(s.origin, key, msg.Kind, out.Data)
 	if err != nil {
 		// %w on the cause too: failover clients match store.ErrReplicaDown /
 		// store.ErrNoQuorum to retry against another apiserver.
@@ -861,27 +851,16 @@ func (s *Server) persistWrite(identity string, verb Verb, msg *Message, obj spec
 	// or tampered the payload keeps byte-level fault semantics by forcing a
 	// real decode later.
 	if !out.Tampered && len(out.Data) == len(data) && arrayOf(out.Data) == arrayOf(data) {
-		obj.Meta().ResourceVersion = rev
+		obj.Meta().ResourceVersion = kv.Revision
 		spec.Seal(obj) // entering the shared read path via the decode cache
-		// The array the store installed (its one copy of data) is what every
-		// later read and event will present, so the decode-cache entry is valid
-		// for exactly that array — and the entry records where the array's
-		// status record starts, so the next status update to this key copies
-		// the array's metadata+spec prefix with the committed revision patched
-		// in flight (spliceStatus) instead of re-encoding the two sections.
-		// Nothing is re-scanned here when a splice already knows the offset;
-		// only a full marshal is scanned for it. Only kinds with a status
-		// section record one.
-		kv, ok, _ := s.store.GetFrom(s.origin, key)
-		if ok && len(kv.Value) > 0 {
-			if kv.Revision != rev || spec.StatusOf(obj) == nil {
-				statusOff = -1
-			} else if statusOff < 0 {
-				if off, scanned := codec.StatusOffset(kv.Value); scanned {
-					statusOff = off
-				}
-			}
-			s.decoded.entries[key] = decodedEntry{obj: obj, src: &kv.Value[0], statusOff: statusOff}
+		// The array the store installed (PutVia's one copy of data) is what
+		// every later read and event will present, so the decode-cache entry
+		// is valid for exactly that array — and is marked written, so the next
+		// status update to this key copies the array's metadata+spec prefix
+		// with the committed revision patched in flight (spliceStatus) instead
+		// of re-encoding the two sections.
+		if len(kv.Value) > 0 {
+			s.decoded.entries[key] = decodedEntry{obj: obj, src: &kv.Value[0], written: true}
 		}
 	}
 	s.audit.countOK(identity, verb)
@@ -986,21 +965,21 @@ func (s *Server) onStoreEvent(ev store.Event) {
 			s.handleUndecodable(ev.Key, ev.Kind)
 			return
 		}
-		_, existed := s.cache[ev.Key]
-		s.cacheSet(ev.Key, ev.Kind, obj)
 		typ := Added
-		if existed {
+		if s.cacheSet(ev.Key, ev.Kind, obj) {
 			typ = Modified
 		}
 		s.dispatch(ev.Key, WatchEvent{Type: typ, Kind: ev.Kind, Object: obj})
 	case store.EventDelete:
 		delete(s.decoded.entries, ev.Key)
-		obj, existed := s.cache[ev.Key]
-		if !existed {
+		b := s.kindIndex[ev.Kind]
+		if b == nil {
 			return
 		}
-		s.cacheDelete(ev.Key, ev.Kind)
-		s.dispatch(ev.Key, WatchEvent{Type: Deleted, Kind: ev.Kind, Object: obj})
+		if obj, existed := b.delete(ev.Key); existed {
+			delete(s.byKey, ev.Key)
+			s.dispatch(ev.Key, WatchEvent{Type: Deleted, Kind: ev.Kind, Object: obj})
+		}
 	}
 }
 
@@ -1016,24 +995,23 @@ func (s *Server) handleUndecodable(key string, kind spec.Kind) {
 
 // current reads the authoritative state of key from the store. The object is
 // the *sealed* decode-cache instance — shared, read-only; the one write path
-// that mutates it (status merge) goes through spec.CloneForStatus. prefix is
-// the metadata+spec records of the array just read when the write path
-// produced that array (see decodedEntry), nil otherwise: what a status update
-// splices its status record onto.
-func (s *Server) current(kind spec.Kind, key string) (obj spec.Object, prefix []byte, exists bool, err error) {
+// that mutates it (status merge) goes through spec.CloneForStatus. written is
+// the array just read when the write path produced it (see decodedEntry), nil
+// otherwise: what a status update splices its status record onto.
+func (s *Server) current(kind spec.Kind, key string) (obj spec.Object, written []byte, exists bool, err error) {
 	kv, ok, err := s.store.GetFrom(s.origin, key)
 	if err != nil || !ok {
 		return nil, nil, false, err
 	}
-	obj, off, err := s.decodeCached(kind, key, kv.Value, kv.Revision)
+	obj, w, err := s.decodeCached(kind, key, kv.Value, kv.Revision)
 	if err != nil {
 		s.handleUndecodable(key, kind)
 		return nil, nil, true, err
 	}
-	if off >= 0 {
-		prefix = kv.Value[:off]
+	if w {
+		written = kv.Value
 	}
-	return obj, prefix, true, nil
+	return obj, written, true, nil
 }
 
 func (s *Server) decode(kind spec.Kind, data []byte) (spec.Object, error) {
@@ -1058,19 +1036,16 @@ func (s *Server) dispatch(key string, ev WatchEvent) {
 	if s.accessHook != nil {
 		s.accessHook(key)
 	}
-	// Zero copies per dispatch: the event object is sealed, so all ~13
-	// watchers share the cache instance itself. Watchers that need to mutate
-	// go through spec.CloneForWrite; at campaign scale the per-event deep
-	// copy this replaces was the single largest allocation source.
+	// Zero copies per dispatch: the event object is sealed, so every receiver
+	// shares the cache instance itself. Watchers that need to mutate go
+	// through spec.CloneForWrite.
 	//
-	// Deliveries are batched per watcher: the event is appended to the
-	// watcher's queue, and one flush per watcher per virtual tick drains it.
-	// A burst of same-tick events (a reconcile loop's writes landing after
-	// the store's fixed watch latency, a restart re-list) schedules ~13 loop
-	// events total instead of ~13 per object.
+	// The event joins the pending ring with the sequence number the next
+	// registration would draw, and one loop event — fanout — delivers it to
+	// all its receivers, however many there are.
 	// No watchers (e.g. a restart re-list before any component watches):
-	// the fanout would deliver to nobody, so skip the queue and loop-event
-	// traffic outright.
+	// the fanout would deliver to nobody, so skip the ring and the loop
+	// event outright.
 	if s.live == 0 {
 		return
 	}
@@ -1078,11 +1053,11 @@ func (s *Server) dispatch(key string, ev WatchEvent) {
 	s.loop.After(0, s.fanoutFn)
 }
 
-// fanout delivers the front pending event to every watcher that was
-// registered at dispatch time and matches its kind, in registration order —
-// one loop event per watch event instead of one per (event, watcher) pair.
-// When a watch-channel injection is armed (the gate reports interest), the
-// event passes through the watch hook exactly once before delivery.
+// fanout delivers the front pending event to its receivers: every watcher
+// that was registered at dispatch time and wants it, in registration order.
+// A watch hook that is present is live — installed only while a watch-channel
+// injection is armed — and the event passes through it exactly once before
+// delivery.
 func (s *Server) fanout() {
 	pd := s.pending[s.pendingHead]
 	s.pending[s.pendingHead] = pendingDispatch{} // release the object ref
@@ -1101,7 +1076,7 @@ func (s *Server) fanout() {
 		return
 	}
 	// The receivers are listed before the first callback runs: a callback may
-	// claim, release or cancel, which edits the very lists being merged.
+	// claim, release or cancel, which edits the very lists they come from.
 	targets := s.receivers(ev, pd.limit)
 	for _, w := range targets {
 		if !w.cancelled {
@@ -1186,7 +1161,7 @@ func (s *Server) get(kind spec.Kind, namespace, name string) (spec.Object, error
 		return nil, ErrTimeout
 	}
 	key := spec.Key(kind, namespace, name)
-	obj, ok := s.cache[key]
+	obj, ok := s.byKey[key]
 	if !ok {
 		return nil, ErrNotFound
 	}
@@ -1251,43 +1226,28 @@ func (s *Server) rangeKind(kind spec.Kind, namespace string, fn func(spec.Object
 // to walking every registration and asking each whether it wants the event,
 // without touching those that do not.
 func (s *Server) receivers(ev WatchEvent, limit int) []*watcher {
-	lists := [3][]*watcher{s.watcherIdx[ev.Kind]}
-	var node, uid [1]*watcher
-	if pod, ok := ev.Object.(*spec.Pod); ok {
-		lists[1] = s.byNode.list(pod.Spec.NodeName, &node)
-		lists[2] = s.byUID.list(pod.Metadata.UID, &uid)
-	}
-	// heads holds the sequence number at the front of each list — limit once
-	// the list has nothing below it — so the merge compares locals.
-	var heads [3]int
-	head := func(l []*watcher) int {
-		if len(l) == 0 || l[0].seq >= limit {
-			return limit
-		}
-		return l[0].seq
-	}
-	for i, l := range lists {
-		heads[i] = head(l)
-	}
 	out := s.fanoutScratch[:0]
 	s.fanoutScratch = nil // a fan-out nested in a callback takes its own
-	for {
-		next := 0
-		for i := 1; i < len(heads); i++ {
-			if heads[i] < heads[next] {
-				next = i
-			}
-		}
-		if heads[next] == limit {
-			return out
-		}
-		w := lists[next][0]
-		lists[next] = lists[next][1:]
-		heads[next] = head(lists[next])
-		if len(out) == 0 || out[len(out)-1] != w {
-			out = append(out, w)
+	out = appendBelow(out, s.watcherIdx[ev.Kind], limit)
+	if pod, ok := ev.Object.(*spec.Pod); ok {
+		n := len(out)
+		out = s.byNode[pod.Spec.NodeName].appendBelow(out, limit)
+		out = s.byUID[pod.Metadata.UID].appendBelow(out, limit)
+		if len(out) > n {
+			// A kubelet is under its node and under its claims: in sequence
+			// order, its two entries are neighbours.
+			slices.SortFunc(out, func(a, b *watcher) int { return cmp.Compare(a.seq, b.seq) })
+			out = slices.Compact(out)
 		}
 	}
+	return out
+}
+
+// appendBelow appends the head of list, ascending by sequence number, that lies
+// below limit.
+func appendBelow(out, list []*watcher, limit int) []*watcher {
+	n, _ := slices.BinarySearchFunc(list, limit, bySeq)
+	return append(out, list[:n]...)
 }
 
 // watch registers fn for the events of kind — for those in scope only, when
@@ -1361,23 +1321,24 @@ func (s *Server) scratch(msg *Message, buf []byte) []byte {
 }
 
 // spliceStatus builds the canonical encoding of obj, a status clone of the
-// current object, from prefix — the metadata+spec records of the array the
-// store holds for the current object — by copying them with obj's revision
+// current object, from written — the array the write path stored for the
+// current object — by copying its metadata+spec records with obj's revision
 // patched in (stored bytes carry the RV their writer saw) and appending obj's
-// re-encoded status section. It also reports where in the result that section
-// starts. Returns nil bytes when prefix does not parse or obj's kind has no
-// status section — the caller falls back to a full encode.
-func (s *Server) spliceStatus(b, prefix []byte, obj spec.Object) ([]byte, int, error) {
+// re-encoded status section. Returns nil bytes when the array does not parse
+// or obj's kind has no status section — the caller falls back to a full
+// encode.
+func (s *Server) spliceStatus(b, written []byte, obj spec.Object) ([]byte, error) {
 	status := spec.StatusOf(obj)
 	if status == nil {
-		return nil, 0, nil
+		return nil, nil
 	}
-	start := len(b)
-	b, ok := codec.AppendPrefixWithRV(b, prefix, obj.Meta().ResourceVersion)
+	off, ok := codec.StatusOffset(written)
 	if !ok {
-		return nil, 0, nil
+		return nil, nil
 	}
-	statusOff := len(b) - start
-	b, err := s.arena.AppendStructField(b, codec.ObjectStatusField, status)
-	return b, statusOff, err
+	b, ok = codec.AppendPrefixWithRV(b, written[:off], obj.Meta().ResourceVersion)
+	if !ok {
+		return nil, nil
+	}
+	return s.arena.AppendStructField(b, codec.ObjectStatusField, status)
 }

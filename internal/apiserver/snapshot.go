@@ -56,8 +56,8 @@ func (s *Server) Snapshot() Snapshot {
 // compiled only for the benchmark's cluster.worker_view_ms metric.
 func (a AuditSnapshot) Clone() AuditSnapshot {
 	a.Entries = append([]AuditEntry(nil), a.Entries...)
-	a.OKByIdentity = copyCounts(a.OKByIdentity)
-	a.ErrByIdentity = copyCounts(a.ErrByIdentity)
+	a.OKByIdentity = maps.Clone(a.OKByIdentity)
+	a.ErrByIdentity = maps.Clone(a.ErrByIdentity)
 	return a
 }
 
@@ -93,8 +93,8 @@ func (s *Server) SkewUIDCounter(n int64) {
 func (a *Audit) Snapshot() AuditSnapshot {
 	return AuditSnapshot{
 		Entries:          append([]AuditEntry(nil), a.Entries...),
-		OKByIdentity:     copyCounts(a.okByIdentity),
-		ErrByIdentity:    copyCounts(a.errByIdentity),
+		OKByIdentity:     maps.Clone(a.okByIdentity),
+		ErrByIdentity:    maps.Clone(a.errByIdentity),
 		Undecodable:      a.undecodable,
 		DroppedWrites:    a.droppedWrites,
 		TamperedOK:       a.tamperedOK,
@@ -116,12 +116,4 @@ func (a *Audit) Restore(snap AuditSnapshot) {
 	a.tamperedOK = snap.TamperedOK
 	a.tamperedErrored = snap.TamperedErrored
 	a.checksumFailures = snap.ChecksumFailures
-}
-
-func copyCounts(in map[string]int) map[string]int {
-	out := make(map[string]int, len(in))
-	for k, v := range in {
-		out[k] = v
-	}
-	return out
 }

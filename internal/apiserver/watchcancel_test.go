@@ -17,8 +17,7 @@ func indexed(srv *Server) []*watcher {
 	}
 	for _, idx := range []posIndex{srv.byNode, srv.byUID} {
 		for _, p := range idx {
-			var one [1]*watcher
-			out = append(out, p.all(&one)...)
+			out = p.appendBelow(out, srv.nextSeq)
 		}
 	}
 	return out

@@ -15,6 +15,7 @@ package controller
 import (
 	"fmt"
 	"hash/fnv"
+	"strings"
 	"time"
 
 	"github.com/mutiny-sim/mutiny/internal/apiserver"
@@ -301,12 +302,11 @@ func templateHash(tpl spec.PodTemplate) string {
 }
 
 func splitKey(key string) (namespace, name string) {
-	for i := 0; i < len(key); i++ {
-		if key[i] == '/' {
-			return key[:i], key[i+1:]
-		}
+	namespace, name, ok := strings.Cut(key, "/")
+	if !ok {
+		return "", key
 	}
-	return "", key
+	return namespace, name
 }
 
 func objKey(o spec.Object) string {

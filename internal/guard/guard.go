@@ -21,6 +21,7 @@ package guard
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"github.com/mutiny-sim/mutiny/internal/apiserver"
@@ -257,10 +258,9 @@ func zeroLike(v any) any {
 }
 
 func splitInstance(instance string) (ns, name string) {
-	for i := 0; i < len(instance); i++ {
-		if instance[i] == '/' {
-			return instance[:i], instance[i+1:]
-		}
+	ns, name, ok := strings.Cut(instance, "/")
+	if !ok {
+		return "", instance
 	}
-	return "", instance
+	return ns, name
 }

@@ -19,6 +19,7 @@ package inject
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"github.com/mutiny-sim/mutiny/internal/apiserver"
@@ -365,7 +366,7 @@ func (j *Injector) intercept(ch Channel, m *apiserver.Message) apiserver.Action 
 	if in == nil || j.report.Fired || in.Channel != ch || in.Kind != m.Kind {
 		return apiserver.Pass
 	}
-	if ch == ChannelRequest && in.SourcePrefix != "" && !hasPrefix(m.Source, in.SourcePrefix) {
+	if ch == ChannelRequest && in.SourcePrefix != "" && !strings.HasPrefix(m.Source, in.SourcePrefix) {
 		return apiserver.Pass
 	}
 	instance := m.Namespace + "/" + m.Name
@@ -480,8 +481,4 @@ func flipValue(old any, bit, charIndex int) any {
 	default:
 		return nil
 	}
-}
-
-func hasPrefix(s, prefix string) bool {
-	return len(s) >= len(prefix) && s[:len(prefix)] == prefix
 }

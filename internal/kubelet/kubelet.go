@@ -9,6 +9,7 @@
 package kubelet
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"net"
@@ -569,16 +570,10 @@ func (k *Kubelet) untrackPod(uid string) {
 }
 
 func sortVictims(victims []*podRuntime) {
-	for i := 1; i < len(victims); i++ {
-		for j := i; j > 0 && less(victims[j], victims[j-1]); j-- {
-			victims[j], victims[j-1] = victims[j-1], victims[j]
+	slices.SortStableFunc(victims, func(a, b *podRuntime) int {
+		if c := cmp.Compare(a.pod.Spec.Priority, b.pod.Spec.Priority); c != 0 {
+			return c
 		}
-	}
-}
-
-func less(a, b *podRuntime) bool {
-	if a.pod.Spec.Priority != b.pod.Spec.Priority {
-		return a.pod.Spec.Priority < b.pod.Spec.Priority
-	}
-	return a.startedAt > b.startedAt
+		return cmp.Compare(b.startedAt, a.startedAt)
+	})
 }

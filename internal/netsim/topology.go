@@ -16,6 +16,7 @@
 package netsim
 
 import (
+	"strconv"
 	"strings"
 	"time"
 
@@ -37,18 +38,10 @@ func ZoneName(i, zones int) string {
 	case i == 0:
 		return "core"
 	case i == zones-1:
-		return "edge-" + itoa(i)
+		return "edge-" + strconv.Itoa(i)
 	default:
-		return "regional-" + itoa(i)
+		return "regional-" + strconv.Itoa(i)
 	}
-}
-
-// itoa avoids strconv for the tiny zone indexes.
-func itoa(i int) string {
-	if i < 10 {
-		return string(rune('0' + i))
-	}
-	return itoa(i/10) + string(rune('0'+i%10))
 }
 
 // ZoneIsEdge reports whether a zone name denotes an edge zone.

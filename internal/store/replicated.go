@@ -151,18 +151,21 @@ func (r *Replicated) quorumFrom(origin int) bool {
 
 // PutVia writes through the given origin replica and replicates the op. The
 // write is acknowledged from the origin — by the time any component observes
-// it, the (possibly corrupted) value is what consensus will agree on. A lost
-// origin or a minority-side origin rejects the write.
-func (r *Replicated) PutVia(origin int, key string, kind spec.Kind, value []byte) (int64, error) {
+// it, the (possibly corrupted) value is what consensus will agree on — with
+// the KV the origin committed: the one owned array the op installs there and
+// carries to every other replica, and the origin's revision. A lost origin or
+// a minority-side origin rejects the write, and a refused write returns the
+// zero KV.
+func (r *Replicated) PutVia(origin int, key string, kind spec.Kind, value []byte) (KV, error) {
 	if r.down[origin] {
-		return 0, ErrReplicaDown
+		return KV{}, ErrReplicaDown
 	}
 	if !r.quorumFrom(origin) {
-		return 0, ErrNoQuorum
+		return KV{}, ErrNoQuorum
 	}
 	rep := r.replicas[origin]
 	if err := rep.admits(value); err != nil {
-		return 0, err // refused before the copy: a rejected write allocates nothing
+		return KV{}, err // refused before the copy: a rejected write allocates nothing
 	}
 	// One copy per accepted write, shared by every replica: the caller's
 	// bytes typically live in a reused encode buffer, so the fan-out takes
@@ -175,7 +178,7 @@ func (r *Replicated) PutVia(origin int, key string, kind spec.Kind, value []byte
 	}
 	rev := rep.install(key, kind, owned)
 	r.apply(origin, repOp{key: key, kind: kind, value: owned})
-	return rev, nil
+	return KV{Key: key, Kind: kind, Value: owned, Revision: rev}, nil
 }
 
 // DeleteVia removes through the given origin replica and replicates the

@@ -203,7 +203,10 @@ func TestOneMemberStoreIsAStore(t *testing.T) {
 	loop = sim.NewLoop(9)
 	r := NewReplicated(loop, 1, opts)
 	member := oneMemberScript(loop, storeOps{
-		put: func(key string, v []byte) (int64, error) { return r.PutVia(0, key, spec.KindPod, v) },
+		put: func(key string, v []byte) (int64, error) {
+			kv, err := r.PutVia(0, key, spec.KindPod, v)
+			return kv.Revision, err
+		},
 		del: func(key string) bool {
 			ok, err := r.DeleteVia(0, key)
 			return ok && err == nil
@@ -254,5 +257,65 @@ func TestRejectedWriteAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("a quota-rejected PutVia allocates %.0f times, want 0", allocs)
+	}
+}
+
+// PutVia returns what its origin committed: the one owned array that every
+// replica reachable from the origin then serves, and a cut-off one once the
+// cut heals, at the origin's revision. A refused write returns the zero KV.
+func TestPutViaReturnsTheCommittedKV(t *testing.T) {
+	r := NewReplicated(sim.NewLoop(1), 3, &Options{MaxValueBytes: 8})
+	if _, err := r.PutVia(0, "/a", spec.KindPod, []byte("v0")); err != nil {
+		t.Fatal(err) // the origin's revision runs ahead of replica 2's from here
+	}
+	r.Partition([]int{0, 1}, []int{2})
+	value := []byte("v1")
+	kv, err := r.PutVia(0, "/k", spec.KindPod, value)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kv.Key != "/k" || kv.Kind != spec.KindPod || string(kv.Value) != "v1" || kv.Revision != r.RevisionAt(0) {
+		t.Fatalf("PutVia returned %+v, want /k, Pod, %q at the origin's revision %d", kv, "v1", r.RevisionAt(0))
+	}
+	if &kv.Value[0] == &value[0] {
+		t.Fatal("PutVia returned the caller's bytes, not the array it stored")
+	}
+	serves := func(i int) {
+		t.Helper()
+		got, ok, err := r.GetFrom(i, "/k")
+		if err != nil || !ok || &got.Value[0] != &kv.Value[0] {
+			t.Fatalf("replica %d serves %q (ok=%v, err %v), not the returned array", i, got.Value, ok, err)
+		}
+		if i == 0 && got.Revision != kv.Revision {
+			t.Fatalf("the origin serves revision %d, PutVia returned %d", got.Revision, kv.Revision)
+		}
+	}
+	serves(0)
+	serves(1)
+	if _, ok, _ := r.GetFrom(2, "/k"); ok {
+		t.Fatal("a replica cut off from the origin already serves the write")
+	}
+	r.Heal()
+	serves(2)
+
+	for _, tc := range []struct {
+		name  string
+		setup func(r *Replicated)
+		value []byte
+		want  error
+	}{
+		{"origin down", func(r *Replicated) { r.DropReplica(0) }, []byte("v"), ErrReplicaDown},
+		{"no quorum", func(r *Replicated) { r.Partition([]int{0}, []int{1, 2}) }, []byte("v"), ErrNoQuorum},
+		{"too large", func(*Replicated) {}, []byte("123456789"), ErrTooLarge},
+	} {
+		r := NewReplicated(sim.NewLoop(1), 3, &Options{MaxValueBytes: 8})
+		tc.setup(r)
+		kv, err := r.PutVia(0, "/k", spec.KindPod, tc.value)
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: err %v, want %v", tc.name, err, tc.want)
+		}
+		if !reflect.DeepEqual(kv, KV{}) {
+			t.Errorf("%s: a refused PutVia returned %+v, want the zero KV", tc.name, kv)
+		}
 	}
 }
