@@ -99,9 +99,12 @@ docs-lint:
 # Outcome neutrality against another revision: `make outcomes-cmp PARENT=HEAD~1`
 # builds mutiny-campaign from PARENT (a `git archive` of it, unpacked in a
 # temporary directory that is removed afterwards) and from the working tree,
-# runs both with -quiet on the six argument sets below — shared-bootstrap and
-# replay regimes, zoned, HA, admission, and HA with admission — and fails on the
-# first stdout that differs by a byte. For any change that must not move an
+# runs both with -quiet on each of the six argument sets below — shared-bootstrap
+# and replay regimes, zoned, HA, admission, and HA with admission — and prints
+# one line per set: `same: <args>` when the two stdouts are byte-identical,
+# `moved: <args> (<n> of <m> lines differ)` when they are not, and
+# `failed: <args>` when either run exits non-zero. It exits non-zero after the
+# last set if any set moved or failed. For any change that must not move an
 # outcome: a read path, an index, a cache, a delivery path. Under a minute.
 OUTCOME_ARGS = \
 	"-stride 10 -golden 10 -share-bootstrap" \
@@ -116,13 +119,22 @@ outcomes-cmp:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && mkdir "$$tmp/parent" && \
 	git archive "$(PARENT)" | tar -x -C "$$tmp/parent" && \
 	(cd "$$tmp/parent" && $(GO) build -o "$$tmp/campaign.parent" ./cmd/mutiny-campaign) && \
-	$(GO) build -o "$$tmp/campaign.new" ./cmd/mutiny-campaign && \
+	$(GO) build -o "$$tmp/campaign.new" ./cmd/mutiny-campaign || exit 1; \
+	bad=0; sets=0; \
 	for args in $(OUTCOME_ARGS); do \
-		"$$tmp/campaign.parent" -quiet $$args > "$$tmp/parent.out" && \
-		"$$tmp/campaign.new" -quiet $$args > "$$tmp/new.out" && \
-		cmp "$$tmp/parent.out" "$$tmp/new.out" && echo "same: $$args" || \
-		{ echo "outcomes differ from $(PARENT): $$args"; exit 1; }; \
-	done
+		if ! "$$tmp/campaign.parent" -quiet $$args > "$$tmp/parent.out" || \
+			! "$$tmp/campaign.new" -quiet $$args > "$$tmp/new.out"; then \
+			echo "failed: $$args"; bad=$$((bad + 1)); \
+		elif cmp -s "$$tmp/parent.out" "$$tmp/new.out"; then \
+			echo "same: $$args"; \
+		else \
+			d=$$(diff "$$tmp/parent.out" "$$tmp/new.out" | awk '/^</ { p++ } /^>/ { n++ } END { print (p > n ? p : n) }'); \
+			m=$$(wc -l < "$$tmp/parent.out"); k=$$(wc -l < "$$tmp/new.out"); [ $$k -le $$m ] || m=$$k; \
+			echo "moved: $$args ($$d of $$m lines differ)"; bad=$$((bad + 1)); \
+		fi; \
+		sets=$$((sets + 1)); \
+	done; \
+	[ $$bad -eq 0 ] || { echo "$$bad of $$sets argument sets moved or failed against $(PARENT)"; exit 1; }
 
 # The findings oracle over the full campaign: TestPaperFindingsHold runs every
 # generated experiment (stride 1) instead of tier-1's stride of 2, against the

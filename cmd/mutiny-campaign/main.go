@@ -92,6 +92,10 @@ func run(args []string) error {
 		// was most likely a typo.
 		return fmt.Errorf("-stride must be >= 1, got %d", *stride)
 	}
+	if *golden < 1 {
+		// Likewise the engine reads 0 golden runs as its default of 100.
+		return fmt.Errorf("-golden must be >= 1, got %d", *golden)
+	}
 	if *policy != "" && *policy != "Fail" && *policy != "Ignore" {
 		return fmt.Errorf("-failure-policy must be Fail or Ignore, got %q", *policy)
 	}
@@ -101,7 +105,7 @@ func run(args []string) error {
 		name string
 		val  int
 	}{
-		{"golden", *golden}, {"control-plane-replicas", *replicas}, {"admission-hooks", *hooks},
+		{"control-plane-replicas", *replicas}, {"admission-hooks", *hooks},
 		{"nodes", *nodes}, {"zones", *zones}, {"edge-nodes", *edgeNodes}, {"parallel", *parallel},
 	} {
 		if f.val < 0 {

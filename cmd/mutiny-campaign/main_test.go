@@ -34,7 +34,8 @@ func TestRunRejectsOutOfRangeCounts(t *testing.T) {
 		{[]string{"-nodes", "-3"}, "-nodes must be >= 0, got -3"},
 		{[]string{"-zones", "-2"}, "-zones must be >= 0, got -2"},
 		{[]string{"-edge-nodes", "-1"}, "-edge-nodes must be >= 0, got -1"},
-		{[]string{"-golden", "-5"}, "-golden must be >= 0, got -5"},
+		{[]string{"-golden", "-5"}, "-golden must be >= 1, got -5"},
+		{[]string{"-golden", "0"}, "-golden must be >= 1, got 0"},
 		{[]string{"-admission-hooks", "-1"}, "-admission-hooks must be >= 0, got -1"},
 		{[]string{"-admission-hooks", "4"}, "-admission-hooks must be 0-3, got 4"},
 		{[]string{"-stride", "0"}, "-stride must be >= 1, got 0"},

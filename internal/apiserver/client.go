@@ -7,8 +7,8 @@ import (
 )
 
 // Client is a component's handle on the API server, carrying the component's
-// identity so that the audit trail and the propagation experiments can
-// attribute every request.
+// identity so that the audit counts each failed request against the
+// component that issued it.
 //
 // Reads follow the sealed-read contract: Get, List and Range hand out the server's
 // sealed cache instances with zero copies. Callers may read and retain them

@@ -33,8 +33,8 @@ import (
 	"github.com/mutiny-sim/mutiny/internal/store"
 )
 
-// API error values, matched by components to decide on retries and by the
-// audit trail feeding the user-error analysis (Figure 7).
+// API error values, matched by components to decide on retries. The audit
+// counts every one a request returns (Figure 7's user errors).
 var (
 	ErrNotFound      = errors.New("apiserver: not found")
 	ErrAlreadyExists = errors.New("apiserver: already exists")
@@ -81,9 +81,9 @@ type Message struct {
 	Name      string
 	Source    string // component identity that issued the request
 	Data      []byte // encoded object; nil for deletes
-	// Tampered is set by an injection hook when it mutates the message; it
-	// lets the audit trail attribute outcomes for the propagation
-	// experiments (Table VI).
+	// Tampered is set by an injection hook when it mutates the message; the
+	// audit counts a tampered request as persisted or errored for the
+	// propagation experiments (Table VI).
 	Tampered bool
 }
 
@@ -319,7 +319,7 @@ func NewAt(loop *sim.Loop, st *store.Replicated, origin int, opts *Options) *Ser
 		byNode:    make(posIndex),
 		byUID:     make(posIndex),
 		decoded:   &DecodeCache{entries: make(map[string]decodedEntry)},
-		audit:     NewAudit(loop),
+		audit:     NewAudit(),
 		arena:     codec.NewArena(),
 	}
 	s.fanoutFn = s.fanout
@@ -334,9 +334,9 @@ func NewAt(loop *sim.Loop, st *store.Replicated, origin int, opts *Options) *Ser
 // Reset returns the server to the state NewAt and the Set* wiring calls left
 // it in, keeping the memory of its tables: empty watch cache and decode
 // cache, no watchers, no queued dispatch, no hooks, counters
-// at their configured start, up, audit trail empty. What survives is wiring,
-// not state: the store binding, the admission stride, the shared audit
-// trail, decode cache and admission chain (the first two are emptied here, by
+// at their configured start, up, audit counters zero. What survives is
+// wiring, not state: the store binding, the admission stride, the shared
+// audit, decode cache and admission chain (the first two are emptied here, by
 // every replica alike; Reset does not touch the chain: it has one owner, the
 // servers are many), the encode arena. Every registration counts as cancelled
 // from here on, so a late cancel is a no-op. The store must have been Reset
@@ -392,10 +392,9 @@ func (s *Server) SetAdmissionStride(offset, stride int) {
 	s.uidStride = int64(stride)
 }
 
-// SetAudit replaces the server's audit trail. The HA control plane shares one
-// trail across all replicas so per-identity error accounting is cluster-wide,
-// like scraping every apiserver's audit log into one place. Call before any
-// request is served.
+// SetAudit replaces the server's audit. The HA control plane shares one
+// across all replicas so per-identity error counts are cluster-wide,
+// whichever replica served. Call before any request is served.
 func (s *Server) SetAudit(a *Audit) { s.audit = a }
 
 // DecodeCache returns the server's decode cache.
@@ -508,7 +507,7 @@ func (s *Server) decodeCached(kind spec.Kind, key string, data []byte, rev int64
 	return obj, false, nil
 }
 
-// Audit returns the server's audit trail.
+// Audit returns the server's audit counters.
 func (s *Server) Audit() *Audit { return s.audit }
 
 // SetStoreWriteHook installs the apiserver→store channel hook.
@@ -635,10 +634,10 @@ func (s *Server) cacheSet(key string, kind spec.Kind, obj spec.Object) (replaced
 
 // --- request path (component → apiserver → store) ---------------------------
 
-func (s *Server) handle(identity string, verb Verb, obj spec.Object) error {
+func (s *Server) handle(identity string, verb Verb, obj spec.Object) (err error) {
 	if s.down {
 		// A crashed apiserver never answers: the caller observes a timeout.
-		// Nothing is audited — a dead process writes no log.
+		// Nothing is counted — a dead process keeps no audit.
 		return ErrTimeout
 	}
 	kind := obj.Kind()
@@ -656,6 +655,13 @@ func (s *Server) handle(identity string, verb Verb, obj spec.Object) error {
 		Name:      meta.Name,
 		Source:    identity,
 	}
+	// The one place a failed request is counted: against its issuer, and as
+	// a tampered request that errored if the request channel corrupted it.
+	defer func() {
+		if err != nil {
+			s.audit.countError(identity, msg.Tampered)
+		}
+	}()
 	// Fast path: no request hook, so nothing listens on the component→
 	// apiserver wire. Its round-trip (encode + decode) is then
 	// observationally dead weight, and so is a copy: every write hands its
@@ -663,29 +669,29 @@ func (s *Server) handle(identity string, verb Verb, obj spec.Object) error {
 	// seals the caller's instance itself. Only a sealed argument — a cache
 	// reference passed straight back — is copied first.
 	if s.requestHook == nil {
-		return s.apply(identity, verb, msg, spec.CloneForWrite(obj))
+		return s.apply(verb, msg, spec.CloneForWrite(obj))
 	}
 	// The request wire bytes live only for the duration of this (synchronous)
 	// handle call — the store copies on Put — so they are encoded into the
 	// server's request buffer instead of a per-request allocation.
 	data, err := s.arena.AppendMarshal(s.scratch(msg, s.reqData), obj)
 	if err != nil {
-		return s.audit.record(identity, verb, kind, meta.Name, fmt.Errorf("%w: %v", ErrBadRequest, err), false)
+		return fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	s.reqData, msg.Data = data, data
 
 	// Channel 1: component → apiserver. Tampering here faces validation.
 	if s.requestHook(msg) == Drop {
 		// The request never reaches the server; the component times out.
-		return s.audit.record(identity, verb, kind, msg.Name, ErrTimeout, msg.Tampered)
+		return ErrTimeout
 	}
 
 	recv := spec.New(kind)
 	if err := codec.Unmarshal(msg.Data, recv); err != nil {
-		return s.audit.record(identity, verb, kind, msg.Name, fmt.Errorf("%w: %v", ErrBadRequest, err), msg.Tampered)
+		return fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 
-	return s.apply(identity, verb, msg, recv)
+	return s.apply(verb, msg, recv)
 }
 
 // apply validates, admits and persists a request object: the one the caller
@@ -693,7 +699,7 @@ func (s *Server) handle(identity string, verb Verb, obj spec.Object) error {
 // resource-version checks read the backend, not the watch cache: writes are
 // transactional against the store (like etcd txns), while reads are served
 // from the cache.
-func (s *Server) apply(identity string, verb Verb, msg *Message, obj spec.Object) error {
+func (s *Server) apply(verb Verb, msg *Message, obj spec.Object) error {
 	kind := msg.Kind
 	key := spec.Key(kind, msg.Namespace, msg.Name)
 	var donor spec.Object
@@ -704,32 +710,32 @@ func (s *Server) apply(identity string, verb Verb, msg *Message, obj spec.Object
 		// This server's store replica is lost: every verb fails, and the
 		// wrapped cause lets failover clients tell "endpoint unusable" from
 		// an application error.
-		return s.audit.record(identity, verb, kind, msg.Name, fmt.Errorf("%w: %w", ErrUnavailable, curErr), msg.Tampered)
+		return fmt.Errorf("%w: %w", ErrUnavailable, curErr)
 	}
 	if curErr != nil && verb != VerbDelete {
 		// The current object is undecodable: mutating requests fail until
 		// the undecodable-deletion sweep removes it.
-		return s.audit.record(identity, verb, kind, msg.Name, fmt.Errorf("%w: %v", ErrUnavailable, curErr), msg.Tampered)
+		return fmt.Errorf("%w: %v", ErrUnavailable, curErr)
 	}
 
 	switch verb {
 	case VerbCreate:
 		if exists {
-			return s.audit.record(identity, verb, kind, msg.Name, ErrAlreadyExists, msg.Tampered)
+			return ErrAlreadyExists
 		}
 		if err := s.validate(verb, msg, obj, nil); err != nil {
-			return s.audit.record(identity, verb, kind, msg.Name, err, msg.Tampered)
+			return err
 		}
 		stamped = s.admitCreate(obj)
 	case VerbUpdate:
 		if !exists {
-			return s.audit.record(identity, verb, kind, msg.Name, ErrNotFound, msg.Tampered)
+			return ErrNotFound
 		}
 		if obj.Meta().ResourceVersion != cur.Meta().ResourceVersion {
-			return s.audit.record(identity, verb, kind, msg.Name, ErrConflict, msg.Tampered)
+			return ErrConflict
 		}
 		if err := s.validate(verb, msg, obj, cur); err != nil {
-			return s.audit.record(identity, verb, kind, msg.Name, err, msg.Tampered)
+			return err
 		}
 		// Updates preserve identity and creation metadata.
 		obj.Meta().UID = cur.Meta().UID
@@ -737,10 +743,10 @@ func (s *Server) apply(identity string, verb Verb, msg *Message, obj spec.Object
 		obj.Meta().Generation = cur.Meta().Generation + 1
 	case VerbUpdateStatus:
 		if !exists {
-			return s.audit.record(identity, verb, kind, msg.Name, ErrNotFound, msg.Tampered)
+			return ErrNotFound
 		}
 		if obj.Meta().ResourceVersion != cur.Meta().ResourceVersion {
-			return s.audit.record(identity, verb, kind, msg.Name, ErrConflict, msg.Tampered)
+			return ErrConflict
 		}
 		// Status updates cannot change spec or metadata: graft the incoming
 		// status onto a status clone of the current object (subresource
@@ -751,14 +757,13 @@ func (s *Server) apply(identity string, verb Verb, msg *Message, obj spec.Object
 		splice = written
 		donor, obj = obj, spec.WithStatus(cur, obj)
 		if obj == nil {
-			err := fmt.Errorf("%w: kind %s has no status subresource", ErrBadRequest, kind)
-			return s.audit.record(identity, verb, kind, msg.Name, err, msg.Tampered)
+			return fmt.Errorf("%w: kind %s has no status subresource", ErrBadRequest, kind)
 		}
 	case VerbDelete:
 		if !exists {
-			return s.audit.record(identity, verb, kind, msg.Name, ErrNotFound, msg.Tampered)
+			return ErrNotFound
 		}
-		return s.persistDelete(identity, msg, key)
+		return s.persistDelete(msg, key)
 	}
 
 	// Admission runs after validation and metadata handling, immediately
@@ -770,11 +775,11 @@ func (s *Server) apply(identity string, verb Verb, msg *Message, obj spec.Object
 	if s.admission != nil && (verb == VerbCreate || verb == VerbUpdate) {
 		if err := s.admission.Admit(verb, obj); err != nil {
 			stamped.undo(obj)
-			return s.audit.record(identity, verb, kind, msg.Name, err, msg.Tampered)
+			return err
 		}
 	}
 
-	err := s.persistWrite(identity, verb, msg, obj, key, splice)
+	err := s.persistWrite(verb, msg, obj, key, splice)
 	if err != nil {
 		stamped.undo(obj)
 	}
@@ -799,7 +804,7 @@ func (s *Server) apply(identity string, verb Verb, msg *Message, obj spec.Object
 // object shares metadata and spec with the current one and the encoder is
 // deterministic. The splice is off under critical-field checksums (the fresh
 // stamp changes the metadata section the prefix covers).
-func (s *Server) persistWrite(identity string, verb Verb, msg *Message, obj spec.Object, key string, splice []byte) error {
+func (s *Server) persistWrite(verb Verb, msg *Message, obj spec.Object, key string, splice []byte) error {
 	if s.opts.CriticalFieldChecksums {
 		stampChecksum(obj)
 		splice = nil
@@ -818,7 +823,7 @@ func (s *Server) persistWrite(identity string, verb Verb, msg *Message, obj spec
 	if data == nil {
 		data, err = s.arena.AppendMarshal(buf, obj)
 		if err != nil {
-			return s.audit.record(identity, verb, msg.Kind, msg.Name, fmt.Errorf("%w: %v", ErrBadRequest, err), msg.Tampered)
+			return fmt.Errorf("%w: %v", ErrBadRequest, err)
 		}
 	}
 	s.storeData = data
@@ -840,7 +845,7 @@ func (s *Server) persistWrite(identity string, verb Verb, msg *Message, obj spec
 	if err != nil {
 		// %w on the cause too: failover clients match store.ErrReplicaDown /
 		// store.ErrNoQuorum to retry against another apiserver.
-		return s.audit.record(identity, verb, msg.Kind, msg.Name, fmt.Errorf("%w: %w", ErrUnavailable, err), msg.Tampered)
+		return fmt.Errorf("%w: %w", ErrUnavailable, err)
 	}
 	// Prime the decode cache with the object just persisted: decoding the
 	// stored bytes would reproduce obj field for field (the codec round-trips
@@ -863,7 +868,6 @@ func (s *Server) persistWrite(identity string, verb Verb, msg *Message, obj spec
 			s.decoded.entries[key] = decodedEntry{obj: obj, src: &kv.Value[0], written: true}
 		}
 	}
-	s.audit.countOK(identity, verb)
 	if msg.Tampered {
 		s.audit.countTamperedOK()
 	}
@@ -880,7 +884,7 @@ func (s *Server) storeMessage(msg *Message) *Message {
 	return new(Message)
 }
 
-func (s *Server) persistDelete(identity string, msg *Message, key string) error {
+func (s *Server) persistDelete(msg *Message, key string) error {
 	out := s.storeMessage(msg)
 	*out = Message{
 		Verb: VerbDelete, Kind: msg.Kind, Namespace: msg.Namespace, Name: msg.Name,
@@ -895,12 +899,11 @@ func (s *Server) persistDelete(identity string, msg *Message, key string) error 
 	}
 	ok, err := s.store.DeleteVia(s.origin, key)
 	if err != nil {
-		return s.audit.record(identity, VerbDelete, msg.Kind, msg.Name, fmt.Errorf("%w: %w", ErrUnavailable, err), msg.Tampered)
+		return fmt.Errorf("%w: %w", ErrUnavailable, err)
 	}
 	if !ok {
-		return s.audit.record(identity, VerbDelete, msg.Kind, msg.Name, ErrNotFound, msg.Tampered)
+		return ErrNotFound
 	}
-	s.audit.countOK(identity, VerbDelete)
 	return nil
 }
 

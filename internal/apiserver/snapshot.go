@@ -34,31 +34,9 @@ func (c *DecodeCache) Restore(snap *DecodeCache) {
 	maps.Copy(c.entries, snap.entries)
 }
 
-// AuditSnapshot is a deep copy of the audit trail's counters and entries.
-type AuditSnapshot struct {
-	Entries          []AuditEntry
-	OKByIdentity     map[string]int
-	ErrByIdentity    map[string]int
-	Undecodable      int
-	DroppedWrites    int
-	TamperedOK       int
-	TamperedErrored  int
-	ChecksumFailures int
-}
-
 // Snapshot captures the server's fork-relevant state.
 func (s *Server) Snapshot() Snapshot {
 	return Snapshot{UIDCounter: s.uidCounter, IPCounter: s.ipCounter}
-}
-
-// Clone returns a snapshot with private map and slice structure (the entries
-// and counters). Its only caller is cluster.Snapshot.WorkerView, which stays
-// compiled only for the benchmark's cluster.worker_view_ms metric.
-func (a AuditSnapshot) Clone() AuditSnapshot {
-	a.Entries = append([]AuditEntry(nil), a.Entries...)
-	a.OKByIdentity = maps.Clone(a.OKByIdentity)
-	a.ErrByIdentity = maps.Clone(a.ErrByIdentity)
-	return a
 }
 
 // RestoreSnapshot installs snapshot state into a server that is freshly built
@@ -88,32 +66,20 @@ func (s *Server) SkewUIDCounter(n int64) {
 	}
 }
 
-// Snapshot returns a deep copy of the trail: immutable data, safe to restore
-// into many forks concurrently.
-func (a *Audit) Snapshot() AuditSnapshot {
-	return AuditSnapshot{
-		Entries:          append([]AuditEntry(nil), a.Entries...),
-		OKByIdentity:     maps.Clone(a.okByIdentity),
-		ErrByIdentity:    maps.Clone(a.errByIdentity),
-		Undecodable:      a.undecodable,
-		DroppedWrites:    a.droppedWrites,
-		TamperedOK:       a.tamperedOK,
-		TamperedErrored:  a.tamperedErrored,
-		ChecksumFailures: a.checksumFailures,
-	}
+// Snapshot returns a copy of the trail that nothing writes to: immutable
+// data, safe to restore into many forks concurrently.
+func (a *Audit) Snapshot() *Audit {
+	snap := *a
+	snap.errByIdentity = maps.Clone(a.errByIdentity)
+	return &snap
 }
 
 // Restore replaces the trail's contents with the snapshot's, before the
 // servers sharing the trail rebuild their watch caches.
-func (a *Audit) Restore(snap AuditSnapshot) {
-	a.Entries = append(a.Entries[:0], snap.Entries...)
-	clear(a.okByIdentity)
-	maps.Copy(a.okByIdentity, snap.OKByIdentity)
-	clear(a.errByIdentity)
-	maps.Copy(a.errByIdentity, snap.ErrByIdentity)
-	a.undecodable = snap.Undecodable
-	a.droppedWrites = snap.DroppedWrites
-	a.tamperedOK = snap.TamperedOK
-	a.tamperedErrored = snap.TamperedErrored
-	a.checksumFailures = snap.ChecksumFailures
+func (a *Audit) Restore(snap *Audit) {
+	errs := a.errByIdentity
+	clear(errs)
+	maps.Copy(errs, snap.errByIdentity)
+	*a = *snap
+	a.errByIdentity = errs
 }

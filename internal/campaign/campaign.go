@@ -387,7 +387,8 @@ func (w *Worker) bootCluster(spec Spec) (cl *cluster.Cluster, snap *cluster.Snap
 type experiment struct {
 	obs    *classify.Observation // nil without collect
 	report inject.Report
-	// The audit trail's numbers for the propagation analysis (Table VI).
+	// The audit's counts for Figure 7 (the user's errors) and the
+	// propagation analysis (Table VI).
 	userErrors, tamperedPersisted, tamperedErrored int
 	// Where the simulation stood when the window closed: the cheapest
 	// witnesses that two runs of a spec executed the same simulation

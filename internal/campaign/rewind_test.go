@@ -184,3 +184,78 @@ func TestRewindMatchesFork(t *testing.T) {
 		})
 	}
 }
+
+// TestRewindAfterFailureStormMatchesFork holds rewind ≡ fork across an
+// experiment that fails thousands of requests yet leaves the store near its
+// snapshot's size. A bit flip in a stored ReplicaSet's pod-template-hash label
+// sets the controller manager recreating a ReplicaSet that exists and
+// updating one that moved on: before the audit kept only counters, this
+// window logged 1,598 failed requests (kcm: 795 already-exists and 787
+// conflicts; scheduler: 16 not-found) against a store of 45 keys, the
+// snapshot's 27, and a cluster past 1,024 failed requests was dropped and
+// forked afresh. Now it is rewound, and nothing run next on it may tell.
+func TestRewindAfterFailureStormMatchesFork(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs ~25 experiments, half of them failure storms")
+	}
+	r := NewRunner()
+	r.GoldenRuns = 3
+	r.ShareBootstrap = true
+	kind := workload.Deploy
+	var storm rewindItem
+	for _, s := range Generate(kind, r.Record(kind)) {
+		if strings.Contains(s.Injection.Label(), "ReplicaSet metadata.labels[pod-template-hash] bit-flip(bit=0,char=0) occ=1") {
+			storm.spec = s
+			break
+		}
+	}
+	if storm.spec.Injection == nil {
+		t.Fatal("the storm spec is no longer generated")
+	}
+
+	// The storm's window on a fork of its own: still a storm, and the cluster
+	// it leaves is not outgrown.
+	w := &Worker{r: r, pool: classify.NewBufferPool()}
+	cl, snap, injector, driver := w.bootCluster(storm.spec)
+	injector.Arm(*storm.spec.Injection)
+	start := cl.Loop.Now()
+	cl.Loop.RunUntil(start + opStartDelay)
+	driver.Run()
+	cl.Loop.RunUntil(start + windowLength)
+	if n := cl.Server.Audit().ErrorsBy("kcm"); n <= 1024 {
+		t.Fatalf("the storm failed %d of the controller manager's requests; the test needs more than 1,024", n)
+	}
+	if snap.Outgrown(cl) {
+		t.Fatalf("the storm's cluster (%d keys) is outgrown: it would be dropped, not rewound", cl.Backend.Len())
+	}
+	cl.Stop()
+
+	items := append([]rewindItem{storm}, everyFamily(r, kind, 1)...)
+	wantExp := make([]experiment, len(items))
+	wantRes := make([]*Result, len(items))
+	for i, it := range items {
+		wantExp[i], wantRes[i] = it.run(&Worker{r: r, pool: classify.NewBufferPool()})
+	}
+
+	// One worker: the storm, then the experiment under test on the cluster
+	// the storm left behind.
+	w = r.acquireWorker()
+	defer r.releaseWorker(w)
+	for i, it := range items {
+		if exp, _ := storm.run(w); !exp.report.Fired {
+			t.Fatalf("the storm did not fire: %+v", exp.report)
+		}
+		if len(w.clusters) != 1 {
+			t.Fatalf("the worker holds %d clusters after the storm, want its one rewound cluster", len(w.clusters))
+		}
+		exp, res := it.run(w)
+		if !reflect.DeepEqual(res, wantRes[i]) {
+			t.Errorf("spec %d (%s): Result after the storm's rewind\n%+v\nafter a fork\n%+v",
+				i, it.spec.Injection.Label(), res, wantRes[i])
+		}
+		if !reflect.DeepEqual(exp, wantExp[i]) {
+			t.Errorf("spec %d (%s): experiment after the storm's rewind\n%+v obs %+v\nafter a fork\n%+v obs %+v",
+				i, it.spec.Injection.Label(), exp, exp.obs, wantExp[i], wantExp[i].obs)
+		}
+	}
+}

@@ -206,7 +206,7 @@ func assemble(cfg Config, loop *sim.Loop, backend *store.Replicated) *Cluster {
 		// failover can never collide.
 		servers[i].SetAdmissionStride(i, n)
 	}
-	// One audit trail and one decode cache for the whole control plane,
+	// One audit and one decode cache for the whole control plane,
 	// whichever replica served.
 	for i := 1; i < n; i++ {
 		servers[i].SetAudit(servers[0].Audit())
@@ -248,7 +248,7 @@ func assemble(cfg Config, loop *sim.Loop, backend *store.Replicated) *Cluster {
 		// Webhook backends live on the non-monitoring worker nodes (round-
 		// robin), so they are reachable through the virtual network and share
 		// fate with the data plane. One chain serves every replica: admission
-		// configuration is cluster state, like the shared audit trail.
+		// configuration is cluster state, like the shared audit.
 		backends := make([]string, 0, cfg.Workers)
 		for i := 0; i < cfg.Workers; i++ {
 			if name := fmt.Sprintf("worker-%d", i); name != c.monitoring {

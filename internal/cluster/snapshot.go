@@ -16,7 +16,7 @@ import (
 //
 // A Snapshot holds only immutable data: store contents (every replica of a
 // replicated backend), each API server's admission counters, the control
-// plane's audit trail, admission violation count and decode cache (so a
+// plane's audit counters, admission violation count and decode cache (so a
 // restore re-lists without decoding), the controller manager's child-name
 // counter, and each kubelet's runtime state (image cache, IP allocator,
 // per-pod pipeline position). Everything else — watch registrations,
@@ -49,9 +49,9 @@ type Snapshot struct {
 	// counters differ (strided residues).
 	servers []apiserver.Snapshot
 	// What every replica shares is captured once, whatever the replica count:
-	// the audit trail, the admission chain's violation count (zero without a
-	// chain) and the decode cache, which is never written, so views share it.
-	audit      apiserver.AuditSnapshot
+	// the audit counters, the admission chain's violation count (zero without
+	// a chain) and the decode cache, which is never written, so views share it.
+	audit      *apiserver.Audit
 	violations int64
 	decoded    *apiserver.DecodeCache
 	nameSeq    int64
@@ -107,7 +107,7 @@ func (c *Cluster) Snapshot() *Snapshot {
 // WorkerView returns a copy of the snapshot that shares no byte arrays or
 // map/slice structure with the original: the store snapshot's value bytes
 // move into fresh per-replica arenas (store.Snapshot.Clone) and the audit
-// trail gets private maps (apiserver.AuditSnapshot.Clone). Forking from the
+// counters into a private copy (apiserver.Audit.Snapshot). Forking from the
 // view is byte-equivalent to forking from the original. The decode cache and
 // kubelet pod records stay shared: both are immutable, and only read; the
 // cache's entries decode the original's arrays, so a view's fork misses on
@@ -117,7 +117,7 @@ func (c *Cluster) Snapshot() *Snapshot {
 // snapshot directly (per-worker views measured no gain at two cores). It
 // stays compiled only because bench/trace.go times it for the
 // cluster.worker_view_ms layer metric; once that metric is dropped this and
-// the two Clones go.
+// store.Snapshot.Clone go.
 func (s *Snapshot) WorkerView() *Snapshot {
 	view := &Snapshot{
 		cfg:        s.cfg,
@@ -125,7 +125,7 @@ func (s *Snapshot) WorkerView() *Snapshot {
 		executed:   s.executed,
 		store:      s.store.Clone(),
 		servers:    slices.Clone(s.servers),
-		audit:      s.audit.Clone(),
+		audit:      s.audit.Snapshot(),
 		violations: s.violations,
 		decoded:    s.decoded,
 		nameSeq:    s.nameSeq,
@@ -137,20 +137,18 @@ func (s *Snapshot) WorkerView() *Snapshot {
 	return view
 }
 
-// outgrowth is how many times its snapshot's size a cluster's store or audit
-// trail may reach before the cluster is not worth rewinding (see Outgrown).
+// outgrowth is how many times its snapshot's size a cluster's store may reach
+// before the cluster is not worth rewinding (see Outgrown).
 const outgrowth = 4
 
-// Outgrown reports whether c, resumed from s, ended its experiment with
-// tables far larger than the snapshot fills: an uncontrolled replication ran
-// away in it (1,400-2,250 pods against a few dozen objects), or thousands of
-// requests failed. Go's maps and slices keep their peak size when emptied, so
-// a rewound c would carry that memory, idle, into every later experiment; the
-// caller drops it instead and forks afresh — once per runaway, 0.7 % of a
-// campaign's experiments.
+// Outgrown reports whether c, resumed from s, ended its experiment with a
+// store far larger than the snapshot fills: an uncontrolled replication ran
+// away in it (1,400-2,250 pods against a few dozen objects). Go's maps and
+// slices keep their peak size when emptied, so a rewound c would carry that
+// memory, idle, into every later experiment; the caller drops it instead and
+// forks afresh — once per runaway, 0.7 % of a campaign's experiments.
 func (s *Snapshot) Outgrown(c *Cluster) bool {
-	return c.Backend.Len() > outgrowth*len(s.store.Replicas[0].Items) ||
-		len(c.Server.Audit().Entries) > outgrowth*(len(s.audit.Entries)+256)
+	return c.Backend.Len() > outgrowth*len(s.store.Replicas[0].Items)
 }
 
 // Fork builds a started cluster that resumes from the snapshot: same store
@@ -197,7 +195,7 @@ func (s *Snapshot) Restore(c *Cluster, seed int64) {
 	// cache from the restored store, through the restored decode cache, and
 	// resume its admission counters before any component starts issuing
 	// requests. Undecodable values a rebuild meets are counted in the restored
-	// audit trail.
+	// audit.
 	c.Server.DecodeCache().Restore(s.decoded)
 	c.Server.Audit().Restore(s.audit)
 	if c.admission != nil {
