@@ -99,8 +99,9 @@ docs-lint:
 # Outcome neutrality against another revision: `make outcomes-cmp PARENT=HEAD~1`
 # builds mutiny-campaign from PARENT (a `git archive` of it, unpacked in a
 # temporary directory that is removed afterwards) and from the working tree,
-# runs both with -quiet on each of the six argument sets below — shared-bootstrap
-# and replay regimes, zoned, HA, admission, and HA with admission — and prints
+# runs both with -quiet on each of the seven argument sets below — shared-bootstrap
+# and replay regimes, zoned, HA, admission, HA with admission, and every other
+# cluster flag (fail-closed hooks, an explicit edge zone) — and prints
 # one line per set: `same: <args>` when the two stdouts are byte-identical,
 # `moved: <args> (<n> of <m> lines differ)` when they are not, and
 # `failed: <args>` when either run exits non-zero. It exits non-zero after the
@@ -112,7 +113,8 @@ OUTCOME_ARGS = \
 	"-stride 60 -golden 8 -share-bootstrap -zones 3 -nodes 12" \
 	"-stride 60 -golden 8 -share-bootstrap -control-plane-replicas 3" \
 	"-stride 60 -golden 8 -share-bootstrap -admission-hooks 3" \
-	"-stride 40 -golden 8 -control-plane-replicas 3 -admission-hooks 3"
+	"-stride 40 -golden 8 -control-plane-replicas 3 -admission-hooks 3" \
+	"-stride 60 -golden 8 -share-bootstrap -admission-hooks 2 -failure-policy Fail -zones 3 -nodes 9 -edge-nodes 2"
 
 outcomes-cmp:
 	@test -n "$(PARENT)" || { echo "usage: make outcomes-cmp PARENT=<rev>"; exit 2; }

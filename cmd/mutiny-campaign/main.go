@@ -118,10 +118,14 @@ func run(args []string) error {
 	if *edgeNodes > 0 && *zones < 2 {
 		return fmt.Errorf("-edge-nodes needs -zones >= 2, got -zones %d", *zones)
 	}
+	cluster := mutiny.ClusterConfig{
+		ControlPlaneReplicas: *replicas, AdmissionHooks: *hooks, FailurePolicy: *policy,
+		Workers: *nodes, Zones: *zones, EdgeNodes: *edgeNodes,
+	}
 	if *zones >= 2 {
 		// The cluster places the workers; a zone it would leave empty has no
 		// node for its fault axes to act on.
-		perZone := mutiny.ClusterConfig{Workers: *nodes, Zones: *zones, EdgeNodes: *edgeNodes}.WorkersPerZone()
+		perZone := cluster.WorkersPerZone()
 		if edge := perZone[*zones-1]; edge < *edgeNodes {
 			return fmt.Errorf("-edge-nodes %d exceeds the %d workers outside the monitoring node", *edgeNodes, edge)
 		}
@@ -137,18 +141,13 @@ func run(args []string) error {
 	}
 
 	cfg := mutiny.CampaignConfig{
-		GoldenRuns:           *golden,
-		SampleStride:         *stride,
-		Parallelism:          *parallel,
-		ShareBootstrap:       *share,
-		ControlPlaneReplicas: *replicas,
-		AdmissionHooks:       *hooks,
-		FailurePolicy:        *policy,
-		Workers:              *nodes,
-		Zones:                *zones,
-		EdgeNodes:            *edgeNodes,
-		SkipRefinement:       *noRefine,
-		SkipPropagation:      *noProp,
+		GoldenRuns:      *golden,
+		SampleStride:    *stride,
+		Parallelism:     *parallel,
+		ShareBootstrap:  *share,
+		Cluster:         cluster,
+		SkipRefinement:  *noRefine,
+		SkipPropagation: *noProp,
 	}
 	if *workloads != "" {
 		// Empty names between commas are skipped, as in "deploy,,scale".

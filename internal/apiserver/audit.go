@@ -1,16 +1,13 @@
 package apiserver
 
-// Audit counts the API server's failed requests per issuing identity, and five
-// totals: undecodable store values, dropped store writes, tampered requests
-// persisted and errored, and checksum failures. It feeds the user-unawareness
-// analysis (Figure 7: in most experiments that end in failure, the cluster user
-// never receives an error from the API server) and the propagation experiments
-// of Table VI.
+// Audit counts the API server's failed requests per issuing identity, and three
+// totals: tampered requests persisted and errored, and checksum failures. It
+// feeds the user-unawareness analysis (Figure 7: in most experiments that end
+// in failure, the cluster user never receives an error from the API server)
+// and the propagation experiments of Table VI.
 type Audit struct {
 	errByIdentity map[string]int
 
-	undecodable      int
-	droppedWrites    int
 	tamperedOK       int
 	tamperedErrored  int
 	checksumFailures int
@@ -24,7 +21,7 @@ func NewAudit() *Audit {
 // reset empties the trail, keeping its memory.
 func (a *Audit) reset() {
 	clear(a.errByIdentity)
-	a.undecodable, a.droppedWrites, a.tamperedOK, a.tamperedErrored, a.checksumFailures = 0, 0, 0, 0, 0
+	a.tamperedOK, a.tamperedErrored, a.checksumFailures = 0, 0, 0
 }
 
 // countError counts one failed request against the identity that issued it.
@@ -35,8 +32,6 @@ func (a *Audit) countError(identity string, tampered bool) {
 	}
 }
 
-func (a *Audit) countDrop()            { a.droppedWrites++ }
-func (a *Audit) countUndecodable()     { a.undecodable++ }
 func (a *Audit) countTamperedOK()      { a.tamperedOK++ }
 func (a *Audit) countChecksumFailure() { a.checksumFailures++ }
 
@@ -46,12 +41,6 @@ func (a *Audit) ChecksumFailures() int { return a.checksumFailures }
 
 // ErrorsBy returns the number of failed requests issued by identity.
 func (a *Audit) ErrorsBy(identity string) int { return a.errByIdentity[identity] }
-
-// Undecodable returns how many store values failed to decode.
-func (a *Audit) Undecodable() int { return a.undecodable }
-
-// DroppedWrites returns how many store writes were dropped by injection.
-func (a *Audit) DroppedWrites() int { return a.droppedWrites }
 
 // TamperedPersisted returns how many tampered requests were persisted
 // (the "Prop" column of Table VI).

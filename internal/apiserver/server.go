@@ -590,7 +590,7 @@ func (s *Server) rebuildCache(dispatch bool) {
 		// which is when the corruption becomes visible (§V-C1).
 		obj, _, err := s.decodeCached(kv.Kind, kv.Key, kv.Value, kv.Revision)
 		if err != nil {
-			s.handleUndecodable(kv.Key, kv.Kind)
+			s.handleUndecodable(kv.Key)
 			continue
 		}
 		s.cacheSet(kv.Key, kv.Kind, obj)
@@ -834,12 +834,8 @@ func (s *Server) persistWrite(verb Verb, msg *Message, obj spec.Object, key stri
 	}
 	// Channel 2: apiserver → store. Tampering here bypasses validation: the
 	// corrupted transaction becomes the agreed cluster state.
-	if s.storeWriteHook != nil {
-		switch s.storeWriteHook(out) {
-		case Drop:
-			s.audit.countDrop()
-			return nil // the caller believes the write happened
-		}
+	if s.storeWriteHook != nil && s.storeWriteHook(out) == Drop {
+		return nil // the caller believes the write happened
 	}
 	kv, err := s.store.PutVia(s.origin, key, msg.Kind, out.Data)
 	if err != nil {
@@ -890,12 +886,8 @@ func (s *Server) persistDelete(msg *Message, key string) error {
 		Verb: VerbDelete, Kind: msg.Kind, Namespace: msg.Namespace, Name: msg.Name,
 		Source: "apiserver",
 	}
-	if s.storeWriteHook != nil {
-		switch s.storeWriteHook(out) {
-		case Drop:
-			s.audit.countDrop()
-			return nil
-		}
+	if s.storeWriteHook != nil && s.storeWriteHook(out) == Drop {
+		return nil
 	}
 	ok, err := s.store.DeleteVia(s.origin, key)
 	if err != nil {
@@ -965,7 +957,7 @@ func (s *Server) onStoreEvent(ev store.Event) {
 		// rewritten bytes keep missing until something reads them.
 		obj, _, err := s.decodeCached(ev.Kind, ev.Key, ev.Value, ev.Revision)
 		if err != nil {
-			s.handleUndecodable(ev.Key, ev.Kind)
+			s.handleUndecodable(ev.Key)
 			return
 		}
 		typ := Added
@@ -989,8 +981,7 @@ func (s *Server) onStoreEvent(ev store.Event) {
 // handleUndecodable implements the §II-D strategy: resources that cannot be
 // deserialized are deleted to prevent failures when retrieving resource
 // lists that contain them.
-func (s *Server) handleUndecodable(key string, kind spec.Kind) {
-	s.audit.countUndecodable()
+func (s *Server) handleUndecodable(key string) {
 	s.loop.After(time.Millisecond, func() {
 		_, _ = s.store.DeleteVia(s.origin, key)
 	})
@@ -1008,7 +999,7 @@ func (s *Server) current(kind spec.Kind, key string) (obj spec.Object, written [
 	}
 	obj, w, err := s.decodeCached(kind, key, kv.Value, kv.Revision)
 	if err != nil {
-		s.handleUndecodable(key, kind)
+		s.handleUndecodable(key)
 		return nil, nil, true, err
 	}
 	if w {

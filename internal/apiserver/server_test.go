@@ -274,9 +274,6 @@ func TestDroppedStoreWriteReportsSuccess(t *testing.T) {
 	if _, err := c.Get(spec.KindPod, spec.DefaultNamespace, "web-1"); !errors.Is(err, ErrNotFound) {
 		t.Fatal("dropped write still materialized")
 	}
-	if srv.Audit().DroppedWrites() != 1 {
-		t.Fatal("drop not counted")
-	}
 }
 
 func TestUndecodableResourceIsDeleted(t *testing.T) {
@@ -297,9 +294,6 @@ func TestUndecodableResourceIsDeleted(t *testing.T) {
 	loop.RunUntil(2 * time.Second)
 	if _, ok := st.Get(key); ok {
 		t.Fatal("undecodable resource was not deleted (§II-D strategy)")
-	}
-	if srv.Audit().Undecodable() == 0 {
-		t.Fatal("undecodable event not counted")
 	}
 }
 

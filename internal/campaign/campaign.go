@@ -77,9 +77,8 @@ type Result struct {
 type Runner struct {
 	// GoldenRuns per workload (the paper uses 100).
 	GoldenRuns int
-	// ClusterConfig template; it is cloned (deep, including the pointer-typed
-	// option structs) and stamped with the per-experiment seed for every run,
-	// so concurrent workers never share mutable option state.
+	// ClusterConfig is the template of every experiment cluster, a plain
+	// value: each run stamps its own Seed on a copy.
 	ClusterConfig cluster.Config
 	// Parallelism bounds the worker goroutines used to build golden
 	// baselines (0 or 1 = sequential). RunCampaign sets it from
@@ -99,7 +98,6 @@ type Runner struct {
 
 	mu        sync.Mutex
 	baselines map[workload.Kind]*baselineEntry
-	snapshots map[workload.Kind]*snapshotEntry
 
 	// workerMu guards idle, the stack of released Workers. Experiment
 	// execution acquires a Worker (reusing an idle one or building a new
@@ -142,7 +140,7 @@ type baselineEntry struct {
 	golden   []*classify.Observation
 }
 
-// snapshotEntry guards one workload's shared-bootstrap capture.
+// snapshotEntry guards one (config, workload) shared-bootstrap capture.
 type snapshotEntry struct {
 	once sync.Once
 	snap *cluster.Snapshot
@@ -174,8 +172,8 @@ func (r *Runner) releaseWorker(w *Worker) {
 }
 
 // guardCell returns (creating if needed) the guard cell for key in m, under
-// mu. Shared by the Runner's baseline and snapshot cells and the process-wide
-// snapshot cache.
+// mu. Shared by the Runner's baseline cells and the process-wide snapshot
+// cache.
 func guardCell[K comparable, E any](mu *sync.Mutex, m *map[K]*E, key K) *E {
 	mu.Lock()
 	defer mu.Unlock()
@@ -195,34 +193,18 @@ func (r *Runner) entry(kind workload.Kind) *baselineEntry {
 	return guardCell(&r.mu, &r.baselines, kind)
 }
 
-// snapshotEntryFor returns (creating if needed) the snapshot cell for a
-// workload.
-func (r *Runner) snapshotEntryFor(kind workload.Kind) *snapshotEntry {
-	return guardCell(&r.mu, &r.snapshots, kind)
-}
-
 // snapshotFor returns (capturing if needed) the shared bootstrap snapshot
 // for a workload: cluster bootstrap, settling, and scenario setup under the
 // workload's canonical seed, captured at the settled instant. Snapshots are
-// shared process-wide (see snapcache.go): the per-Runner cell only resolves
-// the cache key once, and the capture itself runs at most once per
+// shared process-wide (see snapcache.go): the capture runs at most once per
 // (config, workload) in the whole process, no matter how many Runners ask.
 func (r *Runner) snapshotFor(kind workload.Kind) *cluster.Snapshot {
-	e := r.snapshotEntryFor(kind)
+	cfg := r.ClusterConfig
+	cfg.Seed = bootstrapSeed(kind)
+	e := guardCell(&snapCacheMu, &snapCache, snapKey{cfg, kind})
 	e.once.Do(func() {
-		cfg := r.ClusterConfig
-		cfg.Seed = bootstrapSeed(kind)
-		shared := sharedSnapshotEntry(snapshotCacheKey(cfg, kind))
-		shared.once.Do(func() {
-			cl := cluster.New(cfg)
-			cl.Loop.SetEventBudget(eventBudget)
-			cl.Start()
-			cl.AwaitSettled(bootstrapDeadline)
-			driver := workload.NewDriver(cl, kind)
-			driver.Setup()
-			shared.snap = cl.Snapshot()
-		})
-		e.snap = shared.snap
+		cl, _ := settle(cfg, kind, nil)
+		e.snap = cl.Snapshot()
 	})
 	return e.snap
 }
@@ -370,15 +352,38 @@ func (w *Worker) bootCluster(spec Spec) (cl *cluster.Cluster, snap *cluster.Snap
 	}
 	cfg := r.ClusterConfig
 	cfg.Seed = spec.Seed
-	cl = cluster.New(cfg)
+	cl, driver = settle(cfg, spec.Workload, func(cl *cluster.Cluster) {
+		injector = inject.New(cl.Loop)
+		cl.AttachInjector(injector)
+	})
+	return cl, nil, injector, driver
+}
+
+// settle boots a cluster under cfg, whose Seed the caller has stamped, lets
+// it settle and runs the workload's scenario set-up: the state a bootstrap
+// snapshot captures, and the state a replayed experiment and Record reach
+// before their window. The event budget is set first; attach, if set, runs
+// between New and Start, where an injector or a recorder hooks the servers.
+func settle(cfg cluster.Config, kind workload.Kind, attach func(*cluster.Cluster)) (*cluster.Cluster, *workload.Driver) {
+	cl := cluster.New(cfg)
 	cl.Loop.SetEventBudget(eventBudget)
-	injector = inject.New(cl.Loop)
-	cl.AttachInjector(injector)
+	if attach != nil {
+		attach(cl)
+	}
 	cl.Start()
 	cl.AwaitSettled(bootstrapDeadline)
-	driver = workload.NewDriver(cl, spec.Workload)
+	driver := workload.NewDriver(cl, kind)
 	driver.Setup()
-	return cl, nil, injector, driver
+	return cl, driver
+}
+
+// runWindow runs the measurement window from now: the workload's operations
+// start opStartDelay in, and the window closes windowLength in.
+func runWindow(cl *cluster.Cluster, driver *workload.Driver) {
+	start := cl.Loop.Now()
+	cl.Loop.RunUntil(start + opStartDelay)
+	driver.Run()
+	cl.Loop.RunUntil(start + windowLength)
 }
 
 // experiment is what one run of the lifecycle yields. Everything in it is a
@@ -424,10 +429,7 @@ func (w *Worker) runExperiment(spec Spec, collect bool) experiment {
 	if spec.Injection != nil {
 		injector.Arm(*spec.Injection)
 	}
-	windowStart := cl.Loop.Now()
-	cl.Loop.RunUntil(windowStart + opStartDelay)
-	driver.Run()
-	cl.Loop.RunUntil(windowStart + windowLength)
+	runWindow(cl, driver)
 
 	var exp experiment
 	if collect {
@@ -462,17 +464,9 @@ func (w *Worker) runExperiment(spec Spec, collect bool) experiment {
 func (r *Runner) Record(kind workload.Kind) *inject.Recorder {
 	cfg := r.ClusterConfig
 	cfg.Seed = goldenSeed(kind, 999)
-	cl := cluster.New(cfg)
 	rec := inject.NewRecorder()
-	cl.Server.SetStoreWriteHook(rec.Hook())
-	cl.Start()
-	cl.AwaitSettled(bootstrapDeadline)
-	driver := workload.NewDriver(cl, kind)
-	driver.Setup()
-	start := cl.Loop.Now()
-	cl.Loop.RunUntil(start + opStartDelay)
-	driver.Run()
-	cl.Loop.RunUntil(start + windowLength)
+	cl, driver := settle(cfg, kind, func(cl *cluster.Cluster) { cl.Server.SetStoreWriteHook(rec.Hook()) })
+	runWindow(cl, driver)
 	cl.Stop()
 	return rec
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/mutiny-sim/mutiny/internal/classify"
+	"github.com/mutiny-sim/mutiny/internal/cluster"
 	"github.com/mutiny-sim/mutiny/internal/inject"
 	"github.com/mutiny-sim/mutiny/internal/spec"
 	"github.com/mutiny-sim/mutiny/internal/workload"
@@ -199,12 +200,10 @@ func TestGenerateCampaignShape(t *testing.T) {
 // (stride 3 over replicas × 3 axes kept only the apiserver crashes).
 func TestStrideNeverThinsTimedFaultMatrices(t *testing.T) {
 	cfg := Config{
-		Workloads:            []workload.Kind{workload.Policy},
-		SampleStride:         101,
-		ControlPlaneReplicas: 3,
-		AdmissionHooks:       3,
-		Zones:                3,
-		SkipPropagation:      true,
+		Workloads:       []workload.Kind{workload.Policy},
+		SampleStride:    101,
+		Cluster:         cluster.Config{ControlPlaneReplicas: 3, AdmissionHooks: 3, Zones: 3},
+		SkipPropagation: true,
 	}
 	byAxis := make(map[inject.FaultType]int)
 	for _, s := range prepare(cfg.withDefaults()).mainSpecs {

@@ -267,17 +267,6 @@ func GeneratePropagation(kind workload.Kind, rec *inject.Recorder, component str
 	return specs
 }
 
-func campaignSeedBase(kind workload.Kind) int64 {
-	switch kind {
-	case workload.Deploy:
-		return 1_000_000
-	case workload.ScaleUp:
-		return 2_000_000
-	case workload.Failover:
-		return 3_000_000
-	case workload.Policy:
-		return 4_000_000
-	default:
-		return 9_000_000
-	}
-}
+// campaignSeedBase is the first seed of a workload's generated experiments,
+// on the golden-seed table scaled by 100 so the two ranges never meet.
+func campaignSeedBase(kind workload.Kind) int64 { return goldenSeed(kind, 0) * 100 }

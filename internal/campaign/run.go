@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"github.com/mutiny-sim/mutiny/internal/cluster"
 	"github.com/mutiny-sim/mutiny/internal/inject"
 	"github.com/mutiny-sim/mutiny/internal/workload"
 )
@@ -17,38 +18,18 @@ type Config struct {
 	// timed-fault matrices (control plane, admission, topology) are small
 	// and periodic and always run in full.
 	SampleStride int
-	// ControlPlaneReplicas sets the number of apiserver/store replicas in
-	// every experiment cluster (0 or 1 = the classic single control plane).
-	// With 2+ replicas the campaign additionally generates the HA fault
-	// axes — apiserver crash, master partition, store-replica loss — and the
-	// aggregate gains per-axis failover and stale-read-window statistics.
-	ControlPlaneReplicas int
-	// AdmissionHooks installs the standard governance webhook chain (first N
-	// hooks) in every experiment cluster and additionally generates the
-	// admission fault axes — webhook down, webhook latency, wrong selector,
-	// missing failure policy — each under both failure-policy regimes. Zero
-	// (the default) means no chain: the write path, the generated matrix, and
-	// every historical output are untouched.
-	AdmissionHooks int
-	// FailurePolicy is the configured failure policy of the installed hooks
-	// ("Fail" or "Ignore"; empty = the platform default, Ignore). The
-	// generated admission axes override it per experiment — this knob matters
-	// for golden runs and for non-admission faults running with a chain.
-	FailurePolicy string
-	// Workers sets the number of worker nodes in every experiment cluster
-	// (0 = the cluster default). Large zoned clusters pair it with
-	// ShareBootstrap — the bootstrap is paid once, not per experiment.
-	Workers int
-	// Zones splits the worker nodes over a cloud-edge topology (zone 0 the
-	// cloud core, the last zone the edge, any between regional) and
-	// additionally generates the topology fault axes — edge-link flap, zone
-	// partition, mass node-kill — per non-core zone, with per-axis-per-zone
-	// disruption and recovery statistics in the aggregate. 0 or 1 (the
-	// default) keeps the flat network and generates nothing extra.
-	Zones int
-	// EdgeNodes is the number of workers in the edge zone (0 with Zones >= 2
-	// = an even split).
-	EdgeNodes int
+	// Cluster is the template of every experiment cluster, the same value
+	// as Runner.ClusterConfig: each experiment stamps its own Seed on a copy.
+	// With ControlPlaneReplicas >= 2 the campaign also generates the HA fault
+	// axes (apiserver crash, master partition, store-replica loss), with
+	// per-axis failover and stale-read statistics in the aggregate. With
+	// AdmissionHooks >= 1 it generates the admission fault axes (webhook
+	// down, latency, wrong selector, missing failure policy), each under both
+	// failure policies, which override FailurePolicy per experiment. With
+	// Zones >= 2 it generates the topology fault axes (edge-link flap, zone
+	// partition, mass node-kill) per non-core zone. The zero value is the
+	// paper's testbed and generates none of them.
+	Cluster cluster.Config
 	// SkipRefinement disables the §V-C2 critical-field value-set round.
 	SkipRefinement bool
 	// SkipPropagation disables the §V-C4 component-channel experiments.
@@ -79,7 +60,7 @@ func (c Config) withDefaults() Config {
 	if len(c.Workloads) == 0 {
 		// An admission campaign defaults to the governance workload — the one
 		// whose canary creates make enforcement-integrity loss measurable.
-		if c.AdmissionHooks > 0 {
+		if c.Cluster.AdmissionHooks > 0 {
 			c.Workloads = []workload.Kind{workload.Policy}
 		} else {
 			c.Workloads = workload.Kinds()

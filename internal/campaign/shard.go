@@ -25,14 +25,7 @@ func prepare(cfg Config) *prepared {
 	runner.GoldenRuns = cfg.GoldenRuns
 	runner.Parallelism = workers
 	runner.ShareBootstrap = cfg.ShareBootstrap
-	runner.ClusterConfig.ControlPlaneReplicas = cfg.ControlPlaneReplicas
-	runner.ClusterConfig.AdmissionHooks = cfg.AdmissionHooks
-	runner.ClusterConfig.FailurePolicy = cfg.FailurePolicy
-	if cfg.Workers > 0 {
-		runner.ClusterConfig.Workers = cfg.Workers
-	}
-	runner.ClusterConfig.Zones = cfg.Zones
-	runner.ClusterConfig.EdgeNodes = cfg.EdgeNodes
+	runner.ClusterConfig = cfg.Cluster
 
 	p := &prepared{runner: runner, fieldsRecorded: make(map[workload.Kind]int)}
 	for _, wl := range cfg.Workloads {
@@ -43,9 +36,9 @@ func prepare(cfg Config) *prepared {
 		// matrices (targets × axes), and a stride that divides a matrix's
 		// period collapses it to a single axis — the stride knob exists to
 		// tame the thousands-of-specs field matrix above.
-		p.mainSpecs = append(p.mainSpecs, GenerateControlPlane(wl, cfg.ControlPlaneReplicas)...)
-		p.mainSpecs = append(p.mainSpecs, GenerateAdmission(wl, cfg.AdmissionHooks)...)
-		p.mainSpecs = append(p.mainSpecs, GenerateTopology(wl, cfg.Zones)...)
+		p.mainSpecs = append(p.mainSpecs, GenerateControlPlane(wl, cfg.Cluster.ControlPlaneReplicas)...)
+		p.mainSpecs = append(p.mainSpecs, GenerateAdmission(wl, cfg.Cluster.AdmissionHooks)...)
+		p.mainSpecs = append(p.mainSpecs, GenerateTopology(wl, cfg.Cluster.Zones)...)
 		if !cfg.SkipPropagation {
 			for _, component := range PropagationComponents() {
 				p.propSpecs = append(p.propSpecs, sample(GeneratePropagation(wl, rec, component), cfg.SampleStride)...)

@@ -12,38 +12,32 @@ import (
 // A settled bootstrap snapshot depends only on (cluster.Config, workload
 // kind): the capture always runs under the workload's canonical bootstrap
 // seed, so two Runners with equal configs would build byte-identical
-// snapshots — and before this cache, each Runner (and every benchmark that
-// constructs a fresh Runner) re-simulated the same ~20 s bootstrap to get
-// one. The cache keys on cluster.Config.Fingerprint() plus the workload kind
-// and shares the resulting immutable Snapshot across all Runners in the
-// process. Snapshots are cheap to retain (their store values alias the
-// copy-on-write arrays) and safe to share (Fork is concurrent-safe and never
-// mutates the snapshot), so entries live for the process lifetime;
-// ClearSnapshotCache exists for tests and long-lived embedders.
+// snapshots. The cache keys on the config value itself (a plain comparable
+// struct, see cluster's TestClusterConfigIsAPlainValue) plus the kind and
+// shares the resulting immutable Snapshot across all Runners in the process.
+// Snapshots are cheap to retain (their store values alias the copy-on-write
+// arrays) and safe to share (Fork is concurrent-safe and never mutates the
+// snapshot), so entries live for the process lifetime; ClearSnapshotCache
+// exists for tests and long-lived embedders.
 //
-// The cache is looked up once per Runner per workload (the Runner's own cell
-// remembers the answer), so a mutex and a plain map are all it needs; the
-// entry's once still guards the actual capture, so concurrent Runners racing
-// on the same key build it exactly once.
+// The key is the config as given, not as the cluster defaults it: Workers 0
+// and Workers 4 build the same cluster but key separately, which costs one
+// extra bootstrap if one process mixes them. Every experiment looks its
+// snapshot up here (one lock, one map lookup, no allocation), so after
+// ClearSnapshotCache a live Runner re-captures on its next experiment. The
+// entry's once guards the capture, so concurrent Runners racing on the same
+// key build it exactly once.
+
+// snapKey is a cache key: the template with the bootstrap seed stamped.
+type snapKey struct {
+	cfg  cluster.Config
+	kind workload.Kind
+}
 
 var (
 	snapCacheMu sync.Mutex
-	snapCache   map[string]*snapshotEntry
+	snapCache   map[snapKey]*snapshotEntry
 )
-
-// sharedSnapshotEntry returns (creating if needed) the process-wide cache
-// cell for a key.
-func sharedSnapshotEntry(key string) *snapshotEntry {
-	return guardCell(&snapCacheMu, &snapCache, key)
-}
-
-// snapshotCacheKey derives the cache key for a per-workload bootstrap
-// capture. cfg must already carry the canonical bootstrap seed for kind (the
-// seed participates in the fingerprint, which keeps distinct golden-seed
-// bases from colliding should they ever diverge per kind).
-func snapshotCacheKey(cfg cluster.Config, kind workload.Kind) string {
-	return string(kind) + "\x00" + cfg.Fingerprint()
-}
 
 // SnapshotCacheSize reports the number of cached bootstrap snapshots
 // (diagnostics and tests).

@@ -34,7 +34,8 @@ func storesEqual(t *testing.T, a, b *store.Snapshot) bool {
 
 // TestSnapshotCacheSharesAcrossRunners: two Runners with identical configs
 // must resolve to the same process-wide snapshot (one bootstrap simulated,
-// not two), and a Runner with a differing config must not.
+// not two), and a Runner with a differing config must not — whichever field
+// differs.
 func TestSnapshotCacheSharesAcrossRunners(t *testing.T) {
 	ClearSnapshotCache()
 	defer ClearSnapshotCache()
@@ -50,10 +51,28 @@ func TestSnapshotCacheSharesAcrossRunners(t *testing.T) {
 		t.Fatal("second Runner grew the cache instead of hitting it")
 	}
 
-	r3 := NewRunner()
-	r3.ClusterConfig = cluster.Config{ControlPlaneReplicas: 3}
-	if s3 := r3.snapshotFor(workload.Deploy); s3 == s1 {
-		t.Fatal("differing config shared a cached snapshot")
+	for _, cfg := range []cluster.Config{{ControlPlaneReplicas: 3}, {EnableFieldGuard: true}} {
+		r3 := NewRunner()
+		r3.ClusterConfig = cfg
+		if s3 := r3.snapshotFor(workload.Deploy); s3 == s1 {
+			t.Fatalf("config %+v shared the default config's cached snapshot", cfg)
+		}
+	}
+}
+
+// TestPrepareTakesTheClusterTemplate: a campaign's Runner builds its clusters
+// from Config.Cluster as given, every field of it.
+func TestPrepareTakesTheClusterTemplate(t *testing.T) {
+	cfg := Config{
+		Workloads: []workload.Kind{workload.Deploy}, GoldenRuns: 1, SkipPropagation: true,
+		Cluster: cluster.Config{
+			Seed: 5, Workers: 6, ControlPlaneReplicas: 2, Zones: 2, EdgeNodes: 2,
+			EnableFieldGuard: true, CriticalFieldChecksums: true,
+			AdmissionHooks: 1, FailurePolicy: "Fail",
+		},
+	}
+	if got := prepare(cfg).runner.ClusterConfig; got != cfg.Cluster {
+		t.Fatalf("Runner.ClusterConfig = %+v, want %+v", got, cfg.Cluster)
 	}
 }
 
@@ -173,7 +192,7 @@ func TestClearSnapshotCacheRacesActiveForks(t *testing.T) {
 			default:
 			}
 			ClearSnapshotCache()
-			sharedSnapshotEntry("probe")
+			guardCell(&snapCacheMu, &snapCache, snapKey{kind: "probe"})
 			if SnapshotCacheSize() == 0 {
 				t.Error("probe entry missing right after insert")
 				return

@@ -172,16 +172,6 @@ type Cluster struct {
 	started bool
 }
 
-// Fingerprint returns a canonical string covering every configuration field
-// after defaulting. Two configs with equal fingerprints build behaviorally
-// identical clusters for the same seed; the campaign's process-wide
-// bootstrap-snapshot cache keys on it. Config holds plain values only (see
-// TestClusterConfigIsAPlainValue), so printing it covers every field, a
-// future one included.
-func (c Config) Fingerprint() string {
-	return fmt.Sprintf("%+v", c.withDefaults())
-}
-
 // Clone returns a copy of the config: Config is a plain value, so a copy is
 // an assignment. It stays for the benchmark harness (bench/), which calls it.
 func (c Config) Clone() Config { return c }

@@ -8,9 +8,10 @@ import (
 	"github.com/mutiny-sim/mutiny/internal/spec"
 )
 
-// Config must hold plain values only: Clone is a copy, and Fingerprint prints
-// the struct, so a pointer, map, slice, func or interface field would share
-// state between clones and print an address instead of a setting.
+// Config must hold plain values only: Clone is a copy, and the campaign's
+// snapshot cache keys on the value: a pointer, map, slice, func or interface
+// field would share state between clones, and key the cache on an address or
+// not be a key at all.
 func TestClusterConfigIsAPlainValue(t *testing.T) {
 	var walk func(typ reflect.Type, path string)
 	walk = func(typ reflect.Type, path string) {

@@ -339,9 +339,14 @@ func NewCluster(cfg ClusterConfig) *Cluster { return cluster.New(cfg) }
 // NewDriver builds a workload driver for a cluster.
 func NewDriver(c *Cluster, kind WorkloadKind) *Driver { return workload.NewDriver(c, kind) }
 
-// NewInjector builds an injector bound to a cluster's loop; attach it to the
-// cluster's API server with AttachTo.
-func NewInjector(c *Cluster) *Injector { return inject.New(c.Loop) }
+// NewInjector builds an injector for a cluster, attached to every apiserver
+// replica (behind the field guard's store hook, when the guard is on) and to
+// the platform its timed faults act on; arm it with Arm.
+func NewInjector(c *Cluster) *Injector {
+	j := inject.New(c.Loop)
+	c.AttachInjector(j)
+	return j
+}
 
 // ParseWorkload resolves a workload name (deploy, scale, failover, policy);
 // any other name is an error.

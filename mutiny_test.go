@@ -58,6 +58,23 @@ func TestPublicAPICluster(t *testing.T) {
 	cl.Stop()
 }
 
+// NewInjector returns an injector attached to the whole cluster: on a
+// three-replica control plane a timed apiserver crash fires and heals.
+func TestPublicAPIInjectorReachesThePlatform(t *testing.T) {
+	cl := mutiny.NewCluster(mutiny.ClusterConfig{Seed: 3, ControlPlaneReplicas: 3})
+	cl.Start()
+	if !cl.AwaitSettled(30 * time.Second) {
+		t.Fatal("cluster did not settle")
+	}
+	injector := mutiny.NewInjector(cl)
+	injector.Arm(mutiny.Injection{Type: mutiny.FaultAPIServerCrash, After: time.Second, Heal: 5 * time.Second})
+	cl.Loop.RunUntil(cl.Loop.Now() + 10*time.Second)
+	if rep := injector.Report(); !rep.Fired || !rep.Healed {
+		t.Fatalf("apiserver crash did not fire and heal: %+v", rep)
+	}
+	cl.Stop()
+}
+
 func TestPublicAPICampaignSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign smoke test is slow")
