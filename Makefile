@@ -37,7 +37,7 @@ test:
 race:
 	$(GO) test -race ./internal/campaign/... ./internal/codec/... ./internal/apiserver/... ./internal/spec/... ./internal/cow/...
 
-# Ten seconds of each of the tree's seven fuzz targets. FuzzLoopOrder: random
+# Ten seconds of each of the tree's eight fuzz targets. FuzzLoopOrder: random
 # At/After/Every/Stop/Reset programs on the event loop, held to a slice sorted
 # by (at, seq). FuzzSchedulerRetry: random programs of cluster operations
 # (creates, deletes, resizes, cordons, heartbeats, at-rest rewrites, lost and
@@ -56,7 +56,10 @@ race:
 # FuzzDaemonSetGrouping: random clusters of nodes (duplicate names, ineligible
 # and tainted) and pods (on absent nodes, foreign, mislabeled, finished) changed
 # between syncs, the DaemonSet sync held to its map-based reference write for
-# write and in its status counts. A failing input is written to the package's testdata/fuzz and fails `go test` from then
+# write and in its status counts. FuzzClientErrorFold: random sequences of
+# request outcomes (success, refused, timeout, reset), the app client's
+# leading, trailing and scattered failure counts held after every request to
+# what its request-log reference gives. A failing input is written to the package's testdata/fuzz and fails `go test` from then
 # on; commit it with the fix.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzLoopOrder -fuzztime 10s ./internal/sim
@@ -66,6 +69,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzInjectionTarget -fuzztime 10s ./internal/inject
 	$(GO) test -run xxx -fuzz FuzzRequestPath -fuzztime 10s ./internal/netsim
 	$(GO) test -run xxx -fuzz FuzzDaemonSetGrouping -fuzztime 10s ./internal/controller
+	$(GO) test -run xxx -fuzz FuzzClientErrorFold -fuzztime 10s ./internal/workload
 
 # The three platform smokes: a three-replica control plane riding out an
 # apiserver crash and a healed master partition while the workload completes

@@ -108,22 +108,23 @@ type Runner struct {
 }
 
 // A Worker is one campaign execution lane. It owns the mutable state that
-// outlives an experiment — the classify.BufferPool recycling series buffers,
-// the application client's record buffer, and one rewound cluster per
-// bootstrap snapshot — so two workers running experiments concurrently share
-// only immutable data (golden baselines, bootstrap snapshots, the sealed
-// decoded objects) and the Runner's guard cells. A Worker must not run two
+// outlives an experiment — the classify.BufferPool recycling observations'
+// latency series, the latency series lent to each application client, and
+// one rewound cluster per bootstrap snapshot — so two workers running
+// experiments concurrently share only immutable data (golden baselines,
+// bootstrap snapshots, the sealed decoded objects) and the Runner's guard
+// cells. A Worker must not run two
 // experiments at once; the Runner hands each one to exactly one goroutine at
 // a time (see forEachWorker).
 type Worker struct {
 	r *Runner
-	// pool recycles per-experiment series buffers. Run releases an
-	// observation's buffers after classification; golden observations are
+	// pool recycles observations' copies of the latency series. Run releases
+	// an observation's series after classification; golden observations are
 	// retained by baselines and therefore never released.
 	pool *classify.BufferPool
-	// records is the application client's request log, lent to each
-	// experiment's client: nothing reads it after Collector.Finish.
-	records []workload.RequestRecord
+	// series is the application client's latency series, lent to each
+	// experiment's client: nothing reads it after Collector.Finish copied it.
+	series []float64
 	// clusters holds, per bootstrap snapshot, the cluster this worker forked
 	// from it, rewound (empty, component graph intact) between experiments:
 	// the next experiment restores it in place instead of building and
@@ -247,7 +248,7 @@ func (r *Runner) Run(spec Spec) *Result {
 }
 
 // RunObserved executes one experiment on a borrowed worker and returns both
-// the classified result and the raw observation.
+// the classified result and the observation.
 func (r *Runner) RunObserved(spec Spec) (*Result, *classify.Observation) {
 	w := r.acquireWorker()
 	defer r.releaseWorker(w)
@@ -256,7 +257,7 @@ func (r *Runner) RunObserved(spec Spec) (*Result, *classify.Observation) {
 
 // Run executes one experiment and classifies it. The observation backing the
 // classification is recycled into the worker's buffer pool — callers that
-// need the raw observation use RunObserved, whose result is never pooled.
+// need the observation use RunObserved, whose observation is never pooled.
 func (w *Worker) Run(spec Spec) *Result {
 	res, obs := w.RunObserved(spec)
 	w.pool.Release(obs)
@@ -264,7 +265,7 @@ func (w *Worker) Run(spec Spec) *Result {
 }
 
 // RunObserved executes one experiment and returns both the classified result
-// and the raw observation (e.g. for rendering Figure 5's time series).
+// and the observation (e.g. for rendering Figure 5's time series).
 func (w *Worker) RunObserved(spec Spec) (*Result, *classify.Observation) {
 	baseline := w.r.Baseline(spec.Workload)
 	exp := w.runExperiment(spec, true)
@@ -420,7 +421,7 @@ func (w *Worker) runExperiment(spec Spec, collect bool) experiment {
 	if collect {
 		ns, svc := driver.TargetService()
 		client = workload.NewClient(cl, ns, svc)
-		client.Records = w.records[:0]
+		client.Series = w.series
 		collector = classify.NewCollector(cl)
 		collector.UsePool(w.pool)
 		collector.Start()
@@ -434,7 +435,7 @@ func (w *Worker) runExperiment(spec Spec, collect bool) experiment {
 	var exp experiment
 	if collect {
 		exp.obs = collector.Finish(client)
-		w.records = client.Records
+		w.series = client.Series
 	}
 	exp.report = injector.Report()
 	audit := cl.Server.Audit()

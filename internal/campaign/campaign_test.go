@@ -114,6 +114,43 @@ func TestReplicasBitFlipOverprovisions(t *testing.T) {
 	}
 }
 
+// A worker lends each client the series the last one wrote, and its pool
+// hands each observation the series buffer an earlier one released. Both
+// arrive full of another experiment's latencies; neither may carry one into
+// the next: the Z of a run on stale buffers is the Z of a run on fresh ones.
+func TestPooledSeriesCarriesNothingOver(t *testing.T) {
+	r := testRunner()
+	fig5 := Spec{
+		Workload: workload.ScaleUp,
+		Seed:     779,
+		Injection: &inject.Injection{
+			Channel: inject.ChannelStore, Kind: spec.KindDeployment,
+			FieldPath: "spec.replicas",
+			Type:      inject.SetValue, Value: int64(0),
+			Occurrence: 2,
+		},
+	}
+	fresh := (&Worker{r: r, pool: classify.NewBufferPool()}).Run(fig5)
+
+	stale := func() []float64 {
+		s := make([]float64, workload.TotalRequests)
+		for i := range s {
+			s[i] = 1e6
+		}
+		return s
+	}
+	w := &Worker{r: r, pool: classify.NewBufferPool(), series: stale()}
+	pooled := stale()
+	w.pool.Release(&classify.Observation{Series: pooled})
+	res, obs := w.RunObserved(fig5)
+	if &obs.Series[0] != &pooled[0] {
+		t.Fatal("the observation did not take the pooled series buffer")
+	}
+	if res.Z != fresh.Z || res.CF != fresh.CF {
+		t.Fatalf("on stale buffers Z = %v (%s), on fresh ones %v (%s)", res.Z, res.CF, fresh.Z, fresh.CF)
+	}
+}
+
 // Corrupting a bound pod's nodeName makes the scheduler distrust its cache
 // and restart — the §V-C timing-failure example.
 func TestNodeNameCorruptionRestartsScheduler(t *testing.T) {

@@ -2,18 +2,14 @@ package classify
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
 )
 
 func goldenObs(ready int64, endpoints, created int, series []float64) *Observation {
-	return &Observation{
-		Samples: []Sample{
-			{At: 0, ReadyReplicas: ready, Endpoints: endpoints},
-			{At: 3 * time.Second, ReadyReplicas: ready, Endpoints: endpoints},
-			{At: 6 * time.Second, ReadyReplicas: ready, Endpoints: endpoints},
-		},
+	o := &Observation{
 		PodsCreated:            created,
 		WorstStartupMS:         2000,
 		LastCreationMS:         1000,
@@ -22,6 +18,10 @@ func goldenObs(ready int64, endpoints, created int, series []float64) *Observati
 		PrometheusReachable:    true,
 		Series:                 series,
 	}
+	for i := 0; i < 3; i++ {
+		o.scrape(ready, endpoints)
+	}
+	return o
 }
 
 func flatSeries(v float64, n int) []float64 {
@@ -255,11 +255,10 @@ func TestObservationAccessors(t *testing.T) {
 	if empty.FinalReady() != 0 || empty.FinalEndpoints() != 0 || !empty.Stable() {
 		t.Fatal("empty observation accessors broken")
 	}
-	o := Observation{Samples: []Sample{
-		{ReadyReplicas: 2, Endpoints: 1},
-		{ReadyReplicas: 8, Endpoints: 9},
-		{ReadyReplicas: 4, Endpoints: 3},
-	}}
+	var o Observation
+	o.scrape(2, 1)
+	o.scrape(8, 9)
+	o.scrape(4, 3)
 	if o.MaxReady() != 8 || o.MaxEndpoints() != 9 {
 		t.Fatalf("MaxReady/MaxEndpoints = %d/%d", o.MaxReady(), o.MaxEndpoints())
 	}
@@ -268,5 +267,88 @@ func TestObservationAccessors(t *testing.T) {
 	}
 	if o.Stable() {
 		t.Fatal("changing tail reported stable")
+	}
+}
+
+// sample is one 3-second scrape kept whole: the reference accessors below
+// read a slice of them.
+type sample struct {
+	At time.Duration
+	// ReadyReplicas sums ready replicas across app ReplicaSets.
+	ReadyReplicas int64
+	// Endpoints sums endpoint addresses across app Services.
+	Endpoints int
+}
+
+func refFinalReady(samples []sample) int64 {
+	if len(samples) == 0 {
+		return 0
+	}
+	return samples[len(samples)-1].ReadyReplicas
+}
+
+func refFinalEndpoints(samples []sample) int {
+	if len(samples) == 0 {
+		return 0
+	}
+	return samples[len(samples)-1].Endpoints
+}
+
+func refStable(samples []sample) bool {
+	n := len(samples)
+	if n < 3 {
+		return true
+	}
+	a, b, c := samples[n-3], samples[n-2], samples[n-1]
+	return a.ReadyReplicas == c.ReadyReplicas && b.ReadyReplicas == c.ReadyReplicas
+}
+
+func refMaxReady(samples []sample) int64 {
+	var max int64
+	for _, s := range samples {
+		if s.ReadyReplicas > max {
+			max = s.ReadyReplicas
+		}
+	}
+	return max
+}
+
+func refMaxEndpoints(samples []sample) int {
+	max := 0
+	for _, s := range samples {
+		if s.Endpoints > max {
+			max = s.Endpoints
+		}
+	}
+	return max
+}
+
+// The observation folds each scrape as it lands; its five accessors must read
+// what they read over the whole scrape series, before the first scrape and
+// after every one — the first two included, where Stable holds by
+// definition.
+func TestObservationFoldMatchesSamples(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for run := 0; run < 500; run++ {
+		var o Observation
+		var samples []sample
+		check := func() {
+			got := []any{o.FinalReady(), o.FinalEndpoints(), o.Stable(), o.MaxReady(), o.MaxEndpoints()}
+			want := []any{refFinalReady(samples), refFinalEndpoints(samples), refStable(samples), refMaxReady(samples), refMaxEndpoints(samples)}
+			for k := range got {
+				if got[k] != want[k] {
+					t.Fatalf("after scrapes %v: FinalReady, FinalEndpoints, Stable, MaxReady, MaxEndpoints = %v, the samples' %v",
+						samples, got, want)
+				}
+			}
+		}
+		check()
+		for i, n := 0, rng.Intn(20); i < n; i++ {
+			// Few distinct values, so settled tails and ties are common.
+			s := sample{At: time.Duration(i) * samplePeriod, ReadyReplicas: int64(rng.Intn(4)), Endpoints: rng.Intn(4)}
+			o.scrape(s.ReadyReplicas, s.Endpoints)
+			samples = append(samples, s)
+			check()
+		}
 	}
 }

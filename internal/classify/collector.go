@@ -5,7 +5,6 @@ import (
 
 	"github.com/mutiny-sim/mutiny/internal/apiserver"
 	"github.com/mutiny-sim/mutiny/internal/cluster"
-	"github.com/mutiny-sim/mutiny/internal/netsim"
 	"github.com/mutiny-sim/mutiny/internal/spec"
 	"github.com/mutiny-sim/mutiny/internal/workload"
 )
@@ -14,7 +13,9 @@ import (
 const samplePeriod = 3 * time.Second
 
 // Collector gathers an Observation over one experiment window, playing the
-// role of Prometheus + kube-state-metrics + the kbench statistics.
+// role of Prometheus + kube-state-metrics + the kbench statistics. It keeps
+// no series: each scrape and pod event is folded into the observation's
+// reductions as it lands.
 type Collector struct {
 	cl    *cluster.Cluster
 	admin *apiserver.Client
@@ -23,8 +24,7 @@ type Collector struct {
 	lastSampleAt time.Duration
 	obs          Observation
 
-	podCreatedAt map[string]time.Duration // uid → creation observed
-	podReadyAt   map[string]bool
+	pods map[string]podRecord // by UID
 
 	// violationsAtStart anchors the window's PolicyViolations delta: the
 	// chain's counter is cumulative (and snapshot-restored on forks), the
@@ -43,21 +43,28 @@ type Collector struct {
 	ticker  interface{ Stop() bool }
 }
 
+// podRecord is what the collector has seen of one pod: its creation (when
+// the window saw it), and whether it has been seen Ready.
+type podRecord struct {
+	createdAt time.Duration
+	created   bool
+	ready     bool
+}
+
 // NewCollector attaches a collector to the cluster; the window starts at
 // Start.
 func NewCollector(cl *cluster.Cluster) *Collector {
 	return &Collector{
-		cl:           cl,
-		admin:        cl.Client("monitoring"),
-		podCreatedAt: make(map[string]time.Duration),
-		podReadyAt:   make(map[string]bool),
+		cl:    cl,
+		admin: cl.Client("monitoring"),
+		pods:  make(map[string]podRecord),
 	}
 }
 
-// UsePool makes the collector grow its series buffers out of the given pool
-// instead of fresh allocations. The resulting Observation then owns pooled
-// memory: release it back via pool.Release once classification is done and
-// it provably does not escape. Call before Start.
+// UsePool makes the collector take the observation's copy of the latency
+// series out of the given pool instead of a fresh allocation. The resulting
+// Observation then owns pooled memory: release it back via pool.Release once
+// classification is done and it provably does not escape. Call before Finish.
 func (c *Collector) UsePool(p *BufferPool) { c.pool = p }
 
 // Start opens the measurement window.
@@ -65,7 +72,6 @@ func (c *Collector) Start() {
 	c.windowStart = c.cl.Loop.Now()
 	c.lastSampleAt = c.windowStart
 	c.violationsAtStart = c.cl.AdmissionViolations()
-	c.obs.Samples = c.pool.getSamples()
 	c.cancels = append(c.cancels, c.admin.Watch(spec.KindPod, c.onPod))
 	c.ticker = c.cl.Loop.Every(samplePeriod, c.sample)
 	c.sample()
@@ -74,10 +80,12 @@ func (c *Collector) Start() {
 func (c *Collector) onPod(ev apiserver.WatchEvent) {
 	pod := ev.Object.(*spec.Pod)
 	uid := pod.Metadata.UID
+	rec := c.pods[uid]
 	switch ev.Type {
 	case apiserver.Added:
-		if _, seen := c.podCreatedAt[uid]; !seen {
-			c.podCreatedAt[uid] = c.cl.Loop.Now()
+		if !rec.created {
+			rec.created, rec.createdAt = true, c.cl.Loop.Now()
+			c.pods[uid] = rec
 			c.obs.PodsCreated++
 			rel := float64(c.cl.Loop.Now()-c.windowStart) / float64(time.Millisecond)
 			if rel > c.obs.LastCreationMS {
@@ -88,10 +96,11 @@ func (c *Collector) onPod(ev apiserver.WatchEvent) {
 		if pod.Metadata.Namespace != spec.DefaultNamespace {
 			return
 		}
-		if pod.Status.Ready && !c.podReadyAt[uid] {
-			c.podReadyAt[uid] = true
-			if created, ok := c.podCreatedAt[uid]; ok {
-				startup := float64(c.cl.Loop.Now()-created) / float64(time.Millisecond)
+		if pod.Status.Ready && !rec.ready {
+			rec.ready = true
+			c.pods[uid] = rec
+			if rec.created {
+				startup := float64(c.cl.Loop.Now()-rec.createdAt) / float64(time.Millisecond)
 				if startup > c.obs.WorstStartupMS {
 					c.obs.WorstStartupMS = startup
 				}
@@ -129,23 +138,25 @@ func (c *Collector) sample() {
 	c.lastSampleAt = now
 
 	// The scrape only tallies status fields.
-	s := Sample{At: now - c.windowStart}
+	var ready int64
+	var endpoints int
 	c.admin.Range(spec.KindReplicaSet, spec.DefaultNamespace, func(ro spec.Object) bool {
-		s.ReadyReplicas += ro.(*spec.ReplicaSet).Status.ReadyReplicas
+		ready += ro.(*spec.ReplicaSet).Status.ReadyReplicas
 		return true
 	})
 	c.admin.Range(spec.KindEndpoints, spec.DefaultNamespace, func(eo spec.Object) bool {
-		s.Endpoints += eo.(*spec.Endpoints).Count()
+		endpoints += eo.(*spec.Endpoints).Count()
 		return true
 	})
-	c.obs.Samples = append(c.obs.Samples, s)
+	c.obs.scrape(ready, endpoints)
 }
 
-// Finish closes the window, runs the end-of-window health probes, folds in
-// the client's data, and returns the Observation — a copy of its own, not a
-// pointer into the collector: a golden observation lives as long as its
-// baseline, and must not keep the collector, and through it the cluster and
-// everything a later experiment left in it, alive that long.
+// Finish closes the window, runs the end-of-window health probes, copies in
+// the client's series and failure counts, and returns the Observation — a
+// copy of its own, not a pointer into the collector: a golden observation
+// lives as long as its baseline, and must not keep the collector, and through
+// it the cluster and everything a later experiment left in it, alive that
+// long.
 func (c *Collector) Finish(client *workload.Client) *Observation {
 	c.sample()
 	c.ticker.Stop()
@@ -163,9 +174,10 @@ func (c *Collector) Finish(client *workload.Client) *Observation {
 	c.obs.PolicyViolations = c.cl.AdmissionViolations() - c.violationsAtStart
 
 	if client != nil {
-		c.obs.Series = client.Series()
-		c.obs.TrailingFailures = client.TrailingFailures()
-		c.obs.LeadingFailures, c.obs.ScatteredErrors = analyzeErrors(client.Records)
+		c.obs.Series = append(c.pool.getSeries(), client.Series...)
+		c.obs.LeadingFailures = client.LeadingFailures
+		c.obs.TrailingFailures = client.TrailingFailures
+		c.obs.ScatteredErrors = client.ScatteredErrors
 	}
 	obs := c.obs
 	return &obs
@@ -183,27 +195,4 @@ func (c *Collector) probePrometheus() bool {
 		}
 	}
 	return false
-}
-
-// analyzeErrors splits the client's failures into a leading run (service
-// not yet deployed — present in golden deploy runs too), a trailing run
-// (service unreachable), and scattered non-timeout errors in between
-// (intermittent availability).
-func analyzeErrors(records []workload.RequestRecord) (leading, scattered int) {
-	n := len(records)
-	i := 0
-	for i < n && records[i].Err != "" {
-		i++
-		leading++
-	}
-	j := n - 1
-	for j >= i && records[j].Err != "" {
-		j--
-	}
-	for k := i; k <= j; k++ {
-		if records[k].Err != "" && records[k].Err != netsim.ErrTimeout {
-			scattered++
-		}
-	}
-	return leading, scattered
 }

@@ -21,7 +21,16 @@ func TestFinishReturnsADetachedObservation(t *testing.T) {
 	if obs == &c.obs {
 		t.Fatal("Finish returned a pointer into the Collector")
 	}
-	if len(obs.Samples) < 3 {
-		t.Fatalf("the observation carries %d samples, want the window's", len(obs.Samples))
+	if obs.scrapes < 3 {
+		t.Fatalf("the observation folded %d scrapes, want the window's", obs.scrapes)
+	}
+	// A scrape the collector folds after Finish must not reach the copy.
+	envelope := func(o *Observation) [6]int64 {
+		return [6]int64{int64(o.scrapes), o.FinalReady(), int64(o.FinalEndpoints()), o.MaxReady(), int64(o.MaxEndpoints()), int64(len(o.Series))}
+	}
+	want := envelope(obs)
+	c.obs.scrape(obs.MaxReady()+1, obs.MaxEndpoints()+1)
+	if got := envelope(obs); got != want {
+		t.Fatalf("the observation's envelope moved with the collector's: %v, was %v", got, want)
 	}
 }

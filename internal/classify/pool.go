@@ -1,21 +1,20 @@
 package classify
 
-// BufferPool recycles the per-experiment series buffers a Collector grows —
-// today the Observation's Samples slice (one entry per 3-second scrape). A
-// campaign runs thousands of experiments whose observations are classified
-// and immediately discarded; without recycling, every experiment grows a
-// fresh slice through the append ladder.
+import "github.com/mutiny-sim/mutiny/internal/workload"
+
+// BufferPool recycles the one buffer an Observation owns: its copy of the
+// client's latency series (workload.TotalRequests floats). A campaign runs
+// thousands of experiments whose observations are classified and immediately
+// discarded; without recycling, every experiment allocates a fresh series.
 //
 // The pool is a plain, unsynchronized free list: it is owned by exactly one
 // campaign worker (one experiment lifecycle at a time), so there is nothing
-// to synchronize. The sync.Pool it replaces was shared across every worker in
-// the process and put its per-P free lists — and their cache lines — in the
-// middle of the parallel engine's hot path. Only observations that provably
-// do not escape are released (golden-run observations, which baselines
-// retain, never are). A BufferPool must not be used from two goroutines at
+// to synchronize. Only observations that provably do not escape are released
+// (golden-run observations, which baselines retain, and those RunObserved
+// hands out never are). A BufferPool must not be used from two goroutines at
 // once.
 type BufferPool struct {
-	samples [][]Sample
+	series [][]float64
 }
 
 // NewBufferPool builds an empty pool.
@@ -23,27 +22,26 @@ func NewBufferPool() *BufferPool {
 	return &BufferPool{}
 }
 
-// getSamples borrows an empty sample buffer.
-func (p *BufferPool) getSamples() []Sample {
+// getSeries borrows an empty series buffer.
+func (p *BufferPool) getSeries() []float64 {
 	if p == nil {
 		return nil
 	}
-	if n := len(p.samples); n > 0 {
-		s := p.samples[n-1]
-		p.samples = p.samples[:n-1]
+	if n := len(p.series); n > 0 {
+		s := p.series[n-1]
+		p.series = p.series[:n-1]
 		return s[:0]
 	}
-	return make([]Sample, 0, 32) // a 45 s window at 3 s period is ~16 samples
+	return make([]float64, 0, workload.TotalRequests)
 }
 
-// Release returns an observation's recyclable buffers to the pool and clears
-// them from the observation. The caller must be the last reader: after
-// Release the buffers may be handed to the owner's next experiment.
+// Release returns an observation's series to the pool and clears it from the
+// observation. The caller must be the last reader: after Release the buffer
+// may be handed to the owner's next experiment.
 func (p *BufferPool) Release(o *Observation) {
-	if p == nil || o == nil || o.Samples == nil {
+	if p == nil || o == nil || o.Series == nil {
 		return
 	}
-	s := o.Samples
-	o.Samples = nil
-	p.samples = append(p.samples, s)
+	p.series = append(p.series, o.Series)
+	o.Series = nil
 }

@@ -5,10 +5,7 @@
 // golden-run distribution.
 package classify
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // OF is an orchestrator-level failure category (Table I(c), in increasing
 // severity order).
@@ -80,18 +77,21 @@ func (c CF) String() string {
 // CFs lists the categories in severity order.
 func CFs() []CF { return []CF{CFNSI, CFHRT, CFIA, CFSU} }
 
-// Sample is one 3-second snapshot of the cluster observables.
-type Sample struct {
-	At time.Duration
-	// ReadyReplicas sums ready replicas across app ReplicaSets.
-	ReadyReplicas int64
-	// Endpoints sums endpoint addresses across app Services.
-	Endpoints int
-}
-
-// Observation is everything measured during one experiment window.
+// Observation is what the classifiers read of one experiment window: the
+// reductions of its 3-second scrapes and of the client's requests, not the
+// raw measurements behind them.
 type Observation struct {
-	Samples []Sample
+	// The scrape envelope: the collector folds each 3-second scrape into it
+	// (Observation.scrape) as the scrape lands, and the classifiers read it
+	// through FinalReady, FinalEndpoints, Stable, MaxReady and MaxEndpoints.
+	// A scrape counts ready replicas across the app ReplicaSets and endpoint
+	// addresses across the app Services.
+	scrapes        int
+	finalReady     int64
+	readyBefore    [2]int64 // the two ready counts before finalReady, older first
+	maxReady       int64
+	finalEndpoints int
+	maxEndpoints   int
 
 	// Cumulative counters over the window.
 	PodsCreated   int  // cluster-wide pod creations
@@ -136,8 +136,10 @@ type Observation struct {
 	DNSHealthy             bool
 	PrometheusReachable    bool
 
-	// Client data.
-	Series           []float64 // latency series, zeros for failures
+	// Client data: the observation's own copy of the client's latency series
+	// (zeros for failures; the one buffer a BufferPool recycles) and its
+	// failure counts.
+	Series           []float64
 	TrailingFailures int
 	LeadingFailures  int
 	ScatteredErrors  int // non-timeout errors outside leading/trailing runs
@@ -146,51 +148,30 @@ type Observation struct {
 	UserErrors int
 }
 
-// FinalReady returns the steady-state ready replica count (last sample).
-func (o *Observation) FinalReady() int64 {
-	if len(o.Samples) == 0 {
-		return 0
-	}
-	return o.Samples[len(o.Samples)-1].ReadyReplicas
+// scrape folds one scrape's ready replica and endpoint counts into the
+// envelope.
+func (o *Observation) scrape(ready int64, endpoints int) {
+	o.scrapes++
+	o.readyBefore = [2]int64{o.readyBefore[1], o.finalReady}
+	o.finalReady, o.finalEndpoints = ready, endpoints
+	o.maxReady = max(o.maxReady, ready)
+	o.maxEndpoints = max(o.maxEndpoints, endpoints)
 }
+
+// FinalReady returns the steady-state ready replica count (last scrape).
+func (o *Observation) FinalReady() int64 { return o.finalReady }
 
 // FinalEndpoints returns the steady-state endpoint count.
-func (o *Observation) FinalEndpoints() int {
-	if len(o.Samples) == 0 {
-		return 0
-	}
-	return o.Samples[len(o.Samples)-1].Endpoints
-}
+func (o *Observation) FinalEndpoints() int { return o.finalEndpoints }
 
-// Stable reports whether the tail of the sampled series settled (the last
-// three samples agree) — LeR requires a *stable* lower value.
+// Stable reports whether the tail of the scraped series settled (the last
+// three scrapes agree) — LeR requires a *stable* lower value.
 func (o *Observation) Stable() bool {
-	n := len(o.Samples)
-	if n < 3 {
-		return true
-	}
-	a, b, c := o.Samples[n-3], o.Samples[n-2], o.Samples[n-1]
-	return a.ReadyReplicas == c.ReadyReplicas && b.ReadyReplicas == c.ReadyReplicas
+	return o.scrapes < 3 || (o.readyBefore[0] == o.finalReady && o.readyBefore[1] == o.finalReady)
 }
 
-// MaxReady returns the highest sampled ready replica count.
-func (o *Observation) MaxReady() int64 {
-	var max int64
-	for _, s := range o.Samples {
-		if s.ReadyReplicas > max {
-			max = s.ReadyReplicas
-		}
-	}
-	return max
-}
+// MaxReady returns the highest scraped ready replica count.
+func (o *Observation) MaxReady() int64 { return o.maxReady }
 
-// MaxEndpoints returns the highest sampled endpoint count.
-func (o *Observation) MaxEndpoints() int {
-	max := 0
-	for _, s := range o.Samples {
-		if s.Endpoints > max {
-			max = s.Endpoints
-		}
-	}
-	return max
-}
+// MaxEndpoints returns the highest scraped endpoint count.
+func (o *Observation) MaxEndpoints() int { return o.maxEndpoints }

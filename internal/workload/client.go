@@ -19,17 +19,10 @@ const (
 	TotalRequests = int(ClientDuration / requestInterval)
 )
 
-// RequestRecord is one client request outcome. Failed requests carry a zero
-// latency ("we padded with 0 the response times of failed requests").
-type RequestRecord struct {
-	At        time.Duration
-	LatencyMS float64
-	Err       string // netsim error kind, "" on success
-}
-
 // Client is the application client (AC): it resolves the target service's
 // VIP and issues requests from the monitoring node, recording the response
-// time series the client-failure classification is built on.
+// time series and the failure counts the client-failure classification is
+// built on.
 //
 // The VIP is resolved from a watch-maintained service view (the same
 // informer-style pipeline the driver's readiness checks use) instead of a
@@ -50,13 +43,27 @@ type Client struct {
 	nsKey  string
 	svcKey string
 
-	// Records is the request log, one entry per request issued. A caller that
-	// runs client after client may set it, before Start, to an empty slice of
-	// its own to log into (nothing retains it once the series is read);
-	// otherwise Start allocates it.
-	Records []RequestRecord
-	ticker  sim.Timer
-	sent    int
+	// Series is the response-time series in milliseconds, slot i for request
+	// i; a failed request, or one never issued, reads 0 ("we padded with 0
+	// the response times of failed requests"). A caller that runs client
+	// after client may set it, before Start, to a TotalRequests-long slice of
+	// its own (nothing retains it once the collector copied it); Start zeroes
+	// it, or allocates it when it is not that long.
+	Series []float64
+
+	// The failures, folded as requests complete: the leading run (the
+	// service not yet deployed, as in golden deploy runs), the trailing run
+	// (the service unreachable), and the non-timeout errors between the
+	// first and the last success (intermittent availability). unsettled
+	// holds the non-timeout errors since the last success, which count as
+	// scattered only once another success follows.
+	LeadingFailures  int
+	TrailingFailures int
+	ScatteredErrors  int
+	unsettled        int
+
+	ticker sim.Timer
+	sent   int
 }
 
 // NewClient builds an application client for one service.
@@ -74,8 +81,10 @@ func NewClient(cl *cluster.Cluster, namespace, service string) *Client {
 // Start begins issuing requests on the simulation loop; it stops by itself
 // after TotalRequests.
 func (c *Client) Start() {
-	if c.Records == nil {
-		c.Records = make([]RequestRecord, 0, TotalRequests)
+	if len(c.Series) == TotalRequests {
+		clear(c.Series)
+	} else {
+		c.Series = make([]float64, TotalRequests)
 	}
 	c.view = apiserver.NewReflector(c.cl.Loop, c.api, readinessResync, c.observe, spec.KindService)
 	c.view.Start()
@@ -102,15 +111,27 @@ func (c *Client) issue() {
 		c.Stop()
 		return
 	}
+	c.record(c.sent, c.request())
 	c.sent++
-	rec := RequestRecord{At: c.cl.Loop.Now()}
-	res := c.request()
+}
+
+// record writes request i's outcome into the series and the failure counts.
+// A failed request's slot keeps the 0 Start left there.
+func (c *Client) record(i int, res netsim.RequestResult) {
 	if res.Failed() {
-		rec.Err = res.Err
-	} else {
-		rec.LatencyMS = float64(res.Latency) / float64(time.Millisecond)
+		c.TrailingFailures++
+		switch {
+		case c.LeadingFailures == i: // every request before i failed
+			c.LeadingFailures++
+		case res.Err != netsim.ErrTimeout:
+			c.unsettled++
+		}
+		return
 	}
-	c.Records = append(c.Records, rec)
+	c.Series[i] = float64(res.Latency) / float64(time.Millisecond)
+	c.TrailingFailures = 0
+	c.ScatteredErrors += c.unsettled
+	c.unsettled = 0
 }
 
 // observe follows the view's events — live deliveries and resync repairs
@@ -140,39 +161,4 @@ func (c *Client) request() netsim.RequestResult {
 		return netsim.RequestResult{Err: netsim.ErrRefused}
 	}
 	return c.cl.Net.Request(c.cl.MonitoringNode(), vip, appPort)
-}
-
-// Series returns the latency series padded with zeros to TotalRequests.
-func (c *Client) Series() []float64 {
-	out := make([]float64, TotalRequests)
-	for i := range c.Records {
-		if i < TotalRequests {
-			out[i] = c.Records[i].LatencyMS
-		}
-	}
-	return out
-}
-
-// ErrorCounts aggregates failures by kind.
-func (c *Client) ErrorCounts() map[string]int {
-	out := make(map[string]int)
-	for _, r := range c.Records {
-		if r.Err != "" {
-			out[r.Err]++
-		}
-	}
-	return out
-}
-
-// TrailingFailures counts consecutive failed requests at the end of the
-// series — the service-unreachable signal.
-func (c *Client) TrailingFailures() int {
-	n := 0
-	for i := len(c.Records) - 1; i >= 0; i-- {
-		if c.Records[i].Err == "" {
-			break
-		}
-		n++
-	}
-	return n
 }

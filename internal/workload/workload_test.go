@@ -108,12 +108,11 @@ func TestClientMeasuresService(t *testing.T) {
 	if !client.Done() {
 		t.Fatal("client did not finish its series")
 	}
-	if len(client.Records) != TotalRequests {
-		t.Fatalf("records = %d, want %d", len(client.Records), TotalRequests)
+	if len(client.Series) != TotalRequests {
+		t.Fatalf("series length = %d, want %d", len(client.Series), TotalRequests)
 	}
-	series := client.Series()
 	ok := 0
-	for _, v := range series {
+	for _, v := range client.Series {
 		if v > 0 {
 			ok++
 		}
@@ -121,7 +120,7 @@ func TestClientMeasuresService(t *testing.T) {
 	if ok < TotalRequests*9/10 {
 		t.Fatalf("only %d/%d requests succeeded against a healthy service", ok, TotalRequests)
 	}
-	if n := client.TrailingFailures(); n != 0 {
+	if n := client.TrailingFailures; n != 0 {
 		t.Fatalf("trailing failures = %d on a healthy service", n)
 	}
 }
@@ -139,12 +138,11 @@ func TestClientDetectsServiceDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Loop.RunUntil(c.Loop.Now() + ClientDuration)
-	if client.TrailingFailures() < 100 {
-		t.Fatalf("trailing failures = %d; service death not visible", client.TrailingFailures())
+	if client.TrailingFailures < 100 {
+		t.Fatalf("trailing failures = %d; service death not visible", client.TrailingFailures)
 	}
-	errs := client.ErrorCounts()
-	if errs[netsim.ErrRefused] == 0 {
-		t.Fatalf("error counts = %v, want refused errors", errs)
+	if res := client.request(); res.Err != netsim.ErrRefused {
+		t.Fatalf("a request after the Service's deletion = %+v, want %q", res, netsim.ErrRefused)
 	}
 }
 
@@ -169,33 +167,64 @@ func TestAppManifestShape(t *testing.T) {
 	}
 }
 
-// The client logs into the caller's record buffer when it is given one — a
+// The client writes into the caller's series when it is given one — a
 // campaign worker lends the same one to every experiment — and allocates its
 // own only at Start, only otherwise.
-func TestClientLogsIntoSuppliedRecords(t *testing.T) {
+func TestClientWritesIntoALentSeries(t *testing.T) {
 	c := bootCluster(t, 6)
 	d := NewDriver(c, Deploy)
 	d.Run()
 	ns, svc := d.TargetService()
 
 	own := NewClient(c, ns, svc)
-	if own.Records != nil {
-		t.Fatal("NewClient allocated the record buffer")
+	if own.Series != nil {
+		t.Fatal("NewClient allocated the series")
 	}
 	lent := NewClient(c, ns, svc)
-	buf := make([]RequestRecord, 0, TotalRequests)
-	lent.Records = buf
+	buf := make([]float64, TotalRequests)
+	lent.Series = buf
 	own.Start()
 	lent.Start()
 	c.Loop.RunUntil(c.Loop.Now() + ClientDuration + time.Second)
-	if !own.Done() || !lent.Done() || len(own.Records) != TotalRequests || len(lent.Records) != TotalRequests {
-		t.Fatalf("series incomplete: %d and %d records", len(own.Records), len(lent.Records))
+	if !own.Done() || !lent.Done() || len(own.Series) != TotalRequests {
+		t.Fatalf("series incomplete: done %v and %v, own length %d", own.Done(), lent.Done(), len(own.Series))
 	}
-	if &lent.Records[0] != &buf[:1][0] {
-		t.Error("the client did not log into the buffer it was lent")
+	if &lent.Series[0] != &buf[0] {
+		t.Error("the client did not write into the series it was lent")
 	}
-	if own.Series()[TotalRequests-1] == 0 || lent.TrailingFailures() != 0 {
+	if own.Series[TotalRequests-1] == 0 || lent.Series[TotalRequests-1] == 0 || lent.TrailingFailures != 0 {
 		t.Error("requests against a ready service failed")
+	}
+}
+
+// A lent series arrives holding the last experiment's latencies. A client
+// stopped after k requests must leave every slot from k on at 0, as a failed
+// request's: a stale latency there would read as a request that succeeded.
+func TestLentSeriesCarriesNothingOver(t *testing.T) {
+	c := bootCluster(t, 6)
+	d := NewDriver(c, Deploy)
+	d.Run()
+	ns, svc := d.TargetService()
+
+	client := NewClient(c, ns, svc)
+	client.Series = make([]float64, TotalRequests)
+	for i := range client.Series {
+		client.Series[i] = 1e6
+	}
+	client.Start()
+	c.Loop.RunUntil(c.Loop.Now() + 100*requestInterval + requestInterval/2)
+	client.Stop()
+	c.Loop.RunUntil(c.Loop.Now() + ClientDuration)
+	if client.sent != 100 {
+		t.Fatalf("the client issued %d requests before Stop, want 100", client.sent)
+	}
+	for i, v := range client.Series {
+		if i < client.sent && (v == 0 || v == 1e6) {
+			t.Fatalf("slot %d of the issued requests reads %v, want the request's latency", i, v)
+		}
+		if i >= client.sent && v != 0 {
+			t.Fatalf("slot %d, past the %d issued requests, reads %v, want 0", i, client.sent, v)
+		}
 	}
 }
 

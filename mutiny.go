@@ -181,7 +181,9 @@ type (
 	OF = classify.OF
 	// CF is a client-level failure category.
 	CF = classify.CF
-	// Observation is the raw measurement of one experiment window.
+	// Observation is what the classifiers read of one experiment window: the
+	// scrape envelope, the client's latency series and failure counts, and
+	// the window's counters and health probes.
 	Observation = classify.Observation
 	// Baseline summarizes golden runs for classification.
 	Baseline = classify.Baseline
