@@ -37,9 +37,10 @@ test:
 race:
 	$(GO) test -race ./internal/campaign/... ./internal/codec/... ./internal/apiserver/... ./internal/spec/... ./internal/cow/...
 
-# Ten seconds of each of the tree's eight fuzz targets. FuzzLoopOrder: random
-# At/After/Every/Stop/Reset programs on the event loop, held to a slice sorted
-# by (at, seq). FuzzSchedulerRetry: random programs of cluster operations
+# Ten seconds of each of the tree's eight fuzz targets. FuzzLoopOrder: the
+# event queue and FIFO delivery queue vs a sorted slice: random
+# At/After/Every/Stop/Reset programs on the event loop, and Puts on a
+# sim.Queue riding it, held to a slice sorted by (at, seq). FuzzSchedulerRetry: random programs of cluster operations
 # (creates, deletes, resizes, cordons, heartbeats, at-rest rewrites, lost and
 # refused binds, a cache-mismatch restart) against the leader-elected
 # scheduler, every cycle held to a pass over all pending pods that remembers

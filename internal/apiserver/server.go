@@ -206,15 +206,10 @@ type Server struct {
 	// fanoutScratch backs the receiver list of the fan-out in progress.
 	fanoutScratch []*watcher
 
-	// The pending ring: each dispatch appends one pendingDispatch and
-	// schedules fanoutFn (built once — no per-dispatch closure) on the loop.
-	// The scheduled events fire in dispatch order, and each delivers the
-	// ring's front event to all its receivers in one callback: one loop event
-	// per dispatch, whatever the number of watchers. pendingHead indexes the
-	// front; the backing array is reused once the ring drains.
-	pending     []pendingDispatch
-	pendingHead int
-	fanoutFn    func()
+	// pending queues each dispatch for fanout, which delivers it to all its
+	// receivers in one callback: one loop event per dispatch, in dispatch
+	// order, whatever the number of watchers, and no closure.
+	pending *sim.Queue[pendingDispatch]
 
 	// decoded is the control plane's decode cache (see DecodeCache): one per
 	// cluster, shared by every replica like the audit trail. The counters are
@@ -322,7 +317,7 @@ func NewAt(loop *sim.Loop, st *store.Replicated, origin int, opts *Options) *Ser
 		audit:     NewAudit(),
 		arena:     codec.NewArena(),
 	}
-	s.fanoutFn = s.fanout
+	s.pending = sim.NewQueue(loop, 0, s.fanout)
 	s.own = NewEndpoints(loop, s)
 	if opts != nil {
 		s.opts = *opts
@@ -333,7 +328,7 @@ func NewAt(loop *sim.Loop, st *store.Replicated, origin int, opts *Options) *Ser
 
 // Reset returns the server to the state NewAt and the Set* wiring calls left
 // it in, keeping the memory of its tables: empty watch cache and decode
-// cache, no watchers, no queued dispatch, no hooks, counters
+// cache, no watchers, no hooks, counters
 // at their configured start, up, audit counters zero. What survives is
 // wiring, not state: the store binding, the admission stride, the shared
 // audit, decode cache and admission chain (the first two are emptied here, by
@@ -341,7 +336,7 @@ func NewAt(loop *sim.Loop, st *store.Replicated, origin int, opts *Options) *Ser
 // servers are many), the encode arena. Every registration counts as cancelled
 // from here on, so a late cancel is a no-op. The store must have been Reset
 // first — the server re-subscribes to it here, as NewAt did — and so must the
-// loop: a queued dispatch is dropped, not delivered.
+// loop, whose Reset drops every queued dispatch.
 func (s *Server) Reset() {
 	s.clearCache()
 	clear(s.decoded.entries)
@@ -366,9 +361,6 @@ func (s *Server) Reset() {
 	clear(s.byNode)
 	clear(s.byUID)
 	s.nextSeq, s.live = 0, 0
-	clear(s.pending)
-	s.pending = s.pending[:0]
-	s.pendingHead = 0
 
 	s.uidCounter, s.ipCounter = s.uidOffset, s.uidOffset
 	s.down = false
@@ -1034,32 +1026,24 @@ func (s *Server) dispatch(key string, ev WatchEvent) {
 	// shares the cache instance itself. Watchers that need to mutate go
 	// through spec.CloneForWrite.
 	//
-	// The event joins the pending ring with the sequence number the next
-	// registration would draw, and one loop event — fanout — delivers it to
-	// all its receivers, however many there are.
+	// The event is queued with the sequence number the next registration
+	// would draw, and one loop event — fanout — delivers it to all its
+	// receivers, however many there are.
 	// No watchers (e.g. a restart re-list before any component watches):
-	// the fanout would deliver to nobody, so skip the ring and the loop
+	// the fanout would deliver to nobody, so skip the queue and the loop
 	// event outright.
 	if s.live == 0 {
 		return
 	}
-	s.pending = append(s.pending, pendingDispatch{ev: ev, limit: s.nextSeq})
-	s.loop.After(0, s.fanoutFn)
+	s.pending.Put(pendingDispatch{ev: ev, limit: s.nextSeq})
 }
 
-// fanout delivers the front pending event to its receivers: every watcher
-// that was registered at dispatch time and wants it, in registration order.
-// A watch hook that is present is live — installed only while a watch-channel
+// fanout delivers a queued event to its receivers: every watcher that was
+// registered at dispatch time and wants it, in registration order. A watch
+// hook that is present is live — installed only while a watch-channel
 // injection is armed — and the event passes through it exactly once before
 // delivery.
-func (s *Server) fanout() {
-	pd := s.pending[s.pendingHead]
-	s.pending[s.pendingHead] = pendingDispatch{} // release the object ref
-	s.pendingHead++
-	if s.pendingHead == len(s.pending) {
-		s.pending = s.pending[:0]
-		s.pendingHead = 0
-	}
+func (s *Server) fanout(pd pendingDispatch) {
 	ev, deliver := s.interceptWatch(pd.ev)
 	if s.down {
 		// Crashed between dispatch and delivery: the notification dies with

@@ -7,9 +7,11 @@ import (
 	"time"
 )
 
-// The loop's event queue against the obvious implementation: a slice kept
-// sorted by (at, seq). runScript drives both with the same operations and
-// compares what fires, in which order, at what time.
+// The loop's event queue, and a Queue riding it, against the obvious
+// implementation: a slice kept sorted by (at, seq). runScript drives both with
+// the same operations and compares what fires, in which order, at what time.
+// A value put on the Queue is, to the reference, a one-shot event the queue's
+// delay from now.
 
 // refEvent is one scheduled callback of the reference.
 type refEvent struct {
@@ -110,9 +112,12 @@ type script struct {
 	log    []firing
 	timers []Timer
 	refs   []*refEvent // refs[i] is what timers[i] scheduled
+	// q delivers queued values after delay, one delay per program.
+	q     *Queue[queued]
+	delay time.Duration
 	// compactions counts Stop calls that shrank the heap; largest is the
-	// most slots the heap held.
-	compactions, largest int
+	// most slots the heap held; puts counts the values queued.
+	compactions, largest, puts int
 }
 
 func (s *script) next() byte {
@@ -134,6 +139,28 @@ func (s *script) callback(spawn time.Duration) func() {
 		if spawn >= 0 {
 			s.l.After(spawn, s.callback(-1))
 		}
+	}
+}
+
+// queued is one value put on the script's Queue: its id, and whether its
+// delivery puts a child.
+type queued struct {
+	id    int
+	spawn bool
+}
+
+// put queues the next id on the loop side.
+func (s *script) put(spawn bool) {
+	s.q.Put(queued{id: s.nextID, spawn: spawn})
+	s.nextID++
+	s.puts++
+}
+
+// deliver logs a queued value like a callback and puts its child, if any.
+func (s *script) deliver(v queued) {
+	s.log = append(s.log, firing{v.id, s.l.Now()})
+	if v.spawn {
+		s.put(false)
 	}
 }
 
@@ -171,10 +198,15 @@ func (s *script) compare(op string) {
 
 // runScript interprets prog: every byte pair is one operation on both sides.
 // Runs are short and stops come in bursts, so tombstones pile up in a heap a
-// few levels deep and force compact.
+// few levels deep and force compact. The first byte also picks the Queue's
+// delay, 0 to 4 ms.
 func runScript(t testing.TB, prog []byte) *script {
 	const ms = time.Millisecond
 	s := &script{t: t, prog: prog, l: NewLoop(1)}
+	if len(prog) > 0 {
+		s.delay = time.Duration(prog[0]%5) * ms
+	}
+	s.q = NewQueue(s.l, s.delay, s.deliver)
 	add := func(tm Timer, ev *refEvent) {
 		s.timers, s.refs = append(s.timers, tm), append(s.refs, ev)
 	}
@@ -202,6 +234,13 @@ func runScript(t testing.TB, prog []byte) *script {
 			for i, n := len(s.timers)-1, int(arg%24); i >= 0 && n > 0; i, n = i-1, n-1 {
 				s.stop(i)
 			}
+		case op == 15 && arg%2 == 1: // Put, with a child on every fourth
+			spawn := time.Duration(-1)
+			if arg%8 == 1 {
+				spawn = s.delay
+			}
+			s.put(spawn >= 0)
+			s.ref.schedule(s.ref.now+s.delay, 0, spawn)
 		case op == 13:
 			if got, want := s.l.Step(), s.ref.step(); got != want {
 				t.Fatalf("Step() = %v, the reference says %v", got, want)
@@ -212,7 +251,7 @@ func runScript(t testing.TB, prog []byte) *script {
 			s.l.RunUntil(deadline)
 			s.ref.runUntil(deadline)
 			s.compare("RunUntil")
-		default: // Reset, rarely: every handle goes stale
+		default: // Reset, rarely: every handle goes stale, every queued value is dropped
 			s.l.Reset()
 			for _, ev := range s.ref.pending {
 				ev.live = false
@@ -239,14 +278,21 @@ func (s *script) drain() {
 }
 
 // TestHeapPopsInKeyOrder: 10,000 random operations, same firings in the same
-// order at the same times as the sorted slice, with compactions along the way.
+// order at the same times as the sorted slice, with compactions along the way,
+// on every Queue delay the scripts pick.
 func TestHeapPopsInKeyOrder(t *testing.T) {
 	prog := make([]byte, 2*10_000)
 	rand.New(rand.NewSource(22)).Read(prog)
-	s := runScript(t, prog)
-	s.drain()
-	if s.compactions < 100 || s.largest < 86 { // 86 slots: a fifth level
-		t.Errorf("the script forced %d compactions on a heap of at most %d slots, want 100 and 86", s.compactions, s.largest)
+	for first := range 5 {
+		prog[0] = byte(first)
+		s := runScript(t, prog)
+		s.drain()
+		if s.compactions < 100 || s.largest < 86 { // 86 slots: a fifth level
+			t.Errorf("delay %v: the script forced %d compactions on a heap of at most %d slots, want 100 and 86", s.delay, s.compactions, s.largest)
+		}
+		if s.puts < 200 {
+			t.Errorf("delay %v: the script queued %d values, want 200", s.delay, s.puts)
+		}
 	}
 }
 

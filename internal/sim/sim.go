@@ -11,9 +11,11 @@
 // The scheduler is allocation-frugal: event structs are recycled on a
 // per-loop free list (an experiment schedules some 1,400 to 9,400 events,
 // and a campaign runs thousands of experiments), periodic timers rearm their
-// own event instead of scheduling a fresh closure every tick, and cancelled
-// events are compacted out of the heap lazily once they outnumber the live
-// ones.
+// own event instead of scheduling a fresh closure every tick, fixed-delay
+// deliveries (store watch events, apiserver fan-out, election messages) ride
+// a Queue that schedules one method bound once instead of a closure per
+// value, and cancelled events are compacted out of the heap lazily once they
+// outnumber the live ones.
 package sim
 
 import (
@@ -52,6 +54,8 @@ type Loop struct {
 	// outnumber the live events, compact sweeps them out in one pass instead
 	// of letting each wait for its deadline to pop it.
 	cancelled int
+	// queues holds every Queue made on the loop, for Reset to empty.
+	queues []interface{ reset() }
 }
 
 // Timer is a handle to a scheduled callback. Stop cancels it. Timer is a
@@ -178,15 +182,20 @@ func (l *Loop) Resume(now time.Duration, executed int64) {
 // clock and counters at zero, no budget — without giving up its memory: every
 // pending event goes back to the free list with its generation bumped, so
 // Timer handles held by whoever scheduled them go stale instead of cancelling
-// an unrelated later use of the struct. The random stream is left where it
-// is; Seed repositions it. Together with Seed and Resume this is how a
-// cluster is rewound for its next experiment instead of being rebuilt.
+// an unrelated later use of the struct, and every Queue made on the loop
+// drops the values those events would have delivered. The random stream is
+// left where it is; Seed repositions it. Together with Seed and Resume this
+// is how a cluster is rewound for its next experiment instead of being
+// rebuilt.
 func (l *Loop) Reset() {
 	for i, e := range l.events {
 		l.recycle(e.ev)
 		l.events[i] = entry{}
 	}
 	l.events = l.events[:0]
+	for _, q := range l.queues {
+		q.reset()
+	}
 	l.now, l.seq, l.executed, l.budget = 0, 0, 0, 0
 	l.cancelled = 0
 	l.stopped = false

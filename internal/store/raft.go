@@ -50,6 +50,12 @@ type message struct {
 	granted bool // vote response
 }
 
+// envelope is a message in flight to member to.
+type envelope struct {
+	to  int
+	msg message
+}
+
 // member is one replica's election state.
 type member struct {
 	r  *Replicated
@@ -161,17 +167,19 @@ func (m *member) stepDown() {
 // send delivers msg to member to after messageLatency, unless the link is cut
 // now or the receiver is lost by then.
 func (m *member) send(to int, msg message) {
-	r := m.r
-	if !r.linkUp(m.id, to) {
+	if !m.r.linkUp(m.id, to) {
 		return
 	}
 	msg.from = m.id
-	dst := &r.members[to]
-	r.loop.After(messageLatency, func() {
-		if !r.down[to] {
-			dst.receive(msg)
-		}
-	})
+	m.r.inflight.Put(envelope{to: to, msg: msg})
+}
+
+// arrive hands a message to its receiver, unless that replica was lost while
+// the message was in flight.
+func (r *Replicated) arrive(e envelope) {
+	if !r.down[e.to] {
+		r.members[e.to].receive(e.msg)
+	}
 }
 
 func (m *member) broadcast(msg message) {

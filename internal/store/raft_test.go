@@ -234,3 +234,27 @@ func TestElectionFootprint(t *testing.T) {
 		t.Errorf("next draw %d, want %d", draw, wantDraw)
 	}
 }
+
+// Election messages ride the store's one queue of envelopes: once the group
+// has a leader and the loop is warm, a heartbeat round — two heartbeats out,
+// two responses back, and the followers' timer resets — allocates nothing.
+func TestElectionMessagesDoNotAllocate(t *testing.T) {
+	loop := sim.NewLoop(1)
+	r := NewReplicated(loop, 3, nil)
+	settle(loop, 2*time.Second)
+	lead := leaderOf(r)
+	if lead < 0 {
+		t.Fatal("no leader elected after 2s")
+	}
+	before := loop.EventsExecuted()
+	allocs := testing.AllocsPerRun(100, func() { settle(loop, heartbeatInterval) })
+	if allocs != 0 {
+		t.Errorf("a heartbeat round allocates %.1f times, want 0", allocs)
+	}
+	if cur := leaderOf(r); cur != lead {
+		t.Fatalf("the leader moved from %d to %d during steady heartbeats", lead, cur)
+	}
+	if n := loop.EventsExecuted() - before; n < 101*5 {
+		t.Fatalf("%d loop events in 101 heartbeat rounds: the rounds carried no messages", n)
+	}
+}

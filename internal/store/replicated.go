@@ -46,8 +46,10 @@ type Replicated struct {
 	loop     *sim.Loop
 	replicas []*Store
 	// members is the election group, one member per replica; nil below two
-	// replicas.
-	members []member
+	// replicas. inflight carries their messages (see member.send); it is
+	// built with the store, since the loop keeps every queue made on it.
+	members  []member
+	inflight *sim.Queue[envelope]
 	// down marks lost replicas (FaultStoreLoss). cut marks severed replica
 	// links (FaultMasterPartition); it is queried per-pair, never iterated,
 	// so determinism is unaffected.
@@ -57,6 +59,16 @@ type Replicated struct {
 	// apply while cut off, in global commit order; Heal drains them. Lost
 	// replicas do not queue — RestoreReplica is a snapshot state transfer.
 	missed [][]repOp
+	// tally is QuorumGet's scratch: each distinct answer of the live
+	// replicas, with how many gave it.
+	tally []vote
+}
+
+// vote is one answer to a QuorumGet and the number of replicas that gave it.
+type vote struct {
+	kv    KV
+	found bool
+	count int
 }
 
 // repOp is one committed op, as a replica applies it live or on catch-up: a
@@ -93,13 +105,17 @@ func NewReplicated(loop *sim.Loop, n int, opts *Options) *Replicated {
 	for i := 0; i < n; i++ {
 		r.replicas = append(r.replicas, New(loop, opts))
 	}
+	if n > 1 {
+		r.inflight = sim.NewQueue(loop, messageLatency, r.arrive)
+	}
 	r.startRaft()
 	return r
 }
 
 // Reset empties every replica (see Store.Reset) and forgets lost members,
 // cuts and catch-up queues. The election group is left as it is — its timers
-// went with the loop's events — because a restore starts a new one.
+// and messages in flight went with the loop's events — because a restore
+// starts a new one.
 func (r *Replicated) Reset() {
 	for i, rep := range r.replicas {
 		rep.Reset()
@@ -343,12 +359,8 @@ func (r *Replicated) Heal() {
 // replica is outvoted, which is why the paper observes that "quorum reads
 // mitigate corrupted values".
 func (r *Replicated) QuorumGet(key string) (KV, bool) {
-	type vote struct {
-		kv    KV
-		found bool
-		count int
-	}
-	var votes []vote
+	votes := r.tally[:0]
+	defer func() { clear(votes); r.tally = votes[:0] }()
 	for i, rep := range r.replicas {
 		if r.down[i] {
 			continue

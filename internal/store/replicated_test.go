@@ -88,6 +88,30 @@ func TestQuorumReadMasksSingleReplicaCorruption(t *testing.T) {
 	}
 }
 
+// A quorum read tallies the replicas' answers in scratch the store keeps: once
+// warm it allocates nothing, whether the replicas agree, one diverges, or the
+// key is absent.
+func TestQuorumGetDoesNotAllocate(t *testing.T) {
+	r := NewReplicated(sim.NewLoop(3), 3, nil)
+	for _, k := range []string{"/agreed", "/diverged"} {
+		if _, err := r.PutVia(0, k, spec.KindPod, []byte("good")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.Replica(2).CorruptAtRest("/diverged", func([]byte) []byte { return []byte("bad!") })
+	for _, k := range []string{"/agreed", "/diverged", "/absent"} {
+		r.QuorumGet(k) // warm
+		if allocs := testing.AllocsPerRun(100, func() {
+			kv, ok := r.QuorumGet(k)
+			if ok != (k != "/absent") || ok && string(kv.Value) != "good" {
+				t.Fatalf("QuorumGet(%s) = %q, %v", k, kv.Value, ok)
+			}
+		}); allocs != 0 {
+			t.Errorf("QuorumGet(%s) allocates %.1f times per call, want 0", k, allocs)
+		}
+	}
+}
+
 func TestReplicatedSingleNode(t *testing.T) {
 	loop := sim.NewLoop(4)
 	r := NewReplicated(loop, 1, nil)

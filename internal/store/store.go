@@ -98,7 +98,6 @@ func (o *Options) withDefaults() Options {
 // them into the cluster's store. All methods must be called from the
 // simulation loop; events are delivered asynchronously on the loop.
 type Store struct {
-	loop  *sim.Loop
 	opts  Options
 	items map[string]*item
 	// restored backs the items a snapshot restore installs: one array per
@@ -119,13 +118,9 @@ type Store struct {
 	// while that is still the store's, so a cancel, a resubscription or a
 	// Reset drops whatever was committed before it.
 	sub *subscription
-
-	// Batched delivery: notify queues one pendingEvent and schedules
-	// deliverFn (built once) after the watch latency; the fired event hands
-	// the queue's front entry to its subscription.
-	pendingEv   []pendingEvent
-	pendingHead int
-	deliverFn   func()
+	// pending carries each committed change to its subscription after the
+	// watch latency: one loop event and no closure per commit.
+	pending *sim.Queue[pendingEvent]
 }
 
 type item struct {
@@ -147,11 +142,10 @@ type pendingEvent struct {
 // New returns an empty store bound to the simulation loop.
 func New(loop *sim.Loop, opts *Options) *Store {
 	s := &Store{
-		loop:  loop,
 		opts:  opts.withDefaults(),
 		items: make(map[string]*item),
 	}
-	s.deliverFn = s.deliver
+	s.pending = sim.NewQueue(loop, watchLatency, s.deliver)
 	return s
 }
 
@@ -159,17 +153,14 @@ func New(loop *sim.Loop, opts *Options) *Store {
 // zero, no subscription — keeping the memory of its tables for the next
 // restore. The subscriber re-subscribes (the API server does in its own
 // Reset); a cancel from before the Reset is a no-op. Events committed but not
-// yet delivered are dropped with the loop events that would have delivered
-// them: reset the loop first.
+// yet delivered are dropped: their subscription is no longer the store's, and
+// Loop.Reset empties the queue that holds them.
 func (s *Store) Reset() {
 	clear(s.items)
 	clear(s.restored)
 	s.sorted = nil
 	s.rev, s.size = 0, 0
 	s.sub = nil
-	clear(s.pendingEv)
-	s.pendingEv = s.pendingEv[:0]
-	s.pendingHead = 0
 }
 
 // Revision returns the latest committed revision.
@@ -338,21 +329,12 @@ func (s *Store) notify(ev Event) {
 	if s.sub == nil {
 		return
 	}
-	s.pendingEv = append(s.pendingEv, pendingEvent{ev: ev, sub: s.sub})
-	s.loop.After(watchLatency, s.deliverFn)
+	s.pending.Put(pendingEvent{ev: ev, sub: s.sub})
 }
 
-// deliver hands the front pending event to the subscription it was committed
-// under, if that is still the store's: one loop event and no closure per
-// commit.
-func (s *Store) deliver() {
-	pe := s.pendingEv[s.pendingHead]
-	s.pendingEv[s.pendingHead] = pendingEvent{}
-	s.pendingHead++
-	if s.pendingHead == len(s.pendingEv) {
-		s.pendingEv = s.pendingEv[:0]
-		s.pendingHead = 0
-	}
+// deliver hands a pending event to the subscription it was committed under,
+// if that is still the store's.
+func (s *Store) deliver(pe pendingEvent) {
 	if pe.sub == s.sub {
 		pe.sub.fn(pe.ev)
 	}
