@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -115,9 +116,9 @@ type script struct {
 	// q delivers queued values after delay, one delay per program.
 	q     *Queue[queued]
 	delay time.Duration
-	// compactions counts Stop calls that shrank the heap; largest is the
-	// most slots the heap held; puts counts the values queued.
-	compactions, largest, puts int
+	// removals counts Stop calls that shrank the heap; largest is the most
+	// slots the heap held; puts counts the values queued.
+	removals, largest, puts int
 }
 
 func (s *script) next() byte {
@@ -171,7 +172,7 @@ func (s *script) stop(i int) {
 		s.t.Fatalf("Stop() of timer %d = %v, the reference says %v", i, got, want)
 	}
 	if len(s.l.events) < before {
-		s.compactions++
+		s.removals++
 	}
 	if s.timers[i].Pending() {
 		s.t.Fatalf("timer %d is pending after Stop", i)
@@ -196,10 +197,26 @@ func (s *script) compare(op string) {
 	}
 }
 
+// checkHeap holds the loop's bookkeeping after an operation: every heap
+// entry's event records its own slot, and the Queue's event, which the queue
+// keeps, is never on the free list.
+func (s *script) checkHeap(n int) {
+	for i, e := range s.l.events {
+		if int(e.ev.idx) != i {
+			s.t.Fatalf("after operation %d: the event in heap slot %d records slot %d", n, i, e.ev.idx)
+		}
+	}
+	for _, ev := range s.l.free {
+		if ev == &s.q.ev {
+			s.t.Fatalf("after operation %d: the Queue's event is on the free list", n)
+		}
+	}
+}
+
 // runScript interprets prog: every byte pair is one operation on both sides.
-// Runs are short and stops come in bursts, so tombstones pile up in a heap a
-// few levels deep and force compact. The first byte also picks the Queue's
-// delay, 0 to 4 ms.
+// Runs are short and stops come in bursts, so stopped timers leave a heap a
+// few levels deep from every slot: the root, the leaves and between. The
+// first byte also picks the Queue's delay, 0 to 4 ms.
 func runScript(t testing.TB, prog []byte) *script {
 	const ms = time.Millisecond
 	s := &script{t: t, prog: prog, l: NewLoop(1)}
@@ -210,7 +227,7 @@ func runScript(t testing.TB, prog []byte) *script {
 	add := func(tm Timer, ev *refEvent) {
 		s.timers, s.refs = append(s.timers, tm), append(s.refs, ev)
 	}
-	for len(s.prog) > 0 {
+	for n := 0; len(s.prog) > 0; n++ {
 		s.largest = max(s.largest, len(s.l.events))
 		op, arg := s.next()%16, time.Duration(s.next())
 		switch {
@@ -259,6 +276,7 @@ func runScript(t testing.TB, prog []byte) *script {
 			s.ref.now, s.ref.seq, s.ref.pending = 0, 0, nil
 			s.compare("Reset")
 		}
+		s.checkHeap(n)
 	}
 	return s
 }
@@ -278,8 +296,8 @@ func (s *script) drain() {
 }
 
 // TestHeapPopsInKeyOrder: 10,000 random operations, same firings in the same
-// order at the same times as the sorted slice, with compactions along the way,
-// on every Queue delay the scripts pick.
+// order at the same times as the sorted slice, with stopped timers removed
+// along the way, on every Queue delay the scripts pick.
 func TestHeapPopsInKeyOrder(t *testing.T) {
 	prog := make([]byte, 2*10_000)
 	rand.New(rand.NewSource(22)).Read(prog)
@@ -287,8 +305,8 @@ func TestHeapPopsInKeyOrder(t *testing.T) {
 		prog[0] = byte(first)
 		s := runScript(t, prog)
 		s.drain()
-		if s.compactions < 100 || s.largest < 86 { // 86 slots: a fifth level
-			t.Errorf("delay %v: the script forced %d compactions on a heap of at most %d slots, want 100 and 86", s.delay, s.compactions, s.largest)
+		if s.removals < 100 || s.largest < 86 { // 86 slots: a fifth level
+			t.Errorf("delay %v: the script removed %d stopped timers from a heap of at most %d slots, want 100 and 86", s.delay, s.removals, s.largest)
 		}
 		if s.puts < 200 {
 			t.Errorf("delay %v: the script queued %d values, want 200", s.delay, s.puts)
@@ -312,4 +330,55 @@ func FuzzLoopOrder(f *testing.F) {
 		}
 		runScript(t, prog).drain()
 	})
+}
+
+// TestStopRemovesAnySlot: stopping the timer in the root, in a middle slot and
+// in the last slot of a five-level heap leaves the rest to fire in key order.
+func TestStopRemovesAnySlot(t *testing.T) {
+	l := NewLoop(1)
+	rng := rand.New(rand.NewSource(5))
+	type timed struct {
+		at time.Duration
+		id int
+	}
+	var fired, want []timed
+	timers := make([]Timer, 100) // 86 slots fill a fifth level
+	ats := make([]time.Duration, len(timers))
+	for id := range timers {
+		ats[id] = time.Duration(rng.Intn(50)) * time.Millisecond
+		timers[id] = l.At(ats[id], func() { fired = append(fired, timed{l.Now(), id}) })
+	}
+	stopped := map[int]bool{}
+	for _, slot := range []int{0, 40, -1} { // -1: the last slot
+		if slot < 0 {
+			slot = len(l.events) - 1
+		}
+		for id, tm := range timers {
+			if tm.Pending() && int(tm.ev.idx) == slot {
+				if !tm.Stop() {
+					t.Fatalf("Stop() = false on the timer in slot %d", slot)
+				}
+				stopped[id] = true
+				break
+			}
+		}
+		for i, e := range l.events {
+			if int(e.ev.idx) != i {
+				t.Fatalf("after stopping slot %d: the event in slot %d records slot %d", slot, i, e.ev.idx)
+			}
+		}
+	}
+	if len(stopped) != 3 || l.Pending() != len(timers)-3 {
+		t.Fatalf("stopped %d timers, %d pending, want 3 and %d", len(stopped), l.Pending(), len(timers)-3)
+	}
+	for id, at := range ats { // ids are in scheduling order: sequence order
+		if !stopped[id] {
+			want = append(want, timed{at, id})
+		}
+	}
+	sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+	l.Run()
+	if !reflect.DeepEqual(fired, want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
 }

@@ -13,9 +13,8 @@
 // and a campaign runs thousands of experiments), periodic timers rearm their
 // own event instead of scheduling a fresh closure every tick, fixed-delay
 // deliveries (store watch events, apiserver fan-out, election messages) ride
-// a Queue that schedules one method bound once instead of a closure per
-// value, and cancelled events are compacted out of the heap lazily once they
-// outnumber the live ones.
+// a Queue that keeps one heap entry for its front value instead of an event
+// per value, and a stopped timer leaves the heap at once.
 package sim
 
 import (
@@ -35,9 +34,10 @@ var Epoch = time.Date(2024, time.April, 17, 0, 0, 0, 0, time.UTC)
 type Loop struct {
 	now time.Duration
 	seq uint64
-	// events is a 4-ary min-heap on (at, seq) — see push, pop and down. The
-	// key is a total order (seq is unique), so the pop order, and with it
-	// every outcome, is independent of the heap's shape.
+	// events is a 4-ary min-heap on (at, seq) — see pushKey, remove, up and
+	// down. The key is a total order (seq is unique), so the pop order, and
+	// with it every outcome, is independent of the heap's shape. Every event
+	// on the heap records its slot, so a stopped timer is removed in place.
 	events  []entry
 	rng     *rand.Rand
 	stopped bool
@@ -46,16 +46,16 @@ type Loop struct {
 	budget   int64 // 0 = unlimited
 
 	// free recycles event structs: an event is returned here after it fires
-	// (or is compacted away as a tombstone) and reused by the next At call.
-	// Each recycle bumps the event's generation, so stale Timer handles can
-	// never cancel an unrelated reuse of the same struct.
+	// or is stopped, and reused by the next At call. Each recycle bumps the
+	// event's generation, so stale Timer handles can never cancel an
+	// unrelated reuse of the same struct.
 	free []*event
-	// cancelled counts tombstones currently sitting in the heap. Once they
-	// outnumber the live events, compact sweeps them out in one pass instead
-	// of letting each wait for its deadline to pop it.
-	cancelled int
-	// queues holds every Queue made on the loop, for Reset to empty.
-	queues []interface{ reset() }
+	// queues holds every Queue made on the loop, for Reset to empty and
+	// Pending to count.
+	queues []interface {
+		reset()
+		behind() int
+	}
 }
 
 // Timer is a handle to a scheduled callback. Stop cancels it. Timer is a
@@ -68,16 +68,19 @@ type Timer struct {
 
 // event is one scheduled callback. Events are pooled: gen distinguishes
 // successive uses of the same struct, period > 0 marks a periodic (Every)
-// event that rearms itself after each firing, and queued reports whether a
-// heap entry points at it (not while it runs, or free).
+// event that rearms itself after each firing, and idx is the event's heap
+// slot, or -1 while it is off the heap (running, or free). cancelled marks a
+// periodic event stopped from inside its own callback, which Step then does
+// not rearm. A Queue's own event has queue set and never goes to the free
+// list.
 type event struct {
 	loop      *Loop
 	fn        func()
 	period    time.Duration
 	gen       uint32
+	idx       int32
 	cancelled bool
-	fired     bool
-	queued    bool
+	queue     bool
 }
 
 // entry is one heap slot. It carries its key by value, so a sift compares
@@ -102,40 +105,28 @@ func (t Timer) valid() bool {
 
 // Stop cancels the timer. It is safe to call on an already-fired or
 // already-stopped timer (and on the zero Timer), and reports whether the
-// call prevented the callback from firing again. Stopping a periodic timer
-// from inside its own callback prevents the rearm.
+// call prevented the callback from firing again. A timer on the heap leaves
+// it at once and its event is recycled; stopping a periodic timer from
+// inside its own callback prevents the rearm.
 func (t Timer) Stop() bool {
-	if !t.valid() || t.ev.cancelled {
+	if !t.Pending() {
 		return false
 	}
 	ev := t.ev
-	if ev.period == 0 && ev.fired {
-		return false
+	if ev.idx < 0 {
+		ev.cancelled = true // running: Step must not rearm it
+		return true
 	}
-	ev.cancelled = true
-	if ev.queued {
-		// Tombstone in the heap: count it and compact when the dead outweigh
-		// the living (a stopped Every timer used to linger until its next
-		// deadline popped it).
-		l := ev.loop
-		l.cancelled++
-		if l.cancelled*2 >= len(l.events) {
-			l.compact()
-		}
-	}
+	ev.loop.remove(int(ev.idx))
+	ev.loop.recycle(ev)
 	return true
 }
 
 // Pending reports whether the timer is still scheduled to fire (again, for
-// periodic timers). The zero Timer is not pending.
+// periodic timers, even from inside their own callback). The zero Timer is
+// not pending.
 func (t Timer) Pending() bool {
-	if !t.valid() || t.ev.cancelled {
-		return false
-	}
-	if t.ev.period > 0 {
-		return true
-	}
-	return !t.ev.fired
+	return t.valid() && !t.ev.cancelled && (t.ev.idx >= 0 || t.ev.period > 0)
 }
 
 // NewLoop returns a loop whose random source is seeded with seed.
@@ -183,12 +174,13 @@ func (l *Loop) Resume(now time.Duration, executed int64) {
 // pending event goes back to the free list with its generation bumped, so
 // Timer handles held by whoever scheduled them go stale instead of cancelling
 // an unrelated later use of the struct, and every Queue made on the loop
-// drops the values those events would have delivered. The random stream is
+// drops its values (its own event stays with it). The random stream is
 // left where it is; Seed repositions it. Together with Seed and Resume this
 // is how a cluster is rewound for its next experiment instead of being
 // rebuilt.
 func (l *Loop) Reset() {
 	for i, e := range l.events {
+		e.ev.idx = -1
 		l.recycle(e.ev)
 		l.events[i] = entry{}
 	}
@@ -197,7 +189,6 @@ func (l *Loop) Reset() {
 		q.reset()
 	}
 	l.now, l.seq, l.executed, l.budget = 0, 0, 0, 0
-	l.cancelled = 0
 	l.stopped = false
 }
 
@@ -222,41 +213,60 @@ func (l *Loop) alloc(fn func()) *event {
 	return ev
 }
 
-// push queues ev at time at under the next sequence number. The new entry
-// rises from the last slot: parents move down into the hole until one is not
-// after it.
+// push queues ev at time at under the next sequence number.
 func (l *Loop) push(at time.Duration, ev *event) {
-	e := entry{at: at, seq: l.seq, ev: ev}
+	l.pushKey(at, l.seq, ev)
 	l.seq++
-	ev.queued = true
-	l.events = append(l.events, e)
+}
+
+// pushKey queues ev under a key drawn earlier (a Queue draws its values' keys
+// when they are put): the new entry rises from a new last slot.
+func (l *Loop) pushKey(at time.Duration, seq uint64, ev *event) {
+	l.events = append(l.events, entry{})
+	l.up(len(l.events)-1, entry{at: at, seq: seq, ev: ev})
+}
+
+// pop removes and returns the earliest entry of a non-empty heap.
+func (l *Loop) pop() entry {
+	top := l.events[0]
+	l.remove(0)
+	return top
+}
+
+// remove takes slot i out of the heap: the last entry fills it, rising or
+// sinking to where it belongs.
+func (l *Loop) remove(i int) {
 	h := l.events
-	i := len(h) - 1
+	h[i].ev.idx = -1
+	n := len(h) - 1
+	last := h[n]
+	h[n] = entry{}
+	l.events = h[:n]
+	if i == n {
+		return
+	}
+	if i > 0 && last.before(h[(i-1)/4]) {
+		l.up(i, last)
+	} else {
+		l.down(i, last)
+	}
+}
+
+// up places e at or above the hole at slot i: parents move down into the
+// hole until one is not after e.
+func (l *Loop) up(i int, e entry) {
+	h := l.events
 	for i > 0 {
 		p := (i - 1) / 4
 		if !e.before(h[p]) {
 			break
 		}
 		h[i] = h[p]
+		h[i].ev.idx = int32(i)
 		i = p
 	}
 	h[i] = e
-}
-
-// pop removes and returns the earliest entry of a non-empty heap; the last
-// entry sinks from the root to fill its place.
-func (l *Loop) pop() entry {
-	h := l.events
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = entry{}
-	l.events = h[:n]
-	if n > 0 {
-		l.down(0, last)
-	}
-	top.ev.queued = false
-	return top
+	e.ev.idx = int32(i)
 }
 
 // down places e in the subtree whose root slot i is a hole: the earliest of
@@ -278,20 +288,24 @@ func (l *Loop) down(i int, e entry) {
 			break
 		}
 		h[i] = h[m]
+		h[i].ev.idx = int32(i)
 		i = m
 	}
 	h[i] = e
+	e.ev.idx = int32(i)
 }
 
-// recycle returns a popped (or compacted) event to the free list. The
-// generation bump invalidates every Timer handle still pointing at it.
+// recycle returns a fired or stopped event, off the heap, to the free list;
+// a Queue keeps its own. The generation bump invalidates every Timer handle
+// still pointing at it.
 func (l *Loop) recycle(ev *event) {
+	if ev.queue {
+		return
+	}
 	ev.gen++
 	ev.fn = nil
 	ev.period = 0
 	ev.cancelled = false
-	ev.fired = false
-	ev.queued = false
 	l.free = append(l.free, ev)
 }
 
@@ -330,32 +344,22 @@ func (l *Loop) Every(interval time.Duration, fn func()) Timer {
 // Step executes the next pending event, advancing the clock to its deadline.
 // It reports whether an event was executed.
 func (l *Loop) Step() bool {
-	if l.BudgetExhausted() {
+	if l.BudgetExhausted() || len(l.events) == 0 {
 		return false
 	}
-	for len(l.events) > 0 {
-		e := l.pop()
-		ev := e.ev
-		if ev.cancelled {
-			l.cancelled--
-			l.recycle(ev)
-			continue
-		}
-		l.now = e.at
-		ev.fired = true
-		l.executed++
-		ev.fn()
-		if ev.period > 0 && !ev.cancelled {
-			// Rearm in place: same struct, same generation (the Timer handle
-			// stays live), next interval, fresh sequence number.
-			ev.fired = false
-			l.push(l.now+ev.period, ev)
-		} else {
-			l.recycle(ev)
-		}
-		return true
+	e := l.pop()
+	ev := e.ev
+	l.now = e.at
+	l.executed++
+	ev.fn()
+	if ev.period > 0 && !ev.cancelled {
+		// Rearm in place: same struct, same generation (the Timer handle
+		// stays live), next interval, fresh sequence number.
+		l.push(l.now+ev.period, ev)
+	} else {
+		l.recycle(ev)
 	}
-	return false
+	return true
 }
 
 // RunUntil executes all events scheduled at or before deadline, then advances
@@ -364,9 +368,6 @@ func (l *Loop) Step() bool {
 func (l *Loop) RunUntil(deadline time.Duration) {
 	l.stopped = false
 	for !l.stopped && !l.BudgetExhausted() && len(l.events) > 0 {
-		if l.skipCancelled() {
-			continue
-		}
 		if l.events[0].at > deadline {
 			break
 		}
@@ -389,9 +390,6 @@ func (l *Loop) RunUntil(deadline time.Duration) {
 func (l *Loop) RunUntilStopped(deadline time.Duration) bool {
 	l.stopped = false
 	for !l.BudgetExhausted() && len(l.events) > 0 {
-		if l.skipCancelled() {
-			continue
-		}
 		if l.events[0].at > deadline {
 			break
 		}
@@ -406,19 +404,6 @@ func (l *Loop) RunUntilStopped(deadline time.Duration) bool {
 	return false
 }
 
-// skipCancelled pops the earliest entry if it is a tombstone, and reports
-// whether it did.
-func (l *Loop) skipCancelled() bool {
-	ev := l.events[0].ev
-	if !ev.cancelled {
-		return false
-	}
-	l.pop()
-	l.cancelled--
-	l.recycle(ev)
-	return true
-}
-
 // Run executes events until the queue drains or Stop is called.
 func (l *Loop) Run() {
 	l.stopped = false
@@ -429,29 +414,12 @@ func (l *Loop) Run() {
 // Stop makes the innermost Run/RunUntil return after the current callback.
 func (l *Loop) Stop() { l.stopped = true }
 
-// Pending reports the number of scheduled, uncancelled events.
-func (l *Loop) Pending() int { return len(l.events) - l.cancelled }
-
-// compact sweeps cancelled events out of the heap in one pass and restores
-// the heap invariant. Ordering is untouched: heap order is fully determined
-// by (at, seq), so re-heapifying the survivors yields the same pop order.
-func (l *Loop) compact() {
-	live := l.events[:0]
-	for _, e := range l.events {
-		if e.ev.cancelled {
-			l.recycle(e.ev)
-		} else {
-			live = append(live, e)
-		}
+// Pending reports the number of scheduled, uncancelled events, counting
+// every value a Queue holds.
+func (l *Loop) Pending() int {
+	n := len(l.events)
+	for _, q := range l.queues {
+		n += q.behind()
 	}
-	clear(l.events[len(live):])
-	l.events = live
-	l.cancelled = 0
-	if len(live) < 2 {
-		return // nothing to order (and no slot with a child to start from)
-	}
-	// Bottom-up from the last slot that has a child.
-	for i := (len(live) - 2) / 4; i >= 0; i-- {
-		l.down(i, live[i])
-	}
+	return n
 }

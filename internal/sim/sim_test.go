@@ -206,10 +206,9 @@ func TestTimeEpoch(t *testing.T) {
 }
 
 // Regression: a stopped Every timer used to leave its cancelled event in the
-// heap until the deadline popped it. Now tombstones are compacted as soon as
-// they outnumber live events, so stopping periodic timers shrinks the heap
-// without the loop ever running.
-func TestStoppedPeriodicTimersAreCompacted(t *testing.T) {
+// heap until the deadline popped it. Now Stop takes the event off the heap,
+// so stopping periodic timers shrinks the heap without the loop ever running.
+func TestStoppedTimersLeaveTheHeap(t *testing.T) {
 	l := NewLoop(1)
 	l.After(time.Hour, func() {}) // one live long-deadline event
 	var timers []Timer
@@ -222,7 +221,7 @@ func TestStoppedPeriodicTimersAreCompacted(t *testing.T) {
 		}
 	}
 	if got := len(l.events); got != 1 {
-		t.Fatalf("heap holds %d events after stopping all periodics, want 1 (tombstones not compacted)", got)
+		t.Fatalf("heap holds %d events after stopping all periodics, want 1 (stopped timers left in the heap)", got)
 	}
 	if got := l.Pending(); got != 1 {
 		t.Fatalf("Pending() = %d, want 1", got)
@@ -248,8 +247,9 @@ func TestEveryRearmDoesNotAllocate(t *testing.T) {
 }
 
 // Recycled events must not be cancellable through stale Timer handles: a
-// handle from a fired one-shot keeps returning false even after its struct
-// is reused for a new event.
+// handle from a fired one-shot, or from a stopped one whose struct Stop
+// recycled at once, keeps returning false even after its struct is reused
+// for a new event.
 func TestStaleTimerCannotCancelRecycledEvent(t *testing.T) {
 	l := NewLoop(1)
 	first := l.After(time.Second, func() {})
@@ -268,6 +268,23 @@ func TestStaleTimerCannotCancelRecycledEvent(t *testing.T) {
 	l.RunUntil(l.Now() + 2*time.Second)
 	if !fired {
 		t.Fatal("recycled event did not fire")
+	}
+
+	stopped := l.After(time.Second, func() { t.Error("a stopped timer fired") })
+	if !stopped.Stop() {
+		t.Fatal("Stop() = false on a pending timer")
+	}
+	fired = false
+	reuse := l.After(time.Second, func() { fired = true })
+	if reuse.ev != stopped.ev {
+		t.Fatal("the next timer did not reuse the stopped timer's struct")
+	}
+	if stopped.Stop() || stopped.Pending() {
+		t.Fatal("stale handle of a stopped timer cancelled, or reports, the event reusing its struct")
+	}
+	l.RunUntil(l.Now() + 2*time.Second)
+	if !fired {
+		t.Fatal("the event reusing a stopped timer's struct did not fire")
 	}
 }
 

@@ -75,8 +75,9 @@
 //     repaired at the next resync.
 //
 //   - A lean event path. The scheduler pools event structs and rearms
-//     periodic timers in place (no allocation per tick), and stopped timers
-//     are compacted out of the heap instead of lingering as tombstones.
+//     periodic timers in place (no allocation per tick), a stopped timer
+//     leaves the heap at once, and a fixed-delay queue holds one heap entry
+//     however many values wait in it.
 //     Watch fan-out is batched at both hops (store→apiserver and
 //     apiserver→watchers): each committed change schedules one loop event
 //     that delivers the sealed object to every subscriber in registration
