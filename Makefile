@@ -33,7 +33,10 @@ test:
 # cache (TestCampaignParallelismIsDeterministic, TestRunnerConcurrentUse,
 # TestSnapshotCacheConcurrentRunners, TestClearSnapshotCacheRacesActiveForks),
 # and apiserver adds the decode-cache tests: sealed entries, and the stored
-# arrays a status splice copies from, cross the same shared read paths.
+# arrays a status splice copies from, cross the same shared read paths; and
+# TestControlPlaneRestoreIsWhole, which restores one control-plane snapshot
+# into two planes on two goroutines, as forks on campaign workers do: a
+# Restore that wrote its snapshot would race there.
 race:
 	$(GO) test -race ./internal/campaign/... ./internal/codec/... ./internal/apiserver/... ./internal/spec/... ./internal/cow/...
 

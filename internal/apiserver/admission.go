@@ -259,11 +259,6 @@ func violatesSkipped(h *AdmissionHook, verb Verb, obj spec.Object) bool {
 // validating hook would have denied — the enforcement-integrity loss.
 func (c *AdmissionChain) ViolationsAdmitted() int64 { return c.violationsAdmitted }
 
-// ResumeViolations sets the violation count, for a cluster resuming from a
-// snapshot. Fault state is deliberately not part of a snapshot: snapshots are
-// taken of settled, fault-free clusters, and each fork arms its own injector.
-func (c *AdmissionChain) ResumeViolations(n int64) { c.violationsAdmitted = n }
-
 // --- the standard governance chain --------------------------------------------
 
 // AdmissionDefaultedLabel is stamped by the standard mutating defaulter hook

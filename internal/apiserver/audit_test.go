@@ -83,10 +83,10 @@ func TestHandleCountsEachFailureOnce(t *testing.T) {
 			return r.c.UpdateStatus(r.fresh(t, spec.KindConfigMap, "cm"))
 		}},
 		{"admission-denial", ErrAdmission, func(t *testing.T, r auditRig) error {
-			r.srv.SetAdmissionChain(NewAdmissionChain(FailClosed, &AdmissionHook{
+			r.srv.admission = NewAdmissionChain(FailClosed, &AdmissionHook{
 				Name:     "deny-all",
 				Validate: func(spec.Object) error { return errors.New("denied") },
-			}))
+			})
 			return r.c.Create(testPod("b"))
 		}},
 		{"request-channel-drop", ErrTimeout, func(t *testing.T, r auditRig) error {

@@ -45,8 +45,9 @@ func verifyChecksum(obj spec.Object) bool {
 }
 
 // criticalChecksum hashes the (path, value) pairs of every critical field in
-// deterministic order. The checksum annotation itself is excluded by
-// construction: annotation paths are not critical fields.
+// deterministic order. The checksum annotation itself is skipped explicitly:
+// spec.CriticalFieldPath does not count its path critical today, but a stamp
+// must never hash itself, whatever the classifier comes to match.
 func criticalChecksum(obj spec.Object) string {
 	type entry struct{ path, value string }
 	var entries []entry

@@ -69,10 +69,10 @@ func TestDecodeCacheEntriesAreSealedAndRevisionTagged(t *testing.T) {
 		}
 	}
 	settle(loop)
-	if len(srv.decoded.entries) == 0 {
+	if len(srv.decoded) == 0 {
 		t.Fatal("decode cache is empty after writes")
 	}
-	for key, e := range srv.decoded.entries {
+	for key, e := range srv.decoded {
 		obj := e.obj
 		if !obj.Meta().Sealed() {
 			t.Errorf("decode-cache entry %s is not sealed", key)
@@ -290,7 +290,10 @@ func TestDecodeCacheSkipsTamperedStoreWrites(t *testing.T) {
 // A restored server (the fork path) inherits the snapshot's decoded objects
 // and rebuilds its watch cache without re-decoding the whole store.
 func TestDecodeCacheSharedThroughSnapshotRestore(t *testing.T) {
-	loop, _, srv := newTestServer(t)
+	loop := sim.NewLoop(1)
+	st := store.NewReplicated(loop, 1, nil)
+	cp := NewControlPlane(loop, st, nil, nil)
+	srv := cp.Servers[0]
 	c := srv.ClientFor("test")
 	for _, name := range []string{"web-1", "web-2", "web-3"} {
 		if err := c.Create(testPod(name)); err != nil {
@@ -298,16 +301,15 @@ func TestDecodeCacheSharedThroughSnapshotRestore(t *testing.T) {
 		}
 	}
 	settle(loop)
-	serverSnap := srv.Snapshot()
-	decodeSnap := srv.DecodeCache().Snapshot()
-	storeSnap := srv.store.Snapshot()
+	planeSnap := cp.Snapshot()
+	storeSnap := st.Snapshot()
 
 	loop2 := sim.NewLoop(2)
 	st2 := store.NewReplicated(loop2, 1, nil)
 	st2.Restore(storeSnap)
-	srv2 := New(loop2, st2, nil)
-	srv2.DecodeCache().Restore(decodeSnap)
-	srv2.RestoreSnapshot(serverSnap)
+	cp2 := NewControlPlane(loop2, st2, nil, nil)
+	cp2.Restore(planeSnap)
+	srv2 := cp2.Servers[0]
 
 	hits, misses, _ := srv2.DecodeCacheStats()
 	if misses != 0 {
@@ -341,7 +343,7 @@ func TestDecodeCachePrimedObjectMatchesRealDecode(t *testing.T) {
 	}
 	settle(loop)
 	key := spec.Key(spec.KindPod, spec.DefaultNamespace, "web-1")
-	cached, ok := srv.decoded.entries[key]
+	cached, ok := srv.decoded[key]
 	if !ok {
 		t.Fatal("write did not prime the decode cache")
 	}

@@ -11,18 +11,19 @@ import (
 	"github.com/mutiny-sim/mutiny/internal/store"
 )
 
-// controlPlane is a test control plane wired the way cluster.assemble wires
-// one: n servers over one n-member store, sharing one decode cache. served
-// records, per server and key, the bytes the server's watch cache entry was
-// last served from: a store event's, or a re-list's. heard, when set, runs
-// each time server i has ingested a store event.
+// controlPlane is a test rig over the ControlPlane a cluster builds: n
+// servers over one n-member store, sharing one decode cache. served records,
+// per server and key, the bytes the server's watch cache entry was last
+// served from: a store event's, or a re-list's. heard, when set, runs each
+// time server i has ingested a store event.
 type controlPlane struct {
 	t       *testing.T
 	loop    *sim.Loop
 	backend *store.Replicated
 	rep     *store.Replicated // backend when replicated (n > 1): the HA steps run only then
 	stores  []*store.Store
-	servers []*Server
+	plane   *ControlPlane
+	servers []*Server // plane.Servers
 	served  []map[string]store.KV
 	heard   func(i int)
 }
@@ -34,14 +35,10 @@ func newControlPlane(t *testing.T, n int) *controlPlane {
 	if n > 1 {
 		cp.rep = cp.backend
 	}
-	for i := 0; i < n; i++ {
+	cp.plane = NewControlPlane(cp.loop, cp.backend, nil, nil)
+	cp.servers = cp.plane.Servers
+	for i, srv := range cp.servers {
 		cp.stores = append(cp.stores, cp.backend.Replica(i))
-		srv := NewAt(cp.loop, cp.backend, i, nil)
-		srv.SetAdmissionStride(i, n)
-		if i > 0 {
-			srv.SetDecodeCache(cp.servers[0].DecodeCache())
-		}
-		cp.servers = append(cp.servers, srv)
 		served := make(map[string]store.KV)
 		cp.served = append(cp.served, served)
 		// The server's own store subscription, recording what it is served.

@@ -233,7 +233,7 @@ func TestEncodeCacheSpliceRoundTripsPerKind(t *testing.T) {
 			// The cached sealed object at the committed revision must
 			// re-encode to what its entry's array splices to, and match a
 			// real decode.
-			if _, ok := srv.decoded.entries[key]; !ok {
+			if _, ok := srv.decoded[key]; !ok {
 				t.Fatal("status update did not prime the decode cache")
 			}
 			if w := wireOf(srv, key); w == nil {
@@ -338,7 +338,7 @@ func TestEncodeCacheSurvivesRestart(t *testing.T) {
 func TestEncodeCacheSplicedWritesConvergeAcrossReplicas(t *testing.T) {
 	loop := sim.NewLoop(31)
 	rep := store.NewReplicated(loop, 3, nil)
-	srv := NewAt(loop, rep, 0, nil)
+	srv := NewControlPlane(loop, rep, nil, nil).Servers[0]
 	c := srv.ClientFor("test")
 	if err := c.Create(testPod("web-1")); err != nil {
 		t.Fatal(err)
@@ -459,9 +459,9 @@ func TestEncodeCacheMalformedPrefixFallsBackToFullMarshal(t *testing.T) {
 		t.Fatal("nothing stored to cut")
 	}
 	kv, _ := st.Get(key)
-	e := srv.decoded.entries[key]
+	e := srv.decoded[key]
 	e.src = &kv.Value[0]
-	srv.decoded.entries[key] = e
+	srv.decoded[key] = e
 	if wireOf(srv, key) == nil {
 		t.Fatal("the entry is not written for the cut array; the test no longer offers it to the splice")
 	}

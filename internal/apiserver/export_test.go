@@ -9,8 +9,8 @@ import (
 
 // DecodeCacheKeys returns the keys the decode cache holds entries for, sorted.
 func (s *Server) DecodeCacheKeys() []string {
-	keys := make([]string, 0, len(s.decoded.entries))
-	for key := range s.decoded.entries {
+	keys := make([]string, 0, len(s.decoded))
+	for key := range s.decoded {
 		keys = append(keys, key)
 	}
 	sort.Strings(keys)
@@ -24,7 +24,7 @@ func (s *Server) DecodeCacheKeys() []string {
 // false unless the entry is valid for that very array at its revision and is
 // written — the write path produced the array.
 func (s *Server) PrimedEncoding(key string) (obj spec.Object, array []byte, off int, ok bool) {
-	e, cached := s.decoded.entries[key]
+	e, cached := s.decoded[key]
 	kv, stored, err := s.store.GetFrom(s.origin, key)
 	if !cached || !stored || err != nil || !e.written ||
 		arrayOf(kv.Value) != e.src || e.obj.Meta().ResourceVersion != kv.Revision {

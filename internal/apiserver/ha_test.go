@@ -102,7 +102,7 @@ func TestReflectorRestartThenWrite(t *testing.T) {
 func TestRestartQuorumVerifiesAgainstCorruptReplica(t *testing.T) {
 	loop := sim.NewLoop(11)
 	rep := store.NewReplicated(loop, 3, nil)
-	srv := NewAt(loop, rep, 0, nil)
+	srv := NewControlPlane(loop, rep, nil, nil).Servers[0]
 	c := srv.ClientFor("ha-test")
 	if err := c.Create(testPod("quorum-pod")); err != nil {
 		t.Fatal(err)
@@ -134,14 +134,8 @@ func TestRestartQuorumVerifiesAgainstCorruptReplica(t *testing.T) {
 // and migrate their watches, which replay the server state as Added events.
 func TestClientFailsOverOnServerDown(t *testing.T) {
 	loop := sim.NewLoop(12)
-	rep := store.NewReplicated(loop, 3, nil)
-	var servers []*Server
-	for i := 0; i < 3; i++ {
-		s := NewAt(loop, rep, i, nil)
-		s.SetAdmissionStride(i, 3)
-		servers = append(servers, s)
-	}
-	eps := NewEndpoints(loop, servers...)
+	cp := NewControlPlane(loop, store.NewReplicated(loop, 3, nil), nil, nil)
+	servers, eps := cp.Servers, cp.Endpoints
 	c := eps.ClientFor("failover-test")
 
 	if err := c.Create(testPod("pre-crash")); err != nil {
@@ -184,13 +178,7 @@ func TestClientFailsOverOnServerDown(t *testing.T) {
 // residue classes, so a failover can never mint a duplicate UID.
 func TestAdmissionStrideKeepsUIDsDisjoint(t *testing.T) {
 	loop := sim.NewLoop(13)
-	rep := store.NewReplicated(loop, 3, nil)
-	var servers []*Server
-	for i := 0; i < 3; i++ {
-		s := NewAt(loop, rep, i, nil)
-		s.SetAdmissionStride(i, 3)
-		servers = append(servers, s)
-	}
+	servers := NewControlPlane(loop, store.NewReplicated(loop, 3, nil), nil, nil).Servers
 	uids := make(map[string]int)
 	for i, srv := range servers {
 		c := srv.ClientFor("stride-test")

@@ -99,13 +99,7 @@ func TestUpdateCopiesSealedReference(t *testing.T) {
 func TestFailedOverCreateIsStampedByTheNextServer(t *testing.T) {
 	loop := sim.NewLoop(12)
 	rep := store.NewReplicated(loop, 3, nil)
-	var servers []*Server
-	for i := 0; i < 3; i++ {
-		s := NewAt(loop, rep, i, nil)
-		s.SetAdmissionStride(i, 3)
-		servers = append(servers, s)
-	}
-	c := NewEndpoints(loop, servers...).ClientFor("failover-test")
+	c := NewControlPlane(loop, rep, nil, nil).Endpoints.ClientFor("failover-test")
 	rep.Partition([]int{0}, []int{1, 2})
 
 	if err := c.Create(testService("web")); err != nil {
@@ -132,7 +126,7 @@ func TestRejectedCreateCarriesNoDrawnIdentity(t *testing.T) {
 	_, _, srv := newTestServer(t)
 	chain := NewAdmissionChain(FailClosed, StandardAdmissionHooks(3, nil)...)
 	chain.SetWebhookDown(2, true)
-	srv.SetAdmissionChain(chain)
+	srv.admission = chain
 
 	pod := testPod("web-1")
 	if err := srv.ClientFor("test").Create(pod); !errors.Is(err, ErrAdmission) {

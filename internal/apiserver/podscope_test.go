@@ -336,13 +336,13 @@ func TestScopedWatchDeliversExactlyTheInterested(t *testing.T) {
 				}
 			}, h.interested(h.pod("p1"), false))
 
-			// Server.Reset forgets every registration and lets go of the scopes:
+			// A reset forgets every registration and lets go of the scopes:
 			// a claim made afterwards is nobody's to index, and the scopes
 			// register again, claims and all.
 			h.cp.loop.Reset()
 			h.cp.backend.Reset()
+			h.cp.plane.Reset()
 			for _, srv := range h.cp.servers {
-				srv.Reset()
 				if len(srv.byNode)+len(srv.byUID) != 0 {
 					t.Fatal("Reset left scoped registrations indexed")
 				}

@@ -172,13 +172,11 @@ type Server struct {
 	// until restart.
 	down bool
 
-	// uidStride spaces server-assigned UIDs and service IPs so N replicas
-	// mint disjoint sequences (server i assigns origin+k·N). 1 for a single
-	// server — the historical sequence.
+	// uidStride spaces server-assigned UIDs and service IPs so the N servers
+	// of a control plane mint disjoint sequences: server origin assigns
+	// origin+k·N, the counters start at origin. 1 for a single server — the
+	// historical sequence.
 	uidStride int64
-	// uidOffset is the residue class SetAdmissionStride configured: where the
-	// UID and service-IP counters start, and where Reset puts them back.
-	uidOffset int64
 
 	// kindIndex is the watch cache: the decoded objects, per kind, in slices
 	// sorted by store key, so list — the hottest read (every controller scan,
@@ -211,11 +209,11 @@ type Server struct {
 	// order, whatever the number of watchers, and no closure.
 	pending *sim.Queue[pendingDispatch]
 
-	// decoded is the control plane's decode cache (see DecodeCache): one per
-	// cluster, shared by every replica like the audit trail. The counters are
-	// this server's own lookups: hits, real decodes, and same-revision byte
+	// decoded is the control plane's decode cache (see decodeCache), shared
+	// by every server of it like the audit trail. The counters are this
+	// server's own lookups: hits, real decodes, and same-revision byte
 	// changes (CorruptAtRest, or a stale array arriving late) seen at lookup.
-	decoded        *DecodeCache
+	decoded        decodeCache
 	decodeHits     int64
 	decodeMisses   int64
 	decodeRewrites int64
@@ -235,11 +233,12 @@ type Server struct {
 	watchHook  Hook
 	accessHook func(key string)
 
+	// audit is the control plane's, shared by every server of it.
 	audit *Audit
 
 	// admission is the webhook chain evaluated on every spec-carrying write
 	// before persist (nil = no admission configured, zero write-path cost).
-	// Like the audit, one chain is shared by every replica of an HA control
+	// Like the audit, one chain is shared by every server of a control
 	// plane: admission configuration is cluster state.
 	admission *AdmissionChain
 
@@ -294,31 +293,36 @@ type pendingDispatch struct {
 	limit int
 }
 
-// New creates a Server bound to replica 0 of st and starts its store watch.
+// New creates a lone Server: the replica-0 server of
+// NewControlPlane(loop, st, opts, nil), for callers that need one server
+// over a one-member store.
 func New(loop *sim.Loop, st *store.Replicated, opts *Options) *Server {
-	return NewAt(loop, st, 0, opts)
+	return NewControlPlane(loop, st, opts, nil).Servers[0]
 }
 
-// NewAt creates a Server bound to store replica origin — one member of an HA
-// control plane. Every origin serves reads and its watch feed from its own
-// replica and writes through it, so a partitioned or lost replica degrades
-// exactly the apiservers bound to it while the survivors keep serving.
-func NewAt(loop *sim.Loop, st *store.Replicated, origin int, opts *Options) *Server {
+// newServer creates the server of cp bound to store replica origin and
+// starts its store watch. Every origin serves reads and its watch feed from
+// its own replica and writes through it, so a partitioned or lost replica
+// degrades exactly the servers bound to it while the survivors keep serving.
+func newServer(cp *ControlPlane, st *store.Replicated, origin int, opts *Options) *Server {
 	s := &Server{
-		loop:      loop,
-		store:     st,
-		origin:    origin,
-		uidStride: 1,
-		kindIndex: make(map[spec.Kind]*sortedBucket),
-		byKey:     make(map[string]spec.Object),
-		byNode:    make(posIndex),
-		byUID:     make(posIndex),
-		decoded:   &DecodeCache{entries: make(map[string]decodedEntry)},
-		audit:     NewAudit(),
-		arena:     codec.NewArena(),
+		loop:       cp.loop,
+		store:      st,
+		origin:     origin,
+		uidStride:  int64(st.Replicas()),
+		uidCounter: int64(origin),
+		ipCounter:  int64(origin),
+		kindIndex:  make(map[spec.Kind]*sortedBucket),
+		byKey:      make(map[string]spec.Object),
+		byNode:     make(posIndex),
+		byUID:      make(posIndex),
+		decoded:    cp.decoded,
+		audit:      cp.audit,
+		admission:  cp.admission,
+		arena:      codec.NewArena(),
 	}
-	s.pending = sim.NewQueue(loop, 0, s.fanout)
-	s.own = NewEndpoints(loop, s)
+	s.pending = sim.NewQueue(cp.loop, 0, s.fanout)
+	s.own = NewEndpoints(cp.loop, s)
 	if opts != nil {
 		s.opts = *opts
 	}
@@ -326,20 +330,16 @@ func NewAt(loop *sim.Loop, st *store.Replicated, origin int, opts *Options) *Ser
 	return s
 }
 
-// Reset returns the server to the state NewAt and the Set* wiring calls left
-// it in, keeping the memory of its tables: empty watch cache and decode
-// cache, no watchers, no hooks, counters
-// at their configured start, up, audit counters zero. What survives is
-// wiring, not state: the store binding, the admission stride, the shared
-// audit, decode cache and admission chain (the first two are emptied here, by
-// every replica alike; Reset does not touch the chain: it has one owner, the
-// servers are many), the encode arena. Every registration counts as cancelled
-// from here on, so a late cancel is a no-op. The store must have been Reset
-// first — the server re-subscribes to it here, as NewAt did — and so must the
-// loop, whose Reset drops every queued dispatch.
-func (s *Server) Reset() {
+// reset returns the server to the state newServer left it in, keeping the
+// memory of its tables: empty watch cache, no watchers, no hooks, counters at
+// their residue, up. What survives is wiring, not state: the store binding,
+// the stride, the control plane's shared parts (which ControlPlane.Reset
+// empties), the encode arena. Every registration counts as cancelled from here
+// on, so a late cancel is a no-op. The store must have been Reset first — the
+// server re-subscribes to it here, as newServer did — and so must the loop,
+// whose Reset drops every queued dispatch.
+func (s *Server) reset() {
 	s.clearCache()
-	clear(s.decoded.entries)
 	s.decodeHits, s.decodeMisses, s.decodeRewrites = 0, 0, 0
 
 	// Every registration, gathered in the fan-out scratch, is cancelled.
@@ -362,10 +362,9 @@ func (s *Server) Reset() {
 	clear(s.byUID)
 	s.nextSeq, s.live = 0, 0
 
-	s.uidCounter, s.ipCounter = s.uidOffset, s.uidOffset
+	s.uidCounter, s.ipCounter = int64(s.origin), int64(s.origin)
 	s.down = false
 	s.storeWriteHook, s.requestHook, s.watchHook, s.accessHook = nil, nil, nil, nil
-	s.audit.reset()
 	s.cancelStoreWatch = s.subscribeStore()
 }
 
@@ -373,34 +372,6 @@ func (s *Server) Reset() {
 func (s *Server) subscribeStore() func() {
 	return s.store.Subscribe(s.origin, s.onStoreEvent)
 }
-
-// SetAdmissionStride configures UID and service-IP assignment so this server
-// mints the residue class offset mod stride — HA replicas never collide even
-// when clients fail over between them mid-workload.
-func (s *Server) SetAdmissionStride(offset, stride int) {
-	s.uidOffset = int64(offset)
-	s.uidCounter = s.uidOffset
-	s.ipCounter = s.uidOffset
-	s.uidStride = int64(stride)
-}
-
-// SetAudit replaces the server's audit. The HA control plane shares one
-// across all replicas so per-identity error counts are cluster-wide,
-// whichever replica served. Call before any request is served.
-func (s *Server) SetAudit(a *Audit) { s.audit = a }
-
-// DecodeCache returns the server's decode cache.
-func (s *Server) DecodeCache() *DecodeCache { return s.decoded }
-
-// SetDecodeCache replaces the server's decode cache. The HA control plane
-// shares one across all replicas: an accepted write installs one byte array at
-// every store replica, so one decode serves them all. Call before any request
-// is served.
-func (s *Server) SetDecodeCache(c *DecodeCache) { s.decoded = c }
-
-// SetAdmissionChain installs the (cluster-shared) admission webhook chain.
-// Call on every replica of an HA control plane with the same chain.
-func (s *Server) SetAdmissionChain(c *AdmissionChain) { s.admission = c }
 
 // SetDown crashes or revives this apiserver replica. While down, requests
 // fail like timeouts, reads error, the store watch is detached and no events
@@ -425,7 +396,7 @@ func (s *Server) SetDown(down bool) {
 // Down reports whether this apiserver replica is crashed.
 func (s *Server) Down() bool { return s.down }
 
-// DecodeCache holds, per store key, the sealed decoded form of one stored byte
+// decodeCache holds, per store key, the sealed decoded form of one stored byte
 // array. A lookup hits only for that very array at the revision the object is
 // stamped with: stored arrays are immutable and the codec is a pure function
 // of the bytes, so a hit returns exactly what decoding the bytes in hand would
@@ -433,9 +404,10 @@ func (s *Server) Down() bool { return s.down }
 // else (a newer write, a tampered store write, bytes rewritten at rest, a
 // lagging replica's older array) misses, decodes for real and takes the entry
 // over. Entries pin their arrays, so an address is never reused under them.
-type DecodeCache struct {
-	entries map[string]decodedEntry
-}
+// A control plane has one, shared by all its servers: an accepted write
+// installs one byte array at every store replica, so one decode serves them
+// all.
+type decodeCache map[string]decodedEntry
 
 // decodedEntry is one cached decode: the object, the address of the first
 // byte of the array it was decoded from (never nil: empty values are not
@@ -477,7 +449,7 @@ func (s *Server) DecodeCacheStats() (hits, misses, rewrites int64) {
 // undecodable bytes are re-examined on every access.
 func (s *Server) decodeCached(kind spec.Kind, key string, data []byte, rev int64) (spec.Object, bool, error) {
 	src := arrayOf(data)
-	if e, ok := s.decoded.entries[key]; ok && e.obj.Meta().ResourceVersion == rev {
+	if e, ok := s.decoded[key]; ok && e.obj.Meta().ResourceVersion == rev {
 		if e.src == src {
 			s.decodeHits++
 			return e.obj, e.written, nil
@@ -494,7 +466,7 @@ func (s *Server) decodeCached(kind spec.Kind, key string, data []byte, rev int64
 	obj.Meta().ResourceVersion = rev
 	spec.Seal(obj) // entering the shared read path: immutable from here on
 	if src != nil {
-		s.decoded.entries[key] = decodedEntry{obj: obj, src: src}
+		s.decoded[key] = decodedEntry{obj: obj, src: src}
 	}
 	return obj, false, nil
 }
@@ -853,7 +825,7 @@ func (s *Server) persistWrite(verb Verb, msg *Message, obj spec.Object, key stri
 		// with the committed revision patched in flight (spliceStatus) instead
 		// of re-encoding the two sections.
 		if len(kv.Value) > 0 {
-			s.decoded.entries[key] = decodedEntry{obj: obj, src: &kv.Value[0], written: true}
+			s.decoded[key] = decodedEntry{obj: obj, src: &kv.Value[0], written: true}
 		}
 	}
 	if msg.Tampered {
@@ -958,7 +930,7 @@ func (s *Server) onStoreEvent(ev store.Event) {
 		}
 		s.dispatch(ev.Key, WatchEvent{Type: typ, Kind: ev.Kind, Object: obj})
 	case store.EventDelete:
-		delete(s.decoded.entries, ev.Key)
+		delete(s.decoded, ev.Key)
 		b := s.kindIndex[ev.Kind]
 		if b == nil {
 			return

@@ -2,81 +2,100 @@ package apiserver
 
 import "maps"
 
-// This file implements server snapshot/restore for the bootstrapped-cluster
-// fork path. The server's own durable state outside the store is tiny: the
-// admission counters (UIDs and service cluster IPs must keep advancing in a
-// fork, or new objects would collide with bootstrap-era ones). The watch cache
-// is not copied — it is rebuilt from the restored backend, the same re-list a
-// real apiserver performs on restart. What every replica shares — the decode
-// cache that makes that re-list cheap, the audit trail, the admission chain —
-// is captured once per control plane, not per server (DecodeCache.Snapshot,
-// Audit.Snapshot, AdmissionChain.ViolationsAdmitted).
+// This file implements control-plane snapshot/restore for the
+// bootstrapped-cluster fork path. A control plane's durable state outside the
+// store is small and is captured whole, in one value: each server's admission
+// counters (UIDs and service cluster IPs must keep advancing in a fork, or new
+// objects would collide with bootstrap-era ones), and, once for all servers,
+// the audit counters, the admission chain's violation count and the decode
+// cache that makes a restore's re-list cheap. The watch caches are not copied
+// — each server rebuilds its own from the restored store, the same re-list a
+// real apiserver performs on restart.
 
-// Snapshot captures the server state that must survive a fork.
-type Snapshot struct {
-	UIDCounter int64
-	IPCounter  int64
+// ControlPlaneSnapshot is a control plane's resumable state. It is immutable:
+// Restore only reads it, so one snapshot is safely restored into many control
+// planes at once, from many goroutines.
+type ControlPlaneSnapshot struct {
+	// counters holds each server's admission counters, in server order: their
+	// residues differ.
+	counters   []counters
+	audit      *Audit
+	violations int64
+	// decoded is a copy of the decode cache that nothing writes to. Its
+	// entries are sealed objects paired with the store arrays they decode, so
+	// sharing them across every restore is exactly as safe as sharing those
+	// arrays, which a store snapshot does — and it lets a restore's watch-cache
+	// rebuild skip nearly every codec.Unmarshal.
+	decoded decodeCache
 }
 
-// Snapshot returns a copy of the cache that nothing writes to: immutable data,
-// safe to restore into many forks concurrently. Its entries are sealed objects
-// paired with the store arrays they decode, so sharing them across every fork
-// is exactly as safe as sharing those arrays, which a store snapshot does —
-// and it lets a fork's watch-cache rebuild skip nearly every codec.Unmarshal.
-func (c *DecodeCache) Snapshot() *DecodeCache {
-	return &DecodeCache{entries: maps.Clone(c.entries)}
+// counters are one server's admission counters.
+type counters struct{ uid, ip int64 }
+
+// Snapshot captures the control plane's resumable state.
+func (cp *ControlPlane) Snapshot() *ControlPlaneSnapshot {
+	snap := &ControlPlaneSnapshot{
+		counters: make([]counters, len(cp.Servers)),
+		audit:    cp.audit.Snapshot(),
+		decoded:  maps.Clone(cp.decoded),
+	}
+	if cp.admission != nil {
+		snap.violations = cp.admission.violationsAdmitted
+	}
+	for i, s := range cp.Servers {
+		snap.counters[i] = counters{uid: s.uidCounter, ip: s.ipCounter}
+	}
+	return snap
 }
 
-// Restore replaces the cache's contents with the snapshot's, before the
-// servers sharing the cache rebuild their watch caches through it.
-func (c *DecodeCache) Restore(snap *DecodeCache) {
-	clear(c.entries)
-	maps.Copy(c.entries, snap.entries)
-}
-
-// Snapshot captures the server's fork-relevant state.
-func (s *Server) Snapshot() Snapshot {
-	return Snapshot{UIDCounter: s.uidCounter, IPCounter: s.ipCounter}
-}
-
-// RestoreSnapshot installs snapshot state into a server that is freshly built
-// or Reset, and whose backend, decode cache and audit trail have already been
-// restored, then silently rebuilds the watch cache from it — into the tables
-// the server already has. An undecodable value the rebuild meets is counted on
-// top of the restored audit trail.
-// No events are dispatched: components prime their own views when they
-// start, exactly as they do against a live control plane they reconnect to
-// (netsim's Prime, the scheduler's run-time listing, the controllers'
-// resync).
-func (s *Server) RestoreSnapshot(snap Snapshot) {
-	s.uidCounter = snap.UIDCounter
-	s.ipCounter = snap.IPCounter
-	s.rebuildCache(false)
-}
-
-// SkewUIDCounter advances the UID counter by n. Forked clusters apply a
-// seed-derived skew so objects created after the fork get fork-specific
-// UIDs, mirroring the run-to-run UID variability of full replays (bootstrap
-// length differs slightly per seed, so replayed windows never start from
-// the same counter; everything keyed on UIDs — pod service-time offsets,
-// eviction order — would otherwise be identical across all forks).
-func (s *Server) SkewUIDCounter(n int64) {
-	if n > 0 {
-		s.uidCounter += n
+// Restore resumes snap in cp, a control plane of the snapshot's replica count
+// that is freshly built or Reset, over a store that has already been restored.
+// In this order: the decode cache, the audit trail and the violation count are
+// installed; each server resumes its counters and silently rebuilds its watch
+// cache from its store replica through the restored decode cache (an
+// undecodable value is counted on top of the restored audit); then one
+// seed-derived UID skew is drawn from the loop and added to every server's UID
+// counter. No events are dispatched: components prime their own views when
+// they start, exactly as they do against a live control plane they reconnect
+// to (netsim's Prime, the scheduler's run-time listing, the controllers'
+// resync). Fault state is not part of a snapshot: snapshots are taken of
+// settled, fault-free clusters, and each fork arms its own injector.
+//
+// The skew: replayed runs never reach the window with exactly the same UID
+// counter (bootstrap length varies per seed), and everything keyed on UIDs —
+// pod service-time offsets, eviction order — must keep that run-to-run
+// variability, or it would be identical across all forks. Every server skews
+// by the same amount, so their residues stay disjoint.
+func (cp *ControlPlane) Restore(snap *ControlPlaneSnapshot) {
+	if len(snap.counters) != len(cp.Servers) {
+		panic("apiserver: Restore into a control plane of another replica count than the snapshot's")
+	}
+	clear(cp.decoded)
+	maps.Copy(cp.decoded, snap.decoded)
+	cp.audit.restore(snap.audit)
+	if cp.admission != nil {
+		cp.admission.violationsAdmitted = snap.violations
+	}
+	for i, s := range cp.Servers {
+		s.uidCounter, s.ipCounter = snap.counters[i].uid, snap.counters[i].ip
+		s.rebuildCache(false)
+	}
+	if skew := cp.loop.Rand().Int63n(1000); skew > 0 {
+		for _, s := range cp.Servers {
+			s.uidCounter += skew
+		}
 	}
 }
 
-// Snapshot returns a copy of the trail that nothing writes to: immutable
-// data, safe to restore into many forks concurrently.
+// Snapshot returns a copy of the trail that nothing writes to.
 func (a *Audit) Snapshot() *Audit {
 	snap := *a
 	snap.errByIdentity = maps.Clone(a.errByIdentity)
 	return &snap
 }
 
-// Restore replaces the trail's contents with the snapshot's, before the
-// servers sharing the trail rebuild their watch caches.
-func (a *Audit) Restore(snap *Audit) {
+// restore replaces the trail's contents with snap's, keeping its own map.
+func (a *Audit) restore(snap *Audit) {
 	errs := a.errByIdentity
 	clear(errs)
 	maps.Copy(errs, snap.errByIdentity)

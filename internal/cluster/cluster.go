@@ -122,7 +122,8 @@ func (c Config) withDefaults() Config {
 //
 // Servers holds one apiserver per control-plane replica (each bound to its own
 // store replica), Endpoints is the client factory over all of them that every
-// component not on the control plane uses, and Managers/Scheds hold one
+// component not on the control plane uses — both are the apiserver
+// ControlPlane's — and Managers/Scheds hold one
 // controller manager and scheduler per replica, each pinned to its own
 // apiserver (the co-located deployment kubeadm builds) and leader-elected so
 // exactly one of each is active. With Config.ControlPlaneReplicas > 1 the
@@ -147,6 +148,9 @@ type Cluster struct {
 	Managers  []*controller.Manager
 	Scheds    []*scheduler.Scheduler
 	Endpoints *apiserver.Endpoints
+	// plane is the apiserver tier Servers and Endpoints belong to: built,
+	// reset, snapshotted and restored whole.
+	plane *apiserver.ControlPlane
 	// admission is the webhook chain shared by every apiserver replica;
 	// nil when Config.AdmissionHooks is zero.
 	admission *apiserver.AdmissionChain
@@ -186,37 +190,33 @@ func New(cfg Config) *Cluster {
 // assemble wires all components over a loop and an empty store with one
 // member per control-plane replica.
 func assemble(cfg Config, loop *sim.Loop, backend *store.Replicated) *Cluster {
-	n := cfg.ControlPlaneReplicas
-	servers := make([]*apiserver.Server, n)
-	opts := &apiserver.Options{CriticalFieldChecksums: cfg.CriticalFieldChecksums}
-	for i := range servers {
-		servers[i] = apiserver.NewAt(loop, backend, i, opts)
-		// Disjoint UID/IP residues per replica: replica i admits i, i+n,
-		// i+2n, ... so creates routed through different apiservers after a
-		// failover can never collide.
-		servers[i].SetAdmissionStride(i, n)
+	monitoring := fmt.Sprintf("worker-%d", cfg.Workers-1)
+	var chain *apiserver.AdmissionChain
+	if cfg.AdmissionHooks > 0 {
+		// Webhook backends live on the non-monitoring worker nodes (round-
+		// robin), so they are reachable through the virtual network and share
+		// fate with the data plane. One chain serves every replica: admission
+		// configuration is cluster state, like the shared audit.
+		backends := make([]string, 0, cfg.Workers)
+		for i := 0; i < cfg.Workers; i++ {
+			if name := fmt.Sprintf("worker-%d", i); name != monitoring {
+				backends = append(backends, name)
+			}
+		}
+		chain = apiserver.NewAdmissionChain(apiserver.FailurePolicy(cfg.FailurePolicy),
+			apiserver.StandardAdmissionHooks(cfg.AdmissionHooks, backends)...)
 	}
-	// One audit and one decode cache for the whole control plane,
-	// whichever replica served.
-	for i := 1; i < n; i++ {
-		servers[i].SetAudit(servers[0].Audit())
-		servers[i].SetDecodeCache(servers[0].DecodeCache())
-	}
-	eps := apiserver.NewEndpoints(loop, servers...)
+	plane := apiserver.NewControlPlane(loop, backend,
+		&apiserver.Options{CriticalFieldChecksums: cfg.CriticalFieldChecksums}, chain)
+	servers, eps := plane.Servers, plane.Endpoints
 
 	// One manager/scheduler pair per control-plane replica, each pinned to
 	// its co-located apiserver; leader election picks the active pair.
-	managers := make([]*controller.Manager, n)
-	scheds := make([]*scheduler.Scheduler, n)
+	managers := make([]*controller.Manager, len(servers))
+	scheds := make([]*scheduler.Scheduler, len(servers))
 	for i := range managers {
-		var mopts controller.Options
-		var sopts scheduler.Options
-		if i > 0 {
-			mopts.Identity = fmt.Sprintf("kcm-%d", i)
-			sopts.Identity = fmt.Sprintf("kube-scheduler-%d", i)
-		}
-		managers[i] = controller.NewManager(loop, servers[i].Endpoints(), mopts)
-		scheds[i] = scheduler.New(loop, servers[i].Endpoints(), sopts)
+		managers[i] = controller.NewManager(loop, servers[i].Endpoints(), fmt.Sprintf("kcm-%d", i))
+		scheds[i] = scheduler.New(loop, servers[i].Endpoints(), fmt.Sprintf("kube-scheduler-%d", i))
 	}
 
 	c := &Cluster{
@@ -230,28 +230,14 @@ func assemble(cfg Config, loop *sim.Loop, backend *store.Replicated) *Cluster {
 		Scheduler:  scheds[0],
 		Scheds:     scheds,
 		Endpoints:  eps,
+		plane:      plane,
+		admission:  chain,
 		Net:        netsim.New(loop, eps),
 		Kubelets:   make(map[string]*kubelet.Kubelet),
-		monitoring: fmt.Sprintf("worker-%d", cfg.Workers-1),
+		monitoring: monitoring,
 	}
-	if cfg.AdmissionHooks > 0 {
-		// Webhook backends live on the non-monitoring worker nodes (round-
-		// robin), so they are reachable through the virtual network and share
-		// fate with the data plane. One chain serves every replica: admission
-		// configuration is cluster state, like the shared audit.
-		backends := make([]string, 0, cfg.Workers)
-		for i := 0; i < cfg.Workers; i++ {
-			if name := fmt.Sprintf("worker-%d", i); name != c.monitoring {
-				backends = append(backends, name)
-			}
-		}
-		chain := apiserver.NewAdmissionChain(apiserver.FailurePolicy(cfg.FailurePolicy),
-			apiserver.StandardAdmissionHooks(cfg.AdmissionHooks, backends)...)
+	if chain != nil {
 		chain.SetReachability(c.Net.RoutesUp)
-		for _, srv := range servers {
-			srv.SetAdmissionChain(chain)
-		}
-		c.admission = chain
 	}
 	if cfg.EnableFieldGuard {
 		c.guard = guard.New(loop, eps, c.guardHealth)
@@ -425,18 +411,13 @@ func (c *Cluster) Stop() {
 func (c *Cluster) Rewind() {
 	c.Loop.Reset()
 	c.Backend.Reset()
-	for _, srv := range c.Servers {
-		srv.Reset()
-	}
+	c.plane.Reset()
 	c.Endpoints.Reset(c.ownClients)
 	for i, m := range c.Managers {
 		m.Reset()
 		c.Scheds[i].Reset()
 	}
 	c.Net.Reset()
-	if c.admission != nil {
-		c.admission.Reset()
-	}
 	if c.guard != nil {
 		c.guard.Reset()
 		c.hookGuard(nil)

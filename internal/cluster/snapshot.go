@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"slices"
 	"time"
 
 	"github.com/mutiny-sim/mutiny/internal/apiserver"
@@ -15,17 +14,18 @@ import (
 // every injection experiment.
 //
 // A Snapshot holds only immutable data: store contents (every replica of a
-// replicated backend), each API server's admission counters, the control
-// plane's audit counters, admission violation count and decode cache (so a
-// restore re-lists without decoding), the controller manager's child-name
-// counter, and each kubelet's runtime state (image cache, IP allocator,
-// per-pod pipeline position). Everything else — watch registrations,
-// periodic timers, controller caches, the scheduler's pending/assumed sets,
-// the data-plane view — is deliberately NOT captured: Restore re-derives it
-// by re-listing the restored store, the same recovery path every real
-// component walks after a restart. That keeps the snapshot free of closures
-// (simulation events cannot be copied between loops) and makes one snapshot
-// safely restorable from many goroutines at once.
+// replicated backend), one apiserver.ControlPlaneSnapshot (every server's
+// admission counters, and the audit counters, admission violation count and
+// decode cache the servers share, so a restore re-lists without decoding),
+// the controller manager's child-name counter, and each kubelet's runtime
+// state (image cache, IP allocator, per-pod pipeline position). Everything
+// else — watch registrations, periodic timers, controller caches, the
+// scheduler's pending/assumed sets, the data-plane view — is deliberately
+// NOT captured: Restore re-derives it by re-listing the restored store, the
+// same recovery path every real component walks after a restart. That keeps
+// the snapshot free of closures (simulation events cannot be copied between
+// loops) and makes one snapshot safely restorable from many goroutines at
+// once.
 //
 // Resuming is one operation, Restore, on an empty cluster of the snapshot's
 // shape. Fork builds that cluster (New) and restores it; a caller that runs
@@ -44,18 +44,10 @@ type Snapshot struct {
 	now      time.Duration
 	executed int64
 
-	store *store.Snapshot
-	// servers holds one snapshot per control-plane replica: their admission
-	// counters differ (strided residues).
-	servers []apiserver.Snapshot
-	// What every replica shares is captured once, whatever the replica count:
-	// the audit counters, the admission chain's violation count (zero without
-	// a chain) and the decode cache, which is never written, so views share it.
-	audit      *apiserver.Audit
-	violations int64
-	decoded    *apiserver.DecodeCache
-	nameSeq    int64
-	kubelets   map[string]kubelet.Snapshot
+	store    *store.Snapshot
+	plane    *apiserver.ControlPlaneSnapshot
+	nameSeq  int64
+	kubelets map[string]kubelet.Snapshot
 }
 
 // settleMargin is simulated after capture-point checks before the state is
@@ -87,16 +79,9 @@ func (c *Cluster) Snapshot() *Snapshot {
 		now:      c.Loop.Now(),
 		executed: c.Loop.EventsExecuted(),
 		store:    c.Backend.Snapshot(),
-		audit:    c.Server.Audit().Snapshot(),
-		decoded:  c.Server.DecodeCache().Snapshot(),
+		plane:    c.plane.Snapshot(),
 		nameSeq:  c.Manager.NameSeq(),
 		kubelets: make(map[string]kubelet.Snapshot, len(c.Kubelets)),
-	}
-	if c.admission != nil {
-		snap.violations = c.admission.ViolationsAdmitted()
-	}
-	for _, srv := range c.Servers {
-		snap.servers = append(snap.servers, srv.Snapshot())
 	}
 	for _, name := range c.nodeOrder {
 		snap.kubelets[name] = c.Kubelets[name].Snapshot()
@@ -104,14 +89,13 @@ func (c *Cluster) Snapshot() *Snapshot {
 	return snap
 }
 
-// WorkerView returns a copy of the snapshot that shares no byte arrays or
-// map/slice structure with the original: the store snapshot's value bytes
-// move into fresh per-replica arenas (store.Snapshot.Clone) and the audit
-// counters into a private copy (apiserver.Audit.Snapshot). Forking from the
-// view is byte-equivalent to forking from the original. The decode cache and
-// kubelet pod records stay shared: both are immutable, and only read; the
-// cache's entries decode the original's arrays, so a view's fork misses on
-// every key and decodes its own.
+// WorkerView returns a copy of the snapshot whose store contents share no byte
+// arrays with the original: the value bytes move into fresh per-replica arenas
+// (store.Snapshot.Clone). Forking from the view is byte-equivalent to forking
+// from the original. The control-plane snapshot and the kubelet pod records
+// stay shared: both are immutable, and only read; the decode cache's entries
+// decode the original's arrays, so a view's fork misses on every key and
+// decodes its own.
 //
 // No product code calls this any more: campaign workers fork from the shared
 // snapshot directly (per-worker views measured no gain at two cores). It
@@ -120,16 +104,13 @@ func (c *Cluster) Snapshot() *Snapshot {
 // store.Snapshot.Clone go.
 func (s *Snapshot) WorkerView() *Snapshot {
 	view := &Snapshot{
-		cfg:        s.cfg,
-		now:        s.now,
-		executed:   s.executed,
-		store:      s.store.Clone(),
-		servers:    slices.Clone(s.servers),
-		audit:      s.audit.Snapshot(),
-		violations: s.violations,
-		decoded:    s.decoded,
-		nameSeq:    s.nameSeq,
-		kubelets:   make(map[string]kubelet.Snapshot, len(s.kubelets)),
+		cfg:      s.cfg,
+		now:      s.now,
+		executed: s.executed,
+		store:    s.store.Clone(),
+		plane:    s.plane,
+		nameSeq:  s.nameSeq,
+		kubelets: make(map[string]kubelet.Snapshot, len(s.kubelets)),
 	}
 	for name, ks := range s.kubelets {
 		view.kubelets[name] = ks
@@ -177,9 +158,10 @@ func (s *Snapshot) Fork(seed int64) *Cluster {
 // election group draws its election timeouts first, kubelets adopt their pods
 // through (access-noted) Gets, watches register in component order (which is
 // same-tick delivery order), timers are scheduled in start order (which
-// breaks ties), and the UID-skew draw precedes the dither draw.
+// breaks ties), and the control plane's UID-skew draw precedes the dither
+// draw.
 func (s *Snapshot) Restore(c *Cluster, seed int64) {
-	if len(c.Servers) != len(s.servers) || len(c.nodeOrder) != len(s.kubelets) {
+	if len(c.nodeOrder) != len(s.kubelets) {
 		panic("cluster: Restore into a cluster of another shape than the snapshot's")
 	}
 	c.cfg.Seed = seed
@@ -191,28 +173,9 @@ func (s *Snapshot) Restore(c *Cluster, seed int64) {
 	loop.Resume(s.now, s.executed)
 
 	c.Backend.Restore(s.store)
-	// Restore what the replicas share once, then rebuild each replica's watch
-	// cache from the restored store, through the restored decode cache, and
-	// resume its admission counters before any component starts issuing
-	// requests. Undecodable values a rebuild meets are counted in the restored
-	// audit.
-	c.Server.DecodeCache().Restore(s.decoded)
-	c.Server.Audit().Restore(s.audit)
-	if c.admission != nil {
-		c.admission.ResumeViolations(s.violations)
-	}
-	for i, srv := range c.Servers {
-		srv.RestoreSnapshot(s.servers[i])
-	}
-	// Seed-derived UID skew: replayed runs never reach the window with
-	// exactly the same UID counter (bootstrap length varies per seed), and
-	// per-pod behavior keyed on UIDs must keep that run-to-run variability.
-	// Every replica skews by the same amount, preserving the disjoint
-	// per-replica residues the admission stride established.
-	skew := loop.Rand().Int63n(1000)
-	for _, srv := range c.Servers {
-		srv.SkewUIDCounter(skew)
-	}
+	// The control plane rebuilds its watch caches from the restored store and
+	// resumes its counters before any component starts issuing requests.
+	c.plane.Restore(s.plane)
 	c.Manager.ResumeNameSeq(s.nameSeq)
 
 	// Kubelets adopt their pods before starting, so the pod watch treats

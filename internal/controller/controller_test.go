@@ -29,7 +29,7 @@ func newHarness(t *testing.T) *harness {
 	loop := sim.NewLoop(1)
 	st := store.NewReplicated(loop, 1, nil)
 	srv := apiserver.New(loop, st, nil)
-	m := NewManager(loop, srv.Endpoints(), Options{})
+	m := NewManager(loop, srv.Endpoints(), "kcm-0")
 	h := &harness{loop: loop, st: st.Replica(0), srv: srv, c: srv.ClientFor("test"), m: m}
 	for _, name := range []string{"worker-0", "worker-1"} {
 		node := &spec.Node{

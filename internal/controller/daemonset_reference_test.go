@@ -144,7 +144,7 @@ func newDSSide() *dsSide {
 	loop := sim.NewLoop(1)
 	rep := store.NewReplicated(loop, 1, nil)
 	srv := apiserver.New(loop, rep, nil)
-	s := &dsSide{loop: loop, st: rep.Replica(0), m: NewManager(loop, srv.Endpoints(), Options{})}
+	s := &dsSide{loop: loop, st: rep.Replica(0), m: NewManager(loop, srv.Endpoints(), "kcm-0")}
 	srv.SetRequestHook(func(msg *apiserver.Message) apiserver.Action {
 		s.calls = append(s.calls, fmt.Sprintf("%s %s %s/%s %x", msg.Verb, msg.Kind, msg.Namespace, msg.Name, msg.Data))
 		if msg.Verb == apiserver.VerbUpdateStatus && msg.Kind == spec.KindDaemonSet {

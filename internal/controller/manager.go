@@ -42,12 +42,6 @@ const (
 	conflictRetryDelay = 200 * time.Millisecond
 )
 
-// Options configure the manager.
-type Options struct {
-	// Identity distinguishes replicas in a redundant control plane.
-	Identity string
-}
-
 // Manager wires all controllers behind one leader election.
 //
 // All controllers share one informer view set (an apiserver.Reflector over
@@ -98,10 +92,9 @@ var viewKinds = []spec.Kind{
 
 // NewManager builds a controller manager whose clients come from eps: its own
 // apiserver's, in the co-located deployment every cluster here builds.
-func NewManager(loop *sim.Loop, eps *apiserver.Endpoints, opts Options) *Manager {
-	if opts.Identity == "" {
-		opts.Identity = managerIdentity + "-0"
-	}
+// identity is the manager's leader-election identity ("kcm-<i>" on
+// control-plane replica i).
+func NewManager(loop *sim.Loop, eps *apiserver.Endpoints, identity string) *Manager {
 	m := &Manager{
 		loop:    loop,
 		client:  eps.ClientFor(managerIdentity),
@@ -117,9 +110,9 @@ func NewManager(loop *sim.Loop, eps *apiserver.Endpoints, opts Options) *Manager
 	// explicitly so view repair and the level-triggered re-enqueue happen on
 	// one schedule.
 	m.views = apiserver.NewReflector(m.loop, m.client, 0, m.route, viewKinds...)
-	m.elector = election.New(loop, eps.ClientFor(opts.Identity), election.Config{
+	m.elector = election.New(loop, eps.ClientFor(identity), election.Config{
 		LeaseName:        "kube-controller-manager",
-		Identity:         opts.Identity,
+		Identity:         identity,
 		OnStartedLeading: m.startControllers,
 		OnStoppedLeading: m.stopControllers,
 	})

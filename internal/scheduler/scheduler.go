@@ -33,19 +33,15 @@ const (
 	viewResync = 5 * time.Second
 )
 
-// Options configure the scheduler.
-type Options struct {
-	// Identity distinguishes replicas.
-	Identity string
-}
-
 // Scheduler assigns pods to nodes.
 type Scheduler struct {
-	loop    *sim.Loop
-	eps     *apiserver.Endpoints
-	client  *apiserver.Client
-	opts    Options
-	elector *election.Elector
+	loop   *sim.Loop
+	eps    *apiserver.Endpoints
+	client *apiserver.Client
+	// identity is the leader-election identity New was given; a restart
+	// campaigns under it with an epoch suffix.
+	identity string
+	elector  *election.Elector
 
 	running bool
 	// pending holds the pod keys awaiting scheduling, each with the inputs
@@ -97,16 +93,14 @@ type Scheduler struct {
 }
 
 // New builds a scheduler whose clients come from eps: its own apiserver's, in
-// the co-located deployment every cluster here builds.
-func New(loop *sim.Loop, eps *apiserver.Endpoints, opts Options) *Scheduler {
-	if opts.Identity == "" {
-		opts.Identity = "kube-scheduler-0"
-	}
+// the co-located deployment every cluster here builds. identity is its
+// leader-election identity ("kube-scheduler-<i>" on control-plane replica i).
+func New(loop *sim.Loop, eps *apiserver.Endpoints, identity string) *Scheduler {
 	s := &Scheduler{
 		loop:        loop,
 		eps:         eps,
 		client:      eps.ClientFor("scheduler"),
-		opts:        opts,
+		identity:    identity,
 		pending:     make(map[string]uint64),
 		gen:         1,
 		assumed:     make(map[string]string),
@@ -115,7 +109,7 @@ func New(loop *sim.Loop, eps *apiserver.Endpoints, opts Options) *Scheduler {
 		lastPreempt: make(map[string]time.Duration),
 	}
 	s.views = apiserver.NewReflector(loop, s.client, viewResync, s.onViewEvent, spec.KindPod, spec.KindNode)
-	s.newElector(opts.Identity)
+	s.newElector(identity)
 	s.first = s.elector
 	return s
 }
@@ -301,7 +295,7 @@ func (s *Scheduler) restart() {
 	// ~20 s restart gap the paper measures.
 	s.elector.Abandon()
 	s.epoch++
-	identity := fmt.Sprintf("%s-r%d", s.opts.Identity, s.epoch)
+	identity := fmt.Sprintf("%s-r%d", s.identity, s.epoch)
 	s.loop.After(restartDelay, func() {
 		s.newElector(identity)
 		s.elector.Start()

@@ -17,7 +17,7 @@ func newScheduler(t *testing.T) (*sim.Loop, *apiserver.Client, *Scheduler) {
 	loop := sim.NewLoop(1)
 	st := store.NewReplicated(loop, 1, nil)
 	srv := apiserver.New(loop, st, nil)
-	s := New(loop, srv.Endpoints(), Options{})
+	s := New(loop, srv.Endpoints(), "kube-scheduler-0")
 	c := srv.ClientFor("test")
 	for i, name := range []string{"worker-0", "worker-1"} {
 		node := &spec.Node{
@@ -198,7 +198,7 @@ func TestRestartAfterStoreMovesPod(t *testing.T) {
 	loop := sim.NewLoop(2)
 	st := store.NewReplicated(loop, 1, nil)
 	srv := apiserver.New(loop, st, nil)
-	s := New(loop, srv.Endpoints(), Options{})
+	s := New(loop, srv.Endpoints(), "kube-scheduler-0")
 	c := srv.ClientFor("test")
 	for _, name := range []string{"worker-0", "worker-1"} {
 		node := &spec.Node{
@@ -250,7 +250,7 @@ func TestPendingStaysInsideTheView(t *testing.T) {
 	srv := apiserver.New(loop, st, nil)
 	// The lease is free, so the scheduler leads and its views start at t=0:
 	// their periodic resync falls on multiples of viewResync.
-	s := New(loop, srv.Endpoints(), Options{})
+	s := New(loop, srv.Endpoints(), "kube-scheduler-0")
 	c := srv.ClientFor("test")
 	node := &spec.Node{
 		Metadata: spec.ObjectMeta{Name: "worker-0"},

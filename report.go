@@ -3,7 +3,6 @@ package mutiny
 import (
 	"io"
 
-	"github.com/mutiny-sim/mutiny/internal/campaign"
 	"github.com/mutiny-sim/mutiny/internal/report"
 )
 
@@ -65,5 +64,3 @@ func RenderCriticalFields(w io.Writer, agg *Aggregate) { report.CriticalFields(w
 // RenderFindings writes the headline findings (F1, F2, F4) computed from an
 // aggregate.
 func RenderFindings(w io.Writer, agg *Aggregate) { report.Findings(w, agg) }
-
-var _ = campaign.NewAggregate // anchor the alias targets
