@@ -308,22 +308,6 @@ func (r *Reflector) ForEachFrom(kind spec.Kind, fromKey string, fn func(spec.Obj
 	}
 }
 
-// List returns the view's objects of kind in namespace ns ("" = all) as a
-// fresh slice in namespace/name order. Prefer ForEach on hot paths.
-func (r *Reflector) List(kind spec.Kind, ns string) []spec.Object {
-	b := r.views[kind]
-	if b == nil {
-		return nil
-	}
-	i, j := b.nsRange(ns)
-	if i == j {
-		return nil
-	}
-	out := make([]spec.Object, j-i)
-	copy(out, b.objs[i:j])
-	return out
-}
-
 // Len reports the number of objects of kind in the view.
 func (r *Reflector) Len(kind spec.Kind) int {
 	b := r.views[kind]

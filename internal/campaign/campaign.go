@@ -75,13 +75,13 @@ type Result struct {
 // baseline cache is built exactly once per workload behind a per-kind guard
 // (concurrent callers block until the build finishes).
 type Runner struct {
-	// GoldenRuns per workload (the paper uses 100).
+	// GoldenRuns per workload; zero or less means paperGoldenRuns.
 	GoldenRuns int
 	// ClusterConfig is the template of every experiment cluster, a plain
 	// value: each run stamps its own Seed on a copy.
 	ClusterConfig cluster.Config
 	// Parallelism bounds the worker goroutines used to build golden
-	// baselines (0 or 1 = sequential). RunCampaign sets it from
+	// baselines (0 or 1 = one goroutine). RunCampaign sets it from
 	// Config.Parallelism; the baseline itself is bit-identical either way,
 	// because observations are collected in golden-seed order.
 	Parallelism int
@@ -147,9 +147,12 @@ type snapshotEntry struct {
 	snap *cluster.Snapshot
 }
 
+// paperGoldenRuns is the paper's number of golden runs per workload.
+const paperGoldenRuns = 100
+
 // NewRunner returns a Runner with paper-default settings.
 func NewRunner() *Runner {
-	return &Runner{GoldenRuns: 100}
+	return &Runner{GoldenRuns: paperGoldenRuns}
 }
 
 // acquireWorker pops an idle Worker or builds a fresh one. Pair with
@@ -219,7 +222,7 @@ func (r *Runner) Baseline(kind workload.Kind) *classify.Baseline {
 	e.once.Do(func() {
 		n := r.GoldenRuns
 		if n <= 0 {
-			n = 100
+			n = paperGoldenRuns
 		}
 		obs := make([]*classify.Observation, n)
 		forEachWorker(n, r.Parallelism, r, func(w *Worker, i int) {
@@ -388,8 +391,8 @@ func runWindow(cl *cluster.Cluster, driver *workload.Driver) {
 }
 
 // experiment is what one run of the lifecycle yields. Everything in it is a
-// value or owned by the caller: the cluster it was read from is rewound (or
-// stopped) by the time runExperiment returns.
+// value or owned by the caller: the cluster it was read from is rewound or
+// let go by the time runExperiment returns.
 type experiment struct {
 	obs    *classify.Observation // nil without collect
 	report inject.Report
@@ -409,10 +412,11 @@ type experiment struct {
 // execution, and data collection — shared by the observation path (collect
 // = true: application client plus collector attached) and the propagation
 // path (collect = false: audit-only, see RunPropagation). A cluster resumed
-// from a snapshot is rewound at the end, not stopped, and kept for the
-// worker's next experiment on that snapshot — unless the experiment blew it
-// up (cluster.Snapshot.Outgrown), in which case it is simply let go, like a
-// replayed one.
+// from a snapshot is rewound at the end and kept for the worker's next
+// experiment on that snapshot — unless the experiment blew it up
+// (cluster.Snapshot.Outgrown), in which case it is let go, like a replayed
+// one. Nothing is stopped: what the window measured has been read, and a
+// stopped component's farewell writes would only cost time.
 func (w *Worker) runExperiment(spec Spec, collect bool) experiment {
 	cl, snap, injector, driver := w.bootCluster(spec)
 
@@ -446,10 +450,7 @@ func (w *Worker) runExperiment(spec Spec, collect bool) experiment {
 	exp.storeRev = cl.Backend.Revision()
 	exp.storeBytes = cl.Backend.SizeBytes()
 
-	switch {
-	case snap == nil:
-		cl.Stop()
-	case !snap.Outgrown(cl):
+	if snap != nil && !snap.Outgrown(cl) {
 		cl.Rewind()
 		if w.clusters == nil {
 			w.clusters = make(map[*cluster.Snapshot]*cluster.Cluster)
@@ -468,7 +469,6 @@ func (r *Runner) Record(kind workload.Kind) *inject.Recorder {
 	rec := inject.NewRecorder()
 	cl, driver := settle(cfg, kind, func(cl *cluster.Cluster) { cl.Server.SetStoreWriteHook(rec.Hook()) })
 	runWindow(cl, driver)
-	cl.Stop()
 	return rec
 }
 

@@ -13,10 +13,10 @@ import (
 // per-kind guard, see campaign.go) and the Progress callback (serialized by
 // progressTicker). Results are written to index-addressed slots and merged in
 // generated-spec order, which keeps every Output aggregate bit-identical to
-// the sequential path no matter how the workers interleave.
+// a one-worker run no matter how the workers interleave.
 
 // resolveParallelism maps the Parallelism knob to a worker count:
-// 0 (or negative) = runtime.GOMAXPROCS(0), 1 = sequential, n = n workers.
+// 0 (or negative) = runtime.GOMAXPROCS(0), n = n workers.
 func resolveParallelism(p int) int {
 	if p <= 0 {
 		return runtime.GOMAXPROCS(0)
@@ -25,31 +25,20 @@ func resolveParallelism(p int) int {
 }
 
 // forEachWorker runs fn(w, i) for every i in [0, n) across at most `workers`
-// goroutines. Goroutines claim indices from a shared counter, so fn must
-// write its result into an index-addressed slot; iteration order across
-// goroutines is unspecified, but every index runs exactly once. workers <= 1
-// degenerates to a plain loop with zero goroutine or synchronization
-// overhead. Every goroutine borrows one Worker from the Runner for its whole
-// index stream, so the worker's scratch state (its buffer pool) never crosses
-// a goroutine boundary and is reused across every experiment the goroutine
-// claims. Workers are released back to the Runner's idle stack when the
-// fan-out drains, so a campaign builds at most max(parallelism over all
-// phases) workers total.
+// goroutines, and at least one, which then runs the indices in order.
+// Goroutines claim indices from a shared counter, so fn must write its result
+// into an index-addressed slot; iteration order across goroutines is
+// unspecified, but every index runs exactly once. Every goroutine borrows one
+// Worker from the Runner for its whole index stream, so the worker's scratch
+// state (its buffer pool) never crosses a goroutine boundary and is reused
+// across every experiment the goroutine claims. Workers are released back to
+// the Runner's idle stack when the fan-out drains, so a campaign builds at
+// most max(parallelism over all phases) workers total.
 func forEachWorker(n, workers int, r *Runner, fn func(w *Worker, i int)) {
 	if n <= 0 {
 		return
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		w := r.acquireWorker()
-		defer r.releaseWorker(w)
-		for i := 0; i < n; i++ {
-			fn(w, i)
-		}
-		return
-	}
+	workers = min(max(workers, 1), n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)

@@ -10,7 +10,8 @@ import (
 type Config struct {
 	// Workloads to exercise; nil means all three.
 	Workloads []workload.Kind
-	// GoldenRuns per workload; zero means the paper's 100.
+	// GoldenRuns per workload; zero means the paper's 100 (see
+	// Runner.GoldenRuns).
 	GoldenRuns int
 	// SampleStride runs every n-th generated message-fault experiment (1 =
 	// the full campaign). The generated campaign is deterministic, so a
@@ -39,7 +40,7 @@ type Config struct {
 	// multiple workers.
 	Progress func(done, total int)
 	// Parallelism is the number of worker goroutines executing experiments:
-	// 0 = runtime.GOMAXPROCS(0), 1 = the sequential path, n = n workers.
+	// 0 = runtime.GOMAXPROCS(0), n = n workers.
 	// Campaign outputs are bit-identical for every setting — experiments are
 	// isolated simulations and results are merged in generated-spec order —
 	// so this knob trades only wall-clock for cores.
@@ -65,9 +66,6 @@ func (c Config) withDefaults() Config {
 		} else {
 			c.Workloads = workload.Kinds()
 		}
-	}
-	if c.GoldenRuns == 0 {
-		c.GoldenRuns = 100
 	}
 	if c.SampleStride <= 0 {
 		c.SampleStride = 1

@@ -169,7 +169,8 @@ func (c *Collector) Finish(client *workload.Client) *Observation {
 	c.obs.NetworkPodsFailing = c.cl.Net.NetworkPodsFailing()
 	c.obs.DNSHealthy = c.cl.Net.DNSHealthy()
 	c.obs.PrometheusReachable = c.probePrometheus()
-	c.obs.SchedulerRestart = c.cl.Scheduler.Restarts()
+	// Replica 0's scheduler only: a standby's restarts are not counted.
+	c.obs.SchedulerRestart = c.cl.Scheds[0].Restarts()
 	c.obs.UserErrors = c.cl.Server.Audit().ErrorsBy(workload.UserIdentity)
 	c.obs.PolicyViolations = c.cl.AdmissionViolations() - c.violationsAtStart
 

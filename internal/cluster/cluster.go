@@ -128,20 +128,17 @@ func (c Config) withDefaults() Config {
 // apiserver (the co-located deployment kubeadm builds) and leader-elected so
 // exactly one of each is active. With Config.ControlPlaneReplicas > 1 the
 // control plane is highly available and Endpoints' clients fail over; with
-// one replica every slice has one element and Endpoints one member. Server,
-// Manager and Scheduler always alias replica 0 for single-control-plane
-// callers.
+// one replica every slice has one element and Endpoints one member. Server
+// is Servers[0], whose audit is the control plane's.
 type Cluster struct {
 	cfg Config
 
-	Loop      *sim.Loop
-	Backend   *store.Replicated
-	Server    *apiserver.Server
-	Manager   *controller.Manager
-	Scheduler *scheduler.Scheduler
-	Net       *netsim.State
-	Kubelets  map[string]*kubelet.Kubelet
-	guard     *guard.Guard
+	Loop     *sim.Loop
+	Backend  *store.Replicated
+	Server   *apiserver.Server
+	Net      *netsim.State
+	Kubelets map[string]*kubelet.Kubelet
+	guard    *guard.Guard
 
 	// The control plane's replicas (len 1 with a single replica).
 	Servers   []*apiserver.Server
@@ -225,9 +222,7 @@ func assemble(cfg Config, loop *sim.Loop, backend *store.Replicated) *Cluster {
 		Backend:    backend,
 		Server:     servers[0],
 		Servers:    servers,
-		Manager:    managers[0],
 		Managers:   managers,
-		Scheduler:  scheds[0],
 		Scheds:     scheds,
 		Endpoints:  eps,
 		plane:      plane,
@@ -249,7 +244,7 @@ func assemble(cfg Config, loop *sim.Loop, backend *store.Replicated) *Cluster {
 	for i := 0; i < cfg.Workers; i++ {
 		name := fmt.Sprintf("worker-%d", i)
 		labels := map[string]string{spec.LabelNodeRole: "worker"}
-		if name == c.monitoringNode() {
+		if name == monitoring {
 			labels["role"] = "monitoring"
 		}
 		c.addKubelet(name, i+1, labels, cfg.zoneOfWorker(i))
@@ -326,13 +321,9 @@ func (c *Cluster) addKubelet(name string, cidrIndex int, labels map[string]strin
 	})
 }
 
-func (c *Cluster) monitoringNode() string {
-	// The last worker hosts the application client and monitoring pods.
-	return c.monitoring
-}
-
-// MonitoringNode returns the node reserved for client/monitoring pods.
-func (c *Cluster) MonitoringNode() string { return c.monitoringNode() }
+// MonitoringNode returns the node reserved for client/monitoring pods: the
+// last worker.
+func (c *Cluster) MonitoringNode() string { return c.monitoring }
 
 // Client returns an API client with the given identity ("kbench" for the
 // cluster user driving the workloads). In an HA control plane the client is
@@ -365,11 +356,9 @@ func (c *Cluster) Start() {
 // the standby pairs at i*stagger. Forks pass zero: their leases are restored
 // on every replica already, so there is nothing to race.
 func (c *Cluster) startControlLoops(stagger time.Duration) {
-	c.Managers[0].Start()
-	c.Scheds[0].Start()
-	for i := 1; i < len(c.Managers); i++ {
-		m, s := c.Managers[i], c.Scheds[i]
-		if stagger == 0 {
+	for i, m := range c.Managers {
+		s := c.Scheds[i]
+		if i == 0 || stagger == 0 {
 			m.Start()
 			s.Start()
 			continue

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/mutiny-sim/mutiny/internal/apiserver"
+	"github.com/mutiny-sim/mutiny/internal/codec"
 	"github.com/mutiny-sim/mutiny/internal/inject"
 	"github.com/mutiny-sim/mutiny/internal/spec"
 )
@@ -43,8 +44,8 @@ func settledSnapshot(t testing.TB, cfg Config) *Snapshot {
 // dirty runs the messiest experiment the shape allows on c and leaves every
 // kind of trace behind: attached injector hooks and an armed, fired
 // injection, experiment clients with live watches and reflectors, a runaway
-// ReplicaSet, tampered and corrupted-at-rest keys, and every fault axis the
-// platform offers, none of them healed.
+// ReplicaSet, a restarted scheduler, tampered and corrupted-at-rest keys, and
+// every fault axis the platform offers, none of them healed.
 func dirty(t *testing.T, c *Cluster) {
 	t.Helper()
 	c.Loop.SetEventBudget(400_000)
@@ -66,6 +67,7 @@ func dirty(t *testing.T, c *Cluster) {
 	if !j.Report().Fired {
 		t.Fatal("the runaway injection never fired; the experiment is not dirty enough")
 	}
+	restartScheduler(t, c)
 
 	key := spec.Key(spec.KindDeployment, spec.DefaultNamespace, "web")
 	corrupt := func(b []byte) []byte { b[len(b)/2] ^= 0x10; return b }
@@ -93,6 +95,42 @@ func dirty(t *testing.T, c *Cluster) {
 	c.Loop.RunUntil(c.Loop.Now() + 40*time.Second)
 	if n := len(c.Client("probe").List(spec.KindPod, "")); c.Replicas() == 1 && n < 30 {
 		t.Fatalf("only %d pods after the runaway; the experiment is not dirty enough", n)
+	}
+}
+
+// restartScheduler trips replica 0's scheduler cache self-check: a bound pod's
+// spec.nodeName is rewritten in replica 0's store, under the apiserver, to a
+// node the scheduler never chose (the scheduler tests' moveInStore). The
+// restart leaves the elector campaigning under a "-r1" identity.
+func restartScheduler(t *testing.T, c *Cluster) {
+	t.Helper()
+	var moved *spec.Pod
+	c.Client("probe").Range(spec.KindPod, spec.DefaultNamespace, func(o spec.Object) bool {
+		if pod := o.(*spec.Pod); pod.Spec.NodeName != "" && pod.Active() {
+			moved = spec.CloneForWriteAs(pod)
+			return false
+		}
+		return true
+	})
+	if moved == nil {
+		t.Fatal("no bound pod to move")
+	}
+	if moved.Spec.NodeName == "worker-0" {
+		moved.Spec.NodeName = "worker-1"
+	} else {
+		moved.Spec.NodeName = "worker-0"
+	}
+	data, err := codec.Marshal(moved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := spec.Key(spec.KindPod, moved.Metadata.Namespace, moved.Metadata.Name)
+	if _, err := c.Backend.Replica(0).Put(key, spec.KindPod, data); err != nil {
+		t.Fatal(err)
+	}
+	c.Loop.RunUntil(c.Loop.Now() + time.Second)
+	if c.Scheds[0].Restarts() == 0 {
+		t.Fatal("the scheduler did not restart on the moved pod; the experiment is not dirty enough")
 	}
 }
 

@@ -80,7 +80,8 @@ func (c *Cluster) Snapshot() *Snapshot {
 		executed: c.Loop.EventsExecuted(),
 		store:    c.Backend.Snapshot(),
 		plane:    c.plane.Snapshot(),
-		nameSeq:  c.Manager.NameSeq(),
+		// Replica 0's counter only: a standby manager's is not captured.
+		nameSeq:  c.Managers[0].NameSeq(),
 		kubelets: make(map[string]kubelet.Snapshot, len(c.Kubelets)),
 	}
 	for _, name := range c.nodeOrder {
@@ -176,7 +177,8 @@ func (s *Snapshot) Restore(c *Cluster, seed int64) {
 	// The control plane rebuilds its watch caches from the restored store and
 	// resumes its counters before any component starts issuing requests.
 	c.plane.Restore(s.plane)
-	c.Manager.ResumeNameSeq(s.nameSeq)
+	// Replica 0 resumes the captured counter; a standby starts from zero.
+	c.Managers[0].ResumeNameSeq(s.nameSeq)
 
 	// Kubelets adopt their pods before starting, so the pod watch treats
 	// them as already-owned state rather than new arrivals.

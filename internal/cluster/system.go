@@ -164,5 +164,5 @@ func (c *Cluster) applyNodeRoles() {
 		}
 	}
 	taint(ControlPlaneNode, spec.Taint{Key: ControlPlaneTaint, Effect: spec.TaintNoSchedule}, 50)
-	taint(c.monitoringNode(), spec.Taint{Key: MonitoringTaint, Value: "monitoring", Effect: spec.TaintNoSchedule}, 50)
+	taint(c.MonitoringNode(), spec.Taint{Key: MonitoringTaint, Value: "monitoring", Effect: spec.TaintNoSchedule}, 50)
 }

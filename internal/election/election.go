@@ -51,12 +51,15 @@ func (c Config) withDefaults() Config {
 
 // Elector campaigns for a lease and tracks leadership.
 type Elector struct {
-	loop    *sim.Loop
-	client  *apiserver.Client
-	cfg     Config
-	leading bool
-	ticker  sim.Timer
-	stopped bool
+	loop   *sim.Loop
+	client *apiserver.Client
+	cfg    Config
+	// identity is the holder identity campaigned under: cfg.Identity until a
+	// Restart names another, and again after Reset.
+	identity string
+	leading  bool
+	ticker   sim.Timer
+	stopped  bool
 	// lastContact is the loop time of the last successful lease read; a
 	// leader out of contact longer than leaseDuration self-demotes.
 	lastContact time.Duration
@@ -64,13 +67,15 @@ type Elector struct {
 
 // New creates an elector; call Start to begin campaigning.
 func New(loop *sim.Loop, client *apiserver.Client, cfg Config) *Elector {
-	return &Elector{loop: loop, client: client, cfg: cfg.withDefaults()}
+	return &Elector{loop: loop, client: client, cfg: cfg.withDefaults(), identity: cfg.Identity}
 }
 
 // Reset returns the elector to the state New left it in: not leading, not
-// campaigning. Nothing is released and no callback runs — the loop its ticker
-// was scheduled on and the lease it may have held are being reset with it.
+// campaigning, under the identity New was given. Nothing is released and no
+// callback runs — the loop its ticker was scheduled on and the lease it may
+// have held are being reset with it.
 func (e *Elector) Reset() {
+	e.identity = e.cfg.Identity
 	e.leading, e.stopped = false, false
 	e.ticker = sim.Timer{}
 	e.lastContact = 0
@@ -101,7 +106,7 @@ func (e *Elector) release(attempts int) {
 		return // control plane unreachable: the lease expires like a crash
 	}
 	lease, ok := obj.(*spec.Lease)
-	if !ok || lease.Spec.HolderIdentity != e.cfg.Identity {
+	if !ok || lease.Spec.HolderIdentity != e.identity {
 		return
 	}
 	lease = spec.CloneForWriteAs(lease) // sealed cache reference
@@ -124,6 +129,17 @@ func (e *Elector) Abandon() {
 	}
 }
 
+// Restart models a crashed candidate coming back: it abandons now and, after
+// delay, campaigns afresh under identity. A lease it held under its old
+// identity is not its own any more, so the lease must expire first.
+func (e *Elector) Restart(delay time.Duration, identity string) {
+	e.Abandon()
+	e.loop.After(delay, func() {
+		e.identity, e.lastContact = identity, 0
+		e.Start()
+	})
+}
+
 // IsLeader reports whether this elector currently holds the lease.
 func (e *Elector) IsLeader() bool { return e.leading }
 
@@ -138,7 +154,7 @@ func (e *Elector) tick() {
 		lease := &spec.Lease{
 			Metadata: spec.ObjectMeta{Name: e.cfg.LeaseName, Namespace: spec.SystemNamespace},
 			Spec: spec.LeaseSpec{
-				HolderIdentity: e.cfg.Identity,
+				HolderIdentity: e.identity,
 				DurationSecs:   int64(leaseDuration / time.Second),
 				RenewMillis:    nowMillis,
 			},
@@ -167,7 +183,7 @@ func (e *Elector) tick() {
 	expired := lease.Spec.HolderIdentity == "" ||
 		nowMillis-lease.Spec.RenewMillis > leaseDuration.Milliseconds()
 	switch {
-	case lease.Spec.HolderIdentity == e.cfg.Identity:
+	case lease.Spec.HolderIdentity == e.identity:
 		// Renew on the renew interval, not on every retry tick: holding the
 		// lease needs no write while the last renewal is fresh (the
 		// kube-controller-manager renews every 10 s on a 15 s lease). A
@@ -195,7 +211,7 @@ func (e *Elector) tick() {
 		}
 	case expired:
 		lease = spec.CloneForWriteAs(lease) // sealed cache reference
-		lease.Spec.HolderIdentity = e.cfg.Identity
+		lease.Spec.HolderIdentity = e.identity
 		lease.Spec.RenewMillis = nowMillis
 		if err := e.client.Update(lease); err == nil {
 			e.becomeLeader()

@@ -102,7 +102,17 @@ type State struct {
 	zoneDown map[string]bool
 	nodeDown map[string]bool
 
+	// watches is what the data plane watches, each kind with the handler
+	// that keeps it: subscribe registers them and Prime re-lists them, in
+	// this order, which is same-tick delivery order.
+	watches []watch
 	cancels []func()
+}
+
+// watch is one watched kind and its handler.
+type watch struct {
+	kind spec.Kind
+	on   func(apiserver.WatchEvent)
 }
 
 // nodeState is what the data plane knows about one node name.
@@ -144,19 +154,23 @@ func New(loop *sim.Loop, eps *apiserver.Endpoints) *State {
 		zoneDown:  make(map[string]bool),
 		nodeDown:  make(map[string]bool),
 	}
+	s.watches = []watch{
+		{spec.KindService, s.onService},
+		{spec.KindEndpoints, s.onEndpoints},
+		{spec.KindPod, s.onPod},
+		{spec.KindNode, s.onNode},
+		{spec.KindConfigMap, s.onConfigMap},
+	}
 	s.subscribe()
 	return s
 }
 
 // subscribe registers the data plane's watches with the control plane.
 func (s *State) subscribe() {
-	s.cancels = append(s.cancels[:0],
-		s.client.Watch(spec.KindService, s.onService),
-		s.client.Watch(spec.KindEndpoints, s.onEndpoints),
-		s.client.Watch(spec.KindPod, s.onPod),
-		s.client.Watch(spec.KindNode, s.onNode),
-		s.client.Watch(spec.KindConfigMap, s.onConfigMap),
-	)
+	s.cancels = s.cancels[:0]
+	for _, w := range s.watches {
+		s.cancels = append(s.cancels, s.client.Watch(w.kind, w.on))
+	}
 }
 
 // Close detaches all watches.
@@ -200,26 +214,12 @@ func (s *State) Reset() {
 // freshly confirmed (their route-decay clock starts at the prime instant,
 // exactly as if the ready status had just been observed).
 func (s *State) Prime() {
-	s.client.Range(spec.KindService, "", func(o spec.Object) bool {
-		s.onService(apiserver.WatchEvent{Type: apiserver.Added, Kind: spec.KindService, Object: o})
-		return true
-	})
-	s.client.Range(spec.KindEndpoints, "", func(o spec.Object) bool {
-		s.onEndpoints(apiserver.WatchEvent{Type: apiserver.Added, Kind: spec.KindEndpoints, Object: o})
-		return true
-	})
-	s.client.Range(spec.KindPod, "", func(o spec.Object) bool {
-		s.onPod(apiserver.WatchEvent{Type: apiserver.Added, Kind: spec.KindPod, Object: o})
-		return true
-	})
-	s.client.Range(spec.KindNode, "", func(o spec.Object) bool {
-		s.onNode(apiserver.WatchEvent{Type: apiserver.Added, Kind: spec.KindNode, Object: o})
-		return true
-	})
-	s.client.Range(spec.KindConfigMap, "", func(o spec.Object) bool {
-		s.onConfigMap(apiserver.WatchEvent{Type: apiserver.Added, Kind: spec.KindConfigMap, Object: o})
-		return true
-	})
+	for _, w := range s.watches {
+		s.client.Range(w.kind, "", func(o spec.Object) bool {
+			w.on(apiserver.WatchEvent{Type: apiserver.Added, Kind: w.kind, Object: o})
+			return true
+		})
+	}
 }
 
 func (s *State) onService(ev apiserver.WatchEvent) {

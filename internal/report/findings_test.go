@@ -183,7 +183,7 @@ func TestPaperFindingsHold(t *testing.T) {
 	// simulator does not agree: flips of a Node's or a Lease's name or
 	// namespace (a kubelet's registration, a leader lease) strand the node or
 	// the elected component, and make identity the largest category (the
-	// F2.identity line of the golden). ROADMAP item 1 records that as a
+	// F2.identity line of the golden). ROADMAP item 9b records that as a
 	// finding to explain.
 	byCat := make(map[campaign.FieldCategory]int)
 	for _, res := range out.Main.Results {

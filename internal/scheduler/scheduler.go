@@ -36,7 +36,6 @@ const (
 // Scheduler assigns pods to nodes.
 type Scheduler struct {
 	loop   *sim.Loop
-	eps    *apiserver.Endpoints
 	client *apiserver.Client
 	// identity is the leader-election identity New was given; a restart
 	// campaigns under it with an epoch suffix.
@@ -76,11 +75,7 @@ type Scheduler struct {
 	// drive the pending/assumed bookkeeping (including the cache-self-check
 	// restart), and every scheduling pass reads nodes and pods from the view
 	// instead of re-listing the server.
-	views *apiserver.Reflector
-	// first is the elector New built; a cache-mismatch restart replaces
-	// elector with one campaigning under a fresh identity, and Reset puts
-	// first back.
-	first    *election.Elector
+	views    *apiserver.Reflector
 	restarts int
 	epoch    int
 
@@ -98,7 +93,6 @@ type Scheduler struct {
 func New(loop *sim.Loop, eps *apiserver.Endpoints, identity string) *Scheduler {
 	s := &Scheduler{
 		loop:        loop,
-		eps:         eps,
 		client:      eps.ClientFor("scheduler"),
 		identity:    identity,
 		pending:     make(map[string]uint64),
@@ -109,18 +103,21 @@ func New(loop *sim.Loop, eps *apiserver.Endpoints, identity string) *Scheduler {
 		lastPreempt: make(map[string]time.Duration),
 	}
 	s.views = apiserver.NewReflector(loop, s.client, viewResync, s.onViewEvent, spec.KindPod, spec.KindNode)
-	s.newElector(identity)
-	s.first = s.elector
+	s.elector = election.New(loop, eps.ClientFor(identity), election.Config{
+		LeaseName:        "kube-scheduler",
+		Identity:         identity,
+		OnStartedLeading: s.run,
+		OnStoppedLeading: s.halt,
+	})
 	return s
 }
 
 // Reset returns the scheduler to the state New left it in, keeping the memory
 // of its views and indexes: not campaigning, not running, nothing pending,
-// assumed or charged, no restart counted, the original elector back in place.
-// Nothing is cancelled or released — the loop, the server and the store the
-// scheduler acted on are being reset with it.
+// assumed or charged, no restart counted, the elector back on its first
+// identity. Nothing is cancelled or released — the loop, the server and the
+// store the scheduler acted on are being reset with it.
 func (s *Scheduler) Reset() {
-	s.elector = s.first
 	s.elector.Reset()
 	s.running = false
 	s.clearCache()
@@ -149,15 +146,6 @@ func (s *Scheduler) clearCache() {
 	clear(s.podAlloc)
 	clear(s.nodeUsed)
 	clear(s.lastPreempt)
-}
-
-func (s *Scheduler) newElector(identity string) {
-	s.elector = election.New(s.loop, s.eps.ClientFor(identity), election.Config{
-		LeaseName:        "kube-scheduler",
-		Identity:         identity,
-		OnStartedLeading: s.run,
-		OnStoppedLeading: s.halt,
-	})
 }
 
 // Start begins campaigning; the scheduler runs while it leads.
@@ -290,16 +278,11 @@ func (s *Scheduler) inputsMoved() {
 func (s *Scheduler) restart() {
 	s.restarts++
 	s.halt()
-	// Abandon, not Stop: a crashed scheduler cannot release its lease, so the
-	// stale lease must expire before the fresh identity can campaign — the
-	// ~20 s restart gap the paper measures.
-	s.elector.Abandon()
+	// A crashed scheduler cannot release its lease, so the stale lease must
+	// expire before the fresh identity can campaign — the ~20 s restart gap
+	// the paper measures.
 	s.epoch++
-	identity := fmt.Sprintf("%s-r%d", s.identity, s.epoch)
-	s.loop.After(restartDelay, func() {
-		s.newElector(identity)
-		s.elector.Start()
-	})
+	s.elector.Restart(restartDelay, fmt.Sprintf("%s-r%d", s.identity, s.epoch))
 }
 
 // scheduleAll is one scheduling cycle. Unschedulable pods wait for a cluster

@@ -141,28 +141,28 @@ func NewDriver(c *cluster.Cluster, kind Kind) *Driver {
 // that are required by the orchestration workloads before the injection"),
 // then waits for them to settle.
 func (d *Driver) Setup() {
+	n := 0 // the deploy workload creates everything itself
 	switch d.Kind {
-	case Deploy:
-		// The deploy workload creates everything itself.
 	case ScaleUp:
-		for i := 0; i < scaleDeployments; i++ {
-			_ = d.User.Create(AppDeployment(AppName(i), deployReplicas))
-			_ = d.User.Create(AppService(AppName(i)))
-		}
-		d.awaitReady(scaleDeployments, deployReplicas)
+		n = scaleDeployments
 	case Failover:
-		for i := 0; i < failoverDeploys; i++ {
-			_ = d.User.Create(AppDeployment(AppName(i), deployReplicas))
-			_ = d.User.Create(AppService(AppName(i)))
-		}
-		d.awaitReady(failoverDeploys, deployReplicas)
+		n = failoverDeploys
 	case Policy:
-		for i := 0; i < policyDeployments; i++ {
-			_ = d.User.Create(AppDeployment(AppName(i), deployReplicas))
-			_ = d.User.Create(AppService(AppName(i)))
-		}
-		d.awaitReady(policyDeployments, deployReplicas)
+		n = policyDeployments
 	}
+	if n > 0 {
+		d.createApps(n)
+	}
+}
+
+// createApps creates the first n applications, each a Deployment and then its
+// Service, and waits for them to roll out.
+func (d *Driver) createApps(n int) {
+	for i := 0; i < n; i++ {
+		_ = d.User.Create(AppDeployment(AppName(i), deployReplicas))
+		_ = d.User.Create(AppService(AppName(i)))
+	}
+	d.awaitReady(n, deployReplicas)
 }
 
 // Run performs the workload operations. It drives the simulation loop and
@@ -170,11 +170,7 @@ func (d *Driver) Setup() {
 func (d *Driver) Run() {
 	switch d.Kind {
 	case Deploy:
-		for i := 0; i < deployDeployments; i++ {
-			_ = d.User.Create(AppDeployment(AppName(i), deployReplicas))
-			_ = d.User.Create(AppService(AppName(i)))
-		}
-		d.awaitReady(deployDeployments, deployReplicas)
+		d.createApps(deployDeployments)
 	case ScaleUp:
 		for step := 0; step < scaleSteps; step++ {
 			target := int64(deployReplicas + step + 1)

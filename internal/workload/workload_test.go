@@ -97,6 +97,36 @@ func TestFailoverWorkload(t *testing.T) {
 	}
 }
 
+// TestSetupCreatesAndAwaitsItsApplications holds each workload's set-up to
+// its own application count: that many Deployments and Services, all ready,
+// and a return on the rollout, well inside the kbench wait bound that a wait
+// for an application it never created would run into.
+func TestSetupCreatesAndAwaitsItsApplications(t *testing.T) {
+	want := map[Kind]int{Deploy: 0, ScaleUp: scaleDeployments, Failover: failoverDeploys, Policy: policyDeployments}
+	for _, kind := range []Kind{Deploy, ScaleUp, Failover, Policy} {
+		t.Run(string(kind), func(t *testing.T) {
+			c := bootCluster(t, 5)
+			start := c.Loop.Now()
+			NewDriver(c, kind).Setup()
+			if took := c.Loop.Now() - start; took >= requestTimeout {
+				t.Fatalf("Setup took %v, the whole wait bound", took)
+			}
+			probe := c.Client("test")
+			if got := len(probe.List(spec.KindDeployment, spec.DefaultNamespace)); got != want[kind] {
+				t.Fatalf("%d deployments, want %d", got, want[kind])
+			}
+			if got := len(probe.List(spec.KindService, spec.DefaultNamespace)); got != want[kind] {
+				t.Fatalf("%d services, want %d", got, want[kind])
+			}
+			for i := 0; i < want[kind]; i++ {
+				if got := readyReplicas(t, c, AppName(i)); got != deployReplicas {
+					t.Fatalf("%s ready = %d, want %d", AppName(i), got, deployReplicas)
+				}
+			}
+		})
+	}
+}
+
 func TestClientMeasuresService(t *testing.T) {
 	c := bootCluster(t, 4)
 	d := NewDriver(c, ScaleUp)
