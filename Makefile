@@ -155,9 +155,9 @@ findings-full:
 
 # Non-test Go lines, blank lines and whole-line // comments not counted: the
 # figures ROADMAP and CHANGES quote for internal/ plus the root package, for
-# the command-line tools under cmd/, for bench/, and for the four packages of
-# the apiserver→store path, with and without the store's election
-# (internal/store/raft.go).
+# the command-line tools under cmd/, for bench/, for the four packages of the
+# apiserver→store path, with and without the store's election
+# (internal/store/raft.go), and for each internal/ package.
 loc:
 	@count() { find "$$@" -name '*.go' ! -name '*_test.go' -exec cat {} + | grep -Ev '^[[:space:]]*(//|$$)' | wc -l; }; \
 	core="internal/apiserver internal/codec internal/spec internal/store"; \
@@ -165,7 +165,8 @@ loc:
 	echo "cmd/:                       $$(count cmd)"; \
 	echo "bench/:                     $$(count bench)"; \
 	echo "apiserver+codec+spec+store: $$(count $$core)"; \
-	echo "  without store/raft.go:    $$(count $$core ! -path internal/store/raft.go)"
+	echo "  without store/raft.go:    $$(count $$core ! -path internal/store/raft.go)"; \
+	for pkg in internal/*/; do printf '  %-26s%s\n' "$${pkg%/}:" "$$(count $$pkg)"; done
 
 # Performance is measured by the repository benchmark, `go run ./bench` (see
 # bench/README.md and BENCHMARK.json), not by a make target. Package

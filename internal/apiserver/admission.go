@@ -83,7 +83,6 @@ type AdmissionHook struct {
 
 	// Injected fault state (see the chain's fault methods).
 	down           bool
-	slow           bool
 	selectorBroken bool
 	policyDropped  bool
 }
@@ -129,10 +128,6 @@ func (c *AdmissionChain) HookName(i int) string { return c.hooks[i].Name }
 // SetWebhookDown takes hook i's backend process down or brings it back.
 func (c *AdmissionChain) SetWebhookDown(i int, down bool) { c.hooks[i].down = down }
 
-// SetWebhookSlow pushes hook i's latency past the call timeout, so every call
-// fails — the slow-webhook outage mode.
-func (c *AdmissionChain) SetWebhookSlow(i int, slow bool) { c.hooks[i].slow = slow }
-
 // SetSelectorBroken misconfigures hook i's selector so it matches nothing
 // (the wrong-selector configuration defect): the policy silently stops
 // applying regardless of failure policy. The chain keeps shadow-matching the
@@ -153,7 +148,7 @@ func (c *AdmissionChain) SetPolicyDropped(i int, dropped bool) {
 // violation count: the chain NewAdmissionChain built.
 func (c *AdmissionChain) Reset() {
 	for _, h := range c.hooks {
-		h.down, h.slow, h.selectorBroken, h.policyDropped = false, false, false, false
+		h.down, h.selectorBroken, h.policyDropped = false, false, false
 	}
 	c.override = ""
 	c.violationsAdmitted = 0
@@ -172,10 +167,10 @@ func (c *AdmissionChain) effectivePolicy(h *AdmissionHook) FailurePolicy {
 }
 
 // unavailable reports whether a call to h fails right now: backend process
-// down, node unreachable through the virtual network, or latency past the
-// call timeout.
+// down (or slowed past the call timeout, which is the same thing), or node
+// unreachable through the virtual network.
 func (c *AdmissionChain) unavailable(h *AdmissionHook) bool {
-	return h.down || (c.reach != nil && h.Backend != "" && !c.reach(h.Backend)) || h.slow
+	return h.down || (c.reach != nil && h.Backend != "" && !c.reach(h.Backend))
 }
 
 // Degraded reports whether some hook is currently turning webhook downtime

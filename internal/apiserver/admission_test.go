@@ -31,7 +31,6 @@ func TestAdmissionFaultTable(t *testing.T) {
 	}{
 		{"none", func(*AdmissionChain) {}},
 		{"down", func(c *AdmissionChain) { c.SetWebhookDown(limits, true) }},
-		{"slow", func(c *AdmissionChain) { c.SetWebhookSlow(limits, true) }},
 		{"selector-broken", func(c *AdmissionChain) { c.SetSelectorBroken(limits, true) }},
 		{"policy-dropped", func(c *AdmissionChain) { c.SetPolicyDropped(limits, true) }},
 	}
@@ -45,7 +44,7 @@ func TestAdmissionFaultTable(t *testing.T) {
 		switch fault {
 		case "none":
 			return outcome{admitted: false} // the healthy hook denies it
-		case "down", "slow":
+		case "down":
 			if policy == FailClosed {
 				return outcome{admitted: false, degraded: true}
 			}

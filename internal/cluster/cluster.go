@@ -370,16 +370,16 @@ func (c *Cluster) startControlLoops(stagger time.Duration) {
 	}
 }
 
-// Stop halts all components.
+// Stop crashes every component and writes nothing: the managers and
+// schedulers abandon their leases to expire, every node goes down, and the
+// data plane stops watching.
 func (c *Cluster) Stop() {
-	for _, m := range c.Managers {
+	for i, m := range c.Managers {
 		m.Stop()
-	}
-	for _, s := range c.Scheds {
-		s.Stop()
+		c.Scheds[i].Stop()
 	}
 	for _, name := range c.nodeOrder {
-		c.Kubelets[name].Stop()
+		c.Kubelets[name].SetDown(true)
 	}
 	c.Net.Close()
 }
@@ -389,10 +389,9 @@ func (c *Cluster) Stop() {
 // table is emptied in place, and everything an experiment attached (injector
 // hooks, its clients and their watches, timers) or left behind (crashed
 // servers, lost replicas, cut links, downed nodes, webhook faults) is gone.
-// Nothing is stopped or cancelled first, so no component gets to write a
-// farewell (a released lease, say) into a store that is about to be emptied.
-// Snapshot.Restore turns a rewound cluster into what Fork returns; Rewind runs
-// at the end of an experiment so that an idle cluster holds no objects.
+// Nothing is stopped or cancelled first. Snapshot.Restore turns a rewound
+// cluster into what Fork returns; Rewind runs at the end of an experiment so
+// that an idle cluster holds no objects.
 //
 // The order is assemble's: each component re-registers what its constructor
 // registered (the servers their store watches, the data plane its five

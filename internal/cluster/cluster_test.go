@@ -359,3 +359,38 @@ func TestWorkersPerZoneMatchesPlacement(t *testing.T) {
 		t.Errorf("flat default cluster: WorkersPerZone = %v, want [4]", got)
 	}
 }
+
+// Stop is a crash: across it the store gains no revision, the audit no error,
+// and the leases keep replica 0's holders, left to expire rather than released.
+func TestStopWritesNothing(t *testing.T) {
+	for _, boot := range []func(*testing.T, int64) *Cluster{bootCluster, bootHA} {
+		c := boot(t, 7)
+		holders := func() [2]string {
+			var h [2]string
+			for i, name := range []string{"kube-controller-manager", "kube-scheduler"} {
+				obj, err := c.Client("probe").Get(spec.KindLease, spec.SystemNamespace, name)
+				if err != nil {
+					t.Fatalf("lease %s: %v", name, err)
+				}
+				h[i] = obj.(*spec.Lease).Spec.HolderIdentity
+			}
+			return h
+		}
+		want := [2]string{"kcm-0", "kube-scheduler-0"}
+		if h := holders(); h != want {
+			t.Fatalf("%d replicas: lease holders %v before Stop, want %v", c.Replicas(), h, want)
+		}
+		rev, audit := c.Backend.Revision(), c.Server.Audit().Snapshot()
+		c.Stop()
+		c.Loop.RunUntil(c.Loop.Now() + time.Second)
+		if got := c.Backend.Revision(); got != rev {
+			t.Errorf("%d replicas: Stop moved the store revision %d -> %d", c.Replicas(), rev, got)
+		}
+		if got := c.Server.Audit().Snapshot(); !reflect.DeepEqual(got, audit) {
+			t.Errorf("%d replicas: Stop moved the audit counts: %+v, before %+v", c.Replicas(), *got, *audit)
+		}
+		if h := holders(); h != want {
+			t.Errorf("%d replicas: lease holders %v after Stop, want %v", c.Replicas(), h, want)
+		}
+	}
+}

@@ -83,7 +83,6 @@ func dirty(t *testing.T, c *Cluster) {
 	if chain := c.Admission(); chain != nil {
 		chain.SetFailurePolicy(apiserver.FailOpen)
 		chain.SetWebhookDown(0, true)
-		chain.SetWebhookSlow(1, true)
 		chain.SetSelectorBroken(2, true)
 		chain.SetPolicyDropped(1, true)
 	}

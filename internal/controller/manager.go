@@ -122,11 +122,9 @@ func NewManager(loop *sim.Loop, eps *apiserver.Endpoints, identity string) *Mana
 // Start begins campaigning; the controllers run while the manager leads.
 func (m *Manager) Start() { m.elector.Start() }
 
-// Stop halts everything.
-func (m *Manager) Stop() {
-	m.elector.Stop()
-	m.stopControllers()
-}
+// Stop crashes the manager and writes nothing: the elector abandons, which
+// halts the controllers, and its lease is left to expire.
+func (m *Manager) Stop() { m.elector.Abandon() }
 
 // Reset returns the manager to the state NewManager left it in, keeping the
 // memory of its views, queues and indexes: not campaigning, controllers idle

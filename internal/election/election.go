@@ -88,45 +88,13 @@ func (e *Elector) Start() {
 	e.ticker = e.loop.Every(retryInterval, e.tick)
 }
 
-// Stop halts campaigning cleanly; a leading elector releases its lease
-// (clears the holder identity) so other candidates take over at their next
-// retry tick instead of waiting out the full lease duration. A crash is
-// modelled by Abandon, which leaves the lease to expire.
-func (e *Elector) Stop() {
-	wasLeading := e.leading
-	e.Abandon()
-	if wasLeading {
-		e.release(3)
-	}
-}
-
-func (e *Elector) release(attempts int) {
-	obj, err := e.client.Get(spec.KindLease, spec.SystemNamespace, e.cfg.LeaseName)
-	if err != nil {
-		return // control plane unreachable: the lease expires like a crash
-	}
-	lease, ok := obj.(*spec.Lease)
-	if !ok || lease.Spec.HolderIdentity != e.identity {
-		return
-	}
-	lease = spec.CloneForWriteAs(lease) // sealed cache reference
-	lease.Spec.HolderIdentity = ""
-	if err := e.client.Update(lease); errors.Is(err, apiserver.ErrConflict) && attempts > 1 {
-		// The watch cache can trail the store by a watch latency right after
-		// a renewal; retry once it catches up.
-		e.loop.After(5*time.Millisecond, func() { e.release(attempts - 1) })
-	}
-}
-
-// Abandon halts campaigning without touching the lease — crash semantics:
-// for everyone else the lease only expires after leaseDuration.
+// Abandon halts campaigning without touching the lease — a crash, the one way
+// an elector stops: for everyone else the lease only expires after
+// leaseDuration.
 func (e *Elector) Abandon() {
 	e.stopped = true
 	e.ticker.Stop()
-	if e.leading {
-		e.leading = false
-		e.cfg.OnStoppedLeading()
-	}
+	e.loseLeadership()
 }
 
 // Restart models a crashed candidate coming back: it abandons now and, after
@@ -179,7 +147,7 @@ func (e *Elector) tick() {
 	if !ok {
 		return
 	}
-	// An empty holder identity is a released lease: immediately contestable.
+	// An empty holder (a set-value injection's "") is contestable at once.
 	expired := lease.Spec.HolderIdentity == "" ||
 		nowMillis-lease.Spec.RenewMillis > leaseDuration.Milliseconds()
 	switch {

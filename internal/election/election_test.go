@@ -65,7 +65,7 @@ func TestFailoverAfterLeaseExpiry(t *testing.T) {
 	if b.IsLeader() {
 		t.Fatal("b grabbed a fresh lease")
 	}
-	// a crashes (no clean release); b should take over only after the lease
+	// a crashes, leaving its lease; b should take over only after the lease
 	// duration (~15s).
 	a.Abandon()
 	takeover := loop.Now()
@@ -122,44 +122,7 @@ func TestCorruptedHolderIdentityDeposesLeader(t *testing.T) {
 	}
 }
 
-// Regression: a clean Stop must release the lease so a standby takes over at
-// its next retry tick, not after the full lease duration — before the fix, a
-// clean stop had exactly crash latency.
-func TestStopReleasesLeaseForFastTakeover(t *testing.T) {
-	loop, srv := setup(t)
-	a := New(loop, srv.ClientFor("kcm-0"), Config{LeaseName: "kcm", Identity: "kcm-0"})
-	b := New(loop, srv.ClientFor("kcm-1"), Config{LeaseName: "kcm", Identity: "kcm-1"})
-	a.Start()
-	loop.RunUntil(5 * time.Second)
-	if !a.IsLeader() {
-		t.Fatal("a did not acquire")
-	}
-	b.Start()
-	loop.RunUntil(10 * time.Second)
-
-	a.Stop()
-	takeover := loop.Now()
-	// The release may retry once the watch cache catches up (a few ms).
-	loop.RunUntil(loop.Now() + 50*time.Millisecond)
-	obj, err := srv.ClientFor("observer").Get(spec.KindLease, spec.SystemNamespace, "kcm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if holder := obj.(*spec.Lease).Spec.HolderIdentity; holder != "" {
-		t.Fatalf("lease holder after clean Stop = %q, want released (empty)", holder)
-	}
-	for loop.Now() < takeover+10*time.Second && !b.IsLeader() {
-		loop.RunUntil(loop.Now() + 500*time.Millisecond)
-	}
-	if !b.IsLeader() {
-		t.Fatal("standby never took over after clean release")
-	}
-	if elapsed := loop.Now() - takeover; elapsed > 4*time.Second {
-		t.Fatalf("takeover after %v, want within a retry tick (2s), not lease expiry", elapsed)
-	}
-}
-
-func TestStopRelinquishes(t *testing.T) {
+func TestAbandonRelinquishes(t *testing.T) {
 	loop, srv := setup(t)
 	var stopped bool
 	e := New(loop, srv.ClientFor("kcm-0"), Config{
@@ -168,15 +131,15 @@ func TestStopRelinquishes(t *testing.T) {
 	})
 	e.Start()
 	loop.RunUntil(5 * time.Second)
-	e.Stop()
+	e.Abandon()
 	if e.IsLeader() {
-		t.Fatal("still leader after Stop")
+		t.Fatal("still leader after Abandon")
 	}
 	if !stopped {
-		t.Fatal("OnStoppedLeading not called on Stop")
+		t.Fatal("OnStoppedLeading not called on Abandon")
 	}
 	loop.RunUntil(20 * time.Second)
 	if e.IsLeader() {
-		t.Fatal("stopped elector re-acquired")
+		t.Fatal("abandoned elector re-acquired")
 	}
 }

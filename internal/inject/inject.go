@@ -115,9 +115,9 @@ const (
 	// shadow-counted) policy evaluation.
 	FaultWebhookDown
 	// FaultWebhookLatency slows admission hook Replica past its call timeout,
-	// so every call becomes a transient failure — the slow-webhook outage,
-	// behaviorally like FaultWebhookDown but reached through the latency/
-	// timeout/retry machinery.
+	// so every call fails — the slow-webhook outage. Hook calls never advance
+	// the clock, so a webhook past its timeout is simply unavailable: the
+	// axis sets the same fault as FaultWebhookDown.
 	FaultWebhookLatency
 	// FaultWebhookSelector misconfigures admission hook Replica's selector so
 	// it matches nothing (the wrong-selector configuration defect): the

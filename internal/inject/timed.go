@@ -166,7 +166,7 @@ var axes = [...]axis{
 	{FaultWebhookDown, "webhook-down", FamilyAdmission, hookName,
 		func(p Platform, i int, on bool) { p.Admission().SetWebhookDown(i, on) }, 0},
 	{FaultWebhookLatency, "webhook-latency", FamilyAdmission, hookName,
-		func(p Platform, i int, on bool) { p.Admission().SetWebhookSlow(i, on) }, 0},
+		func(p Platform, i int, on bool) { p.Admission().SetWebhookDown(i, on) }, 0},
 	{FaultWebhookSelector, "webhook-selector", FamilyAdmission, hookName,
 		func(p Platform, i int, on bool) { p.Admission().SetSelectorBroken(i, on) }, 0},
 	{FaultWebhookPolicy, "webhook-policy", FamilyAdmission, hookName,

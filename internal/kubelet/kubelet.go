@@ -69,13 +69,9 @@ type Kubelet struct {
 	// pod watch: its node's name and the UIDs of its pods, claimed and
 	// released exactly where the table gains and loses them. onPodEvent acts
 	// on nothing else, so nothing else is delivered.
-	scope   apiserver.PodScope
-	pulled  map[string]bool // images already present on this node
-	ipSeq   int64
-	hbTimer sim.Timer
-	stTimer sim.Timer
-	cancelW func()
-	stopped bool
+	scope  apiserver.PodScope
+	pulled map[string]bool // images already present on this node
+	ipSeq  int64
 	// Down simulates a node crash: no heartbeats, no pod management.
 	down bool
 	// node is the kubelet's private status-write base for its Node object,
@@ -149,9 +145,7 @@ func (k *Kubelet) Reset() {
 	clear(k.restored)
 	clear(k.pulled)
 	k.ipSeq = 0
-	k.hbTimer, k.stTimer = sim.Timer{}, sim.Timer{}
-	k.cancelW = nil
-	k.stopped, k.down = false, false
+	k.down = false
 	k.node = nil
 }
 
@@ -162,24 +156,10 @@ func (k *Kubelet) Reset() {
 // lifecycle controller's grace period either way. At 500 nodes the redundant
 // boot-time status write was one of the two largest per-fork costs.
 func (k *Kubelet) Start() {
-	k.stopped = false
 	k.registerNode()
-	k.cancelW = k.client.WatchPods(&k.scope, k.onPodEventFn)
-	k.hbTimer = k.loop.Every(heartbeatInterval, k.heartbeatFn)
-	k.stTimer = k.loop.Every(statusSyncPeriod, k.syncAllStatusesFn)
-}
-
-// Stop halts the kubelet (normal shutdown; pods are left as-is).
-func (k *Kubelet) Stop() {
-	k.stopped = true
-	k.hbTimer.Stop()
-	k.stTimer.Stop()
-	if k.cancelW != nil {
-		k.cancelW()
-	}
-	for _, rt := range k.pods {
-		rt.timer.Stop()
-	}
+	k.client.WatchPods(&k.scope, k.onPodEventFn)
+	k.loop.Every(heartbeatInterval, k.heartbeatFn)
+	k.loop.Every(statusSyncPeriod, k.syncAllStatusesFn)
 }
 
 // SetDown simulates a node crash or recovery: while down the kubelet stops
@@ -229,7 +209,7 @@ func (k *Kubelet) registerNode() {
 // capacity) stops heartbeating: overload manifests as an unhealthy node,
 // the F3 path from misconfiguration to resource exhaustion.
 func (k *Kubelet) heartbeat() {
-	if k.stopped || k.down {
+	if k.down {
 		return
 	}
 	if k.overloaded() {
@@ -274,7 +254,7 @@ func (k *Kubelet) overloaded() bool {
 }
 
 func (k *Kubelet) onPodEvent(ev apiserver.WatchEvent) {
-	if k.stopped || k.down {
+	if k.down {
 		return
 	}
 	pod := ev.Object.(*spec.Pod)
@@ -378,7 +358,7 @@ func (k *Kubelet) rejectPod(pod *spec.Pod, reason string) {
 // startPod walks the container startup pipeline: image pull → network/IP →
 // command start → readiness.
 func (k *Kubelet) startPod(rt *podRuntime) {
-	if k.stopped || k.down {
+	if k.down {
 		return
 	}
 	pod := rt.pod
@@ -437,7 +417,7 @@ func (k *Kubelet) startPod(rt *podRuntime) {
 		delay += volumeReadDelay + time.Duration(k.loop.Rand().Int63n(int64(200*time.Millisecond)))
 	}
 	rt.timer = k.loop.After(delay, func() {
-		if k.stopped || k.down {
+		if k.down {
 			return
 		}
 		if k.find(rt.pod.Metadata.UID) == nil {
@@ -490,7 +470,7 @@ func (k *Kubelet) setStatus(rt *podRuntime, phase, reason string, ready bool, ip
 // natural recovery path ("the PodIP ... is overwritten by the correct value
 // sent by kubelets").
 func (k *Kubelet) syncAllStatuses() {
-	if k.stopped || k.down {
+	if k.down {
 		return
 	}
 	for _, rt := range k.pods {

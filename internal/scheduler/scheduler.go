@@ -151,11 +151,9 @@ func (s *Scheduler) clearCache() {
 // Start begins campaigning; the scheduler runs while it leads.
 func (s *Scheduler) Start() { s.elector.Start() }
 
-// Stop halts the scheduler.
-func (s *Scheduler) Stop() {
-	s.elector.Stop()
-	s.halt()
-}
+// Stop crashes the scheduler and writes nothing: the elector abandons, which
+// halts scheduling, and its lease is left to expire.
+func (s *Scheduler) Stop() { s.elector.Abandon() }
 
 // Restarts reports how many cache-mismatch restarts occurred (a timing-
 // failure signal for the classifier).

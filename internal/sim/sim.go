@@ -364,16 +364,10 @@ func (l *Loop) Step() bool {
 
 // RunUntil executes all events scheduled at or before deadline, then advances
 // the clock to deadline. Events scheduled by callbacks are executed too if
-// they fall within the deadline.
+// they fall within the deadline. A Stop ends the run early, and the clock
+// still lands on deadline.
 func (l *Loop) RunUntil(deadline time.Duration) {
-	l.stopped = false
-	for !l.stopped && !l.BudgetExhausted() && len(l.events) > 0 {
-		if l.events[0].at > deadline {
-			break
-		}
-		l.Step()
-	}
-	if l.now < deadline {
+	if l.RunUntilStopped(deadline) && l.now < deadline {
 		l.now = deadline
 	}
 }

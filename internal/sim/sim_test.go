@@ -130,19 +130,33 @@ func TestAtClampsToNow(t *testing.T) {
 }
 
 func TestStopHaltsRun(t *testing.T) {
-	l := NewLoop(1)
-	var count int
-	for i := 0; i < 10; i++ {
-		l.After(time.Duration(i)*time.Second, func() {
-			count++
-			if count == 3 {
-				l.Stop()
-			}
-		})
+	// Ten events a second apart; the third calls Stop.
+	stopAtThird := func() (*Loop, *int) {
+		l := NewLoop(1)
+		var count int
+		for i := 0; i < 10; i++ {
+			l.After(time.Duration(i)*time.Second, func() {
+				count++
+				if count == 3 {
+					l.Stop()
+				}
+			})
+		}
+		return l, &count
 	}
+	l, count := stopAtThird()
 	l.Run()
-	if count != 3 {
-		t.Fatalf("Run executed %d events after Stop, want 3", count)
+	if *count != 3 {
+		t.Fatalf("Run executed %d events after Stop, want 3", *count)
+	}
+
+	// RunUntil returns at the Stop too, but still lands on its deadline.
+	const deadline = 20 * time.Second
+	l, count = stopAtThird()
+	l.RunUntil(deadline)
+	if *count != 3 || l.Now() != deadline || l.Pending() != 7 {
+		t.Fatalf("RunUntil after Stop: %d events run, Now() = %v, Pending() = %d; want 3, %v, 7",
+			*count, l.Now(), l.Pending(), deadline)
 	}
 }
 
