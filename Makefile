@@ -105,14 +105,17 @@ docs-lint:
 	[ $$fail -eq 0 ] && echo "docs-lint OK"
 
 # Outcome neutrality against another revision: `make outcomes-cmp PARENT=HEAD~1`
-# builds mutiny-campaign from PARENT (a `git archive` of it, unpacked in a
-# temporary directory that is removed afterwards) and from the working tree,
-# runs both with -quiet on each of the seven argument sets below — shared-bootstrap
-# and replay regimes, zoned, HA, admission, HA with admission, and every other
-# cluster flag (fail-closed hooks, an explicit edge zone) — and prints
-# one line per set: `same: <args>` when the two stdouts are byte-identical,
-# `moved: <args> (<n> of <m> lines differ)` when they are not, and
-# `failed: <args>` when either run exits non-zero. It exits non-zero after the
+# builds mutiny-campaign and mutiny-cluster from PARENT (a `git archive` of it,
+# unpacked in a temporary directory that is removed afterwards) and from the
+# working tree, runs both campaigns with -quiet on each of the seven argument
+# sets below — shared-bootstrap and replay regimes, zoned, HA, admission, HA
+# with admission, and every other cluster flag (fail-closed hooks, an explicit
+# edge zone) — and both clusters on each of the three workload sets after them
+# (the driver's writes, the kubelets' node status and the controllers' pods
+# show in those streams), and prints one line per set: `same: <args>` when the
+# two stdouts are byte-identical, `moved: <args> (<n> of <m> lines differ)`
+# when they are not, and `failed: <args>` when either run exits non-zero; a
+# cluster set's args start with `mutiny-cluster`. It exits non-zero after the
 # last set if any set moved or failed. For any change that must not move an
 # outcome: a read path, an index, a cache, a delivery path. Under a minute.
 OUTCOME_ARGS = \
@@ -123,27 +126,34 @@ OUTCOME_ARGS = \
 	"-stride 60 -golden 8 -share-bootstrap -admission-hooks 3" \
 	"-stride 40 -golden 8 -control-plane-replicas 3 -admission-hooks 3" \
 	"-stride 60 -golden 8 -share-bootstrap -admission-hooks 2 -failure-policy Fail -zones 3 -nodes 9 -edge-nodes 2"
+CLUSTER_ARGS = \
+	"-workload deploy" \
+	"-workload scale" \
+	"-workload failover -seed 3"
 
 outcomes-cmp:
 	@test -n "$(PARENT)" || { echo "usage: make outcomes-cmp PARENT=<rev>"; exit 2; }
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && mkdir "$$tmp/parent" && \
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && mkdir "$$tmp/parent" "$$tmp/bin.parent" "$$tmp/bin.new" && \
 	git archive "$(PARENT)" | tar -x -C "$$tmp/parent" && \
-	(cd "$$tmp/parent" && $(GO) build -o "$$tmp/campaign.parent" ./cmd/mutiny-campaign) && \
-	$(GO) build -o "$$tmp/campaign.new" ./cmd/mutiny-campaign || exit 1; \
+	(cd "$$tmp/parent" && $(GO) build -o "$$tmp/bin.parent/" ./cmd/mutiny-campaign ./cmd/mutiny-cluster) && \
+	$(GO) build -o "$$tmp/bin.new/" ./cmd/mutiny-campaign ./cmd/mutiny-cluster || exit 1; \
 	bad=0; sets=0; \
-	for args in $(OUTCOME_ARGS); do \
-		if ! "$$tmp/campaign.parent" -quiet $$args > "$$tmp/parent.out" || \
-			! "$$tmp/campaign.new" -quiet $$args > "$$tmp/new.out"; then \
-			echo "failed: $$args"; bad=$$((bad + 1)); \
+	compare() { \
+		label=$$1; tool=$$2; shift 2; \
+		if ! "$$tmp/bin.parent/$$tool" "$$@" > "$$tmp/parent.out" || \
+			! "$$tmp/bin.new/$$tool" "$$@" > "$$tmp/new.out"; then \
+			echo "failed: $$label"; bad=$$((bad + 1)); \
 		elif cmp -s "$$tmp/parent.out" "$$tmp/new.out"; then \
-			echo "same: $$args"; \
+			echo "same: $$label"; \
 		else \
 			d=$$(diff "$$tmp/parent.out" "$$tmp/new.out" | awk '/^</ { p++ } /^>/ { n++ } END { print (p > n ? p : n) }'); \
 			m=$$(wc -l < "$$tmp/parent.out"); k=$$(wc -l < "$$tmp/new.out"); [ $$k -le $$m ] || m=$$k; \
-			echo "moved: $$args ($$d of $$m lines differ)"; bad=$$((bad + 1)); \
+			echo "moved: $$label ($$d of $$m lines differ)"; bad=$$((bad + 1)); \
 		fi; \
 		sets=$$((sets + 1)); \
-	done; \
+	}; \
+	for args in $(OUTCOME_ARGS); do compare "$$args" mutiny-campaign -quiet $$args; done; \
+	for args in $(CLUSTER_ARGS); do compare "mutiny-cluster $$args" mutiny-cluster $$args; done; \
 	[ $$bad -eq 0 ] || { echo "$$bad of $$sets argument sets moved or failed against $(PARENT)"; exit 1; }
 
 # The findings oracle over the full campaign: TestPaperFindingsHold runs every

@@ -126,3 +126,31 @@ func TestForkReplicatedBackend(t *testing.T) {
 	forkHealthy(t, fork, "replicated fork after 20s")
 	fork.Stop()
 }
+
+// TestForkEventFootprint holds the events a fork runs between Restore's start
+// and its return — the kubelets', data plane's and control loops' start-up
+// plus the seed's phase dither — to the counts of a settled 1- and 3-replica
+// snapshot forked with seed 1. They move when a component schedules one
+// event more or fewer on start (a deferred start, an extra priming timer),
+// when a period changes, or when the dither draws differently; an intended
+// change re-measures them.
+func TestForkEventFootprint(t *testing.T) {
+	for _, tc := range []struct {
+		replicas int
+		want     int64
+	}{
+		{1, 4},
+		{3, 21},
+	} {
+		c := New(Config{Seed: 4005, ControlPlaneReplicas: tc.replicas})
+		c.Start()
+		if !c.AwaitSettled(30 * time.Second) {
+			t.Fatalf("%d replicas: cluster did not settle", tc.replicas)
+		}
+		snap := c.Snapshot()
+		fork := snap.Fork(1)
+		if got := fork.Loop.EventsExecuted() - c.Loop.EventsExecuted(); got != tc.want {
+			t.Errorf("%d replicas: the fork ran %d events, want %d", tc.replicas, got, tc.want)
+		}
+	}
+}

@@ -120,7 +120,7 @@ func (c *daemonSetController) indexNodes() {
 }
 
 func (c *daemonSetController) sync(key string) {
-	ns, _ := splitKey(key)
+	ns, _ := spec.SplitNamespacedName(key)
 	obj, ok := c.m.views.GetByKey(spec.KindDaemonSet, key)
 	if !ok {
 		return

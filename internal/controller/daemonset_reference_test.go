@@ -20,7 +20,7 @@ import (
 // and a toleration probe built per node. It is the reference the grouping
 // tests hold the sync to; it is not kept fast.
 func refDaemonSetSync(c *daemonSetController, key string) {
-	ns, _ := splitKey(key)
+	ns, _ := spec.SplitNamespacedName(key)
 	obj, ok := c.m.views.GetByKey(spec.KindDaemonSet, key)
 	if !ok {
 		return

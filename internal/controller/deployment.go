@@ -67,7 +67,7 @@ func (c *deploymentController) enqueueFor(ev apiserver.WatchEvent) {
 }
 
 func (c *deploymentController) sync(key string) {
-	ns, _ := splitKey(key)
+	ns, _ := spec.SplitNamespacedName(key)
 	obj, ok := c.m.views.GetByKey(spec.KindDeployment, key)
 	if !ok {
 		return
@@ -112,7 +112,7 @@ func (c *deploymentController) sync(key string) {
 func (c *deploymentController) createReplicaSet(d *spec.Deployment, hash string) *spec.ReplicaSet {
 	tpl := spec.PodTemplate{
 		Labels: cloneLabels(d.Spec.Template.Labels),
-		Spec:   *clonePodSpec(&d.Spec.Template.Spec),
+		Spec:   d.Spec.Template.Spec.Clone(),
 	}
 	tpl.Labels[spec.LabelPodHash] = hash
 	sel := spec.LabelSelector{MatchLabels: cloneLabels(d.Spec.Selector.MatchLabels)}

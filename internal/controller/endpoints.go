@@ -58,7 +58,7 @@ func (c *endpointsController) enqueueFor(ev apiserver.WatchEvent) {
 }
 
 func (c *endpointsController) sync(key string) {
-	ns, name := splitKey(key)
+	ns, name := spec.SplitNamespacedName(key)
 	obj, ok := c.m.views.GetByKey(spec.KindService, key)
 	if !ok {
 		// Service gone: its Endpoints are garbage-collected via owner refs.

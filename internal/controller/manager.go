@@ -15,7 +15,6 @@ package controller
 import (
 	"fmt"
 	"hash/fnv"
-	"strings"
 	"time"
 
 	"github.com/mutiny-sim/mutiny/internal/apiserver"
@@ -252,7 +251,7 @@ func (m *Manager) childPod(kind spec.Kind, owner *spec.ObjectMeta, tpl *spec.Pod
 			Labels:          cloneLabels(tpl.Labels),
 			OwnerReferences: []spec.OwnerReference{controllerRef(kind, owner.Name, owner.UID)},
 		},
-		Spec: *clonePodSpec(&tpl.Spec),
+		Spec: tpl.Spec.Clone(),
 	}
 }
 
@@ -290,14 +289,6 @@ func templateHash(tpl spec.PodTemplate) string {
 	h := fnv.New32a()
 	_, _ = h.Write(b)
 	return fmt.Sprintf("%08x", h.Sum32())
-}
-
-func splitKey(key string) (namespace, name string) {
-	namespace, name, ok := strings.Cut(key, "/")
-	if !ok {
-		return "", key
-	}
-	return namespace, name
 }
 
 func objKey(o spec.Object) string {

@@ -66,7 +66,7 @@ func (c *replicaSetController) enqueueFor(ev apiserver.WatchEvent) {
 }
 
 func (c *replicaSetController) sync(key string) {
-	ns, _ := splitKey(key)
+	ns, _ := spec.SplitNamespacedName(key)
 	obj, ok := c.m.views.GetByKey(spec.KindReplicaSet, key)
 	if !ok {
 		return
@@ -201,10 +201,4 @@ func cloneLabels(in map[string]string) map[string]string {
 		out[k] = v
 	}
 	return out
-}
-
-func clonePodSpec(in *spec.PodSpec) *spec.PodSpec {
-	pod := spec.Pod{Spec: *in}
-	cloned := pod.Clone().(*spec.Pod)
-	return &cloned.Spec
 }

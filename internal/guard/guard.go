@@ -21,7 +21,6 @@ package guard
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"github.com/mutiny-sim/mutiny/internal/apiserver"
@@ -224,7 +223,7 @@ func (g *Guard) rollback(key string, w *probationWatch, reason string) {
 			j.Reason = reason
 		}
 	}
-	ns, name := splitInstance(w.change.Instance)
+	ns, name := spec.SplitNamespacedName(w.change.Instance)
 	cur, err := g.client.Get(w.change.Kind, ns, name)
 	if err != nil {
 		// The object is gone; recreate it from the snapshot (a deleted
@@ -255,12 +254,4 @@ func zeroLike(v any) any {
 	default:
 		return ""
 	}
-}
-
-func splitInstance(instance string) (ns, name string) {
-	ns, name, ok := strings.Cut(instance, "/")
-	if !ok {
-		return "", instance
-	}
-	return ns, name
 }

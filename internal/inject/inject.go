@@ -260,9 +260,8 @@ type Injector struct {
 
 	// servers are the API servers the injector is attached to: arming puts on
 	// each the hooks the armed channel uses, and nil in place of the rest.
-	servers     []*apiserver.Server
-	platform    Platform
-	faultTimers []sim.Timer
+	servers  []*apiserver.Server
+	platform Platform
 }
 
 // New creates an idle injector.
@@ -343,18 +342,6 @@ func (j *Injector) Arm(in Injection) {
 		cp.Channel = 0
 		j.arm(&cp, ax)
 	}
-	j.install()
-}
-
-// Disarm cancels any pending injection and removes the hooks it installed.
-// The report is kept, but no longer updates: a read of the injected instance
-// after Disarm does not activate it.
-func (j *Injector) Disarm() {
-	j.armed = nil
-	for _, t := range j.faultTimers {
-		t.Stop()
-	}
-	j.faultTimers = nil
 	j.install()
 }
 

@@ -325,8 +325,9 @@ func TestActivationTracking(t *testing.T) {
 // Arming installs the hooks the armed channel uses on every attached server,
 // and nothing else: a server with no request hook takes the caller's object
 // as it is (Get returns the very pointer Create was given), one with a
-// request hook decodes its own from the wire. Disarming or re-arming
-// elsewhere takes the request and watch hooks off again.
+// request hook decodes its own from the wire. Re-arming elsewhere, or with
+// an empty injection (which disarms), takes the request and watch hooks off
+// again.
 func TestArmInstallsOnlyWhatItUses(t *testing.T) {
 	loop := sim.NewLoop(1)
 	j := New(loop)
@@ -362,7 +363,7 @@ func TestArmInstallsOnlyWhatItUses(t *testing.T) {
 	}{
 		{"store channel", func() { j.Arm(onStore) }, true},
 		{"request channel", func() { j.Arm(onRequest) }, false},
-		{"disarmed", j.Disarm, true},
+		{"disarmed", func() { j.Arm(Injection{}) }, true},
 		{"request channel again", func() { j.Arm(onRequest) }, false},
 		{"re-armed onto the store channel", func() { j.Arm(onStore) }, true},
 	} {
@@ -383,7 +384,7 @@ func TestArmInstallsOnlyWhatItUses(t *testing.T) {
 		server int
 	}{
 		{"re-armed onto the store channel", func() { j.Arm(onStore) }, 0},
-		{"disarmed", j.Disarm, 1},
+		{"disarmed", func() { j.Arm(Injection{}) }, 1},
 	} {
 		srv := servers[step.server]
 		c := srv.ClientFor("kcm")

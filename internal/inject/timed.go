@@ -207,11 +207,6 @@ func target(replica, n int) int {
 	return replica
 }
 
-// after schedules one step of the armed timed fault; Disarm cancels them all.
-func (j *Injector) after(d time.Duration, step func()) {
-	j.faultTimers = append(j.faultTimers, j.loop.After(d, step))
-}
-
 // arm schedules a timed fault: fire at After and, with a Heal window, heal at
 // Heal. Nothing is scheduled when the cluster lacks the part the fault's
 // family acts on.
@@ -228,13 +223,13 @@ func (j *Injector) arm(in *Injection, ax *axis) {
 	if f.prepare != nil {
 		f.prepare(j.platform, in)
 	}
-	j.after(in.After, func() {
+	j.loop.After(in.After, func() {
 		if j.armed == in {
 			j.fire(in, ax, i)
 		}
 	})
 	if in.Heal > 0 {
-		j.after(in.Heal, func() {
+		j.loop.After(in.Heal, func() {
 			if j.armed == in && j.report.Fired {
 				j.heal(ax, i)
 			}
@@ -256,9 +251,9 @@ func (j *Injector) fire(in *Injection, ax *axis, i int) {
 }
 
 // flap schedules the next phase of an intermittent fault — on or off — and
-// the one after it, until the fault is healed or disarmed.
+// the one after it, until the fault is healed or another injection is armed.
 func (j *Injector) flap(in *Injection, ax *axis, i int, on bool) {
-	j.after(ax.flap, func() {
+	j.loop.After(ax.flap, func() {
 		if j.armed != in || j.report.Healed {
 			return
 		}

@@ -200,7 +200,9 @@ func TestTimedAxes(t *testing.T) {
 			healthy := p.state()
 			loop, j := armed(p, in)
 			loop.RunUntil(time.Second)
-			j.Disarm()
+			// Arming an empty injection disarms: the pending steps of the
+			// earlier Arm find another injection armed and do nothing.
+			j.Arm(Injection{})
 			loop.RunUntil(testHeal + time.Minute)
 			if rep := j.Report(); rep.Fired || rep.Healed || p.calls != 0 || p.state() != healthy {
 				t.Fatalf("disarmed fault still acted: report=%+v calls=%d state=%q", rep, p.calls, p.state())

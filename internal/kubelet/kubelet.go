@@ -192,17 +192,21 @@ func (k *Kubelet) registerNode() {
 		// admission hook writes into its Labels in place.
 		Metadata: spec.ObjectMeta{Name: k.cfg.NodeName, Labels: maps.Clone(k.cfg.Labels)},
 		Spec:     spec.NodeSpec{PodCIDR: k.cfg.PodCIDR},
-		Status: spec.NodeStatus{
-			CapacityMilliCPU:    k.cfg.CapacityMilliCPU,
-			CapacityMemMB:       k.cfg.CapacityMemMB,
-			AllocatableMilliCPU: k.cfg.CapacityMilliCPU * 9 / 10,
-			AllocatableMemMB:    k.cfg.CapacityMemMB * 9 / 10,
-			Ready:               true,
-			LastHeartbeatMillis: k.loop.Time().UnixMilli(),
-			Address:             fmt.Sprintf("192.168.0.%d", 1+len(k.cfg.NodeName)%250),
-		},
+		Status:   spec.NodeStatus{Address: fmt.Sprintf("192.168.0.%d", 1+len(k.cfg.NodeName)%250)},
 	}
+	k.report(&node.Status)
 	_ = k.client.Create(node)
+}
+
+// report stamps what every node status write says: ready, heartbeat now,
+// the configured capacity, and 9/10 of it allocatable.
+func (k *Kubelet) report(st *spec.NodeStatus) {
+	st.Ready = true
+	st.LastHeartbeatMillis = k.loop.Time().UnixMilli()
+	st.CapacityMilliCPU = k.cfg.CapacityMilliCPU
+	st.CapacityMemMB = k.cfg.CapacityMemMB
+	st.AllocatableMilliCPU = k.cfg.CapacityMilliCPU * 9 / 10
+	st.AllocatableMemMB = k.cfg.CapacityMemMB * 9 / 10
 }
 
 // heartbeat refreshes node status. An overloaded node (actual usage above
@@ -226,14 +230,8 @@ func (k *Kubelet) heartbeat() {
 			}
 			k.node = spec.CloneForStatusAs(obj.(*spec.Node))
 		}
-		node := k.node
-		node.Status.Ready = true
-		node.Status.LastHeartbeatMillis = k.loop.Time().UnixMilli()
-		node.Status.CapacityMilliCPU = k.cfg.CapacityMilliCPU
-		node.Status.CapacityMemMB = k.cfg.CapacityMemMB
-		node.Status.AllocatableMilliCPU = k.cfg.CapacityMilliCPU * 9 / 10
-		node.Status.AllocatableMemMB = k.cfg.CapacityMemMB * 9 / 10
-		if err := k.client.UpdateStatus(node); err == nil {
+		k.report(&k.node.Status)
+		if err := k.client.UpdateStatus(k.node); err == nil {
 			return
 		}
 		k.node = nil

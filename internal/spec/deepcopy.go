@@ -48,7 +48,8 @@ func (c Container) clone() Container {
 	return out
 }
 
-func (s PodSpec) clone() PodSpec {
+// Clone returns a deep copy of the pod spec.
+func (s PodSpec) Clone() PodSpec {
 	out := s
 	if s.Containers != nil {
 		out.Containers = make([]Container, len(s.Containers))
@@ -68,12 +69,12 @@ func (s LabelSelector) clone() LabelSelector {
 }
 
 func (t PodTemplate) clone() PodTemplate {
-	return PodTemplate{Labels: cloneStringMap(t.Labels), Spec: t.Spec.clone()}
+	return PodTemplate{Labels: cloneStringMap(t.Labels), Spec: t.Spec.Clone()}
 }
 
 // Clone implements Object.
 func (p *Pod) Clone() Object {
-	return &Pod{Metadata: p.Metadata.clone(), Spec: p.Spec.clone(), Status: p.Status}
+	return &Pod{Metadata: p.Metadata.clone(), Spec: p.Spec.Clone(), Status: p.Status}
 }
 
 // Clone implements Object.

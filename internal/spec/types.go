@@ -139,6 +139,15 @@ func (m *ObjectMeta) NamespacedName() string {
 	return m.Namespace + "/" + m.Name
 }
 
+// SplitNamespacedName inverts NamespacedName: "namespace/name" splits at its
+// first slash, and a key without one is a name with no namespace.
+func SplitNamespacedName(key string) (namespace, name string) {
+	if namespace, name, ok := strings.Cut(key, "/"); ok {
+		return namespace, name
+	}
+	return "", key
+}
+
 // --- Pod --------------------------------------------------------------------
 
 // Pod is a set of containers scheduled onto one node.

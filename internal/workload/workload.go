@@ -298,16 +298,23 @@ func (d *Driver) TargetService() (namespace, name string) {
 }
 
 func (d *Driver) scaleTo(name string, replicas int64) {
-	// kbench retries a conflicting update like a real client would.
-	for attempt := 0; attempt < 3; attempt++ {
-		obj, err := d.User.Get(spec.KindDeployment, spec.DefaultNamespace, name)
+	d.update(spec.KindDeployment, spec.DefaultNamespace, name, 3, func(o spec.Object) {
+		o.(*spec.Deployment).Spec.Replicas = replicas
+	})
+}
+
+// update writes mutate's change to one object, retrying a conflicting
+// update like a real client would: each conflict waits 100 ms and re-reads,
+// up to attempts tries. A failed read or any other error gives up.
+func (d *Driver) update(kind spec.Kind, namespace, name string, attempts int, mutate func(spec.Object)) {
+	for attempt := 0; attempt < attempts; attempt++ {
+		obj, err := d.User.Get(kind, namespace, name)
 		if err != nil {
 			return
 		}
-		deploy := spec.CloneForWriteAs(obj.(*spec.Deployment))
-		deploy.Spec.Replicas = replicas
-		err = d.User.Update(deploy)
-		if err == nil || !errors.Is(err, apiserver.ErrConflict) {
+		obj = spec.CloneForWrite(obj)
+		mutate(obj)
+		if err := d.User.Update(obj); err == nil || !errors.Is(err, apiserver.ErrConflict) {
 			return
 		}
 		d.Cluster.Loop.RunUntil(d.Cluster.Loop.Now() + 100*time.Millisecond)
@@ -338,21 +345,10 @@ func (d *Driver) taintBusiestNode() string {
 	}
 	// Conflicts with concurrent heartbeat writes are expected; retry like a
 	// real kubectl invocation would.
-	for attempt := 0; attempt < 5; attempt++ {
-		obj, err := d.User.Get(spec.KindNode, "", victim)
-		if err != nil {
-			return victim
-		}
-		node := spec.CloneForWriteAs(obj.(*spec.Node))
-		node.Spec.Taints = append(node.Spec.Taints, spec.Taint{
-			Key: failoverTaintKey, Effect: spec.TaintNoExecute,
-		})
-		err = d.User.Update(node)
-		if err == nil || !errors.Is(err, apiserver.ErrConflict) {
-			return victim
-		}
-		d.Cluster.Loop.RunUntil(d.Cluster.Loop.Now() + 100*time.Millisecond)
-	}
+	d.update(spec.KindNode, "", victim, 5, func(o spec.Object) {
+		node := o.(*spec.Node)
+		node.Spec.Taints = append(node.Spec.Taints, spec.Taint{Key: failoverTaintKey, Effect: spec.TaintNoExecute})
+	})
 	return victim
 }
 

@@ -254,7 +254,9 @@ const (
 const (
 	// FaultWebhookDown crashes one webhook backend; Heal restarts it.
 	FaultWebhookDown = inject.FaultWebhookDown
-	// FaultWebhookLatency slows one webhook past its call timeout.
+	// FaultWebhookLatency delays one webhook past its call timeout; a hook
+	// call never advances the clock, so it sets the same fault as
+	// FaultWebhookDown.
 	FaultWebhookLatency = inject.FaultWebhookLatency
 	// FaultWebhookSelector misconfigures one hook's selector to match nothing.
 	FaultWebhookSelector = inject.FaultWebhookSelector
