@@ -40,40 +40,19 @@ test:
 race:
 	$(GO) test -race ./internal/campaign/... ./internal/codec/... ./internal/apiserver/... ./internal/spec/... ./internal/cow/...
 
-# Ten seconds of each of the tree's eight fuzz targets. FuzzLoopOrder: the
-# event queue and FIFO delivery queue vs a sorted slice: random
-# At/After/Every/Stop/Reset programs on the event loop, and Puts on a
-# sim.Queue riding it, held to a slice sorted by (at, seq). FuzzSchedulerRetry: random programs of cluster operations
-# (creates, deletes, resizes, cordons, heartbeats, at-rest rewrites, lost and
-# refused binds, a cache-mismatch restart) against the leader-elected
-# scheduler, every cycle held to a pass over all pending pods that remembers
-# nothing. FuzzUnmarshal: arbitrary bytes into every resource kind, never a
-# panic, and whatever decodes re-encodes to a fixpoint.
-# FuzzAppendPrefixWithRV: the status-splice RV patch against its reference
-# implementation on any bytes and revision. FuzzInjectionTarget:
-# arbitrary timed faults (any axis, Replica, Policy, After and Heal) on
-# platforms of random replica, hook and zone counts, never a panic, never a
-# target out of range, and a healed fault leaves the platform healthy.
-# FuzzRequestPath: random programs of pod, node, config, service, endpoints and
-# topology events, time steps, rewinds and request bursts, the data plane held
-# to its map-per-fact reference answer for answer and draw for draw.
-# FuzzDaemonSetGrouping: random clusters of nodes (duplicate names, ineligible
-# and tainted) and pods (on absent nodes, foreign, mislabeled, finished) changed
-# between syncs, the DaemonSet sync held to its map-based reference write for
-# write and in its status counts. FuzzClientErrorFold: random sequences of
-# request outcomes (success, refused, timeout, reset), the app client's
-# leading, trailing and scattered failure counts held after every request to
-# what its request-log reference gives. A failing input is written to the package's testdata/fuzz and fails `go test` from then
-# on; commit it with the fix.
+# Ten seconds of each fuzz target in the tree: every package's ^Fuzz
+# functions, as `go test -list` finds them, one after another. What each
+# target holds to what is written in its doc comment. A failing input is
+# written to the package's testdata/fuzz and fails `go test` from then on;
+# commit it with the fix.
 fuzz-smoke:
-	$(GO) test -run xxx -fuzz FuzzLoopOrder -fuzztime 10s ./internal/sim
-	$(GO) test -run xxx -fuzz FuzzSchedulerRetry -fuzztime 10s ./internal/scheduler
-	$(GO) test -run xxx -fuzz FuzzUnmarshal -fuzztime 10s ./internal/codec
-	$(GO) test -run xxx -fuzz FuzzAppendPrefixWithRV -fuzztime 10s ./internal/codec
-	$(GO) test -run xxx -fuzz FuzzInjectionTarget -fuzztime 10s ./internal/inject
-	$(GO) test -run xxx -fuzz FuzzRequestPath -fuzztime 10s ./internal/netsim
-	$(GO) test -run xxx -fuzz FuzzDaemonSetGrouping -fuzztime 10s ./internal/controller
-	$(GO) test -run xxx -fuzz FuzzClientErrorFold -fuzztime 10s ./internal/workload
+	@for pkg in $$($(GO) list ./...); do \
+		targets=$$($(GO) test -list '^Fuzz' $$pkg) || exit 1; \
+		for fn in $$(echo "$$targets" | grep '^Fuzz'); do \
+			echo "$$fn $$pkg"; \
+			$(GO) test -run xxx -fuzz "^$$fn$$" -fuzztime 10s $$pkg || exit 1; \
+		done; \
+	done
 
 # The three platform smokes: a three-replica control plane riding out an
 # apiserver crash and a healed master partition while the workload completes

@@ -1,8 +1,6 @@
 package campaign
 
 import (
-	"sort"
-
 	"github.com/mutiny-sim/mutiny/internal/classify"
 	"github.com/mutiny-sim/mutiny/internal/codec"
 	"github.com/mutiny-sim/mutiny/internal/inject"
@@ -198,28 +196,13 @@ func (a *Aggregate) CriticalFieldShare() (byCategory map[FieldCategory]int, tota
 // CriticalFields returns the distinct fields whose injections caused
 // critical failures (input to the §V-C2 refinement round).
 func (a *Aggregate) CriticalFields() []inject.RecordedField {
-	seen := make(map[string]inject.RecordedField)
+	seen := inject.FieldSet{}
 	for _, res := range a.Results {
-		in := res.Spec.Injection
-		if in == nil || in.FieldPath == "" || !res.Critical() {
-			continue
-		}
-		key := string(in.Kind) + "\x00" + in.FieldPath
-		if _, ok := seen[key]; !ok {
-			seen[key] = inject.RecordedField{Kind: in.Kind, Path: in.FieldPath, FieldKind: fieldKindOf(res)}
+		if in := res.Spec.Injection; in != nil && in.FieldPath != "" && res.Critical() {
+			seen.Add(inject.RecordedField{Kind: in.Kind, Path: in.FieldPath, FieldKind: fieldKindOf(res)})
 		}
 	}
-	out := make([]inject.RecordedField, 0, len(seen))
-	for _, f := range seen {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Kind != out[j].Kind {
-			return out[i].Kind < out[j].Kind
-		}
-		return out[i].Path < out[j].Path
-	})
-	return out
+	return seen.Sorted()
 }
 
 // fieldKindOf infers the field's type from the observed old value of the

@@ -185,13 +185,13 @@ func (c *Collector) Finish(client *workload.Client) *Observation {
 }
 
 func (c *Collector) probePrometheus() bool {
-	obj, err := c.admin.Get(spec.KindService, spec.SystemNamespace, "prometheus")
+	obj, err := c.admin.Get(spec.KindService, spec.SystemNamespace, cluster.MonitoringApp)
 	if err != nil {
 		return false
 	}
 	vip := obj.(*spec.Service).Spec.ClusterIP
 	for i := 0; i < 3; i++ {
-		if !c.cl.Net.Request(c.cl.MonitoringNode(), vip, 9090).Failed() {
+		if !c.cl.Net.Request(c.cl.MonitoringNode(), vip, cluster.MonitoringPort).Failed() {
 			return true
 		}
 	}

@@ -64,6 +64,16 @@ const ControlPlaneTaint = "node-role.kubernetes.io/control-plane"
 // MonitoringTaint reserves the monitoring node for client/monitoring pods.
 const MonitoringTaint = "dedicated"
 
+// The monitoring endpoint: Prometheus's Deployment and Service in the system
+// namespace are both named MonitoringApp, it serves on MonitoringPort, and
+// its pod is pinned to the node labelled labelRole=roleMonitoring.
+const (
+	MonitoringApp  = "prometheus"
+	MonitoringPort = 9090
+	labelRole      = "role"
+	roleMonitoring = "monitoring"
+)
+
 // The core node class: the paper's 8-CPU, 4 GB VMs. In a zoned cluster
 // regional nodes get half, edge nodes a quarter.
 const (
@@ -245,7 +255,7 @@ func assemble(cfg Config, loop *sim.Loop, backend *store.Replicated) *Cluster {
 		name := fmt.Sprintf("worker-%d", i)
 		labels := map[string]string{spec.LabelNodeRole: "worker"}
 		if name == monitoring {
-			labels["role"] = "monitoring"
+			labels[labelRole] = roleMonitoring
 		}
 		c.addKubelet(name, i+1, labels, cfg.zoneOfWorker(i))
 	}
@@ -305,7 +315,7 @@ func (c Config) nodeClass(zone int) (cpu, mem int64) {
 func (c *Cluster) addKubelet(name string, cidrIndex int, labels map[string]string, zone int) {
 	cpu, mem := c.cfg.nodeClass(zone)
 	if zoneName := netsim.ZoneName(zone, c.cfg.Zones); zoneName != "" {
-		labels[netsim.LabelZone] = zoneName
+		labels[spec.LabelZone] = zoneName
 		c.zoneByNode[name] = zoneName
 		c.zoneNodes[zoneName] = append(c.zoneNodes[zoneName], name)
 	}
@@ -440,7 +450,7 @@ func (c *Cluster) systemReady(admin *apiserver.Client) bool {
 		return false
 	}
 	// Monitoring stack serving.
-	obj, err := admin.Get(spec.KindDeployment, spec.SystemNamespace, "prometheus")
+	obj, err := admin.Get(spec.KindDeployment, spec.SystemNamespace, MonitoringApp)
 	if err != nil {
 		return false
 	}

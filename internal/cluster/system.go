@@ -32,12 +32,12 @@ func (c *Cluster) installSystemWorkloads() {
 	_ = admin.Create(&spec.DaemonSet{
 		Metadata: spec.ObjectMeta{
 			Name: "kube-flannel", Namespace: spec.SystemNamespace,
-			Labels: map[string]string{spec.LabelApp: netsim.NetManagerLabel},
+			Labels: spec.AppLabels(netsim.NetManagerLabel),
 		},
 		Spec: spec.DaemonSetSpec{
-			Selector: spec.LabelSelector{MatchLabels: map[string]string{spec.LabelApp: netsim.NetManagerLabel}},
+			Selector: spec.LabelSelector{MatchLabels: spec.AppLabels(netsim.NetManagerLabel)},
 			Template: spec.PodTemplate{
-				Labels: map[string]string{spec.LabelApp: netsim.NetManagerLabel},
+				Labels: spec.AppLabels(netsim.NetManagerLabel),
 				Spec: spec.PodSpec{
 					Containers: []spec.Container{{
 						Name: "flannel", Image: "registry.local/flannel:1.1.2",
@@ -53,83 +53,36 @@ func (c *Cluster) installSystemWorkloads() {
 	})
 
 	// Cluster DNS: a two-replica deployment plus its service.
-	_ = admin.Create(&spec.Deployment{
-		Metadata: spec.ObjectMeta{
-			Name: "coredns", Namespace: spec.SystemNamespace,
-			Labels: map[string]string{spec.LabelApp: netsim.DNSLabel},
-		},
-		Spec: spec.DeploymentSpec{
-			Replicas: 2,
-			Selector: spec.LabelSelector{MatchLabels: map[string]string{spec.LabelApp: netsim.DNSLabel}},
-			Template: spec.PodTemplate{
-				Labels: map[string]string{spec.LabelApp: netsim.DNSLabel},
-				Spec: spec.PodSpec{
-					Containers: []spec.Container{{
-						Name: "coredns", Image: "registry.local/coredns:1.10",
-						Command:          []string{"coredns"},
-						RequestsMilliCPU: 100, RequestsMemMB: 128,
-						LimitsMilliCPU: 200, LimitsMemMB: 256, Port: 53,
-					}},
-					Priority: spec.SystemCriticalPriority,
-					Tolerations: []spec.Toleration{{
-						Key: ControlPlaneTaint, Effect: spec.TaintNoSchedule,
-					}},
-				},
-			},
-			MaxSurge: 1,
-		},
-	})
-	_ = admin.Create(&spec.Service{
-		Metadata: spec.ObjectMeta{
-			Name: "kube-dns", Namespace: spec.SystemNamespace,
-			Labels: map[string]string{spec.LabelApp: netsim.DNSLabel},
-		},
-		Spec: spec.ServiceSpec{
-			Selector:  map[string]string{spec.LabelApp: netsim.DNSLabel},
-			ClusterIP: "10.96.0.10",
-			Ports:     []spec.ServicePort{{Port: 53, TargetPort: 53, Protocol: "UDP"}},
-		},
-	})
+	_ = admin.Create(spec.NewAppDeployment(spec.SystemNamespace, netsim.DNSLabel, 2, spec.PodSpec{
+		Containers: []spec.Container{{
+			Name: "coredns", Image: "registry.local/coredns:1.10",
+			Command:          []string{"coredns"},
+			RequestsMilliCPU: 100, RequestsMemMB: 128,
+			LimitsMilliCPU: 200, LimitsMemMB: 256, Port: 53,
+		}},
+		Priority:    spec.SystemCriticalPriority,
+		Tolerations: []spec.Toleration{{Key: ControlPlaneTaint, Effect: spec.TaintNoSchedule}},
+	}))
+	dns := spec.NewAppService(spec.SystemNamespace, "kube-dns", netsim.DNSLabel,
+		spec.ServicePort{Port: 53, TargetPort: 53, Protocol: "UDP"})
+	dns.Spec.ClusterIP = "10.96.0.10"
+	_ = admin.Create(dns)
 
 	// Monitoring: Prometheus pinned to the monitoring node. Its
 	// reachability is one of the classifier's Outage criteria ("all the
 	// ReplicaSets are unreachable, including Prometheus").
-	_ = admin.Create(&spec.Deployment{
-		Metadata: spec.ObjectMeta{
-			Name: "prometheus", Namespace: spec.SystemNamespace,
-			Labels: map[string]string{spec.LabelApp: "prometheus"},
-		},
-		Spec: spec.DeploymentSpec{
-			Replicas: 1,
-			Selector: spec.LabelSelector{MatchLabels: map[string]string{spec.LabelApp: "prometheus"}},
-			Template: spec.PodTemplate{
-				Labels: map[string]string{spec.LabelApp: "prometheus"},
-				Spec: spec.PodSpec{
-					Containers: []spec.Container{{
-						Name: "prometheus", Image: "registry.local/prometheus:2.45",
-						Command:          []string{"serve"},
-						RequestsMilliCPU: 250, RequestsMemMB: 256,
-						LimitsMilliCPU: 500, LimitsMemMB: 512, Port: 9090,
-					}},
-					NodeSelector: map[string]string{"role": "monitoring"},
-					Tolerations: []spec.Toleration{{
-						Key: MonitoringTaint, Effect: spec.TaintNoSchedule,
-					}},
-				},
-			},
-			MaxSurge: 1,
-		},
-	})
-	_ = admin.Create(&spec.Service{
-		Metadata: spec.ObjectMeta{
-			Name: "prometheus", Namespace: spec.SystemNamespace,
-			Labels: map[string]string{spec.LabelApp: "prometheus"},
-		},
-		Spec: spec.ServiceSpec{
-			Selector: map[string]string{spec.LabelApp: "prometheus"},
-			Ports:    []spec.ServicePort{{Port: 9090, TargetPort: 9090, Protocol: "TCP"}},
-		},
-	})
+	_ = admin.Create(spec.NewAppDeployment(spec.SystemNamespace, MonitoringApp, 1, spec.PodSpec{
+		Containers: []spec.Container{{
+			Name: "prometheus", Image: "registry.local/prometheus:2.45",
+			Command:          []string{"serve"},
+			RequestsMilliCPU: 250, RequestsMemMB: 256,
+			LimitsMilliCPU: 500, LimitsMemMB: 512, Port: MonitoringPort,
+		}},
+		NodeSelector: map[string]string{labelRole: roleMonitoring},
+		Tolerations:  []spec.Toleration{{Key: MonitoringTaint, Effect: spec.TaintNoSchedule}},
+	}))
+	_ = admin.Create(spec.NewAppService(spec.SystemNamespace, MonitoringApp, MonitoringApp,
+		spec.ServicePort{Port: MonitoringPort, TargetPort: MonitoringPort, Protocol: "TCP"}))
 }
 
 // applyNodeRoles taints the control-plane and monitoring nodes so that

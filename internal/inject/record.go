@@ -1,7 +1,8 @@
 package inject
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/mutiny-sim/mutiny/internal/apiserver"
 	"github.com/mutiny-sim/mutiny/internal/codec"
@@ -18,19 +19,40 @@ type RecordedField struct {
 	FieldKind codec.FieldKind
 }
 
+// FieldSet is a set of recorded fields, one per (kind, path): the first one
+// added under a kind and path is the one it keeps.
+type FieldSet map[string]RecordedField // kind+"\x00"+path
+
+// Add puts f in the set unless a field of its kind and path is there.
+func (s FieldSet) Add(f RecordedField) {
+	key := string(f.Kind) + "\x00" + f.Path
+	if _, ok := s[key]; !ok {
+		s[key] = f
+	}
+}
+
+// Sorted returns the set's fields in (kind, path) order.
+func (s FieldSet) Sorted() []RecordedField {
+	out := make([]RecordedField, 0, len(s))
+	for _, f := range s {
+		out = append(out, f)
+	}
+	slices.SortFunc(out, func(a, b RecordedField) int {
+		return cmp.Or(cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Path, b.Path))
+	})
+	return out
+}
+
 // Recorder observes the apiserver→store channel and inventories every field
 // of every resource kind that crosses it.
 type Recorder struct {
-	fields map[string]RecordedField // kind+"\x00"+path
-	kinds  map[spec.Kind]int        // messages observed per kind
+	fields FieldSet
+	kinds  map[spec.Kind]int // messages observed per kind
 }
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder {
-	return &Recorder{
-		fields: make(map[string]RecordedField),
-		kinds:  make(map[spec.Kind]int),
-	}
+	return &Recorder{fields: FieldSet{}, kinds: make(map[spec.Kind]int)}
 }
 
 // Hook returns the apiserver hook that performs the recording.
@@ -54,27 +76,12 @@ func (r *Recorder) observe(m *apiserver.Message) {
 		return
 	}
 	for _, f := range codec.Fields(obj) {
-		key := string(m.Kind) + "\x00" + f.Path
-		if _, ok := r.fields[key]; !ok {
-			r.fields[key] = RecordedField{Kind: m.Kind, Path: f.Path, FieldKind: f.Kind}
-		}
+		r.fields.Add(RecordedField{Kind: m.Kind, Path: f.Path, FieldKind: f.Kind})
 	}
 }
 
-// Fields returns the recorded fields in deterministic order.
-func (r *Recorder) Fields() []RecordedField {
-	out := make([]RecordedField, 0, len(r.fields))
-	for _, f := range r.fields {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Kind != out[j].Kind {
-			return out[i].Kind < out[j].Kind
-		}
-		return out[i].Path < out[j].Path
-	})
-	return out
-}
+// Fields returns the recorded fields in (kind, path) order.
+func (r *Recorder) Fields() []RecordedField { return r.fields.Sorted() }
 
 // Kinds returns the kinds observed on the channel, in deterministic order.
 func (r *Recorder) Kinds() []spec.Kind {
@@ -82,7 +89,7 @@ func (r *Recorder) Kinds() []spec.Kind {
 	for k := range r.kinds {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

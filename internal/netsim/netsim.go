@@ -372,7 +372,7 @@ func (s *State) onNode(ev apiserver.WatchEvent) {
 	if ev.Type == apiserver.Deleted {
 		n.zone, n.isNode = "", false
 	} else {
-		n.zone, n.isNode = node.Metadata.Labels[LabelZone], true
+		n.zone, n.isNode = node.Metadata.Labels[spec.LabelZone], true
 	}
 	s.nodes[name] = n
 }

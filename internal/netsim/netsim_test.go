@@ -286,7 +286,7 @@ func newZonedHarness(t testing.TB) *harness {
 		h.mustCreate(&spec.Node{
 			Metadata: spec.ObjectMeta{
 				Name:   node,
-				Labels: map[string]string{LabelZone: ZoneName(i, 3)},
+				Labels: map[string]string{spec.LabelZone: ZoneName(i, 3)},
 			},
 			Status: spec.NodeStatus{Ready: true},
 		})
@@ -377,7 +377,7 @@ func TestZoneOfFollowsNodeEvents(t *testing.T) {
 	}
 	check("watched", map[string]string{"node-core": core, "node-reg": reg, "node-edge": edge, "no-such-node": ""})
 
-	relabel("node-reg", map[string]string{LabelZone: edge})
+	relabel("node-reg", map[string]string{spec.LabelZone: edge})
 	check("moved to another zone", map[string]string{"node-reg": edge})
 	relabel("node-edge", nil)
 	check("zone label removed", map[string]string{"node-edge": ""})

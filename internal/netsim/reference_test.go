@@ -200,7 +200,7 @@ func (s *refState) onNode(ev apiserver.WatchEvent) {
 		return
 	}
 	s.nodes[name] = node
-	if zone := node.Metadata.Labels[LabelZone]; zone != "" {
+	if zone := node.Metadata.Labels[spec.LabelZone]; zone != "" {
 		s.nodeZone[name] = zone
 	} else {
 		delete(s.nodeZone, name)

@@ -195,7 +195,7 @@ func (p *pathPair) prelude(zoned bool) {
 		}
 		p.do("node "+n, func(s *side) error {
 			return s.api.Create(&spec.Node{
-				Metadata: spec.ObjectMeta{Name: n, Labels: map[string]string{LabelZone: zone}},
+				Metadata: spec.ObjectMeta{Name: n, Labels: map[string]string{spec.LabelZone: zone}},
 				Status:   spec.NodeStatus{Ready: true},
 			})
 		})
@@ -306,7 +306,7 @@ func (p *pathPair) run(data []byte) {
 			name, zone := pathNodes[next(3)], pathZones[next(4)]
 			p.do("put node "+name+" in zone "+zone, func(s *side) error {
 				return s.put(&spec.Node{
-					Metadata: spec.ObjectMeta{Name: name, Labels: map[string]string{LabelZone: zone}},
+					Metadata: spec.ObjectMeta{Name: name, Labels: map[string]string{spec.LabelZone: zone}},
 					Status:   spec.NodeStatus{Ready: true},
 				})
 			})

@@ -19,13 +19,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"github.com/mutiny-sim/mutiny/internal/spec"
 )
-
-// LabelZone is the node label carrying zone membership (the upstream
-// topology.kubernetes.io/zone convention).
-const LabelZone = spec.LabelZone
 
 // ZoneName names zone i of a zones-sized topology: zone 0 is the cloud core,
 // the last zone is the edge, anything between is regional. Flat clusters

@@ -598,6 +598,34 @@ const (
 	LabelZone = "topology.kubernetes.io/zone"
 )
 
+// AppLabels returns a fresh {app: app} label map. Every map of an object gets
+// its own: admission defaulting writes into metadata labels in place, which
+// must not reach a selector or a template.
+func AppLabels(app string) map[string]string { return map[string]string{LabelApp: app} }
+
+// NewAppDeployment builds the Deployment named app that runs pod: the app
+// label on its metadata, its selector and its template, one pod of surge.
+func NewAppDeployment(namespace, app string, replicas int64, pod PodSpec) *Deployment {
+	return &Deployment{
+		Metadata: ObjectMeta{Name: app, Namespace: namespace, Labels: AppLabels(app)},
+		Spec: DeploymentSpec{
+			Replicas: replicas,
+			Selector: LabelSelector{MatchLabels: AppLabels(app)},
+			Template: PodTemplate{Labels: AppLabels(app), Spec: pod},
+			MaxSurge: 1,
+		},
+	}
+}
+
+// NewAppService builds the Service name that exposes the pods labelled app on
+// port.
+func NewAppService(namespace, name, app string, port ServicePort) *Service {
+	return &Service{
+		Metadata: ObjectMeta{Name: name, Namespace: namespace, Labels: AppLabels(app)},
+		Spec:     ServiceSpec{Selector: AppLabels(app), Ports: []ServicePort{port}},
+	}
+}
+
 // System-critical pod priority (mirrors system-node-critical): these pods
 // preempt application pods when resources run out, which is how a corrupted
 // DaemonSet label escalates a Stall into a cluster Outage in the paper.

@@ -84,44 +84,22 @@ func AppName(i int) string { return fmt.Sprintf("webapp-%d", i) }
 // server that reads a random seed from a volume at startup, with CPU and
 // memory requests and limits and default priority.
 func AppDeployment(name string, replicas int64) *spec.Deployment {
-	return &spec.Deployment{
-		Metadata: spec.ObjectMeta{
-			Name: name, Namespace: spec.DefaultNamespace,
-			Labels: map[string]string{spec.LabelApp: name},
-		},
-		Spec: spec.DeploymentSpec{
-			Replicas: replicas,
-			Selector: spec.LabelSelector{MatchLabels: map[string]string{spec.LabelApp: name}},
-			Template: spec.PodTemplate{
-				Labels: map[string]string{spec.LabelApp: name},
-				Spec: spec.PodSpec{
-					Containers: []spec.Container{{
-						Name: "webserver", Image: "registry.local/webapp:1.0",
-						Command:          []string{"serve"},
-						RequestsMilliCPU: 250, RequestsMemMB: 128,
-						LimitsMilliCPU: 500, LimitsMemMB: 256,
-						Port: appTargetPort,
-					}},
-					VolumeSeed: "seed-0451",
-				},
-			},
-			MaxSurge: 1,
-		},
-	}
+	return spec.NewAppDeployment(spec.DefaultNamespace, name, replicas, spec.PodSpec{
+		Containers: []spec.Container{{
+			Name: "webserver", Image: "registry.local/webapp:1.0",
+			Command:          []string{"serve"},
+			RequestsMilliCPU: 250, RequestsMemMB: 128,
+			LimitsMilliCPU: 500, LimitsMemMB: 256,
+			Port: appTargetPort,
+		}},
+		VolumeSeed: "seed-0451",
+	})
 }
 
 // AppService builds the Service exposing one application deployment.
 func AppService(name string) *spec.Service {
-	return &spec.Service{
-		Metadata: spec.ObjectMeta{
-			Name: name, Namespace: spec.DefaultNamespace,
-			Labels: map[string]string{spec.LabelApp: name},
-		},
-		Spec: spec.ServiceSpec{
-			Selector: map[string]string{spec.LabelApp: name},
-			Ports:    []spec.ServicePort{{Port: appPort, TargetPort: appTargetPort, Protocol: "TCP"}},
-		},
-	}
+	return spec.NewAppService(spec.DefaultNamespace, name, name,
+		spec.ServicePort{Port: appPort, TargetPort: appTargetPort, Protocol: "TCP"})
 }
 
 // Driver executes one workload against a cluster as the kbench user.
@@ -218,7 +196,7 @@ func canaryPod(round int) *spec.Pod {
 	return &spec.Pod{
 		Metadata: spec.ObjectMeta{
 			Name: fmt.Sprintf("canary-%d", round), Namespace: spec.DefaultNamespace,
-			Labels: map[string]string{spec.LabelApp: "canary"},
+			Labels: spec.AppLabels("canary"),
 		},
 		Spec: spec.PodSpec{
 			Containers: []spec.Container{{
