@@ -57,6 +57,10 @@ type Reflector struct {
 type sortedBucket struct {
 	keys []string
 	objs []spec.Object
+	// pods, when set, are the sub-views of a Reflector's Pod bucket
+	// (Reflector.IndexPods), kept in step by set, delete and reset. The
+	// server's watch cache keeps none.
+	pods *podSubviews
 }
 
 // reset empties the bucket, keeping its arrays.
@@ -64,6 +68,9 @@ func (b *sortedBucket) reset() {
 	b.keys = b.keys[:0]
 	clear(b.objs)
 	b.objs = b.objs[:0]
+	if b.pods != nil {
+		b.pods.reset()
+	}
 }
 
 // set installs obj under key and reports whether it replaced an object there.
@@ -71,23 +78,24 @@ func (b *sortedBucket) set(key string, obj spec.Object) (replaced bool) {
 	// Keys mostly arrive in order — a re-list walks the server's sorted
 	// index, children are named by a counter — and one past the last is
 	// appended without the search and the shift.
+	var was spec.Object
 	if n := len(b.keys); n == 0 || b.keys[n-1] < key {
 		b.keys = append(b.keys, key)
 		b.objs = append(b.objs, obj)
-		return false
-	}
-	i := sort.SearchStrings(b.keys, key)
-	if i < len(b.keys) && b.keys[i] == key {
+	} else if i := sort.SearchStrings(b.keys, key); i < len(b.keys) && b.keys[i] == key {
+		was, b.objs[i] = b.objs[i], obj
+	} else {
+		b.keys = append(b.keys, "")
+		copy(b.keys[i+1:], b.keys[i:])
+		b.keys[i] = key
+		b.objs = append(b.objs, nil)
+		copy(b.objs[i+1:], b.objs[i:])
 		b.objs[i] = obj
-		return true
 	}
-	b.keys = append(b.keys, "")
-	copy(b.keys[i+1:], b.keys[i:])
-	b.keys[i] = key
-	b.objs = append(b.objs, nil)
-	copy(b.objs[i+1:], b.objs[i:])
-	b.objs[i] = obj
-	return false
+	if b.pods != nil {
+		b.pods.moved(key, was, obj)
+	}
+	return was != nil
 }
 
 // delete removes key and returns the object it held, if there was one.
@@ -101,6 +109,9 @@ func (b *sortedBucket) delete(key string) (spec.Object, bool) {
 	copy(b.objs[i:], b.objs[i+1:])
 	b.objs[len(b.objs)-1] = nil
 	b.objs = b.objs[:len(b.objs)-1]
+	if b.pods != nil {
+		b.pods.moved(key, obj, nil)
+	}
 	return obj, true
 }
 
@@ -306,6 +317,49 @@ func (r *Reflector) ForEachFrom(kind spec.Kind, fromKey string, fn func(spec.Obj
 			return
 		}
 	}
+}
+
+// IndexPods makes the view keep the sub-views of its Pod bucket that
+// ForEachServing, ForEachControlledBy and ForEachOrphanLabels walk (see
+// podSubviews). Call it before Start; the view keeps them from then on,
+// across Stop, Start and Reset.
+func (r *Reflector) IndexPods() {
+	r.bucket(spec.KindPod).pods = &podSubviews{}
+}
+
+// subviews returns the Pod bucket's sub-views; IndexPods must have been
+// called.
+func (r *Reflector) subviews() *podSubviews {
+	b := r.views[spec.KindPod]
+	if b == nil || b.pods == nil {
+		panic("apiserver: the view keeps no pod sub-views (Reflector.IndexPods)")
+	}
+	return b.pods
+}
+
+// ForEachServing calls fn for every pod in namespace ns ("" = all) that is
+// Active, Ready and has a PodIP, in key order, stopping early when fn returns
+// false: ForEach over Pods filtered to the serving ones, without visiting the
+// rest. The same contract as ForEach holds.
+func (r *Reflector) ForEachServing(ns string, fn func(*spec.Pod) bool) {
+	r.subviews().forEachServing(ns, fn)
+}
+
+// ForEachControlledBy calls fn for every pod in namespace ns ("" = all) whose
+// ControllerOf has the given UID, in key order, stopping early when fn
+// returns false: ForEach over Pods filtered to one controller's, without
+// visiting the rest. The same contract as ForEach holds.
+func (r *Reflector) ForEachControlledBy(ns, uid string, fn func(*spec.Pod) bool) {
+	r.subviews().forEachControlledBy(ns, uid, fn)
+}
+
+// ForEachOrphanLabels calls fn once for each distinct label map (by
+// identity, spec.SameMap) among the Active pods without a controller that
+// ForEach(KindPod, ns) would visit, stopping early when fn returns false; ns
+// is a namespace as spec.SplitNamespacedName returns it. A selector that
+// matches none of the maps matches none of those orphans.
+func (r *Reflector) ForEachOrphanLabels(ns string, fn func(labels map[string]string) bool) {
+	r.subviews().forEachOrphanLabels(ns, fn)
 }
 
 // Len reports the number of objects of kind in the view.

@@ -45,6 +45,43 @@ var (
 	ErrBadRequest    = errors.New("apiserver: malformed request")
 )
 
+// unavailableError is ErrUnavailable wrapping the error a store refused a
+// write with, as fmt.Errorf("%w: %w", ErrUnavailable, cause) builds it: the
+// same text, and both errors on the errors.Is chain.
+type unavailableError struct {
+	msg  string
+	errs []error // ErrUnavailable, cause
+}
+
+func (e *unavailableError) Error() string   { return e.msg }
+func (e *unavailableError) Unwrap() []error { return e.errs }
+
+// storeRefusals hold one unavailableError per sentinel the store refuses a
+// write with, built once, so a refused write allocates nothing. The store
+// wraps store.ErrTooLarge with the value's size, so that refusal is not here.
+var storeRefusals = func() []*unavailableError {
+	var out []*unavailableError
+	for _, cause := range []error{store.ErrReplicaDown, store.ErrNoQuorum, store.ErrNoSpace} {
+		out = append(out, &unavailableError{
+			msg:  ErrUnavailable.Error() + ": " + cause.Error(),
+			errs: []error{ErrUnavailable, cause},
+		})
+	}
+	return out
+}()
+
+// unavailable wraps the error the store refused a request with in
+// ErrUnavailable; failover clients match the cause (store.ErrReplicaDown,
+// store.ErrNoQuorum) to retry against another apiserver.
+func unavailable(cause error) error {
+	for _, e := range storeRefusals {
+		if e.errs[1] == cause {
+			return e
+		}
+	}
+	return fmt.Errorf("%w: %w", ErrUnavailable, cause)
+}
+
 // Verb identifies the operation carried by a channel message.
 type Verb int
 
@@ -674,7 +711,7 @@ func (s *Server) apply(verb Verb, msg *Message, obj spec.Object) error {
 		// This server's store replica is lost: every verb fails, and the
 		// wrapped cause lets failover clients tell "endpoint unusable" from
 		// an application error.
-		return fmt.Errorf("%w: %w", ErrUnavailable, curErr)
+		return unavailable(curErr)
 	}
 	if curErr != nil && verb != VerbDelete {
 		// The current object is undecodable: mutating requests fail until
@@ -803,9 +840,7 @@ func (s *Server) persistWrite(verb Verb, msg *Message, obj spec.Object, key stri
 	}
 	kv, err := s.store.PutVia(s.origin, key, msg.Kind, out.Data)
 	if err != nil {
-		// %w on the cause too: failover clients match store.ErrReplicaDown /
-		// store.ErrNoQuorum to retry against another apiserver.
-		return fmt.Errorf("%w: %w", ErrUnavailable, err)
+		return unavailable(err)
 	}
 	// Prime the decode cache with the object just persisted: decoding the
 	// stored bytes would reproduce obj field for field (the codec round-trips
@@ -855,7 +890,7 @@ func (s *Server) persistDelete(msg *Message, key string) error {
 	}
 	ok, err := s.store.DeleteVia(s.origin, key)
 	if err != nil {
-		return fmt.Errorf("%w: %w", ErrUnavailable, err)
+		return unavailable(err)
 	}
 	if !ok {
 		return ErrNotFound

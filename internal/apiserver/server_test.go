@@ -2,6 +2,7 @@ package apiserver
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -465,4 +466,52 @@ func TestRequestMessagesAreScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	idle("create over the request wire")
+}
+
+// A write the store refuses fails with ErrUnavailable wrapping the store's
+// sentinel, with the text fmt.Errorf("%w: %w") gives it, and the refusal
+// allocates nothing: a runaway that has filled the store is refused on every
+// sync. The client's own request object aside, each server step that turns a
+// refusal into an error (apply's read, persistWrite, persistDelete) is timed
+// on its own.
+func TestRefusedWriteAllocatesNothing(t *testing.T) {
+	loop := sim.NewLoop(1)
+	st := store.NewReplicated(loop, 3, &store.Options{QuotaBytes: 1})
+	srv := New(loop, st, nil)
+	c := srv.ClientFor("issuer")
+	if err := c.Create(testPod("a")); err != nil {
+		t.Fatal(err)
+	}
+	loop.RunUntil(time.Second)
+	key := spec.Key(spec.KindPod, spec.DefaultNamespace, "a")
+	pod := testPod("a")
+	for _, tc := range []struct {
+		cause  error
+		setup  func()
+		write  func() error // through the client
+		refuse func() error // the server step that meets the refusal
+	}{
+		{store.ErrNoSpace, func() {},
+			func() error { return c.Create(testPod("b")) },
+			func() error { return srv.persistWrite(VerbUpdate, &srv.reqMsg, pod, key, nil) }},
+		{store.ErrNoQuorum, func() { st.Partition([]int{0}, []int{1, 2}) },
+			func() error { return c.Delete(spec.KindPod, spec.DefaultNamespace, "a") },
+			func() error { return srv.persistDelete(&srv.reqMsg, key) }},
+		{store.ErrReplicaDown, func() { st.DropReplica(0) },
+			func() error { return c.Delete(spec.KindPod, spec.DefaultNamespace, "a") },
+			func() error { return srv.apply(VerbDelete, &srv.reqMsg, pod) }},
+	} {
+		tc.setup()
+		for _, err := range []error{tc.write(), tc.refuse()} {
+			if !errors.Is(err, ErrUnavailable) || !errors.Is(err, tc.cause) {
+				t.Fatalf("%v: the write returned %v, want ErrUnavailable wrapping it", tc.cause, err)
+			}
+			if want := fmt.Errorf("%w: %w", ErrUnavailable, tc.cause).Error(); err.Error() != want {
+				t.Errorf("%v: the error reads %q, want %q", tc.cause, err, want)
+			}
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = tc.refuse() }); n != 0 {
+			t.Errorf("%v: a refused write allocates %v times", tc.cause, n)
+		}
+	}
 }

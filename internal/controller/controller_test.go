@@ -24,7 +24,7 @@ type harness struct {
 	m    *Manager
 }
 
-func newHarness(t *testing.T) *harness {
+func newHarness(t testing.TB) *harness {
 	t.Helper()
 	loop := sim.NewLoop(1)
 	st := store.NewReplicated(loop, 1, nil)
@@ -553,7 +553,7 @@ func TestDaemonSetOnePodPerNode(t *testing.T) {
 
 // readyPod creates a running, ready, addressed pod — what a kubelet would
 // have made of it — with the given labels.
-func (h *harness) readyPod(t *testing.T, ns, name, ip string, labels map[string]string) {
+func (h *harness) readyPod(t testing.TB, ns, name, ip string, labels map[string]string) {
 	t.Helper()
 	pod := &spec.Pod{
 		Metadata: spec.ObjectMeta{Name: name, Namespace: ns, Labels: labels},
@@ -576,7 +576,7 @@ func (h *harness) readyPod(t *testing.T, ns, name, ip string, labels map[string]
 	}
 }
 
-func (h *harness) service(t *testing.T, ns, name string, selector map[string]string) {
+func (h *harness) service(t testing.TB, ns, name string, selector map[string]string) {
 	t.Helper()
 	svc := &spec.Service{
 		Metadata: spec.ObjectMeta{Name: name, Namespace: ns},
@@ -591,7 +591,7 @@ func (h *harness) service(t *testing.T, ns, name string, selector map[string]str
 }
 
 // backends lists the pod names behind a service, in endpoint-table order.
-func (h *harness) backends(t *testing.T, ns, name string) []string {
+func (h *harness) backends(t testing.TB, ns, name string) []string {
 	t.Helper()
 	obj, err := h.c.Get(spec.KindEndpoints, ns, name)
 	if err != nil {

@@ -69,11 +69,11 @@ func (c *endpointsController) sync(key string) {
 	sel := spec.LabelSelector{MatchLabels: svc.Spec.Selector}.AppendPairs(c.selScratch)
 	addrs := c.addrScratch[:0]
 	if len(sel) > 0 { // a selector-less service's endpoints are managed manually
-		// Informer-view scan: the endpoint table is rebuilt from scratch;
-		// pods are never mutated here.
+		// The endpoint table is rebuilt from the namespace's serving pods,
+		// in key order; pods are never mutated here.
 		verdict := labelVerdict{sel: sel}
-		c.m.views.ForEach(spec.KindPod, ns, func(po spec.Object) bool {
-			addrs = appendAddr(addrs, &verdict, po.(*spec.Pod))
+		c.m.views.ForEachServing(ns, func(pod *spec.Pod) bool {
+			addrs = appendAddr(addrs, &verdict, pod)
 			return true
 		})
 	}

@@ -109,6 +109,7 @@ func NewManager(loop *sim.Loop, eps *apiserver.Endpoints, identity string) *Mana
 	// explicitly so view repair and the level-triggered re-enqueue happen on
 	// one schedule.
 	m.views = apiserver.NewReflector(m.loop, m.client, 0, m.route, viewKinds...)
+	m.views.IndexPods() // the ReplicaSet and endpoints syncs walk its sub-views
 	m.elector = election.New(loop, eps.ClientFor(identity), election.Config{
 		LeaseName:        "kube-controller-manager",
 		Identity:         identity,

@@ -73,15 +73,18 @@ func (c *replicaSetController) sync(key string) {
 	}
 	rs := obj.(*spec.ReplicaSet)
 
-	// Informer-view scan: owned pods are only inspected here; adoption and
-	// release mutate a private clone (see adoptPod / Manager.releasePod).
+	// Owned pods are only inspected here; adoption and release mutate a
+	// private clone (see adoptPod / Manager.releasePod). The sync acts on its
+	// own pods and on the orphans its selector picks, so unless an orphan
+	// class of the namespace matches the selector it walks only the pods it
+	// controls. Either walk meets them in key order.
 	owned := c.ownedScratch[:0]
 	sel := rs.Spec.Selector.AppendPairs(c.selScratch)
 	verdict := labelVerdict{sel: sel}
-	c.m.views.ForEach(spec.KindPod, ns, func(po spec.Object) bool {
-		pod := po.(*spec.Pod)
-		// Cheapest test first: in a storm nearly every pod of the namespace is
-		// an orphan the selector does not pick, all with one label map.
+	visit := func(pod *spec.Pod) bool {
+		// Cheapest test first: in a namespace walk nearly every pod of a
+		// storm is an orphan the selector does not pick, all with one label
+		// map.
 		ref := pod.Metadata.ControllerOf()
 		if ref != nil && ref.UID != rs.Metadata.UID {
 			return true // another controller's pod: not ours to count, release or adopt
@@ -103,7 +106,17 @@ func (c *replicaSetController) sync(key string) {
 			c.m.releasePod(pod)
 		}
 		return true
+	}
+	adoptable := false
+	c.m.views.ForEachOrphanLabels(ns, func(labels map[string]string) bool {
+		adoptable = spec.PairsMatch(sel, labels)
+		return !adoptable
 	})
+	if adoptable {
+		c.m.views.ForEach(spec.KindPod, ns, func(po spec.Object) bool { return visit(po.(*spec.Pod)) })
+	} else {
+		c.m.views.ForEachControlledBy(ns, rs.Metadata.UID, visit)
+	}
 	c.ownedScratch = owned
 	c.selScratch = emptied(sel)
 
@@ -132,8 +145,10 @@ func (c *replicaSetController) sync(key string) {
 
 // labelVerdict is one selector's verdict on label sets during one walk of the
 // pod view, kept for the last label map it judged. Seal interns small label
-// maps, so the pods of one template share one map and a storm's orphans cost
-// one match between them. Nothing changes during a walk, so the same map
+// maps, so the pods of one template share one map and cost one match between
+// them: a DaemonSet's pods on every node, a Service's serving backends, a
+// ReplicaSet's own pods (and, in the namespace walk an adoptable orphan
+// forces, a storm's orphans). Nothing changes during a walk, so the same map
 // holds the same labels even when it was too large to intern; a selector
 // changes between syncs, so a labelVerdict never outlives one.
 type labelVerdict struct {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/mutiny-sim/mutiny/internal/apiserver"
+	"github.com/mutiny-sim/mutiny/internal/codec"
 	"github.com/mutiny-sim/mutiny/internal/sim"
 	"github.com/mutiny-sim/mutiny/internal/spec"
 	"github.com/mutiny-sim/mutiny/internal/store"
@@ -463,5 +464,42 @@ func TestRecorderInventoriesFields(t *testing.T) {
 	}
 	if rec.MessageCount(spec.KindPod) != 1 || rec.MessageCount(spec.KindService) != 1 {
 		t.Fatalf("message counts: pod=%d svc=%d", rec.MessageCount(spec.KindPod), rec.MessageCount(spec.KindService))
+	}
+}
+
+// Re-observing a recorded message adds nothing and allocates nothing, and
+// the set keeps the first field added under a kind and path, in (kind, path)
+// order.
+func TestFieldSetReaddAllocatesNothing(t *testing.T) {
+	s := FieldSet{}
+	var fields []RecordedField
+	for _, f := range codec.Fields(pod("web-1")) {
+		fields = append(fields, RecordedField{Kind: spec.KindPod, Path: f.Path, FieldKind: f.Kind})
+	}
+	fields = append(fields,
+		RecordedField{Kind: spec.KindService, Path: "spec.clusterIP", FieldKind: codec.FieldString},
+		RecordedField{Kind: spec.KindService, Path: "metadata.name", FieldKind: codec.FieldString})
+	for _, f := range fields {
+		s.Add(f)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for _, f := range fields {
+			s.Add(f)
+		}
+	}); n != 0 {
+		t.Errorf("re-adding %d recorded fields allocates %v times", len(fields), n)
+	}
+	s.Add(RecordedField{Kind: spec.KindPod, Path: fields[0].Path, FieldKind: codec.FieldBool})
+	sorted := s.Sorted()
+	if len(sorted) != len(fields) {
+		t.Fatalf("%d fields in the set, want %d", len(sorted), len(fields))
+	}
+	for i, f := range sorted {
+		if i > 0 && (sorted[i-1].Kind > f.Kind || sorted[i-1].Kind == f.Kind && sorted[i-1].Path >= f.Path) {
+			t.Errorf("Sorted()[%d] = %s %s follows %s %s", i, f.Kind, f.Path, sorted[i-1].Kind, sorted[i-1].Path)
+		}
+		if f.Kind == spec.KindPod && f.Path == fields[0].Path && f.FieldKind != fields[0].FieldKind {
+			t.Errorf("%s %s: the set kept the later field", f.Kind, f.Path)
+		}
 	}
 }

@@ -21,11 +21,17 @@ type RecordedField struct {
 
 // FieldSet is a set of recorded fields, one per (kind, path): the first one
 // added under a kind and path is the one it keeps.
-type FieldSet map[string]RecordedField // kind+"\x00"+path
+type FieldSet map[fieldKey]RecordedField
+
+// fieldKey is a recorded field's identity in a FieldSet.
+type fieldKey struct {
+	kind spec.Kind
+	path string
+}
 
 // Add puts f in the set unless a field of its kind and path is there.
 func (s FieldSet) Add(f RecordedField) {
-	key := string(f.Kind) + "\x00" + f.Path
+	key := fieldKey{f.Kind, f.Path}
 	if _, ok := s[key]; !ok {
 		s[key] = f
 	}
