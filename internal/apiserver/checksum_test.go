@@ -30,7 +30,7 @@ func TestChecksumStampedOnWrite(t *testing.T) {
 		t.Fatal("pod not stored")
 	}
 	stored := spec.New(spec.KindPod)
-	if err := codec.Unmarshal(kv.Value, stored); err != nil {
+	if err := codec.Unmarshal(kv.Bytes(), stored); err != nil {
 		t.Fatal(err)
 	}
 	if stored.Meta().Annotations[ChecksumAnnotation] == "" {
@@ -49,7 +49,7 @@ func TestChecksumDetectsCriticalFieldCorruption(t *testing.T) {
 			return Pass
 		}
 		obj := spec.New(m.Kind)
-		if err := codec.Unmarshal(m.Data, obj); err != nil {
+		if err := codec.Unmarshal(m.Encoded(), obj); err != nil {
 			return Pass
 		}
 		obj.Meta().Labels["app"] = "veb" // 'w' with its LSB flipped
@@ -84,7 +84,7 @@ func TestChecksumIgnoresNonCriticalCorruption(t *testing.T) {
 			return Pass
 		}
 		obj := spec.New(m.Kind)
-		if err := codec.Unmarshal(m.Data, obj); err != nil {
+		if err := codec.Unmarshal(m.Encoded(), obj); err != nil {
 			return Pass
 		}
 		obj.(*spec.Pod).Status.Reason = "corrupted-but-benign"

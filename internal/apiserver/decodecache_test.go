@@ -10,13 +10,17 @@ import (
 	"github.com/mutiny-sim/mutiny/internal/store"
 )
 
-// The decode cache elides backend-byte decodes on the write path (conflict
-// checks), watch ingest, and cache rebuilds. These tests pin down the
-// contract: hits for the very array an entry decoded at the revision it is
-// stamped with, real decodes after any byte-level fault (tampered store
-// writes, at-rest corruption), and sealed (immutable) entries. The campaign-level seal guard
-// (TestSealedObjectsAreNeverMutated) covers the same entries end to end:
-// every object entering the cache passes through spec.Seal, so the guard's
+// Reads of stored entries — on the write path (conflict checks), watch
+// ingest, and cache rebuilds — decode nothing for an untampered write, whose
+// store entry is its sealed object, and decode a bytes entry's array once,
+// through the decode cache. These tests pin down the contract: no decode for
+// object entries, hits for the very array a cache entry decoded at the
+// revision it is stamped with, real decodes after any byte-level fault
+// (tampered store writes, at-rest corruption), and sealed (immutable)
+// objects. DecodeCacheStats counts a read that needed no decode, from either
+// source, as a hit. The campaign-level seal guard
+// (TestSealedObjectsAreNeverMutated) covers the same objects end to end:
+// every object a reader is served passes through spec.Seal, so the guard's
 // seal hook checksums it and proves nothing mutates it afterwards.
 
 // settle drains the store watch latency so writes reach the watch cache.
@@ -33,14 +37,14 @@ func TestDecodeCacheHitsOnWritePath(t *testing.T) {
 	settle(loop)
 	hits0, misses0, _ := srv.DecodeCacheStats()
 	if misses0 != 0 {
-		t.Fatalf("untampered create performed %d real decodes, want 0 (write path should prime the cache)", misses0)
+		t.Fatalf("untampered create performed %d real decodes, want 0 (the store holds its object)", misses0)
 	}
 	if hits0 == 0 {
-		t.Fatal("watch ingest of the create did not hit the decode cache")
+		t.Fatal("watch ingest of the create was not counted as a read without a decode")
 	}
 
 	// An update's conflict check reads the current object from the backend;
-	// with the cache primed it must not decode.
+	// the stored object entry serves it without a decode.
 	obj, err := c.Get(spec.KindPod, spec.DefaultNamespace, "web-1")
 	if err != nil {
 		t.Fatal(err)
@@ -56,10 +60,14 @@ func TestDecodeCacheHitsOnWritePath(t *testing.T) {
 		t.Fatalf("update performed %d real decodes, want 0", misses1-misses0)
 	}
 	if hits1 <= hits0 {
-		t.Fatal("update's conflict check did not hit the decode cache")
+		t.Fatal("update's conflict check was not counted as a read without a decode")
 	}
 }
 
+// Untampered writes leave sealed objects in the store, stamped with the
+// revision each is stored at, and no decode-cache entry; a tampered one's
+// bytes are decoded once, into an entry that is sealed and tagged with the
+// revision and the very array the store holds.
 func TestDecodeCacheEntriesAreSealedAndRevisionTagged(t *testing.T) {
 	loop, st, srv := newTestServer(t)
 	c := srv.ClientFor("test")
@@ -69,8 +77,27 @@ func TestDecodeCacheEntriesAreSealedAndRevisionTagged(t *testing.T) {
 		}
 	}
 	settle(loop)
-	if len(srv.decoded) == 0 {
-		t.Fatal("decode cache is empty after writes")
+	if len(srv.decoded) != 0 {
+		t.Fatalf("untampered writes left %d decode-cache entries, want none", len(srv.decoded))
+	}
+	for _, kv := range st.List("/registry/") {
+		obj := kv.Object()
+		if obj == nil {
+			t.Errorf("%s: an untampered write stored bytes, not its object", kv.Key)
+			continue
+		}
+		if !obj.Meta().Sealed() || obj.Meta().ResourceVersion != kv.Revision {
+			t.Errorf("%s: stored object sealed=%v at rv %d, store mod revision %d", kv.Key, obj.Meta().Sealed(), obj.Meta().ResourceVersion, kv.Revision)
+		}
+	}
+
+	tamperCreates(srv)
+	if err := c.Create(testPod("web-4")); err != nil {
+		t.Fatal(err)
+	}
+	settle(loop)
+	if len(srv.decoded) != 1 {
+		t.Fatalf("a tampered write left %d decode-cache entries, want 1", len(srv.decoded))
 	}
 	for key, e := range srv.decoded {
 		obj := e.obj
@@ -93,9 +120,10 @@ func TestDecodeCacheEntriesAreSealedAndRevisionTagged(t *testing.T) {
 }
 
 // At-rest corruption is detected where it matters, at the next read of the
-// bytes: same revision, another array, so the lookup misses, decodes the
-// corrupted bytes for real — exactly like a server with no cache — and counts
-// one detected rewrite. Nothing is invalidated eagerly.
+// bytes: they are a bytes entry now, so the read decodes them for real —
+// exactly like a server with no cache. Rewritten again at the same revision,
+// they present another array than the cached decode's: the lookup misses and
+// counts one detected rewrite. Nothing is invalidated eagerly.
 func TestDecodeCacheInvalidatedByCorruptAtRest(t *testing.T) {
 	loop, st, srv := newTestServer(t)
 	c := srv.ClientFor("test")
@@ -121,27 +149,42 @@ func TestDecodeCacheInvalidatedByCorruptAtRest(t *testing.T) {
 	}
 
 	// The write path reads the backend: it must decode the corrupted bytes
-	// for real.
+	// for real. The object entry they replaced was never decoded, so nothing
+	// cached at this revision goes stale: no rewrite.
 	_, misses0, _ := srv.DecodeCacheStats()
-	cur, prefix, exists, err := srv.current(spec.KindPod, key)
+	cur, exists, err := srv.current(spec.KindPod, key)
 	if err != nil || !exists {
 		t.Fatalf("current() = exists %v, err %v", exists, err)
 	}
 	if got := cur.(*spec.Pod).Spec.NodeName; got != "corrupted-node" {
 		t.Fatalf("current() served NodeName %q for corrupted bytes, want \"corrupted-node\"", got)
 	}
-	if prefix != nil {
-		t.Fatal("current() offered a splice prefix of bytes rewritten at rest")
+	if _, misses, rewrites := srv.DecodeCacheStats(); misses != misses0+1 || rewrites != 0 {
+		t.Fatalf("after the next read: %d new real decodes, %d rewrites detected; want 1 and 0", misses-misses0, rewrites)
 	}
-	if _, misses, rewrites := srv.DecodeCacheStats(); misses != misses0+1 || rewrites != 1 {
-		t.Fatalf("after the next read: %d new real decodes, %d rewrites detected; want 1 and 1", misses-misses0, rewrites)
-	}
-	// The entry now decodes the corrupted array: the next read hits.
-	if _, _, _, err := srv.current(spec.KindPod, key); err != nil {
+	// The cache now holds the corrupted array's decode: the next read hits.
+	if _, _, err := srv.current(spec.KindPod, key); err != nil {
 		t.Fatal(err)
 	}
-	if _, misses, rewrites := srv.DecodeCacheStats(); misses != misses0+1 || rewrites != 1 {
+	if _, misses, rewrites := srv.DecodeCacheStats(); misses != misses0+1 || rewrites != 0 {
 		t.Fatalf("second read of the same bytes decoded again (%d misses, %d rewrites)", misses-misses0, rewrites)
+	}
+	// Rewritten again at the same revision, the bytes present another array
+	// than the cached decode's: one rewrite detected, one real decode.
+	st.CorruptAtRest(key, func(b []byte) []byte {
+		obj := spec.New(spec.KindPod)
+		if err := codecUnmarshal(b, obj); err != nil {
+			t.Fatal(err)
+		}
+		obj.(*spec.Pod).Spec.NodeName = "corrupted-again"
+		return mustMarshal(obj)
+	})
+	cur, _, err = srv.current(spec.KindPod, key)
+	if err != nil || cur.(*spec.Pod).Spec.NodeName != "corrupted-again" {
+		t.Fatalf("current() after the second rewrite = %v, %v", cur, err)
+	}
+	if _, misses, rewrites := srv.DecodeCacheStats(); misses != misses0+2 || rewrites != 1 {
+		t.Fatalf("after the second rewrite: %d new real decodes, %d rewrites detected; want 2 and 1", misses-misses0, rewrites)
 	}
 }
 
@@ -237,7 +280,8 @@ func TestDecodeCacheNotRepoisonedByInFlightWatchEvent(t *testing.T) {
 		t.Fatalf("restart served a stale decode: NodeName = %q, want \"flipped-node\"", got.(*spec.Pod).Spec.NodeName)
 	}
 
-	// The next real write re-primes the cache and watch ingest hits again.
+	// The next real write stores its object again, and watch ingest decodes
+	// nothing.
 	upd := spec.CloneForWriteAs(got.(*spec.Pod))
 	upd.Metadata.Annotations = map[string]string{"repaired": "1"}
 	if err := c.Update(upd); err != nil {
@@ -246,13 +290,12 @@ func TestDecodeCacheNotRepoisonedByInFlightWatchEvent(t *testing.T) {
 	_, missesBefore, _ := srv.DecodeCacheStats()
 	settle(loop)
 	if _, misses, _ := srv.DecodeCacheStats(); misses != missesBefore {
-		t.Fatalf("post-repair watch ingest decoded for real (%d new misses), want a cache hit", misses-missesBefore)
+		t.Fatalf("post-repair watch ingest decoded for real (%d new misses), want none", misses-missesBefore)
 	}
 }
 
-// Tampered store-channel writes must not prime the cache with the
-// pre-tamper object: the next decode has to see the bytes that actually
-// reached the store.
+// Tampered store-channel writes must not be stored as the pre-tamper object:
+// the next read has to decode the bytes that actually reached the store.
 func TestDecodeCacheSkipsTamperedStoreWrites(t *testing.T) {
 	loop, _, srv := newTestServer(t)
 	srv.SetStoreWriteHook(func(m *Message) Action {
@@ -260,7 +303,7 @@ func TestDecodeCacheSkipsTamperedStoreWrites(t *testing.T) {
 			return Pass
 		}
 		obj := spec.New(m.Kind)
-		if err := codecUnmarshal(m.Data, obj); err != nil {
+		if err := codecUnmarshal(m.Encoded(), obj); err != nil {
 			return Pass
 		}
 		obj.(*spec.Pod).Spec.NodeName = "tampered-node"
@@ -287,8 +330,8 @@ func TestDecodeCacheSkipsTamperedStoreWrites(t *testing.T) {
 	}
 }
 
-// A restored server (the fork path) inherits the snapshot's decoded objects
-// and rebuilds its watch cache without re-decoding the whole store.
+// A restored server (the fork path) rebuilds its watch cache from the
+// snapshot's stored objects without decoding anything.
 func TestDecodeCacheSharedThroughSnapshotRestore(t *testing.T) {
 	loop := sim.NewLoop(1)
 	st := store.NewReplicated(loop, 1, nil)
@@ -313,10 +356,10 @@ func TestDecodeCacheSharedThroughSnapshotRestore(t *testing.T) {
 
 	hits, misses, _ := srv2.DecodeCacheStats()
 	if misses != 0 {
-		t.Fatalf("fork rebuild performed %d real decodes, want 0 (snapshot carries the decoded objects)", misses)
+		t.Fatalf("fork rebuild performed %d real decodes, want 0 (snapshot carries the stored objects)", misses)
 	}
 	if hits == 0 {
-		t.Fatal("fork rebuild did not consult the decode cache")
+		t.Fatal("fork rebuild was not counted as reads without a decode")
 	}
 	if srv2.CacheLen() != srv.CacheLen() {
 		t.Fatalf("fork watch cache has %d objects, source has %d", srv2.CacheLen(), srv.CacheLen())
@@ -331,10 +374,10 @@ func TestDecodeCacheSharedThroughSnapshotRestore(t *testing.T) {
 	}
 }
 
-// Round-trip soundness of the write-path priming: the cached object must be
-// field-for-field what a real decode would produce — decode the stored
-// bytes, stamp the mod revision (as every decode path does), and the two
-// objects must re-encode identically.
+// Round-trip soundness of object entries: the stored object must be
+// field-for-field what a real decode of the entry's bytes would produce —
+// decode them, stamp the mod revision (as every decode path does), and the
+// two objects must re-encode identically.
 func TestDecodeCachePrimedObjectMatchesRealDecode(t *testing.T) {
 	loop, st, srv := newTestServer(t)
 	c := srv.ClientFor("test")
@@ -343,17 +386,16 @@ func TestDecodeCachePrimedObjectMatchesRealDecode(t *testing.T) {
 	}
 	settle(loop)
 	key := spec.Key(spec.KindPod, spec.DefaultNamespace, "web-1")
-	cached, ok := srv.decoded[key]
-	if !ok {
-		t.Fatal("write did not prime the decode cache")
-	}
 	kv, _ := st.Get(key)
-	reenc, err := codec.Marshal(cached.obj)
+	if kv.Object() == nil {
+		t.Fatal("the write did not store its object")
+	}
+	reenc, err := codec.Marshal(kv.Object())
 	if err != nil {
 		t.Fatal(err)
 	}
 	fresh := spec.New(spec.KindPod)
-	if err := codec.Unmarshal(kv.Value, fresh); err != nil {
+	if err := codec.Unmarshal(kv.Bytes(), fresh); err != nil {
 		t.Fatal(err)
 	}
 	fresh.Meta().ResourceVersion = kv.Revision
@@ -362,6 +404,6 @@ func TestDecodeCachePrimedObjectMatchesRealDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(refresh) != string(reenc) {
-		t.Fatal("a real decode would produce a different object than the cached one")
+		t.Fatal("a real decode would produce a different object than the stored one")
 	}
 }

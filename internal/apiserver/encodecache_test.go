@@ -10,57 +10,60 @@ import (
 	"github.com/mutiny-sim/mutiny/internal/store"
 )
 
-// The status splice: a decode-cache entry the write path primed is written —
-// its stored array is the write path's own encoding — so a status-only update
-// re-encodes just the status section and splices it onto that array's
-// metadata+spec prefix, the committed revision patched in on the way. These
-// tests pin down the mirror image of the decode-cache contract: what the
-// splice builds from the stored array is always exactly what a fresh Marshal
-// of the sealed object produces, any byte-level fault (at-rest corruption,
-// tampered store writes, armed injection channels) leaves the entry
-// unwritten, and the spliced encoding is byte-identical to a full re-encode
-// per kind.
+// Bytes on demand: an untampered write is stored as an object entry, its
+// sealed object, and its bytes are made only when a reader asks. These tests
+// pin down the mirror image of the decode-cache contract: the bytes an object
+// entry makes are exactly what the write path would have stored — a Marshal
+// of the object at the resourceVersion its writer saw — per kind and after
+// status updates, restarts and replication; any byte-level fault (at-rest
+// corruption, tampered store writes) leaves bytes in the store instead; and no
+// hook on another channel reaches a stored object.
 
-// wireOf returns the stored array under key when its decode-cache entry is
-// written for it, or nil.
-func wireOf(srv *Server, key string) []byte {
-	_, w, _, _ := srv.PrimedEncoding(key)
-	return w
-}
-
-// wireCanonical holds the splice invariant for the entry cached under key and
-// returns the canonical encoding rebuilt from its array: the entry is written
-// for the array the store holds, a scan of that array finds the status
-// record, and the array's prefix with the committed revision patched in,
-// followed by the status record — re-encoded as the splice does it, and as
-// the store holds it — is a fresh Marshal of the sealed object.
-func wireCanonical(t *testing.T, srv *Server, key string) []byte {
+// objectEntry returns what the store holds under key, failing unless it is
+// an object entry whose bytes hold the rule: as many as its size, decoding to
+// the object at a resourceVersion below the one it is stored at, and,
+// stamped with that revision, re-encoding to a fresh Marshal of the object.
+// It returns the bytes and the resourceVersion they carry.
+func objectEntry(t *testing.T, st *store.Store, key string) ([]byte, int64) {
 	t.Helper()
-	obj, w, off, ok := srv.PrimedEncoding(key)
-	if !ok {
-		t.Fatal("the decode-cache entry is not written for the stored array")
+	kv, ok := st.Get(key)
+	if !ok || kv.Object() == nil {
+		t.Fatalf("%s: stored %+v (ok=%v), want an object entry", key, kv, ok)
 	}
-	if off < 0 {
-		t.Fatal("a scan of the written array finds no status record")
+	b := kv.Bytes()
+	if int64(len(b)) != kv.Size() {
+		t.Fatalf("%s: the entry counts %d bytes, makes %d", key, kv.Size(), len(b))
 	}
-	prefix, ok := codec.AppendPrefixWithRV(nil, w[:off], obj.Meta().ResourceVersion)
-	if !ok {
-		t.Fatal("stored prefix does not parse")
+	wire := spec.New(kv.Kind)
+	if err := codecUnmarshal(b, wire); err != nil {
+		t.Fatalf("%s: the on-demand bytes do not decode: %v", key, err)
 	}
-	spliced, err := codec.NewArena().AppendStructField(append([]byte(nil), prefix...), codec.ObjectStatusField, spec.StatusOf(obj))
-	if err != nil {
-		t.Fatal(err)
+	if string(mustMarshal(wire)) != string(b) {
+		t.Fatalf("%s: the on-demand bytes are not the canonical encoding of what they decode to", key)
 	}
-	fresh := mustMarshal(obj)
-	if string(spliced) != string(fresh) {
-		t.Fatal("patched prefix + re-encoded status differs from a fresh Marshal of the sealed object")
+	rv := wire.Meta().ResourceVersion
+	if rv >= kv.Revision {
+		t.Fatalf("%s: the bytes carry rv %d, stored at revision %d", key, rv, kv.Revision)
 	}
-	if string(prefix)+string(w[off:]) != string(fresh) {
-		t.Fatal("patched prefix + stored status record differs from a fresh Marshal of the sealed object")
+	wire.Meta().ResourceVersion = kv.Revision
+	if string(mustMarshal(wire)) != string(mustMarshal(kv.Object())) {
+		t.Fatalf("%s: the on-demand bytes, stamped with revision %d, differ from the stored object", key, kv.Revision)
 	}
-	return spliced
+	return b, rv
 }
 
+// writtenBytes is what the write path would have stored for obj: its encoding
+// at resourceVersion rv.
+func writtenBytes(obj spec.Object, rv int64) []byte {
+	w := spec.CloneForWrite(obj)
+	w.Meta().ResourceVersion = rv
+	return mustMarshal(w)
+}
+
+// A create and a status update each store their object, whose bytes are the
+// encoding the write path would have stored: at resourceVersion 0 for the
+// create, at the create's revision — the one the status writer saw — for the
+// update.
 func TestEncodeCachePrimedBytesMatchFreshMarshal(t *testing.T) {
 	loop, st, srv := newTestServer(t)
 	c := srv.ClientFor("test")
@@ -69,14 +72,12 @@ func TestEncodeCachePrimedBytesMatchFreshMarshal(t *testing.T) {
 	}
 	settle(loop)
 	key := spec.Key(spec.KindPod, spec.DefaultNamespace, "web-1")
-	w := wireOf(srv, key)
-	if w == nil {
-		t.Fatal("create did not leave a written entry for the stored array")
+	b, rv := objectEntry(t, st, key)
+	created, _ := st.Get(key)
+	if rv != 0 || string(b) != string(writtenBytes(created.Object(), 0)) {
+		t.Fatalf("the create's bytes carry rv %d, or are not its encoding at rv 0", rv)
 	}
-	wireCanonical(t, srv, key)
 
-	// A status update must splice onto the prefix and leave the new cached
-	// entry equally exact.
 	obj, err := c.Get(spec.KindPod, spec.DefaultNamespace, "web-1")
 	if err != nil {
 		t.Fatal(err)
@@ -89,34 +90,25 @@ func TestEncodeCachePrimedBytesMatchFreshMarshal(t *testing.T) {
 		t.Fatal(err)
 	}
 	settle(loop)
-	w2 := wireOf(srv, key)
-	if w2 == nil {
-		t.Fatal("status update did not leave a written entry for its new array")
+	b2, rv2 := objectEntry(t, st, key)
+	updated, _ := st.Get(key)
+	if rv2 != created.Revision || string(b2) != string(writtenBytes(updated.Object(), created.Revision)) {
+		t.Fatalf("the status update's bytes carry rv %d, want the %d its writer saw, or are not its encoding there", rv2, created.Revision)
 	}
-	if string(w2) == string(w) {
-		t.Fatal("status update left the old array in place")
-	}
-	wireCanonical(t, srv, key) // after a spliced status update, too
-	// The stored bytes decode to the merged object (splice exactness against
-	// the backend, not just the cache).
-	kv, _ := st.Get(key)
 	stored := spec.New(spec.KindPod)
-	if err := codecUnmarshal(kv.Value, stored); err != nil {
-		t.Fatalf("spliced stored bytes do not decode: %v", err)
+	if err := codecUnmarshal(b2, stored); err != nil {
+		t.Fatal(err)
 	}
-	if p := stored.(*spec.Pod); p.Status.PodIP != "10.244.0.7" || !p.Status.Ready {
-		t.Fatal("spliced stored bytes lost the status update")
-	}
-	if p := stored.(*spec.Pod); p.Metadata.Labels["app"] != "web" {
-		t.Fatal("spliced stored bytes lost the metadata prefix")
+	if p := stored.(*spec.Pod); p.Status.PodIP != "10.244.0.7" || !p.Status.Ready || p.Metadata.Labels["app"] != "web" {
+		t.Fatalf("the status update's bytes decode to %+v", p)
 	}
 }
 
-// Per-kind splice exactness: for every kind carrying a status section, the
-// bytes persisted by UpdateStatus must round-trip exactly — decoding them
-// and re-encoding at the committed revision reproduces both the stored
-// bytes' canonical form and the cached object, so a splice is
-// indistinguishable from a full Marshal.
+// Per-kind exactness: for every kind carrying a status section, the object
+// UpdateStatus stores makes bytes that round-trip exactly — decoding them and
+// re-encoding at the committed revision reproduces the stored object — so an
+// object entry is indistinguishable from the bytes a full Marshal would have
+// stored.
 func TestEncodeCacheSpliceRoundTripsPerKind(t *testing.T) {
 	newRS := func(name string) *spec.ReplicaSet {
 		return &spec.ReplicaSet{
@@ -217,40 +209,19 @@ func TestEncodeCacheSpliceRoundTripsPerKind(t *testing.T) {
 			settle(loop)
 
 			key := spec.Key(tc.kind, tc.ns, tc.create.Meta().Name)
-			kv, ok := st.Get(key)
-			if !ok {
-				t.Fatal("object missing after status update")
-			}
-			// The stored (spliced) bytes must be the canonical encoding of
-			// the object they decode to.
-			stored := spec.New(tc.kind)
-			if err := codecUnmarshal(kv.Value, stored); err != nil {
-				t.Fatalf("spliced bytes do not decode: %v", err)
-			}
-			if reenc := mustMarshal(stored); string(reenc) != string(kv.Value) {
-				t.Fatal("spliced stored bytes are not the canonical encoding of the decoded object")
-			}
-			// The cached sealed object at the committed revision must
-			// re-encode to what its entry's array splices to, and match a
-			// real decode.
-			if _, ok := srv.decoded[key]; !ok {
-				t.Fatal("status update did not prime the decode cache")
-			}
-			if w := wireOf(srv, key); w == nil {
-				t.Fatal("status update did not leave a written entry for the stored array")
-			}
-			canonical := wireCanonical(t, srv, key)
-			stored.Meta().ResourceVersion = kv.Revision
-			if refresh := mustMarshal(stored); string(refresh) != string(canonical) {
-				t.Fatal("a real decode at the committed revision differs from the canonical form the stored array splices to")
+			// The status update's object, stored with bytes that are the
+			// canonical encoding of what they decode to, at the revision
+			// its writer saw.
+			if _, rv := objectEntry(t, st, key); rv != obj.Meta().ResourceVersion {
+				t.Fatalf("the status update's bytes carry rv %d, its writer saw %d", rv, obj.Meta().ResourceVersion)
 			}
 		})
 	}
 }
 
-// At-rest corruption installs an array the decode-cache entry is not valid
-// for: the next status update must be built from the corrupted current state,
-// never from the pre-corruption prefix.
+// At-rest corruption replaces the stored object with bytes: the next status
+// update must be built from the corrupted current state, never from the
+// object the corruption replaced.
 func TestEncodeCacheNeverServesStaleBytes(t *testing.T) {
 	loop, st, srv := newTestServer(t)
 	c := srv.ClientFor("test")
@@ -259,12 +230,10 @@ func TestEncodeCacheNeverServesStaleBytes(t *testing.T) {
 	}
 	settle(loop)
 	key := spec.Key(spec.KindPod, spec.DefaultNamespace, "web-1")
-	if w := wireOf(srv, key); w == nil {
-		t.Fatal("create did not leave a written entry for the stored array")
-	}
+	objectEntry(t, st, key)
 
-	// Rewrite a label at rest: the stale cached prefix still carries
-	// app=web, the store now says app=rotten.
+	// Rewrite a label at rest: the replaced object still carries app=web,
+	// the store now says app=rotten.
 	st.CorruptAtRest(key, func(b []byte) []byte {
 		obj := spec.New(spec.KindPod)
 		if err := codecUnmarshal(b, obj); err != nil {
@@ -273,6 +242,9 @@ func TestEncodeCacheNeverServesStaleBytes(t *testing.T) {
 		obj.Meta().Labels = map[string]string{"app": "rotten"}
 		return mustMarshal(obj)
 	})
+	if kv, _ := st.Get(key); kv.Object() != nil {
+		t.Fatal("the store still holds the object after its bytes were rewritten at rest")
+	}
 
 	obj, err := c.Get(spec.KindPod, spec.DefaultNamespace, "web-1")
 	if err != nil {
@@ -284,18 +256,18 @@ func TestEncodeCacheNeverServesStaleBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	settle(loop)
-	kv, _ := st.Get(key)
+	b, _ := objectEntry(t, st, key)
 	stored := spec.New(spec.KindPod)
-	if err := codecUnmarshal(kv.Value, stored); err != nil {
+	if err := codecUnmarshal(b, stored); err != nil {
 		t.Fatal(err)
 	}
 	if got := stored.Meta().Labels["app"]; got != "rotten" {
-		t.Fatalf("status update persisted label app=%q — the stale pre-corruption prefix was served", got)
+		t.Fatalf("status update persisted label app=%q — the pre-corruption object was served", got)
 	}
 }
 
-// An apiserver restart rebuilds its caches from the store; post-restart
-// status updates must re-encode from (and re-prime) fresh state.
+// An apiserver restart rebuilds its caches from the store; a post-restart
+// status update stores its object, whose bytes hold the rule.
 func TestEncodeCacheSurvivesRestart(t *testing.T) {
 	loop, st, srv := newTestServer(t)
 	c := srv.ClientFor("test")
@@ -317,24 +289,14 @@ func TestEncodeCacheSurvivesRestart(t *testing.T) {
 	}
 	settle(loop)
 	key := spec.Key(spec.KindPod, spec.DefaultNamespace, "web-1")
-	w := wireOf(srv, key)
-	if w == nil {
-		t.Fatal("post-restart status update did not leave a written entry for the stored array")
-	}
-	kv, _ := st.Get(key)
-	stored := spec.New(spec.KindPod)
-	if err := codecUnmarshal(kv.Value, stored); err != nil {
-		t.Fatal(err)
-	}
-	stored.Meta().ResourceVersion = kv.Revision
-	if string(mustMarshal(stored)) != string(wireCanonical(t, srv, key)) {
-		t.Fatal("post-restart splice source differs from a real decode of the stored bytes")
+	if _, rv := objectEntry(t, st, key); rv != obj.Meta().ResourceVersion {
+		t.Fatalf("the post-restart bytes carry rv %d, its writer saw %d", rv, obj.Meta().ResourceVersion)
 	}
 }
 
-// Spliced writes fan out through replication like any other write: bytes
-// queued for a down replica are delivered verbatim on heal, and the group
-// converges on the spliced encoding.
+// Object entries fan out through replication like any other write: a lost
+// replica comes back by state transfer holding the same entry, and the group
+// converges on it.
 func TestEncodeCacheSplicedWritesConvergeAcrossReplicas(t *testing.T) {
 	loop := sim.NewLoop(31)
 	rep := store.NewReplicated(loop, 3, nil)
@@ -364,14 +326,14 @@ func TestEncodeCacheSplicedWritesConvergeAcrossReplicas(t *testing.T) {
 
 	key := spec.Key(spec.KindPod, spec.DefaultNamespace, "web-1")
 	if !rep.Converged(key) {
-		t.Fatal("replicas did not converge on the spliced write after heal")
+		t.Fatal("replicas did not converge on the status write after heal")
 	}
 	kv, ok := rep.Replica(2).Get(key)
 	if !ok {
-		t.Fatal("healed replica missing the spliced write")
+		t.Fatal("healed replica missing the status write")
 	}
 	got := spec.New(spec.KindPod)
-	if err := codecUnmarshal(kv.Value, got); err != nil {
+	if err := codecUnmarshal(kv.Bytes(), got); err != nil {
 		t.Fatalf("healed replica holds undecodable bytes: %v", err)
 	}
 	if p := got.(*spec.Pod); p.Status.Phase != spec.PodRunning || !p.Status.Ready {
@@ -380,19 +342,18 @@ func TestEncodeCacheSplicedWritesConvergeAcrossReplicas(t *testing.T) {
 }
 
 // A request hook changes only the bytes the server decodes its request object
-// from: what reaches the store is still the write path's own encoding — a full
-// marshal for the create, a splice for the status update — so each write
-// leaves a written entry and the splice invariant holds, whether the hook
-// passes the bytes through or flips a status field in them. The flipping hook
-// leaves Tampered unset, as a component's own change would: a tampered write
-// is never primed (TestEncodeCacheNotPrimedByTamperedWrite).
+// from: an untampered request is still stored as its object, whose bytes hold
+// the rule, whether the hook passes the bytes through or flips a status field
+// in them. The flipping hook leaves Tampered unset, as a component's own
+// change would: a tampered write is stored as bytes
+// (TestEncodeCacheNotPrimedByTamperedWrite).
 func TestEncodeCacheRecordsStatusOffsetUnderRequestHook(t *testing.T) {
 	flipReady := func(m *Message) Action {
 		if m.Verb != VerbUpdateStatus {
 			return Pass
 		}
 		p := &spec.Pod{}
-		if err := codec.Unmarshal(m.Data, p); err != nil {
+		if err := codec.Unmarshal(m.Encoded(), p); err != nil {
 			t.Fatal(err)
 		}
 		p.Status.Ready = !p.Status.Ready
@@ -416,7 +377,7 @@ func TestEncodeCacheRecordsStatusOffsetUnderRequestHook(t *testing.T) {
 			}
 			settle(loop)
 			key := spec.Key(spec.KindPod, spec.DefaultNamespace, "web-1")
-			wireCanonical(t, srv, key)
+			objectEntry(t, st, key)
 
 			obj, err := c.Get(spec.KindPod, spec.DefaultNamespace, "web-1")
 			if err != nil {
@@ -428,10 +389,9 @@ func TestEncodeCacheRecordsStatusOffsetUnderRequestHook(t *testing.T) {
 				t.Fatal(err)
 			}
 			settle(loop)
-			wireCanonical(t, srv, key)
-			kv, _ := st.Get(key)
+			b, _ := objectEntry(t, st, key)
 			got := &spec.Pod{}
-			if err := codecUnmarshal(kv.Value, got); err != nil {
+			if err := codecUnmarshal(b, got); err != nil {
 				t.Fatal(err)
 			}
 			if got.Status.Ready != tc.ready {
@@ -441,61 +401,38 @@ func TestEncodeCacheRecordsStatusOffsetUnderRequestHook(t *testing.T) {
 	}
 }
 
-// A written array whose prefix does not parse as metadata-first records is
-// never guessed at: the status update falls back to a full marshal, and what
-// reaches the store is the canonical encoding all the same.
+// spliceStatus, which no write path calls while writes are stored as
+// objects, still never guesses: an encoding whose prefix does not parse as
+// metadata-first records yields no bytes (its caller falls back to a full
+// marshal), and a well-formed one splices to the full marshal of the merged
+// object.
 func TestEncodeCacheMalformedPrefixFallsBackToFullMarshal(t *testing.T) {
-	loop, st, srv := newTestServer(t)
-	c := srv.ClientFor("test")
-	if err := c.Create(testPod("web-1")); err != nil {
-		t.Fatal(err)
+	_, _, srv := newTestServer(t)
+	cur := testPod("web-1")
+	cur.Metadata.ResourceVersion = 4
+	written := mustMarshal(cur)
+	merged := spec.CloneForStatusAs(cur)
+	merged.Metadata.ResourceVersion = 9
+	merged.Status.Phase, merged.Status.Ready = spec.PodRunning, true
+	if b, _ := srv.spliceStatus(nil, written[:1], merged); b != nil {
+		t.Fatal("a splice onto an encoding cut mid-record succeeded")
 	}
-	settle(loop)
-	key := spec.Key(spec.KindPod, spec.DefaultNamespace, "web-1")
-	// Cut the stored array at rest inside the metadata record, and keep the
-	// written entry valid for the cut array: the write path is offered bytes
-	// whose prefix ends mid-record.
-	if !st.CorruptAtRest(key, func(b []byte) []byte { return b[:1] }) {
-		t.Fatal("nothing stored to cut")
+	b, err := srv.spliceStatus(nil, written, merged)
+	if err != nil || string(b) != string(mustMarshal(merged)) {
+		t.Fatalf("a splice onto a well-formed encoding = %x, %v; want the merged object's full marshal", b, err)
 	}
-	kv, _ := st.Get(key)
-	e := srv.decoded[key]
-	e.src = &kv.Value[0]
-	srv.decoded[key] = e
-	if wireOf(srv, key) == nil {
-		t.Fatal("the entry is not written for the cut array; the test no longer offers it to the splice")
-	}
-	bad := e.obj
-	if b, _ := srv.spliceStatus(nil, kv.Value, spec.CloneForStatusAs(bad.(*spec.Pod))); b != nil {
-		t.Fatal("a splice onto an array cut mid-record succeeds; the test no longer offers a malformed one")
-	}
-
-	upd := spec.CloneForStatusAs(bad.(*spec.Pod))
-	upd.Status.Phase = spec.PodRunning
-	upd.Status.Ready = true
-	if err := c.UpdateStatus(upd); err != nil {
-		t.Fatal(err)
-	}
-	settle(loop)
-	kv, _ = st.Get(key)
-	want := spec.CloneForStatusAs(bad.(*spec.Pod)) // at the revision the writer saw
-	want.Status.Phase, want.Status.Ready = spec.PodRunning, true
-	if string(kv.Value) != string(mustMarshal(want)) {
-		t.Fatal("a status update over a malformed cached prefix did not store a full marshal of the merged object")
-	}
-	wireCanonical(t, srv, key) // and the new entry is primed from the stored array
 }
 
-// A tampering store-write hook taints the key; the tainted write must not
-// leave a written entry for bytes it did not encode.
+// A tampering store-write hook's bytes are what the store keeps: a bytes
+// entry, not the object the server wrote.
 func TestEncodeCacheNotPrimedByTamperedWrite(t *testing.T) {
-	loop, _, srv := newTestServer(t)
+	loop, st, srv := newTestServer(t)
 	srv.SetStoreWriteHook(func(m *Message) Action {
 		if m.Kind != spec.KindPod {
 			return Pass
 		}
 		obj := spec.New(m.Kind)
-		if err := codecUnmarshal(m.Data, obj); err != nil {
+		if err := codecUnmarshal(m.Encoded(), obj); err != nil {
 			return Pass
 		}
 		obj.(*spec.Pod).Status.Reason = "tampered-in-flight"
@@ -509,19 +446,25 @@ func TestEncodeCacheNotPrimedByTamperedWrite(t *testing.T) {
 	}
 	settle(loop)
 	key := spec.Key(spec.KindPod, spec.DefaultNamespace, "web-1")
-	if w := wireOf(srv, key); w != nil {
-		t.Fatal("a tampered write left a written entry")
+	kv, _ := st.Get(key)
+	if kv.Object() != nil {
+		t.Fatal("a tampered write was stored as the server's object")
+	}
+	got := &spec.Pod{}
+	if err := codecUnmarshal(kv.Value, got); err != nil || got.Status.Reason != "tampered-in-flight" {
+		t.Fatalf("the stored bytes decode to reason %q (%v), want the tampered one", got.Status.Reason, err)
 	}
 }
 
-// The watch channel serves freshly encoded bytes, never a stored array: a
-// hook that scribbles over the event payload must not damage what a splice
-// copies, and later spliced writes stay exact.
+// The watch channel serves freshly encoded bytes, never a stored value: a
+// hook that scribbles over the event payload must not reach the stored object,
+// and later writes stay exact.
 func TestEncodeCacheUnharmedByWatchHookMutation(t *testing.T) {
 	loop, st, srv := newTestServer(t)
 	srv.SetWatchHook(func(m *Message) Action {
-		for i := range m.Data {
-			m.Data[i] ^= 0xff // scribble in place over the served bytes
+		data := m.Encoded()
+		for i := range data {
+			data[i] ^= 0xff // scribble in place over the served bytes
 		}
 		return Drop // and lose the notification entirely
 	})
@@ -531,11 +474,7 @@ func TestEncodeCacheUnharmedByWatchHookMutation(t *testing.T) {
 	}
 	settle(loop)
 	key := spec.Key(spec.KindPod, spec.DefaultNamespace, "web-1")
-	w := wireOf(srv, key)
-	if w == nil {
-		t.Fatal("create did not leave a written entry for the stored array")
-	}
-	wireCanonical(t, srv, key) // the watch hook's scribbling did not reach the stored array
+	objectEntry(t, st, key) // the watch hook's scribbling did not reach the stored object
 	obj, err := c.Get(spec.KindPod, spec.DefaultNamespace, "web-1")
 	if err != nil {
 		t.Fatal(err)
@@ -546,12 +485,5 @@ func TestEncodeCacheUnharmedByWatchHookMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	settle(loop)
-	kv, _ := st.Get(key)
-	stored := spec.New(spec.KindPod)
-	if err := codecUnmarshal(kv.Value, stored); err != nil {
-		t.Fatalf("spliced bytes after watch tampering do not decode: %v", err)
-	}
-	if reenc := mustMarshal(stored); string(reenc) != string(kv.Value) {
-		t.Fatal("spliced bytes after watch tampering are not canonical")
-	}
+	objectEntry(t, st, key)
 }

@@ -183,7 +183,7 @@ func (h *scopedFixture) rewrite(name string, mutate func(*spec.Pod)) {
 	srv := h.active()
 	srv.SetStoreWriteHook(func(m *Message) Action {
 		obj := spec.New(m.Kind)
-		if err := codecUnmarshal(m.Data, obj); err != nil {
+		if err := codecUnmarshal(m.Encoded(), obj); err != nil {
 			h.t.Fatal(err)
 		}
 		mutate(obj.(*spec.Pod))
@@ -262,7 +262,7 @@ func TestScopedWatchDeliversExactlyTheInterested(t *testing.T) {
 			h.step("event tampered in nodeName", func() {
 				h.active().SetWatchHook(func(m *Message) Action {
 					obj := spec.New(m.Kind)
-					if err := codecUnmarshal(m.Data, obj); err != nil {
+					if err := codecUnmarshal(m.Encoded(), obj); err != nil {
 						t.Fatal(err)
 					}
 					obj.(*spec.Pod).Spec.NodeName = "n4"

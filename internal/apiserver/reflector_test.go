@@ -171,10 +171,10 @@ func TestWatchTamperIsInvisibleToServerAndRepairedByResync(t *testing.T) {
 	c := srv.ClientFor("reflector-test")
 	tampered := false
 	srv.SetWatchHook(func(m *Message) Action {
-		if !tampered && m.Kind == spec.KindPod && len(m.Data) > 0 {
+		if !tampered && m.Kind == spec.KindPod && len(m.Encoded()) > 0 {
 			tampered = true
 			obj := spec.New(m.Kind)
-			if err := codecUnmarshal(m.Data, obj); err != nil {
+			if err := codecUnmarshal(m.Encoded(), obj); err != nil {
 				t.Fatalf("decode watch payload: %v", err)
 			}
 			obj.(*spec.Pod).Spec.NodeName = "ghost-node"

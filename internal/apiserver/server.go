@@ -20,7 +20,6 @@
 package apiserver
 
 import (
-	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
@@ -57,11 +56,10 @@ func (e *unavailableError) Error() string   { return e.msg }
 func (e *unavailableError) Unwrap() []error { return e.errs }
 
 // storeRefusals hold one unavailableError per sentinel the store refuses a
-// write with, built once, so a refused write allocates nothing. The store
-// wraps store.ErrTooLarge with the value's size, so that refusal is not here.
+// write with, built once, so a refused write allocates nothing.
 var storeRefusals = func() []*unavailableError {
 	var out []*unavailableError
-	for _, cause := range []error{store.ErrReplicaDown, store.ErrNoQuorum, store.ErrNoSpace} {
+	for _, cause := range []error{store.ErrReplicaDown, store.ErrNoQuorum, store.ErrNoSpace, store.ErrTooLarge} {
 		out = append(out, &unavailableError{
 			msg:  ErrUnavailable.Error() + ": " + cause.Error(),
 			errs: []error{ErrUnavailable, cause},
@@ -108,20 +106,47 @@ func (v Verb) String() string {
 	}
 }
 
-// Message is one serialized write crossing a channel. Hooks may mutate Data
-// in place; identity fields describe the request context (the "URL"), which
-// is fixed before any tampering occurs.
+// Message is one serialized write crossing a channel. Hooks may mutate its
+// bytes in place or replace them; identity fields describe the request
+// context (the "URL"), which is fixed before any tampering occurs.
 type Message struct {
 	Verb      Verb
 	Kind      spec.Kind
 	Namespace string
 	Name      string
 	Source    string // component identity that issued the request
-	Data      []byte // encoded object; nil for deletes
+	// Data is the encoded object, nil for deletes. A hook reads the bytes
+	// through Encoded: on the apiserver→store channel they are made only
+	// when a hook asks for them.
+	Data []byte
 	// Tampered is set by an injection hook when it mutates the message; the
 	// audit counts a tampered request as persisted or errored for the
 	// propagation experiments (Table VI).
 	Tampered bool
+
+	// obj is the object a store-channel message carries until Encoded makes
+	// Data from it; srv encodes it, and made is the array it encoded into.
+	obj  spec.Object
+	srv  *Server
+	made []byte
+}
+
+// Encoded returns the message's bytes, Data, making them first if the message
+// carries its object unencoded: the apiserver→store channel encodes a write
+// only for a hook that asks (the injector asks for the message it fires on,
+// the field guard and the recorder for every message), and stores it as its
+// sealed object when no hook changed it (see persistWrite).
+func (m *Message) Encoded() []byte {
+	if m.obj != nil && m.Data == nil {
+		m.srv.encodeStore(m)
+	}
+	return m.Data
+}
+
+// ownBytes reports whether the message still carries the server's own
+// encoding of its object: none made yet, or the very bytes Encoded made.
+func (m *Message) ownBytes() bool {
+	return len(m.Data) == len(m.made) && arrayOf(m.Data) == arrayOf(m.made)
 }
 
 // Action is a hook's verdict on a message.
@@ -138,12 +163,12 @@ const (
 )
 
 // Hook intercepts messages on a channel. The message is the server's own and
-// is valid only until the hook returns: a hook reads its fields and may mutate
-// Data and Tampered, but must not keep the pointer — the request and store
-// channels hand every hook the same two scratch values, zeroed when the
-// request ends, and Data may alias a buffer that is reused after it. The
-// hooks in the tree (inject.Recorder, inject.Injector, guard.Guard) copy what
-// they keep.
+// is valid only until the hook returns: a hook reads its fields, reads its
+// bytes through Encoded, and may mutate or replace Data and set Tampered, but
+// must not keep the pointer — the request and store channels hand every hook
+// the same two scratch values, zeroed when the request ends, and Data may
+// alias a buffer that is reused after it. The hooks in the tree
+// (inject.Recorder, inject.Injector, guard.Guard) copy what they keep.
 type Hook func(*Message) Action
 
 // WatchEventType distinguishes watch notifications.
@@ -433,34 +458,25 @@ func (s *Server) SetDown(down bool) {
 // Down reports whether this apiserver replica is crashed.
 func (s *Server) Down() bool { return s.down }
 
-// decodeCache holds, per store key, the sealed decoded form of one stored byte
-// array. A lookup hits only for that very array at the revision the object is
-// stamped with: stored arrays are immutable and the codec is a pure function
-// of the bytes, so a hit returns exactly what decoding the bytes in hand would
-// — for any replica, watch event, re-list or fork that holds them. Everything
-// else (a newer write, a tampered store write, bytes rewritten at rest, a
-// lagging replica's older array) misses, decodes for real and takes the entry
-// over. Entries pin their arrays, so an address is never reused under them.
-// A control plane has one, shared by all its servers: an accepted write
-// installs one byte array at every store replica, so one decode serves them
-// all.
+// decodeCache holds, per store key, the sealed decoded form of one stored
+// bytes entry's array (an object entry is its own decoded form, and needs no
+// cache). A lookup hits only for that very array at the revision the object
+// is stamped with: stored arrays are immutable and the codec is a pure
+// function of the bytes, so a hit returns exactly what decoding the bytes in
+// hand would — for any replica, watch event, re-list or fork that holds them.
+// Everything else (newer tampered bytes, bytes rewritten at rest, a lagging
+// replica's older array) misses, decodes for real and takes the entry over.
+// Entries pin their arrays, so an address is never reused under them. A
+// control plane has one, shared by all its servers: an accepted write
+// installs one entry at every store replica, so one decode serves them all.
 type decodeCache map[string]decodedEntry
 
-// decodedEntry is one cached decode: the object, the address of the first
+// decodedEntry is one cached decode: the object and the address of the first
 // byte of the array it was decoded from (never nil: empty values are not
-// cached; a pointer, not a slice — a storm holds 2,000 of these), and whether
-// the write path produced that array.
-//
-// written is set only by persistWrite: the array is then obj's encoding at the
-// RV its writer saw, so with the RV patched to obj's it is byte for byte
-// codec.Marshal(obj), and a status update to the key copies its metadata+spec
-// prefix instead of re-encoding the two sections (spliceStatus). It is false
-// for an array that was decoded: a tampered write, bytes rewritten at rest, a
-// lagging replica's array.
+// cached; a pointer, not a slice — a storm holds 2,000 of these).
 type decodedEntry struct {
-	obj     spec.Object
-	src     *byte
-	written bool
+	obj spec.Object
+	src *byte
 }
 
 // arrayOf returns the identity of a stored array — the address of its first
@@ -472,40 +488,57 @@ func arrayOf(data []byte) *byte {
 	return &data[0]
 }
 
-// DecodeCacheStats reports this server's decode-cache hits, real decodes, and
-// lookups that found the cached revision over different bytes (diagnostics
-// and tests).
+// DecodeCacheStats reports this server's reads of stored entries that needed
+// no decode (an object entry, or a cached decode of a bytes entry's array),
+// real decodes, and lookups that found the cached revision over different
+// bytes (diagnostics and tests).
 func (s *Server) DecodeCacheStats() (hits, misses, rewrites int64) {
 	return s.decodeHits, s.decodeMisses, s.decodeRewrites
 }
 
-// decodeCached returns the sealed decoded form of data, the bytes stored under
-// key at backend mod revision rev, and whether the write path produced data:
-// the cached object when it was decoded from this array at this revision, a
-// real (and then cached) decode otherwise. Decode errors are never cached:
-// undecodable bytes are re-examined on every access.
-func (s *Server) decodeCached(kind spec.Kind, key string, data []byte, rev int64) (spec.Object, bool, error) {
-	src := arrayOf(data)
-	if e, ok := s.decoded[key]; ok && e.obj.Meta().ResourceVersion == rev {
-		if e.src == src {
+// decodeCached returns the sealed object stored in entry e under key at
+// backend mod revision rev. An object entry stamped with rev is that object,
+// with no decode. Everything else is decoded from its bytes: a bytes entry's
+// array through the cache (the cached object when it was decoded from this
+// array at this revision, a real and then cached decode otherwise), and an
+// object entry at a replica whose revision differs from the one it was
+// stamped with from the bytes its writer would have stored. Decode errors are
+// never cached: undecodable bytes are re-examined on every access.
+func (s *Server) decodeCached(kind spec.Kind, key string, e store.Entry, rev int64) (spec.Object, error) {
+	if obj := e.Object(); obj != nil {
+		if obj.Meta().ResourceVersion == rev {
 			s.decodeHits++
-			return e.obj, e.written, nil
+			return obj, nil
+		}
+		return s.decodeAt(kind, e.Bytes(), rev)
+	}
+	src := arrayOf(e.Value)
+	if c, ok := s.decoded[key]; ok && c.obj.Meta().ResourceVersion == rev {
+		if c.src == src {
+			s.decodeHits++
+			return c.obj, nil
 		}
 		s.decodeRewrites++
 	}
+	obj, err := s.decodeAt(kind, e.Value, rev)
+	if err == nil && src != nil {
+		s.decoded[key] = decodedEntry{obj: obj, src: src}
+	}
+	return obj, err
+}
+
+// decodeAt decodes data, stamps it with store revision rev and seals it.
+func (s *Server) decodeAt(kind spec.Kind, data []byte, rev int64) (spec.Object, error) {
 	obj, err := s.decode(kind, data)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	s.decodeMisses++
 	// The resource version every reader sees is the store revision of the
 	// write, exactly like etcd's mod revision.
 	obj.Meta().ResourceVersion = rev
 	spec.Seal(obj) // entering the shared read path: immutable from here on
-	if src != nil {
-		s.decoded[key] = decodedEntry{obj: obj, src: src}
-	}
-	return obj, false, nil
+	return obj, nil
 }
 
 // Audit returns the server's audit counters.
@@ -585,11 +618,12 @@ func (s *Server) rebuildCache(dispatch bool) {
 		// like the watch path: the serialized bytes carry the resource
 		// version the *writer* saw, and serving that stale version would
 		// make every post-restart update fail its optimistic-concurrency
-		// check. Unmodified keys hit the decode cache (a restart re-list or
-		// fork restore decodes almost nothing); a key whose bytes were
-		// rewritten at rest presents another array and decodes for real,
-		// which is when the corruption becomes visible (§V-C1).
-		obj, _, err := s.decodeCached(kv.Kind, kv.Key, kv.Value, kv.Revision)
+		// check. Object entries and cached bytes entries need no decode (a
+		// restart re-list or fork restore decodes almost nothing); a key
+		// whose bytes were rewritten at rest presents another array and
+		// decodes for real, which is when the corruption becomes visible
+		// (§V-C1).
+		obj, err := s.decodeCached(kv.Kind, kv.Key, kv.Entry, kv.Revision)
 		if err != nil {
 			s.handleUndecodable(kv.Key)
 			continue
@@ -606,10 +640,10 @@ func (s *Server) rebuildCache(dispatch bool) {
 // served under the local revision so per-replica RV semantics hold.
 func (s *Server) quorumVerify(kv store.KV) store.KV {
 	qkv, ok := s.store.QuorumGet(kv.Key)
-	if !ok || bytes.Equal(qkv.Value, kv.Value) {
+	if !ok || qkv.Same(kv.Entry) {
 		return kv
 	}
-	kv.Value = qkv.Value
+	kv.Entry = qkv.Entry
 	return kv
 }
 
@@ -704,9 +738,8 @@ func (s *Server) apply(verb Verb, msg *Message, obj spec.Object) error {
 	kind := msg.Kind
 	key := spec.Key(kind, msg.Namespace, msg.Name)
 	var donor spec.Object
-	var splice []byte
 	var stamped drawn
-	cur, written, exists, curErr := s.current(kind, key)
+	cur, exists, curErr := s.current(kind, key)
 	if errors.Is(curErr, store.ErrReplicaDown) {
 		// This server's store replica is lost: every verb fails, and the
 		// wrapped cause lets failover clients tell "endpoint unusable" from
@@ -751,11 +784,7 @@ func (s *Server) apply(verb Verb, msg *Message, obj spec.Object) error {
 		}
 		// Status updates cannot change spec or metadata: graft the incoming
 		// status onto a status clone of the current object (subresource
-		// semantics) — cur is the shared decode-cache instance. The stored
-		// array rides along as the splice source: with the revision patched
-		// in, its metadata+spec prefix is the encoding of exactly the metadata
-		// and spec the merged object shares.
-		splice = written
+		// semantics) — cur is the shared stored instance.
 		donor, obj = obj, spec.WithStatus(cur, obj)
 		if obj == nil {
 			return fmt.Errorf("%w: kind %s has no status subresource", ErrBadRequest, kind)
@@ -780,7 +809,7 @@ func (s *Server) apply(verb Verb, msg *Message, obj spec.Object) error {
 		}
 	}
 
-	err := s.persistWrite(verb, msg, obj, key, splice)
+	err := s.persistWrite(verb, msg, obj, key)
 	if err != nil {
 		stamped.undo(obj)
 	}
@@ -798,75 +827,74 @@ func (s *Server) apply(verb Verb, msg *Message, obj spec.Object) error {
 	return err
 }
 
-// persistWrite encodes obj and commits it. When splice is set (a status
-// update whose current array the write path produced), the encode copies that
-// array's metadata+spec prefix with the revision patched in and re-encodes only
-// the status section — byte-identical to a full Marshal, because the merged
-// object shares metadata and spec with the current one and the encoder is
-// deterministic. The splice is off under critical-field checksums (the fresh
-// stamp changes the metadata section the prefix covers).
-func (s *Server) persistWrite(verb Verb, msg *Message, obj spec.Object, key string, splice []byte) error {
+// persistWrite commits obj. An untampered write whose bytes no store-channel
+// hook replaced is stored as an object entry: obj itself, stamped with the
+// revision it commits at and sealed, so every reader, replica and fork reads
+// it with no decode. Decoding its bytes would reproduce obj field for field
+// (the codec round-trips exactly), so this is the object a reader of the bytes
+// would see. Those bytes are made only if a hook asks for them
+// (Message.Encoded); the quota counts their exact size, taken before the
+// revision is stamped, since stored bytes carry the resourceVersion the writer
+// saw, like an etcd txn payload. Any other write — a tampered request or store
+// message, bytes a hook put in place of the server's — is stored as the bytes
+// that reached the store, and readers decode them: byte-level faults keep
+// their semantics.
+func (s *Server) persistWrite(verb Verb, msg *Message, obj spec.Object, key string) error {
 	if s.opts.CriticalFieldChecksums {
 		stampChecksum(obj)
-		splice = nil
 	}
-	// Same buffer discipline as handle: the store copies the value, and
-	// injection hooks that replace out.Data swap in their own slice.
-	buf := s.scratch(msg, s.storeData)
-	var data []byte
-	var err error
-	if splice != nil {
-		data, err = s.spliceStatus(buf, splice, obj)
-		if err != nil {
-			data = nil // malformed splice source: fall back to a full encode
-		}
+	size, err := codec.Size(obj)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	if data == nil {
-		data, err = s.arena.AppendMarshal(buf, obj)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
-	}
-	s.storeData = data
 	out := s.storeMessage(msg)
 	*out = Message{
 		Verb: verb, Kind: msg.Kind, Namespace: msg.Namespace, Name: msg.Name,
-		Source: "apiserver", Data: data, Tampered: msg.Tampered,
+		Source: "apiserver", Tampered: msg.Tampered, obj: obj, srv: s,
 	}
 	// Channel 2: apiserver → store. Tampering here bypasses validation: the
 	// corrupted transaction becomes the agreed cluster state.
 	if s.storeWriteHook != nil && s.storeWriteHook(out) == Drop {
 		return nil // the caller believes the write happened
 	}
-	kv, err := s.store.PutVia(s.origin, key, msg.Kind, out.Data)
+	entry := store.ObjectEntry(obj, obj.Meta().ResourceVersion, int64(size))
+	if out.Tampered || !out.ownBytes() {
+		entry = store.Entry{Value: out.Encoded()} // PutVia copies them
+	}
+	kv, err := s.store.PutVia(s.origin, key, msg.Kind, entry)
 	if err != nil {
 		return unavailable(err)
 	}
-	// Prime the decode cache with the object just persisted: decoding the
-	// stored bytes would reproduce obj field for field (the codec round-trips
-	// exactly), so the conflict check of the next write to this key — and the
-	// watch ingest of this very write, at every replica — skip the
-	// backend-byte Unmarshal. Only if the bytes that reached the store are
-	// verbatim the encoding of obj, though: a store-channel hook that replaced
-	// or tampered the payload keeps byte-level fault semantics by forcing a
-	// real decode later.
-	if !out.Tampered && len(out.Data) == len(data) && arrayOf(out.Data) == arrayOf(data) {
+	if entry.Object() != nil {
 		obj.Meta().ResourceVersion = kv.Revision
-		spec.Seal(obj) // entering the shared read path via the decode cache
-		// The array the store installed (PutVia's one copy of data) is what
-		// every later read and event will present, so the decode-cache entry
-		// is valid for exactly that array — and is marked written, so the next
-		// status update to this key copies the array's metadata+spec prefix
-		// with the committed revision patched in flight (spliceStatus) instead
-		// of re-encoding the two sections.
-		if len(kv.Value) > 0 {
-			s.decoded[key] = decodedEntry{obj: obj, src: &kv.Value[0], written: true}
-		}
+		spec.Seal(obj) // entering the shared read path through the store
+		// A decode of this key's earlier tampered bytes can never hit again.
+		delete(s.decoded, key)
 	}
 	if msg.Tampered {
 		s.audit.countTamperedOK()
 	}
 	return nil
+}
+
+// encodeStore makes the bytes of store-channel message m from its object: into
+// the server's store buffer for the outermost request's message (the store
+// copies what it keeps), into a fresh array for a nested request's, whose
+// encode must not overwrite the bytes the outer request is still showing its
+// hooks.
+func (s *Server) encodeStore(m *Message) {
+	var buf []byte
+	if m == &s.storeMsg {
+		buf = s.storeData[:0]
+	}
+	data, err := s.arena.AppendMarshal(buf, m.obj)
+	if err != nil {
+		return // cannot happen: persistWrite sized the object first
+	}
+	if m == &s.storeMsg {
+		s.storeData = data
+	}
+	m.Data, m.made, m.obj = data, data, nil
 }
 
 // storeMessage returns the store-channel message that goes with request
@@ -947,14 +975,14 @@ func (s *Server) admitCreate(obj spec.Object) (d drawn) {
 func (s *Server) onStoreEvent(ev store.Event) {
 	switch ev.Type {
 	case store.EventPut:
-		// The untampered write path already cached the decoded form of this
-		// array at this revision (persistWrite), whichever replica it went
-		// through; ingesting the event is then free of any codec.Unmarshal.
-		// Tampered or externally-written bytes miss and decode for real. An
-		// event still in flight when its key was rewritten at rest carries
-		// the pre-rewrite array: it is served that array's decode, and the
-		// rewritten bytes keep missing until something reads them.
-		obj, _, err := s.decodeCached(ev.Kind, ev.Key, ev.Value, ev.Revision)
+		// The untampered write path stored its sealed object (persistWrite),
+		// whichever replica it went through; ingesting the event is then free
+		// of any codec.Unmarshal. Tampered or externally-written bytes decode
+		// for real, once. An event still in flight when its key was rewritten
+		// at rest carries the pre-rewrite entry: it is served that entry's
+		// object, and the rewritten bytes are decoded when something reads
+		// them.
+		obj, err := s.decodeCached(ev.Kind, ev.Key, ev.Entry, ev.Revision)
 		if err != nil {
 			s.handleUndecodable(ev.Key)
 			return
@@ -987,24 +1015,19 @@ func (s *Server) handleUndecodable(key string) {
 }
 
 // current reads the authoritative state of key from the store. The object is
-// the *sealed* decode-cache instance — shared, read-only; the one write path
-// that mutates it (status merge) goes through spec.CloneForStatus. written is
-// the array just read when the write path produced it (see decodedEntry), nil
-// otherwise: what a status update splices its status record onto.
-func (s *Server) current(kind spec.Kind, key string) (obj spec.Object, written []byte, exists bool, err error) {
+// the *sealed* stored instance — shared, read-only; the one write path that
+// mutates it (status merge) goes through spec.CloneForStatus.
+func (s *Server) current(kind spec.Kind, key string) (obj spec.Object, exists bool, err error) {
 	kv, ok, err := s.store.GetFrom(s.origin, key)
 	if err != nil || !ok {
-		return nil, nil, false, err
+		return nil, false, err
 	}
-	obj, w, err := s.decodeCached(kind, key, kv.Value, kv.Revision)
+	obj, err = s.decodeCached(kind, key, kv.Entry, kv.Revision)
 	if err != nil {
 		s.handleUndecodable(key)
-		return nil, nil, true, err
+		return nil, true, err
 	}
-	if w {
-		written = kv.Value
-	}
-	return obj, written, true, nil
+	return obj, true, nil
 }
 
 func (s *Server) decode(kind spec.Kind, data []byte) (spec.Object, error) {
@@ -1306,12 +1329,13 @@ func (s *Server) scratch(msg *Message, buf []byte) []byte {
 }
 
 // spliceStatus builds the canonical encoding of obj, a status clone of the
-// current object, from written — the array the write path stored for the
-// current object — by copying its metadata+spec records with obj's revision
-// patched in (stored bytes carry the RV their writer saw) and appending obj's
-// re-encoded status section. Returns nil bytes when the array does not parse
-// or obj's kind has no status section — the caller falls back to a full
-// encode.
+// current object, from written — an encoding of the current object — by
+// copying its metadata+spec records with obj's revision patched in (stored
+// bytes carry the RV their writer saw) and appending obj's re-encoded status
+// section. Returns nil bytes when the array does not parse or obj's kind has
+// no status section — the caller falls back to a full encode. No write path
+// calls it: an untampered write is stored as its object and encoded only on
+// demand, so there is no stored array to splice onto.
 func (s *Server) spliceStatus(b, written []byte, obj spec.Object) ([]byte, error) {
 	status := spec.StatusOf(obj)
 	if status == nil {

@@ -212,7 +212,7 @@ func TestValidationNamespaceMatchesRequest(t *testing.T) {
 	srv.SetRequestHook(func(m *Message) Action {
 		if m.Kind == spec.KindPod {
 			obj := spec.New(m.Kind)
-			if err := codecUnmarshal(m.Data, obj); err != nil {
+			if err := codecUnmarshal(m.Encoded(), obj); err != nil {
 				return Pass
 			}
 			obj.Meta().Namespace = "other-ns"
@@ -238,7 +238,7 @@ func TestStoreWriteHookBypassesValidation(t *testing.T) {
 	srv.SetStoreWriteHook(func(m *Message) Action {
 		if m.Kind == spec.KindPod && m.Verb == VerbCreate {
 			obj := spec.New(m.Kind)
-			if err := codecUnmarshal(m.Data, obj); err != nil {
+			if err := codecUnmarshal(m.Encoded(), obj); err != nil {
 				return Pass
 			}
 			obj.Meta().Labels["app"] = "corrupted"
@@ -416,7 +416,7 @@ func TestRequestMessagesAreScratch(t *testing.T) {
 		if m != &srv.storeMsg {
 			t.Errorf("the outermost request was shown %p, want the server's scratch message", m)
 		}
-		before := append([]byte(nil), m.Data...)
+		before := append([]byte(nil), m.Encoded()...)
 		innerErr = c.Create(testPod("inner")) // a request nested in this one
 		outerName, outerSource, outerData = m.Name, m.Source, m.Data
 		if string(before) != string(m.Data) {
@@ -441,7 +441,7 @@ func TestRequestMessagesAreScratch(t *testing.T) {
 			t.Fatalf("pod %s not stored", name)
 		}
 		got := &spec.Pod{}
-		if err := codecUnmarshal(kv.Value, got); err != nil || got.Metadata.Name != name {
+		if err := codecUnmarshal(kv.Bytes(), got); err != nil || got.Metadata.Name != name {
 			t.Fatalf("stored pod %s decodes to %q, %v", name, got.Metadata.Name, err)
 		}
 	}
@@ -476,7 +476,7 @@ func TestRequestMessagesAreScratch(t *testing.T) {
 // on its own.
 func TestRefusedWriteAllocatesNothing(t *testing.T) {
 	loop := sim.NewLoop(1)
-	st := store.NewReplicated(loop, 3, &store.Options{QuotaBytes: 1})
+	st := store.NewReplicated(loop, 3, &store.Options{QuotaBytes: 1, MaxValueBytes: 1 << 10})
 	srv := New(loop, st, nil)
 	c := srv.ClientFor("issuer")
 	if err := c.Create(testPod("a")); err != nil {
@@ -485,15 +485,26 @@ func TestRefusedWriteAllocatesNothing(t *testing.T) {
 	loop.RunUntil(time.Second)
 	key := spec.Key(spec.KindPod, spec.DefaultNamespace, "a")
 	pod := testPod("a")
+	// big encodes to more than the store's 1 KiB value limit, which the store
+	// checks before its quota.
+	big := func(name string) *spec.Pod {
+		p := testPod(name)
+		p.Metadata.Annotations = map[string]string{"note": strings.Repeat("x", 2<<10)}
+		return p
+	}
+	bigPod := big("a")
 	for _, tc := range []struct {
 		cause  error
 		setup  func()
 		write  func() error // through the client
 		refuse func() error // the server step that meets the refusal
 	}{
+		{store.ErrTooLarge, func() {},
+			func() error { return c.Create(big("b")) },
+			func() error { return srv.persistWrite(VerbUpdate, &srv.reqMsg, bigPod, key) }},
 		{store.ErrNoSpace, func() {},
 			func() error { return c.Create(testPod("b")) },
-			func() error { return srv.persistWrite(VerbUpdate, &srv.reqMsg, pod, key, nil) }},
+			func() error { return srv.persistWrite(VerbUpdate, &srv.reqMsg, pod, key) }},
 		{store.ErrNoQuorum, func() { st.Partition([]int{0}, []int{1, 2}) },
 			func() error { return c.Delete(spec.KindPod, spec.DefaultNamespace, "a") },
 			func() error { return srv.persistDelete(&srv.reqMsg, key) }},

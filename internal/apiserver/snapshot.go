@@ -22,10 +22,11 @@ type ControlPlaneSnapshot struct {
 	audit      *Audit
 	violations int64
 	// decoded is a copy of the decode cache that nothing writes to. Its
-	// entries are sealed objects paired with the store arrays they decode, so
-	// sharing them across every restore is exactly as safe as sharing those
-	// arrays, which a store snapshot does — and it lets a restore's watch-cache
-	// rebuild skip nearly every codec.Unmarshal.
+	// entries are sealed objects paired with the stored bytes entries' arrays
+	// they decode, so sharing them across every restore is exactly as safe as
+	// sharing those arrays, which a store snapshot does — and it spares a
+	// restore's watch-cache rebuild their codec.Unmarshal, as the store
+	// snapshot's object entries spare it everyone else's.
 	decoded decodeCache
 }
 

@@ -11,18 +11,18 @@ import (
 	"github.com/mutiny-sim/mutiny/internal/spec"
 )
 
-// TestPrimedEncodingsMatchMarshal is the guard the status splice stands on:
-// every decode-cache entry that records a status offset for the array its
-// store holds must rebuild a fresh codec.Marshal of its object from that
-// array — the prefix with the object's revision patched in
-// (codec.AppendPrefixWithRV, what the splice copies), then the stored status
-// record — and the offset must be where a scan of the array finds that
-// record. It is held every 100 ms of simulated time through the heaviest
-// status-write traffic a campaign produces, a ReplicaSet whose template label
-// was corrupted on its way to the store creating pods until the quota stops
-// it, on a freshly booted cluster and on a fork of its snapshot: a stale
-// prefix, a missed invalidation or a consumer scribbling on a stored array
-// shows up as an entry whose encoding differs.
+// TestPrimedEncodingsMatchMarshal is the guard object entries stand on: every
+// object entry a store holds — the sealed object an untampered write persisted
+// — must make on demand exactly the bytes the write path would have stored: as
+// many as the size the quota counted, decoding to the object at the
+// resourceVersion its writer saw, which is below the revision the entry is
+// stored at, and, stamped with that revision, re-encoding to a fresh Marshal
+// of the object. It is held every 100 ms of simulated time through the
+// heaviest status-write traffic a campaign produces, a ReplicaSet whose
+// template label was corrupted on its way to the store creating pods until
+// the quota stops it, on a freshly booted cluster and on a fork of its
+// snapshot: a consumer scribbling on a stored object, or a size that is not
+// its encoding's, shows up as an entry whose bytes differ.
 func TestPrimedEncodingsMatchMarshal(t *testing.T) {
 	c := cluster.New(cluster.Config{Seed: 7200})
 	c.Start()
@@ -34,11 +34,11 @@ func TestPrimedEncodingsMatchMarshal(t *testing.T) {
 		name string
 		c    *cluster.Cluster
 	}{{"fresh", c}, {"fork", snap.Fork(7201)}} {
-		t.Run(run.name, func(t *testing.T) { holdPrimedEncodings(t, run.c) })
+		t.Run(run.name, func(t *testing.T) { holdObjectEntries(t, run.c) })
 	}
 }
 
-func holdPrimedEncodings(t *testing.T, c *cluster.Cluster) {
+func holdObjectEntries(t *testing.T, c *cluster.Cluster) {
 	j := inject.New(c.Loop)
 	c.AttachInjector(j)
 	j.Arm(inject.Injection{
@@ -50,23 +50,34 @@ func holdPrimedEncodings(t *testing.T, c *cluster.Cluster) {
 		t.Fatal(err)
 	}
 
-	checked := make(map[*byte]bool) // arrays already held to the rule
+	checked := make(map[spec.Object]bool) // objects already held to the rule
 	for end := c.Loop.Now() + 45*time.Second; c.Loop.Now() < end; {
 		c.Loop.RunUntil(c.Loop.Now() + 100*time.Millisecond)
-		for _, key := range c.Server.DecodeCacheKeys() {
-			obj, w, off, ok := c.Server.PrimedEncoding(key)
-			if !ok || checked[&w[0]] {
+		for _, kv := range c.Backend.Replica(0).List("/registry/") {
+			obj := kv.Object()
+			if obj == nil || checked[obj] {
 				continue
 			}
-			checked[&w[0]] = true
-			if scanned, ok := codec.StatusOffset(w); !ok || scanned != off {
-				t.Fatalf("at %v, %s: entry's status offset %d, a scan of its array says %d (ok=%v)", c.Loop.Now(), key, off, scanned, ok)
+			checked[obj] = true
+			if !obj.Meta().Sealed() || obj.Meta().ResourceVersion != kv.Revision {
+				t.Fatalf("at %v, %s: the stored object is sealed=%v at rv %d, stored at revision %d",
+					c.Loop.Now(), kv.Key, obj.Meta().Sealed(), obj.Meta().ResourceVersion, kv.Revision)
 			}
-			prefix, ok := codec.AppendPrefixWithRV(nil, w[:off], obj.Meta().ResourceVersion)
-			want, err := codec.Marshal(obj)
-			if !ok || err != nil || !bytes.Equal(append(prefix, w[off:]...), want) {
-				t.Fatalf("at %v, %s (rv %d): the patched prefix and stored status record differ from a fresh Marshal",
-					c.Loop.Now(), key, obj.Meta().ResourceVersion)
+			b := kv.Bytes()
+			if int64(len(b)) != kv.Size() {
+				t.Fatalf("at %v, %s: the entry counts %d bytes, its bytes are %d", c.Loop.Now(), kv.Key, kv.Size(), len(b))
+			}
+			wire := spec.New(kv.Kind)
+			if err := codec.Unmarshal(b, wire); err != nil {
+				t.Fatalf("at %v, %s: the on-demand bytes do not decode: %v", c.Loop.Now(), kv.Key, err)
+			}
+			if rv := wire.Meta().ResourceVersion; rv >= kv.Revision {
+				t.Fatalf("at %v, %s: the bytes carry rv %d, not one its writer saw below revision %d", c.Loop.Now(), kv.Key, rv, kv.Revision)
+			}
+			wire.Meta().ResourceVersion = kv.Revision
+			if got, want := marshalOf(t, wire), marshalOf(t, obj); !bytes.Equal(got, want) {
+				t.Fatalf("at %v, %s (rv %d): the on-demand bytes, stamped, differ from a fresh Marshal of the object",
+					c.Loop.Now(), kv.Key, kv.Revision)
 			}
 		}
 	}
@@ -77,7 +88,16 @@ func holdPrimedEncodings(t *testing.T, c *cluster.Cluster) {
 	if pods < 100 {
 		t.Fatalf("only %d pods after the storm; the window is not the storm it should be", pods)
 	}
-	t.Logf("%d primed arrays held to the rule, %d pods at the end", len(checked), pods)
+	t.Logf("%d stored objects held to the rule, %d pods at the end", len(checked), pods)
+}
+
+func marshalOf(t *testing.T, obj spec.Object) []byte {
+	t.Helper()
+	b, err := codec.Marshal(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // stormDeployment is an application deployment whose pods fit the cluster.

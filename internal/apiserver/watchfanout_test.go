@@ -392,7 +392,7 @@ func (h *fanoutHarness) rewrite() {
 	}
 	h.srv.SetStoreWriteHook(func(m *Message) Action {
 		obj := spec.New(m.Kind)
-		if err := codecUnmarshal(m.Data, obj); err != nil {
+		if err := codecUnmarshal(m.Encoded(), obj); err != nil {
 			h.fatalf("store channel: %v", err)
 		}
 		if uid {
@@ -418,11 +418,11 @@ func (h *fanoutHarness) tamper(b int) {
 			h.limits = h.limits[1:] // the event dies before its delivery starts
 			return Drop
 		}
-		if m.Kind != spec.KindPod || len(m.Data) == 0 {
+		if m.Kind != spec.KindPod || len(m.Encoded()) == 0 {
 			return Pass
 		}
 		obj := spec.New(m.Kind)
-		if err := codecUnmarshal(m.Data, obj); err != nil {
+		if err := codecUnmarshal(m.Encoded(), obj); err != nil {
 			h.fatalf("watch channel: %v", err)
 		}
 		obj.(*spec.Pod).Spec.NodeName = node

@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"bytes"
 	"sync"
 	"testing"
 
@@ -24,7 +23,7 @@ func storesEqual(t *testing.T, a, b *store.Snapshot) bool {
 		for i := range ra.Items {
 			ia, ib := ra.Items[i], rb.Items[i]
 			if ia.Key != ib.Key || ia.Kind != ib.Kind || ia.ModRev != ib.ModRev ||
-				ia.CreateRev != ib.CreateRev || !bytes.Equal(ia.Value, ib.Value) {
+				ia.CreateRev != ib.CreateRev || !ia.Same(ib.Entry) {
 				return false
 			}
 		}

@@ -450,6 +450,137 @@ func (e *encoder) appendMap(b []byte, num int, v reflect.Value) ([]byte, error) 
 	return b, nil
 }
 
+// Size returns the length of msg's encoding, len(Marshal(msg)), without
+// making it: the same walk of the compiled plan, adding up record lengths
+// instead of writing records, so it needs no nested-message buffers and no
+// map-key sort (a map's entries add up to the same total in any order). It
+// refuses what Marshal refuses.
+func Size(msg any) (int, error) {
+	v, err := structValue(msg)
+	if err != nil {
+		return 0, err
+	}
+	return sizeStruct(planFor(v.Type()), v)
+}
+
+func sizeStruct(plan *structPlan, v reflect.Value) (int, error) {
+	n := 0
+	for i := range plan.fields {
+		fd := &plan.fields[i]
+		m, err := sizeField(fd, v.Field(fd.index))
+		if err != nil {
+			return 0, err
+		}
+		n += m
+	}
+	return n, nil
+}
+
+// sizeField mirrors appendField: the bytes it would append for v.
+func sizeField(fd *fieldDesc, v reflect.Value) (int, error) {
+	tag := varintSize(uint64(fd.number) << 3)
+	switch fd.kind {
+	case reflect.String:
+		return bytesRecordSize(tag, v.Len(), false), nil
+	case reflect.Bool:
+		if !v.Bool() {
+			return 0, nil
+		}
+		return tag + 1, nil
+	case reflect.Int, reflect.Int32, reflect.Int64:
+		if v.Int() == 0 {
+			return 0, nil
+		}
+		return tag + varintSize(uint64(v.Int())), nil
+	case reflect.Struct:
+		inner, err := sizeStruct(fd.sub, v)
+		if err != nil {
+			return 0, err
+		}
+		return bytesRecordSize(tag, inner, false), nil
+	case reflect.Slice:
+		if fd.elemKind == reflect.Uint8 {
+			return bytesRecordSize(tag, v.Len(), false), nil
+		}
+		return sizeSlice(tag, fd, v)
+	case reflect.Map:
+		return sizeMap(tag, v)
+	default:
+		return 0, fmt.Errorf("codec: unsupported field kind %s", fd.kind)
+	}
+}
+
+// bytesRecordSize is the size of a length-delimited record of n body bytes
+// whose tag takes tag bytes: none for an empty body unless always is set.
+func bytesRecordSize(tag, n int, always bool) int {
+	if n == 0 && !always {
+		return 0
+	}
+	return tag + varintSize(uint64(n)) + n
+}
+
+// sizeSlice mirrors appendSlice: every element is a record, empty strings and
+// empty structs included.
+func sizeSlice(tag int, fd *fieldDesc, v reflect.Value) (int, error) {
+	total := 0
+	switch fd.elemKind {
+	case reflect.String:
+		for i := 0; i < v.Len(); i++ {
+			total += bytesRecordSize(tag, v.Index(i).Len(), true)
+		}
+	case reflect.Int, reflect.Int32, reflect.Int64:
+		for i := 0; i < v.Len(); i++ {
+			total += tag + varintSize(uint64(v.Index(i).Int()))
+		}
+	case reflect.Struct:
+		for i := 0; i < v.Len(); i++ {
+			inner, err := sizeStruct(fd.sub, v.Index(i))
+			if err != nil {
+				return 0, err
+			}
+			total += bytesRecordSize(tag, inner, true)
+		}
+	default:
+		if v.Len() == 0 {
+			return 0, nil
+		}
+		return 0, fmt.Errorf("codec: unsupported slice element kind %s", fd.elemKind)
+	}
+	return total, nil
+}
+
+// sizeMap mirrors appendMap: one record per entry, its key and value records
+// always present.
+func sizeMap(tag int, v reflect.Value) (int, error) {
+	if v.Type().Key().Kind() != reflect.String || v.Type().Elem().Kind() != reflect.String {
+		return 0, fmt.Errorf("codec: unsupported map type %s", v.Type())
+	}
+	if v.Len() == 0 {
+		return 0, nil
+	}
+	m, ok := v.Interface().(map[string]string)
+	if !ok {
+		return 0, fmt.Errorf("codec: unsupported map type %s", v.Type())
+	}
+	const fieldTag = 1 // the entry's key and value field numbers, 1 and 2, tag in one byte
+	total := 0
+	for k, val := range m {
+		entry := bytesRecordSize(fieldTag, len(k), true) + bytesRecordSize(fieldTag, len(val), true)
+		total += bytesRecordSize(tag, entry, true)
+	}
+	return total, nil
+}
+
+// varintSize returns the encoded size of v.
+func varintSize(v uint64) int {
+	n := 1
+	for v >= 0x80 {
+		v >>= 7
+		n++
+	}
+	return n
+}
+
 func appendTag(b []byte, num, wt int) []byte {
 	return appendVarint(b, uint64(num)<<3|uint64(wt))
 }

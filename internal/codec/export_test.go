@@ -38,13 +38,3 @@ func RewriteObjectRV(data []byte, rv int64) []byte {
 	out = append(out, rest...)
 	return out
 }
-
-// varintSize returns the encoded size of v.
-func varintSize(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}

@@ -1,6 +1,8 @@
 // Fuzz targets over the decoders the campaign feeds corrupted bytes: every
 // FlipProtoByte injection and every at-rest rewrite ends in Unmarshal, and
-// every status write in StatusOffset and AppendPrefixWithRV.
+// the status splice in StatusOffset and AppendPrefixWithRV. Size, which the
+// store's quota counts in place of encoded bytes, is held to Marshal on
+// whatever those decoders accept.
 package codec_test
 
 import (
@@ -94,6 +96,60 @@ func FuzzAppendPrefixWithRV(f *testing.F) {
 		}
 		if !bytes.Equal(data, orig) {
 			t.Fatalf("rv %d: the input changed from %x to %x", rv, orig, data)
+		}
+	})
+}
+
+// sizeSamples returns encodings whose lengths sit on the codec's edges: every
+// representative object at resourceVersions either side of a varint's one-
+// and two-byte limits, and a pod with empty strings in repeated fields and
+// an empty map value.
+func sizeSamples(t testing.TB) [][]byte {
+	var out [][]byte
+	add := func(obj spec.Object) {
+		data, err := codec.Marshal(obj)
+		if err != nil {
+			t.Fatalf("%s: %v", obj.Kind(), err)
+		}
+		out = append(out, data)
+	}
+	for _, rv := range []int64{0, 127, 128, 16383, 16384} {
+		for _, obj := range representativeObjects() {
+			obj.Meta().ResourceVersion = rv
+			add(obj)
+		}
+	}
+	pod := representativeObjects()[0].(*spec.Pod)
+	pod.Spec.Containers[0].Command = []string{"", "serve", ""}
+	pod.Metadata.Labels = map[string]string{spec.LabelApp: "", "": "v"}
+	pod.Metadata.Annotations = map[string]string{"empty": ""}
+	add(pod)
+	return out
+}
+
+// Size is the length of Marshal for every object Unmarshal accepts into any
+// kind: the store counts its quota and value limit in Size, and
+// FlipProtoByte draws its offset from the length of the bytes Marshal makes.
+func FuzzEncodedSize(f *testing.F) {
+	for _, data := range sizeSamples(f) {
+		f.Add(data)
+	}
+	for _, data := range encodedSamples(f) {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, kind := range spec.Kinds() {
+			obj := spec.New(kind)
+			if codec.Unmarshal(data, obj) != nil {
+				continue
+			}
+			enc, err := codec.Marshal(obj)
+			if err != nil {
+				t.Fatalf("%s: decoded %x, cannot encode it: %v", kind, data, err)
+			}
+			if n, err := codec.Size(obj); err != nil || n != len(enc) {
+				t.Fatalf("%s: decoded %x: Size = %d (err %v), Marshal makes %d bytes", kind, data, n, err, len(enc))
+			}
 		}
 	})
 }

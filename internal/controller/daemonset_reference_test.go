@@ -149,7 +149,7 @@ func newDSSide() *dsSide {
 		s.calls = append(s.calls, fmt.Sprintf("%s %s %s/%s %x", msg.Verb, msg.Kind, msg.Namespace, msg.Name, msg.Data))
 		if msg.Verb == apiserver.VerbUpdateStatus && msg.Kind == spec.KindDaemonSet {
 			var ds spec.DaemonSet
-			if err := codec.Unmarshal(msg.Data, &ds); err == nil {
+			if err := codec.Unmarshal(msg.Encoded(), &ds); err == nil {
 				s.status = fmt.Sprintf("%d/%d/%d", ds.Status.DesiredNumber, ds.Status.CurrentNumber, ds.Status.NumberReady)
 			}
 		}

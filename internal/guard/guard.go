@@ -135,7 +135,8 @@ func (g *Guard) observe(m *apiserver.Message) {
 	if m.Verb != apiserver.VerbUpdate && m.Verb != apiserver.VerbUpdateStatus {
 		return // creations establish fields; only changes are guarded
 	}
-	if len(m.Data) == 0 {
+	data := m.Encoded()
+	if len(data) == 0 {
 		return
 	}
 	cur, err := g.client.Get(m.Kind, m.Namespace, m.Name)
@@ -143,7 +144,7 @@ func (g *Guard) observe(m *apiserver.Message) {
 		return
 	}
 	incoming := spec.New(m.Kind)
-	if err := codec.Unmarshal(m.Data, incoming); err != nil {
+	if err := codec.Unmarshal(data, incoming); err != nil {
 		return
 	}
 	instance := m.Namespace + "/" + m.Name

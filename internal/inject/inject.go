@@ -367,12 +367,13 @@ func (j *Injector) intercept(ch Channel, m *apiserver.Message) apiserver.Action 
 		j.fireOn(m, instance)
 		return apiserver.Drop
 	case FlipProtoByte:
-		if len(m.Data) == 0 {
+		data := m.Encoded()
+		if len(data) == 0 {
 			return apiserver.Pass
 		}
-		off := j.loop.Rand().Intn(len(m.Data))
+		off := j.loop.Rand().Intn(len(data))
 		bit := j.loop.Rand().Intn(8)
-		m.Data[off] ^= 1 << bit
+		data[off] ^= 1 << bit
 		m.Tampered = true
 		j.fireOn(m, instance)
 		return apiserver.Pass
@@ -391,10 +392,14 @@ func (j *Injector) intercept(ch Channel, m *apiserver.Message) apiserver.Action 
 // modifies the content, and re-serializes it, replacing the original").
 func (j *Injector) tamperField(in *Injection, m *apiserver.Message) bool {
 	obj := spec.New(m.Kind)
-	if obj == nil || len(m.Data) == 0 {
+	if obj == nil {
 		return false
 	}
-	if err := codec.Unmarshal(m.Data, obj); err != nil {
+	data := m.Encoded()
+	if len(data) == 0 {
+		return false
+	}
+	if err := codec.Unmarshal(data, obj); err != nil {
 		return false
 	}
 	old, err := codec.Get(obj, in.FieldPath)
@@ -417,11 +422,11 @@ func (j *Injector) tamperField(in *Injection, m *apiserver.Message) bool {
 	if err := codec.Set(obj, in.FieldPath, newVal); err != nil {
 		return false
 	}
-	data, err := codec.Marshal(obj)
+	tampered, err := codec.Marshal(obj)
 	if err != nil {
 		return false
 	}
-	m.Data = data
+	m.Data = tampered
 	m.Tampered = true
 	j.report.OldValue = old
 	j.report.NewValue = newVal

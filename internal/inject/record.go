@@ -71,14 +71,15 @@ func (r *Recorder) Hook() apiserver.Hook {
 
 func (r *Recorder) observe(m *apiserver.Message) {
 	r.kinds[m.Kind]++
-	if len(m.Data) == 0 {
+	data := m.Encoded()
+	if len(data) == 0 {
 		return
 	}
 	obj := spec.New(m.Kind)
 	if obj == nil {
 		return
 	}
-	if err := codec.Unmarshal(m.Data, obj); err != nil {
+	if err := codec.Unmarshal(data, obj); err != nil {
 		return
 	}
 	for _, f := range codec.Fields(obj) {

@@ -122,7 +122,7 @@ func TestAtRestCorruptionIsMaskedUntilRestart(t *testing.T) {
 	}
 	cl.Loop.RunUntil(cl.Loop.Now() + 2*time.Second)
 	kv, _ := st.Get(key)
-	overwritten := storedReplicas(kv.Value) == 2
+	overwritten := storedReplicas(kv.Bytes()) == 2
 
 	// Corrupt again and restart the apiserver: the re-list picks the
 	// corruption up.

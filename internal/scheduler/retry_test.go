@@ -145,7 +145,7 @@ func newRetryRig(t testing.TB) *retryRig {
 			return apiserver.Pass
 		}
 		var pod spec.Pod
-		if err := codec.Unmarshal(m.Data, &pod); err != nil {
+		if err := codec.Unmarshal(m.Encoded(), &pod); err != nil {
 			t.Fatalf("%s: decoding a bind: %v", r.step, err)
 		}
 		r.got = append(r.got, bind{podKey(&pod), pod.Spec.NodeName})

@@ -342,7 +342,7 @@ func TestPendingStaysInsideTheView(t *testing.T) {
 	step = "event tampered to another name"
 	onNext(apiserver.VerbCreate, func(m *apiserver.Message) apiserver.Action {
 		var p spec.Pod
-		if err := codec.Unmarshal(m.Data, &p); err != nil {
+		if err := codec.Unmarshal(m.Encoded(), &p); err != nil {
 			t.Errorf("decoding the watch event: %v", err)
 			return apiserver.Pass
 		}

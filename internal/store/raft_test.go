@@ -144,11 +144,11 @@ func TestRestoredReplicaAdoptsDonorTerm(t *testing.T) {
 func TestOneMemberDropRestoreHeal(t *testing.T) {
 	loop := sim.NewLoop(11)
 	r := NewReplicated(loop, 1, nil)
-	if _, err := r.PutVia(0, "/k", spec.KindPod, []byte("v")); err != nil {
+	if _, err := r.PutVia(0, "/k", spec.KindPod, Entry{Value: []byte("v")}); err != nil {
 		t.Fatal(err)
 	}
 	r.DropReplica(0)
-	if _, err := r.PutVia(0, "/k2", spec.KindPod, []byte("v")); !errors.Is(err, ErrReplicaDown) {
+	if _, err := r.PutVia(0, "/k2", spec.KindPod, Entry{Value: []byte("v")}); !errors.Is(err, ErrReplicaDown) {
 		t.Fatalf("PutVia on a dropped replica: err %v, want ErrReplicaDown", err)
 	}
 	if _, _, err := r.GetFrom(0, "/k"); !errors.Is(err, ErrReplicaDown) {

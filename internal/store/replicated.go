@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 
 	"github.com/mutiny-sim/mutiny/internal/sim"
@@ -42,6 +41,8 @@ var (
 //
 // Apiservers use the *From/*Via variants, which carry their origin and report
 // replica health as errors; List, Revision, SizeBytes and Len read replica 0.
+// Replicas share entries: an accepted write's entry — the one sealed object,
+// or the one copy of tampered bytes — is what every replica holds.
 type Replicated struct {
 	loop     *sim.Loop
 	replicas []*Store
@@ -72,12 +73,11 @@ type vote struct {
 }
 
 // repOp is one committed op, as a replica applies it live or on catch-up: a
-// delete of key, or a put of value — PutVia's one owned copy of the written
-// bytes, shared by every replica.
+// delete of key, or a put of the entry PutVia installed at the origin.
 type repOp struct {
 	key   string
 	kind  spec.Kind
-	value []byte
+	entry Entry
 	del   bool
 }
 
@@ -87,7 +87,7 @@ func applyOp(rep *Store, op repOp) {
 		rep.Delete(op.key)
 		return
 	}
-	_, _ = rep.putOwned(op.key, op.kind, op.value)
+	_, _ = rep.putOwned(op.key, op.kind, op.entry)
 }
 
 // NewReplicated creates n store replicas, which run an election when there
@@ -165,14 +165,16 @@ func (r *Replicated) quorumFrom(origin int) bool {
 	return n > len(r.replicas)/2
 }
 
-// PutVia writes through the given origin replica and replicates the op. The
+// PutVia writes e through the given origin replica and replicates the op. The
 // write is acknowledged from the origin — by the time any component observes
 // it, the (possibly corrupted) value is what consensus will agree on — with
-// the KV the origin committed: the one owned array the op installs there and
-// carries to every other replica, and the origin's revision. A lost origin or
-// a minority-side origin rejects the write, and a refused write returns the
-// zero KV.
-func (r *Replicated) PutVia(origin int, key string, kind spec.Kind, value []byte) (KV, error) {
+// the KV the origin committed: the entry the op installs there and carries to
+// every other replica, and the origin's revision. A bytes entry's Value is
+// copied once, since callers pass reused encode buffers, and that one array
+// is shared by every replica; an object entry is installed as it is, so an
+// untampered write copies nothing. A lost origin or a minority-side origin
+// rejects the write, and a refused write returns the zero KV.
+func (r *Replicated) PutVia(origin int, key string, kind spec.Kind, e Entry) (KV, error) {
 	if r.down[origin] {
 		return KV{}, ErrReplicaDown
 	}
@@ -180,21 +182,15 @@ func (r *Replicated) PutVia(origin int, key string, kind spec.Kind, value []byte
 		return KV{}, ErrNoQuorum
 	}
 	rep := r.replicas[origin]
-	if err := rep.admits(value); err != nil {
+	if err := rep.admits(e.Size()); err != nil {
 		return KV{}, err // refused before the copy: a rejected write allocates nothing
 	}
-	// One copy per accepted write, shared by every replica: the caller's
-	// bytes typically live in a reused encode buffer, so the fan-out takes
-	// an owned immutable array up front and installs that same array at the
-	// origin, at every reachable replica, and in every catch-up queue —
-	// instead of one defensive copy per replica.
-	var owned []byte
-	if len(value) > 0 {
-		owned = append([]byte(nil), value...)
+	if len(e.Value) > 0 {
+		e.Value = append([]byte(nil), e.Value...)
 	}
-	rev := rep.install(key, kind, owned)
-	r.apply(origin, repOp{key: key, kind: kind, value: owned})
-	return KV{Key: key, Kind: kind, Value: owned, Revision: rev}, nil
+	rev := rep.install(key, kind, e)
+	r.apply(origin, repOp{key: key, kind: kind, entry: e})
+	return KV{Key: key, Kind: kind, Entry: e, Revision: rev}, nil
 }
 
 // DeleteVia removes through the given origin replica and replicates the
@@ -237,11 +233,16 @@ func (r *Replicated) Subscribe(i int, fn func(Event)) (cancel func()) {
 	return r.replicas[i].Subscribe(fn)
 }
 
-// List reads from replica 0; empty when the replica is lost.
+// List reads from replica 0, empty when the replica is lost, with every
+// entry's bytes in Value: a listing for byte readers, which encodes each
+// object entry (ListFrom hands entries over as they are stored).
 func (r *Replicated) List(prefix string) []KV {
 	kvs, err := r.ListFrom(0, prefix)
 	if err != nil {
 		return nil
+	}
+	for i := range kvs {
+		kvs[i].Entry = Entry{Value: kvs[i].Bytes()}
 	}
 	return kvs
 }
@@ -357,7 +358,9 @@ func (r *Replicated) Heal() {
 // QuorumGet reads key from every live replica and returns the value a
 // majority of the full membership agrees on. A single corrupted-at-rest
 // replica is outvoted, which is why the paper observes that "quorum reads
-// mitigate corrupted values".
+// mitigate corrupted values". Replicas that hold one write's object entry
+// agree without a byte being made; two different entries are compared by
+// their bytes.
 func (r *Replicated) QuorumGet(key string) (KV, bool) {
 	votes := r.tally[:0]
 	defer func() { clear(votes); r.tally = votes[:0] }()
@@ -368,7 +371,7 @@ func (r *Replicated) QuorumGet(key string) (KV, bool) {
 		kv, ok := rep.Get(key)
 		matched := false
 		for i := range votes {
-			if votes[i].found == ok && (!ok || bytes.Equal(votes[i].kv.Value, kv.Value)) {
+			if votes[i].found == ok && (!ok || votes[i].kv.Same(kv.Entry)) {
 				votes[i].count++
 				matched = true
 				break
@@ -394,12 +397,13 @@ func (r *Replicated) QuorumGet(key string) (KV, bool) {
 	return KV{}, false
 }
 
-// Converged reports whether all replicas hold byte-identical values for key.
+// Converged reports whether all replicas hold byte-identical values for key
+// (compared as QuorumGet compares them).
 func (r *Replicated) Converged(key string) bool {
 	ref, refOK := r.replicas[0].Get(key)
 	for _, rep := range r.replicas[1:] {
 		kv, ok := rep.Get(key)
-		if ok != refOK || !bytes.Equal(kv.Value, ref.Value) {
+		if ok != refOK || ok && !kv.Same(ref.Entry) {
 			return false
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/mutiny-sim/mutiny/internal/codec"
 	"github.com/mutiny-sim/mutiny/internal/sim"
 	"github.com/mutiny-sim/mutiny/internal/spec"
 )
@@ -16,10 +17,10 @@ import (
 func TestReplicatedConvergence(t *testing.T) {
 	loop := sim.NewLoop(1)
 	r := NewReplicated(loop, 3, nil)
-	if _, err := r.PutVia(0, "/registry/Pod/default/a", spec.KindPod, []byte("v1")); err != nil {
+	if _, err := r.PutVia(0, "/registry/Pod/default/a", spec.KindPod, Entry{Value: []byte("v1")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.PutVia(0, "/registry/Pod/default/b", spec.KindPod, []byte("v2")); err != nil {
+	if _, err := r.PutVia(0, "/registry/Pod/default/b", spec.KindPod, Entry{Value: []byte("v2")}); err != nil {
 		t.Fatal(err)
 	}
 	_, _ = r.DeleteVia(0, "/registry/Pod/default/b")
@@ -49,7 +50,7 @@ func TestReplicatedAgreesOnCorruptValue(t *testing.T) {
 	loop := sim.NewLoop(2)
 	r := NewReplicated(loop, 3, nil)
 	corrupted := []byte{0xde, 0xad} // stands in for a tampered transaction
-	if _, err := r.PutVia(0, "/registry/Pod/default/a", spec.KindPod, corrupted); err != nil {
+	if _, err := r.PutVia(0, "/registry/Pod/default/a", spec.KindPod, Entry{Value: corrupted}); err != nil {
 		t.Fatal(err)
 	}
 	loop.RunUntil(5 * time.Second)
@@ -70,7 +71,7 @@ func TestReplicatedAgreesOnCorruptValue(t *testing.T) {
 func TestQuorumReadMasksSingleReplicaCorruption(t *testing.T) {
 	loop := sim.NewLoop(3)
 	r := NewReplicated(loop, 3, nil)
-	if _, err := r.PutVia(0, "/registry/Pod/default/a", spec.KindPod, []byte("good")); err != nil {
+	if _, err := r.PutVia(0, "/registry/Pod/default/a", spec.KindPod, Entry{Value: []byte("good")}); err != nil {
 		t.Fatal(err)
 	}
 	loop.RunUntil(5 * time.Second)
@@ -94,7 +95,7 @@ func TestQuorumReadMasksSingleReplicaCorruption(t *testing.T) {
 func TestQuorumGetDoesNotAllocate(t *testing.T) {
 	r := NewReplicated(sim.NewLoop(3), 3, nil)
 	for _, k := range []string{"/agreed", "/diverged"} {
-		if _, err := r.PutVia(0, k, spec.KindPod, []byte("good")); err != nil {
+		if _, err := r.PutVia(0, k, spec.KindPod, Entry{Value: []byte("good")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -115,7 +116,7 @@ func TestQuorumGetDoesNotAllocate(t *testing.T) {
 func TestReplicatedSingleNode(t *testing.T) {
 	loop := sim.NewLoop(4)
 	r := NewReplicated(loop, 1, nil)
-	if _, err := r.PutVia(0, "/k", spec.KindPod, []byte("v")); err != nil {
+	if _, err := r.PutVia(0, "/k", spec.KindPod, Entry{Value: []byte("v")}); err != nil {
 		t.Fatal(err)
 	}
 	loop.RunUntil(time.Second)
@@ -130,7 +131,7 @@ func TestReplicatedWatchServesPrimary(t *testing.T) {
 	r := NewReplicated(loop, 3, nil)
 	var events []Event
 	r.Subscribe(0, func(ev Event) { events = append(events, ev) })
-	if _, err := r.PutVia(0, "/k", spec.KindPod, []byte("v")); err != nil {
+	if _, err := r.PutVia(0, "/k", spec.KindPod, Entry{Value: []byte("v")}); err != nil {
 		t.Fatal(err)
 	}
 	loop.RunUntil(time.Second)
@@ -228,7 +229,7 @@ func TestOneMemberStoreIsAStore(t *testing.T) {
 	r := NewReplicated(loop, 1, opts)
 	member := oneMemberScript(loop, storeOps{
 		put: func(key string, v []byte) (int64, error) {
-			kv, err := r.PutVia(0, key, spec.KindPod, v)
+			kv, err := r.PutVia(0, key, spec.KindPod, Entry{Value: v})
 			return kv.Revision, err
 		},
 		del: func(key string) bool {
@@ -271,11 +272,11 @@ func TestOneMemberStoreIsAStore(t *testing.T) {
 func TestRejectedWriteAllocatesNothing(t *testing.T) {
 	r := NewReplicated(sim.NewLoop(1), 1, &Options{QuotaBytes: 10})
 	value := make([]byte, 20)
-	if _, err := r.PutVia(0, "/a", spec.KindPod, value); err != nil {
+	if _, err := r.PutVia(0, "/a", spec.KindPod, Entry{Value: value}); err != nil {
 		t.Fatal(err) // crosses the quota, but was admitted below it
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := r.PutVia(0, "/b", spec.KindPod, value); !errors.Is(err, ErrNoSpace) {
+		if _, err := r.PutVia(0, "/b", spec.KindPod, Entry{Value: value}); !errors.Is(err, ErrNoSpace) {
 			t.Fatalf("PutVia past quota: err %v, want ErrNoSpace", err)
 		}
 	})
@@ -289,12 +290,12 @@ func TestRejectedWriteAllocatesNothing(t *testing.T) {
 // cut heals, at the origin's revision. A refused write returns the zero KV.
 func TestPutViaReturnsTheCommittedKV(t *testing.T) {
 	r := NewReplicated(sim.NewLoop(1), 3, &Options{MaxValueBytes: 8})
-	if _, err := r.PutVia(0, "/a", spec.KindPod, []byte("v0")); err != nil {
+	if _, err := r.PutVia(0, "/a", spec.KindPod, Entry{Value: []byte("v0")}); err != nil {
 		t.Fatal(err) // the origin's revision runs ahead of replica 2's from here
 	}
 	r.Partition([]int{0, 1}, []int{2})
 	value := []byte("v1")
-	kv, err := r.PutVia(0, "/k", spec.KindPod, value)
+	kv, err := r.PutVia(0, "/k", spec.KindPod, Entry{Value: value})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,12 +335,119 @@ func TestPutViaReturnsTheCommittedKV(t *testing.T) {
 	} {
 		r := NewReplicated(sim.NewLoop(1), 3, &Options{MaxValueBytes: 8})
 		tc.setup(r)
-		kv, err := r.PutVia(0, "/k", spec.KindPod, tc.value)
+		kv, err := r.PutVia(0, "/k", spec.KindPod, Entry{Value: tc.value})
 		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: err %v, want %v", tc.name, err, tc.want)
 		}
 		if !reflect.DeepEqual(kv, KV{}) {
 			t.Errorf("%s: a refused PutVia returned %+v, want the zero KV", tc.name, kv)
 		}
+	}
+}
+
+// objectWrite returns a sealed pod stamped with revision rev and its object
+// entry, written by a writer that saw wireRV.
+func objectWrite(t *testing.T, name string, wireRV, rev int64) (*spec.Pod, Entry) {
+	t.Helper()
+	pod := &spec.Pod{Metadata: spec.ObjectMeta{Name: name, Namespace: spec.DefaultNamespace, ResourceVersion: wireRV}}
+	pod.Spec.NodeName = "node-1"
+	size, err := codec.Size(pod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := ObjectEntry(pod, wireRV, int64(size))
+	pod.Metadata.ResourceVersion = rev
+	spec.Seal(pod)
+	return pod, e
+}
+
+// An object entry is what every replica holds — live, after a catch-up and
+// after a state transfer — with no byte made and none copied; its bytes, made
+// for a byte reader, are the object's encoding at its writer's revision; the
+// quota counts their length; and replicas holding the one write's entry agree
+// without a byte made, while an at-rest rewrite of one of them is outvoted by
+// the bytes.
+func TestReplicasShareObjectEntries(t *testing.T) {
+	r := NewReplicated(sim.NewLoop(1), 3, nil)
+	if _, err := r.PutVia(0, "/registry/Pod/default/warm", spec.KindPod, Entry{Value: []byte("v")}); err != nil {
+		t.Fatal(err)
+	}
+	r.Partition([]int{0, 1}, []int{2})
+	pod, e := objectWrite(t, "a", 0, 2)
+	key := "/registry/Pod/default/a"
+	kv, err := r.PutVia(0, key, spec.KindPod, e)
+	if err != nil || kv.Revision != 2 || kv.Object() != pod || kv.Value != nil {
+		t.Fatalf("PutVia = %+v, %v; want the object entry at revision 2", kv, err)
+	}
+	holds := func(i int) {
+		t.Helper()
+		got, ok, err := r.GetFrom(i, key)
+		if err != nil || !ok || got.Object() != pod || got.Value != nil {
+			t.Fatalf("replica %d holds %+v (ok=%v, err %v), not the written object", i, got, ok, err)
+		}
+	}
+	holds(0)
+	holds(1)
+	r.Heal()
+	holds(2)
+	r.DropReplica(2)
+	r.RestoreReplica(2)
+	holds(2)
+
+	want := &spec.Pod{Metadata: spec.ObjectMeta{Name: "a", Namespace: spec.DefaultNamespace}}
+	want.Spec.NodeName = "node-1"
+	wire, _ := codec.Marshal(want)
+	if got := kv.Bytes(); !bytes.Equal(got, wire) || kv.Size() != int64(len(wire)) {
+		t.Fatalf("the entry makes %x (size %d), want the encoding at the writer's revision %x", got, kv.Size(), wire)
+	}
+	if got := r.SizeBytes(); got != int64(len("/registry/Pod/default/warm")+1+len(key)+len(wire)) {
+		t.Fatalf("SizeBytes = %d, want the keys and the encoded lengths", got)
+	}
+	for _, l := range r.List("/registry/Pod/default/a") {
+		if l.Object() != nil || !bytes.Equal(l.Value, wire) {
+			t.Fatalf("List serves %+v, want bytes", l)
+		}
+	}
+
+	if allocs := testing.AllocsPerRun(100, func() {
+		if got, ok := r.QuorumGet(key); !ok || got.Object() != pod {
+			t.Fatalf("QuorumGet = %+v, %v", got, ok)
+		}
+	}); allocs != 0 || !r.Converged(key) {
+		t.Fatalf("three replicas holding one write: QuorumGet allocates %.1f times, converged %v", allocs, r.Converged(key))
+	}
+	r.Replica(2).CorruptAtRest(key, func(b []byte) []byte {
+		if !bytes.Equal(b, wire) {
+			t.Fatalf("CorruptAtRest was handed %x, want the entry's bytes", b)
+		}
+		b[len(b)-1] ^= 1
+		return b
+	})
+	if got, ok := r.QuorumGet(key); !ok || got.Object() != pod || r.Converged(key) {
+		t.Fatalf("one rewritten replica: QuorumGet = %+v, %v; converged %v", got, ok, r.Converged(key))
+	}
+	if kv, _ := r.Replica(2).Get(key); kv.Object() != nil || kv.Size() != int64(len(wire)) {
+		t.Fatalf("the rewritten replica holds %+v, want bytes of the same length", kv)
+	}
+
+	clone := r.Snapshot().Clone()
+	for _, it := range clone.Replicas[0].Items {
+		if it.Key == key && (it.Object() != nil || !bytes.Equal(it.Value, wire)) {
+			t.Fatalf("the clone holds %+v for the object entry, want its bytes", it)
+		}
+	}
+}
+
+// A refused object write allocates nothing, like a refused bytes write.
+func TestRejectedObjectWriteAllocatesNothing(t *testing.T) {
+	r := NewReplicated(sim.NewLoop(1), 1, &Options{MaxValueBytes: 8})
+	_, e := objectWrite(t, "a", 0, 1)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := r.PutVia(0, "/a", spec.KindPod, e); err != ErrTooLarge {
+			t.Fatalf("PutVia of %d bytes over an 8-byte limit: err %v, want the bare ErrTooLarge", e.Size(), err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a refused object write allocates %.0f times, want 0", allocs)
 	}
 }

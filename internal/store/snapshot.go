@@ -11,18 +11,19 @@ import (
 // loop, watcher, or timer references — so one snapshot can seed any number
 // of forked clusters concurrently.
 //
-// Value bytes are shared, not copied: the store's copy-on-write discipline
-// (see Put) makes every stored array immutable, so capture and restore alias
-// the same arrays across the source cluster, the snapshot, and every fork.
-// A fork that overwrites a key installs a fresh array and the shared one is
-// simply no longer referenced there — forks never observe each other's
-// writes, and snapshot capture/restore is O(items), not O(bytes).
+// Entries are shared, not copied: the store's copy-on-write discipline (see
+// Put) makes every stored array and every object entry's sealed object
+// immutable, so capture and restore alias the same values across the source
+// cluster, the snapshot, and every fork. A fork that overwrites a key
+// installs a new entry and the shared one is simply no longer referenced
+// there — forks never observe each other's writes, and snapshot
+// capture/restore is O(items), not O(bytes).
 
 // ItemSnapshot is one stored key with its full revision metadata.
 type ItemSnapshot struct {
-	Key       string
-	Kind      spec.Kind
-	Value     []byte
+	Key  string
+	Kind spec.Kind
+	Entry
 	CreateRev int64
 	ModRev    int64
 }
@@ -41,10 +42,11 @@ type Snapshot struct {
 	Replicas []StoreSnapshot
 }
 
-// Clone returns a snapshot whose value bytes live in freshly allocated,
-// per-replica contiguous arenas. Content is identical — a restore from the
-// clone is byte-equivalent to a restore from the original — but nothing
-// aliases the source snapshot's arrays. Its only caller is
+// Clone returns a snapshot of bytes entries whose bytes live in freshly
+// allocated, per-replica contiguous arenas: each object entry is encoded at
+// the resourceVersion its writer saw. Content is identical — a restore from
+// the clone is byte-equivalent to a restore from the original — but nothing
+// aliases the source snapshot's arrays or objects. Its only caller is
 // cluster.Snapshot.WorkerView, which stays compiled only for the benchmark's
 // cluster.worker_view_ms metric.
 func (s *Snapshot) Clone() *Snapshot {
@@ -59,9 +61,9 @@ func (s *Snapshot) Clone() *Snapshot {
 }
 
 func (s StoreSnapshot) clone() StoreSnapshot {
-	total := 0
+	var total int64
 	for i := range s.Items {
-		total += len(s.Items[i].Value)
+		total += s.Items[i].Size()
 	}
 	// One arena per replica: the capacity is exact, so the appends below
 	// never reallocate, and the three-index reslice caps each item at its
@@ -71,8 +73,8 @@ func (s StoreSnapshot) clone() StoreSnapshot {
 	items := make([]ItemSnapshot, len(s.Items))
 	for i, it := range s.Items {
 		start := len(arena)
-		arena = append(arena, it.Value...)
-		it.Value = arena[start:len(arena):len(arena)]
+		arena = append(arena, it.Bytes()...)
+		it.Entry = Entry{Value: arena[start:len(arena):len(arena)]}
 		items[i] = it
 	}
 	return StoreSnapshot{Items: items, Rev: s.Rev, Size: s.Size}
@@ -112,7 +114,7 @@ func (s *Store) snapshot() StoreSnapshot {
 		out.Items = append(out.Items, ItemSnapshot{
 			Key:       key,
 			Kind:      it.kind,
-			Value:     it.value, // immutable; shared with the live store
+			Entry:     it.entry, // immutable; shared with the live store
 			CreateRev: it.createRev,
 			ModRev:    it.modRev,
 		})
@@ -134,7 +136,7 @@ func (s *Store) restore(snap StoreSnapshot) {
 	for i, it := range snap.Items {
 		s.restored[i] = item{
 			kind:      it.Kind,
-			value:     it.Value, // immutable; shared across every fork
+			entry:     it.Entry, // immutable; shared across every fork
 			createRev: it.CreateRev,
 			modRev:    it.ModRev,
 		}

@@ -17,9 +17,9 @@ func TestSnapshotCloneIsDeepAndEqual(t *testing.T) {
 		Rev:  42,
 		Size: 11,
 		Items: []ItemSnapshot{
-			{Key: "/registry/pods/a", Kind: "Pod", Value: []byte("alpha"), CreateRev: 1, ModRev: 2},
-			{Key: "/registry/pods/b", Kind: "Pod", Value: []byte("bravo!"), CreateRev: 3, ModRev: 4},
-			{Key: "/registry/svc/c", Kind: "Service", Value: nil, CreateRev: 5, ModRev: 5},
+			{Key: "/registry/pods/a", Kind: "Pod", Entry: Entry{Value: []byte("alpha")}, CreateRev: 1, ModRev: 2},
+			{Key: "/registry/pods/b", Kind: "Pod", Entry: Entry{Value: []byte("bravo!")}, CreateRev: 3, ModRev: 4},
+			{Key: "/registry/svc/c", Kind: "Service", CreateRev: 5, ModRev: 5},
 		},
 	}}}
 

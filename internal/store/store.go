@@ -3,12 +3,19 @@
 //
 // It mirrors the etcd properties the paper's injection methodology relies on
 // (§II-C, §IV-A): all cluster state is confined here, making it the
-// dependability bottleneck; values are opaque serialized bytes, so a
-// corrupted transaction is stored verbatim and every observer sees the same
-// wrong value; and a store that runs out of space stops accepting writes,
-// which is the terminal phase of the paper's uncontrolled-replication
-// failures ("eventually, the disk of the control plane Node can fill up,
-// stalling Etcd").
+// dependability bottleneck; a corrupted transaction is stored verbatim, so
+// every observer sees the same wrong value; and a store that runs out of
+// space stops accepting writes, which is the terminal phase of the paper's
+// uncontrolled-replication failures ("eventually, the disk of the control
+// plane Node can fill up, stalling Etcd").
+//
+// A value is an Entry, and an entry holds one of two things. An object entry
+// is the sealed object an untampered API server write persisted: its bytes —
+// the encoding the server would have sent, at the resourceVersion its writer
+// saw — are made only when a reader asks (Entry.Bytes), and its size is their
+// exact length. A bytes entry holds opaque serialized bytes verbatim: a write
+// a request- or store-channel fault tampered with, bytes rewritten at rest,
+// anything Put stores. Either way the quota counts encoded bytes.
 package store
 
 import (
@@ -18,6 +25,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/mutiny-sim/mutiny/internal/codec"
 	"github.com/mutiny-sim/mutiny/internal/sim"
 	"github.com/mutiny-sim/mutiny/internal/spec"
 )
@@ -50,20 +58,82 @@ func (t EventType) String() string {
 	}
 }
 
-// Event describes one committed change.
+// Entry is one stored value: an object entry or a bytes entry (see the
+// package doc). It is a value — replication, catch-up queues, events and
+// snapshots carry it by value — and immutable: an object entry's object is
+// sealed, and a bytes entry's array is never written once the store holds it.
+type Entry struct {
+	// Value is a bytes entry's bytes, nil in an object entry; Bytes returns
+	// either's.
+	Value []byte
+	// obj is an object entry's sealed object, nil in a bytes entry; wireRV is
+	// the resourceVersion its bytes carry (the one its writer saw — obj is
+	// stamped with the revision the write committed at), and size their
+	// length.
+	obj    spec.Object
+	wireRV int64
+	size   int64
+}
+
+// ObjectEntry returns the object entry of obj, whose encoding at wireRV is
+// size bytes long. obj must be sealed before anything reads the entry, and
+// stamped then with the revision the write committed at.
+func ObjectEntry(obj spec.Object, wireRV, size int64) Entry {
+	return Entry{obj: obj, wireRV: wireRV, size: size}
+}
+
+// Object returns an object entry's sealed object, nil for a bytes entry.
+func (e Entry) Object() spec.Object { return e.obj }
+
+// Size returns the length of the entry's bytes, without making them.
+func (e Entry) Size() int64 {
+	if e.obj != nil {
+		return e.size
+	}
+	return int64(len(e.Value))
+}
+
+// Bytes returns the entry's bytes: a bytes entry's own array, or, for an
+// object entry, a fresh encoding of its object at the resourceVersion its
+// writer saw — byte for byte what the API server would have stored.
+func (e Entry) Bytes() []byte {
+	if e.obj == nil {
+		return e.Value
+	}
+	enc, err := codec.Marshal(e.obj)
+	if err != nil {
+		return nil // cannot happen: the writer sized the object with codec.Size
+	}
+	out, ok := codec.AppendPrefixWithRV(make([]byte, 0, e.size), enc, e.wireRV)
+	if !ok {
+		return nil // cannot happen: every object encoding starts with its metadata
+	}
+	return out
+}
+
+// Same reports whether e and o hold the same bytes, making them only when the
+// two are not one write's object entry.
+func (e Entry) Same(o Entry) bool {
+	if e.obj != nil && e.obj == o.obj {
+		return true
+	}
+	return string(e.Bytes()) == string(o.Bytes())
+}
+
+// Event describes one committed change; its entry is zero for a delete.
 type Event struct {
-	Type     EventType
-	Key      string
-	Kind     spec.Kind
-	Value    []byte // serialized object; nil for deletes
+	Type EventType
+	Key  string
+	Kind spec.Kind
+	Entry
 	Revision int64
 }
 
-// KV is a key with its stored bytes.
+// KV is a key with its stored entry.
 type KV struct {
-	Key      string
-	Kind     spec.Kind
-	Value    []byte
+	Key  string
+	Kind spec.Kind
+	Entry
 	Revision int64
 }
 
@@ -125,7 +195,7 @@ type Store struct {
 
 type item struct {
 	kind      spec.Kind
-	value     []byte
+	entry     Entry
 	createRev int64
 	modRev    int64
 }
@@ -175,9 +245,10 @@ func (s *Store) SizeBytes() int64 { return s.size }
 // QuotaExceeded reports whether the store is refusing writes.
 func (s *Store) QuotaExceeded() bool { return s.size > s.opts.QuotaBytes }
 
-// Put stores value under key and notifies the subscriber. The value is stored
-// verbatim: corruption introduced upstream is preserved and observed by
-// every component, exactly like a faulty transaction committed to etcd.
+// Put stores value under key as a bytes entry and notifies the subscriber.
+// The value is stored verbatim: corruption introduced upstream is preserved
+// and observed by every component, exactly like a faulty transaction
+// committed to etcd.
 //
 // Copy-on-write discipline: Put copies the caller's bytes exactly once into a
 // fresh backing array (callers commonly pass reused encode buffers), and that
@@ -186,29 +257,28 @@ func (s *Store) QuotaExceeded() bool { return s.size > s.opts.QuotaBytes }
 // of scribbling over the old one, so readers holding the previous revision
 // keep a consistent view.
 func (s *Store) Put(key string, kind spec.Kind, value []byte) (int64, error) {
-	if err := s.admits(value); err != nil {
+	if err := s.admits(int64(len(value))); err != nil {
 		return 0, err
 	}
-	return s.install(key, kind, append([]byte(nil), value...)), nil
+	return s.install(key, kind, Entry{Value: append([]byte(nil), value...)}), nil
 }
 
-// putOwned is Put minus the defensive copy, for callers that guarantee the
-// backing array of value is immutable and never reused — the replication
-// fan-out copies an accepted op's payload exactly once and installs that one
-// array at every replica (and in every catch-up queue). Callers passing
-// reused buffers must use Put.
-func (s *Store) putOwned(key string, kind spec.Kind, value []byte) (int64, error) {
-	if err := s.admits(value); err != nil {
+// putOwned stores an entry the store already owns — the replication fan-out
+// installs one accepted entry at every replica (and in every catch-up queue).
+func (s *Store) putOwned(key string, kind spec.Kind, e Entry) (int64, error) {
+	if err := s.admits(e.Size()); err != nil {
 		return 0, err
 	}
-	return s.install(key, kind, value), nil
+	return s.install(key, kind, e), nil
 }
 
-// admits reports why the store would refuse a write of value, nil if it
-// would take it: a value over the per-request limit, or a store over quota.
-func (s *Store) admits(value []byte) error {
-	if int64(len(value)) > s.opts.MaxValueBytes {
-		return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(value))
+// admits reports why the store would refuse a write of size encoded bytes,
+// nil if it would take it: a value over the per-request limit, or a store
+// over quota. The errors are the bare sentinels, so a refusal allocates
+// nothing.
+func (s *Store) admits(size int64) error {
+	if size > s.opts.MaxValueBytes {
+		return ErrTooLarge
 	}
 	if s.QuotaExceeded() {
 		return ErrNoSpace
@@ -216,40 +286,41 @@ func (s *Store) admits(value []byte) error {
 	return nil
 }
 
-// install commits stored (already owned by the store) under key and notifies
-// the subscriber.
-func (s *Store) install(key string, kind spec.Kind, stored []byte) int64 {
+// install commits e (already owned by the store) under key and notifies the
+// subscriber.
+func (s *Store) install(key string, kind spec.Kind, e Entry) int64 {
 	s.sorted = nil
 	s.rev++
 	it, exists := s.items[key]
 	if exists {
-		s.size -= int64(len(it.value))
-		it.value = stored
+		s.size -= it.entry.Size()
+		it.entry = e
 		it.modRev = s.rev
 		it.kind = kind
 	} else {
 		s.items[key] = &item{
 			kind:      kind,
-			value:     stored,
+			entry:     e,
 			createRev: s.rev,
 			modRev:    s.rev,
 		}
 		s.size += int64(len(key))
 	}
-	s.size += int64(len(stored))
-	s.notify(Event{Type: EventPut, Key: key, Kind: kind, Value: stored, Revision: s.rev})
+	s.size += e.Size()
+	s.notify(Event{Type: EventPut, Key: key, Kind: kind, Entry: e, Revision: s.rev})
 	return s.rev
 }
 
-// Get returns the stored bytes for key. The value is a sealed reference to
-// the immutable stored array — callers must not mutate it (CorruptAtRest is
-// the one sanctioned mutation path, and it replaces the array).
+// Get returns the entry stored under key. A bytes entry's Value is a sealed
+// reference to the immutable stored array — callers must not mutate it
+// (CorruptAtRest is the one sanctioned mutation path, and it replaces the
+// entry).
 func (s *Store) Get(key string) (KV, bool) {
 	it, ok := s.items[key]
 	if !ok {
 		return KV{}, false
 	}
-	return KV{Key: key, Kind: it.kind, Value: it.value, Revision: it.modRev}, true
+	return KV{Key: key, Kind: it.kind, Entry: it.entry, Revision: it.modRev}, true
 }
 
 // Delete removes key, notifying the subscriber. Deletes succeed even past quota so
@@ -261,20 +332,20 @@ func (s *Store) Delete(key string) bool {
 	}
 	s.sorted = nil
 	s.rev++
-	s.size -= int64(len(it.value)) + int64(len(key))
+	s.size -= it.entry.Size() + int64(len(key))
 	delete(s.items, key)
 	s.notify(Event{Type: EventDelete, Key: key, Kind: it.kind, Revision: s.rev})
 	return true
 }
 
-// List returns all entries under prefix in key order. Values are sealed
-// references under the same read-only contract as Get.
+// List returns all entries under prefix in key order, under the same
+// read-only contract as Get.
 func (s *Store) List(prefix string) []KV {
 	if s.sorted != nil {
 		out := make([]KV, 0, len(s.sorted))
 		for _, it := range s.sorted {
 			if strings.HasPrefix(it.Key, prefix) {
-				out = append(out, KV{Key: it.Key, Kind: it.Kind, Value: it.Value, Revision: it.ModRev})
+				out = append(out, KV{Key: it.Key, Kind: it.Kind, Entry: it.Entry, Revision: it.ModRev})
 			}
 		}
 		return out
@@ -282,7 +353,7 @@ func (s *Store) List(prefix string) []KV {
 	var out []KV
 	for key, it := range s.items {
 		if strings.HasPrefix(key, prefix) {
-			out = append(out, KV{Key: key, Kind: it.kind, Value: it.value, Revision: it.modRev})
+			out = append(out, KV{Key: key, Kind: it.kind, Entry: it.entry, Revision: it.modRev})
 		}
 	}
 	sortKVs(out)
@@ -307,21 +378,21 @@ func (s *Store) Subscribe(fn func(Event)) (cancel func()) {
 // CorruptAtRest silently corrupts the stored bytes of key without bumping the
 // revision or notifying the subscriber (the §V-C1 ablation: such corruption hides
 // behind the API server's watch cache until a refresh happens). The mutate
-// callback receives a private copy and the result becomes a new backing
-// array, honoring the copy-on-write discipline — readers and snapshots that
-// alias the old array keep the uncorrupted bytes, exactly like a disk-level
-// flip that postdates a backup. The new array is also what tells the API
-// server's decode cache, which knows stored arrays by address, that these are
-// not the bytes it decoded.
+// callback receives a private copy of the entry's bytes, and the result
+// becomes a new bytes entry, honoring the copy-on-write discipline — readers
+// and snapshots that hold the old entry keep the uncorrupted value, exactly
+// like a disk-level flip that postdates a backup. The new array is also what
+// tells the API server's decode cache, which knows stored arrays by address,
+// that these are not the bytes it decoded.
 func (s *Store) CorruptAtRest(key string, mutate func([]byte) []byte) bool {
 	it, ok := s.items[key]
 	if !ok {
 		return false
 	}
 	s.sorted = nil
-	s.size -= int64(len(it.value))
-	it.value = mutate(append([]byte(nil), it.value...))
-	s.size += int64(len(it.value))
+	s.size -= it.entry.Size()
+	it.entry = Entry{Value: mutate(append([]byte(nil), it.entry.Bytes()...))}
+	s.size += it.entry.Size()
 	return true
 }
 

@@ -60,7 +60,7 @@ func TestDriverRetriesConflicts(t *testing.T) {
 						return apiserver.Pass
 					}
 					obj := spec.New(m.Kind)
-					if err := codec.Unmarshal(m.Data, obj); err != nil {
+					if err := codec.Unmarshal(m.Encoded(), obj); err != nil {
 						t.Fatal(err)
 					}
 					obj.Meta().ResourceVersion += 1000
