@@ -116,29 +116,32 @@ type Message struct {
 	Name      string
 	Source    string // component identity that issued the request
 	// Data is the encoded object, nil for deletes. A hook reads the bytes
-	// through Encoded: on the apiserver→store channel they are made only
-	// when a hook asks for them.
+	// through Encoded: on the component→apiserver and apiserver→store
+	// channels they are made only when a hook asks for them.
 	Data []byte
 	// Tampered is set by an injection hook when it mutates the message; the
 	// audit counts a tampered request as persisted or errored for the
 	// propagation experiments (Table VI).
 	Tampered bool
 
-	// obj is the object a store-channel message carries until Encoded makes
-	// Data from it; srv encodes it, and made is the array it encoded into.
+	// obj is the object a request or store-channel message carries until
+	// Encoded makes Data from it; srv encodes it, and made is the array it
+	// encoded into.
 	obj  spec.Object
 	srv  *Server
 	made []byte
 }
 
 // Encoded returns the message's bytes, Data, making them first if the message
-// carries its object unencoded: the apiserver→store channel encodes a write
-// only for a hook that asks (the injector asks for the message it fires on,
-// the field guard and the recorder for every message), and stores it as its
-// sealed object when no hook changed it (see persistWrite).
+// carries its object unencoded. Both write channels encode only for a hook
+// that asks (the injector asks for the message it fires on, the field guard
+// and the recorder for every message they see), and a message no hook changed
+// goes on as its object: the request channel applies a private copy of the
+// caller's (see handle), the store channel stores the sealed object (see
+// persistWrite).
 func (m *Message) Encoded() []byte {
 	if m.obj != nil && m.Data == nil {
-		m.srv.encodeStore(m)
+		m.srv.encode(m)
 	}
 	return m.Data
 }
@@ -164,11 +167,12 @@ const (
 
 // Hook intercepts messages on a channel. The message is the server's own and
 // is valid only until the hook returns: a hook reads its fields, reads its
-// bytes through Encoded, and may mutate or replace Data and set Tampered, but
-// must not keep the pointer — the request and store channels hand every hook
-// the same two scratch values, zeroed when the request ends, and Data may
-// alias a buffer that is reused after it. The hooks in the tree
-// (inject.Recorder, inject.Injector, guard.Guard) copy what they keep.
+// bytes through Encoded (on the request and store channels Data is nil until
+// something asks), and may mutate or replace Data and set Tampered, but must
+// not keep the pointer — the request and store channels hand every hook the
+// same two scratch values, zeroed when the request ends, and Data may alias a
+// buffer that is reused after it. The hooks in the tree (inject.Recorder,
+// inject.Injector, guard.Guard) copy what they keep.
 type Hook func(*Message) Action
 
 // WatchEventType distinguishes watch notifications.
@@ -315,10 +319,10 @@ type Server struct {
 	// component→apiserver and apiserver→store channels: every write needs both
 	// only to show them to the hooks, so handle fills these two instead of
 	// allocating a pair, and zeroes them when it returns. reqData and
-	// storeData are the buffers their Data is encoded into, reused by the next
-	// request (the store copies what it keeps). A zero reqMsg.Verb means all
-	// four are free; a handle entered while they are not takes its own
-	// messages and encodes into fresh arrays (see scratch).
+	// storeData are the buffers their Data is encoded into when a hook asks,
+	// reused by the next request (the store copies what it keeps). A zero
+	// reqMsg.Verb means all four are free; a handle entered while they are not
+	// takes its own messages and encodes into fresh arrays (see encode).
 	reqMsg, storeMsg   Message
 	reqData, storeData []byte
 	// watchData is the buffer a watch-hook event is encoded into, for as long
@@ -548,10 +552,12 @@ func (s *Server) Audit() *Audit { return s.audit }
 func (s *Server) SetStoreWriteHook(h Hook) { s.storeWriteHook = h }
 
 // SetRequestHook installs the component→apiserver channel hook, nil to remove
-// it. While a hook is present every request crosses the wire: it is encoded,
-// shown to the hook and decoded again. Without one the server applies the
-// object the caller handed over, so a hook belongs on a server only while
-// something listens on the channel.
+// it. While a hook is present every request crosses the wire: it is shown to
+// the hook, encoded only if the hook asks, and applied as a private copy of
+// the caller's object, or as the decode of bytes the hook changed (see
+// received). Without one the server applies the object the caller handed
+// over, so a hook belongs on a server only while something listens on the
+// channel.
 func (s *Server) SetRequestHook(h Hook) { s.requestHook = h }
 
 // SetWatchHook installs the apiserver→component watch-channel hook (see the
@@ -698,39 +704,55 @@ func (s *Server) handle(identity string, verb Verb, obj spec.Object) (err error)
 		}
 	}()
 	// Fast path: no request hook, so nothing listens on the component→
-	// apiserver wire. Its round-trip (encode + decode) is then
-	// observationally dead weight, and so is a copy: every write hands its
+	// apiserver wire, and a copy is dead weight too: every write hands its
 	// object over (see Client.Create), and the server stamps, admits and
 	// seals the caller's instance itself. Only a sealed argument — a cache
 	// reference passed straight back — is copied first.
 	if s.requestHook == nil {
 		return s.apply(verb, msg, spec.CloneForWrite(obj))
 	}
-	// The request wire bytes live only for the duration of this (synchronous)
-	// handle call — the store copies on Put — so they are encoded into the
-	// server's request buffer instead of a per-request allocation.
-	data, err := s.arena.AppendMarshal(s.scratch(msg, s.reqData), obj)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	s.reqData, msg.Data = data, data
-
-	// Channel 1: component → apiserver. Tampering here faces validation.
+	// Channel 1: component → apiserver. Tampering here faces validation. The
+	// message carries the caller's object, encoded only if the hook asks.
+	msg.obj, msg.srv = obj, s
 	if s.requestHook(msg) == Drop {
 		// The request never reaches the server; the component times out.
 		return ErrTimeout
 	}
-
-	recv := spec.New(kind)
-	if err := codec.Unmarshal(msg.Data, recv); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadRequest, err)
+	recv, err := s.received(msg, obj)
+	if err != nil {
+		return err
 	}
-
 	return s.apply(verb, msg, recv)
 }
 
+// received returns the object the server applies for a request that crossed
+// the request hook. Bytes a hook tampered with or put in place of the
+// server's are decoded, so a corrupted request faces validation as the decode
+// of what reached the server. Otherwise the wire would carry the caller's
+// object unchanged, and its decode would equal a private copy of it (the
+// codec round-trips exactly; FuzzRequestCopyMatchesRoundTrip): for a status
+// write the status clone, whose metadata and spec alias the caller's
+// read-only — apply grafts only its status onto the stored object — and a
+// deep clone for every other verb. Either way the caller's instance comes
+// out of the request unstamped, unsealed and without the revision report.
+func (s *Server) received(msg *Message, obj spec.Object) (spec.Object, error) {
+	if msg.Tampered || !msg.ownBytes() {
+		recv := spec.New(msg.Kind)
+		if err := codec.Unmarshal(msg.Encoded(), recv); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		}
+		return recv, nil
+	}
+	if msg.Verb == VerbUpdateStatus {
+		if cp := spec.WithStatus(obj, obj); cp != nil {
+			return cp, nil
+		}
+	}
+	return obj.Clone(), nil
+}
+
 // apply validates, admits and persists a request object: the one the caller
-// handed over, or the decode of its wire bytes. Existence and
+// handed over, or what crossed the request hook (see received). Existence and
 // resource-version checks read the backend, not the watch cache: writes are
 // transactional against the store (like etcd txns), while reads are served
 // from the cache.
@@ -877,22 +899,29 @@ func (s *Server) persistWrite(verb Verb, msg *Message, obj spec.Object, key stri
 	return nil
 }
 
-// encodeStore makes the bytes of store-channel message m from its object: into
-// the server's store buffer for the outermost request's message (the store
-// copies what it keeps), into a fresh array for a nested request's, whose
-// encode must not overwrite the bytes the outer request is still showing its
-// hooks.
-func (s *Server) encodeStore(m *Message) {
+// encode makes the bytes of request or store-channel message m from its
+// object: into the server's request or store buffer for the outermost
+// request's messages (the store copies what it keeps), into a fresh array for
+// a nested request's, whose encode must not overwrite the bytes the outer
+// request is still showing its hooks.
+func (s *Server) encode(m *Message) {
+	var own *[]byte
+	switch m {
+	case &s.reqMsg:
+		own = &s.reqData
+	case &s.storeMsg:
+		own = &s.storeData
+	}
 	var buf []byte
-	if m == &s.storeMsg {
-		buf = s.storeData[:0]
+	if own != nil {
+		buf = (*own)[:0]
 	}
 	data, err := s.arena.AppendMarshal(buf, m.obj)
 	if err != nil {
-		return // cannot happen: persistWrite sized the object first
+		return // not for a spec object; persistWrite's Size refuses one that fails
 	}
-	if m == &s.storeMsg {
-		s.storeData = data
+	if own != nil {
+		*own = data
 	}
 	m.Data, m.made, m.obj = data, data, nil
 }
@@ -1315,17 +1344,6 @@ func without(list []*watcher, w *watcher) []*watcher {
 		return slices.Delete(list, i, i+1)
 	}
 	return list
-}
-
-// scratch returns buf, emptied, as the encode destination of the request
-// whose message is msg when that is the outermost request, and nil — a fresh
-// array — for a request nested in it (issued from a hook), whose encode must
-// not overwrite the bytes the outer request is still showing its hooks.
-func (s *Server) scratch(msg *Message, buf []byte) []byte {
-	if msg != &s.reqMsg {
-		return nil
-	}
-	return buf[:0]
 }
 
 // spliceStatus builds the canonical encoding of obj, a status clone of the

@@ -146,7 +146,7 @@ func newDSSide() *dsSide {
 	srv := apiserver.New(loop, rep, nil)
 	s := &dsSide{loop: loop, st: rep.Replica(0), m: NewManager(loop, srv.Endpoints(), "kcm-0")}
 	srv.SetRequestHook(func(msg *apiserver.Message) apiserver.Action {
-		s.calls = append(s.calls, fmt.Sprintf("%s %s %s/%s %x", msg.Verb, msg.Kind, msg.Namespace, msg.Name, msg.Data))
+		s.calls = append(s.calls, fmt.Sprintf("%s %s %s/%s %x", msg.Verb, msg.Kind, msg.Namespace, msg.Name, msg.Encoded()))
 		if msg.Verb == apiserver.VerbUpdateStatus && msg.Kind == spec.KindDaemonSet {
 			var ds spec.DaemonSet
 			if err := codec.Unmarshal(msg.Encoded(), &ds); err == nil {

@@ -12,11 +12,12 @@ import (
 // MaxUnavailable (§II-D's MaxUnavailability strategy).
 type deploymentController struct {
 	keyed
-	// hashes memoizes templateHash per sealed Deployment revision. Sealed
-	// objects are immutable, so the object pointer is a sound cache key; a
-	// new revision is a new decoded object and misses naturally. Without
-	// this every sync re-serializes the pod template just to hash it.
+	// hashes memoizes the template hash per sealed Deployment revision.
+	// Sealed objects are immutable, so the object pointer is a sound cache
+	// key; a new revision is a new decoded object and misses naturally.
+	// Without this every sync re-serializes the pod template just to hash it.
 	hashes map[*spec.Deployment]string
+	hasher templateHasher
 	// ownedScratch is the owned-ReplicaSet buffer reused across syncs (the
 	// collected set never outlives the sync call).
 	ownedScratch []*spec.ReplicaSet
@@ -35,7 +36,7 @@ const maxHashCacheEntries = 256
 
 func (c *deploymentController) hashFor(d *spec.Deployment) string {
 	if !d.Metadata.Sealed() {
-		return templateHash(d.Spec.Template)
+		return c.hasher.hash(&d.Spec.Template)
 	}
 	if h, ok := c.hashes[d]; ok {
 		return h
@@ -43,7 +44,7 @@ func (c *deploymentController) hashFor(d *spec.Deployment) string {
 	if len(c.hashes) >= maxHashCacheEntries {
 		clear(c.hashes)
 	}
-	h := templateHash(d.Spec.Template)
+	h := c.hasher.hash(&d.Spec.Template)
 	c.hashes[d] = h
 	return h
 }

@@ -14,7 +14,6 @@ package controller
 
 import (
 	"fmt"
-	"hash/fnv"
 	"time"
 
 	"github.com/mutiny-sim/mutiny/internal/apiserver"
@@ -279,17 +278,35 @@ func (m *Manager) NameSeq() int64 { return m.nameSeq }
 // would mint child names that collide with bootstrap-era objects.
 func (m *Manager) ResumeNameSeq(seq int64) { m.nameSeq = seq }
 
-// templateHash mirrors the pod-template-hash mechanism: deployments stamp
-// their ReplicaSets and pods with a hash of the pod template, so template
-// corruption surfaces as a new hash — triggering a rolling update.
-func templateHash(tpl spec.PodTemplate) string {
-	b, err := codec.Marshal(&tpl)
+// templateHasher computes the pod-template-hash: deployments stamp their
+// ReplicaSets and pods with a hash of the pod template, so template
+// corruption surfaces as a new hash — triggering a rolling update. The hash
+// is 32-bit FNV-1a over the template's encoding, as eight hex digits. The
+// encoder and its buffer belong to one deployment controller, whose cluster
+// runs on one worker, so a hash allocates only the string it returns.
+type templateHasher struct {
+	arena codec.Arena
+	buf   []byte
+}
+
+func (h *templateHasher) hash(tpl *spec.PodTemplate) string {
+	b, err := h.arena.AppendMarshal(h.buf[:0], tpl)
 	if err != nil {
-		b = []byte(fmt.Sprint(tpl))
+		b = append(h.buf[:0], fmt.Sprint(*tpl)...)
 	}
-	h := fnv.New32a()
-	_, _ = h.Write(b)
-	return fmt.Sprintf("%08x", h.Sum32())
+	h.buf = b[:0]
+	sum := uint32(2166136261) // FNV-1a offset basis
+	for _, c := range b {
+		sum ^= uint32(c)
+		sum *= 16777619 // FNV prime
+	}
+	const digits = "0123456789abcdef"
+	var out [8]byte
+	for i := len(out) - 1; i >= 0; i-- {
+		out[i] = digits[sum&0xf]
+		sum >>= 4
+	}
+	return string(out[:])
 }
 
 func objKey(o spec.Object) string {
